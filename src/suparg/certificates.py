@@ -18,7 +18,8 @@ the checker itself can flip a verdict.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -302,6 +303,9 @@ def check(cert: Certificate, f: Expr | None = None,
     if isinstance(cert, (ClopenReport, SubcoverCert)):
         return _check_topology(cert)
 
+    nonfinite = _nonfinite_field(cert)
+    if nonfinite is not None:
+        return _invalid(f"{nonfinite} is not finite")
     try:
         stored = parse(cert.fn_source)
     except expr_mod.ParseError as err:
@@ -338,6 +342,17 @@ def check(cert: Certificate, f: Expr | None = None,
     except (DomainError, expr_mod.NotDifferentiable, OverflowError) as err:
         return _invalid(f"re-evaluation failed: {err}")
     return _invalid(f"unknown certificate type {type(cert).__name__}")
+
+
+def _nonfinite_field(cert) -> str | None:
+    # NaN slips through every ordered comparison and Fraction() rejects
+    # NaN and inf, so a hostile scalar or per-piece value is refused first.
+    for fld in fields(cert):
+        value = getattr(cert, fld.name)
+        values = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+            return fld.name
+    return None
 
 
 def _structure(cert, pieces_arrays: tuple[tuple, ...]) -> CheckResult | None:
@@ -422,7 +437,9 @@ def _check_neg(cert: NegCert, f: Expr) -> CheckResult:
 def _check_root(cert: RootBracket, f: Expr) -> CheckResult:
     if not (cert.a <= cert.l < cert.r <= cert.b):
         return _invalid("bracket not inside the domain")
-    if cert.tol > 0 and Fraction(cert.r) - Fraction(cert.l) > Fraction(cert.tol):
+    if not cert.tol > 0.0:
+        return _invalid("tol is not positive")
+    if Fraction(cert.r) - Fraction(cert.l) > Fraction(cert.tol):
         return _invalid("bracket wider than tol")
     fresh_l = eval_iv(f, FloatInterval.point(cert.l))
     if not fresh_l.hi <= cert.f_l_hi:

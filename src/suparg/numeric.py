@@ -324,20 +324,59 @@ class FloatInterval:
         return FloatInterval(sub_down(self.lo, other.hi), sub_up(self.hi, other.lo))
 
     def __mul__(self, other: FloatInterval) -> FloatInterval:
-        corners = ((self.lo, other.lo), (self.lo, other.hi),
-                   (self.hi, other.lo), (self.hi, other.hi))
-        lo = min(mul_down(a, b) for a, b in corners)
-        hi = max(mul_up(a, b) for a, b in corners)
-        return FloatInterval(lo, hi)
+        # Moore's sign-case table: the operand signs fix which corner
+        # products are extreme, and directed rounding is monotone, so the
+        # result equals the min/max over all four corners.
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if a >= 0.0:
+            if c >= 0.0:
+                lo, hi = mul_down(a, c), mul_up(b, d)
+            elif d <= 0.0:
+                lo, hi = mul_down(b, c), mul_up(a, d)
+            else:
+                lo, hi = mul_down(b, c), mul_up(b, d)
+        elif b <= 0.0:
+            if c >= 0.0:
+                lo, hi = mul_down(a, d), mul_up(b, c)
+            elif d <= 0.0:
+                lo, hi = mul_down(b, d), mul_up(a, c)
+            else:
+                lo, hi = mul_down(a, d), mul_up(a, c)
+        elif c >= 0.0:
+            lo, hi = mul_down(a, d), mul_up(b, d)
+        elif d <= 0.0:
+            lo, hi = mul_down(b, c), mul_up(a, c)
+        else:
+            lo = min(mul_down(a, d), mul_down(b, c))
+            hi = max(mul_up(a, c), mul_up(b, d))
+        return _signed_zero_fix(lo, hi, self, other, mul_down, mul_up)
 
     def __truediv__(self, other: FloatInterval) -> FloatInterval:
         if other.straddles_zero():
             raise DivisionByZeroInterval(f"denominator {other} contains zero")
-        corners = ((self.lo, other.lo), (self.lo, other.hi),
-                   (self.hi, other.lo), (self.hi, other.hi))
-        lo = min(div_down(a, b) for a, b in corners)
-        hi = max(div_up(a, b) for a, b in corners)
-        return FloatInterval(lo, hi)
+        # the denominator has one strict sign, so each numerator endpoint
+        # meets the denominator endpoint its own sign selects
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if c > 0.0:
+            lo = div_down(a, d if a >= 0.0 else c)
+            hi = div_up(b, c if b >= 0.0 else d)
+        else:
+            lo = div_down(b, d if b >= 0.0 else c)
+            hi = div_up(a, c if a >= 0.0 else d)
+        return _signed_zero_fix(lo, hi, self, other, div_down, div_up)
+
+
+def _signed_zero_fix(lo: float, hi: float, x: FloatInterval, y: FloatInterval,
+                     down, up) -> FloatInterval:
+    # A zero endpoint's sign depends on which corner a scan in the order
+    # (lo,lo), (lo,hi), (hi,lo), (hi,hi) meets first; take it from that
+    # scan so results, and the certificate bytes built from them, stay
+    # bit-identical to the four-corner form.
+    if lo == 0.0:
+        lo = min(down(x.lo, y.lo), down(x.lo, y.hi), down(x.hi, y.lo), down(x.hi, y.hi))
+    if hi == 0.0:
+        hi = max(up(x.lo, y.lo), up(x.lo, y.hi), up(x.hi, y.lo), up(x.hi, y.hi))
+    return FloatInterval(lo, hi)
 
 
 def iv_abs(x: FloatInterval) -> FloatInterval:
@@ -358,12 +397,19 @@ def iv_sqr(x: FloatInterval) -> FloatInterval:
 
 
 def _pow_mag(m: float, n: int, up: bool) -> float:
-    # m >= 0; repeated directed multiply keeps every intermediate a bound
-    acc = 1.0
+    # m >= 0, n >= 1; square-and-multiply with directed products, which
+    # are monotone on non-negative operands, so every intermediate stays a
+    # bound.  The base is squared only while exponent bits remain, so no
+    # intermediate exceeds m^n.
     step = mul_up if up else mul_down
-    for _ in range(n):
-        acc = step(acc, m)
-    return acc
+    acc = None
+    while True:
+        if n & 1:
+            acc = m if acc is None else step(acc, m)
+        n >>= 1
+        if not n:
+            return acc
+        m = step(m, m)
 
 
 def _pow_point(v: float, n: int, up: bool) -> float:

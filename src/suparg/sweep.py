@@ -9,11 +9,17 @@ advances a frontier until it reaches b, accumulating the finite certificate
 along the way.
 
 Local extension searches for a workable step width by geometric halving
-from h_init down to h_min.  A failure to certify is reported as a stall
-unless the evaluated enclosure itself refutes the hypothesis (for example a
-certified-positive range while proving negativity), in which case the
-failure carries the refuting piece: interval arithmetic cannot otherwise
-distinguish "hypothesis false" from "enclosure too loose".
+down to h_min, over the lattice of widths h_init * 2**-k.  The width that
+certified the previous piece is the best guess for the next one, so the
+search warm-starts at twice that width (capped at h_init) and only the
+first piece starts cold at h_init.  A warm search that certifies nothing is
+rerun once from h_init, so a frontier fails exactly where the cold search
+fails, refutation probes at the wide widths included.  A failure to certify
+is reported as a stall unless the evaluated enclosure itself refutes the
+hypothesis (for example a certified-positive range while proving
+negativity), in which case the failure carries the refuting piece: interval
+arithmetic cannot otherwise distinguish "hypothesis false" from "enclosure
+too loose".
 
 Merging is transitivity made concrete.  For most properties certificates
 over [a, x] and [x, y] concatenate; the uniform-continuity property merges
@@ -148,6 +154,7 @@ class LocalWitness:
     ext: FloatInterval | None = None     # evaluated overlapping piece (uniform continuity)
     cand: float | None = None            # improved maximizer candidate
     cand_lo: float | None = None
+    h: float | None = None               # lattice step width that certified the piece
 
 
 @dataclass(frozen=True)
@@ -157,6 +164,7 @@ class SweepState:
     frontier: float
     partial: Certificate
     pieces_used: int = 0
+    h_prev: float | None = None          # width of the last step; None starts cold
 
 
 class FailureKind(Enum):
@@ -398,8 +406,16 @@ def _problem_for(kind: PropertyKind, left: Certificate, w: LocalWitness) -> Prob
 def local_extend(p: Problem, s: SweepState, h_init: float,
                  h_min: float | None = None) -> LocalWitness | SweepFailure:
     """Find a step width h in [h_min, h_init] whose piece certifies the
-    local predicate, halving geometrically; stall if none does, fail with a
-    refuting piece if an enclosure certifies the hypothesis false."""
+    local predicate; stall if none does, fail with a refuting piece if an
+    enclosure certifies the hypothesis false.
+
+    The search halves geometrically from min(h_init, 2 * s.h_prev), or from
+    h_init when s.h_prev is None.  A warm search that certifies nothing is
+    rerun once from h_init, so failures (and domain errors) are those of
+    the cold search at this frontier.  The witness reports the certifying
+    width as w.h; passing it on as the next state's h_prev makes a
+    base_case -> local_extend -> combine fold reproduce run_sweep exactly.
+    """
     if not s.frontier < p.b:
         raise ValueError("frontier already at b")
     if h_min is None:
@@ -409,12 +425,25 @@ def local_extend(p: Problem, s: SweepState, h_init: float,
         hint = s.partial.f_at_c_lo
     elif isinstance(s.partial, ModulusCert) and s.partial.pieces:
         hint = s.partial.pieces[-1].lo
-    return _extend_core(p, s.frontier, hint, h_init, h_min)
+    return _extend_core(p, s.frontier, hint, h_init, h_min, s.h_prev)
 
 
-def _extend_core(p: Problem, x: float, hint: float | None,
-                 h_init: float, h_min: float) -> LocalWitness | SweepFailure:
-    h = h_init
+def _extend_core(p: Problem, x: float, hint: float | None, h_init: float,
+                 h_min: float, h_prev: float | None) -> LocalWitness | SweepFailure:
+    # Anything but a witness from the warm search is redone cold, so a
+    # failure or a domain error names the piece the cold search reaches.
+    if h_prev is not None and 2 * h_prev < h_init:
+        try:
+            res = _halving_search(p, x, hint, 2 * h_prev, h_min)
+        except DomainError:
+            res = None
+        if isinstance(res, LocalWitness):
+            return res
+    return _halving_search(p, x, hint, h_init, h_min)
+
+
+def _halving_search(p: Problem, x: float, hint: float | None,
+                    h: float, h_min: float) -> LocalWitness | SweepFailure:
     while h >= h_min:
         y = x + h
         # clip at b, absorbing any sub-h_min remainder so no dust piece forms
@@ -446,7 +475,7 @@ def _probe(p: Problem, piece: FloatInterval, x: float, h: float,
     kind = p.kind
     if kind is PropertyKind.BOUNDED:
         v = eval_iv(p.f, piece)
-        return LocalWitness(piece, value=v)
+        return LocalWitness(piece, value=v, h=h)
 
     if kind is PropertyKind.MAX_APPROX:
         # witness-point probes: the midpoint covers an interior maximum,
@@ -460,13 +489,13 @@ def _probe(p: Problem, piece: FloatInterval, x: float, h: float,
             cand, cand_lo = piece.hi, end_lo
         best = cand_lo if hint is None else max(hint, cand_lo)
         if Fraction(v.hi) <= Fraction(best) + Fraction(p.eps):
-            return LocalWitness(piece, value=v, cand=cand, cand_lo=cand_lo)
+            return LocalWitness(piece, value=v, cand=cand, cand_lo=cand_lo, h=h)
         return None
 
     if kind is PropertyKind.SIGN_NEG:
         v = eval_iv(p.f, piece)
         if v.hi < 0.0:
-            return LocalWitness(piece, value=v)
+            return LocalWitness(piece, value=v, h=h)
         if v.lo > 0.0:
             return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=x,
                                 witness=piece, enclosure=v,
@@ -486,19 +515,19 @@ def _probe(p: Problem, piece: FloatInterval, x: float, h: float,
         v = eval_iv(p.f, ext)
         osc = sub_up(v.hi, v.lo)
         if osc < p.eps:
-            return LocalWitness(piece, value=v, ext=ext)
+            return LocalWitness(piece, value=v, ext=ext, h=h)
         return None
 
     if kind is PropertyKind.DARBOUX_GAP:
         v = eval_iv(p.f, piece)
         if sub_up(v.hi, v.lo) <= p.darboux_budget():
-            return LocalWitness(piece, value=v)
+            return LocalWitness(piece, value=v, h=h)
         return None
 
     if kind in _DERIVATIVE_KINDS:
         d = eval_d1(p.f, piece).deriv
         if _deriv_certified(kind, d, p):
-            return LocalWitness(piece, deriv=d)
+            return LocalWitness(piece, deriv=d, h=h)
         refuted = _deriv_refuted(kind, d, p)
         if refuted:
             return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=x, witness=piece,
@@ -558,15 +587,17 @@ def run_sweep(p: Problem, opts: SweepOptions | None = None) -> Certificate | Swe
     acc = _Acc(p)
     frontier = p.a
     hint: float | None = -_MAX_FLOAT if p.kind is PropertyKind.MAX_APPROX else None
+    h_prev: float | None = None
     pieces = 0
     while frontier < p.b:
         if pieces >= max_pieces:
             return SweepFailure(FailureKind.BUDGET, at=frontier,
                                 detail=f"piece budget {max_pieces} exhausted")
-        res = _extend_core(p, frontier, hint, h_init, h_min)
+        res = _extend_core(p, frontier, hint, h_init, h_min, h_prev)
         if isinstance(res, SweepFailure):
             return res
         acc.push(res)
+        h_prev = res.h
         if p.kind is PropertyKind.MAX_APPROX:
             hint = acc.best_lo
         elif p.kind is PropertyKind.UNIF_CONT:

@@ -128,6 +128,15 @@ def test_root_bracket_mutations():
     assert not check(replace(cert, tol=(cert.r - cert.l) / 4))
 
 
+def test_root_bracket_tampered_tol_is_invalid():
+    cert = prove_root("x - 1", 0.0, 2.0, 1e-9)
+    wide = replace(cert, l=0.0, r=2.0, f_l_hi=-1.0, f_r_lo=1.0)
+    assert check(replace(wide, tol=4.0))
+    for tol in (0.0, -1.0, math.nan):
+        result = check(replace(wide, tol=tol))
+        assert not result, tol
+
+
 def test_modulus_mutations():
     cert = prove_modulus("sin(x)", 0.0, 4.0, 0.1)
     assert check(cert)
@@ -271,3 +280,50 @@ def test_conclusion_projections():
 
     flat = prove_flat("3", 0.0, 1.0, 0.0)
     assert "exact" in conclusion_of(flat).text
+
+
+# ---------------------------------------------------------------------------
+# hostile scalars: Invalid, never an exception
+# ---------------------------------------------------------------------------
+
+def _one_of_each_function_certificate():
+    certs = [
+        prove_bound("sin(x)", 0.0, 3.0),
+        prove_max("sin(x)", 0.0, 3.0, 1e-2),
+        prove_root("x - 3", 0.0, 1.0, 1e-9),          # NegCert
+        prove_root("x^2 - 2", 0.0, 2.0, 1e-9),        # RootBracket
+        prove_modulus("sin(x)", 0.0, 2.0, 0.3),
+        prove_integral("x^2", 0.0, 1.0, 1e-2),
+        prove_monotone("exp(x)", 0.0, 1.0, strict=True),
+        prove_mvi("x^2", 0.0, 1.0, 2.5),
+        prove_flat("sin(x)", 0.0, 1.0, 1.5),
+    ]
+    assert all(check(c) for c in certs)
+    return certs
+
+
+def _float_scalar_fields(cert):
+    return [f.name for f in dataclasses.fields(cert) if isinstance(getattr(cert, f.name), float)]
+
+
+def test_nonfinite_scalars_are_invalid(tmp_path, capsys):
+    from suparg.cli import run
+    path = tmp_path / "cert.json"
+    seen = set()
+    for cert in _one_of_each_function_certificate():
+        for name in _float_scalar_fields(cert):
+            for bad in (math.nan, math.inf, -math.inf):
+                tampered = replace(cert, **{name: bad})
+                result = check(tampered)
+                assert not result and result.reason == f"{name} is not finite", (cert, name, bad)
+                path.write_text(dumps(tampered))
+                assert run(["check", str(path)]) == 1, (type(cert).__name__, name, bad)
+                assert "Invalid" in capsys.readouterr().out
+        seen.add(type(cert).__name__)
+    assert len(seen) == 9
+
+
+def test_nonfinite_per_piece_value_is_invalid():
+    cert = prove_modulus("sin(x)", 0.0, 2.0, 0.3)
+    result = check(replace(cert, piece_osc=tuple_set(cert.piece_osc, 0, math.nan)))
+    assert not result and result.reason == "piece_osc is not finite"

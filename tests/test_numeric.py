@@ -11,6 +11,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from suparg.expr import eval_d1, eval_iv, parse
 from suparg.numeric import (
     DivisionByZeroInterval,
     DomainError,
@@ -23,8 +24,13 @@ from suparg.numeric import (
     hex_to_float,
     interval_to_hex,
     hex_to_interval,
+    div_down,
+    div_up,
     iv_arith,
+    iv_pow,
     iv_unary,
+    mul_down,
+    mul_up,
     parse_rational,
     format_rational,
     rat_arith,
@@ -281,3 +287,111 @@ def test_rat_interval_invariants():
         RatInterval(Fraction(1), Fraction(1), lo_open=True)
     assert RatInterval(Fraction(0), Fraction(1), True, True).contains(Fraction(1, 2))
     assert not RatInterval(Fraction(0), Fraction(1), True, True).contains(Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# sign-case product and quotient against the four-corner reference
+# ---------------------------------------------------------------------------
+
+def _corner_mul(x, y):
+    corners = ((x.lo, y.lo), (x.lo, y.hi), (x.hi, y.lo), (x.hi, y.hi))
+    lo = min(mul_down(a, b) for a, b in corners)
+    hi = max(mul_up(a, b) for a, b in corners)
+    return FloatInterval(lo, hi)
+
+
+def _corner_div(x, y):
+    if y.straddles_zero():
+        raise DivisionByZeroInterval(f"denominator {y} contains zero")
+    corners = ((x.lo, y.lo), (x.lo, y.hi), (x.hi, y.lo), (x.hi, y.hi))
+    lo = min(div_down(a, b) for a, b in corners)
+    hi = max(div_up(a, b) for a, b in corners)
+    return FloatInterval(lo, hi)
+
+
+def _outcome(op, x, y):
+    """Bit pattern of the result (so -0.0 differs from 0.0), or the error raised."""
+    try:
+        out = op(x, y)
+    except (OverflowError, ZeroDivisionError) as err:
+        return type(err), str(err)
+    return float_to_hex(out.lo), float_to_hex(out.hi)
+
+
+def _edge_endpoint(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324,
+                           1.7976931348623157e308, -1.7976931348623157e308])
+    if kind == 1:  # near-overflow magnitudes
+        return rng.choice([1.0, -1.0]) * rng.uniform(1, 2) * 2.0 ** rng.randint(500, 1023)
+    if kind == 2:  # near-underflow magnitudes
+        return rng.choice([1.0, -1.0]) * rng.uniform(1, 2) * 2.0 ** rng.randint(-1074, -500)
+    if kind == 3:
+        return float(rng.randint(-4, 4))
+    return rng.uniform(-3, 3)
+
+
+def _edge_interval(rng):
+    u = _edge_endpoint(rng)
+    if rng.random() < 0.15:
+        return FloatInterval(u, u)
+    v = _edge_endpoint(rng)
+    return FloatInterval(u, v) if u <= v else FloatInterval(v, u)
+
+
+def test_sign_case_kernels_match_four_corner_reference():
+    rng = random.Random(107)
+    for _ in range(20_000):
+        x, y = _edge_interval(rng), _edge_interval(rng)
+        assert _outcome(FloatInterval.__mul__, x, y) == _outcome(_corner_mul, x, y), (x, y)
+        assert _outcome(FloatInterval.__truediv__, x, y) == _outcome(_corner_div, x, y), (x, y)
+
+
+def test_sign_case_signed_zero_endpoints():
+    for zx in (0.0, -0.0):
+        for zy in (0.0, -0.0):
+            for x in (FloatInterval(zx, zx), FloatInterval(zx, 2.0), FloatInterval(-2.0, zx)):
+                for y in (FloatInterval(zy, zy), FloatInterval(zy, 3.0),
+                          FloatInterval(-3.0, zy), FloatInterval(-1.0, 1.0)):
+                    assert _outcome(FloatInterval.__mul__, x, y) == _outcome(_corner_mul, x, y)
+                    assert _outcome(FloatInterval.__mul__, y, x) == _outcome(_corner_mul, y, x)
+                    for d in (FloatInterval(2.0, 3.0), FloatInterval(-3.0, -2.0)):
+                        assert (_outcome(FloatInterval.__truediv__, x, d)
+                                == _outcome(_corner_div, x, d))
+
+
+# ---------------------------------------------------------------------------
+# integer powers by directed repeated squaring
+# ---------------------------------------------------------------------------
+
+def _exact_pow_range(x, n):
+    lo, hi = Fraction(x.lo) ** n, Fraction(x.hi) ** n
+    if n == 0 or n % 2 == 1 or x.lo >= 0:
+        return lo, hi
+    if x.hi <= 0:
+        return hi, lo
+    return Fraction(0), max(lo, hi)
+
+
+def test_pow_contains_exact_powers_in_every_sign_case():
+    rng = random.Random(108)
+    for n in range(65):
+        for _ in range(12):
+            scale = 2.0 ** rng.randint(-20, 15)
+            u, v = sorted(rng.uniform(0, 3) * scale for _ in range(2))
+            for x in (FloatInterval(u, v), FloatInterval(-v, -u), FloatInterval(-u, v),
+                      FloatInterval(0.0, v), FloatInterval(-v, 0.0), FloatInterval(u, u)):
+                out = iv_pow(x, n)
+                lo, hi = _exact_pow_range(x, n)
+                assert Fraction(out.lo) <= lo and hi <= Fraction(out.hi), (x, n)
+
+
+def test_huge_exponent_evaluates():
+    x = FloatInterval(0.5, 0.9)
+    out = eval_iv(parse("x^100000000"), x)
+    assert out.lo == 0.0 and 0.0 < out.hi <= 5e-324
+    assert iv_pow(FloatInterval(-0.9, -0.5), 10 ** 8 + 1) == FloatInterval(-5e-324, -0.0)
+    assert eval_d1(parse("x^100000000"), x).deriv.lo >= 0.0
+    with pytest.raises(OverflowError):
+        iv_pow(FloatInterval(1.5, 2.0), 10 ** 8)

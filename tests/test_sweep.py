@@ -257,7 +257,7 @@ def _manual_run(p, h_init, h_min):
         cert = combine(p.kind, state.partial, res)
         restricted = check(cert)
         assert restricted, f"partial invalid at {res.piece}: {restricted}"
-        state = SweepState(res.piece.hi, cert, state.pieces_used + 1)
+        state = SweepState(res.piece.hi, cert, state.pieces_used + 1, res.h)
         frontiers.append(state.frontier)
     return state, frontiers
 
@@ -268,6 +268,9 @@ def _manual_run(p, h_init, h_min):
     ("exp(x)", PropertyKind.STRICT_INC, {}),
     ("sin(x)", PropertyKind.UNIF_CONT, {"eps": 0.5}),
     ("x^2", PropertyKind.DARBOUX_GAP, {"eps": 0.1}),
+    # past the maximum the certifiable width jumps and the warm start doubles
+    # up to it mid-sweep, so a cold fold gives 9 pieces here, not 11
+    ("exp(-4*x*x)", PropertyKind.MAX_APPROX, {"eps": 1e-3}),
 ])
 def test_frontier_monotone_and_fold_matches_sweep(src, kind, kw):
     a, b = (0.0, 1.0) if kind is PropertyKind.SIGN_NEG else (0.0, 2.0)
@@ -313,3 +316,51 @@ def test_random_problems_prove_then_check():
             assert out.kind in (FailureKind.STALLED, FailureKind.HYPOTHESIS_FAIL)
             continue
         assert check(out), (src, kind, check(out))
+
+
+# ---------------------------------------------------------------------------
+# warm-started step width
+# ---------------------------------------------------------------------------
+
+def test_warm_start_evaluations_per_piece(monkeypatch):
+    import suparg.sweep as sweep_mod
+    calls = []
+    real = sweep_mod.eval_iv
+    monkeypatch.setattr(sweep_mod, "eval_iv", lambda f, x: calls.append(x) or real(f, x))
+    out = run_sweep(problem("x^3 - x", -1.0, 1.5, PropertyKind.DARBOUX_GAP, eps=1e-2))
+    assert isinstance(out, IntegralCert) and check(out)
+    assert len(calls) <= 2.5 * len(out.partition)
+
+
+@pytest.mark.parametrize("src,a,b,kind,kw,expected", [
+    ("x^3", -1.0, 1.0, PropertyKind.STRICT_INC, {}, FailureKind.STALLED),
+    ("x*x - 0.25", 0.0, 1.0, PropertyKind.SIGN_NEG, {}, FailureKind.STALLED),
+    ("exp(-x*x)", -2.0, 2.0, PropertyKind.MVI_BOUND, {"M": 0.77}, FailureKind.STALLED),
+    ("x*exp(-x)", 0.0, 3.0, PropertyKind.INC, {}, FailureKind.STALLED),
+    ("x - x^3", 0.0, 1.0, PropertyKind.STRICT_INC, {}, FailureKind.HYPOTHESIS_FAIL),
+    ("sin(x)", 0.0, 4.0, PropertyKind.STRICT_INC, {}, FailureKind.HYPOTHESIS_FAIL),
+])
+def test_failure_is_the_cold_search_failure(src, a, b, kind, kw, expected):
+    # the kinds are those the cold-only search reported before the warm start
+    p = problem(src, a, b, kind, **kw)
+    res = run_sweep(p)
+    assert isinstance(res, SweepFailure) and res.kind is expected
+    cold = local_extend(p, SweepState(res.at, base_case(p).partial), (b - a) / 8)
+    assert cold == res
+
+
+def test_warm_domain_error_reports_the_cold_piece():
+    p = problem("log(x)", -1.0, 1.0, PropertyKind.BOUNDED)
+    state = SweepState(-0.5, base_case(p).partial, h_prev=2.0 ** -10)
+    from suparg.numeric import DomainError
+    with pytest.raises(DomainError) as exc:
+        local_extend(p, state, 0.25)
+    assert exc.value.piece == FloatInterval(-0.5, -0.25)
+
+
+def test_witness_reports_its_lattice_width():
+    p = problem("x - 0.5", 0.0, 1.0, PropertyKind.SIGN_NEG)
+    w = local_extend(p, SweepState(0.4, base_case(p).partial), 0.4)
+    assert w.h == 0.05
+    warm = local_extend(p, SweepState(0.4, base_case(p).partial, h_prev=w.h), 0.4)
+    assert warm == w  # 2 * h_prev = 0.1 is refused, h_prev certifies again
