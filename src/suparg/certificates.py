@@ -590,15 +590,26 @@ def _check_topology(cert: ClopenReport | SubcoverCert) -> CheckResult:
         for e in chosen:
             if not e.is_open_interval():
                 return _invalid("cover element is not an open interval")
+        chain = cert.chain
+        if not chain or chain[0] != cert.a or chain[-1] != cert.b:
+            return _invalid("witness chain does not run from a to b")
+        if len(chain) - len(chosen) not in (0, 1):
+            return _invalid("witness chain length does not match the chosen elements")
+        if any(p >= q for p, q in zip(chain, chain[1:])):
+            return _invalid("witness chain is not strictly increasing")
+        for e, p in zip(chosen, chain):
+            if not e.lo < p < e.hi:
+                return _invalid(f"chosen element {e} does not contain the chain point {p}")
         uncovered = topology.uncovered_point(chosen, cert.a, cert.b)
         if uncovered is not None:
             return _invalid(f"chosen elements miss the point {uncovered}")
-        if not cert.chain or cert.chain[0] != cert.a:
-            return _invalid("witness chain does not start at a")
         return VALID
 
     u = topology.RatIntervalSet(cert.components)
-    fresh = topology.analyze_clopen(u, cert.a, cert.b)
+    try:
+        fresh = topology.analyze_clopen(u, cert.a, cert.b)
+    except ValueError as err:  # reversed domain, or a set outside [a, b]
+        return _invalid(str(err))
     if fresh.verdict != cert.verdict or fresh.witness != cert.witness:
         return _invalid("stored verdict not reproduced by exact set algebra")
     return VALID
@@ -763,11 +774,12 @@ def to_document(cert: Certificate, engine: dict | None = None) -> dict:
         "domain": domain,
         "params": params,
         "certificate": body,
-        "engine": engine or {"pieces": _piece_count(cert), "h_min": float_to_hex(0.0)},
+        "engine": engine or {"pieces": piece_count(cert), "h_min": float_to_hex(0.0)},
     }
 
 
-def _piece_count(cert: Certificate) -> int:
+def piece_count(cert: Certificate) -> int:
+    """Pieces, chosen elements or set components: the engine's count."""
     if isinstance(cert, _PARTITION_CERTS):
         return len(cert.partition)
     if isinstance(cert, ModulusCert):

@@ -23,6 +23,7 @@ from .certificates import (
     conclusion_of,
     dumps,
     from_document,
+    piece_count,
     to_document,
 )
 from .expr import ParseError, parse
@@ -186,7 +187,7 @@ def _cmd_prove(args) -> int:
         return _emit_failure(_failure_record(result))
 
     resolved_h_min = h_min if h_min is not None else (b - a) * 2.0 ** -40
-    engine = {"pieces": _pieces_of(result), "h_min": float_to_hex(resolved_h_min)}
+    engine = {"pieces": piece_count(result), "h_min": float_to_hex(resolved_h_min)}
     text = dumps(result, engine)
     if args.out:
         with open(args.out, "w") as handle:
@@ -197,16 +198,6 @@ def _cmd_prove(args) -> int:
         print(conclusion_of(result).text)
         if not args.out:
             sys.stdout.write(text)
-    return 0
-
-
-def _pieces_of(cert) -> int:
-    part = getattr(cert, "partition", None)
-    if part is not None:
-        return len(part)
-    pieces = getattr(cert, "pieces", None)
-    if pieces is not None:
-        return len(pieces)
     return 0
 
 

@@ -105,12 +105,19 @@ def union(x: RatIntervalSet, y: RatIntervalSet) -> RatIntervalSet:
 
 
 def intersect(x: RatIntervalSet, y: RatIntervalSet) -> RatIntervalSet:
+    """Two-pointer merge, O(n + m): in canonical form, the component that
+    ends first meets nothing further along the other list."""
+    xs, ys = x.components, y.components
     out = []
-    for c in x.components:
-        for d in y.components:
-            got = _intersect_pair(c, d)
-            if got is not None:
-                out.append(got)
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        got = _intersect_pair(xs[i], ys[j])
+        if got is not None:
+            out.append(got)
+        if xs[i].hi <= ys[j].hi:
+            i += 1
+        else:
+            j += 1
     return RatIntervalSet(tuple(out))
 
 
@@ -257,19 +264,40 @@ class UncoveredPoint:
         return f"uncovered point {self.point}"
 
 
-def uncovered_point(elements, a: Rational, b: Rational) -> Rational | None:
-    """Exact coverage test for open intervals: None iff they cover [a, b]."""
-    c = a
+def _frontier_walk(elements, a: Rational, b: Rational):
+    """(chosen indices, frontiers from a, uncovered point or None).
+
+    Elements enter a running best (largest hi, ties to the lowest index) in
+    order of lo while lo < c.  c only rises, so each enters once, and an
+    entered element straddles c iff its hi > c.
+    """
+    order = sorted(range(len(elements)), key=lambda i: elements[i].lo)
+    c, frontiers, chosen = a, [a], []
+    best_r = best_idx = None
+    k = 0
     while True:
-        best = None
-        for e in elements:
-            if e.lo < c < e.hi and (best is None or e.hi > best):
-                best = e.hi
-        if best is None:
-            return c
-        if b < best:
-            return None
-        c = best
+        while k < len(order) and elements[order[k]].lo < c:
+            idx = order[k]
+            r = elements[idx].hi
+            if best_r is None or r > best_r or (r == best_r and idx < best_idx):
+                best_r, best_idx = r, idx
+            k += 1
+        if best_r is None or best_r <= c:
+            return chosen, frontiers, c
+        chosen.append(best_idx)
+        if b < best_r:
+            return chosen, frontiers, None
+        c = best_r
+        frontiers.append(c)
+
+
+def uncovered_point(elements, a: Rational, b: Rational) -> Rational | None:
+    """Exact coverage test for open intervals: None iff they cover [a, b].
+
+    The frontier walk of extract_subcover (one sort by left end, then a
+    sweep); the first frontier no element straddles is the uncovered point.
+    """
+    return _frontier_walk(elements, a, b)[2]
 
 
 def extract_subcover(cover: Cover, a: Rational,
@@ -280,28 +308,17 @@ def extract_subcover(cover: Cover, a: Rational,
     the one with maximal right endpoint (ties to the lowest index), advance
     the frontier there, and stop once the last element contains b.  The
     frontier value itself is the uncovered witness when no element
-    straddles it.
+    straddles it.  The elements are sorted by left end once and swept with
+    a running best, so the walk makes O(N log N) exact comparisons.
     """
     if a > b:
         raise ValueError("domain endpoints out of order")
-    c = a
-    chain = [a]
-    chosen: list[int] = []
-    while True:
-        best_r = None
-        best_idx = None
-        for idx, e in enumerate(cover.elements):
-            if e.lo < c < e.hi and (best_r is None or e.hi > best_r):
-                best_r, best_idx = e.hi, idx
-        if best_r is None:
-            return UncoveredPoint(c)
-        chosen.append(best_idx)
-        if b < best_r:
-            if chain[-1] != b:
-                chain.append(b)
-            return SubcoverCert(a, b, cover.elements, tuple(chosen), tuple(chain))
-        c = best_r
-        chain.append(c)
+    chosen, chain, uncovered = _frontier_walk(cover.elements, a, b)
+    if uncovered is not None:
+        return UncoveredPoint(uncovered)
+    if chain[-1] != b:
+        chain.append(b)
+    return SubcoverCert(a, b, cover.elements, tuple(chosen), tuple(chain))
 
 
 # =============================================================================

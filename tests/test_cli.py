@@ -1,10 +1,14 @@
 """Command-line behavior: exit codes, determinism, and the JSON surfaces."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
+from suparg.certificates import check, from_document, to_document
 from suparg.cli import run
+from suparg.numeric import RatInterval
+from suparg.topology import Cover, RatIntervalSet, analyze_clopen, extract_subcover
 
 
 def invoke(capsys, *argv):
@@ -173,6 +177,53 @@ def test_clopen_command(capsys, tmp_path):
     code, out, _ = invoke(capsys, "clopen", "--file", str(sfile), "--a", "0", "--b", "1")
     assert code == 1
     assert "not_rel_closed" in out and "1/2" in out
+
+
+def _subcover_doc():
+    cover = Cover(tuple(RatInterval(F(lo), F(hi), True, True) for lo, hi in
+                        (("-1/10", "2/5"), ("3/10", "7/10"), ("3/5", "11/10"))))
+    return to_document(extract_subcover(cover, F(0), F(1)))
+
+
+def _clopen_doc():
+    u = RatIntervalSet((RatInterval(F(0), F(1, 2), False, True),))
+    return to_document(analyze_clopen(u, F(0), F(1)))
+
+
+def _set_chain(*points):
+    return lambda doc: doc["certificate"].update(chain=list(points))
+
+
+def _reversed_subcover(doc):
+    doc["domain"] = ["1", "0"]
+    doc["certificate"]["chain"] = ["1", "7/10", "2/5", "0"]
+
+
+HOSTILE_TOPOLOGY = {
+    "chain-leaves-domain": (_subcover_doc, _set_chain("0", "5", "-3")),
+    "chain-not-increasing": (_subcover_doc, _set_chain("0", "7/10", "2/5", "1")),
+    "chain-too-short": (_subcover_doc, _set_chain("0", "1")),
+    "chain-too-long": (_subcover_doc, _set_chain("0", "1/5", "2/5", "7/10", "1")),
+    "chain-point-outside-element": (_subcover_doc, _set_chain("0", "1/4", "7/10", "1")),
+    "subcover-reversed-domain": (_subcover_doc, _reversed_subcover),
+    "clopen-reversed-domain": (_clopen_doc, lambda doc: doc.update(domain=["1", "0"])),
+    "clopen-set-outside-domain":
+        (_clopen_doc, lambda doc: doc["certificate"]["set"][0].update(hi="2")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_TOPOLOGY))
+def test_hostile_topology_document_is_invalid(capsys, tmp_path, name):
+    make, tamper = HOSTILE_TOPOLOGY[name]
+    doc = make()
+    assert check(from_document(doc))
+    tamper(doc)
+    assert not check(from_document(doc))
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "check", str(path))
+    assert code == 1 and err == ""
+    assert out.startswith("Invalid")
 
 
 def test_cover_rejects_closed_elements(capsys, tmp_path):

@@ -1,17 +1,20 @@
 """Exact set algebra, clopen verdicts, and greedy subcover optimality."""
 
+import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from suparg.certificates import ClopenVerdict, SubcoverCert, check
+from suparg.certificates import ClopenVerdict, SubcoverCert, check, dumps
 from suparg.numeric import RatInterval
 from suparg.topology import (
     Cover,
     RatIntervalSet,
     UncoveredPoint,
+    _intersect_pair,
     analyze_clopen,
     complement_rel,
     extract_subcover,
@@ -233,6 +236,198 @@ def test_greedy_matches_brute_force_minimum():
             assert len(out.indices) == best
             assert check(out)
     assert covering > 40 and uncovered > 40
+
+
+# ---------------------------------------------------------------------------
+# sort-and-sweep against the quadratic scans it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_uncovered_point(elements, a, b):
+    c = a
+    while True:
+        best = None
+        for e in elements:
+            if e.lo < c < e.hi and (best is None or e.hi > best):
+                best = e.hi
+        if best is None:
+            return c
+        if b < best:
+            return None
+        c = best
+
+
+def _ref_extract_subcover(elements, a, b):
+    c = a
+    chain = [a]
+    chosen = []
+    while True:
+        best_r = None
+        best_idx = None
+        for idx, e in enumerate(elements):
+            if e.lo < c < e.hi and (best_r is None or e.hi > best_r):
+                best_r, best_idx = e.hi, idx
+        if best_r is None:
+            return UncoveredPoint(c)
+        chosen.append(best_idx)
+        if b < best_r:
+            if chain[-1] != b:
+                chain.append(b)
+            return SubcoverCert(a, b, tuple(elements), tuple(chosen), tuple(chain))
+        c = best_r
+        chain.append(c)
+
+
+def _ref_intersect(x, y):
+    out = []
+    for c in x.components:
+        for d in y.components:
+            got = _intersect_pair(c, d)
+            if got is not None:
+                out.append(got)
+    return RatIntervalSet(tuple(out))
+
+
+def _grid_cover(rng):
+    # a coarse grid makes tied right ends, touching open ends and gaps common
+    elements = []
+    for _ in range(rng.randrange(0, 12)):
+        lo = F(rng.randrange(-3, 12), 8)
+        elements.append(RatInterval(lo, lo + F(rng.randrange(1, 7), 8), True, True))
+    return elements
+
+
+def test_sweep_matches_quadratic_reference():
+    rng = random.Random(504)
+    seen = {"covered": 0, "uncovered": 0, "point": 0, "empty": 0}
+    for _ in range(3000):
+        elements = _grid_cover(rng)
+        a = F(rng.randrange(-2, 8), 8)
+        b = a if rng.random() < 0.1 else a + F(rng.randrange(0, 10), 8)
+        out = extract_subcover(Cover(tuple(elements)), a, b)
+        assert out == _ref_extract_subcover(elements, a, b)
+        assert uncovered_point(elements, a, b) == _ref_uncovered_point(elements, a, b)
+        seen["uncovered" if isinstance(out, UncoveredPoint) else "covered"] += 1
+        seen["point"] += a == b
+        seen["empty"] += not elements
+    assert min(seen.values()) > 100
+
+
+def test_merged_intersect_matches_nested_loops():
+    rng = random.Random(505)
+    for _ in range(4000):
+        x, y = _random_set(rng, parts=6), _random_set(rng, parts=6)
+        assert intersect(x, y) == _ref_intersect(x, y)
+
+
+class _Counted(F):
+    """Fraction that counts every comparison made on it."""
+
+    comparisons = 0
+
+    def _count(op):
+        def compare(self, other):
+            _Counted.comparisons += 1
+            return op(self, other)
+        return compare
+
+    __lt__ = _count(F.__lt__)
+    __le__ = _count(F.__le__)
+    __gt__ = _count(F.__gt__)
+    __ge__ = _count(F.__ge__)
+    __eq__ = _count(F.__eq__)
+    __hash__ = F.__hash__
+
+
+def test_subcover_walk_makes_n_log_n_comparisons():
+    links = 1000
+    elements = []
+    for k in range(links):
+        # link k is the only element straddling the frontier k / links
+        elements.append(RatInterval(_Counted(2 * k - 1, 2 * links),
+                                    _Counted(k + 1, links), True, True))
+        elements.append(RatInterval(_Counted(4 * k + 1, 4 * links),
+                                    _Counted(4 * k + 3, 4 * links), True, True))
+    random.Random(506).shuffle(elements)
+    cover = Cover(tuple(elements))
+    a, b = _Counted(0), _Counted(4 * links - 1, 4 * links)
+    n = len(elements)
+    limit = 4 * n * math.log2(n)
+
+    _Counted.comparisons = 0
+    cert = extract_subcover(cover, a, b)
+    assert len(cert.indices) == links
+    assert _Counted.comparisons <= limit
+    _Counted.comparisons = 0
+    assert uncovered_point(elements, a, b) is None
+    assert _Counted.comparisons <= limit
+
+
+# ---------------------------------------------------------------------------
+# golden certificate bytes: a change to topology must reproduce these digests
+# ---------------------------------------------------------------------------
+
+def _open(lo, hi):
+    return RatInterval(F(lo), F(hi), True, True)
+
+
+def _chain_cover(links):
+    out = []
+    for k in range(links + 1):
+        out.append(_open(F(2 * k - 1, 2 * links), F(k + 1, links)))
+        out.append(_open(F(4 * k + 1, 4 * links), F(4 * k + 3, 4 * links)))
+    return [out[37 * i % len(out)] for i in range(len(out))]  # 37 is prime to 2*61
+
+
+GOLDEN_COVERS = {
+    "long-chain": (_chain_cover(60), F(0), F(1)),
+    "tied-ends": ([_open("-1/2", "1/2"), _open(-1, "1/2"), _open("1/4", 1),
+                   _open("3/10", "6/5"), _open("2/5", "6/5"), _open("1/8", "6/5"),
+                   _open("1/2", 2)], F(0), F(1)),
+    "touching-gap": ([_open(-1, "1/3"), _open("1/3", 2), _open("1/4", "1/3")], F(0), F(1)),
+    "point-domain": ([_open(0, 1), _open("-1/2", "1/2"), _open("-1/2", "1/2")],
+                     F(1, 4), F(1, 4)),
+}
+
+
+def _lset(*parts):
+    return RatIntervalSet(tuple(RatInterval(F(lo), F(hi), lo_open, hi_open)
+                                for lo, hi, lo_open, hi_open in parts))
+
+
+GOLDEN_CLOPEN = {
+    "covers-all": _lset((0, "1/3", False, True), ("1/3", "2/3", False, False),
+                        ("1/2", 1, True, False)),
+    "not-contains-a": _lset(("1/8", "1/4", True, False), ("1/2", 1, False, False)),
+    "not-rel-open": _lset((0, "1/4", False, True), ("1/4", "1/2", True, True),
+                          ("1/2", "1/2", False, False), ("3/4", 1, True, False)),
+    "not-rel-closed": _lset((0, "1/4", False, False), ("1/4", "1/2", True, True),
+                            ("3/4", 1, True, False)),
+}
+
+GOLDEN_SHA256 = {
+    "long-chain": "5166aa83053307e5a8087f71d3824144ddb89de2334ff5a6e7bd2d7ba6ee21d8",
+    "tied-ends": "721ea129e3564e8001e12ecf3c843d1d939da7d178d5eb6a6a129f5a988d2fe2",
+    "touching-gap": "213d994c54de440501f8e9febcc5f1ec7dd6f134c5d4d03bc562e8d3129175e7",
+    "point-domain": "cc7f671b8730c09d0fafbc02a5503aba00798c7cbd745470aa0e78622a4106ee",
+    "covers-all": "ebcda3cd5f8e47cb58dc813c6e9a9a7edc70b3c1eaed2e412f0519cd49e4318b",
+    "not-contains-a": "f3708274763167be2810f9b21f6f36b95314e2d698f693c2830bb8adf97113f9",
+    "not-rel-open": "42817d2d5f0d1a83a1a3d328940884e3aa664ba06bfc2bd402f23be6d4c58d2a",
+    "not-rel-closed": "79ebcfb4c2161b62c01afe56ea34dd8653eb8b118cc05c2af3ef2873872d46f0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_topology_output_bytes_are_golden(name):
+    if name in GOLDEN_COVERS:
+        elements, a, b = GOLDEN_COVERS[name]
+        out = extract_subcover(Cover(tuple(elements)), a, b)
+        text = str(out) if isinstance(out, UncoveredPoint) else dumps(out)
+        assert isinstance(out, UncoveredPoint) or check(out)
+    else:
+        out = analyze_clopen(GOLDEN_CLOPEN[name], F(0), F(1))
+        text = dumps(out)
+        assert check(out)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
 
 
 # ---------------------------------------------------------------------------
