@@ -13,15 +13,26 @@ implies it; "probably true but tighter than the evaluation supports" is
 Invalid by design.  Comparisons that carry the conclusion are performed in
 exact rational arithmetic on the stored binary64 values, so no rounding in
 the checker itself can flip a verdict.
+
+Each certificate type is described once, by one `Row` in `ROWS`: its
+theorem codes, JSON type, per-piece arrays and the side of the enclosure
+each one bounds, parameters, scalar conditions, per-piece limit, statement
+text, and the start values and per-piece step by which the sweep builds it.
+The checker, the JSON codec, the conclusion, the sweep's accumulator and the
+CLI all read the rows, so a conclusion is added by adding a class and its
+row.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
+from operator import ge, gt, le, lt
+from typing import Callable
 
 from . import expr as expr_mod
 from .expr import Expr, eval_d1, eval_iv, parse
@@ -30,13 +41,24 @@ from .numeric import (
     FloatInterval,
     RatInterval,
     Rational,
+    add_down,
+    add_up,
+    float_down,
     float_to_hex,
     format_rational,
     hex_to_float,
+    hex_to_interval,
+    interval_to_hex,
+    mul_down,
+    mul_up,
     parse_rational,
+    sub_up,
 )
 
 SCHEMA = "suparg-cert/1"
+
+_MIN_NORMAL = 2.2250738585072014e-308
+_MAX_FLOAT = 1.7976931348623157e308
 
 
 class StructureError(ValueError):
@@ -80,8 +102,17 @@ class Partition:
 # Certificate variants
 # =============================================================================
 
+class _Stated:
+    @property
+    def theorem(self) -> str:
+        """Code of the theorem the certificate states (bvt … cft, i1, i2)."""
+        codes = ROW_OF[type(self)].theorems
+        return next(th for th, fixed in codes.items()
+                    if all(getattr(self, k) == v for k, v in fixed.items()))
+
+
 @dataclass(frozen=True)
-class BoundCert:
+class BoundCert(_Stated):
     """Global upper bound: for all t in [a,b], f(t) <= bound."""
 
     fn_source: str
@@ -91,11 +122,9 @@ class BoundCert:
     piece_sup: tuple[float, ...]
     bound: float
 
-    theorem = "bvt"
-
 
 @dataclass(frozen=True)
-class MaxCert:
+class MaxCert(_Stated):
     """eps-maximizer: f(t) <= f(c) + eps for all t, with f(c) >= f_at_c_lo."""
 
     fn_source: str
@@ -107,11 +136,9 @@ class MaxCert:
     partition: Partition
     piece_sup: tuple[float, ...]
 
-    theorem = "evt"
-
 
 @dataclass(frozen=True)
-class NegCert:
+class NegCert(_Stated):
     """Strict negativity: f < 0 everywhere on [a,b]."""
 
     fn_source: str
@@ -120,11 +147,9 @@ class NegCert:
     partition: Partition
     piece_hi: tuple[float, ...]
 
-    theorem = "ivt"
-
 
 @dataclass(frozen=True)
-class RootBracket:
+class RootBracket(_Stated):
     """Sign-certified bracket: f(l) < 0 < f(r), so f has a zero in [l,r]."""
 
     fn_source: str
@@ -136,11 +161,9 @@ class RootBracket:
     f_r_lo: float
     tol: float
 
-    theorem = "ivt"
-
 
 @dataclass(frozen=True)
-class ModulusCert:
+class ModulusCert(_Stated):
     """Uniform-continuity modulus: |s-t| < delta implies |f(s)-f(t)| < eps.
 
     Pieces are closed, cover [a,b], and consecutive pieces overlap by at
@@ -156,11 +179,9 @@ class ModulusCert:
     pieces: tuple[FloatInterval, ...]
     piece_osc: tuple[float, ...]
 
-    theorem = "uct"
-
 
 @dataclass(frozen=True)
-class IntegralCert:
+class IntegralCert(_Stated):
     """Darboux enclosure: lower_sum <= integral of f <= upper_sum, gap < eps."""
 
     fn_source: str
@@ -173,11 +194,9 @@ class IntegralCert:
     lower_sum: float
     upper_sum: float
 
-    theorem = "dit"
-
 
 @dataclass(frozen=True)
-class MonotoneCert:
+class MonotoneCert(_Stated):
     """Monotonicity from per-piece derivative lower bounds (> 0 strict, >= 0 weak)."""
 
     fn_source: str
@@ -187,13 +206,9 @@ class MonotoneCert:
     partition: Partition
     piece_deriv_lo: tuple[float, ...]
 
-    @property
-    def theorem(self) -> str:
-        return "sift" if self.strict else "ift"
-
 
 @dataclass(frozen=True)
-class MviCert:
+class MviCert(_Stated):
     """Mean-value inequality: f(x2) - f(x1) <= bound * (x2 - x1) for x1 < x2."""
 
     fn_source: str
@@ -203,11 +218,9 @@ class MviCert:
     partition: Partition
     piece_deriv_hi: tuple[float, ...]
 
-    theorem = "mvi"
-
 
 @dataclass(frozen=True)
-class FlatCert:
+class FlatCert(_Stated):
     """eta-flatness: |f(t) - f(a)| <= osc_bound = eta * (b - a); exact when eta = 0."""
 
     fn_source: str
@@ -218,8 +231,6 @@ class FlatCert:
     partition: Partition
     piece_deriv_abs: tuple[float, ...]
 
-    theorem = "cft"
-
 
 class ClopenVerdict(Enum):
     COVERS_ALL = "covers_all"
@@ -229,7 +240,7 @@ class ClopenVerdict(Enum):
 
 
 @dataclass(frozen=True)
-class ClopenReport:
+class ClopenReport(_Stated):
     """Outcome of the relative-clopen analysis of a set U inside [a,b]."""
 
     a: Rational
@@ -238,11 +249,9 @@ class ClopenReport:
     verdict: ClopenVerdict
     witness: Rational | None = None
 
-    theorem = "i1"
-
 
 @dataclass(frozen=True)
-class SubcoverCert:
+class SubcoverCert(_Stated):
     """Finite subcover chain: the chosen open elements already cover [a,b]."""
 
     a: Rational
@@ -251,16 +260,272 @@ class SubcoverCert:
     indices: tuple[int, ...]
     chain: tuple[Rational, ...]
 
-    theorem = "i2"
-
 
 Certificate = (
     BoundCert | MaxCert | NegCert | RootBracket | ModulusCert | IntegralCert
     | MonotoneCert | MviCert | FlatCert | ClopenReport | SubcoverCert
 )
 
-_PARTITION_CERTS = (BoundCert, MaxCert, NegCert, IntegralCert, MonotoneCert,
-                    MviCert, FlatCert)
+
+# =============================================================================
+# One row per certificate type
+# =============================================================================
+
+@dataclass(frozen=True)
+class Side:
+    """Which side of an enclosure e a per-piece value bounds: store(e) is the
+    value a prover records, holds(v, e) whether a stored v still bounds e."""
+
+    store: Callable[[FloatInterval], float]
+    holds: Callable[[float, FloatInterval], bool]
+
+
+HI = Side(lambda e: e.hi, lambda v, e: e.hi <= v)
+LO = Side(lambda e: e.lo, lambda v, e: v <= e.lo)
+ABS = Side(lambda e: max(abs(e.lo), abs(e.hi)),
+           lambda v, e: Fraction(v) >= max(abs(Fraction(e.lo)), abs(Fraction(e.hi))))
+OSC = Side(lambda e: sub_up(e.hi, e.lo),
+           lambda v, e: Fraction(v) >= Fraction(e.hi) - Fraction(e.lo))
+
+
+@dataclass(frozen=True)
+class Row:
+    """Everything suparg knows about one certificate type.
+
+    Callables take the certificate (or the sweep's state, which has the
+    certificate's field names) as c or s, the function as f, an enclosure
+    as e, a LocalWitness as w and the sweep's Problem as p.
+    """
+
+    cls: type
+    type: str                        # JSON "type"
+    theorems: dict[str, dict]        # theorem code -> field values that select it
+    text: Callable                   # c -> statement
+    data: Callable                   # c -> machine-readable conclusion
+    prover: str | None = None        # name of the theorems function proving it
+    grid: str | None = None          # field holding the pieces, or what piece_count counts
+    arrays: tuple[tuple[str, Side], ...] = ()   # per-piece arrays
+    params: tuple[str, ...] = ()     # fields stored under "params": the theorem's inputs
+    keys: dict[str, str] = field(default_factory=dict)  # JSON name where it differs
+    deriv: bool = False              # pieces enclose f' (eval_d1), not f (eval_iv)
+    positive: tuple[str, ...] = ()
+    nonnegative: tuple[str, ...] = ()
+    requires: tuple[tuple[Callable, str], ...] = ()     # (c, f) -> bool, reason
+    pointwise: bool = False          # limit binds f itself, so a == b is not vacuous
+    limit: Callable | None = None    # c -> (op, t, reason): op(first array value, t)
+    link: Callable | None = None     # c -> (k, reason) of the first unlinked piece
+    total: Callable | None = None    # c -> reason when the pieces do not add up
+    # how the sweep builds it
+    candidate: bool = False          # probes points for a maximizer candidate
+    start: Callable = lambda s: {}   # s -> scalars of the certificate on [a, a]
+    step: Callable | None = None     # (s, w) -> None: scalars after taking in w
+    accept: Callable | None = None   # (s, e, p) -> bool; default: the limit holds
+    refute: Callable | None = None   # (s, e) -> reason when e certifies it false
+    stall: str = ""                  # why a degenerate domain does not certify
+
+    def key(self, name: str) -> str:
+        return self.keys.get(name, name)
+
+
+def _point(f: Expr, x: float) -> FloatInterval:
+    return eval_iv(f, FloatInterval.point(x))
+
+
+def _raise_bound(s, w) -> None:
+    s.bound = max(s.bound, w.value.hi)
+
+
+def _take_candidate(s, w) -> None:
+    if w.cand_lo is not None and w.cand_lo > s.f_at_c_lo:
+        s.c, s.f_at_c_lo = w.cand, w.cand_lo
+
+
+def _shrink_modulus(s, w) -> None:
+    # min-rule: never above a constituent delta, never above half an overlap
+    x, y = w.piece.lo, w.piece.hi
+    fwd = Fraction(y) - Fraction(x)
+    if s.pieces:
+        overlap = Fraction(x) - Fraction(w.ext.lo)
+        if overlap <= 0:
+            raise StructureError("uniform-continuity pieces must overlap")
+        s.delta = min(s.delta, float_down(min(fwd, overlap) / 2))
+    else:
+        s.delta = float_down(fwd / 2)
+
+
+def _overlap_gap(c) -> tuple[int, str] | None:
+    delta = Fraction(c.delta)
+    for k, (piece, nxt) in enumerate(zip(c.pieces, c.pieces[1:])):
+        if nxt.lo < piece.lo:
+            return k, "pieces not sorted by left endpoint"
+        if Fraction(nxt.lo) + delta > Fraction(piece.hi):
+            return k, "adjacent pieces overlap by less than delta"
+    return None
+
+
+def _term_down(m: float, x: float, y: float) -> float:
+    # lower bound for m * (y - x) with the stored endpoints
+    return mul_down(m, add_down(y, -x) if m >= 0 else add_up(y, -x))
+
+
+def _term_up(m: float, x: float, y: float) -> float:
+    return mul_up(m, add_up(y, -x) if m >= 0 else add_down(y, -x))
+
+
+def _add_darboux_terms(s, w) -> None:
+    x, y = w.piece.lo, w.piece.hi
+    s.lower_sum = add_down(s.lower_sum, _term_down(w.value.lo, x, y))
+    s.upper_sum = add_up(s.upper_sum, _term_up(w.value.hi, x, y))
+
+
+def _darboux_sums(c) -> str | None:
+    if c.a == c.b and (c.lower_sum != 0.0 or c.upper_sum != 0.0):
+        return "degenerate integral must be [0, 0]"
+    lower = upper = Fraction(0)
+    points = c.partition.points
+    for u, v, lo, hi in zip(points, points[1:], c.piece_lo, c.piece_hi):
+        w = Fraction(v) - Fraction(u)
+        lower += Fraction(lo) * w
+        upper += Fraction(hi) * w
+    if Fraction(c.lower_sum) > lower:
+        return "stored lower sum above the exact piece sum"
+    if Fraction(c.upper_sum) < upper:
+        return "stored upper sum below the exact piece sum"
+    if not Fraction(c.upper_sum) - Fraction(c.lower_sum) < Fraction(c.eps):
+        return "Darboux gap not below eps"
+    return None
+
+
+def _stretch_flat(s, w) -> None:
+    s.osc_bound = mul_up(s.eta, sub_up(w.piece.hi, s.a))
+
+
+def _monotone_refuted(s, d) -> str:
+    if s.strict:
+        return "derivative certified nonpositive" if d.hi <= 0.0 else ""
+    return "derivative certified negative" if d.hi < 0.0 else ""
+
+
+def _rat_iv(e: RatInterval) -> dict:
+    return {"lo": format_rational(e.lo), "hi": format_rational(e.hi),
+            "lo_open": e.lo_open, "hi_open": e.hi_open}
+
+
+def _parse_rat_iv(d: dict) -> RatInterval:
+    return RatInterval(parse_rational(d["lo"]), parse_rational(d["hi"]),
+                       bool(d["lo_open"]), bool(d["hi_open"]))
+
+
+ROWS = (
+    Row(BoundCert, "bound", {"bvt": {}}, prover="prove_bound",
+        text=lambda c: f"∀t∈[{c.a!r}, {c.b!r}]: f(t) ≤ {c.bound!r} for f = {c.fn_source}",
+        data=lambda c: {"M": c.bound},
+        grid="partition", arrays=(("piece_sup", HI),), keys={"bound": "M"},
+        positive=("bound",), pointwise=True,
+        limit=lambda c: (le, c.bound, "M < piece bound"),
+        start=lambda s: {"bound": _MIN_NORMAL}, step=_raise_bound,
+        accept=lambda s, e, p: True),
+    Row(MaxCert, "max", {"evt": {}}, prover="prove_max",
+        text=lambda c: (f"∃c = {c.c!r} ∈ [{c.a!r}, {c.b!r}]: ∀t: f(t) ≤ f(c) + {c.eps!r}, "
+                        f"f(c) ≥ {c.f_at_c_lo!r} for f = {c.fn_source}"),
+        data=lambda c: {"c": c.c, "f_at_c_lo": c.f_at_c_lo, "eps": c.eps},
+        grid="partition", arrays=(("piece_sup", HI),), params=("eps",),
+        positive=("eps",), pointwise=True,
+        requires=((lambda c, f: c.a <= c.c <= c.b, "maximizer candidate outside the domain"),
+                  (lambda c, f: c.f_at_c_lo <= _point(f, c.c).lo,
+                   "f_at_c_lo tighter than fresh enclosure at c")),
+        limit=lambda c: (le, Fraction(c.f_at_c_lo) + Fraction(c.eps),
+                         "piece sup-bound above f(c) + eps"),
+        candidate=True, start=lambda s: {"c": s.a, "f_at_c_lo": -_MAX_FLOAT},
+        step=_take_candidate, stall="point enclosure wider than eps"),
+    Row(NegCert, "neg", {"ivt": {}}, prover="prove_root",
+        text=lambda c: f"∀t∈[{c.a!r}, {c.b!r}]: f(t) < 0 for f = {c.fn_source}",
+        data=lambda c: {},
+        grid="partition", arrays=(("piece_hi", HI),), pointwise=True,
+        limit=lambda c: (lt, 0.0, "piece upper bound not negative"),
+        refute=lambda s, e: "range certified positive" if e.lo > 0.0 else "",
+        stall="sign at the degenerate point undecided"),
+    Row(RootBracket, "root_bracket", {"ivt": {}}, prover="prove_root",
+        text=lambda c: f"∃c∈[{c.l!r}, {c.r!r}]: f(c) = 0 for f = {c.fn_source}",
+        data=lambda c: {"l": c.l, "r": c.r, "width": c.r - c.l},
+        params=("tol",), positive=("tol",),
+        requires=((lambda c, f: c.a <= c.l < c.r <= c.b, "bracket not inside the domain"),
+                  (lambda c, f: Fraction(c.r) - Fraction(c.l) <= Fraction(c.tol),
+                   "bracket wider than tol"),
+                  (lambda c, f: _point(f, c.l).hi <= c.f_l_hi,
+                   "left bound tighter than fresh enclosure"),
+                  (lambda c, f: c.f_l_hi < 0.0, "left endpoint not certified negative"),
+                  (lambda c, f: c.f_r_lo <= _point(f, c.r).lo,
+                   "right bound tighter than fresh enclosure"),
+                  (lambda c, f: c.f_r_lo > 0.0, "right endpoint not certified positive"))),
+    Row(ModulusCert, "modulus", {"uct": {}}, prover="prove_modulus",
+        text=lambda c: (f"∀s,t∈[{c.a!r}, {c.b!r}]: |s−t| < {c.delta!r} ⇒ "
+                        f"|f(s)−f(t)| < {c.eps!r} for f = {c.fn_source}"),
+        data=lambda c: {"delta": c.delta, "eps": c.eps},
+        grid="pieces", arrays=(("piece_osc", OSC),), params=("eps",),
+        positive=("eps", "delta"), link=_overlap_gap,
+        limit=lambda c: (lt, c.eps, "piece oscillation not below eps"),
+        start=lambda s: {"delta": 1.0}, step=_shrink_modulus),
+    Row(IntegralCert, "integral", {"dit": {}}, prover="prove_integral",
+        text=lambda c: (f"∫f over [{c.a!r}, {c.b!r}] ∈ [{c.lower_sum!r}, {c.upper_sum!r}], "
+                        f"U − L < {c.eps!r} for f = {c.fn_source}"),
+        data=lambda c: {"L": c.lower_sum, "U": c.upper_sum, "eps": c.eps},
+        grid="partition", arrays=(("piece_lo", LO), ("piece_hi", HI)), params=("eps",),
+        keys={"lower_sum": "L", "upper_sum": "U"}, positive=("eps",), total=_darboux_sums,
+        start=lambda s: {"lower_sum": 0.0, "upper_sum": 0.0}, step=_add_darboux_terms,
+        accept=lambda s, e, p: sub_up(e.hi, e.lo) <= p.darboux_budget()),
+    Row(MonotoneCert, "monotone", {"sift": {"strict": True}, "ift": {"strict": False}},
+        prover="prove_monotone",
+        text=lambda c: (f"∀x₁<x₂ in [{c.a!r}, {c.b!r}]: f(x₁) {'<' if c.strict else '≤'} "
+                        f"f(x₂) for f = {c.fn_source}"),
+        data=lambda c: {"strict": c.strict},
+        grid="partition", arrays=(("piece_deriv_lo", LO),), deriv=True,
+        limit=lambda c: ((gt, 0.0, "strict monotonicity needs a positive derivative bound")
+                         if c.strict else
+                         (ge, 0.0, "monotonicity needs a nonnegative derivative bound")),
+        refute=_monotone_refuted),
+    Row(MviCert, "mvi", {"mvi": {}}, prover="prove_mvi",
+        text=lambda c: (f"∀x₁<x₂ in [{c.a!r}, {c.b!r}]: f(x₂) − f(x₁) ≤ "
+                        f"{c.bound!r}·(x₂ − x₁) for f = {c.fn_source}"),
+        data=lambda c: {"M": c.bound},
+        grid="partition", arrays=(("piece_deriv_hi", HI),), deriv=True, params=("bound",),
+        keys={"bound": "M"}, positive=("bound",),
+        limit=lambda c: (le, c.bound, "piece derivative bound above M"),
+        refute=lambda s, d: "derivative certified above M" if d.lo > s.bound else ""),
+    Row(FlatCert, "flat", {"cft": {}}, prover="prove_flat",
+        text=lambda c: (f"∀t∈[{c.a!r}, {c.b!r}]: |f(t) − f(a)| ≤ {c.osc_bound!r} "
+                        f"for f = {c.fn_source}" + (" (exact constancy)" if c.eta == 0.0 else "")),
+        data=lambda c: {"eta": c.eta, "osc_bound": c.osc_bound},
+        grid="partition", arrays=(("piece_deriv_abs", ABS),), deriv=True, params=("eta",),
+        nonnegative=("eta",),
+        requires=((lambda c, f: Fraction(c.osc_bound)
+                   >= Fraction(c.eta) * (Fraction(c.b) - Fraction(c.a)),
+                   "oscillation conclusion below eta * (b - a)"),),
+        limit=lambda c: (le, c.eta, "piece derivative magnitude above eta"),
+        start=lambda s: {"osc_bound": mul_up(s.eta, sub_up(s.b, s.a))}, step=_stretch_flat,
+        refute=lambda s, d: ("derivative certified outside [-eta, eta]"
+                             if d.lo > s.eta or d.hi < -s.eta else "")),
+    Row(ClopenReport, "clopen", {"i1": {}},
+        text=lambda c: (f"clopen analysis on [{c.a}, {c.b}]: {c.verdict.value}"
+                        + (f" (witness {c.witness})" if c.witness is not None else "")),
+        data=lambda c: {"verdict": c.verdict.value,
+                        "witness": None if c.witness is None else format_rational(c.witness)},
+        grid="components", keys={"components": "set"}),
+    Row(SubcoverCert, "subcover", {"i2": {}},
+        text=lambda c: f"[{c.a}, {c.b}] ⊆ union of cover elements {list(c.indices)}",
+        data=lambda c: {"indices": list(c.indices)},
+        grid="indices"),
+)
+
+ROW_OF = {row.cls: row for row in ROWS}
+_ROW_OF_TYPE = {row.type: row for row in ROWS}
+
+
+def _row(cert) -> Row:
+    try:
+        return ROW_OF[type(cert)]
+    except KeyError:
+        raise TypeError(f"unknown certificate type {type(cert).__name__}") from None
 
 
 # =============================================================================
@@ -302,6 +567,9 @@ def check(cert: Certificate, f: Expr | None = None,
     """
     if isinstance(cert, (ClopenReport, SubcoverCert)):
         return _check_topology(cert)
+    row = ROW_OF.get(type(cert))
+    if row is None:
+        return _invalid(f"unknown certificate type {type(cert).__name__}")
 
     nonfinite = _nonfinite_field(cert)
     if nonfinite is not None:
@@ -312,36 +580,16 @@ def check(cert: Certificate, f: Expr | None = None,
         return _invalid(f"stored function does not parse: {err}")
     if f is not None and stored != f:
         return _invalid("function mismatch between certificate and caller")
-    f = stored
     if a is not None and a != cert.a:
         return _invalid("domain mismatch: a")
     if b is not None and b != cert.b:
         return _invalid("domain mismatch: b")
     if not cert.a <= cert.b:
         return _invalid("inverted domain")
-
     try:
-        if isinstance(cert, BoundCert):
-            return _check_bound(cert, f)
-        if isinstance(cert, MaxCert):
-            return _check_max(cert, f)
-        if isinstance(cert, NegCert):
-            return _check_neg(cert, f)
-        if isinstance(cert, RootBracket):
-            return _check_root(cert, f)
-        if isinstance(cert, ModulusCert):
-            return _check_modulus(cert, f)
-        if isinstance(cert, IntegralCert):
-            return _check_integral(cert, f)
-        if isinstance(cert, MonotoneCert):
-            return _check_monotone(cert, f)
-        if isinstance(cert, MviCert):
-            return _check_mvi(cert, f)
-        if isinstance(cert, FlatCert):
-            return _check_flat(cert, f)
+        return _check_function(row, cert, stored)
     except (DomainError, expr_mod.NotDifferentiable, OverflowError) as err:
         return _invalid(f"re-evaluation failed: {err}")
-    return _invalid(f"unknown certificate type {type(cert).__name__}")
 
 
 def _nonfinite_field(cert) -> str | None:
@@ -355,226 +603,55 @@ def _nonfinite_field(cert) -> str | None:
     return None
 
 
-def _structure(cert, pieces_arrays: tuple[tuple, ...]) -> CheckResult | None:
-    p = cert.partition
-    if p.a != cert.a:
-        return _invalid("partition does not start at a")
-    if p.b != cert.b:
-        return _invalid("partition gap: does not end at b")
-    n = len(p)
-    for arr in pieces_arrays:
-        if len(arr) != n:
+def _check_function(row: Row, c, f: Expr) -> CheckResult:
+    for name in row.positive:
+        if not getattr(c, name) > 0.0:
+            return _invalid(f"{row.key(name)} is not positive")
+    for name in row.nonnegative:
+        if getattr(c, name) < 0.0:
+            return _invalid(f"{row.key(name)} is negative")
+    if row.grid is not None:
+        grid = getattr(c, row.grid)
+        if isinstance(grid, Partition):
+            pieces, start, end = grid.pieces, grid.a, grid.b
+        else:
+            pieces = grid
+            start, end = (grid[0].lo, grid[-1].hi) if grid else (c.a, c.a)
+        if start != c.a:
+            return _invalid("partition does not start at a")
+        if end != c.b:
+            return _invalid("partition gap: does not end at b")
+        if any(len(getattr(c, name)) != len(pieces) for name, _ in row.arrays):
             return _invalid("per-piece array length does not match partition")
-    if cert.a == cert.b and n != 0:
-        return _invalid("degenerate domain with nonempty pieces")
-    return None
-
-
-def _check_bound(cert: BoundCert, f: Expr) -> CheckResult:
-    bad = _structure(cert, (cert.piece_sup,))
-    if bad is not None:
-        return bad
-    if not cert.bound > 0.0:
-        return _invalid("bound M is not positive")
-    if cert.a == cert.b:
-        fresh = eval_iv(f, FloatInterval.point(cert.a))
-        if not fresh.hi <= cert.bound:
-            return _invalid("M below the value at the degenerate point")
-        return VALID
-    for k, piece in enumerate(cert.partition.pieces):
-        fresh = eval_iv(f, piece)
-        if not fresh.hi <= cert.piece_sup[k]:
-            return _invalid("piece bound tighter than fresh enclosure", k)
-        if not cert.piece_sup[k] <= cert.bound:
-            return _invalid("M < piece bound", k)
-    return VALID
-
-
-def _check_max(cert: MaxCert, f: Expr) -> CheckResult:
-    bad = _structure(cert, (cert.piece_sup,))
-    if bad is not None:
-        return bad
-    if not cert.eps > 0.0:
-        return _invalid("eps is not positive")
-    if not cert.a <= cert.c <= cert.b:
-        return _invalid("maximizer candidate outside the domain")
-    fresh_c = eval_iv(f, FloatInterval.point(cert.c))
-    if not cert.f_at_c_lo <= fresh_c.lo:
-        return _invalid("f_at_c_lo tighter than fresh enclosure at c")
-    budget = Fraction(cert.f_at_c_lo) + Fraction(cert.eps)
-    if cert.a == cert.b:
-        fresh = eval_iv(f, FloatInterval.point(cert.a))
-        if Fraction(fresh.hi) > budget:
-            return _invalid("value at degenerate point above f(c) + eps")
-        return VALID
-    for k, piece in enumerate(cert.partition.pieces):
-        fresh = eval_iv(f, piece)
-        if not fresh.hi <= cert.piece_sup[k]:
-            return _invalid("piece bound tighter than fresh enclosure", k)
-        if Fraction(cert.piece_sup[k]) > budget:
-            return _invalid("piece sup-bound above f(c) + eps", k)
-    return VALID
-
-
-def _check_neg(cert: NegCert, f: Expr) -> CheckResult:
-    bad = _structure(cert, (cert.piece_hi,))
-    if bad is not None:
-        return bad
-    if cert.a == cert.b:
-        fresh = eval_iv(f, FloatInterval.point(cert.a))
-        if not fresh.hi < 0.0:
-            return _invalid("value at degenerate point not negative")
-        return VALID
-    for k, piece in enumerate(cert.partition.pieces):
-        fresh = eval_iv(f, piece)
-        if not fresh.hi <= cert.piece_hi[k]:
-            return _invalid("piece bound tighter than fresh enclosure", k)
-        if not cert.piece_hi[k] < 0.0:
-            return _invalid("piece upper bound not negative", k)
-    return VALID
-
-
-def _check_root(cert: RootBracket, f: Expr) -> CheckResult:
-    if not (cert.a <= cert.l < cert.r <= cert.b):
-        return _invalid("bracket not inside the domain")
-    if not cert.tol > 0.0:
-        return _invalid("tol is not positive")
-    if Fraction(cert.r) - Fraction(cert.l) > Fraction(cert.tol):
-        return _invalid("bracket wider than tol")
-    fresh_l = eval_iv(f, FloatInterval.point(cert.l))
-    if not fresh_l.hi <= cert.f_l_hi:
-        return _invalid("left bound tighter than fresh enclosure")
-    if not cert.f_l_hi < 0.0:
-        return _invalid("left endpoint not certified negative")
-    fresh_r = eval_iv(f, FloatInterval.point(cert.r))
-    if not cert.f_r_lo <= fresh_r.lo:
-        return _invalid("right bound tighter than fresh enclosure")
-    if not cert.f_r_lo > 0.0:
-        return _invalid("right endpoint not certified positive")
-    return VALID
-
-
-def _check_modulus(cert: ModulusCert, f: Expr) -> CheckResult:
-    if not cert.eps > 0.0:
-        return _invalid("eps is not positive")
-    if not cert.delta > 0.0:
-        return _invalid("delta is not positive")
-    if len(cert.pieces) != len(cert.piece_osc):
-        return _invalid("per-piece array length does not match pieces")
-    if cert.a == cert.b:
-        if cert.pieces:
+        if c.a == c.b and pieces:
             return _invalid("degenerate domain with nonempty pieces")
-        eval_iv(f, FloatInterval.point(cert.a))  # domain membership only
+    for test, reason in row.requires:
+        if not test(c, f):
+            return _invalid(reason)
+    if row.grid is None:
         return VALID
-    if not cert.pieces:
-        return _invalid("no pieces")
-    if cert.pieces[0].lo != cert.a:
-        return _invalid("first piece does not start at a")
-    if cert.pieces[-1].hi != cert.b:
-        return _invalid("last piece does not end at b")
-    delta = Fraction(cert.delta)
-    for k, piece in enumerate(cert.pieces):
-        if k + 1 < len(cert.pieces):
-            nxt = cert.pieces[k + 1]
-            if nxt.lo < piece.lo:
-                return _invalid("pieces not sorted by left endpoint", k)
-            if Fraction(nxt.lo) + delta > Fraction(piece.hi):
-                return _invalid("adjacent pieces overlap by less than delta", k)
-        fresh = eval_iv(f, piece)
-        if Fraction(cert.piece_osc[k]) < Fraction(fresh.hi) - Fraction(fresh.lo):
-            return _invalid("oscillation bound tighter than fresh enclosure", k)
-        if not cert.piece_osc[k] < cert.eps:
-            return _invalid("piece oscillation not below eps", k)
-    return VALID
 
+    op, t, reason = row.limit(c) if row.limit is not None else (None, None, "")
+    if c.a == c.b:
+        point = FloatInterval.point(c.a)
+        fresh = eval_d1(f, point).deriv if row.deriv else eval_iv(f, point)
+        if row.pointwise and not op(row.arrays[0][1].store(fresh), t):
+            return _invalid(f"{reason} at the degenerate point")
 
-def _check_integral(cert: IntegralCert, f: Expr) -> CheckResult:
-    bad = _structure(cert, (cert.piece_lo, cert.piece_hi))
-    if bad is not None:
-        return bad
-    if not cert.eps > 0.0:
-        return _invalid("eps is not positive")
-    if cert.a == cert.b:
-        eval_iv(f, FloatInterval.point(cert.a))
-        if cert.lower_sum != 0.0 or cert.upper_sum != 0.0:
-            return _invalid("degenerate integral must be [0, 0]")
-        return VALID
-    lower = Fraction(0)
-    upper = Fraction(0)
-    for k, piece in enumerate(cert.partition.pieces):
-        fresh = eval_iv(f, piece)
-        if not cert.piece_lo[k] <= fresh.lo:
-            return _invalid("piece lower bound tighter than fresh enclosure", k)
-        if not fresh.hi <= cert.piece_hi[k]:
-            return _invalid("piece upper bound tighter than fresh enclosure", k)
-        w = Fraction(piece.hi) - Fraction(piece.lo)
-        lower += Fraction(cert.piece_lo[k]) * w
-        upper += Fraction(cert.piece_hi[k]) * w
-    if Fraction(cert.lower_sum) > lower:
-        return _invalid("stored lower sum above the exact piece sum")
-    if Fraction(cert.upper_sum) < upper:
-        return _invalid("stored upper sum below the exact piece sum")
-    if not Fraction(cert.upper_sum) - Fraction(cert.lower_sum) < Fraction(cert.eps):
-        return _invalid("Darboux gap not below eps")
-    return VALID
-
-
-def _check_monotone(cert: MonotoneCert, f: Expr) -> CheckResult:
-    bad = _structure(cert, (cert.piece_deriv_lo,))
-    if bad is not None:
-        return bad
-    if cert.a == cert.b:
-        eval_d1(f, FloatInterval.point(cert.a))
-        return VALID
-    for k, piece in enumerate(cert.partition.pieces):
-        fresh = eval_d1(f, piece).deriv
-        if not cert.piece_deriv_lo[k] <= fresh.lo:
-            return _invalid("derivative bound tighter than fresh enclosure", k)
-        g = cert.piece_deriv_lo[k]
-        if cert.strict and not g > 0.0:
-            return _invalid("strict monotonicity needs a positive derivative bound", k)
-        if not cert.strict and not g >= 0.0:
-            return _invalid("monotonicity needs a nonnegative derivative bound", k)
-    return VALID
-
-
-def _check_mvi(cert: MviCert, f: Expr) -> CheckResult:
-    bad = _structure(cert, (cert.piece_deriv_hi,))
-    if bad is not None:
-        return bad
-    if not cert.bound > 0.0:
-        return _invalid("M is not positive")
-    if cert.a == cert.b:
-        eval_d1(f, FloatInterval.point(cert.a))
-        return VALID
-    for k, piece in enumerate(cert.partition.pieces):
-        fresh = eval_d1(f, piece).deriv
-        if not fresh.hi <= cert.piece_deriv_hi[k]:
-            return _invalid("derivative bound tighter than fresh enclosure", k)
-        if not cert.piece_deriv_hi[k] <= cert.bound:
-            return _invalid("piece derivative bound above M", k)
-    return VALID
-
-
-def _check_flat(cert: FlatCert, f: Expr) -> CheckResult:
-    bad = _structure(cert, (cert.piece_deriv_abs,))
-    if bad is not None:
-        return bad
-    if cert.eta < 0.0:
-        return _invalid("eta is negative")
-    if Fraction(cert.osc_bound) < Fraction(cert.eta) * (Fraction(cert.b) - Fraction(cert.a)):
-        return _invalid("oscillation conclusion below eta * (b - a)")
-    if cert.a == cert.b:
-        eval_d1(f, FloatInterval.point(cert.a))
-        return VALID
-    for k, piece in enumerate(cert.partition.pieces):
-        fresh = eval_d1(f, piece).deriv
-        mag = max(abs(Fraction(fresh.lo)), abs(Fraction(fresh.hi)))
-        if Fraction(cert.piece_deriv_abs[k]) < mag:
-            return _invalid("derivative magnitude bound tighter than fresh enclosure", k)
-        if not cert.piece_deriv_abs[k] <= cert.eta:
-            return _invalid("piece derivative magnitude above eta", k)
-    return VALID
+    stored = [(getattr(c, name), side.holds, name) for name, side in row.arrays]
+    first, deriv = stored[0][0], row.deriv
+    gap = row.link(c) if row.link is not None else None
+    for k in range(len(pieces) if gap is None else gap[0]):
+        fresh = eval_d1(f, pieces[k]).deriv if deriv else eval_iv(f, pieces[k])
+        for values, holds, name in stored:
+            if not holds(values[k], fresh):
+                return _invalid(f"{name} tighter than fresh enclosure", k)
+        if op is not None and not op(first[k], t):
+            return _invalid(reason, k)
+    if gap is not None:
+        return _invalid(gap[1], gap[0])
+    bad = row.total(c) if row.total is not None else None
+    return VALID if bad is None else _invalid(bad)
 
 
 def _check_topology(cert: ClopenReport | SubcoverCert) -> CheckResult:
@@ -628,149 +705,61 @@ class Conclusion:
 
 def conclusion_of(cert: Certificate) -> Conclusion:
     """Human- and machine-readable statement certified by the certificate."""
-    if isinstance(cert, BoundCert):
-        return Conclusion("bvt",
-                          f"∀t∈[{cert.a!r}, {cert.b!r}]: f(t) ≤ {cert.bound!r} for f = {cert.fn_source}",
-                          {"M": cert.bound})
-    if isinstance(cert, MaxCert):
-        return Conclusion("evt",
-                          f"∃c = {cert.c!r} ∈ [{cert.a!r}, {cert.b!r}]: ∀t: f(t) ≤ f(c) + {cert.eps!r}, "
-                          f"f(c) ≥ {cert.f_at_c_lo!r} for f = {cert.fn_source}",
-                          {"c": cert.c, "f_at_c_lo": cert.f_at_c_lo, "eps": cert.eps})
-    if isinstance(cert, NegCert):
-        return Conclusion("ivt",
-                          f"∀t∈[{cert.a!r}, {cert.b!r}]: f(t) < 0 for f = {cert.fn_source}",
-                          {})
-    if isinstance(cert, RootBracket):
-        return Conclusion("ivt",
-                          f"∃c∈[{cert.l!r}, {cert.r!r}]: f(c) = 0 for f = {cert.fn_source}",
-                          {"l": cert.l, "r": cert.r, "width": cert.r - cert.l})
-    if isinstance(cert, ModulusCert):
-        return Conclusion("uct",
-                          f"∀s,t∈[{cert.a!r}, {cert.b!r}]: |s−t| < {cert.delta!r} ⇒ "
-                          f"|f(s)−f(t)| < {cert.eps!r} for f = {cert.fn_source}",
-                          {"delta": cert.delta, "eps": cert.eps})
-    if isinstance(cert, IntegralCert):
-        return Conclusion("dit",
-                          f"∫f over [{cert.a!r}, {cert.b!r}] ∈ [{cert.lower_sum!r}, {cert.upper_sum!r}], "
-                          f"U − L < {cert.eps!r} for f = {cert.fn_source}",
-                          {"L": cert.lower_sum, "U": cert.upper_sum, "eps": cert.eps})
-    if isinstance(cert, MonotoneCert):
-        rel = "<" if cert.strict else "≤"
-        return Conclusion(cert.theorem,
-                          f"∀x₁<x₂ in [{cert.a!r}, {cert.b!r}]: f(x₁) {rel} f(x₂) for f = {cert.fn_source}",
-                          {"strict": cert.strict})
-    if isinstance(cert, MviCert):
-        return Conclusion("mvi",
-                          f"∀x₁<x₂ in [{cert.a!r}, {cert.b!r}]: f(x₂) − f(x₁) ≤ "
-                          f"{cert.bound!r}·(x₂ − x₁) for f = {cert.fn_source}",
-                          {"M": cert.bound})
-    if isinstance(cert, FlatCert):
-        return Conclusion("cft",
-                          f"∀t∈[{cert.a!r}, {cert.b!r}]: |f(t) − f(a)| ≤ {cert.osc_bound!r} "
-                          f"for f = {cert.fn_source}" + (" (exact constancy)" if cert.eta == 0.0 else ""),
-                          {"eta": cert.eta, "osc_bound": cert.osc_bound})
-    if isinstance(cert, ClopenReport):
-        detail = f" (witness {cert.witness})" if cert.witness is not None else ""
-        return Conclusion("i1", f"clopen analysis on [{cert.a}, {cert.b}]: {cert.verdict.value}{detail}",
-                          {"verdict": cert.verdict.value,
-                           "witness": None if cert.witness is None else format_rational(cert.witness)})
-    if isinstance(cert, SubcoverCert):
-        return Conclusion("i2",
-                          f"[{cert.a}, {cert.b}] ⊆ union of cover elements {list(cert.indices)}",
-                          {"indices": list(cert.indices)})
-    raise TypeError(f"unknown certificate type {type(cert).__name__}")
+    row = _row(cert)
+    return Conclusion(cert.theorem, row.text(cert), row.data(cert))
 
 
 # =============================================================================
 # JSON documents (bit-exact round-trip)
 # =============================================================================
 
-def _hex_list(vals) -> list[str]:
-    return [float_to_hex(v) for v in vals]
+def _typed(kind: type) -> Callable:
+    def decode(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {kind.__name__}, found {type(value).__name__}")
+        return value
+    return decode
 
 
-def _iv_pairs(pieces) -> list[list[str]]:
-    return [[float_to_hex(p.lo), float_to_hex(p.hi)] for p in pieces]
+def _hex_list(values) -> list[str]:
+    return [float_to_hex(v) for v in values]
 
 
-def _rat_iv(e: RatInterval) -> dict:
-    return {"lo": format_rational(e.lo), "hi": format_rational(e.hi),
-            "lo_open": e.lo_open, "hi_open": e.hi_open}
-
-
-def _parse_rat_iv(d: dict) -> RatInterval:
-    return RatInterval(parse_rational(d["lo"]), parse_rational(d["hi"]),
-                       bool(d["lo_open"]), bool(d["hi_open"]))
-
-
-def _payload(cert: Certificate) -> tuple[dict, dict]:
-    """(certificate body, params) for the JSON document."""
-    if isinstance(cert, BoundCert):
-        return ({"type": "bound", "M": float_to_hex(cert.bound),
-                 "partition": _hex_list(cert.partition.points),
-                 "piece_sup": _hex_list(cert.piece_sup)}, {})
-    if isinstance(cert, MaxCert):
-        return ({"type": "max", "c": float_to_hex(cert.c),
-                 "f_at_c_lo": float_to_hex(cert.f_at_c_lo),
-                 "partition": _hex_list(cert.partition.points),
-                 "piece_sup": _hex_list(cert.piece_sup)},
-                {"eps": float_to_hex(cert.eps)})
-    if isinstance(cert, NegCert):
-        return ({"type": "neg", "partition": _hex_list(cert.partition.points),
-                 "piece_hi": _hex_list(cert.piece_hi)}, {})
-    if isinstance(cert, RootBracket):
-        return ({"type": "root_bracket", "l": float_to_hex(cert.l), "r": float_to_hex(cert.r),
-                 "f_l_hi": float_to_hex(cert.f_l_hi), "f_r_lo": float_to_hex(cert.f_r_lo)},
-                {"tol": float_to_hex(cert.tol)})
-    if isinstance(cert, ModulusCert):
-        return ({"type": "modulus", "delta": float_to_hex(cert.delta),
-                 "pieces": _iv_pairs(cert.pieces),
-                 "piece_osc": _hex_list(cert.piece_osc)},
-                {"eps": float_to_hex(cert.eps)})
-    if isinstance(cert, IntegralCert):
-        return ({"type": "integral", "L": float_to_hex(cert.lower_sum),
-                 "U": float_to_hex(cert.upper_sum),
-                 "partition": _hex_list(cert.partition.points),
-                 "piece_lo": _hex_list(cert.piece_lo),
-                 "piece_hi": _hex_list(cert.piece_hi)},
-                {"eps": float_to_hex(cert.eps)})
-    if isinstance(cert, MonotoneCert):
-        return ({"type": "monotone", "strict": cert.strict,
-                 "partition": _hex_list(cert.partition.points),
-                 "piece_deriv_lo": _hex_list(cert.piece_deriv_lo)}, {})
-    if isinstance(cert, MviCert):
-        return ({"type": "mvi", "partition": _hex_list(cert.partition.points),
-                 "piece_deriv_hi": _hex_list(cert.piece_deriv_hi)},
-                {"M": float_to_hex(cert.bound)})
-    if isinstance(cert, FlatCert):
-        return ({"type": "flat", "osc_bound": float_to_hex(cert.osc_bound),
-                 "partition": _hex_list(cert.partition.points),
-                 "piece_deriv_abs": _hex_list(cert.piece_deriv_abs)},
-                {"eta": float_to_hex(cert.eta)})
-    if isinstance(cert, ClopenReport):
-        return ({"type": "clopen", "verdict": cert.verdict.value,
-                 "witness": None if cert.witness is None else format_rational(cert.witness),
-                 "set": [_rat_iv(c) for c in cert.components]}, {})
-    if isinstance(cert, SubcoverCert):
-        return ({"type": "subcover", "indices": list(cert.indices),
-                 "chain": [format_rational(p) for p in cert.chain],
-                 "cover": [_rat_iv(e) for e in cert.cover]}, {})
-    raise TypeError(f"unknown certificate type {type(cert).__name__}")
-
+# field annotation -> (encode, decode); every decoder raises on a value of
+# the wrong shape or type, which from_document reports as a StructureError
+_CODECS = {
+    "str": (str, _typed(str)),
+    "bool": (bool, _typed(bool)),
+    "float": (float_to_hex, hex_to_float),
+    "tuple[float, ...]": (_hex_list, lambda v: tuple(map(hex_to_float, v))),
+    "Partition": (lambda p: _hex_list(p.points),
+                  lambda v: Partition(tuple(map(hex_to_float, v)))),
+    "tuple[FloatInterval, ...]": (lambda v: [interval_to_hex(x) for x in v],
+                                  lambda v: tuple(map(hex_to_interval, v))),
+    "Rational": (format_rational, parse_rational),
+    "Rational | None": (lambda q: None if q is None else format_rational(q),
+                        lambda v: None if v is None else parse_rational(v)),
+    "tuple[Rational, ...]": (lambda v: [format_rational(q) for q in v],
+                             lambda v: tuple(map(parse_rational, v))),
+    "tuple[int, ...]": (list, lambda v: tuple(map(operator.index, v))),
+    "tuple[RatInterval, ...]": (lambda v: [_rat_iv(e) for e in v],
+                                lambda v: tuple(map(_parse_rat_iv, v))),
+    "ClopenVerdict": (lambda v: v.value, ClopenVerdict),
+}
 
 def to_document(cert: Certificate, engine: dict | None = None) -> dict:
-    body, params = _payload(cert)
-    if isinstance(cert, (ClopenReport, SubcoverCert)):
-        function = None
-        domain = [format_rational(cert.a), format_rational(cert.b)]
-    else:
-        function = cert.fn_source
-        domain = [float_to_hex(cert.a), float_to_hex(cert.b)]
+    row = _row(cert)
+    domain, body, params = [], {"type": row.type}, {}
+    for fld in fields(cert):
+        value = _CODECS[fld.type][0](getattr(cert, fld.name))
+        if fld.name in ("a", "b"):  # a precedes b in every certificate class
+            domain.append(value)
+        elif fld.name != "fn_source":
+            (params if fld.name in row.params else body)[row.key(fld.name)] = value
     return {
         "schema": SCHEMA,
         "theorem": cert.theorem,
-        "function": function,
+        "function": getattr(cert, "fn_source", None),
         "domain": domain,
         "params": params,
         "certificate": body,
@@ -780,15 +769,8 @@ def to_document(cert: Certificate, engine: dict | None = None) -> dict:
 
 def piece_count(cert: Certificate) -> int:
     """Pieces, chosen elements or set components: the engine's count."""
-    if isinstance(cert, _PARTITION_CERTS):
-        return len(cert.partition)
-    if isinstance(cert, ModulusCert):
-        return len(cert.pieces)
-    if isinstance(cert, SubcoverCert):
-        return len(cert.indices)
-    if isinstance(cert, ClopenReport):
-        return len(cert.components)
-    return 0
+    grid = _row(cert).grid
+    return 0 if grid is None else len(getattr(cert, grid))
 
 
 def dumps(cert: Certificate, engine: dict | None = None) -> str:
@@ -797,65 +779,31 @@ def dumps(cert: Certificate, engine: dict | None = None) -> str:
 
 
 def from_document(doc: dict) -> Certificate:
-    if doc.get("schema") != SCHEMA:
-        raise StructureError(f"unsupported schema {doc.get('schema')!r}")
-    body = doc["certificate"]
-    kind = body["type"]
-    params = doc.get("params", {})
-    if kind in ("clopen", "subcover"):
-        a = parse_rational(doc["domain"][0])
-        b = parse_rational(doc["domain"][1])
-        if kind == "clopen":
-            wit = body.get("witness")
-            return ClopenReport(a, b, tuple(_parse_rat_iv(d) for d in body["set"]),
-                                ClopenVerdict(body["verdict"]),
-                                None if wit is None else parse_rational(wit))
-        return SubcoverCert(a, b, tuple(_parse_rat_iv(d) for d in body["cover"]),
-                            tuple(int(i) for i in body["indices"]),
-                            tuple(parse_rational(p) for p in body["chain"]))
-
-    fn = doc["function"]
-    a = hex_to_float(doc["domain"][0])
-    b = hex_to_float(doc["domain"][1])
-    if kind == "bound":
-        return BoundCert(fn, a, b, Partition(tuple(map(hex_to_float, body["partition"]))),
-                         tuple(map(hex_to_float, body["piece_sup"])), hex_to_float(body["M"]))
-    if kind == "max":
-        return MaxCert(fn, a, b, hex_to_float(params["eps"]), hex_to_float(body["c"]),
-                       hex_to_float(body["f_at_c_lo"]),
-                       Partition(tuple(map(hex_to_float, body["partition"]))),
-                       tuple(map(hex_to_float, body["piece_sup"])))
-    if kind == "neg":
-        return NegCert(fn, a, b, Partition(tuple(map(hex_to_float, body["partition"]))),
-                       tuple(map(hex_to_float, body["piece_hi"])))
-    if kind == "root_bracket":
-        return RootBracket(fn, a, b, hex_to_float(body["l"]), hex_to_float(body["r"]),
-                           hex_to_float(body["f_l_hi"]), hex_to_float(body["f_r_lo"]),
-                           hex_to_float(params["tol"]))
-    if kind == "modulus":
-        pieces = tuple(FloatInterval(hex_to_float(p[0]), hex_to_float(p[1]))
-                       for p in body["pieces"])
-        return ModulusCert(fn, a, b, hex_to_float(params["eps"]), hex_to_float(body["delta"]),
-                           pieces, tuple(map(hex_to_float, body["piece_osc"])))
-    if kind == "integral":
-        return IntegralCert(fn, a, b, hex_to_float(params["eps"]),
-                            Partition(tuple(map(hex_to_float, body["partition"]))),
-                            tuple(map(hex_to_float, body["piece_lo"])),
-                            tuple(map(hex_to_float, body["piece_hi"])),
-                            hex_to_float(body["L"]), hex_to_float(body["U"]))
-    if kind == "monotone":
-        return MonotoneCert(fn, a, b, bool(body["strict"]),
-                            Partition(tuple(map(hex_to_float, body["partition"]))),
-                            tuple(map(hex_to_float, body["piece_deriv_lo"])))
-    if kind == "mvi":
-        return MviCert(fn, a, b, hex_to_float(params["M"]),
-                       Partition(tuple(map(hex_to_float, body["partition"]))),
-                       tuple(map(hex_to_float, body["piece_deriv_hi"])))
-    if kind == "flat":
-        return FlatCert(fn, a, b, hex_to_float(params["eta"]), hex_to_float(body["osc_bound"]),
-                        Partition(tuple(map(hex_to_float, body["partition"]))),
-                        tuple(map(hex_to_float, body["piece_deriv_abs"])))
-    raise StructureError(f"unknown certificate type {kind!r}")
+    """Certificate from a parsed JSON document; StructureError for any
+    document that does not have the shape and types dumps() writes."""
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA:
+        raise StructureError(f"unsupported schema {schema!r}")
+    try:
+        body = doc["certificate"]
+        row = _ROW_OF_TYPE.get(body["type"])
+        if row is None:
+            raise StructureError(f"unknown certificate type {body['type']!r}")
+        params = doc.get("params", {})
+        values = {}
+        for fld in fields(row.cls):
+            if fld.name == "fn_source":
+                raw = doc["function"]
+            elif fld.name in ("a", "b"):
+                raw = doc["domain"][fld.name == "b"]
+            else:
+                raw = (params if fld.name in row.params else body).get(row.key(fld.name))
+            values[fld.name] = _CODECS[fld.type][1](raw)
+        return row.cls(**values)
+    except StructureError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as err:
+        raise StructureError(f"malformed certificate document: {err!r}") from None
 
 
 def loads(text: str) -> Certificate:

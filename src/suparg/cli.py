@@ -16,15 +16,14 @@ import sys
 from fractions import Fraction
 
 from .certificates import (
+    ROWS,
     CheckResult,
     ClopenVerdict,
-    StructureError,
     check,
     conclusion_of,
     dumps,
     from_document,
     piece_count,
-    to_document,
 )
 from .expr import ParseError, parse
 from .numeric import (
@@ -34,8 +33,8 @@ from .numeric import (
     interval_to_hex,
     parse_rational,
 )
-from .sweep import SweepFailure, SweepOptions
-from .theorems import (
+from .sweep import SweepFailure, SweepOptions, default_h_min
+from .theorems import (  # noqa: F401  provers are called by the name their row gives
     Inconclusive,
     PreconditionError,
     prove_bound,
@@ -50,8 +49,9 @@ from .theorems import (
 from .topology import Cover, RatIntervalSet, UncoveredPoint, analyze_clopen, \
     extract_subcover, parse_interval_file
 
-THEOREMS = ("bvt", "evt", "ivt", "uct", "dit", "sift", "ift", "mvi", "cft")
-_NEEDS_EPS = ("evt", "uct", "dit")
+# theorem code -> the row of the certificate its prover returns on success
+_PROVED = {th: row for row in ROWS if row.prover for th in row.theorems}
+THEOREMS = tuple(_PROVED)
 
 
 class UsageError(ValueError):
@@ -144,49 +144,30 @@ def _cmd_prove(args) -> int:
     b = _exact_endpoint(args.b, "b")
     if a > b:
         raise UsageError("--a must not exceed --b")
-    eps = _strict_param(args.eps, "eps")
-    cap = _strict_param(args.M, "M")
-    eta = _strict_param(args.eta, "eta") if args.eta is not None else None
-    if args.eta is not None and parse_rational(args.eta) == 0:
-        eta = 0.0
-    tol = _strict_param(args.tol, "tol")
+    given = {key: _strict_param(getattr(args, key), key) for key in ("eps", "M", "eta", "tol")}
     h_min = _strict_param(args.h_min, "h-min")
     opts = SweepOptions(h_min=h_min, max_pieces=args.max_pieces)
 
     th = args.theorem
-    if th in _NEEDS_EPS and eps is None:
-        raise UsageError(f"{th} requires --eps")
-    if th == "mvi" and cap is None:
-        raise UsageError("mvi requires --M")
-    if th == "cft" and eta is None:
-        raise UsageError("cft requires --eta")
-
-    if th == "bvt":
-        result = prove_bound(f, a, b, opts)
-    elif th == "evt":
-        result = prove_max(f, a, b, eps, opts)
-    elif th == "ivt":
-        try:
-            result = prove_root(f, a, b, tol, opts)
-        except PreconditionError as err:
-            return _emit_failure({"failure": "precondition", "detail": str(err)})
-        except Inconclusive as err:
-            return _emit_failure({"failure": "inconclusive", "detail": str(err)})
-    elif th == "uct":
-        result = prove_modulus(f, a, b, eps, opts)
-    elif th == "dit":
-        result = prove_integral(f, a, b, eps, opts)
-    elif th in ("sift", "ift"):
-        result = prove_monotone(f, a, b, strict=(th == "sift"), opts=opts)
-    elif th == "mvi":
-        result = prove_mvi(f, a, b, cap, opts)
-    else:
-        result = prove_flat(f, a, b, eta, opts)
+    row = _PROVED[th]
+    values = []
+    for name in row.params:
+        if given[row.key(name)] is None:
+            raise UsageError(f"{th} requires --{row.key(name)}")
+        values.append(given[row.key(name)])
+    # looked up at call time, so a wrapper installed on this module sees the call
+    prover = globals()[row.prover]
+    try:
+        result = prover(f, a, b, *values, *row.theorems[th].values(), opts)
+    except PreconditionError as err:
+        return _emit_failure({"failure": "precondition", "detail": str(err)})
+    except Inconclusive as err:
+        return _emit_failure({"failure": "inconclusive", "detail": str(err)})
 
     if isinstance(result, SweepFailure):
         return _emit_failure(_failure_record(result))
 
-    resolved_h_min = h_min if h_min is not None else (b - a) * 2.0 ** -40
+    resolved_h_min = h_min if h_min is not None else default_h_min(a, b)
     engine = {"pieces": piece_count(result), "h_min": float_to_hex(resolved_h_min)}
     text = dumps(result, engine)
     if args.out:
@@ -206,7 +187,9 @@ def _cmd_check(args) -> int:
         with open(args.file) as handle:
             doc = json.load(handle)
         cert = from_document(doc)
-    except (OSError, json.JSONDecodeError, StructureError, KeyError, ValueError) as err:
+    # JSON and StructureError are ValueErrors; nesting too deep for the
+    # decoder is a RecursionError
+    except (OSError, ValueError, RecursionError) as err:
         raise UsageError(f"cannot load certificate {args.file!r}: {err}") from None
     result: CheckResult = check(cert)
     if args.format == "json":

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 Rational = Fraction
@@ -509,80 +508,8 @@ def iv_cos(x: FloatInterval) -> FloatInterval:
 
 
 # =============================================================================
-# Spec-surface dispatchers
-# =============================================================================
-
-_ARITH = {
-    "add": FloatInterval.__add__,
-    "sub": FloatInterval.__sub__,
-    "mul": FloatInterval.__mul__,
-    "div": FloatInterval.__truediv__,
-}
-
-
-def iv_arith(op: str, x: FloatInterval, y: FloatInterval) -> FloatInterval:
-    """Binary interval operation, op in {add, sub, mul, div}."""
-    try:
-        f = _ARITH[op]
-    except KeyError:
-        raise ValueError(f"unknown interval operation {op!r}") from None
-    return f(x, y)
-
-
-def iv_unary(fn: str, x: FloatInterval, n: int | None = None) -> FloatInterval:
-    """Unary interval operation, fn in {neg, sqr, pow_n, sqrt, exp, log, sin, cos, abs}."""
-    if fn == "neg":
-        return -x
-    if fn == "sqr":
-        return iv_sqr(x)
-    if fn == "pow_n":
-        if n is None:
-            raise ValueError("pow_n requires an exponent")
-        return iv_pow(x, n)
-    if fn == "sqrt":
-        return iv_sqrt(x)
-    if fn == "exp":
-        return iv_exp(x)
-    if fn == "log":
-        return iv_log(x)
-    if fn == "sin":
-        return iv_sin(x)
-    if fn == "cos":
-        return iv_cos(x)
-    if fn == "abs":
-        return iv_abs(x)
-    raise ValueError(f"unknown interval function {fn!r}")
-
-
-# =============================================================================
 # Exact rational surface
 # =============================================================================
-
-class Ordering(Enum):
-    LT = -1
-    EQ = 0
-    GT = 1
-
-
-def rat_cmp(x: Rational, y: Rational) -> Ordering:
-    if x < y:
-        return Ordering.LT
-    if x > y:
-        return Ordering.GT
-    return Ordering.EQ
-
-
-def rat_arith(op: str, x: Rational, y: Rational) -> Rational:
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y  # ZeroDivisionError propagates for y == 0
-    raise ValueError(f"unknown rational operation {op!r}")
-
 
 def parse_rational(text: str) -> Rational:
     """Parse "n/d", an integer, or a (possibly scientific) decimal, exactly."""

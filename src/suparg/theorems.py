@@ -48,11 +48,16 @@ def _as_expr(f: Expr | str) -> tuple[Expr, str]:
     return f, None
 
 
+def _sweep(f: Expr | str, a: float, b: float, kind: PropertyKind,
+           opts: SweepOptions | None, **params):
+    expr, src = _as_expr(f)
+    return run_sweep(Problem(expr, a, b, kind, fn_source=src, **params), opts)
+
+
 def prove_bound(f: Expr | str, a: float, b: float,
                 opts: SweepOptions | None = None) -> BoundCert | SweepFailure:
     """Certify a positive global upper bound for f on [a, b]."""
-    expr, src = _as_expr(f)
-    return run_sweep(Problem(expr, a, b, PropertyKind.BOUNDED, fn_source=src), opts)
+    return _sweep(f, a, b, PropertyKind.BOUNDED, opts)
 
 
 def prove_max(f: Expr | str, a: float, b: float, eps: float,
@@ -62,17 +67,13 @@ def prove_max(f: Expr | str, a: float, b: float, eps: float,
     The exact-maximizer statement is not certifiable from finitely many
     enclosures, so the eps-relaxed form is what the engine proves.
     """
-    expr, src = _as_expr(f)
-    return run_sweep(Problem(expr, a, b, PropertyKind.MAX_APPROX, eps=eps,
-                             fn_source=src), opts)
+    return _sweep(f, a, b, PropertyKind.MAX_APPROX, opts, eps=eps)
 
 
 def prove_modulus(f: Expr | str, a: float, b: float, eps: float,
                   opts: SweepOptions | None = None) -> ModulusCert | SweepFailure:
     """Certify a uniform-continuity modulus delta for the given eps."""
-    expr, src = _as_expr(f)
-    return run_sweep(Problem(expr, a, b, PropertyKind.UNIF_CONT, eps=eps,
-                             fn_source=src), opts)
+    return _sweep(f, a, b, PropertyKind.UNIF_CONT, opts, eps=eps)
 
 
 def prove_integral(f: Expr | str, a: float, b: float, eps: float,
@@ -82,25 +83,19 @@ def prove_integral(f: Expr | str, a: float, b: float, eps: float,
     The sweep enforces the per-prefix budget (x - a) * eps / (2 (b - a)), so
     a full run ends with a gap of at most eps/2 plus rounding dust.
     """
-    expr, src = _as_expr(f)
-    return run_sweep(Problem(expr, a, b, PropertyKind.DARBOUX_GAP, eps=eps,
-                             fn_source=src), opts)
+    return _sweep(f, a, b, PropertyKind.DARBOUX_GAP, opts, eps=eps)
 
 
 def prove_monotone(f: Expr | str, a: float, b: float, strict: bool,
                    opts: SweepOptions | None = None) -> MonotoneCert | SweepFailure:
     """Certify (strict) monotonicity via per-piece derivative lower bounds."""
-    expr, src = _as_expr(f)
-    kind = PropertyKind.STRICT_INC if strict else PropertyKind.INC
-    return run_sweep(Problem(expr, a, b, kind, fn_source=src), opts)
+    return _sweep(f, a, b, PropertyKind.STRICT_INC if strict else PropertyKind.INC, opts)
 
 
 def prove_mvi(f: Expr | str, a: float, b: float, M: float,
               opts: SweepOptions | None = None) -> MviCert | SweepFailure:
     """Certify f(x2) - f(x1) <= M (x2 - x1) via per-piece derivative caps."""
-    expr, src = _as_expr(f)
-    return run_sweep(Problem(expr, a, b, PropertyKind.MVI_BOUND, M=M,
-                             fn_source=src), opts)
+    return _sweep(f, a, b, PropertyKind.MVI_BOUND, opts, M=M)
 
 
 def prove_flat(f: Expr | str, a: float, b: float, eta: float,
@@ -110,9 +105,7 @@ def prove_flat(f: Expr | str, a: float, b: float, eta: float,
     With eta = 0 only a syntactically zero derivative enclosure certifies,
     so anything short of that stalls rather than rounding its way through.
     """
-    expr, src = _as_expr(f)
-    return run_sweep(Problem(expr, a, b, PropertyKind.FLAT, eta=eta,
-                             fn_source=src), opts)
+    return _sweep(f, a, b, PropertyKind.FLAT, opts, eta=eta)
 
 
 # =============================================================================

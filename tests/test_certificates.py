@@ -1,6 +1,7 @@
 """Checker soundness: fresh-enclosure re-certification and mutation flips."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from suparg.certificates import (
+    ROWS,
     BoundCert,
     ClopenReport,
     ClopenVerdict,
@@ -22,7 +24,7 @@ from suparg.certificates import (
     loads,
     to_document,
 )
-from suparg.expr import parse
+from suparg.expr import eval_d1, eval_iv, parse
 from suparg.numeric import FloatInterval, RatInterval
 from suparg.theorems import (
     prove_bound,
@@ -34,6 +36,7 @@ from suparg.theorems import (
     prove_mvi,
     prove_root,
 )
+from suparg.topology import Cover, RatIntervalSet, analyze_clopen, extract_subcover
 
 UP = lambda v: math.nextafter(v, math.inf)      # noqa: E731
 DOWN = lambda v: math.nextafter(v, -math.inf)   # noqa: E731
@@ -327,3 +330,313 @@ def test_nonfinite_per_piece_value_is_invalid():
     cert = prove_modulus("sin(x)", 0.0, 2.0, 0.3)
     result = check(replace(cert, piece_osc=tuple_set(cert.piece_osc, 0, math.nan)))
     assert not result and result.reason == "piece_osc is not finite"
+
+
+# ---------------------------------------------------------------------------
+# golden certificate bytes: a change to the certificates or the sweep must
+# reproduce these digests, conclusion texts and tampered verdicts
+# ---------------------------------------------------------------------------
+
+GOLDEN_PROBLEMS = {
+    "bvt": lambda: prove_bound("sin(x)", 0.0, 3.0),
+    "evt": lambda: prove_max("sin(x)", 0.0, 3.0, 1e-2),
+    "ivt-neg": lambda: prove_root("x - 3", 0.0, 1.0, 1e-9),
+    "ivt-root": lambda: prove_root("x^2 - 2", 0.0, 2.0, 1e-9),
+    "uct": lambda: prove_modulus("sin(x)", 0.0, 2.0, 0.3),
+    "dit": lambda: prove_integral("x^2 - x", 0.0, 1.0, 1e-2),
+    "sift": lambda: prove_monotone("exp(x)", 0.0, 1.0, True),
+    "ift": lambda: prove_monotone("x^3", 0.0, 1.0, False),
+    "mvi": lambda: prove_mvi("x^2", 0.0, 1.0, 2.5),
+    "cft": lambda: prove_flat("sin(x)", 0.0, 1.0, 1.5),
+    "cft-exact": lambda: prove_flat("3", 0.0, 1.0, 0.0),
+    "bvt-point": lambda: prove_bound("x^2 - 3", 0.5, 0.5),
+    "evt-point": lambda: prove_max("sin(x)", 0.5, 0.5, 1e-2),
+    "ivt-point": lambda: prove_root("x - 1", 0.5, 0.5, 1e-9),
+    "uct-point": lambda: prove_modulus("sin(x)", 0.5, 0.5, 0.3),
+    "dit-point": lambda: prove_integral("x^2", 0.5, 0.5, 1e-2),
+    "sift-point": lambda: prove_monotone("-x", 0.5, 0.5, True),
+    "ift-point": lambda: prove_monotone("x^3", 0.5, 0.5, False),
+    "mvi-point": lambda: prove_mvi("x^2", 0.5, 0.5, 2.5),
+    "cft-point": lambda: prove_flat("sin(x)", 0.5, 0.5, 1.5),
+}
+
+
+def _tampered(cert):
+    """(label, certificate) for each scalar and the middle value of each
+    per-piece array moved by one ulp and by 1.0 each way; bools flipped."""
+    out = []
+    for fld in dataclasses.fields(cert):
+        value = getattr(cert, fld.name)
+        if fld.name in ("a", "b"):
+            continue
+        if isinstance(value, bool):
+            out.append((f"{fld.name}!", replace(cert, **{fld.name: not value})))
+            continue
+        if isinstance(value, float):
+            k, values, name = None, (value,), fld.name
+        elif isinstance(value, tuple) and value and isinstance(value[0], float):
+            k, values, name = len(value) // 2, value, f"{fld.name}[{len(value) // 2}]"
+        else:
+            continue
+        at = 0 if k is None else k
+        for label, moved in (("+", UP(values[at])), ("-", DOWN(values[at])),
+                             ("+1", values[at] + 1.0), ("-1", values[at] - 1.0)):
+            new = moved if k is None else tuple_set(values, k, moved)
+            out.append((name + label, replace(cert, **{fld.name: new})))
+    return out
+
+
+def _verdict(result):
+    if result.valid:
+        return "V"
+    return "I" if result.piece is None else f"I{result.piece}"
+
+
+GOLDEN_CERT_SHA256 = {
+    "bvt": "807ce6a2ea7e2503888206305361ce4cbab4aa1563ed4fd70f10909b260fe51f",
+    "evt": "39088006183b557d72c07c8ed9a1ab83120658905554f071af44ce5d86a92703",
+    "ivt-neg": "b5f20c61ff4663f137cd68fffe56e23c294a7c18e8f11f123725a397b8a87d3e",
+    "ivt-root": "e4c03a966c68a99263d9c00b2a0ce28cf655246c5d4692efc139faacab658930",
+    "uct": "3b81daf7aa6fb4f26166bbce37ed44d3269233cbaad1144ba17914561c7d2bda",
+    "dit": "08d9e585ad5662727ef42b1b072f9aec77b2a86e4ea59f20609b5666b4dfc336",
+    "sift": "3cee6cd109a9555189c6a7e0c803e2133269732f45a2d2014a6379a0f4fbaf17",
+    "ift": "b117807e030a731639be8e55b2838e2f4e04024bef1a1162c4857988efb1f5e2",
+    "mvi": "7ba3bd1a10c99322a3ff8b839380bf70ef7bd80cc08172dc9066de59c5942138",
+    "cft": "cfd5b10438e09613937c1cf102fca1641d39d83679de31d9e5781f5eabbacd56",
+    "cft-exact": "f0877eebfd7710917919aa84092634d10e42d6b1f43a4d624ac6b8b04761d48d",
+    "bvt-point": "7da86a3054fea7932c4878685b629e7ad385eba575ee0b67792d5625ef5ef52d",
+    "evt-point": "9de99202dae6e41d13704e2ff211781f0fc983c014f37a574a3fe54fa29bcdb2",
+    "ivt-point": "16a86adba1a028a1876e4e44f510a0eed674a0ca1311994cbcf8058b0b6bfd1f",
+    "uct-point": "0f2d57b79cb3cf4f4aa83bec299a2ccd08d4b7bb9c2210e7dbf406b6850a7412",
+    "dit-point": "871dd91336381fab733179aecd6861748d0e06669282c0aab3ebe5667dd81a15",
+    "sift-point": "5245ef4352ec1f5366fa8d84ec4474934fb0149c37f148f21ac78785293870dd",
+    "ift-point": "c495cb2dcfb1f4734a4b9d820a6c77745bb5db88716fd0b223dfe130ef6d0ef7",
+    "mvi-point": "e781c938b4e828a5de17cedbcff91675b0119947b66d233b31e36da21895ed37",
+    "cft-point": "fa7e6045bc8de5a711e822aa3e2a8bebcaad7fc1ff84a452453b96d227ad884e",
+}
+
+GOLDEN_CONCLUSIONS = {
+    "bvt": "∀t∈[0.0, 3.0]: f(t) ≤ 1.0 for f = sin(x)",
+    "evt": ("∃c = 1.5 ∈ [0.0, 3.0]: ∀t: f(t) ≤ f(c) + 0.01, f(c) ≥ 0.9974949866040542 for f = "
+           "sin(x)"),
+    "ivt-neg": "∀t∈[0.0, 1.0]: f(t) < 0 for f = x - 3",
+    "ivt-root": "∃c∈[1.4142135623715149, 1.4142135633028374]: f(c) = 0 for f = x^2 - 2",
+    "uct": "∀s,t∈[0.0, 2.0]: |s−t| < 0.0625 ⇒ |f(s)−f(t)| < 0.3 for f = sin(x)",
+    "dit": ("∫f over [0.0, 1.0] ∈ [-0.16847612243145704, -0.16485561337321997], U − L < 0.01 for "
+           "f = x^2 - x"),
+    "sift": "∀x₁<x₂ in [0.0, 1.0]: f(x₁) < f(x₂) for f = exp(x)",
+    "ift": "∀x₁<x₂ in [0.0, 1.0]: f(x₁) ≤ f(x₂) for f = x^3",
+    "mvi": "∀x₁<x₂ in [0.0, 1.0]: f(x₂) − f(x₁) ≤ 2.5·(x₂ − x₁) for f = x^2",
+    "cft": "∀t∈[0.0, 1.0]: |f(t) − f(a)| ≤ 1.5 for f = sin(x)",
+    "cft-exact": "∀t∈[0.0, 1.0]: |f(t) − f(a)| ≤ 0.0 for f = 3 (exact constancy)",
+    "bvt-point": "∀t∈[0.5, 0.5]: f(t) ≤ 2.2250738585072014e-308 for f = x^2 - 3",
+    "evt-point": ("∃c = 0.5 ∈ [0.5, 0.5]: ∀t: f(t) ≤ f(c) + 0.01, f(c) ≥ 0.4794255386042029 for f "
+                 "= sin(x)"),
+    "ivt-point": "∀t∈[0.5, 0.5]: f(t) < 0 for f = x - 1",
+    "uct-point": "∀s,t∈[0.5, 0.5]: |s−t| < 1.0 ⇒ |f(s)−f(t)| < 0.3 for f = sin(x)",
+    "dit-point": "∫f over [0.5, 0.5] ∈ [0.0, 0.0], U − L < 0.01 for f = x^2",
+    "sift-point": "∀x₁<x₂ in [0.5, 0.5]: f(x₁) < f(x₂) for f = -x",
+    "ift-point": "∀x₁<x₂ in [0.5, 0.5]: f(x₁) ≤ f(x₂) for f = x^3",
+    "mvi-point": "∀x₁<x₂ in [0.5, 0.5]: f(x₂) − f(x₁) ≤ 2.5·(x₂ − x₁) for f = x^2",
+    "cft-point": "∀t∈[0.5, 0.5]: |f(t) − f(a)| ≤ 0.0 for f = sin(x)",
+}
+
+# label: V for Valid, I for Invalid, I<k> for Invalid at piece k
+GOLDEN_TAMPERED = {
+    "bvt": (
+        "piece_sup[4]+ I4, piece_sup[4]- I4, piece_sup[4]+1 I4, piece_sup[4]-1 I4, "
+        "bound+ V, bound- I4, bound+1 V, bound-1 I, "
+    ),
+    "evt": (
+        "eps+ V, eps- V, eps+1 V, eps-1 I, c+ V, c- V, c+1 I, c-1 I, f_at_c_lo+ I, "
+        "f_at_c_lo- V, f_at_c_lo+1 I, f_at_c_lo-1 I0, piece_sup[4]+ V, "
+        "piece_sup[4]- I4, piece_sup[4]+1 I4, piece_sup[4]-1 I4, "
+    ),
+    "ivt-neg": (
+        "piece_hi[4]+ V, piece_hi[4]- I4, piece_hi[4]+1 V, piece_hi[4]-1 I4, "
+    ),
+    "ivt-root": (
+        "l+ I, l- V, l+1 I, l-1 I, r+ V, r- I, r+1 I, r-1 I, f_l_hi+ V, f_l_hi- I, "
+        "f_l_hi+1 I, f_l_hi-1 I, f_r_lo+ I, f_r_lo- V, f_r_lo+1 I, f_r_lo-1 I, tol+ V, "
+        "tol- V, tol+1 V, tol-1 I, "
+    ),
+    "uct": (
+        "eps+ V, eps- V, eps+1 V, eps-1 I, delta+ V, delta- V, delta+1 I0, delta-1 I, "
+        "piece_osc[5]+ V, piece_osc[5]- I5, piece_osc[5]+1 I5, piece_osc[5]-1 I5, "
+    ),
+    "dit": (
+        "eps+ V, eps- V, eps+1 V, eps-1 I, piece_lo[294]+ I294, piece_lo[294]- I, "
+        "piece_lo[294]+1 I294, piece_lo[294]-1 I, piece_hi[294]+ I, "
+        "piece_hi[294]- I294, piece_hi[294]+1 I, piece_hi[294]-1 I294, lower_sum+ I, "
+        "lower_sum- V, lower_sum+1 I, lower_sum-1 I, upper_sum+ V, upper_sum- I, "
+        "upper_sum+1 I, upper_sum-1 I, "
+    ),
+    "sift": (
+        "strict! V, piece_deriv_lo[4]+ I4, piece_deriv_lo[4]- V, "
+        "piece_deriv_lo[4]+1 I4, piece_deriv_lo[4]-1 V, "
+    ),
+    "ift": (
+        "strict! I0, piece_deriv_lo[4]+ I4, piece_deriv_lo[4]- V, "
+        "piece_deriv_lo[4]+1 I4, piece_deriv_lo[4]-1 I4, "
+    ),
+    "mvi": (
+        "bound+ V, bound- V, bound+1 V, bound-1 I6, piece_deriv_hi[4]+ V, "
+        "piece_deriv_hi[4]- I4, piece_deriv_hi[4]+1 V, piece_deriv_hi[4]-1 I4, "
+    ),
+    "cft": (
+        "eta+ I, eta- V, eta+1 I, eta-1 I0, osc_bound+ V, osc_bound- I, osc_bound+1 V, "
+        "osc_bound-1 I, piece_deriv_abs[4]+ V, piece_deriv_abs[4]- I4, "
+        "piece_deriv_abs[4]+1 I4, piece_deriv_abs[4]-1 I4, "
+    ),
+    "cft-exact": (
+        "eta+ I, eta- I, eta+1 I, eta-1 I, osc_bound+ V, osc_bound- I, osc_bound+1 V, "
+        "osc_bound-1 I, piece_deriv_abs[4]+ I4, piece_deriv_abs[4]- I4, "
+        "piece_deriv_abs[4]+1 I4, piece_deriv_abs[4]-1 I4, "
+    ),
+    "bvt-point": (
+        "bound+ V, bound- V, bound+1 V, bound-1 I, "
+    ),
+    "evt-point": (
+        "eps+ V, eps- V, eps+1 V, eps-1 I, c+ I, c- I, c+1 I, c-1 I, f_at_c_lo+ I, "
+        "f_at_c_lo- V, f_at_c_lo+1 I, f_at_c_lo-1 I, "
+    ),
+    "ivt-point": "",
+    "uct-point": (
+        "eps+ V, eps- V, eps+1 V, eps-1 I, delta+ V, delta- V, delta+1 V, delta-1 I, "
+    ),
+    "dit-point": (
+        "eps+ V, eps- V, eps+1 V, eps-1 I, lower_sum+ I, lower_sum- I, lower_sum+1 I, "
+        "lower_sum-1 I, upper_sum+ I, upper_sum- I, upper_sum+1 I, upper_sum-1 I, "
+    ),
+    "sift-point": (
+        "strict! V, "
+    ),
+    "ift-point": (
+        "strict! V, "
+    ),
+    "mvi-point": (
+        "bound+ V, bound- V, bound+1 V, bound-1 V, "
+    ),
+    "cft-point": (
+        "eta+ V, eta- V, eta+1 V, eta-1 V, osc_bound+ V, osc_bound- I, osc_bound+1 V, "
+        "osc_bound-1 I, "
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PROBLEMS))
+def test_function_certificate_bytes_are_golden(name):
+    cert = GOLDEN_PROBLEMS[name]()
+    assert check(cert)
+    assert hashlib.sha256(dumps(cert).encode()).hexdigest() == GOLDEN_CERT_SHA256[name]
+    assert conclusion_of(cert).text == GOLDEN_CONCLUSIONS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PROBLEMS))
+def test_tampered_verdicts_are_golden(name):
+    cert = GOLDEN_PROBLEMS[name]()
+    seen = "".join(f"{label} {_verdict(check(t))}, " for label, t in _tampered(cert))
+    assert seen == "".join(GOLDEN_TAMPERED[name])
+
+
+# ---------------------------------------------------------------------------
+# malformed documents: StructureError, and exit 2 from `suparg check`
+# ---------------------------------------------------------------------------
+
+def _bound_document():
+    return to_document(prove_bound("sin(x)", 0.0, 3.0))
+
+
+def _with(path, value):
+    doc = _bound_document()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+MALFORMED = {
+    "certificate-list": lambda: _with(["certificate"], [1, 2]),
+    "partition-int": lambda: _with(["certificate", "partition"], 5),
+    "piece-sup-ints": lambda: _with(["certificate", "piece_sup"],
+                                    [1] * len(_bound_document()["certificate"]["piece_sup"])),
+    "M-null": lambda: _with(["certificate", "M"], None),
+    "one-element-domain": lambda: _with(["domain"], ["0x0.0p+0"]),
+    "function-int": lambda: _with(["function"], 3),
+    "top-level-list": lambda: [_bound_document()],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_document_is_a_structure_error(name, tmp_path, capsys):
+    from suparg.cli import run
+    doc = MALFORMED[name]()
+    with pytest.raises(StructureError):
+        from_document(doc)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert json.loads(lines[0])["error"] == "usage"
+
+
+# ---------------------------------------------------------------------------
+# every row: a fixed problem round-trips, checks Valid, and a per-piece value
+# moved past its fresh enclosure is Invalid at that piece
+# ---------------------------------------------------------------------------
+
+def _rat_open(lo, hi):
+    return RatInterval(Fraction(lo), Fraction(hi), True, True)
+
+
+ROW_PROBLEMS = {
+    "bound": lambda: prove_bound("sin(x)", 0.0, 3.0),
+    "max": lambda: prove_max("sin(x)", 0.0, 3.0, 1e-2),
+    "neg": lambda: prove_root("x - 3", 0.0, 1.0, 1e-9),
+    "root_bracket": lambda: prove_root("x^2 - 2", 0.0, 2.0, 1e-9),
+    "modulus": lambda: prove_modulus("sin(x)", 0.0, 2.0, 0.3),
+    "integral": lambda: prove_integral("x^2 - x", 0.0, 1.0, 1e-2),
+    "monotone": lambda: prove_monotone("exp(x)", 0.0, 1.0, True),
+    "mvi": lambda: prove_mvi("x^2", 0.0, 1.0, 2.5),
+    "flat": lambda: prove_flat("sin(x)", 0.0, 1.0, 1.5),
+    "clopen": lambda: analyze_clopen(
+        RatIntervalSet((RatInterval(Fraction(0), Fraction(1, 2), False, True),)),
+        Fraction(0), Fraction(1)),
+    "subcover": lambda: extract_subcover(
+        Cover((_rat_open(-1, "0.5"), _rat_open("0.25", 2))), Fraction(0), Fraction(1)),
+}
+
+
+def _past(side, fresh):
+    """A value next to side.store(fresh) that no longer bounds fresh."""
+    v = side.store(fresh)
+    for to in (-math.inf, math.inf):
+        moved = v
+        for _ in range(4):
+            moved = math.nextafter(moved, to)
+            if not side.holds(moved, fresh):
+                return moved
+    raise AssertionError("no value within 4 ulps falls past the enclosure")
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.type for row in ROWS])
+def test_every_row_roundtrips_checks_and_catches_a_tampered_piece(row):
+    cert = ROW_PROBLEMS[row.type]()
+    assert type(cert) is row.cls
+    text = dumps(cert)
+    assert dumps(loads(text)) == text
+    assert check(cert)
+    if not row.arrays:
+        return
+    grid = getattr(cert, row.grid)
+    pieces = grid.pieces if isinstance(grid, Partition) else grid
+    k = len(pieces) // 2
+    fresh = eval_d1(parse(cert.fn_source), pieces[k]).deriv if row.deriv \
+        else eval_iv(parse(cert.fn_source), pieces[k])
+    for name, side in row.arrays:
+        values = getattr(cert, name)
+        result = check(replace(cert, **{name: tuple_set(values, k, _past(side, fresh))}))
+        assert not result and result.piece == k, (name, result)

@@ -236,7 +236,8 @@ def test_cover_rejects_closed_elements(capsys, tmp_path):
 
 def test_check_rejects_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = invoke(capsys, "check", str(bad))
-    assert code == 2
-    assert json.loads(err)["error"] == "usage"
+    for text in ("{not json", "[" * 100_000 + "]" * 100_000):  # the second nests too deep
+        bad.write_text(text)
+        code, _, err = invoke(capsys, "check", str(bad))
+        assert code == 2
+        assert json.loads(err)["error"] == "usage"

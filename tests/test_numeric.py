@@ -16,7 +16,6 @@ from suparg.numeric import (
     DivisionByZeroInterval,
     DomainError,
     FloatInterval,
-    Ordering,
     RatInterval,
     float_down,
     float_up,
@@ -26,15 +25,18 @@ from suparg.numeric import (
     hex_to_interval,
     div_down,
     div_up,
-    iv_arith,
+    iv_abs,
+    iv_cos,
+    iv_exp,
+    iv_log,
     iv_pow,
-    iv_unary,
+    iv_sin,
+    iv_sqr,
+    iv_sqrt,
     mul_down,
     mul_up,
     parse_rational,
     format_rational,
-    rat_arith,
-    rat_cmp,
 )
 
 mpmath.mp.dps = 50
@@ -56,24 +58,24 @@ def ulps_apart(a: float, b: float) -> int:
 # ---------------------------------------------------------------------------
 
 def test_add_exact_dyadic():
-    assert iv_arith("add", FloatInterval(1, 2), FloatInterval(3, 4)) == FloatInterval(4, 6)
+    assert FloatInterval(1, 2) + FloatInterval(3, 4) == FloatInterval(4, 6)
 
 
 def test_mul_exact_dyadic():
-    assert iv_arith("mul", FloatInterval(-1, 2), FloatInterval(3, 4)) == FloatInterval(-4, 8)
+    assert FloatInterval(-1, 2) * FloatInterval(3, 4) == FloatInterval(-4, 8)
 
 
 def test_div_by_zero_interval():
     with pytest.raises(DivisionByZeroInterval):
-        iv_arith("div", FloatInterval(1, 1), FloatInterval(-1, 1))
+        FloatInterval(1, 1) / FloatInterval(-1, 1)
 
 
 def test_sqr_even_power_range():
-    assert iv_unary("sqr", FloatInterval(-1, 2)) == FloatInterval(0, 4)
+    assert iv_sqr(FloatInterval(-1, 2)) == FloatInterval(0, 4)
 
 
 def test_exp_unit_interval_against_oracle():
-    out = iv_unary("exp", FloatInterval(0, 1))
+    out = iv_exp(FloatInterval(0, 1))
     e_hi = float(mpmath.exp(1))  # nearest double to e
     assert out.lo <= 1.0 <= out.hi
     assert out.hi >= math.e
@@ -83,17 +85,17 @@ def test_exp_unit_interval_against_oracle():
 
 def test_log_domain_error():
     with pytest.raises(DomainError):
-        iv_unary("log", FloatInterval(-1, 1))
+        iv_log(FloatInterval(-1, 1))
     with pytest.raises(DomainError):
-        iv_unary("sqrt", FloatInterval(-1, 0))
+        iv_sqrt(FloatInterval(-1, 0))
 
 
 def test_overflow_rejected():
     big = FloatInterval(1e308, 1e308)
     with pytest.raises(OverflowError):
-        iv_arith("mul", big, big)
+        big * big
     with pytest.raises(OverflowError):
-        iv_unary("exp", FloatInterval(0, 1000))
+        iv_exp(FloatInterval(0, 1000))
 
 
 def test_nan_and_inf_rejected_at_construction():
@@ -106,31 +108,31 @@ def test_nan_and_inf_rejected_at_construction():
 
 
 def test_sin_includes_peak():
-    out = iv_unary("sin", FloatInterval(0.0, 1.6))  # pi/2 inside
+    out = iv_sin(FloatInterval(0.0, 1.6))  # pi/2 inside
     assert out.hi == 1.0
     assert out.lo <= 0.0
-    out2 = iv_unary("sin", FloatInterval(0.1, 1.0))  # monotone stretch
+    out2 = iv_sin(FloatInterval(0.1, 1.0))  # monotone stretch
     assert out2.hi < 1.0
     assert float(mpmath.sin("0.1")) >= out2.lo
     assert float(mpmath.sin(1)) <= out2.hi
 
 
 def test_cos_includes_trough():
-    out = iv_unary("cos", FloatInterval(3.0, 3.3))  # pi inside
+    out = iv_cos(FloatInterval(3.0, 3.3))  # pi inside
     assert out.lo == -1.0
 
 
 def test_full_period_is_unit_interval():
-    assert iv_unary("sin", FloatInterval(-10.0, 10.0)) == FloatInterval(-1.0, 1.0)
+    assert iv_sin(FloatInterval(-10.0, 10.0)) == FloatInterval(-1.0, 1.0)
 
 
 def test_rational_surface():
-    assert rat_arith("add", Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
-    assert rat_cmp(Fraction(2, 4), Fraction(1, 2)) is Ordering.EQ
-    assert rat_cmp(Fraction(1, 3), Fraction(1, 2)) is Ordering.LT
-    assert rat_cmp(Fraction(3, 4), Fraction(1, 2)) is Ordering.GT
+    assert Fraction(1, 3) + Fraction(1, 6) == Fraction(1, 2)
+    assert Fraction(2, 4) == Fraction(1, 2)
+    assert Fraction(1, 3) < Fraction(1, 2)
+    assert Fraction(3, 4) > Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
-        rat_arith("div", Fraction(1, 2), Fraction(0, 1))
+        Fraction(1, 2) / Fraction(0, 1)
 
 
 def test_parse_rational_forms():
@@ -181,7 +183,8 @@ def _sample(rng: random.Random, x: FloatInterval) -> float:
     return min(max(x.lo + (x.hi - x.lo) * t, x.lo), x.hi)
 
 
-_EXACT_OPS = {
+# the Python operators act on FloatInterval and on Fraction alike
+_OPS = {
     "add": lambda a, b: a + b,
     "sub": lambda a, b: a - b,
     "mul": lambda a, b: a * b,
@@ -197,13 +200,26 @@ def test_containment_fuzz_arith():
         x, y = _rand_interval(rng), _rand_interval(rng)
         if op == "div" and y.straddles_zero():
             continue
-        out = iv_arith(op, x, y)
+        out = _OPS[op](x, y)
         for _ in range(4):
             s, t = _sample(rng, x), _sample(rng, y)
-            exact = _EXACT_OPS[op](Fraction(s), Fraction(t))
+            exact = _OPS[op](Fraction(s), Fraction(t))
             assert Fraction(out.lo) <= exact <= Fraction(out.hi), (op, x, y, s, t)
             checked += 1
     assert checked > 30_000
+
+
+_UNARY = {
+    "neg": lambda x, n: -x,
+    "sqr": lambda x, n: iv_sqr(x),
+    "abs": lambda x, n: iv_abs(x),
+    "sqrt": lambda x, n: iv_sqrt(x),
+    "exp": lambda x, n: iv_exp(x),
+    "log": lambda x, n: iv_log(x),
+    "sin": lambda x, n: iv_sin(x),
+    "cos": lambda x, n: iv_cos(x),
+    "pow_n": iv_pow,
+}
 
 
 def test_containment_fuzz_unary():
@@ -221,7 +237,7 @@ def test_containment_fuzz_unary():
             continue
         if fn == "pow_n" and max(abs(x.lo), abs(x.hi)) > 100:
             continue
-        out = iv_unary(fn, x, n)
+        out = _UNARY[fn](x, n)
         for _ in range(4):
             t = _sample(rng, x)
             if fn in ("neg", "sqr", "abs", "pow_n"):
@@ -245,8 +261,8 @@ def test_inclusion_monotonicity():
         yw = FloatInterval(y.lo - pad, y.hi + pad)
         if op == "div" and yw.straddles_zero():
             continue
-        inner = iv_arith(op, x, y)
-        outer = iv_arith(op, xw, yw)
+        inner = _OPS[op](x, y)
+        outer = _OPS[op](xw, yw)
         assert outer.contains_interval(inner), (op, x, y, pad)
 
 
@@ -259,9 +275,9 @@ def test_width_bound_on_exact_operands():
         c = rng.randint(-2**20, 2**20) / 1024.0
         d = rng.randint(-2**20, 2**20) / 1024.0
         x, y = FloatInterval(min(a, b), max(a, b)), FloatInterval(min(c, d), max(c, d))
-        out = iv_arith("add", x, y)
+        out = x + y
         assert out == FloatInterval(x.lo + y.lo, x.hi + y.hi)  # exact, zero widening
-        out = iv_arith("mul", x, y)
+        out = x * y
         exact_lo = min(Fraction(p) * Fraction(q) for p in (x.lo, x.hi) for q in (y.lo, y.hi))
         exact_hi = max(Fraction(p) * Fraction(q) for p in (x.lo, x.hi) for q in (y.lo, y.hi))
         assert Fraction(out.lo) >= exact_lo - 2 * Fraction(ULP(float(exact_lo)) or 5e-324)
@@ -273,9 +289,9 @@ def test_rational_roundtrip_inverse_ops():
     for _ in range(2_000):
         x = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
         y = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-        assert rat_arith("sub", rat_arith("add", x, y), y) == x
+        assert (x + y) - y == x
         if y != 0:
-            assert rat_arith("mul", rat_arith("div", x, y), y) == x
+            assert (x / y) * y == x
 
 
 def test_rat_interval_invariants():
