@@ -11,6 +11,7 @@ and domain errors exit 2 with a one-line JSON record on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -63,6 +64,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # built on the first run; parsing leaves the parser unchanged
 def _build_parser() -> _Parser:
     p = _Parser(prog="suparg", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)

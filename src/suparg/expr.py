@@ -17,14 +17,29 @@ Grammar (whitespace insensitive)::
 
 "^" binds tighter than unary minus, so -x^2 parses as -(x^2).  Numeric
 literals are kept as exact rationals; "0.1" means 1/10, not the nearest
-binary64.
+binary64.  Parentheses and function calls nest at most MAX_DEPTH deep, and
+the tree parse() returns is at most MAX_DEPTH nodes high; deeper input is a
+ParseError, because printing, comparing and hashing a tree recurse once per
+level.
+
+Evaluation runs a tape.  On its first evaluation an expression is compiled,
+by an iterative walk, into a flat post-order list of instructions, each
+naming the registers of its operands; the tape is stored on that Expr
+object and reused by every later call.  Constants are enclosed once, at
+compile time, and the tape records whether the expression contains abs.
+eval_iv runs the tape with one loop that fills one interval register per
+instruction: Moore's natural interval extension.  eval_d1 runs the same
+tape filling a value and a derivative register per instruction, by the
+forward-mode rules of interval differentiation (product, quotient, chain).
+A DomainError names the subexpression that failed: for eval_iv the
+outermost function application around the failing instruction, for
+eval_d1 the failing application itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .numeric import (
     DivisionByZeroInterval,
@@ -41,6 +56,11 @@ from .numeric import (
 )
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
+# Nesting and height limit of parsed expressions.  Each level of nested
+# parentheses costs the parser five Python frames, and printing, comparing
+# and hashing an AST recurse once or twice per level, so this keeps every
+# walk of a parsed expression far inside the default recursion limit.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -64,12 +84,16 @@ class NotDifferentiable(ValueError):
 
 @dataclass(frozen=True)
 class Expr:
+    # the compiled tape, stored on the object by its first evaluation; not
+    # a dataclass field, so equality and hashing ignore it
+    _tape = None
+
     def __str__(self) -> str:
         return to_source(self)
 
     @property
     def differentiable(self) -> bool:
-        return not _contains_abs(self)
+        return not (self._tape or _compile(self)).has_abs
 
 
 @dataclass(frozen=True)
@@ -131,18 +155,6 @@ class Apply(Expr):
             raise ValueError(f"unknown function {self.fn!r}")
 
 
-def _contains_abs(e: Expr) -> bool:
-    if isinstance(e, Apply):
-        return e.fn == "abs" or _contains_abs(e.arg)
-    if isinstance(e, (Const, Var)):
-        return False
-    if isinstance(e, Neg):
-        return _contains_abs(e.arg)
-    if isinstance(e, PowInt):
-        return _contains_abs(e.base)
-    return _contains_abs(e.left) or _contains_abs(e.right)
-
-
 @dataclass(frozen=True)
 class EvalResult:
     """Range enclosure of f, optionally paired with one of f'."""
@@ -159,6 +171,7 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.groups = 0  # parentheses and function calls open at pos
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -176,48 +189,62 @@ class _Scanner:
     def error(self, expected: str) -> ParseError:
         return ParseError(self.pos, expected, self.peek())
 
+    def deeper(self, height: int) -> int:
+        """Height of a node over children at most `height` high."""
+        if height >= MAX_DEPTH:
+            raise self.error(f"at most {MAX_DEPTH} levels of nesting")
+        return height + 1
+
+
+# Each parser returns the subtree it read and that subtree's height.
 
 def parse(text: str) -> Expr:
     """Parse an expression; raises ParseError with offset and expectation."""
     sc = _Scanner(text)
-    e = _parse_expr(sc)
+    e, _ = _parse_expr(sc)
     if sc.peek():
         raise sc.error("end of input or operator")
     return e
 
 
-def _parse_expr(sc: _Scanner) -> Expr:
-    e = _parse_term(sc)
+def _parse_expr(sc: _Scanner) -> tuple[Expr, int]:
+    e, h = _parse_term(sc)
     while sc.peek() in ("+", "-"):
         op = sc.advance()
-        rhs = _parse_term(sc)
+        rhs, rh = _parse_term(sc)
         e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-    return e
+        h = sc.deeper(max(h, rh))
+    return e, h
 
 
-def _parse_term(sc: _Scanner) -> Expr:
-    e = _parse_factor(sc)
+def _parse_term(sc: _Scanner) -> tuple[Expr, int]:
+    e, h = _parse_factor(sc)
     while sc.peek() in ("*", "/"):
         op = sc.advance()
-        rhs = _parse_factor(sc)
+        rhs, rh = _parse_factor(sc)
         e = Mul(e, rhs) if op == "*" else Div(e, rhs)
-    return e
+        h = sc.deeper(max(h, rh))
+    return e, h
 
 
-def _parse_factor(sc: _Scanner) -> Expr:
-    if sc.peek() == "-":
+def _parse_factor(sc: _Scanner) -> tuple[Expr, int]:
+    signs = 0
+    while sc.peek() == "-":
         sc.advance()
-        return Neg(_parse_factor(sc))
-    return _parse_power(sc)
+        signs += 1
+    e, h = _parse_power(sc)
+    for _ in range(signs):
+        e, h = Neg(e), sc.deeper(h)
+    return e, h
 
 
-def _parse_power(sc: _Scanner) -> Expr:
-    base = _parse_atom(sc)
+def _parse_power(sc: _Scanner) -> tuple[Expr, int]:
+    base, h = _parse_atom(sc)
     if sc.peek() == "^":
         sc.advance()
         n = _parse_nat(sc)
-        return PowInt(base, n)
-    return base
+        return PowInt(base, n), sc.deeper(h)
+    return base, h
 
 
 def _parse_nat(sc: _Scanner) -> int:
@@ -230,30 +257,36 @@ def _parse_nat(sc: _Scanner) -> int:
     return int(sc.text[start:sc.pos])
 
 
-def _parse_atom(sc: _Scanner) -> Expr:
+def _parse_group(sc: _Scanner) -> tuple[Expr, int]:
+    # "(" expr ")"; the parser recurses once per group, so groups are
+    # bounded before they are read, not after
+    if sc.groups >= MAX_DEPTH:
+        raise sc.error(f"at most {MAX_DEPTH} levels of nesting")
+    sc.advance()
+    sc.groups += 1
+    e, h = _parse_expr(sc)
+    if sc.peek() != ")":
+        raise sc.error("')'")
+    sc.advance()
+    sc.groups -= 1
+    return e, h
+
+
+def _parse_atom(sc: _Scanner) -> tuple[Expr, int]:
     ch = sc.peek()
     if ch == "(":
-        sc.advance()
-        e = _parse_expr(sc)
-        if sc.peek() != ")":
-            raise sc.error("')'")
-        sc.advance()
-        return e
+        return _parse_group(sc)
     if ch.isdigit() or ch == ".":
-        return Const(_parse_number(sc))
+        return Const(_parse_number(sc)), 1
     if ch.isalpha():
         name = _parse_name(sc)
         if name == "x":
-            return Var()
+            return Var(), 1
         if name in FUNCTIONS:
             if sc.peek() != "(":
                 raise sc.error(f"'(' after {name}")
-            sc.advance()
-            arg = _parse_expr(sc)
-            if sc.peek() != ")":
-                raise sc.error("')'")
-            sc.advance()
-            return Apply(name, arg)
+            arg, h = _parse_group(sc)
+            return Apply(name, arg), sc.deeper(h)
         raise ParseError(sc.pos - len(name), "number, 'x', function, or '('", name)
     raise sc.error("number, 'x', function, or '('")
 
@@ -351,8 +384,90 @@ def _print(e: Expr, ctx: int) -> str:
 
 
 # =============================================================================
-# Interval evaluation and forward-mode interval differentiation
+# Tape compilation, interval evaluation and forward-mode differentiation
 # =============================================================================
+
+# Opcodes.  An instruction is (op, i, j, arg): i and j are the registers of
+# its operands (j is the exponent n for _POW).  arg is the enclosure of a
+# constant; for _HUGE, the value of a constant no binary64 interval
+# encloses; for _POW, the enclosure of n, the derivative's coefficient
+# (None when n is beyond binary64); for a function, its value enclosure.
+(_VAR, _CONST, _HUGE, _NEG, _ADD, _SUB, _MUL, _DIV, _POW,
+ _SIN, _COS, _EXP, _LOG, _SQRT, _ABS) = range(15)
+
+_BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
+_APPLY = {
+    "sin": (_SIN, iv_sin),
+    "cos": (_COS, iv_cos),
+    "exp": (_EXP, iv_exp),
+    "log": (_LOG, iv_log),
+    "sqrt": (_SQRT, iv_sqrt),
+    "abs": (_ABS, iv_abs),
+}
+
+_ZERO = FloatInterval(0.0, 0.0)
+_ONE = FloatInterval(1.0, 1.0)
+_TWO = FloatInterval(2.0, 2.0)
+
+
+@dataclass(frozen=True)
+class _Tape:
+    code: tuple     # instructions in post-order: operands before their use
+    nodes: tuple    # the subexpression each instruction evaluates
+    outer: tuple    # outermost Apply enclosing each instruction's node (or None)
+    has_abs: bool
+
+
+def _enclose(q: Fraction) -> FloatInterval | None:
+    try:
+        return FloatInterval.from_rational(q)
+    except OverflowError:
+        return None
+
+
+def _compile(f: Expr) -> _Tape:
+    """Compile f into a tape and store it on f (iterative post-order walk)."""
+    code, nodes, outer = [], [], []
+    regs: list[int] = []  # registers of finished operands, last on top
+    todo = [(f, None, False)]
+    while todo:
+        e, out, ready = todo.pop()
+        if not ready:
+            if out is None and isinstance(e, Apply):
+                out = e
+            todo.append((e, out, True))
+            if isinstance(e, (Neg, Apply)):
+                todo.append((e.arg, out, False))
+            elif isinstance(e, PowInt):
+                todo.append((e.base, out, False))
+            elif not isinstance(e, (Const, Var)):
+                todo.append((e.right, out, False))
+                todo.append((e.left, out, False))
+            continue
+        if isinstance(e, Const):
+            iv = _enclose(e.value)
+            ins = (_CONST, 0, 0, iv) if iv is not None else (_HUGE, 0, 0, e.value)
+        elif isinstance(e, Var):
+            ins = (_VAR, 0, 0, None)
+        elif isinstance(e, Neg):
+            ins = (_NEG, regs.pop(), 0, None)
+        elif isinstance(e, PowInt):
+            ins = (_POW, regs.pop(), e.n, _enclose(Fraction(e.n)))
+        elif isinstance(e, Apply):
+            op, fn = _APPLY[e.fn]
+            ins = (op, regs.pop(), 0, fn)
+        else:
+            j = regs.pop()
+            ins = (_BINARY[type(e)], regs.pop(), j, None)
+        regs.append(len(code))
+        code.append(ins)
+        nodes.append(e)
+        outer.append(out)
+    tape = _Tape(tuple(code), tuple(nodes), tuple(outer),
+                 any(ins[0] == _ABS for ins in code))
+    object.__setattr__(f, "_tape", tape)
+    return tape
+
 
 def eval_iv(f: Expr, X: FloatInterval) -> FloatInterval:
     """Natural interval extension: an enclosure of {f(t) : t in X}.
@@ -360,133 +475,102 @@ def eval_iv(f: Expr, X: FloatInterval) -> FloatInterval:
     DomainError raised from a subexpression is annotated with that
     subexpression's source text and the offending interval.
     """
+    tape = f._tape or _compile(f)
+    v: list[FloatInterval] = []
+    push = v.append
     try:
-        return _eval(f, X)
+        for op, i, j, arg in tape.code:
+            if op == _VAR:
+                push(X)
+            elif op == _CONST:
+                push(arg)
+            elif op == _MUL:
+                push(v[i] * v[j])
+            elif op == _ADD:
+                push(v[i] + v[j])
+            elif op == _SUB:
+                push(v[i] - v[j])
+            elif op == _POW:
+                push(iv_pow(v[i], j))
+            elif op == _DIV:
+                push(v[i] / v[j])
+            elif op == _NEG:
+                push(-v[i])
+            elif op == _HUGE:
+                push(FloatInterval.from_rational(arg))  # raises OverflowError
+            else:  # a function application; arg is its value enclosure
+                push(arg(v[i]))
     except (DomainError, DivisionByZeroInterval) as err:
-        raise _annotate(err, X) from None
+        raise _annotate(err, X, tape.outer[len(v)]) from None
+    return v[-1]
 
 
 def eval_d1(f: Expr, X: FloatInterval) -> EvalResult:
     """Enclosures of f and f' over X by forward-mode interval differentiation."""
-    if not f.differentiable:
+    tape = f._tape or _compile(f)
+    if tape.has_abs:
         raise NotDifferentiable("expression contains abs")
+    v: list[FloatInterval] = []
+    d: list[FloatInterval] = []
     try:
-        val, der = _eval_d(f, X)
+        for op, i, j, arg in tape.code:
+            if op == _VAR:
+                val, der = X, _ONE
+            elif op == _CONST:
+                val, der = arg, _ZERO
+            elif op == _MUL:
+                lv, ld, rv, rd = v[i], d[i], v[j], d[j]
+                val, der = lv * rv, ld * rv + lv * rd
+            elif op == _ADD:
+                val, der = v[i] + v[j], d[i] + d[j]
+            elif op == _SUB:
+                val, der = v[i] - v[j], d[i] - d[j]
+            elif op == _POW:
+                val = iv_pow(v[i], j)
+                if j == 0:
+                    der = _ZERO
+                else:
+                    # no coefficient when n is beyond binary64: enclosing it raises OverflowError
+                    coeff = arg if arg is not None else FloatInterval.from_rational(Fraction(j))
+                    der = coeff * iv_pow(v[i], j - 1) * d[i]
+            elif op == _DIV:
+                lv, ld, rv, rd = v[i], d[i], v[j], d[j]
+                val = lv / rv
+                der = (ld * rv - lv * rd) / iv_sqr(rv)
+            elif op == _NEG:
+                val, der = -v[i], -d[i]
+            elif op == _SIN:
+                val, der = iv_sin(v[i]), iv_cos(v[i]) * d[i]
+            elif op == _COS:
+                val, der = iv_cos(v[i]), -iv_sin(v[i]) * d[i]
+            elif op == _EXP:
+                val = iv_exp(v[i])
+                der = val * d[i]
+            elif op == _LOG:
+                val, der = iv_log(v[i]), d[i] / v[i]
+            elif op == _SQRT:
+                val = iv_sqrt(v[i])
+                der = d[i] / (_TWO * val)
+            else:
+                val = FloatInterval.from_rational(arg)  # _HUGE: raises OverflowError
+            v.append(val)
+            d.append(der)
     except (DomainError, DivisionByZeroInterval) as err:
-        raise _annotate(err, X) from None
-    return EvalResult(val, der)
+        k = len(v)
+        op, i, _, _ = tape.code[k]
+        if op >= _SIN and isinstance(err, DivisionByZeroInterval):
+            err = DomainError(tape.nodes[k].fn, v[i],
+                              "derivative unbounded (argument range touches the domain boundary)")
+        raise _annotate(err, X, tape.nodes[k]) from None
+    return EvalResult(v[-1], d[-1])
 
 
-def _annotate(err: Exception, X: FloatInterval) -> DomainError:
+def _annotate(err: Exception, X: FloatInterval, node: Expr | None) -> DomainError:
+    # a DomainError always comes from a function application, named by node
     if isinstance(err, DomainError):
-        context = getattr(err, "context", None)
         out = DomainError(err.fn, err.operand, err.detail)
-        out.context = context
+        out.context = to_source(node)
         return out
     out = DomainError("div", X, str(err))
     out.context = None
     return out
-
-
-_ZERO = FloatInterval(0.0, 0.0)
-_ONE = FloatInterval(1.0, 1.0)
-
-
-@lru_cache(maxsize=4096)
-def _const_interval(q: Fraction) -> FloatInterval:
-    return FloatInterval.from_rational(q)
-
-
-def _eval(e: Expr, X: FloatInterval) -> FloatInterval:
-    if isinstance(e, Const):
-        return _const_interval(e.value)
-    if isinstance(e, Var):
-        return X
-    if isinstance(e, Neg):
-        return -_eval(e.arg, X)
-    if isinstance(e, Add):
-        return _eval(e.left, X) + _eval(e.right, X)
-    if isinstance(e, Sub):
-        return _eval(e.left, X) - _eval(e.right, X)
-    if isinstance(e, Mul):
-        return _eval(e.left, X) * _eval(e.right, X)
-    if isinstance(e, Div):
-        return _eval(e.left, X) / _eval(e.right, X)
-    if isinstance(e, PowInt):
-        return iv_pow(_eval(e.base, X), e.n)
-    if isinstance(e, Apply):
-        try:
-            return _APPLY[e.fn](_eval(e.arg, X))
-        except DomainError as err:
-            err.context = to_source(e)
-            raise
-    raise TypeError(f"unknown node {e!r}")
-
-
-_APPLY = {
-    "sin": iv_sin,
-    "cos": iv_cos,
-    "exp": iv_exp,
-    "log": iv_log,
-    "sqrt": iv_sqrt,
-    "abs": iv_abs,
-}
-
-
-def _eval_d(e: Expr, X: FloatInterval) -> tuple[FloatInterval, FloatInterval]:
-    if isinstance(e, Const):
-        return _const_interval(e.value), _ZERO
-    if isinstance(e, Var):
-        return X, _ONE
-    if isinstance(e, Neg):
-        v, d = _eval_d(e.arg, X)
-        return -v, -d
-    if isinstance(e, Add):
-        lv, ld = _eval_d(e.left, X)
-        rv, rd = _eval_d(e.right, X)
-        return lv + rv, ld + rd
-    if isinstance(e, Sub):
-        lv, ld = _eval_d(e.left, X)
-        rv, rd = _eval_d(e.right, X)
-        return lv - rv, ld - rd
-    if isinstance(e, Mul):
-        lv, ld = _eval_d(e.left, X)
-        rv, rd = _eval_d(e.right, X)
-        return lv * rv, ld * rv + lv * rd
-    if isinstance(e, Div):
-        lv, ld = _eval_d(e.left, X)
-        rv, rd = _eval_d(e.right, X)
-        val = lv / rv
-        return val, (ld * rv - lv * rd) / iv_sqr(rv)
-    if isinstance(e, PowInt):
-        bv, bd = _eval_d(e.base, X)
-        val = iv_pow(bv, e.n)
-        if e.n == 0:
-            return val, _ZERO
-        coeff = FloatInterval.from_rational(Fraction(e.n))
-        return val, coeff * iv_pow(bv, e.n - 1) * bd
-    if isinstance(e, Apply):
-        av, ad = _eval_d(e.arg, X)
-        try:
-            if e.fn == "sin":
-                return iv_sin(av), iv_cos(av) * ad
-            if e.fn == "cos":
-                return iv_cos(av), -iv_sin(av) * ad
-            if e.fn == "exp":
-                ev = iv_exp(av)
-                return ev, ev * ad
-            if e.fn == "log":
-                return iv_log(av), ad / av
-            if e.fn == "sqrt":
-                sv = iv_sqrt(av)
-                two = FloatInterval(2.0, 2.0)
-                return sv, ad / (two * sv)
-        except (DomainError, DivisionByZeroInterval) as err:
-            if isinstance(err, DomainError):
-                err.context = to_source(e)
-                raise
-            derr = DomainError(e.fn, av, "derivative unbounded (argument range touches the domain boundary)")
-            derr.context = to_source(e)
-            raise derr from None
-        raise NotDifferentiable("expression contains abs")
-    raise TypeError(f"unknown node {e!r}")

@@ -129,8 +129,44 @@ def sub_up(a: float, b: float) -> float:
     return add_up(a, -b)
 
 
+# Dekker's TwoProduct (T. J. Dekker, Numer. Math. 18, 1971) gives the
+# rounding error a*b - p of p = fl(a*b) exactly, in binary64 alone (Python
+# has no fma).  Veltkamp's split by C = 2^27 + 1 writes a = ah + al exactly,
+# ah with at most 26 significant bits and al with at most 26 bits plus its
+# sign, so each partial product ah*bh, ah*bl, al*bh, al*bl fits in 52 bits.
+# With no overflow, and with ea + eb >= -970 (2^ea <= |a| < 2^(ea+1), same
+# for b), every partial product and partial sum in Dekker's order is exact:
+# each is a multiple of ulp(a)*ulp(b) = 2^(ea+eb-104) >= 2^-1074.  The guard
+# |a|, |b|, |p| in (2^-900, 2^900) gives both conditions with wide margin:
+#   - a and b are normal, and C*a, C*b < 2^928 stay finite;
+#   - |a*b| >= |p|*(1 - 2^-53) > 2^-901 and |a*b| < 2^(ea+eb+2), so
+#     ea + eb > -903;
+#   - every partial product and partial sum stays below about 2^901.
+# Outside the guard, exact integer cross-multiplication decides instead.
+_SPLIT = 134217729.0  # 2^27 + 1
+_TP_LO = 2.0 ** -900
+_TP_HI = 2.0 ** 900
+
+
+def _prod_err(a: float, b: float, p: float) -> float | None:
+    """a*b - p exactly, for p = fl(a*b); None outside the guarded range."""
+    if not (_TP_LO < abs(a) < _TP_HI and _TP_LO < abs(b) < _TP_HI
+            and _TP_LO < abs(p) < _TP_HI):
+        return None
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLIT * b
+    bh = c - (c - b)
+    bl = b - bh
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 def _mul_err_sign(a: float, b: float, p: float) -> int:
-    # exact sign of (a*b - p) by integer cross-multiplication
+    # exact sign of (a*b - p)
+    e = _prod_err(a, b, p)
+    if e is not None:
+        return (e > 0.0) - (e < 0.0)
     na, da = a.as_integer_ratio()
     nb, db = b.as_integer_ratio()
     np_, dp = p.as_integer_ratio()
@@ -159,11 +195,19 @@ def mul_up(a: float, b: float) -> float:
 
 def _div_err_sign(a: float, b: float, q: float) -> int:
     # exact sign of (a/b - q) = sign(a - q*b) * sign(b)
-    na, da = a.as_integer_ratio()
-    nb, db = b.as_integer_ratio()
-    nq, dq = q.as_integer_ratio()
-    num = na * dq * db - nq * nb * da
-    s = (num > 0) - (num < 0)
+    p = q * b
+    e = _prod_err(q, b, p)
+    if e is not None:
+        # q*b = p + e exactly, and a - p is exact (Sterbenz): q and p are
+        # correctly rounded and not subnormal, so p = a*(1 + d) with |d| < 2^-51
+        r = a - p
+        s = (r > e) - (r < e)
+    else:
+        na, da = a.as_integer_ratio()
+        nb, db = b.as_integer_ratio()
+        nq, dq = q.as_integer_ratio()
+        num = na * dq * db - nq * nb * da
+        s = (num > 0) - (num < 0)
     return -s if b < 0 else s
 
 
@@ -187,9 +231,15 @@ def div_up(a: float, b: float) -> float:
 
 def _sqrt_dir(v: float, up: bool) -> float:
     r = math.sqrt(v)
-    nr, dr = r.as_integer_ratio()
-    nv, dv = v.as_integer_ratio()
-    if nr * nr * dv == nv * dr * dr:
+    p = r * r
+    e = _prod_err(r, r, p)
+    if e is not None:
+        exact = e == 0.0 and p == v
+    else:
+        nr, dr = r.as_integer_ratio()
+        nv, dv = v.as_integer_ratio()
+        exact = nr * nr * dv == nv * dr * dr
+    if exact:
         return r
     # sqrt is correctly rounded, so one step always crosses the true value
     return _next_up(r) if up else max(_next_down(r), 0.0)
@@ -516,6 +566,8 @@ def parse_rational(text: str) -> Rational:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den))
     return _parse_decimal(text)
 

@@ -1,11 +1,16 @@
 """Command-line behavior: exit codes, determinism, and the JSON surfaces."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from suparg.certificates import check, from_document, to_document
+import suparg
+from suparg.certificates import check, from_document, loads, to_document
 from suparg.cli import run
 from suparg.numeric import RatInterval
 from suparg.topology import Cover, RatIntervalSet, analyze_clopen, extract_subcover
@@ -92,6 +97,72 @@ def test_parse_error_exit_two(capsys):
     record = json.loads(err)
     assert record["error"] == "parse"
     assert record["position"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["evt", "--fn", "x", "--a", "0", "--b", "1", "--eps", "1/0"],
+    ["bvt", "--fn", "x", "--a", "1/0", "--b", "1"],
+    ["bvt", "--fn", "x", "--a", "0", "--b=-3/0"],
+    ["mvi", "--fn", "x", "--a", "0", "--b", "1", "--M", "2/0"],
+], ids=["eps", "a", "b", "M"])
+def test_zero_denominator_exits_two(capsys, argv):
+    code, out, err = invoke(capsys, "prove", *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error"] == "usage" and "zero denominator" in record["detail"]
+
+
+DEEP = "(" * 2000 + "x" + ")" * 2000
+LONG = " + ".join(["x"] * 3000)
+
+
+@pytest.mark.parametrize("fn", [DEEP, LONG], ids=["nested", "long-sum"])
+def test_deep_or_long_expression_exits_two(capsys, fn):
+    code, out, err = invoke(capsys, "prove", "bvt", "--fn", fn, "--a", "0", "--b", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "parse"
+
+
+@pytest.mark.parametrize("fn", [DEEP, LONG], ids=["nested", "long-sum"])
+def test_stored_function_over_the_nesting_limit_is_invalid(capsys, tmp_path, fn):
+    code, out, _ = invoke(capsys, "prove", "bvt", "--fn", "x", "--a", "0", "--b", "1",
+                          "--format", "json")
+    assert code == 0
+    cert = dataclasses.replace(loads(out), fn_source=fn)
+    result = check(cert)
+    assert not result.valid
+    assert result.reason.startswith("stored function does not parse")
+    path = tmp_path / "deep.json"
+    doc = json.loads(out)
+    doc["function"] = fn
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "check", str(path))
+    assert code == 1 and err == "" and out.startswith("Invalid")
+
+
+def test_one_process_runs_like_fresh_processes(capsys, tmp_path):
+    # the argparse parser is built once per process; no parsed state may
+    # carry from one run to the next
+    cert = tmp_path / "evt.json"
+    cover = tmp_path / "cover.txt"
+    cover.write_text("(-1/10, 6/10)\n(4/10, 11/10)\n")
+    runs = [
+        ["prove", "evt", "--fn", "x^2", "--a", "0", "--b", "1", "--eps", "0.01",
+         "--out", str(cert)],
+        ["prove", "bvt", "--fn", "x^2", "--a", "0", "--b", "1"],
+        ["prove", "dit", "--fn", "x^2", "--a", "0", "--b", "1"],
+        ["check", str(cert)],
+        ["cover", "--file", str(cover), "--a", "0", "--b", "1"],
+    ]
+    in_process = [invoke(capsys, *argv) for argv in runs]
+    src = os.path.dirname(os.path.dirname(suparg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv, got in zip(runs, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "suparg.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert in_process[2][0] == 2  # dit without --eps is refused
 
 
 def test_usage_errors(capsys):
@@ -236,7 +307,10 @@ def test_cover_rejects_closed_elements(capsys, tmp_path):
 
 def test_check_rejects_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    for text in ("{not json", "[" * 100_000 + "]" * 100_000):  # the second nests too deep
+    zero_den = _subcover_doc()
+    zero_den["certificate"]["chain"][1] = "1/0"
+    # the second nests too deep; the third has a zero denominator
+    for text in ("{not json", "[" * 100_000 + "]" * 100_000, json.dumps(zero_den)):
         bad.write_text(text)
         code, _, err = invoke(capsys, "check", str(bad))
         assert code == 2

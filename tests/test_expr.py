@@ -11,7 +11,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from suparg import expr as expr_mod
 from suparg.expr import (
+    MAX_DEPTH,
     Add,
     Apply,
     Const,
@@ -28,7 +30,20 @@ from suparg.expr import (
     parse,
     to_source,
 )
-from suparg.numeric import DomainError, FloatInterval
+from suparg.numeric import (
+    DivisionByZeroInterval,
+    DomainError,
+    FloatInterval,
+    float_to_hex,
+    iv_abs,
+    iv_cos,
+    iv_exp,
+    iv_log,
+    iv_pow,
+    iv_sin,
+    iv_sqr,
+    iv_sqrt,
+)
 
 mpmath.mp.dps = 50
 
@@ -104,7 +119,7 @@ def test_differentiable_flag():
 # printing round-trip
 # ---------------------------------------------------------------------------
 
-def _rand_expr(rng: random.Random, depth: int):
+def _rand_expr(rng: random.Random, depth: int, fns=("sin", "cos", "exp", "log", "sqrt", "abs")):
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.5:
             return Var()
@@ -113,19 +128,18 @@ def _rand_expr(rng: random.Random, depth: int):
         return Const(Fraction(rng.randint(1, 400), 10 ** rng.randint(1, 3)))
     kind = rng.randrange(8)
     if kind == 0:
-        return Add(_rand_expr(rng, depth - 1), _rand_expr(rng, depth - 1))
+        return Add(_rand_expr(rng, depth - 1, fns), _rand_expr(rng, depth - 1, fns))
     if kind == 1:
-        return Sub(_rand_expr(rng, depth - 1), _rand_expr(rng, depth - 1))
+        return Sub(_rand_expr(rng, depth - 1, fns), _rand_expr(rng, depth - 1, fns))
     if kind == 2:
-        return Mul(_rand_expr(rng, depth - 1), _rand_expr(rng, depth - 1))
+        return Mul(_rand_expr(rng, depth - 1, fns), _rand_expr(rng, depth - 1, fns))
     if kind == 3:
-        return Div(_rand_expr(rng, depth - 1), _rand_expr(rng, depth - 1))
+        return Div(_rand_expr(rng, depth - 1, fns), _rand_expr(rng, depth - 1, fns))
     if kind == 4:
-        return Neg(_rand_expr(rng, depth - 1))
+        return Neg(_rand_expr(rng, depth - 1, fns))
     if kind == 5:
-        return PowInt(_rand_expr(rng, depth - 1), rng.randrange(0, 5))
-    fn = rng.choice(["sin", "cos", "exp", "log", "sqrt", "abs"])
-    return Apply(fn, _rand_expr(rng, depth - 1))
+        return PowInt(_rand_expr(rng, depth - 1, fns), rng.randrange(0, 5))
+    return Apply(rng.choice(fns), _rand_expr(rng, depth - 1, fns))
 
 
 def test_print_parse_roundtrip_fixed():
@@ -273,3 +287,263 @@ def test_derivative_containment_fuzz():
             assert mpmath.mpf(res.deriv.lo) - scale <= fd <= mpmath.mpf(res.deriv.hi) + scale, \
                 (to_source(f), X, t)
             done += 1
+
+
+# ---------------------------------------------------------------------------
+# the tape against the recursive evaluators it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_eval(e, X):
+    if isinstance(e, Const):
+        return FloatInterval.from_rational(e.value)
+    if isinstance(e, Var):
+        return X
+    if isinstance(e, Neg):
+        return -_ref_eval(e.arg, X)
+    if isinstance(e, Add):
+        return _ref_eval(e.left, X) + _ref_eval(e.right, X)
+    if isinstance(e, Sub):
+        return _ref_eval(e.left, X) - _ref_eval(e.right, X)
+    if isinstance(e, Mul):
+        return _ref_eval(e.left, X) * _ref_eval(e.right, X)
+    if isinstance(e, Div):
+        return _ref_eval(e.left, X) / _ref_eval(e.right, X)
+    if isinstance(e, PowInt):
+        return iv_pow(_ref_eval(e.base, X), e.n)
+    try:
+        return _REF_APPLY[e.fn](_ref_eval(e.arg, X))
+    except DomainError as err:
+        err.context = to_source(e)
+        raise
+
+
+_REF_APPLY = {"sin": iv_sin, "cos": iv_cos, "exp": iv_exp, "log": iv_log,
+              "sqrt": iv_sqrt, "abs": iv_abs}
+
+
+def _ref_eval_d(e, X):
+    if isinstance(e, Const):
+        return FloatInterval.from_rational(e.value), FloatInterval(0.0, 0.0)
+    if isinstance(e, Var):
+        return X, FloatInterval(1.0, 1.0)
+    if isinstance(e, Neg):
+        v, d = _ref_eval_d(e.arg, X)
+        return -v, -d
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        lv, ld = _ref_eval_d(e.left, X)
+        rv, rd = _ref_eval_d(e.right, X)
+        if isinstance(e, Add):
+            return lv + rv, ld + rd
+        if isinstance(e, Sub):
+            return lv - rv, ld - rd
+        if isinstance(e, Mul):
+            return lv * rv, ld * rv + lv * rd
+        val = lv / rv
+        return val, (ld * rv - lv * rd) / iv_sqr(rv)
+    if isinstance(e, PowInt):
+        bv, bd = _ref_eval_d(e.base, X)
+        val = iv_pow(bv, e.n)
+        if e.n == 0:
+            return val, FloatInterval(0.0, 0.0)
+        coeff = FloatInterval.from_rational(Fraction(e.n))
+        return val, coeff * iv_pow(bv, e.n - 1) * bd
+    av, ad = _ref_eval_d(e.arg, X)
+    try:
+        if e.fn == "sin":
+            return iv_sin(av), iv_cos(av) * ad
+        if e.fn == "cos":
+            return iv_cos(av), -iv_sin(av) * ad
+        if e.fn == "exp":
+            ev = iv_exp(av)
+            return ev, ev * ad
+        if e.fn == "log":
+            return iv_log(av), ad / av
+        if e.fn == "sqrt":
+            sv = iv_sqrt(av)
+            return sv, ad / (FloatInterval(2.0, 2.0) * sv)
+    except (DomainError, DivisionByZeroInterval) as err:
+        if isinstance(err, DomainError):
+            err.context = to_source(e)
+            raise
+        derr = DomainError(e.fn, av, "derivative unbounded (argument range touches the domain boundary)")
+        derr.context = to_source(e)
+        raise derr from None
+    raise NotDifferentiable("expression contains abs")
+
+
+def _ref_contains_abs(e):
+    if isinstance(e, Apply):
+        return e.fn == "abs" or _ref_contains_abs(e.arg)
+    if isinstance(e, (Const, Var)):
+        return False
+    if isinstance(e, (Neg, PowInt)):
+        return _ref_contains_abs(e.arg if isinstance(e, Neg) else e.base)
+    return _ref_contains_abs(e.left) or _ref_contains_abs(e.right)
+
+
+def _ref_annotate(err, X):
+    if isinstance(err, DomainError):
+        out = DomainError(err.fn, err.operand, err.detail)
+        out.context = getattr(err, "context", None)
+        return out
+    out = DomainError("div", X, str(err))
+    out.context = None
+    return out
+
+
+def _hexes(*ivs):
+    return tuple(float_to_hex(v) for iv in ivs for v in (iv.lo, iv.hi))
+
+
+def _outcome(run):
+    """Bit pattern of the endpoints (signed zeros included), or the error."""
+    try:
+        return "ok", _hexes(*run())
+    except DomainError as err:
+        return "domain", err.fn, repr(err.operand), err.detail, err.context
+    except (DivisionByZeroInterval, NotDifferentiable, OverflowError) as err:
+        return type(err).__name__, str(err)
+
+
+def _ref_iv(f, X):
+    try:
+        return (_ref_eval(f, X),)
+    except (DomainError, DivisionByZeroInterval) as err:
+        raise _ref_annotate(err, X) from None
+
+
+def _ref_d1(f, X):
+    if _ref_contains_abs(f):
+        raise NotDifferentiable("expression contains abs")
+    try:
+        return _ref_eval_d(f, X)
+    except (DomainError, DivisionByZeroInterval) as err:
+        raise _ref_annotate(err, X) from None
+
+
+def _tape_d1(f, X):
+    res = eval_d1(f, X)
+    return res.value, res.deriv
+
+
+def _rand_piece(rng):
+    kind = rng.randrange(6)
+    if kind == 0:  # point
+        t = rng.choice([0.0, -0.0, rng.uniform(-3, 3)])
+        return FloatInterval(t, t)
+    if kind == 1:  # a signed zero endpoint
+        h = rng.uniform(0, 2)
+        return rng.choice([FloatInterval(0.0, h), FloatInterval(-0.0, h),
+                           FloatInterval(-h, 0.0), FloatInterval(-h, -0.0),
+                           FloatInterval(-0.0, 0.0)])
+    if kind == 2:  # straddles zero
+        return FloatInterval(-rng.uniform(0, 2), rng.uniform(0, 2))
+    if kind == 3:  # wide, where exp and powers overflow
+        return FloatInterval(-rng.uniform(0, 900), rng.uniform(0, 900))
+    lo = rng.uniform(-3, 3)
+    return FloatInterval(lo, lo + rng.uniform(0, 1) * 2.0 ** -rng.randint(0, 40))
+
+
+def test_tape_matches_recursive_reference():
+    rng = random.Random(205)
+    seen = set()
+    for k in range(3_000):
+        with_abs = k % 2 == 0
+        fns = ("sin", "cos", "exp", "log", "sqrt", "abs") if with_abs else \
+            ("sin", "cos", "exp", "log", "sqrt")
+        f = _rand_expr(rng, rng.randint(1, 5), fns)
+        for _ in range(3):
+            X = _rand_piece(rng)
+            want = _outcome(lambda: _ref_iv(f, X))
+            assert _outcome(lambda: (eval_iv(f, X),)) == want, (to_source(f), X)
+            want_d = _outcome(lambda: _ref_d1(f, X))
+            assert _outcome(lambda: _tape_d1(f, X)) == want_d, (to_source(f), X)
+            seen.add(want[0])
+            seen.add(want_d[0])
+    assert seen == {"ok", "domain", "OverflowError", "NotDifferentiable"}
+
+
+def test_domain_error_context_is_the_enclosing_application():
+    # eval_iv names the outermost application around the failing one,
+    # eval_d1 the failing application itself
+    f = parse("1 + exp(sqrt(log(x)))")
+    X = FloatInterval(0.5, 0.6)
+    with pytest.raises(DomainError) as exc:
+        eval_iv(f, X)
+    assert (exc.value.fn, exc.value.context) == ("sqrt", "exp(sqrt(log(x)))")
+    with pytest.raises(DomainError) as exc:
+        eval_d1(f, X)
+    assert (exc.value.fn, exc.value.context) == ("sqrt", "sqrt(log(x))")
+    with pytest.raises(DomainError) as exc:
+        eval_d1(parse("sin(sqrt(x))"), FloatInterval(0.0, 1.0))
+    assert exc.value.detail.startswith("derivative unbounded")
+    assert (exc.value.fn, exc.value.context) == ("sqrt", "sqrt(x)")
+    with pytest.raises(DomainError) as exc:
+        eval_iv(parse("sin(1/x)"), FloatInterval(-1.0, 1.0))
+    assert (exc.value.fn, exc.value.context) == ("div", None)
+
+
+def test_expression_is_compiled_once(monkeypatch):
+    compiled = []
+    original = expr_mod._compile
+
+    def counting(f):
+        compiled.append(f)
+        return original(f)
+
+    monkeypatch.setattr(expr_mod, "_compile", counting)
+    f = parse("sin(x)*exp(x) + x^3/(1 + x^2)")
+    for k in range(20):
+        X = FloatInterval(k / 20, (k + 1) / 20)
+        eval_iv(f, X)
+        eval_d1(f, X)
+        assert f.differentiable
+    assert compiled == [f]
+    g = parse("abs(x) - 1")
+    for _ in range(5):
+        eval_iv(g, FloatInterval(-1.0, 1.0))
+        with pytest.raises(NotDifferentiable):
+            eval_d1(g, FloatInterval(-1.0, 1.0))
+    assert compiled == [f, g]
+
+
+def test_constant_beyond_binary64_overflows_in_evaluation_order():
+    huge = "1" + "0" * 400
+    with pytest.raises(OverflowError):
+        eval_iv(parse(f"x + {huge}"), FloatInterval(0.0, 1.0))
+    with pytest.raises(DomainError):
+        eval_iv(parse(f"log(x) + {huge}"), FloatInterval(-1.0, 1.0))
+    with pytest.raises(OverflowError):
+        eval_d1(parse(f"x^{huge}"), FloatInterval(0.5, 0.9))
+    assert eval_iv(parse(f"x^{huge}"), FloatInterval(0.5, 0.9)).lo == 0.0
+
+
+def test_deep_trees_evaluate_without_recursion():
+    f = Var()
+    for k in range(5_000):
+        f = Add(f, Const(Fraction(1))) if k % 2 else Mul(f, Const(Fraction(1, 2)))
+    assert eval_iv(f, FloatInterval(0.0, 1.0)).hi <= 2.0
+    assert eval_d1(f, FloatInterval(0.0, 1.0)).deriv.hi <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# nesting limit
+# ---------------------------------------------------------------------------
+
+def test_nesting_up_to_the_limit_parses_and_roundtrips():
+    n = MAX_DEPTH
+    for text in ["(" * n + "x" + ")" * n, "sin(" * (n - 1) + "x" + ")" * (n - 1),
+                 " + ".join(["x"] * n), "-" * (n - 1) + "x", "(" * (n - 2) + "x^2" + ")" * (n - 2)]:
+        e = parse(text)
+        assert parse(to_source(e)) == e and hash(e) == hash(parse(text))
+        eval_iv(e, FloatInterval(0.0, 1.0))
+
+
+def test_nesting_beyond_the_limit_is_a_parse_error():
+    n = MAX_DEPTH + 1
+    for text in ["(" * n + "x" + ")" * n, "sin(" * n + "x" + ")" * n,
+                 " + ".join(["x"] * n), " * ".join(["x"] * n), "-" * n + "x",
+                 "(" * 2000 + "x" + ")" * 2000, " + ".join(["x"] * 3000)]:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.expected == f"at most {MAX_DEPTH} levels of nesting"

@@ -6,11 +6,13 @@ field operations and 50-digit mpmath for the transcendentals.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from suparg import numeric
 from suparg.expr import eval_d1, eval_iv, parse
 from suparg.numeric import (
     DivisionByZeroInterval,
@@ -411,3 +413,97 @@ def test_huge_exponent_evaluates():
     assert eval_d1(parse("x^100000000"), x).deriv.lo >= 0.0
     with pytest.raises(OverflowError):
         iv_pow(FloatInterval(1.5, 2.0), 10 ** 8)
+
+
+# ---------------------------------------------------------------------------
+# exactness tests of directed products, quotients and square roots:
+# Dekker's TwoProduct against exact integer cross-multiplication
+# ---------------------------------------------------------------------------
+
+def _ref_mul_sign(a, b, p):
+    na, da = a.as_integer_ratio()
+    nb, db = b.as_integer_ratio()
+    np_, dp = p.as_integer_ratio()
+    lhs, rhs = na * nb * dp, np_ * da * db
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _ref_div_sign(a, b, q):
+    na, da = a.as_integer_ratio()
+    nb, db = b.as_integer_ratio()
+    nq, dq = q.as_integer_ratio()
+    num = na * dq * db - nq * nb * da
+    s = (num > 0) - (num < 0)
+    return -s if b < 0 else s
+
+
+def _ref_sqrt_dir(v, up):
+    r = math.sqrt(v)
+    nr, dr = r.as_integer_ratio()
+    nv, dv = v.as_integer_ratio()
+    if nr * nr * dv == nv * dr * dr:
+        return r
+    return math.nextafter(r, math.inf) if up else max(math.nextafter(r, -math.inf), 0.0)
+
+
+_GUARDS = (2.0 ** -900, 2.0 ** 900)
+
+
+def _tp_operand(rng):
+    kind = rng.randrange(7)
+    sign = rng.choice([1.0, -1.0])
+    if kind == 0:  # on and next to each guard bound
+        g = rng.choice(_GUARDS)
+        return sign * rng.choice([g, math.nextafter(g, 0.0), math.nextafter(g, math.inf)])
+    if kind == 1:  # either side of a guard bound
+        return sign * rng.uniform(1, 2) * 2.0 ** rng.choice([rng.randint(-912, -888),
+                                                             rng.randint(888, 912)])
+    if kind == 2:  # subnormal, or zero of either sign
+        return sign * rng.choice([0.0, 5e-324, rng.uniform(0, 1) * 2.0 ** -1022])
+    if kind == 3:  # short significands, so that some products are exact
+        return sign * rng.randint(1, 2 ** 26) * 2.0 ** rng.randint(-60, 30)
+    if kind == 4:
+        return sign * rng.uniform(1, 2) * 2.0 ** rng.randint(-1022, 1023)
+    return rng.uniform(-4, 4)
+
+
+def _tp_pairs(rng, count):
+    for _ in range(count):
+        a = _tp_operand(rng)
+        r = rng.random()
+        if r < 0.15 and a:  # product or quotient near overflow
+            b = rng.uniform(0.5, 2) * 2.0 ** 1023 / a if abs(a) > 1e-300 else a
+        elif r < 0.3 and a:  # product or quotient near the smallest normal
+            b = rng.uniform(0.5, 2) * 2.0 ** -1022 / a if abs(a) < 1e300 else a
+        else:
+            b = _tp_operand(rng)
+        yield a, (b if math.isfinite(b) else a)
+
+
+def test_product_and_quotient_signs_match_integer_reference():
+    rng = random.Random(109)
+    for a, b in _tp_pairs(rng, 15_000):
+        for x, y in ((a, b), (b, a)):
+            p = x * y
+            if math.isfinite(p):
+                assert numeric._mul_err_sign(x, y, p) == _ref_mul_sign(x, y, p), (x, y)
+                exact = Fraction(x) * Fraction(y)
+                assert mul_down(x, y) == float_down(exact), (x, y)
+                assert mul_up(x, y) == float_up(exact), (x, y)
+            if y and math.isfinite(x / y):
+                q = x / y
+                assert numeric._div_err_sign(x, y, q) == _ref_div_sign(x, y, q), (x, y)
+                exact = Fraction(x) / Fraction(y)
+                assert div_down(x, y) == float_down(exact), (x, y)
+                assert div_up(x, y) == float_up(exact), (x, y)
+
+
+def test_sqrt_exactness_matches_integer_reference():
+    rng = random.Random(110)
+    values = [abs(_tp_operand(rng)) for _ in range(10_000)]
+    values += [(rng.randint(1, 2 ** 26) * 2.0 ** rng.randint(-500, 400)) ** 2 for _ in range(2_000)]
+    values += [g * g for g in (2.0 ** -450, 2.0 ** 450, 2.0 ** -460, 2.0 ** 460)]
+    values += [sys.float_info.max, 2.0 ** -1022, 5e-324, 0.0]
+    for v in values:
+        for up in (False, True):
+            assert float_to_hex(numeric._sqrt_dir(v, up)) == float_to_hex(_ref_sqrt_dir(v, up)), (v, up)
