@@ -62,6 +62,7 @@ from .sweep import (
     base_case,
     combine,
     combiner_class,
+    finish,
     local_extend,
     run_sweep,
 )

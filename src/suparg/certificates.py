@@ -473,7 +473,7 @@ ROWS = (
         grid="partition", arrays=(("piece_lo", LO), ("piece_hi", HI)), params=("eps",),
         keys={"lower_sum": "L", "upper_sum": "U"}, positive=("eps",), total=_darboux_sums,
         start=lambda s: {"lower_sum": 0.0, "upper_sum": 0.0}, step=_add_darboux_terms,
-        accept=lambda s, e, p: sub_up(e.hi, e.lo) <= p.darboux_budget()),
+        accept=lambda s, e, p: sub_up(e.hi, e.lo) <= p.darboux_budget),
     Row(MonotoneCert, "monotone", {"sift": {"strict": True}, "ift": {"strict": False}},
         prover="prove_monotone",
         text=lambda c: (f"∀x₁<x₂ in [{c.a!r}, {c.b!r}]: f(x₁) {'<' if c.strict else '≤'} "

@@ -5,8 +5,12 @@ trivially at x = a, extends locally by one interval evaluation over a small
 piece, and merges with what is already certified.  The classical proof
 takes the supremum of the certified prefix set and derives a contradiction
 from the ability to extend past it; here the same extension step simply
-advances a frontier until it reaches b, accumulating the finite certificate
-along the way.
+advances a frontier until it reaches b.
+
+run_sweep is the argument's three steps written out as a fold over one
+carried SweepState: base_case opens it on [a, a], local_extend finds a
+witness piece past the frontier, combine takes that piece in, in O(1), and
+finish builds the certificate on [a, frontier].
 
 Local extension searches for a workable step width by geometric halving
 down to h_min, over the lattice of widths h_init * 2**-k.  The width that
@@ -21,19 +25,20 @@ negativity), in which case the failure carries the refuting piece: interval
 arithmetic cannot otherwise distinguish "hypothesis false" from "enclosure
 too loose".
 
-Merging is transitivity made concrete.  For most properties certificates
-over [a, x] and [x, y] concatenate; the uniform-continuity property merges
-with a shrinking modulus (pieces are kept overlapping, and the merged delta
-never exceeds a constituent delta nor half an overlap), and the
-strict-monotonicity property chains strict inequalities through shared
-piece endpoints.
+Combination is transitivity made concrete.  For most properties the piece
+is appended and the row's scalars updated (a running bound, a Darboux sum);
+the uniform-continuity property merges with a shrinking modulus (pieces are
+kept overlapping, and the merged delta never exceeds a constituent delta
+nor half an overlap), and the strict-monotonicity property chains strict
+inequalities through shared piece endpoints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from types import SimpleNamespace
 
 from .certificates import (
@@ -143,13 +148,10 @@ class Problem:
         if self.fn_source is None:
             object.__setattr__(self, "fn_source", to_source(self.f))
 
+    @cached_property
     def darboux_budget(self) -> float:
-        # per-piece oscillation budget eps / (2 (b - a)), rounded down
-        cached = self.__dict__.get("_darboux_budget")
-        if cached is None:
-            cached = div_down(self.eps, mul_up(2.0, sub_up(self.b, self.a)))
-            object.__setattr__(self, "_darboux_budget", cached)
-        return cached
+        """Per-piece oscillation budget eps / (2 (b - a)), rounded down."""
+        return div_down(self.eps, mul_up(2.0, sub_up(self.b, self.a)))
 
 
 @dataclass(frozen=True)
@@ -163,16 +165,6 @@ class LocalWitness:
     cand: float | None = None            # improved maximizer candidate
     cand_lo: float | None = None
     h: float | None = None               # lattice step width that certified the piece
-
-
-@dataclass(frozen=True)
-class SweepState:
-    """Frontier plus the certificate accumulated so far on [a, frontier]."""
-
-    frontier: float
-    partial: Certificate
-    pieces_used: int = 0
-    h_prev: float | None = None          # width of the last step; None starts cold
 
 
 class FailureKind(Enum):
@@ -206,6 +198,10 @@ class SweepOptions:
     h_min: float | None = None       # default: default_h_min(a, b)
     max_pieces: int = 2 ** 20
 
+    def __post_init__(self):
+        if self.max_pieces < 1:
+            raise ValueError(f"max_pieces must be at least 1, got {self.max_pieces}")
+
     def resolve(self, p: Problem) -> tuple[float, float, int]:
         h_init = self.h_init if self.h_init is not None else (p.b - p.a) / 8
         h_min = self.h_min if self.h_min is not None else default_h_min(p.a, p.b)
@@ -215,9 +211,30 @@ class SweepOptions:
 
 
 # =============================================================================
-# The certificate as it grows: the state has the certificate's field names,
-# with lists in place of tuples and the partition's points as a list
+# The carried state: the certificate as it grows, with the certificate's
+# field names, lists in place of tuples and the partition's points as a list
 # =============================================================================
+
+@dataclass
+class SweepState:
+    """What a fold carries from one step to the next.
+
+    acc holds the certificate on [a, frontier] as it grows; h_init, h_min and
+    max_pieces are the resolved SweepOptions; h_prev is the width that
+    certified the last piece (None starts the next search cold).
+    """
+
+    acc: SimpleNamespace
+    h_init: float
+    h_min: float
+    max_pieces: int
+    h_prev: float | None = None
+    pieces_used: int = 0
+
+    @property
+    def frontier(self) -> float:
+        return self.acc.b
+
 
 def _start(p: Problem) -> SimpleNamespace:
     """The certificate on [a, a], before any piece."""
@@ -231,38 +248,11 @@ def _start(p: Problem) -> SimpleNamespace:
     return s
 
 
-def _opened(cert: Certificate) -> SimpleNamespace:
-    state = {}
-    for fld in fields(cert):
-        value = getattr(cert, fld.name)
-        if isinstance(value, Partition):
-            value = value.points
-        state[fld.name] = list(value) if isinstance(value, tuple) else value
-    return SimpleNamespace(**state)
-
-
 def _closed(row: Row, s: SimpleNamespace) -> Certificate:
     values = {k: tuple(v) if isinstance(v, list) else v for k, v in vars(s).items()}
     if row.grid == "partition":
         values["partition"] = Partition(values["partition"])
     return row.cls(**values)
-
-
-def _push(row: Row, s: SimpleNamespace, w: LocalWitness) -> None:
-    """Take the piece [x, y] of w into the certificate on [a, x]."""
-    x, y = w.piece.lo, w.piece.hi
-    if x != s.b:
-        raise StructureError(
-            f"piece starts at {x!r} but certified domain ends at {s.b!r}")
-    if not y > x:
-        raise StructureError("degenerate piece")
-    if row.step is not None:
-        row.step(s, w)
-    e = w.deriv if row.deriv else w.value
-    for name, side in row.arrays:
-        getattr(s, name).append(side.store(e))
-    getattr(s, row.grid).append(y if row.grid == "partition" else w.ext)
-    s.b = y
 
 
 def _accepts(row: Row, p: Problem, s, e: FloatInterval) -> bool:
@@ -272,71 +262,126 @@ def _accepts(row: Row, p: Problem, s, e: FloatInterval) -> bool:
     return op(row.arrays[0][1].store(e), t)
 
 
-def base_case(p: Problem) -> SweepState:
+# =============================================================================
+# The fold: base case, local extension, combination
+# =============================================================================
+
+def base_case(p: Problem, opts: SweepOptions | None = None) -> SweepState:
     """Initial state at the left endpoint: the property holds vacuously there.
 
-    No hypothesis is evaluated here; a problem that is doomed (say, proving
-    negativity when f(a) >= 0) fails at the first extension instead.
+    The options are resolved here, once, so a ValueError for bad widths is
+    raised before any evaluation.  No hypothesis is evaluated either; a
+    problem that is doomed (say, proving negativity when f(a) >= 0) fails
+    at the first extension instead.
     """
-    return SweepState(frontier=p.a, partial=_closed(p.row, _start(p)), pieces_used=0)
+    h_init, h_min, max_pieces = (opts or SweepOptions()).resolve(p)
+    return SweepState(_start(p), h_init, h_min, max_pieces)
 
 
-def combine(kind: PropertyKind, left: Certificate, w: LocalWitness) -> Certificate:
-    """Merge a certificate on [a, x] with a local witness on [x, y].
+def local_extend(p: Problem, s: SweepState) -> LocalWitness | SweepFailure:
+    """Find a step width h in [s.h_min, s.h_init] whose piece, starting at
+    the frontier, certifies the local predicate; stall if none does, fail
+    with a refuting piece if an enclosure certifies the hypothesis false,
+    and fail with BUDGET once s.max_pieces pieces have been taken.
 
-    The piece must share its left endpoint with the certified domain
-    exactly; StructureError otherwise.  For the uniform-continuity kind the
-    merged delta follows the min-rule (never above a constituent delta,
-    never above half an overlap); for all other kinds the merge is plain
-    concatenation plus the per-kind scalar update.
+    The search halves geometrically from min(s.h_init, 2 * s.h_prev), or
+    from s.h_init when s.h_prev is None.  A warm search that certifies
+    nothing is rerun once from s.h_init, so failures (and domain errors)
+    are those of the cold search at this frontier.  The witness reports the
+    certifying width as w.h, which combine records as the next h_prev.
+    The state is not changed.
     """
-    cls, theorem, _ = _KINDS[kind]
-    row = ROW_OF[cls]
-    if type(left) is not cls:
-        raise StructureError(f"cannot extend {type(left).__name__} as {kind.value}")
-    s = _opened(left)
-    vars(s).update(row.theorems[theorem])
-    _push(row, s, w)
-    return _closed(row, s)
-
-
-# =============================================================================
-# Local extension
-# =============================================================================
-
-def local_extend(p: Problem, s: SweepState, h_init: float,
-                 h_min: float | None = None) -> LocalWitness | SweepFailure:
-    """Find a step width h in [h_min, h_init] whose piece certifies the
-    local predicate; stall if none does, fail with a refuting piece if an
-    enclosure certifies the hypothesis false.
-
-    The search halves geometrically from min(h_init, 2 * s.h_prev), or from
-    h_init when s.h_prev is None.  A warm search that certifies nothing is
-    rerun once from h_init, so failures (and domain errors) are those of
-    the cold search at this frontier.  The witness reports the certifying
-    width as w.h; passing it on as the next state's h_prev makes a
-    base_case -> local_extend -> combine fold reproduce run_sweep exactly.
-    """
-    if not s.frontier < p.b:
+    x = s.frontier
+    if not x < p.b:
         raise ValueError("frontier already at b")
-    if h_min is None:
-        h_min = default_h_min(p.a, p.b)
-    return _extend_core(p, s.frontier, s.partial, h_init, h_min, s.h_prev)
-
-
-def _extend_core(p: Problem, x: float, s, h_init: float,
-                 h_min: float, h_prev: float | None) -> LocalWitness | SweepFailure:
+    if s.pieces_used >= s.max_pieces:
+        return SweepFailure(FailureKind.BUDGET, at=x,
+                            detail=f"piece budget {s.max_pieces} exhausted")
     # Anything but a witness from the warm search is redone cold, so a
     # failure or a domain error names the piece the cold search reaches.
-    if h_prev is not None and 2 * h_prev < h_init:
+    if s.h_prev is not None and 2 * s.h_prev < s.h_init:
         try:
-            res = _halving_search(p, x, s, 2 * h_prev, h_min)
+            res = _halving_search(p, x, s.acc, 2 * s.h_prev, s.h_min)
         except DomainError:
             res = None
         if isinstance(res, LocalWitness):
             return res
-    return _halving_search(p, x, s, h_init, h_min)
+    return _halving_search(p, x, s.acc, s.h_init, s.h_min)
 
+
+def combine(p: Problem, s: SweepState, w: LocalWitness) -> None:
+    """Take the piece [x, y] of w into the state on [a, x], in place: the
+    row's step updates the scalars (the min-rule for the uniform-continuity
+    delta), the piece is appended and counted, and w.h becomes h_prev.
+
+    The piece must start exactly at the frontier; StructureError otherwise.
+    """
+    row, acc = p.row, s.acc
+    x, y = w.piece.lo, w.piece.hi
+    if x != acc.b:
+        raise StructureError(
+            f"piece starts at {x!r} but certified domain ends at {acc.b!r}")
+    if not y > x:
+        raise StructureError("degenerate piece")
+    if row.step is not None:
+        row.step(acc, w)
+    e = w.deriv if row.deriv else w.value
+    for name, side in row.arrays:
+        getattr(acc, name).append(side.store(e))
+    getattr(acc, row.grid).append(y if row.grid == "partition" else w.ext)
+    acc.b = y
+    s.h_prev = w.h
+    s.pieces_used += 1
+
+
+def finish(p: Problem, s: SweepState) -> Certificate:
+    """The certificate on [a, frontier].  It copies the state's lists, so the
+    fold may go on afterwards."""
+    return _closed(p.row, s.acc)
+
+
+def run_sweep(p: Problem, opts: SweepOptions | None = None) -> Certificate | SweepFailure:
+    """Advance the frontier from a to b, or report how and where it failed.
+
+    On success the returned certificate passes the independent checker with
+    no re-tuning; on failure the frontier value and, when one was certified,
+    a refuting witness piece are reported.
+    """
+    if p.a == p.b:
+        return _finalize_degenerate(p)
+    s = base_case(p, opts)
+    while s.frontier < p.b:
+        w = local_extend(p, s)
+        if isinstance(w, SweepFailure):
+            return w
+        combine(p, s, w)
+    return finish(p, s)
+
+
+def _finalize_degenerate(p: Problem) -> Certificate | SweepFailure:
+    """Domain is the single point a: certify the (mostly vacuous) conclusion."""
+    row, a = p.row, p.a
+    point = FloatInterval.point(a)
+    s = _start(p)
+    if row.deriv:
+        eval_d1(p.f, point)
+        return _closed(row, s)
+    v = eval_iv(p.f, point)
+    if row.pointwise:
+        if row.step is not None:
+            row.step(s, LocalWitness(point, value=v, cand=a, cand_lo=v.lo))
+        refuted = row.refute(s, v) if row.refute is not None else ""
+        if refuted:
+            return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=a, witness=point,
+                                enclosure=v, detail=refuted)
+        if not _accepts(row, p, s, v):
+            return SweepFailure(FailureKind.STALLED, at=a, detail=row.stall)
+    return _closed(row, s)
+
+
+# =============================================================================
+# Local extension: the halving search and one probe
+# =============================================================================
 
 def _halving_search(p: Problem, x: float, s, h: float,
                     h_min: float) -> LocalWitness | SweepFailure:
@@ -365,7 +410,7 @@ def _probe(p: Problem, s, piece: FloatInterval, x: float,
     """One evaluation at the current step width: a witness, a certified
     refutation, or None (inconclusive, keep halving).
 
-    s is the certificate so far (or the sweep's state of it); the row's
+    s is the certificate so far, as the carried SweepState.acc; the row's
     accept and refute tests read their thresholds from it."""
     row = p.row
     if row.deriv:
@@ -424,54 +469,3 @@ def _probe(p: Problem, s, piece: FloatInterval, x: float,
         return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=x, witness=piece,
                             enclosure=v, detail=refuted)
     return None
-
-
-# =============================================================================
-# Main loop
-# =============================================================================
-
-def run_sweep(p: Problem, opts: SweepOptions | None = None) -> Certificate | SweepFailure:
-    """Advance the frontier from a to b, or report how and where it failed.
-
-    On success the returned certificate passes the independent checker with
-    no re-tuning; on failure the frontier value and, when one was certified,
-    a refuting witness piece are reported.
-    """
-    if p.a == p.b:
-        return _finalize_degenerate(p)
-    h_init, h_min, max_pieces = (opts or SweepOptions()).resolve(p)
-    s = _start(p)
-    h_prev: float | None = None
-    pieces = 0
-    while s.b < p.b:
-        if pieces >= max_pieces:
-            return SweepFailure(FailureKind.BUDGET, at=s.b,
-                                detail=f"piece budget {max_pieces} exhausted")
-        res = _extend_core(p, s.b, s, h_init, h_min, h_prev)
-        if isinstance(res, SweepFailure):
-            return res
-        _push(p.row, s, res)
-        h_prev = res.h
-        pieces += 1
-    return _closed(p.row, s)
-
-
-def _finalize_degenerate(p: Problem) -> Certificate | SweepFailure:
-    """Domain is the single point a: certify the (mostly vacuous) conclusion."""
-    row, a = p.row, p.a
-    point = FloatInterval.point(a)
-    s = _start(p)
-    if row.deriv:
-        eval_d1(p.f, point)
-        return _closed(row, s)
-    v = eval_iv(p.f, point)
-    if row.pointwise:
-        if row.step is not None:
-            row.step(s, LocalWitness(point, value=v, cand=a, cand_lo=v.lo))
-        refuted = row.refute(s, v) if row.refute is not None else ""
-        if refuted:
-            return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=a, witness=point,
-                                enclosure=v, detail=refuted)
-        if not _accepts(row, p, s, v):
-            return SweepFailure(FailureKind.STALLED, at=a, detail=row.stall)
-    return _closed(row, s)

@@ -113,6 +113,16 @@ def test_zero_denominator_exits_two(capsys, argv):
     assert record["error"] == "usage" and "zero denominator" in record["detail"]
 
 
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_non_positive_piece_budget_exits_two(capsys, budget):
+    code, out, err = invoke(capsys, "prove", "bvt", "--fn", "sin(x)", "--a", "0",
+                            "--b", "1", "--max-pieces", budget)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error"] == "usage" and "max_pieces" in record["detail"]
+
+
 DEEP = "(" * 2000 + "x" + ")" * 2000
 LONG = " + ".join(["x"] * 3000)
 

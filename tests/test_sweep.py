@@ -18,10 +18,11 @@ from suparg.sweep import (
     StructureError,
     SweepFailure,
     SweepOptions,
-    SweepState,
     base_case,
     combine,
     combiner_class,
+    default_h_min,
+    finish,
     local_extend,
     run_sweep,
 )
@@ -32,6 +33,15 @@ CUBE = parse("x^3")
 
 def problem(src, a, b, kind, **kw):
     return Problem(parse(src), a, b, kind, fn_source=src, **kw)
+
+
+def at_frontier(src, a, b, kind, x, h_init, h_prev=None, **kw):
+    """The problem on [x, b] with the widths of the one on [a, b]: a fresh
+    fold whose frontier is x, searching as the sweep on [a, b] does there."""
+    p = problem(src, x, b, kind, **kw)
+    state = base_case(p, SweepOptions(h_init=h_init, h_min=default_h_min(a, b)))
+    state.h_prev = h_prev
+    return p, state
 
 
 # ---------------------------------------------------------------------------
@@ -65,18 +75,19 @@ def test_problem_param_validation():
 # ---------------------------------------------------------------------------
 
 def test_base_case_is_vacuous():
-    state = base_case(problem("sin(x)", 0.0, 3.0, PropertyKind.BOUNDED))
+    p = problem("sin(x)", 0.0, 3.0, PropertyKind.BOUNDED)
+    state = base_case(p)
     assert state.frontier == 0.0
     assert state.pieces_used == 0
-    assert len(state.partial.partition) == 0
+    assert len(finish(p, state).partition) == 0
 
 
 def test_base_case_hypothesis_free_for_sign():
     # f(a) >= 0 does not fail the base case; the first extension fails
     p = problem("x + 1", 0.0, 1.0, PropertyKind.SIGN_NEG)
-    state = base_case(p)
+    state = base_case(p, SweepOptions(h_init=0.125))
     assert state.frontier == 0.0
-    res = local_extend(p, state, 0.125)
+    res = local_extend(p, state)
     assert isinstance(res, SweepFailure)
     assert res.kind is FailureKind.HYPOTHESIS_FAIL
     assert res.enclosure.lo > 0.0
@@ -109,9 +120,8 @@ def test_degenerate_integral_is_zero():
 # ---------------------------------------------------------------------------
 
 def test_local_extend_bounded_piece():
-    p = problem("sin(x)", 0.0, 3.0, PropertyKind.BOUNDED)
-    state = SweepState(1.0, base_case(p).partial)
-    w = local_extend(p, state, 0.5)
+    p, state = at_frontier("sin(x)", 0.0, 3.0, PropertyKind.BOUNDED, 1.0, 0.5)
+    w = local_extend(p, state)
     assert isinstance(w, LocalWitness)
     assert w.piece == FloatInterval(1.0, 1.5)
     assert w.value.hi <= 1.0 + math.ulp(1.0)  # pi/2 inside, peak detected
@@ -120,21 +130,19 @@ def test_local_extend_bounded_piece():
 def test_strict_monotone_stalls_at_cubic_zero():
     # halving certifies pieces short of the zero; the run itself must stall
     # (never refute: the derivative enclosure always reaches up to >= 0)
-    p = problem("x^3", -1.0, 1.0, PropertyKind.STRICT_INC)
-    state = SweepState(-0.05, base_case(p).partial)
-    w = local_extend(p, state, 0.25)
+    q, state = at_frontier("x^3", -1.0, 1.0, PropertyKind.STRICT_INC, -0.05, 0.25)
+    w = local_extend(q, state)
     assert isinstance(w, LocalWitness)
     assert w.piece.hi < 0.0 and w.deriv.lo > 0.0
-    res = run_sweep(p)
+    res = run_sweep(problem("x^3", -1.0, 1.0, PropertyKind.STRICT_INC))
     assert isinstance(res, SweepFailure)
     assert res.kind is FailureKind.STALLED
     assert abs(res.at) < 1e-9
 
 
 def test_local_extend_sign_neg_halves_to_fit():
-    p = problem("x - 0.5", 0.0, 1.0, PropertyKind.SIGN_NEG)
-    state = SweepState(0.4, base_case(p).partial)
-    w = local_extend(p, state, 0.4)
+    p, state = at_frontier("x - 0.5", 0.0, 1.0, PropertyKind.SIGN_NEG, 0.4, 0.4)
+    w = local_extend(p, state)
     assert isinstance(w, LocalWitness)
     assert w.piece.lo == 0.4
     assert abs(w.piece.hi - 0.45) < 1e-12
@@ -149,18 +157,17 @@ def test_sign_sweep_stalls_at_crossing_for_root_refinement():
 
 
 def test_local_extend_requires_room():
-    p = problem("x", 0.0, 1.0, PropertyKind.BOUNDED)
-    state = SweepState(1.0, base_case(p).partial)
+    p, state = at_frontier("x", 0.0, 1.0, PropertyKind.BOUNDED, 1.0, 0.5)
     with pytest.raises(ValueError):
-        local_extend(p, state, 0.5)
+        local_extend(p, state)
 
 
 def test_local_extend_reports_domain_error_piece():
     from suparg.numeric import DomainError
     p = problem("log(x)", -1.0, 1.0, PropertyKind.BOUNDED)
-    state = base_case(p)
+    state = base_case(p, SweepOptions(h_init=0.25))
     with pytest.raises(DomainError) as exc:
-        local_extend(p, state, 0.25)
+        local_extend(p, state)
     assert exc.value.piece.lo == -1.0
 
 
@@ -170,9 +177,10 @@ def test_local_extend_reports_domain_error_piece():
 
 def test_combine_base_promotes_witness():
     p = problem("sin(x)", 0.0, 3.0, PropertyKind.BOUNDED)
-    state = base_case(p)
-    w = local_extend(p, state, 0.375)
-    cert = combine(PropertyKind.BOUNDED, state.partial, w)
+    state = base_case(p, SweepOptions(h_init=0.375))
+    w = local_extend(p, state)
+    combine(p, state, w)
+    cert = finish(p, state)
     assert len(cert.partition) == 1
     assert cert.b == w.piece.hi
     assert check(cert)
@@ -180,20 +188,27 @@ def test_combine_base_promotes_witness():
 
 def test_combine_endpoint_mismatch_rejected():
     p = problem("sin(x)", 0.0, 3.0, PropertyKind.BOUNDED)
-    state = base_case(p)
-    w = local_extend(p, state, 0.375)
+    state = base_case(p, SweepOptions(h_init=0.375))
+    w = local_extend(p, state)
     shifted = LocalWitness(FloatInterval(0.5, 0.75), value=w.value)
     with pytest.raises(StructureError):
-        combine(PropertyKind.BOUNDED, state.partial, w and shifted)
+        combine(p, state, shifted)
 
 
 def test_combine_unifcont_min_rule():
-    # left delta 0.2, new piece [0.5, 0.8] evaluated over [0.2, 0.8]:
-    # contribution min(width 0.3)/2 = 0.15, merged delta = min(0.2, 0.15)
-    left = ModulusCert("x", 0.0, 0.5, 1.0, 0.2, (FloatInterval(0.0, 0.5),), (0.5,))
+    # left piece [0, 0.5] gives delta 0.25; new piece [0.5, 0.8] evaluated
+    # over [0.2, 0.8]: contribution min(width 0.3)/2 = 0.15, merged delta =
+    # min(0.25, 0.15)
+    p = problem("x", 0.0, 1.0, PropertyKind.UNIF_CONT, eps=1.0)
+    state = base_case(p)
+    first = FloatInterval(0.0, 0.5)
+    combine(p, state, LocalWitness(first, value=first, ext=first))
+    left = finish(p, state)
+    assert isinstance(left, ModulusCert) and left.delta == 0.25
     w = LocalWitness(FloatInterval(0.5, 0.8), value=FloatInterval(0.2, 0.8),
                      ext=FloatInterval(0.2, 0.8))
-    merged = combine(PropertyKind.UNIF_CONT, left, w)
+    combine(p, state, w)
+    merged = finish(p, state)
     assert merged.delta == 0.15
     assert merged.pieces[-1] == FloatInterval(0.2, 0.8)
 
@@ -204,11 +219,10 @@ def test_combine_darboux_sums_add():
     assert isinstance(out, IntegralCert)
     # refold the same pieces through combine, left to right
     state = base_case(p)
-    cert = state.partial
     for k, piece in enumerate(out.partition.pieces):
         w = LocalWitness(piece, value=FloatInterval(out.piece_lo[k], out.piece_hi[k]))
-        cert = combine(PropertyKind.DARBOUX_GAP, cert, w)
-    assert cert == out
+        combine(p, state, w)
+    assert finish(p, state) == out
 
 
 # ---------------------------------------------------------------------------
@@ -243,21 +257,26 @@ def test_run_sweep_budget():
     assert res.kind is FailureKind.BUDGET
 
 
+@pytest.mark.parametrize("max_pieces", [0, -5])
+def test_non_positive_budget_rejected(max_pieces):
+    with pytest.raises(ValueError):
+        SweepOptions(max_pieces=max_pieces)
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------
 
 def _manual_run(p, h_init, h_min):
     """Step with the public operations, checking the partial at each stop."""
-    state = base_case(p)
+    state = base_case(p, SweepOptions(h_init=h_init, h_min=h_min))
     frontiers = [state.frontier]
     while state.frontier < p.b:
-        res = local_extend(p, state, h_init, h_min)
+        res = local_extend(p, state)
         assert isinstance(res, LocalWitness)
-        cert = combine(p.kind, state.partial, res)
-        restricted = check(cert)
+        combine(p, state, res)
+        restricted = check(finish(p, state))
         assert restricted, f"partial invalid at {res.piece}: {restricted}"
-        state = SweepState(res.piece.hi, cert, state.pieces_used + 1, res.h)
         frontiers.append(state.frontier)
     return state, frontiers
 
@@ -282,7 +301,39 @@ def test_frontier_monotone_and_fold_matches_sweep(src, kind, kw):
         assert v - u >= h_min * 0.5 or v == b
     assert state.pieces_used <= math.ceil((b - a) / h_min) + 1
     swept = run_sweep(p, SweepOptions(h_init=h_init, h_min=h_min))
-    assert swept == state.partial
+    assert swept == finish(p, state)
+
+
+def _fold(p, opts=None):
+    """The public fold, stopping at the first failure."""
+    state = base_case(p, opts)
+    while state.frontier < p.b:
+        w = local_extend(p, state)
+        if isinstance(w, SweepFailure):
+            return w
+        combine(p, state, w)
+    return finish(p, state)
+
+
+def test_public_fold_builds_one_partition(monkeypatch):
+    import suparg.sweep as sweep_mod
+    p = problem("x^3 - x", -1.0, 1.5, PropertyKind.DARBOUX_GAP, eps=1e-2)
+    swept = run_sweep(p)
+    built = []
+    real = sweep_mod.Partition
+    monkeypatch.setattr(sweep_mod, "Partition", lambda points: built.append(1) or real(points))
+    folded = _fold(p)
+    assert len(built) == 1
+    assert len(folded.partition) == 5038
+    assert folded == swept
+
+
+def test_public_fold_budget_failure_matches_sweep():
+    p = problem("x", 0.0, 1.0, PropertyKind.BOUNDED)
+    opts = SweepOptions(max_pieces=3)
+    res = _fold(p, opts)
+    assert isinstance(res, SweepFailure) and res.kind is FailureKind.BUDGET
+    assert res == run_sweep(p, opts)
 
 
 def test_unifcont_delta_rule_fields():
@@ -345,22 +396,22 @@ def test_failure_is_the_cold_search_failure(src, a, b, kind, kw, expected):
     p = problem(src, a, b, kind, **kw)
     res = run_sweep(p)
     assert isinstance(res, SweepFailure) and res.kind is expected
-    cold = local_extend(p, SweepState(res.at, base_case(p).partial), (b - a) / 8)
+    cold = local_extend(*at_frontier(src, a, b, kind, res.at, (b - a) / 8, **kw))
     assert cold == res
 
 
 def test_warm_domain_error_reports_the_cold_piece():
-    p = problem("log(x)", -1.0, 1.0, PropertyKind.BOUNDED)
-    state = SweepState(-0.5, base_case(p).partial, h_prev=2.0 ** -10)
+    p, state = at_frontier("log(x)", -1.0, 1.0, PropertyKind.BOUNDED, -0.5, 0.25,
+                           h_prev=2.0 ** -10)
     from suparg.numeric import DomainError
     with pytest.raises(DomainError) as exc:
-        local_extend(p, state, 0.25)
+        local_extend(p, state)
     assert exc.value.piece == FloatInterval(-0.5, -0.25)
 
 
 def test_witness_reports_its_lattice_width():
-    p = problem("x - 0.5", 0.0, 1.0, PropertyKind.SIGN_NEG)
-    w = local_extend(p, SweepState(0.4, base_case(p).partial), 0.4)
+    w = local_extend(*at_frontier("x - 0.5", 0.0, 1.0, PropertyKind.SIGN_NEG, 0.4, 0.4))
     assert w.h == 0.05
-    warm = local_extend(p, SweepState(0.4, base_case(p).partial, h_prev=w.h), 0.4)
+    warm = local_extend(*at_frontier("x - 0.5", 0.0, 1.0, PropertyKind.SIGN_NEG, 0.4, 0.4,
+                                     h_prev=w.h))
     assert warm == w  # 2 * h_prev = 0.1 is refused, h_prev certifies again
