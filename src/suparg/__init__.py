@@ -51,17 +51,14 @@ from .numeric import (
     Rational,
 )
 from .sweep import (
-    CombinerClass,
     FailureKind,
     LocalWitness,
     Problem,
-    PropertyKind,
     SweepFailure,
     SweepOptions,
     SweepState,
     base_case,
     combine,
-    combiner_class,
     finish,
     local_extend,
     run_sweep,
@@ -84,7 +81,6 @@ from .topology import (
     analyze_clopen,
     extract_subcover,
     parse_interval_file,
-    set_ops,
 )
 
 __version__ = "0.1.0"

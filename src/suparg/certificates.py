@@ -18,9 +18,11 @@ Each certificate type is described once, by one `Row` in `ROWS`: its
 theorem codes, JSON type, per-piece arrays and the side of the enclosure
 each one bounds, parameters, scalar conditions, per-piece limit, statement
 text, and the start values and per-piece step by which the sweep builds it.
-The checker, the JSON codec, the conclusion, the sweep's accumulator and the
-CLI all read the rows, so a conclusion is added by adding a class and its
-row.
+The checker, the JSON codec, the conclusion, the sweep (which selects a row
+by theorem code and builds the certificate in its fields) and the CLI all
+read the rows.  So a conclusion is added by adding a class, its row and the
+`prove_*` function in `theorems` that the row names as its prover; `cli`
+imports that function and calls it by the row's name.
 """
 
 from __future__ import annotations

@@ -641,14 +641,6 @@ class RatInterval:
         if self.lo == self.hi and (self.lo_open or self.hi_open):
             raise ValueError("degenerate rational interval must be closed")
 
-    @classmethod
-    def closed(cls, lo: Rational, hi: Rational) -> RatInterval:
-        return cls(lo, hi, False, False)
-
-    @classmethod
-    def open(cls, lo: Rational, hi: Rational) -> RatInterval:
-        return cls(lo, hi, True, True)
-
     def contains(self, p: Rational) -> bool:
         if p < self.lo or p > self.hi:
             return False

@@ -1,16 +1,20 @@
 """The generic frontier-sweep engine.
 
-Each supported property is a prefix statement about [a, x] that holds
-trivially at x = a, extends locally by one interval evaluation over a small
-piece, and merges with what is already certified.  The classical proof
-takes the supremum of the certified prefix set and derives a contradiction
-from the ability to extend past it; here the same extension step simply
-advances a frontier until it reaches b.
+Each theorem a sweep proves, named by its code ("bvt" … "cft"), is a
+prefix statement about [a, x] that holds trivially at x = a, extends
+locally by one interval evaluation over a small piece, and merges with what
+is already certified.  The classical proof takes the supremum of the
+certified prefix set and derives a contradiction from the ability to extend
+past it; here the same extension step simply advances a frontier until it
+reaches b.
 
 run_sweep is the argument's three steps written out as a fold over one
-carried SweepState: base_case opens it on [a, a], local_extend finds a
-witness piece past the frontier, combine takes that piece in, in O(1), and
-finish builds the certificate on [a, frontier].
+carried SweepState, for every domain: base_case opens it on [a, a],
+local_extend finds a witness piece past the frontier, combine takes that
+piece in, in O(1), and finish builds the certificate on [a, frontier].  On
+a single-point domain the base case is the whole proof: base_case evaluates
+the point, so the loop never runs, and a point that refutes the theorem
+ends the fold there.
 
 Local extension searches for a workable step width by geometric halving
 down to h_min, over the lattice of widths h_init * 2**-k.  The width that
@@ -25,12 +29,13 @@ negativity), in which case the failure carries the refuting piece: interval
 arithmetic cannot otherwise distinguish "hypothesis false" from "enclosure
 too loose".
 
-Combination is transitivity made concrete.  For most properties the piece
-is appended and the row's scalars updated (a running bound, a Darboux sum);
-the uniform-continuity property merges with a shrinking modulus (pieces are
+Combination is the paper's merge rule made concrete.  For most theorems it
+is transitive: the piece is appended and the row's scalars updated (a
+running bound, a Darboux sum).  Uniform continuity (uct) is
+quasi-pseudo-transitive: it merges with a shrinking modulus (pieces are
 kept overlapping, and the merged delta never exceeds a constituent delta
-nor half an overlap), and the strict-monotonicity property chains strict
-inequalities through shared piece endpoints.
+nor half an overlap).  Strict monotonicity (sift) is pseudo-transitive: it
+chains strict inequalities through shared piece endpoints.
 """
 
 from __future__ import annotations
@@ -42,16 +47,8 @@ from functools import cached_property
 from types import SimpleNamespace
 
 from .certificates import (
-    ROW_OF,
-    BoundCert,
+    ROWS,
     Certificate,
-    FlatCert,
-    IntegralCert,
-    MaxCert,
-    ModulusCert,
-    MonotoneCert,
-    MviCert,
-    NegCert,
     Partition,
     Row,
     StructureError,
@@ -66,42 +63,9 @@ from .numeric import (
 )
 
 
-class PropertyKind(Enum):
-    """One value per supported conclusion; fixes the local predicate and merge rule."""
-
-    BOUNDED = "bounded"
-    MAX_APPROX = "max_approx"
-    SIGN_NEG = "sign_neg"
-    UNIF_CONT = "unif_cont"
-    DARBOUX_GAP = "darboux_gap"
-    STRICT_INC = "strict_inc"
-    INC = "inc"
-    MVI_BOUND = "mvi_bound"
-    FLAT = "flat"
-
-
-class CombinerClass(Enum):
-    TRANSITIVE = "transitive"
-    PSEUDO_TRANSITIVE = "pseudo_transitive"
-    QUASI_PSEUDO_TRANSITIVE = "quasi_pseudo_transitive"
-
-
-# kind -> (certificate class, theorem code, merge rule)
-_KINDS = {
-    PropertyKind.BOUNDED: (BoundCert, "bvt", CombinerClass.TRANSITIVE),
-    PropertyKind.MAX_APPROX: (MaxCert, "evt", CombinerClass.TRANSITIVE),
-    PropertyKind.SIGN_NEG: (NegCert, "ivt", CombinerClass.TRANSITIVE),
-    PropertyKind.UNIF_CONT: (ModulusCert, "uct", CombinerClass.QUASI_PSEUDO_TRANSITIVE),
-    PropertyKind.DARBOUX_GAP: (IntegralCert, "dit", CombinerClass.TRANSITIVE),
-    PropertyKind.STRICT_INC: (MonotoneCert, "sift", CombinerClass.PSEUDO_TRANSITIVE),
-    PropertyKind.INC: (MonotoneCert, "ift", CombinerClass.TRANSITIVE),
-    PropertyKind.MVI_BOUND: (MviCert, "mvi", CombinerClass.TRANSITIVE),
-    PropertyKind.FLAT: (FlatCert, "cft", CombinerClass.TRANSITIVE),
-}
-
-
-def combiner_class(kind: PropertyKind) -> CombinerClass:
-    return _KINDS[kind][2]
+# theorem code -> the row of the certificate its sweep builds: NegCert for
+# ivt (prove_root bisects for its RootBracket), MonotoneCert for sift and ift
+_SWEPT = {th: row for row in ROWS if row.arrays for th in row.theorems}
 
 
 def default_h_min(a: float, b: float) -> float:
@@ -111,16 +75,18 @@ def default_h_min(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class Problem:
-    """A property to certify for one function over one interval.
+    """A theorem to certify for one function over one interval.
 
-    eps, M and eta are the parameters of the kind's certificate, named by
-    their JSON keys; the kind's row says which it takes and their signs.
+    theorem is the theorem's code, one of those a sweep proves ("bvt" …
+    "cft"; ValueError otherwise).  eps, M and eta are the parameters of the
+    theorem, named by their JSON keys; its row says which it takes and
+    their signs.
     """
 
     f: Expr
     a: float
     b: float
-    kind: PropertyKind
+    theorem: str
     eps: float | None = None
     M: float | None = None
     eta: float | None = None
@@ -132,13 +98,15 @@ class Problem:
             raise ValueError("domain endpoints must be finite")
         if self.a > self.b:
             raise ValueError("domain endpoints out of order")
-        row = ROW_OF[_KINDS[self.kind][0]]
+        row = _SWEPT.get(self.theorem)
+        if row is None:
+            raise ValueError(f"no sweep proves theorem {self.theorem!r}")
         object.__setattr__(self, "row", row)
         takes = {row.key(name): name for name in row.params}
         for key in ("eps", "M", "eta"):
             value, name = getattr(self, key), takes.get(key)
             if (name is None) != (value is None):
-                raise ValueError(f"{self.kind.value} requires {key} exactly when applicable")
+                raise ValueError(f"{self.theorem} requires {key} exactly when applicable")
             if name in row.positive and not value > 0:
                 raise ValueError(f"{key} must be positive")
             if name in row.nonnegative and value < 0:
@@ -220,8 +188,9 @@ class SweepState:
     """What a fold carries from one step to the next.
 
     acc holds the certificate on [a, frontier] as it grows; h_init, h_min and
-    max_pieces are the resolved SweepOptions; h_prev is the width that
-    certified the last piece (None starts the next search cold).
+    max_pieces are the resolved SweepOptions (0 on a single-point domain,
+    where nothing is searched); h_prev is the width that certified the last
+    piece (None starts the next search cold).
     """
 
     acc: SimpleNamespace
@@ -241,18 +210,11 @@ def _start(p: Problem) -> SimpleNamespace:
     row = p.row
     s = SimpleNamespace(fn_source=p.fn_source, a=p.a, b=p.a,
                         **{name: getattr(p, row.key(name)) for name in row.params},
-                        **row.theorems[_KINDS[p.kind][1]])
+                        **row.theorems[p.theorem])
     vars(s).update(row.start(s))
     vars(s).update({name: [] for name, _ in row.arrays})
     setattr(s, row.grid, [p.a] if row.grid == "partition" else [])
     return s
-
-
-def _closed(row: Row, s: SimpleNamespace) -> Certificate:
-    values = {k: tuple(v) if isinstance(v, list) else v for k, v in vars(s).items()}
-    if row.grid == "partition":
-        values["partition"] = Partition(values["partition"])
-    return row.cls(**values)
 
 
 def _accepts(row: Row, p: Problem, s, e: FloatInterval) -> bool:
@@ -266,16 +228,39 @@ def _accepts(row: Row, p: Problem, s, e: FloatInterval) -> bool:
 # The fold: base case, local extension, combination
 # =============================================================================
 
-def base_case(p: Problem, opts: SweepOptions | None = None) -> SweepState:
-    """Initial state at the left endpoint: the property holds vacuously there.
+def base_case(p: Problem, opts: SweepOptions | None = None) -> SweepState | SweepFailure:
+    """The state on [a, a], from which the fold extends.
 
-    The options are resolved here, once, so a ValueError for bad widths is
-    raised before any evaluation.  No hypothesis is evaluated either; a
-    problem that is doomed (say, proving negativity when f(a) >= 0) fails
-    at the first extension instead.
+    When a < b the theorem holds vacuously at a.  The options are resolved
+    here, once, so a ValueError for bad widths is raised before any
+    evaluation, and no hypothesis is evaluated: a problem that is doomed
+    (say, proving negativity when f(a) >= 0) fails at the first extension.
+
+    When a == b the state is already final, its widths and budget 0: the
+    options are neither used nor checked, and the point is evaluated here.
+    A theorem that binds f itself (the row's pointwise) is judged at a, and
+    a point that refutes it or leaves it undecided is returned as a
+    SweepFailure.
     """
-    h_init, h_min, max_pieces = (opts or SweepOptions()).resolve(p)
-    return SweepState(_start(p), h_init, h_min, max_pieces)
+    acc = _start(p)
+    if p.a < p.b:
+        return SweepState(acc, *(opts or SweepOptions()).resolve(p))
+    row, a = p.row, p.a
+    point = FloatInterval.point(a)
+    if row.deriv:
+        eval_d1(p.f, point)  # for its domain errors: f' bounds nothing on a point
+    else:
+        v = eval_iv(p.f, point)
+        if row.pointwise:
+            if row.step is not None:
+                row.step(acc, LocalWitness(point, value=v, cand=a, cand_lo=v.lo))
+            refuted = row.refute(acc, v) if row.refute is not None else ""
+            if refuted:
+                return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=a, witness=point,
+                                    enclosure=v, detail=refuted)
+            if not _accepts(row, p, acc, v):
+                return SweepFailure(FailureKind.STALLED, at=a, detail=row.stall)
+    return SweepState(acc, 0.0, 0.0, 0)
 
 
 def local_extend(p: Problem, s: SweepState) -> LocalWitness | SweepFailure:
@@ -337,7 +322,11 @@ def combine(p: Problem, s: SweepState, w: LocalWitness) -> None:
 def finish(p: Problem, s: SweepState) -> Certificate:
     """The certificate on [a, frontier].  It copies the state's lists, so the
     fold may go on afterwards."""
-    return _closed(p.row, s.acc)
+    row = p.row
+    values = {k: tuple(v) if isinstance(v, list) else v for k, v in vars(s.acc).items()}
+    if row.grid == "partition":
+        values["partition"] = Partition(values["partition"])
+    return row.cls(**values)
 
 
 def run_sweep(p: Problem, opts: SweepOptions | None = None) -> Certificate | SweepFailure:
@@ -347,36 +336,15 @@ def run_sweep(p: Problem, opts: SweepOptions | None = None) -> Certificate | Swe
     no re-tuning; on failure the frontier value and, when one was certified,
     a refuting witness piece are reported.
     """
-    if p.a == p.b:
-        return _finalize_degenerate(p)
     s = base_case(p, opts)
+    if isinstance(s, SweepFailure):
+        return s
     while s.frontier < p.b:
         w = local_extend(p, s)
         if isinstance(w, SweepFailure):
             return w
         combine(p, s, w)
     return finish(p, s)
-
-
-def _finalize_degenerate(p: Problem) -> Certificate | SweepFailure:
-    """Domain is the single point a: certify the (mostly vacuous) conclusion."""
-    row, a = p.row, p.a
-    point = FloatInterval.point(a)
-    s = _start(p)
-    if row.deriv:
-        eval_d1(p.f, point)
-        return _closed(row, s)
-    v = eval_iv(p.f, point)
-    if row.pointwise:
-        if row.step is not None:
-            row.step(s, LocalWitness(point, value=v, cand=a, cand_lo=v.lo))
-        refuted = row.refute(s, v) if row.refute is not None else ""
-        if refuted:
-            return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=a, witness=point,
-                                enclosure=v, detail=refuted)
-        if not _accepts(row, p, s, v):
-            return SweepFailure(FailureKind.STALLED, at=a, detail=row.stall)
-    return _closed(row, s)
 
 
 # =============================================================================

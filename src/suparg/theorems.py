@@ -27,7 +27,6 @@ from .numeric import FloatInterval
 from .sweep import (
     FailureKind,
     Problem,
-    PropertyKind,
     SweepFailure,
     SweepOptions,
     run_sweep,
@@ -48,16 +47,16 @@ def _as_expr(f: Expr | str) -> tuple[Expr, str]:
     return f, None
 
 
-def _sweep(f: Expr | str, a: float, b: float, kind: PropertyKind,
+def _sweep(f: Expr | str, a: float, b: float, theorem: str,
            opts: SweepOptions | None, **params):
     expr, src = _as_expr(f)
-    return run_sweep(Problem(expr, a, b, kind, fn_source=src, **params), opts)
+    return run_sweep(Problem(expr, a, b, theorem, fn_source=src, **params), opts)
 
 
 def prove_bound(f: Expr | str, a: float, b: float,
                 opts: SweepOptions | None = None) -> BoundCert | SweepFailure:
     """Certify a positive global upper bound for f on [a, b]."""
-    return _sweep(f, a, b, PropertyKind.BOUNDED, opts)
+    return _sweep(f, a, b, "bvt", opts)
 
 
 def prove_max(f: Expr | str, a: float, b: float, eps: float,
@@ -67,13 +66,13 @@ def prove_max(f: Expr | str, a: float, b: float, eps: float,
     The exact-maximizer statement is not certifiable from finitely many
     enclosures, so the eps-relaxed form is what the engine proves.
     """
-    return _sweep(f, a, b, PropertyKind.MAX_APPROX, opts, eps=eps)
+    return _sweep(f, a, b, "evt", opts, eps=eps)
 
 
 def prove_modulus(f: Expr | str, a: float, b: float, eps: float,
                   opts: SweepOptions | None = None) -> ModulusCert | SweepFailure:
     """Certify a uniform-continuity modulus delta for the given eps."""
-    return _sweep(f, a, b, PropertyKind.UNIF_CONT, opts, eps=eps)
+    return _sweep(f, a, b, "uct", opts, eps=eps)
 
 
 def prove_integral(f: Expr | str, a: float, b: float, eps: float,
@@ -83,19 +82,19 @@ def prove_integral(f: Expr | str, a: float, b: float, eps: float,
     The sweep enforces the per-prefix budget (x - a) * eps / (2 (b - a)), so
     a full run ends with a gap of at most eps/2 plus rounding dust.
     """
-    return _sweep(f, a, b, PropertyKind.DARBOUX_GAP, opts, eps=eps)
+    return _sweep(f, a, b, "dit", opts, eps=eps)
 
 
 def prove_monotone(f: Expr | str, a: float, b: float, strict: bool,
                    opts: SweepOptions | None = None) -> MonotoneCert | SweepFailure:
     """Certify (strict) monotonicity via per-piece derivative lower bounds."""
-    return _sweep(f, a, b, PropertyKind.STRICT_INC if strict else PropertyKind.INC, opts)
+    return _sweep(f, a, b, "sift" if strict else "ift", opts)
 
 
 def prove_mvi(f: Expr | str, a: float, b: float, M: float,
               opts: SweepOptions | None = None) -> MviCert | SweepFailure:
     """Certify f(x2) - f(x1) <= M (x2 - x1) via per-piece derivative caps."""
-    return _sweep(f, a, b, PropertyKind.MVI_BOUND, opts, M=M)
+    return _sweep(f, a, b, "mvi", opts, M=M)
 
 
 def prove_flat(f: Expr | str, a: float, b: float, eta: float,
@@ -105,7 +104,7 @@ def prove_flat(f: Expr | str, a: float, b: float, eta: float,
     With eta = 0 only a syntactically zero derivative enclosure certifies,
     so anything short of that stalls rather than rounding its way through.
     """
-    return _sweep(f, a, b, PropertyKind.FLAT, opts, eta=eta)
+    return _sweep(f, a, b, "cft", opts, eta=eta)
 
 
 # =============================================================================
@@ -134,7 +133,7 @@ def prove_root(f: Expr | str, a: float, b: float, tol: float,
         raise PreconditionError(
             f"f(a) is not certified negative: enclosure {f_a} at a = {a!r}")
 
-    problem = Problem(expr, a, b, PropertyKind.SIGN_NEG, fn_source=src)
+    problem = Problem(expr, a, b, "ivt", fn_source=src)
     res = run_sweep(problem, opts)
     if isinstance(res, NegCert):
         return res

@@ -29,15 +29,6 @@ class RatIntervalSet:
     def __init__(self, components=()):
         object.__setattr__(self, "components", _normalize(components))
 
-    @classmethod
-    def empty(cls) -> RatIntervalSet:
-        return cls(())
-
-    @classmethod
-    def interval(cls, lo: Rational, hi: Rational,
-                 lo_open: bool = False, hi_open: bool = False) -> RatIntervalSet:
-        return cls((RatInterval(lo, hi, lo_open, hi_open),))
-
     def is_empty(self) -> bool:
         return not self.components
 
@@ -172,23 +163,6 @@ def rel_closure(x: RatIntervalSet, a: Rational, b: Rational) -> RatIntervalSet:
 def rel_interior(x: RatIntervalSet, a: Rational, b: Rational) -> RatIntervalSet:
     """Interior relative to [a, b] (so endpoints of the ambient interval count)."""
     return complement_rel(rel_closure(complement_rel(x, a, b), a, b), a, b)
-
-
-def set_ops(op: str, *sets: RatIntervalSet, a: Rational, b: Rational) -> RatIntervalSet:
-    """Spec-surface dispatcher over the exact set algebra."""
-    for s in sets:
-        _require_inside(s, a, b)
-    if op == "union":
-        return union(sets[0], sets[1])
-    if op == "intersect":
-        return intersect(sets[0], sets[1])
-    if op == "complement_rel":
-        return complement_rel(sets[0], a, b)
-    if op == "rel_interior":
-        return rel_interior(sets[0], a, b)
-    if op == "rel_closure":
-        return rel_closure(sets[0], a, b)
-    raise ValueError(f"unknown set operation {op!r}")
 
 
 def _require_inside(s: RatIntervalSet, a: Rational, b: Rational) -> None:

@@ -1,26 +1,25 @@
 """Frontier, local-extension and combiner behavior of the sweep engine."""
 
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from suparg.certificates import IntegralCert, ModulusCert, NegCert, check
+from suparg import cli
+from suparg.certificates import IntegralCert, ModulusCert, NegCert, check, from_document
 from suparg.expr import parse
 from suparg.numeric import FloatInterval
 from suparg.sweep import (
-    CombinerClass,
     FailureKind,
     LocalWitness,
     Problem,
-    PropertyKind,
     StructureError,
     SweepFailure,
     SweepOptions,
     base_case,
     combine,
-    combiner_class,
     default_h_min,
     finish,
     local_extend,
@@ -31,43 +30,50 @@ SIN = parse("sin(x)")
 CUBE = parse("x^3")
 
 
-def problem(src, a, b, kind, **kw):
-    return Problem(parse(src), a, b, kind, fn_source=src, **kw)
+def problem(src, a, b, theorem, **kw):
+    return Problem(parse(src), a, b, theorem, fn_source=src, **kw)
 
 
-def at_frontier(src, a, b, kind, x, h_init, h_prev=None, **kw):
+def at_frontier(src, a, b, theorem, x, h_init, h_prev=None, **kw):
     """The problem on [x, b] with the widths of the one on [a, b]: a fresh
     fold whose frontier is x, searching as the sweep on [a, b] does there."""
-    p = problem(src, x, b, kind, **kw)
+    p = problem(src, x, b, theorem, **kw)
     state = base_case(p, SweepOptions(h_init=h_init, h_min=default_h_min(a, b)))
     state.h_prev = h_prev
     return p, state
 
 
 # ---------------------------------------------------------------------------
-# kind classification and problem validation
+# theorem lookup and problem validation
 # ---------------------------------------------------------------------------
-
-def test_combiner_classes():
-    assert combiner_class(PropertyKind.UNIF_CONT) is CombinerClass.QUASI_PSEUDO_TRANSITIVE
-    assert combiner_class(PropertyKind.STRICT_INC) is CombinerClass.PSEUDO_TRANSITIVE
-    for kind in (PropertyKind.BOUNDED, PropertyKind.MAX_APPROX, PropertyKind.SIGN_NEG,
-                 PropertyKind.DARBOUX_GAP, PropertyKind.INC, PropertyKind.MVI_BOUND,
-                 PropertyKind.FLAT):
-        assert combiner_class(kind) is CombinerClass.TRANSITIVE
-
 
 def test_problem_param_validation():
     with pytest.raises(ValueError):
-        problem("x", 0, 1, PropertyKind.BOUNDED, eps=0.1)  # eps not applicable
+        problem("x", 0, 1, "bvt", eps=0.1)  # eps not applicable
     with pytest.raises(ValueError):
-        problem("x", 0, 1, PropertyKind.UNIF_CONT)  # eps missing
+        problem("x", 0, 1, "uct")  # eps missing
     with pytest.raises(ValueError):
-        problem("x", 0, 1, PropertyKind.MVI_BOUND, M=-1.0)
+        problem("x", 0, 1, "mvi", M=-1.0)
     with pytest.raises(ValueError):
-        problem("abs(x)", 0, 1, PropertyKind.INC)  # not differentiable
+        problem("abs(x)", 0, 1, "ift")  # not differentiable
     with pytest.raises(ValueError):
-        problem("x", 1, 0, PropertyKind.BOUNDED)
+        problem("x", 1, 0, "bvt")
+    for theorem in ("i1", "i2", "xyz"):  # no sweep proves these
+        with pytest.raises(ValueError):
+            problem("x", 0, 1, theorem)
+
+
+@pytest.mark.parametrize("theorem", cli.THEOREMS)
+def test_theorem_code_selects_the_row_its_prover_returns(theorem, capsys):
+    # x - 2 on [0, 1] satisfies every theorem, so each prover succeeds; the
+    # negative function gives prove_root's NegCert
+    params = {"evt": {"eps": 0.5}, "uct": {"eps": 0.5}, "dit": {"eps": 0.5},
+              "mvi": {"M": 2.0}, "cft": {"eta": 2.0}}.get(theorem, {})
+    flags = [arg for key, value in params.items() for arg in (f"--{key}", str(value))]
+    assert cli.run(["prove", theorem, "--fn", "x - 2", "--a", "0", "--b", "1",
+                    *flags, "--format", "json"]) == 0
+    proved = from_document(json.loads(capsys.readouterr().out))
+    assert type(proved) is problem("x - 2", 0.0, 1.0, theorem, **params).row.cls
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +81,7 @@ def test_problem_param_validation():
 # ---------------------------------------------------------------------------
 
 def test_base_case_is_vacuous():
-    p = problem("sin(x)", 0.0, 3.0, PropertyKind.BOUNDED)
+    p = problem("sin(x)", 0.0, 3.0, "bvt")
     state = base_case(p)
     assert state.frontier == 0.0
     assert state.pieces_used == 0
@@ -84,7 +90,7 @@ def test_base_case_is_vacuous():
 
 def test_base_case_hypothesis_free_for_sign():
     # f(a) >= 0 does not fail the base case; the first extension fails
-    p = problem("x + 1", 0.0, 1.0, PropertyKind.SIGN_NEG)
+    p = problem("x + 1", 0.0, 1.0, "ivt")
     state = base_case(p, SweepOptions(h_init=0.125))
     assert state.frontier == 0.0
     res = local_extend(p, state)
@@ -93,24 +99,38 @@ def test_base_case_hypothesis_free_for_sign():
     assert res.enclosure.lo > 0.0
 
 
+def _point_fold(p):
+    """The public fold on [a, a]: base_case leaves nothing to extend."""
+    state = base_case(p)
+    assert state.frontier == p.b
+    return finish(p, state)
+
+
 def test_degenerate_domain_immediately_final():
-    for kind, kw in [(PropertyKind.BOUNDED, {}), (PropertyKind.MAX_APPROX, {"eps": 1e-6}),
-                     (PropertyKind.UNIF_CONT, {"eps": 1e-6}),
-                     (PropertyKind.DARBOUX_GAP, {"eps": 1e-6}),
-                     (PropertyKind.INC, {}), (PropertyKind.STRICT_INC, {}),
-                     (PropertyKind.MVI_BOUND, {"M": 1.0}), (PropertyKind.FLAT, {"eta": 0.0})]:
-        p = problem("x^2", 2.0, 2.0, kind, **kw)
+    for theorem, kw in [("bvt", {}), ("evt", {"eps": 1e-6}),
+                        ("uct", {"eps": 1e-6}),
+                        ("dit", {"eps": 1e-6}),
+                        ("ift", {}), ("sift", {}),
+                        ("mvi", {"M": 1.0}), ("cft", {"eta": 0.0})]:
+        p = problem("x^2", 2.0, 2.0, theorem, **kw)
         out = run_sweep(p)
-        assert not isinstance(out, SweepFailure), (kind, out)
-        assert check(out), (kind, check(out))
-    neg = run_sweep(problem("x - 1", 0.5, 0.5, PropertyKind.SIGN_NEG))
+        assert not isinstance(out, SweepFailure), (theorem, out)
+        assert check(out), (theorem, check(out))
+        assert _point_fold(p) == out, theorem
+        # the options are neither used nor checked on a single point
+        assert run_sweep(p, SweepOptions(h_init=0.5, h_min=1.0)) == out
+    p = problem("x - 1", 0.5, 0.5, "ivt")
+    neg = run_sweep(p)
     assert isinstance(neg, NegCert) and check(neg)
-    bad = run_sweep(problem("x + 1", 0.5, 0.5, PropertyKind.SIGN_NEG))
+    assert _point_fold(p) == neg
+    p = problem("x + 1", 0.5, 0.5, "ivt")
+    bad = run_sweep(p)
     assert isinstance(bad, SweepFailure) and bad.kind is FailureKind.HYPOTHESIS_FAIL
+    assert base_case(p) == bad
 
 
 def test_degenerate_integral_is_zero():
-    out = run_sweep(problem("x^2", 2.0, 2.0, PropertyKind.DARBOUX_GAP, eps=1e-6))
+    out = run_sweep(problem("x^2", 2.0, 2.0, "dit", eps=1e-6))
     assert isinstance(out, IntegralCert)
     assert out.lower_sum == 0.0 and out.upper_sum == 0.0
 
@@ -120,7 +140,7 @@ def test_degenerate_integral_is_zero():
 # ---------------------------------------------------------------------------
 
 def test_local_extend_bounded_piece():
-    p, state = at_frontier("sin(x)", 0.0, 3.0, PropertyKind.BOUNDED, 1.0, 0.5)
+    p, state = at_frontier("sin(x)", 0.0, 3.0, "bvt", 1.0, 0.5)
     w = local_extend(p, state)
     assert isinstance(w, LocalWitness)
     assert w.piece == FloatInterval(1.0, 1.5)
@@ -130,18 +150,18 @@ def test_local_extend_bounded_piece():
 def test_strict_monotone_stalls_at_cubic_zero():
     # halving certifies pieces short of the zero; the run itself must stall
     # (never refute: the derivative enclosure always reaches up to >= 0)
-    q, state = at_frontier("x^3", -1.0, 1.0, PropertyKind.STRICT_INC, -0.05, 0.25)
+    q, state = at_frontier("x^3", -1.0, 1.0, "sift", -0.05, 0.25)
     w = local_extend(q, state)
     assert isinstance(w, LocalWitness)
     assert w.piece.hi < 0.0 and w.deriv.lo > 0.0
-    res = run_sweep(problem("x^3", -1.0, 1.0, PropertyKind.STRICT_INC))
+    res = run_sweep(problem("x^3", -1.0, 1.0, "sift"))
     assert isinstance(res, SweepFailure)
     assert res.kind is FailureKind.STALLED
     assert abs(res.at) < 1e-9
 
 
 def test_local_extend_sign_neg_halves_to_fit():
-    p, state = at_frontier("x - 0.5", 0.0, 1.0, PropertyKind.SIGN_NEG, 0.4, 0.4)
+    p, state = at_frontier("x - 0.5", 0.0, 1.0, "ivt", 0.4, 0.4)
     w = local_extend(p, state)
     assert isinstance(w, LocalWitness)
     assert w.piece.lo == 0.4
@@ -150,21 +170,21 @@ def test_local_extend_sign_neg_halves_to_fit():
 
 
 def test_sign_sweep_stalls_at_crossing_for_root_refinement():
-    res = run_sweep(problem("x - 0.5", 0.0, 1.0, PropertyKind.SIGN_NEG))
+    res = run_sweep(problem("x - 0.5", 0.0, 1.0, "ivt"))
     assert isinstance(res, SweepFailure)
     assert res.kind is FailureKind.STALLED
     assert abs(res.at - 0.5) < 1e-9
 
 
 def test_local_extend_requires_room():
-    p, state = at_frontier("x", 0.0, 1.0, PropertyKind.BOUNDED, 1.0, 0.5)
+    p, state = at_frontier("x", 0.0, 1.0, "bvt", 1.0, 0.5)
     with pytest.raises(ValueError):
         local_extend(p, state)
 
 
 def test_local_extend_reports_domain_error_piece():
     from suparg.numeric import DomainError
-    p = problem("log(x)", -1.0, 1.0, PropertyKind.BOUNDED)
+    p = problem("log(x)", -1.0, 1.0, "bvt")
     state = base_case(p, SweepOptions(h_init=0.25))
     with pytest.raises(DomainError) as exc:
         local_extend(p, state)
@@ -176,7 +196,7 @@ def test_local_extend_reports_domain_error_piece():
 # ---------------------------------------------------------------------------
 
 def test_combine_base_promotes_witness():
-    p = problem("sin(x)", 0.0, 3.0, PropertyKind.BOUNDED)
+    p = problem("sin(x)", 0.0, 3.0, "bvt")
     state = base_case(p, SweepOptions(h_init=0.375))
     w = local_extend(p, state)
     combine(p, state, w)
@@ -187,7 +207,7 @@ def test_combine_base_promotes_witness():
 
 
 def test_combine_endpoint_mismatch_rejected():
-    p = problem("sin(x)", 0.0, 3.0, PropertyKind.BOUNDED)
+    p = problem("sin(x)", 0.0, 3.0, "bvt")
     state = base_case(p, SweepOptions(h_init=0.375))
     w = local_extend(p, state)
     shifted = LocalWitness(FloatInterval(0.5, 0.75), value=w.value)
@@ -199,7 +219,7 @@ def test_combine_unifcont_min_rule():
     # left piece [0, 0.5] gives delta 0.25; new piece [0.5, 0.8] evaluated
     # over [0.2, 0.8]: contribution min(width 0.3)/2 = 0.15, merged delta =
     # min(0.25, 0.15)
-    p = problem("x", 0.0, 1.0, PropertyKind.UNIF_CONT, eps=1.0)
+    p = problem("x", 0.0, 1.0, "uct", eps=1.0)
     state = base_case(p)
     first = FloatInterval(0.0, 0.5)
     combine(p, state, LocalWitness(first, value=first, ext=first))
@@ -214,7 +234,7 @@ def test_combine_unifcont_min_rule():
 
 
 def test_combine_darboux_sums_add():
-    p = problem("x^2", 0.0, 1.0, PropertyKind.DARBOUX_GAP, eps=0.5)
+    p = problem("x^2", 0.0, 1.0, "dit", eps=0.5)
     out = run_sweep(p)
     assert isinstance(out, IntegralCert)
     # refold the same pieces through combine, left to right
@@ -230,28 +250,28 @@ def test_combine_darboux_sums_add():
 # ---------------------------------------------------------------------------
 
 def test_run_sweep_bound_example():
-    out = run_sweep(problem("sin(x)", 0.0, 3.0, PropertyKind.BOUNDED),
+    out = run_sweep(problem("sin(x)", 0.0, 3.0, "bvt"),
                     SweepOptions(h_min=3.0 * 2.0 ** -40))
     assert 1.0 <= out.bound <= 1.0001
     assert check(out)
 
 
 def test_run_sweep_neg_example():
-    out = run_sweep(problem("x^2 - 2", 0.0, 1.0, PropertyKind.SIGN_NEG))
+    out = run_sweep(problem("x^2 - 2", 0.0, 1.0, "ivt"))
     assert isinstance(out, NegCert)
     assert max(out.piece_hi) <= -1.0 + 1e-12
     assert check(out)
 
 
 def test_run_sweep_weak_monotone_refuted():
-    res = run_sweep(problem("-x", 0.0, 1.0, PropertyKind.INC))
+    res = run_sweep(problem("-x", 0.0, 1.0, "ift"))
     assert isinstance(res, SweepFailure)
     assert res.kind is FailureKind.HYPOTHESIS_FAIL
     assert res.enclosure == FloatInterval(-1.0, -1.0)
 
 
 def test_run_sweep_budget():
-    res = run_sweep(problem("x", 0.0, 1.0, PropertyKind.BOUNDED),
+    res = run_sweep(problem("x", 0.0, 1.0, "bvt"),
                     SweepOptions(max_pieces=3))
     assert isinstance(res, SweepFailure)
     assert res.kind is FailureKind.BUDGET
@@ -281,19 +301,19 @@ def _manual_run(p, h_init, h_min):
     return state, frontiers
 
 
-@pytest.mark.parametrize("src,kind,kw", [
-    ("sin(x)", PropertyKind.BOUNDED, {}),
-    ("x^2 - 2", PropertyKind.SIGN_NEG, {}),
-    ("exp(x)", PropertyKind.STRICT_INC, {}),
-    ("sin(x)", PropertyKind.UNIF_CONT, {"eps": 0.5}),
-    ("x^2", PropertyKind.DARBOUX_GAP, {"eps": 0.1}),
+@pytest.mark.parametrize("src,theorem,kw", [
+    ("sin(x)", "bvt", {}),
+    ("x^2 - 2", "ivt", {}),
+    ("exp(x)", "sift", {}),
+    ("sin(x)", "uct", {"eps": 0.5}),
+    ("x^2", "dit", {"eps": 0.1}),
     # past the maximum the certifiable width jumps and the warm start doubles
     # up to it mid-sweep, so a cold fold gives 9 pieces here, not 11
-    ("exp(-4*x*x)", PropertyKind.MAX_APPROX, {"eps": 1e-3}),
+    ("exp(-4*x*x)", "evt", {"eps": 1e-3}),
 ])
-def test_frontier_monotone_and_fold_matches_sweep(src, kind, kw):
-    a, b = (0.0, 1.0) if kind is PropertyKind.SIGN_NEG else (0.0, 2.0)
-    p = problem(src, a, b, kind, **kw)
+def test_frontier_monotone_and_fold_matches_sweep(src, theorem, kw):
+    a, b = (0.0, 1.0) if theorem == "ivt" else (0.0, 2.0)
+    p = problem(src, a, b, theorem, **kw)
     h_init, h_min = (b - a) / 8, (b - a) * 2.0 ** -40
     state, frontiers = _manual_run(p, h_init, h_min)
     for u, v in zip(frontiers, frontiers[1:]):
@@ -317,7 +337,7 @@ def _fold(p, opts=None):
 
 def test_public_fold_builds_one_partition(monkeypatch):
     import suparg.sweep as sweep_mod
-    p = problem("x^3 - x", -1.0, 1.5, PropertyKind.DARBOUX_GAP, eps=1e-2)
+    p = problem("x^3 - x", -1.0, 1.5, "dit", eps=1e-2)
     swept = run_sweep(p)
     built = []
     real = sweep_mod.Partition
@@ -329,7 +349,7 @@ def test_public_fold_builds_one_partition(monkeypatch):
 
 
 def test_public_fold_budget_failure_matches_sweep():
-    p = problem("x", 0.0, 1.0, PropertyKind.BOUNDED)
+    p = problem("x", 0.0, 1.0, "bvt")
     opts = SweepOptions(max_pieces=3)
     res = _fold(p, opts)
     assert isinstance(res, SweepFailure) and res.kind is FailureKind.BUDGET
@@ -337,7 +357,7 @@ def test_public_fold_budget_failure_matches_sweep():
 
 
 def test_unifcont_delta_rule_fields():
-    out = run_sweep(problem("sin(x)", 0.0, 4.0, PropertyKind.UNIF_CONT, eps=0.1))
+    out = run_sweep(problem("sin(x)", 0.0, 4.0, "uct", eps=0.1))
     assert isinstance(out, ModulusCert)
     delta = Fraction(out.delta)
     widths = [Fraction(pc.hi) - Fraction(pc.lo) for pc in out.pieces]
@@ -351,22 +371,22 @@ def test_unifcont_delta_rule_fields():
 
 def test_random_problems_prove_then_check():
     rng = random.Random(301)
-    kinds = [(PropertyKind.BOUNDED, {}), (PropertyKind.MAX_APPROX, {"eps": 0.01}),
-             (PropertyKind.UNIF_CONT, {"eps": 0.3}),
-             (PropertyKind.DARBOUX_GAP, {"eps": 0.05}),
-             (PropertyKind.MVI_BOUND, {"M": 50.0}), (PropertyKind.INC, {})]
+    theorems = [("bvt", {}), ("evt", {"eps": 0.01}),
+                ("uct", {"eps": 0.3}),
+                ("dit", {"eps": 0.05}),
+                ("mvi", {"M": 50.0}), ("ift", {})]
     srcs = ["x^2 + 1", "sin(x) + 2*x", "exp(x) - x", "x^3 + x", "cos(x) + x"]
     for _ in range(60):
-        kind, kw = rng.choice(kinds)
+        theorem, kw = rng.choice(theorems)
         src = rng.choice(srcs)
         a = rng.uniform(-1.5, 0.5)
         b = a + rng.uniform(0.1, 1.5)
-        p = problem(src, a, b, kind, **kw)
+        p = problem(src, a, b, theorem, **kw)
         out = run_sweep(p)
         if isinstance(out, SweepFailure):
             assert out.kind in (FailureKind.STALLED, FailureKind.HYPOTHESIS_FAIL)
             continue
-        assert check(out), (src, kind, check(out))
+        assert check(out), (src, theorem, check(out))
 
 
 # ---------------------------------------------------------------------------
@@ -378,30 +398,30 @@ def test_warm_start_evaluations_per_piece(monkeypatch):
     calls = []
     real = sweep_mod.eval_iv
     monkeypatch.setattr(sweep_mod, "eval_iv", lambda f, x: calls.append(x) or real(f, x))
-    out = run_sweep(problem("x^3 - x", -1.0, 1.5, PropertyKind.DARBOUX_GAP, eps=1e-2))
+    out = run_sweep(problem("x^3 - x", -1.0, 1.5, "dit", eps=1e-2))
     assert isinstance(out, IntegralCert) and check(out)
     assert len(calls) <= 2.5 * len(out.partition)
 
 
-@pytest.mark.parametrize("src,a,b,kind,kw,expected", [
-    ("x^3", -1.0, 1.0, PropertyKind.STRICT_INC, {}, FailureKind.STALLED),
-    ("x*x - 0.25", 0.0, 1.0, PropertyKind.SIGN_NEG, {}, FailureKind.STALLED),
-    ("exp(-x*x)", -2.0, 2.0, PropertyKind.MVI_BOUND, {"M": 0.77}, FailureKind.STALLED),
-    ("x*exp(-x)", 0.0, 3.0, PropertyKind.INC, {}, FailureKind.STALLED),
-    ("x - x^3", 0.0, 1.0, PropertyKind.STRICT_INC, {}, FailureKind.HYPOTHESIS_FAIL),
-    ("sin(x)", 0.0, 4.0, PropertyKind.STRICT_INC, {}, FailureKind.HYPOTHESIS_FAIL),
+@pytest.mark.parametrize("src,a,b,theorem,kw,expected", [
+    ("x^3", -1.0, 1.0, "sift", {}, FailureKind.STALLED),
+    ("x*x - 0.25", 0.0, 1.0, "ivt", {}, FailureKind.STALLED),
+    ("exp(-x*x)", -2.0, 2.0, "mvi", {"M": 0.77}, FailureKind.STALLED),
+    ("x*exp(-x)", 0.0, 3.0, "ift", {}, FailureKind.STALLED),
+    ("x - x^3", 0.0, 1.0, "sift", {}, FailureKind.HYPOTHESIS_FAIL),
+    ("sin(x)", 0.0, 4.0, "sift", {}, FailureKind.HYPOTHESIS_FAIL),
 ])
-def test_failure_is_the_cold_search_failure(src, a, b, kind, kw, expected):
+def test_failure_is_the_cold_search_failure(src, a, b, theorem, kw, expected):
     # the kinds are those the cold-only search reported before the warm start
-    p = problem(src, a, b, kind, **kw)
+    p = problem(src, a, b, theorem, **kw)
     res = run_sweep(p)
     assert isinstance(res, SweepFailure) and res.kind is expected
-    cold = local_extend(*at_frontier(src, a, b, kind, res.at, (b - a) / 8, **kw))
+    cold = local_extend(*at_frontier(src, a, b, theorem, res.at, (b - a) / 8, **kw))
     assert cold == res
 
 
 def test_warm_domain_error_reports_the_cold_piece():
-    p, state = at_frontier("log(x)", -1.0, 1.0, PropertyKind.BOUNDED, -0.5, 0.25,
+    p, state = at_frontier("log(x)", -1.0, 1.0, "bvt", -0.5, 0.25,
                            h_prev=2.0 ** -10)
     from suparg.numeric import DomainError
     with pytest.raises(DomainError) as exc:
@@ -410,8 +430,8 @@ def test_warm_domain_error_reports_the_cold_piece():
 
 
 def test_witness_reports_its_lattice_width():
-    w = local_extend(*at_frontier("x - 0.5", 0.0, 1.0, PropertyKind.SIGN_NEG, 0.4, 0.4))
+    w = local_extend(*at_frontier("x - 0.5", 0.0, 1.0, "ivt", 0.4, 0.4))
     assert w.h == 0.05
-    warm = local_extend(*at_frontier("x - 0.5", 0.0, 1.0, PropertyKind.SIGN_NEG, 0.4, 0.4,
+    warm = local_extend(*at_frontier("x - 0.5", 0.0, 1.0, "ivt", 0.4, 0.4,
                                      h_prev=w.h))
     assert warm == w  # 2 * h_prev = 0.1 is refused, h_prev certifies again

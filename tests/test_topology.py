@@ -22,7 +22,6 @@ from suparg.topology import (
     parse_interval_file,
     rel_closure,
     rel_interior,
-    set_ops,
     uncovered_point,
     union,
 )
@@ -41,18 +40,17 @@ def rset(*intervals):
 # ---------------------------------------------------------------------------
 
 def test_complement_rel_example():
-    out = set_ops("complement_rel", rset(iv(0, F(1, 2))), a=F(0), b=F(1))
+    out = complement_rel(rset(iv(0, F(1, 2))), F(0), F(1))
     assert out == rset(iv(F(1, 2), 1, lo_open=True))
 
 
 def test_rel_closure_example():
-    out = set_ops("rel_closure", rset(iv(0, F(1, 2), hi_open=True)), a=F(0), b=F(1))
+    out = rel_closure(rset(iv(0, F(1, 2), hi_open=True)), F(0), F(1))
     assert out == rset(iv(0, F(1, 2)))
 
 
 def test_union_merges_touching():
-    out = set_ops("union", rset(iv(0, F(1, 4))), rset(iv(F(1, 4), F(1, 2))),
-                  a=F(0), b=F(1))
+    out = union(rset(iv(0, F(1, 4))), rset(iv(F(1, 4), F(1, 2))))
     assert out == rset(iv(0, F(1, 2)))
     # open pieces that only touch do not merge
     out2 = union(rset(iv(0, F(1, 2), hi_open=True)),
@@ -83,7 +81,7 @@ def test_intersect_openness():
 
 def test_containment_validation():
     with pytest.raises(ValueError):
-        set_ops("rel_closure", rset(iv(0, 2)), a=F(0), b=F(1))
+        analyze_clopen(rset(iv(0, 2)), F(0), F(1))
 
 
 # ---------------------------------------------------------------------------
