@@ -566,10 +566,17 @@ def parse_rational(text: str) -> Rational:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
-        if int(den) == 0:
+        d = int(den)
+        if d == 0:
             raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
+        return Fraction(int(num), d)
     return _parse_decimal(text)
+
+
+# Largest |exponent| accepted in e-notation: the digit limit CPython applies
+# to int(), which already bounds the "n/d" form.  Without it "1e10000000"
+# would build a 33-Mbit power of ten before anything else could refuse it.
+_MAX_EXP10 = 4300
 
 
 def _parse_decimal(text: str) -> Fraction:
@@ -579,6 +586,8 @@ def _parse_decimal(text: str) -> Fraction:
         if marker in mant:
             mant, etxt = mant.split(marker, 1)
             exp10 = int(etxt)
+            if abs(exp10) > _MAX_EXP10:
+                raise ValueError(f"decimal exponent beyond ±{_MAX_EXP10}: {text!r}")
             break
     sign = 1
     if mant.startswith(("+", "-")):
@@ -589,10 +598,11 @@ def _parse_decimal(text: str) -> Fraction:
         whole, frac = mant.split(".", 1)
     else:
         whole, frac = mant, ""
-    if not (whole + frac) or not (whole + frac).isdigit():
+    digits = whole + frac
+    if not digits.isdigit():
         raise ValueError(f"not a decimal number: {text!r}")
-    q = Fraction(int(whole + frac or "0"), 10 ** len(frac)) * sign
-    return q * Fraction(10) ** exp10
+    n, shift = sign * int(digits), exp10 - len(frac)
+    return Fraction(n * 10 ** shift) if shift >= 0 else Fraction(n, 10 ** -shift)
 
 
 def format_rational(q: Rational) -> str:
@@ -636,9 +646,11 @@ class RatInterval:
     hi_open: bool = False
 
     def __post_init__(self):
+        if self.lo < self.hi:  # the common case settles in one comparison
+            return
         if self.lo > self.hi:
             raise ValueError(f"inverted rational interval {self}")
-        if self.lo == self.hi and (self.lo_open or self.hi_open):
+        if self.lo_open or self.hi_open:
             raise ValueError("degenerate rational interval must be closed")
 
     def contains(self, p: Rational) -> bool:

@@ -5,6 +5,15 @@ set operations are decidable — so the two interval-topology conclusions
 (a relatively clopen subset containing a is everything; a finite list of
 open intervals covering [a,b] admits a frontier-chained subcover) come out
 as exact verdicts with exact witnesses rather than enclosures.
+
+Sorting, merging and the frontier walk order endpoints by the key
+(float(q), q).  float(q) is the correctly rounded int / int quotient, hence
+monotone in q, so two keys whose floats differ are ordered by one C float
+comparison, and only a float tie (rationals closer than one ulp, or both
+beyond binary64 and saturated to the same infinity) compares the rationals
+themselves.  The key order is therefore exactly the rational order, while
+nearly every comparison skips Fraction arithmetic; the public values stay
+the exact rationals.
 """
 
 from __future__ import annotations
@@ -49,42 +58,42 @@ class RatIntervalSet:
         return " ∪ ".join(str(c) for c in self.components)
 
 
-def _merge_key(c: RatInterval):
-    return (c.lo, c.lo_open)  # closed end sorts before open at the same point
+_INF = float("inf")
 
 
-def _can_merge(left: RatInterval, right: RatInterval) -> bool:
-    # assumes left.lo <= right.lo; union is an interval iff they overlap or
-    # touch with at least one closed endpoint at the junction
-    if right.lo < left.hi:
-        return True
-    if right.lo == left.hi:
-        return not (right.lo_open and left.hi_open)
-    return False
-
-
-def _merge(left: RatInterval, right: RatInterval) -> RatInterval:
-    lo, lo_open = left.lo, left.lo_open
-    if right.lo == left.lo:
-        lo_open = lo_open and right.lo_open
-    if right.hi > left.hi:
-        hi, hi_open = right.hi, right.hi_open
-    elif right.hi < left.hi:
-        hi, hi_open = left.hi, left.hi_open
-    else:
-        hi, hi_open = left.hi, left.hi_open and right.hi_open
-    return RatInterval(lo, hi, lo_open, hi_open)
+def _key(q: Rational) -> tuple[float, Rational]:
+    """(float(q), q), which orders exactly as q does (see the module
+    docstring); beyond binary64 the float saturates to ±inf."""
+    try:
+        return (float(q), q)
+    except OverflowError:
+        return (_INF if q > 0 else -_INF, q)
 
 
 def _normalize(components) -> tuple[RatInterval, ...]:
-    items = sorted(components, key=_merge_key)
-    out: list[RatInterval] = []
-    for c in items:
-        if out and _can_merge(out[-1], c):
-            out[-1] = _merge(out[-1], c)
-        else:
-            out.append(c)
-    return tuple(out)
+    """Sort by exact keys (closed before open at the same left end), then
+    merge every overlap or touch with a closed end at the junction.
+
+    A run keeps the index of the element giving its left end and the one
+    giving its right end; a run no other element extended is returned as
+    that input object, and only a merged one is built anew.
+    """
+    items = tuple(components)
+    runs = []  # [lo index, hi index, hi key, hi open]
+    for klo, lo_open, khi, hi_open, i in sorted(
+            (_key(c.lo), c.lo_open, _key(c.hi), c.hi_open, i)
+            for i, c in enumerate(items)):
+        if runs:
+            run = runs[-1]
+            if klo < run[2] or (klo == run[2] and not (lo_open and run[3])):
+                if khi > run[2] or (khi == run[2] and run[3] and not hi_open):
+                    run[1:] = i, khi, hi_open
+                continue
+        runs.append([i, i, khi, hi_open])
+    return tuple(
+        items[i] if i == j else RatInterval(items[i].lo, items[j].hi,
+                                            items[i].lo_open, items[j].hi_open)
+        for i, j, _, _ in runs)
 
 
 # =============================================================================
@@ -243,26 +252,33 @@ def _frontier_walk(elements, a: Rational, b: Rational):
 
     Elements enter a running best (largest hi, ties to the lowest index) in
     order of lo while lo < c.  c only rises, so each enters once, and an
-    entered element straddles c iff its hi > c.
+    entered element straddles c iff its hi > c.  Endpoints, the frontier c
+    and b are all compared as keys _key(q) = (float(q), q), computed once
+    per endpoint: a float is monotone in q, so unequal floats decide a
+    comparison exactly and only a float tie compares the rationals.  The
+    frontiers and the uncovered point come back as the input rationals.
     """
-    order = sorted(range(len(elements)), key=lambda i: elements[i].lo)
-    c, frontiers, chosen = a, [a], []
-    best_r = best_idx = None
+    los = [_key(e.lo) for e in elements]
+    his = [_key(e.hi) for e in elements]
+    order = sorted(range(len(elements)), key=los.__getitem__)
+    c, kb = _key(a), _key(b)
+    frontiers, chosen = [a], []
+    best = best_idx = None
     k = 0
     while True:
-        while k < len(order) and elements[order[k]].lo < c:
+        while k < len(order) and los[order[k]] < c:
             idx = order[k]
-            r = elements[idx].hi
-            if best_r is None or r > best_r or (r == best_r and idx < best_idx):
-                best_r, best_idx = r, idx
+            r = his[idx]
+            if best is None or r > best or (r == best and idx < best_idx):
+                best, best_idx = r, idx
             k += 1
-        if best_r is None or best_r <= c:
-            return chosen, frontiers, c
+        if best is None or best <= c:
+            return chosen, frontiers, c[1]
         chosen.append(best_idx)
-        if b < best_r:
+        if kb < best:
             return chosen, frontiers, None
-        c = best_r
-        frontiers.append(c)
+        c = best
+        frontiers.append(c[1])
 
 
 def uncovered_point(elements, a: Rational, b: Rational) -> Rational | None:
@@ -283,7 +299,9 @@ def extract_subcover(cover: Cover, a: Rational,
     the frontier there, and stop once the last element contains b.  The
     frontier value itself is the uncovered witness when no element
     straddles it.  The elements are sorted by left end once and swept with
-    a running best, so the walk makes O(N log N) exact comparisons.
+    a running best, so the walk makes O(N log N) comparisons of exact keys
+    (float, rational); a rational is compared only where two floats tie,
+    and the order is still exactly the rational order.
     """
     if a > b:
         raise ValueError("domain endpoints out of order")

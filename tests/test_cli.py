@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -312,6 +313,28 @@ def test_cover_rejects_closed_elements(capsys, tmp_path):
     cov.write_text("[0, 1]\n")
     code, _, err = invoke(capsys, "cover", "--file", str(cov), "--a", "0", "--b", "1")
     assert code == 2
+    assert json.loads(err)["error"] == "usage"
+
+
+def test_huge_decimal_exponent_exits_two_at_once(capsys, tmp_path):
+    # "1e100000000" would be a 330-Mbit power of ten; it is refused unbuilt
+    cov = tmp_path / "cover.txt"
+    cov.write_text("(0, 1e100000000)\n")
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "cover", "--file", str(cov), "--a", "0", "--b", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "usage" and "decimal exponent" in record["detail"]
+
+    doc = _subcover_doc()
+    doc["certificate"]["cover"][0]["lo"] = "-1e100000000"
+    path = tmp_path / "subcover.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "check", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
     assert json.loads(err)["error"] == "usage"
 
 

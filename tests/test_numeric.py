@@ -145,6 +145,16 @@ def test_parse_rational_forms():
     assert format_rational(Fraction(-3, 7)) == "-3/7"
 
 
+def test_parse_rational_bounds_the_decimal_exponent():
+    # 4,300 is CPython's int() digit limit, which already bounds "n/d"
+    assert parse_rational("1e4300") == Fraction(10) ** 4300
+    assert parse_rational("1e-4300") == Fraction(1, 10 ** 4300)
+    assert parse_rational("-2.5e-3") == Fraction(-1, 400)
+    for text in ("1e4301", "1e-4301", "-7.5E+100000000"):
+        with pytest.raises(ValueError, match="decimal exponent beyond"):
+            parse_rational(text)
+
+
 def test_hexfloat_roundtrip():
     for v in [0.0, -0.0, 1.5, math.pi, 5e-324, 1.7976931348623157e308, -2.5]:
         assert hex_to_float(float_to_hex(v)) == v
@@ -305,6 +315,23 @@ def test_rat_interval_invariants():
         RatInterval(Fraction(1), Fraction(1), lo_open=True)
     assert RatInterval(Fraction(0), Fraction(1), True, True).contains(Fraction(1, 2))
     assert not RatInterval(Fraction(0), Fraction(1), True, True).contains(Fraction(0))
+
+
+def test_rat_interval_invariant_where_floats_tie():
+    # endpoints 10**-40 apart round to one float, so only the exact
+    # comparisons after the lo < hi fast path can tell them apart
+    third = Fraction(1, 3)
+    above = third + Fraction(1, 10 ** 40)
+    assert float(above) == float(third)
+    RatInterval(third, above, True, True)
+    RatInterval(third, third)  # [1/3, 1/3] is a singleton
+    with pytest.raises(ValueError) as err:
+        RatInterval(above, third)
+    assert str(err.value) == f"inverted rational interval [{above}, 1/3]"
+    for lo_open, hi_open in ((True, True), (False, True), (True, False)):
+        with pytest.raises(ValueError) as err:
+            RatInterval(third, third, lo_open, hi_open)
+        assert str(err.value) == "degenerate rational interval must be closed"
 
 
 # ---------------------------------------------------------------------------

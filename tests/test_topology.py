@@ -7,6 +7,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from suparg.certificates import ClopenVerdict, SubcoverCert, check, dumps
 from suparg.numeric import RatInterval
@@ -315,6 +317,152 @@ def test_merged_intersect_matches_nested_loops():
     for _ in range(4000):
         x, y = _random_set(rng, parts=6), _random_set(rng, parts=6)
         assert intersect(x, y) == _ref_intersect(x, y)
+
+
+# ---------------------------------------------------------------------------
+# exact keyed order against the Fraction-only sort and walk it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_normalize(components):
+    def can_merge(left, right):
+        if right.lo < left.hi:
+            return True
+        if right.lo == left.hi:
+            return not (right.lo_open and left.hi_open)
+        return False
+
+    def merge(left, right):
+        lo, lo_open = left.lo, left.lo_open
+        if right.lo == left.lo:
+            lo_open = lo_open and right.lo_open
+        if right.hi > left.hi:
+            hi, hi_open = right.hi, right.hi_open
+        elif right.hi < left.hi:
+            hi, hi_open = left.hi, left.hi_open
+        else:
+            hi, hi_open = left.hi, left.hi_open and right.hi_open
+        return RatInterval(lo, hi, lo_open, hi_open)
+
+    out = []
+    for c in sorted(components, key=lambda c: (c.lo, c.lo_open)):
+        if out and can_merge(out[-1], c):
+            out[-1] = merge(out[-1], c)
+        else:
+            out.append(c)
+    return tuple(out)
+
+
+def _ref_frontier_walk(elements, a, b):
+    order = sorted(range(len(elements)), key=lambda i: elements[i].lo)
+    c, frontiers, chosen = a, [a], []
+    best_r = best_idx = None
+    k = 0
+    while True:
+        while k < len(order) and elements[order[k]].lo < c:
+            idx = order[k]
+            r = elements[idx].hi
+            if best_r is None or r > best_r or (r == best_r and idx < best_idx):
+                best_r, best_idx = r, idx
+            k += 1
+        if best_r is None or best_r <= c:
+            return chosen, frontiers, c
+        chosen.append(best_idx)
+        if b < best_r:
+            return chosen, frontiers, None
+        c = best_r
+        frontiers.append(c)
+
+
+_THIRD = F(1, 3)
+_TINY = F(1, 10 ** 40)
+_HUGE = F(10 ** 400)
+# pairs that round to one float but differ, ends beyond binary64 (where the
+# float saturates to ±inf), plain ints, and a coarse grid for touching ends
+# and tied right ends
+_POINTS = (_THIRD - _TINY, _THIRD, _THIRD + _TINY, _THIRD + 2 * _TINY,
+           -_HUGE, -_HUGE + F(1, 7), _HUGE - 1, _HUGE, _HUGE + F(1, 7),
+           -1, 0, 1, 2, F(1, 10 ** 400), -F(1, 10 ** 400),
+           *(F(k, 4) for k in range(-2, 7)))
+_point = st.one_of(st.sampled_from(_POINTS), st.integers(-2, 3),
+                   st.builds(F, st.integers(-12, 18), st.integers(1, 6)))
+
+
+@st.composite
+def _interval(draw, open_only=False):
+    lo, hi = sorted(draw(st.tuples(_point, _point)))
+    if lo == hi and open_only:
+        hi = lo + draw(st.sampled_from((_TINY, F(1, 4), 1)))
+    if lo == hi:
+        return RatInterval(lo, hi)
+    if open_only:
+        return RatInterval(lo, hi, True, True)
+    return RatInterval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+_intervals = st.lists(_interval(), max_size=8)
+_keyed_settings = settings(max_examples=250, derandomize=True, database=None,
+                           deadline=None)
+
+
+def _probe_points(*endpoint_lists):
+    """Every endpoint and every midpoint between neighbours: membership there
+    fixes a finite union of intervals with those endpoints."""
+    pts = sorted(set(itertools.chain(*endpoint_lists)))
+    mids = [(p + q) / 2 for p, q in zip(pts, pts[1:])]
+    return pts + mids + ([pts[0] - 1, pts[-1] + 1] if pts else [])
+
+
+def _ends(comps):
+    return [e for c in comps for e in (c.lo, c.hi)]
+
+
+@_keyed_settings
+@example(xs=[RatInterval(0, _THIRD), RatInterval(_THIRD + _TINY, 1)],
+         ys=[RatInterval(_THIRD, _THIRD + _TINY, True, False)], ab=(_THIRD - _TINY, 1))
+@example(xs=[RatInterval(-_HUGE, _HUGE - 1, False, True), RatInterval(_HUGE, _HUGE + 1)],
+         ys=[], ab=(-_HUGE, _HUGE + 1))
+@given(xs=_intervals, ys=_intervals, ab=st.tuples(_point, _point).map(sorted))
+def test_keyed_set_algebra_matches_fraction_reference(xs, ys, ab):
+    a, b = ab
+    x, y = RatIntervalSet(xs), RatIntervalSet(ys)
+    assert x.components == _ref_normalize(xs)
+    assert y.components == _ref_normalize(ys)
+
+    both = intersect(x, y)
+    assert both.components == _ref_normalize(
+        [p for c in x.components for d in y.components
+         if (p := _intersect_pair(c, d)) is not None])
+
+    inside = intersect(x, RatIntervalSet([RatInterval(a, b)]))
+    rest = complement_rel(inside, a, b)
+    assert rest.components == _ref_normalize(rest.components)  # canonical
+    for p in _probe_points(_ends(xs), _ends(ys), [a, b]):
+        assert both.contains(p) == (x.contains(p) and y.contains(p))
+        assert rest.contains(p) == (a <= p <= b and not x.contains(p))
+
+
+@_keyed_settings
+@example(elements=[RatInterval(-1, _THIRD, True, True),
+                   RatInterval(_THIRD, 2, True, True)], ab=(0, 1))
+@example(elements=[RatInterval(-1, _THIRD + _TINY, True, True),
+                   RatInterval(_THIRD, 2, True, True),
+                   RatInterval(_THIRD - _TINY, 2, True, True)], ab=(0, 1))
+@example(elements=[RatInterval(-_HUGE, _HUGE + 1, True, True)], ab=(-_HUGE, _HUGE))
+@example(elements=[], ab=(0, 0))
+@given(elements=st.lists(_interval(open_only=True), max_size=8),
+       ab=st.tuples(_point, _point).map(sorted))
+def test_keyed_walk_matches_fraction_reference(elements, ab):
+    a, b = ab
+    chosen, chain, uncovered = _ref_frontier_walk(elements, a, b)
+    assert uncovered_point(elements, a, b) == uncovered
+    out = extract_subcover(Cover(tuple(elements)), a, b)
+    if uncovered is not None:
+        assert out == UncoveredPoint(uncovered)
+        return
+    if chain[-1] != b:
+        chain.append(b)
+    assert out == SubcoverCert(a, b, tuple(elements), tuple(chosen), tuple(chain))
+    assert check(out)
 
 
 class _Counted(F):
