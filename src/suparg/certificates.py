@@ -10,9 +10,21 @@ independent of the engine that produced it.
 
 A bound stored in a certificate is accepted only when the fresh enclosure
 implies it; "probably true but tighter than the evaluation supports" is
-Invalid by design.  Comparisons that carry the conclusion are performed in
-exact rational arithmetic on the stored binary64 values, so no rounding in
-the checker itself can flip a verdict.
+Invalid by design.  Every comparison that carries the conclusion is exact,
+so no rounding in the checker itself can flip a verdict:
+  - stored values and fresh bounds are binary64, and comparing two of them,
+    or their absolute values, is exact;
+  - where a test needs a sum or a difference (an oscillation hi - lo, an
+    overlap lo + delta), the rounded float result decides unless it ties
+    with the other side, and then the sign of its rounding error, which
+    Knuth's TwoSum computes exactly, decides;
+  - a rational threshold such as f(c) + eps is rounded down to a float once
+    per certificate, which keeps v <= threshold unchanged for every float v;
+  - the Darboux sums scale every partition point and every bound to one
+    power of two, add the products as Python integers, which neither round
+    nor overflow, and compare them with the stored sums by
+    cross-multiplication.
+The few tests left in rational arithmetic run once per certificate.
 
 Each certificate type is described once, by one `Row` in `ROWS`: its
 theorem codes, JSON type, per-piece arrays and the side of the enclosure
@@ -33,6 +45,7 @@ import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from operator import ge, gt, le, lt
 from typing import Callable
 
@@ -54,7 +67,9 @@ from .numeric import (
     mul_down,
     mul_up,
     parse_rational,
+    sub_down,
     sub_up,
+    sum_above,
 )
 
 SCHEMA = "suparg-cert/1"
@@ -285,9 +300,8 @@ class Side:
 HI = Side(lambda e: e.hi, lambda v, e: e.hi <= v)
 LO = Side(lambda e: e.lo, lambda v, e: v <= e.lo)
 ABS = Side(lambda e: max(abs(e.lo), abs(e.hi)),
-           lambda v, e: Fraction(v) >= max(abs(Fraction(e.lo)), abs(Fraction(e.hi))))
-OSC = Side(lambda e: sub_up(e.hi, e.lo),
-           lambda v, e: Fraction(v) >= Fraction(e.hi) - Fraction(e.lo))
+           lambda v, e: v >= max(abs(e.lo), abs(e.hi)))
+OSC = Side(lambda e: sub_up(e.hi, e.lo), lambda v, e: not sum_above(e.hi, -e.lo, v))
 
 
 @dataclass(frozen=True)
@@ -342,25 +356,35 @@ def _take_candidate(s, w) -> None:
         s.c, s.f_at_c_lo = w.cand, w.cand_lo
 
 
+_HALVING_EXACT = 2.0 ** -1021  # halving a float at or above this loses no bit
+
+
+def _half_down(x: float, y: float) -> float:
+    """Largest float <= (y - x) / 2."""
+    d = sub_down(y, x)
+    if _HALVING_EXACT <= d < _MAX_FLOAT:  # d = float_down(y - x), d / 2 is exact
+        return d / 2
+    return float_down((Fraction(y) - Fraction(x)) / 2)  # subnormal or overflowed
+
+
 def _shrink_modulus(s, w) -> None:
     # min-rule: never above a constituent delta, never above half an overlap
     x, y = w.piece.lo, w.piece.hi
-    fwd = Fraction(y) - Fraction(x)
+    half = _half_down(x, y)
     if s.pieces:
-        overlap = Fraction(x) - Fraction(w.ext.lo)
-        if overlap <= 0:
+        if x <= w.ext.lo:
             raise StructureError("uniform-continuity pieces must overlap")
-        s.delta = min(s.delta, float_down(min(fwd, overlap) / 2))
+        s.delta = min(s.delta, half, _half_down(w.ext.lo, x))
     else:
-        s.delta = float_down(fwd / 2)
+        s.delta = half
 
 
 def _overlap_gap(c) -> tuple[int, str] | None:
-    delta = Fraction(c.delta)
+    delta = c.delta
     for k, (piece, nxt) in enumerate(zip(c.pieces, c.pieces[1:])):
         if nxt.lo < piece.lo:
             return k, "pieces not sorted by left endpoint"
-        if Fraction(nxt.lo) + delta > Fraction(piece.hi):
+        if sum_above(nxt.lo, delta, piece.hi):
             return k, "adjacent pieces overlap by less than delta"
     return None
 
@@ -380,20 +404,42 @@ def _add_darboux_terms(s, w) -> None:
     s.upper_sum = add_up(s.upper_sum, _term_up(w.value.hi, x, y))
 
 
+def _scale(values) -> int:
+    """Least k with v * 2^k an integer for every binary64 v in values."""
+    return max((v.as_integer_ratio()[1] for v in values), default=1).bit_length() - 1
+
+
 def _darboux_sums(c) -> str | None:
     if c.a == c.b and (c.lower_sum != 0.0 or c.upper_sum != 0.0):
         return "degenerate integral must be [0, 0]"
-    lower = upper = Fraction(0)
+    # Every binary64 value is n / 2^k.  With kp the largest k of the points
+    # and kb that of the bounds, p * 2^kp and m * 2^kb are integers, so the
+    # exact sums of m * (v - u) are lower / 2^(kp + kb) and upper / 2^(kp + kb).
     points = c.partition.points
-    for u, v, lo, hi in zip(points, points[1:], c.piece_lo, c.piece_hi):
-        w = Fraction(v) - Fraction(u)
-        lower += Fraction(lo) * w
-        upper += Fraction(hi) * w
-    if Fraction(c.lower_sum) > lower:
+    kp, kb = _scale(points), max(_scale(c.piece_lo), _scale(c.piece_hi))
+    lower = upper = 0
+    n, d = points[0].as_integer_ratio()
+    u = n << (kp + 1 - d.bit_length())
+    for x, lo, hi in zip(islice(points, 1, None), c.piece_lo, c.piece_hi):
+        n, d = x.as_integer_ratio()
+        v = n << (kp + 1 - d.bit_length())
+        w = v - u
+        n, d = lo.as_integer_ratio()
+        lower += (n << (kb + 1 - d.bit_length())) * w
+        n, d = hi.as_integer_ratio()
+        upper += (n << (kb + 1 - d.bit_length())) * w
+        u = v
+    # stored sums L = nl / dl and U = nu / du, eps = ne / de: cross-multiply
+    # by the positive denominators
+    k = kp + kb
+    nl, dl = c.lower_sum.as_integer_ratio()
+    nu, du = c.upper_sum.as_integer_ratio()
+    ne, de = c.eps.as_integer_ratio()
+    if nl << k > lower * dl:
         return "stored lower sum above the exact piece sum"
-    if Fraction(c.upper_sum) < upper:
+    if nu << k < upper * du:
         return "stored upper sum below the exact piece sum"
-    if not Fraction(c.upper_sum) - Fraction(c.lower_sum) < Fraction(c.eps):
+    if not (nu * dl - nl * du) * de < ne * du * dl:
         return "Darboux gap not below eps"
     return None
 
@@ -436,8 +482,9 @@ ROWS = (
         requires=((lambda c, f: c.a <= c.c <= c.b, "maximizer candidate outside the domain"),
                   (lambda c, f: c.f_at_c_lo <= _point(f, c.c).lo,
                    "f_at_c_lo tighter than fresh enclosure at c")),
-        limit=lambda c: (le, Fraction(c.f_at_c_lo) + Fraction(c.eps),
-                         "piece sup-bound above f(c) + eps"),
+        # add_down gives float_down(f_at_c_lo + eps), and a float v is at most
+        # a rational q exactly when it is at most float_down(q)
+        limit=lambda c: (le, add_down(c.f_at_c_lo, c.eps), "piece sup-bound above f(c) + eps"),
         candidate=True, start=lambda s: {"c": s.a, "f_at_c_lo": -_MAX_FLOAT},
         step=_take_candidate, stall="point enclosure wider than eps"),
     Row(NegCert, "neg", {"ivt": {}}, prover="prove_root",
@@ -564,8 +611,9 @@ def check(cert: Certificate, f: Expr | None = None,
     For function certificates, f/a/b (when provided) must match the
     certificate's stored source and domain; every per-piece bound is then
     re-certified by a fresh eval_iv/eval_d1 call and the global conclusion
-    is re-derived in exact rational arithmetic.  Invalid is a value, not an
-    error.
+    is re-derived exactly, by float comparisons whose rounding is accounted
+    for and by sums in scaled integers (see the module docstring).  Invalid
+    is a value, not an error.
     """
     if isinstance(cert, (ClopenReport, SubcoverCert)):
         return _check_topology(cert)
@@ -595,8 +643,8 @@ def check(cert: Certificate, f: Expr | None = None,
 
 
 def _nonfinite_field(cert) -> str | None:
-    # NaN slips through every ordered comparison and Fraction() rejects
-    # NaN and inf, so a hostile scalar or per-piece value is refused first.
+    # NaN slips through every ordered comparison and the exact tests cannot
+    # take NaN or inf, so a hostile scalar or per-piece value is refused first.
     for fld in fields(cert):
         value = getattr(cert, fld.name)
         values = value if isinstance(value, tuple) else (value,)

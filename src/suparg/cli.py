@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -60,6 +61,15 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a token that starts with "-" for an option flag unless
+        # its negative-number pattern, which has no exponent or ratio form,
+        # matches; so "--a -1e2" or "--M -1/2" would find no value.  No option
+        # here starts with "-" and a digit or "-.", so every such token is a
+        # value, left to parse_rational
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # one machine-parsable line instead of usage spam
         raise UsageError(message)
 

@@ -121,6 +121,17 @@ def add_up(a: float, b: float) -> float:
     return s if _sum_err(a, b, s) <= 0.0 else _next_up(s)
 
 
+def sum_above(a: float, b: float, t: float) -> bool:
+    """Whether a + b > t exactly, for finite floats.
+
+    The rounded sum s decides unless s == t: the true sum is s plus the
+    TwoSum error, which is at most half the gap from s to its float
+    neighbours.  An overflowed s, ±inf, is on the side of t the true sum is.
+    """
+    s = a + b
+    return s > t or (s == t and _sum_err(a, b, s) > 0.0)
+
+
 def sub_down(a: float, b: float) -> float:
     return add_down(a, -b)
 
@@ -331,10 +342,13 @@ class FloatInterval:
     hi: float
 
     def __post_init__(self):
+        # one chained comparison admits every valid interval; it is false for
+        # NaN, an infinite endpoint or an inverted pair, told apart only then
+        if -_MAX_FLOAT <= self.lo <= self.hi <= _MAX_FLOAT:
+            return
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise OverflowError(f"non-finite interval endpoint [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
+        raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
 
     @classmethod
     def point(cls, v: float) -> FloatInterval:

@@ -5,27 +5,41 @@ import hashlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from suparg import certificates
 from suparg.certificates import (
+    ABS,
+    OSC,
+    ROW_OF,
     ROWS,
     BoundCert,
     ClopenReport,
     ClopenVerdict,
+    IntegralCert,
+    MaxCert,
     ModulusCert,
     Partition,
     StructureError,
+    _darboux_sums,
+    _overlap_gap,
+    _shrink_modulus,
     check,
     conclusion_of,
     dumps,
     from_document,
     loads,
+    piece_count,
     to_document,
 )
 from suparg.expr import eval_d1, eval_iv, parse
-from suparg.numeric import FloatInterval, RatInterval
+from suparg.numeric import FloatInterval, RatInterval, float_down
 from suparg.theorems import (
     prove_bound,
     prove_flat,
@@ -640,3 +654,247 @@ def test_every_row_roundtrips_checks_and_catches_a_tampered_piece(row):
         values = getattr(cert, name)
         result = check(replace(cert, **{name: tuple_set(values, k, _past(side, fresh))}))
         assert not result and result.piece == k, (name, result)
+
+
+# ---------------------------------------------------------------------------
+# exact float and scaled-integer tests against the Fraction forms they replaced
+# ---------------------------------------------------------------------------
+
+def _ref_osc_holds(v, e):
+    return Fraction(v) >= Fraction(e.hi) - Fraction(e.lo)
+
+
+def _ref_abs_holds(v, e):
+    return Fraction(v) >= max(abs(Fraction(e.lo)), abs(Fraction(e.hi)))
+
+
+def _ref_overlap_gap(c):
+    delta = Fraction(c.delta)
+    for k, (piece, nxt) in enumerate(zip(c.pieces, c.pieces[1:])):
+        if nxt.lo < piece.lo:
+            return k, "pieces not sorted by left endpoint"
+        if Fraction(nxt.lo) + delta > Fraction(piece.hi):
+            return k, "adjacent pieces overlap by less than delta"
+    return None
+
+
+def _ref_evt_limit_holds(v, c):
+    return Fraction(v) <= Fraction(c.f_at_c_lo) + Fraction(c.eps)
+
+
+def _ref_darboux_sums(c):
+    if c.a == c.b and (c.lower_sum != 0.0 or c.upper_sum != 0.0):
+        return "degenerate integral must be [0, 0]"
+    lower = upper = Fraction(0)
+    points = c.partition.points
+    for u, v, lo, hi in zip(points, points[1:], c.piece_lo, c.piece_hi):
+        w = Fraction(v) - Fraction(u)
+        lower += Fraction(lo) * w
+        upper += Fraction(hi) * w
+    if Fraction(c.lower_sum) > lower:
+        return "stored lower sum above the exact piece sum"
+    if Fraction(c.upper_sum) < upper:
+        return "stored upper sum below the exact piece sum"
+    if not Fraction(c.upper_sum) - Fraction(c.lower_sum) < Fraction(c.eps):
+        return "Darboux gap not below eps"
+    return None
+
+
+def _ref_shrink_modulus(s, w):
+    x, y = w.piece.lo, w.piece.hi
+    fwd = Fraction(y) - Fraction(x)
+    if s.pieces:
+        overlap = Fraction(x) - Fraction(w.ext.lo)
+        if overlap <= 0:
+            raise StructureError("uniform-continuity pieces must overlap")
+        s.delta = min(s.delta, float_down(min(fwd, overlap) / 2))
+    else:
+        s.delta = float_down(fwd / 2)
+
+
+_MAX = sys.float_info.max
+_TINY = 5e-324
+# subnormals, the normal range's edges, ±max and values whose sums and
+# differences round
+_EDGES = (0.0, -0.0, _TINY, -_TINY, 3 * _TINY, 2.0 ** -1022, -(2.0 ** -1022),
+          2.0 ** -1021, 2.225073858507201e-308, _MAX, -_MAX, math.nextafter(_MAX, 0.0),
+          2.0 ** 1023, 1.0, -1.0, 0.1, 1e-17, -1e-17, 3.0, 2.0 ** 53, 1e300, -1e300)
+_finite = st.one_of(
+    st.sampled_from(_EDGES),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-4.0, 4.0),
+    st.integers(-2 ** 52, 2 ** 52).map(lambda n: n * _TINY))
+_ulps = st.integers(-2, 2)
+_exact_settings = settings(max_examples=400, derandomize=True, database=None, deadline=None)
+
+
+def _step(v, ulps):
+    """v moved by the given number of ulps, staying finite."""
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return min(max(v, -_MAX), _MAX)
+
+
+def _nearest(q):
+    """A finite float next to the rational q (clamped to ±max)."""
+    try:
+        return min(max(float(q), -_MAX), _MAX)
+    except OverflowError:
+        return _MAX if q > 0 else -_MAX
+
+
+def _interval(x, y):
+    return FloatInterval(min(x, y), max(x, y))
+
+
+@_exact_settings
+@example(x=-_MAX, y=_MAX, ulps=0, other=_MAX, near=False)
+@example(x=1e-17, y=1.0, ulps=0, other=0.0, near=True)
+@example(x=-1e-17, y=1.0, ulps=0, other=0.0, near=True)
+@example(x=-_TINY, y=_TINY, ulps=0, other=0.0, near=True)
+@given(x=_finite, y=_finite, ulps=_ulps, other=_finite, near=st.booleans())
+def test_oscillation_test_matches_fraction_reference(x, y, ulps, other, near):
+    e = _interval(x, y)
+    d = e.hi - e.lo
+    v = _step(d, ulps) if near and math.isfinite(d) else other
+    assert OSC.holds(v, e) == _ref_osc_holds(v, e)
+
+
+@_exact_settings
+@example(x=-3.0, y=1.0, ulps=0, other=0.0, near=True)
+@example(x=-_MAX, y=_TINY, ulps=-1, other=0.0, near=True)
+@given(x=_finite, y=_finite, ulps=_ulps, other=_finite, near=st.booleans())
+def test_magnitude_test_matches_fraction_reference(x, y, ulps, other, near):
+    e = _interval(x, y)
+    v = _step(max(abs(e.lo), abs(e.hi)), ulps) if near else other
+    assert ABS.holds(v, e) == _ref_abs_holds(v, e)
+
+
+@_exact_settings
+@example(los=[0.0, 1.0 - 1e-17], his=[1.0, 2.0], delta=1e-17, ulps=0, near=True)
+@example(los=[0.0, -_MAX], his=[_MAX, _MAX], delta=_MAX, ulps=0, near=True)
+@example(los=[-_TINY, -_TINY], his=[_TINY, _TINY], delta=2 * _TINY, ulps=0, near=True)
+@given(los=st.lists(_finite, min_size=1, max_size=4), his=st.lists(_finite, min_size=4,
+                                                                   max_size=4),
+       delta=_finite.filter(lambda v: v > 0.0), ulps=_ulps, near=st.booleans())
+def test_overlap_test_matches_fraction_reference(los, his, delta, ulps, near):
+    pieces = [_interval(lo, hi) for lo, hi in zip(los, his)]
+    if near and len(pieces) > 1:
+        # delta at the exact overlap of the first two pieces, rounded, ± ulps
+        delta = max(_step(_nearest(Fraction(pieces[0].hi) - Fraction(pieces[1].lo)), ulps),
+                    _TINY)
+    c = SimpleNamespace(pieces=pieces, delta=delta)
+    assert _overlap_gap(c) == _ref_overlap_gap(c)
+
+
+@_exact_settings
+@example(f_lo=1.0, eps=1e-17, ulps=0, other=1.0, near=True)
+@example(f_lo=_MAX, eps=_MAX, ulps=0, other=_MAX, near=False)
+@example(f_lo=-_MAX, eps=_TINY, ulps=1, other=0.0, near=True)
+@given(f_lo=_finite, eps=_finite.filter(lambda v: v > 0.0), ulps=_ulps, other=_finite,
+       near=st.booleans())
+def test_evt_limit_matches_fraction_reference(f_lo, eps, ulps, other, near):
+    c = SimpleNamespace(f_at_c_lo=f_lo, eps=eps)
+    op, t, reason = ROW_OF[MaxCert].limit(c)
+    v = _step(_nearest(Fraction(f_lo) + Fraction(eps)), ulps) if near else other
+    assert op(v, t) == _ref_evt_limit_holds(v, c)
+    assert reason == "piece sup-bound above f(c) + eps"
+
+
+@st.composite
+def _integral_cert(draw):
+    points = sorted(set(draw(st.lists(_finite, min_size=2, max_size=6))))
+    assume(len(points) >= 2)
+    n = len(points) - 1
+    piece_lo = draw(st.lists(_finite, min_size=n, max_size=n))
+    # equal or nearby bounds give stored sums a representable gap, so that
+    # U - L can be exactly eps
+    piece_hi = draw(st.one_of(st.just(piece_lo),
+                              st.lists(_finite, min_size=n, max_size=n),
+                              st.just([_step(v, 1) for v in piece_lo])))
+    lower = sum(Fraction(m) * (Fraction(v) - Fraction(u))
+                for u, v, m in zip(points, points[1:], piece_lo))
+    upper = sum(Fraction(m) * (Fraction(v) - Fraction(u))
+                for u, v, m in zip(points, points[1:], piece_hi))
+    # stored sums at the exact sums, or one ulp either side
+    lower_sum = _step(_nearest(lower), draw(st.integers(-1, 1)))
+    upper_sum = _step(_nearest(upper), draw(st.integers(-1, 1)))
+    gap = Fraction(upper_sum) - Fraction(lower_sum)
+    eps = draw(st.one_of(_finite.filter(lambda v: v > 0.0),
+                         st.just(_step(_nearest(gap), draw(_ulps)))))
+    return IntegralCert("x", points[0], points[-1], eps if eps > 0.0 else 1.0,
+                        Partition(tuple(points)), tuple(piece_lo), tuple(piece_hi),
+                        lower_sum, upper_sum)
+
+
+@_exact_settings
+@example(c=IntegralCert("x", 0.0, 1.0, 2 * _TINY, Partition((0.0, 0.5, 1.0)), (1.0, 2.0),
+                        (1.0, 2.0), 1.5, 1.5))
+@example(c=IntegralCert("x", -_MAX, _MAX, _MAX, Partition((-_MAX, _TINY, _MAX)),
+                        (-_MAX, _MAX), (_MAX, _MAX), -_MAX, _MAX))
+@example(c=IntegralCert("x", 0.0, 1.0, 2.0 ** -52, Partition((0.0, 1.0)), (1.0,), (1.0,),
+                        1.0, 1.0 + 2.0 ** -52))
+@given(c=_integral_cert())
+def test_darboux_sums_match_fraction_reference(c):
+    assert _darboux_sums(c) == _ref_darboux_sums(c)
+
+
+@_exact_settings
+@example(x=0.0, y=3 * _TINY, ext_lo=-_TINY, delta=1.0, first=False)
+@example(x=-_MAX, y=_MAX, ext_lo=-_MAX, delta=1.0, first=False)
+@example(x=-_MAX, y=_MAX, ext_lo=-_MAX, delta=1.0, first=True)
+@example(x=2.0 ** -1021, y=2.0 ** -1020 + _TINY, ext_lo=0.0, delta=1.0, first=False)
+@given(x=_finite, y=_finite, ext_lo=_finite, delta=_finite.filter(lambda v: v > 0.0),
+       first=st.booleans())
+def test_shrink_modulus_matches_fraction_reference(x, y, ext_lo, delta, first):
+    piece = _interval(x, y)
+    w = SimpleNamespace(piece=piece, ext=FloatInterval(min(ext_lo, piece.lo), piece.hi))
+    got = SimpleNamespace(pieces=[] if first else [piece], delta=delta)
+    want = SimpleNamespace(pieces=[] if first else [piece], delta=delta)
+    try:
+        _ref_shrink_modulus(want, w)
+    except StructureError as err:
+        with pytest.raises(StructureError, match=str(err)):
+            _shrink_modulus(got, w)
+        return
+    _shrink_modulus(got, w)
+    assert got.delta == want.delta
+
+
+class _CountedFraction(Fraction):
+    """Fraction that counts its constructions."""
+
+    made = 0
+
+    def __new__(cls, *args, **kwargs):
+        _CountedFraction.made += 1
+        return super().__new__(cls, *args, **kwargs)
+
+
+# a small and a large problem for each certificate type whose per-piece tests
+# were once Fraction arithmetic; "x - x" and "x*x - x*x" (for f') enclose
+# with width about h, so the piece count scales as 1 / eps
+_PIECE_COUNT_PROBLEMS = {
+    "dit": (lambda: prove_integral("x - x", 0.0, 1.0, 1e-2),
+            lambda: prove_integral("x - x", 0.0, 1.0, 5e-4)),
+    "uct": (lambda: prove_modulus("x - x", 0.0, 1.0, 1e-2),
+            lambda: prove_modulus("x - x", 0.0, 1.0, 5e-4)),
+    "evt": (lambda: prove_max("x - x", 0.0, 1.0, 1e-2),
+            lambda: prove_max("x - x", 0.0, 1.0, 1.5e-4)),
+    "cft": (lambda: prove_flat("x*x - x*x", 0.0, 1.0, 4e-2),
+            lambda: prove_flat("x*x - x*x", 0.0, 1.0, 4e-4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PIECE_COUNT_PROBLEMS))
+def test_fraction_count_does_not_grow_with_pieces(name, monkeypatch):
+    monkeypatch.setattr(certificates, "Fraction", _CountedFraction)
+    made = []
+    for prove in _PIECE_COUNT_PROBLEMS[name]:
+        _CountedFraction.made = 0
+        cert = prove()
+        assert check(cert)
+        made.append((piece_count(cert), _CountedFraction.made))
+    (small, small_made), (large, large_made) = made
+    assert small < 1000 < 5000 < large
+    assert large_made == small_made

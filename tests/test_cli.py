@@ -186,6 +186,34 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("head, option, value, tail, exit_code", [
+    (["prove", "bvt", "--fn", "x"], "--a", "-1e2", ["--b", "1"], 0),
+    (["prove", "bvt", "--fn", "x"], "--a", "-5E-1", ["--b", "1"], 0),
+    (["prove", "bvt", "--fn", "x"], "--a", "-1/2", ["--b", "1"], 0),
+    (["prove", "bvt", "--fn", "x", "--a", "-2e2"], "--b", "-1e2", [], 0),
+    (["prove", "mvi", "--fn", "x", "--a", "0", "--b", "1"], "--M", "-1e2", [], 2),
+    (["prove", "evt", "--fn", "x", "--a", "0", "--b", "1"], "--eps", "-1e-3", [], 2),
+    (["cover", "--file", "{open}"], "--a", "-1e1", ["--b", "1"], 0),
+    (["clopen", "--file", "{closed}"], "--a", "-1e1", ["--b", "1"], 0),
+], ids=["a-e2", "a-E-1", "a-ratio", "b-e2", "M", "eps", "cover", "clopen"])
+def test_negative_option_value_in_e_notation(capsys, tmp_path, head, option, value, tail,
+                                             exit_code):
+    # argparse took "-1e2" for an option flag and refused "--a -1e2"
+    files = {"{open}": tmp_path / "cover.txt", "{closed}": tmp_path / "set.txt"}
+    files["{open}"].write_text("(-20, 2)\n")
+    files["{closed}"].write_text("[-10, 1]\n")
+    head = [str(files.get(arg, arg)) for arg in head]
+    spaced = invoke(capsys, *head, option, value, *tail)
+    assert spaced == invoke(capsys, *head, f"{option}={value}", *tail)
+    assert spaced[0] == exit_code
+
+
+def test_negative_inexact_endpoint_still_refused(capsys):
+    code, out, err = invoke(capsys, "prove", "bvt", "--fn", "x", "--a", "-1e-3", "--b", "1")
+    assert code == 2 and out == ""
+    assert "not exactly representable" in json.loads(err)["detail"]
+
+
 def test_prove_determinism_bytes(capsys):
     args = ("prove", "dit", "--fn", "x^2", "--a", "0", "--b", "1",
             "--eps", "1e-3", "--format", "json")

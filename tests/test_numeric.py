@@ -109,6 +109,31 @@ def test_nan_and_inf_rejected_at_construction():
         FloatInterval(2.0, 1.0)
 
 
+@pytest.mark.parametrize("lo, hi, error, message", [
+    (math.nan, 1.0, OverflowError, "non-finite interval endpoint [nan, 1.0]"),
+    (1.0, math.nan, OverflowError, "non-finite interval endpoint [1.0, nan]"),
+    (math.nan, math.nan, OverflowError, "non-finite interval endpoint [nan, nan]"),
+    (-math.inf, 1.0, OverflowError, "non-finite interval endpoint [-inf, 1.0]"),
+    (1.0, math.inf, OverflowError, "non-finite interval endpoint [1.0, inf]"),
+    (math.inf, -math.inf, OverflowError, "non-finite interval endpoint [inf, -inf]"),
+    (2.0, 1.0, ValueError, "inverted interval [2.0, 1.0]"),
+    (sys.float_info.max, -sys.float_info.max, ValueError,
+     "inverted interval [1.7976931348623157e+308, -1.7976931348623157e+308]"),
+])
+def test_invalid_interval_messages(lo, hi, error, message):
+    with pytest.raises(error) as raised:
+        FloatInterval(lo, hi)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-sys.float_info.max, sys.float_info.max), (0.0, -0.0), (-0.0, 0.0),
+    (5e-324, 5e-324), (-1.0, 2.0)])
+def test_valid_interval_extremes(lo, hi):
+    e = FloatInterval(lo, hi)
+    assert (e.lo, e.hi) == (lo, hi)
+
+
 def test_sin_includes_peak():
     out = iv_sin(FloatInterval(0.0, 1.6))  # pi/2 inside
     assert out.hi == 1.0
