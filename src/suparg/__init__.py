@@ -3,7 +3,7 @@
 A frontier sweep certifies, for an expression f on [a, b]: global bounds,
 eps-extrema, sign/root localization, uniform-continuity moduli, Darboux
 integral enclosures, monotonicity, mean-value inequalities and flatness;
-exact rational set algebra handles clopen analysis and finite subcovers.
+exact rational intervals handle clopen analysis and finite subcovers.
 Every success is a finite certificate that an independent checker
 re-verifies from scratch.
 """

@@ -460,8 +460,9 @@ def _rat_iv(e: RatInterval) -> dict:
 
 
 def _parse_rat_iv(d: dict) -> RatInterval:
+    flag = _typed(bool)
     return RatInterval(parse_rational(d["lo"]), parse_rational(d["hi"]),
-                       bool(d["lo_open"]), bool(d["hi_open"]))
+                       flag(d["lo_open"]), flag(d["hi_open"]))
 
 
 ROWS = (

@@ -65,10 +65,11 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         # argparse takes a token that starts with "-" for an option flag unless
         # its negative-number pattern, which has no exponent or ratio form,
-        # matches; so "--a -1e2" or "--M -1/2" would find no value.  No option
-        # here starts with "-" and a digit or "-.", so every such token is a
-        # value, left to parse_rational
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # matches; so "--a -1e2" or "--fn -x^2" would find no value.  The only
+        # single-dash option is -h, which argparse matches before this
+        # pattern, so every other token with one leading "-" is a value, left
+        # to parse_rational or parse
+        self._negative_number_matcher = re.compile(r"-[^-]")
 
     def error(self, message):  # one machine-parsable line instead of usage spam
         raise UsageError(message)

@@ -359,16 +359,6 @@ class FloatInterval:
         """Tightest representable enclosure of an exact rational."""
         return cls(float_down(q), float_up(q))
 
-    @property
-    def width(self) -> float:
-        return sub_up(self.hi, self.lo)
-
-    def contains(self, v: float) -> bool:
-        return self.lo <= v <= self.hi
-
-    def contains_interval(self, other: FloatInterval) -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def straddles_zero(self) -> bool:
         return self.lo <= 0.0 <= self.hi
 
@@ -666,15 +656,6 @@ class RatInterval:
             raise ValueError(f"inverted rational interval {self}")
         if self.lo_open or self.hi_open:
             raise ValueError("degenerate rational interval must be closed")
-
-    def contains(self, p: Rational) -> bool:
-        if p < self.lo or p > self.hi:
-            return False
-        if p == self.lo and self.lo_open:
-            return False
-        if p == self.hi and self.hi_open:
-            return False
-        return True
 
     def is_open_interval(self) -> bool:
         return self.lo_open and self.hi_open

@@ -1,10 +1,18 @@
-"""Exact set algebra on rational intervals: clopen analysis and subcovers.
+"""Exact rational intervals: clopen analysis and subcovers.
 
-Everything here is exact — endpoints are rationals, openness is a flag, and
-set operations are decidable — so the two interval-topology conclusions
-(a relatively clopen subset containing a is everything; a finite list of
-open intervals covering [a,b] admits a frontier-chained subcover) come out
-as exact verdicts with exact witnesses rather than enclosures.
+Everything here is exact — endpoints are rationals and openness is a flag —
+so the two interval-topology conclusions (a relatively clopen subset
+containing a is everything; a finite list of open intervals covering [a,b]
+admits a frontier-chained subcover) come out as exact verdicts with exact
+witnesses rather than enclosures.
+
+A set is kept in canonical form: sorted, disjoint, non-mergeable
+components.  In that form the sup argument for connectedness can fail only
+at a component end, so analyze_clopen reads the verdict off the ends in one
+scan: a closed end other than a (left) or b (right) is a point of the set
+that is not relatively interior, and an open end is a limit point that the
+set misses (its docstring gives the reason); every other point of [a, b]
+is interior to a component or to a gap, where neither hypothesis can fail.
 
 Sorting, merging and the frontier walk order endpoints by the key
 (float(q), q).  float(q) is the correctly rounded int / int quotient, hence
@@ -19,7 +27,6 @@ the exact rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .certificates import ClopenReport, ClopenVerdict, SubcoverCert
 from .numeric import RatInterval, Rational, parse_rational
@@ -37,20 +44,6 @@ class RatIntervalSet:
 
     def __init__(self, components=()):
         object.__setattr__(self, "components", _normalize(components))
-
-    def is_empty(self) -> bool:
-        return not self.components
-
-    def contains(self, p: Rational) -> bool:
-        return any(c.contains(p) for c in self.components)
-
-    def min_point(self) -> Rational:
-        """Least element; components with an open left end have no least
-        element, so this is only called on sets of closed-ended components."""
-        c = self.components[0]
-        if c.lo_open:
-            raise ValueError(f"no least element: leftmost component {c} is left-open")
-        return c.lo
 
     def __str__(self) -> str:
         if not self.components:
@@ -97,89 +90,6 @@ def _normalize(components) -> tuple[RatInterval, ...]:
 
 
 # =============================================================================
-# Set operations
-# =============================================================================
-
-def union(x: RatIntervalSet, y: RatIntervalSet) -> RatIntervalSet:
-    return RatIntervalSet(x.components + y.components)
-
-
-def intersect(x: RatIntervalSet, y: RatIntervalSet) -> RatIntervalSet:
-    """Two-pointer merge, O(n + m): in canonical form, the component that
-    ends first meets nothing further along the other list."""
-    xs, ys = x.components, y.components
-    out = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        got = _intersect_pair(xs[i], ys[j])
-        if got is not None:
-            out.append(got)
-        if xs[i].hi <= ys[j].hi:
-            i += 1
-        else:
-            j += 1
-    return RatIntervalSet(tuple(out))
-
-
-def _intersect_pair(c: RatInterval, d: RatInterval) -> RatInterval | None:
-    if c.lo > d.lo or (c.lo == d.lo and c.lo_open and not d.lo_open):
-        lo, lo_open = c.lo, c.lo_open
-    elif c.lo < d.lo or (c.lo == d.lo and d.lo_open and not c.lo_open):
-        lo, lo_open = d.lo, d.lo_open
-    else:
-        lo, lo_open = c.lo, c.lo_open
-    if c.hi < d.hi or (c.hi == d.hi and c.hi_open and not d.hi_open):
-        hi, hi_open = c.hi, c.hi_open
-    elif c.hi > d.hi or (c.hi == d.hi and d.hi_open and not c.hi_open):
-        hi, hi_open = d.hi, d.hi_open
-    else:
-        hi, hi_open = c.hi, c.hi_open
-    if lo > hi:
-        return None
-    if lo == hi and (lo_open or hi_open):
-        return None
-    return RatInterval(lo, hi, lo_open, hi_open)
-
-
-def complement_rel(x: RatIntervalSet, a: Rational, b: Rational) -> RatIntervalSet:
-    """[a, b] minus the set (the set must already live inside [a, b])."""
-    out = []
-    cursor, cursor_open = a, False
-    for c in x.components:
-        piece = _gap(cursor, cursor_open, c.lo, not c.lo_open)
-        if piece is not None:
-            out.append(piece)
-        cursor, cursor_open = c.hi, not c.hi_open
-    piece = _gap(cursor, cursor_open, b, False)
-    if piece is not None:
-        out.append(piece)
-    return RatIntervalSet(tuple(out))
-
-
-def _gap(lo: Rational, lo_open: bool, hi: Rational, hi_open: bool) -> RatInterval | None:
-    if lo > hi:
-        return None
-    if lo == hi and (lo_open or hi_open):
-        return None
-    return RatInterval(lo, hi, lo_open, hi_open)
-
-
-def rel_closure(x: RatIntervalSet, a: Rational, b: Rational) -> RatIntervalSet:
-    return RatIntervalSet(tuple(RatInterval(c.lo, c.hi, False, False)
-                                for c in x.components))
-
-
-def rel_interior(x: RatIntervalSet, a: Rational, b: Rational) -> RatIntervalSet:
-    """Interior relative to [a, b] (so endpoints of the ambient interval count)."""
-    return complement_rel(rel_closure(complement_rel(x, a, b), a, b), a, b)
-
-
-def _require_inside(s: RatIntervalSet, a: Rational, b: Rational) -> None:
-    if s.components and (s.components[0].lo < a or s.components[-1].hi > b):
-        raise ValueError(f"set {s} is not contained in [{a}, {b}]")
-
-
-# =============================================================================
 # Clopen analysis
 # =============================================================================
 
@@ -187,36 +97,36 @@ def analyze_clopen(u: RatIntervalSet, a: Rational, b: Rational) -> ClopenReport:
     """Decide whether u is a relatively clopen subset of [a, b] containing a.
 
     Exactly one verdict comes out: the full-interval conclusion, or the
-    first hypothesis that fails, with an exact boundary witness.
+    first hypothesis that fails, with the least boundary witness.  One scan
+    of the canonical components decides it, because only a component end
+    can fail a hypothesis.  A point strictly inside a component is
+    relatively interior, and a point in no component's closure has a
+    neighbourhood that u misses.  A closed end other than a (on the left) or
+    b (on the right) is a point of u with a gap beside it, since a neighbour
+    touching it would have merged; so it is not relatively interior.  An
+    open end is a limit point of u that u misses, for the same reason.  With
+    none of these, u is one closed component from a to b.
     """
     if a > b:
         raise ValueError("domain endpoints out of order")
-    _require_inside(u, a, b)
+    comps = u.components
+    if comps and (comps[0].lo < a or comps[-1].hi > b):
+        raise ValueError(f"set {u} is not contained in [{a}, {b}]")
     report = lambda verdict, witness=None: ClopenReport(  # noqa: E731
-        a, b, u.components, verdict, witness)
+        a, b, comps, verdict, witness)
 
-    if not u.contains(a):
+    if not comps or comps[0].lo_open or comps[0].lo != a:
         return report(ClopenVerdict.NOT_CONTAINS_A)
-    interior = rel_interior(u, a, b)
-    if interior != u:
-        diff = intersect(u, complement_rel(interior, a, b))
-        return report(ClopenVerdict.NOT_REL_OPEN, diff.min_point())
-    closure = rel_closure(u, a, b)
-    if closure != u:
-        diff = intersect(closure, complement_rel(u, a, b))
-        return report(ClopenVerdict.NOT_REL_CLOSED, diff.min_point())
-
-    # Hypotheses hold exactly; the frontier walk through the components must
-    # now reach b, certifying u = [a, b].
-    frontier = a
-    for c in u.components:
-        if not c.contains(frontier):
-            break
-        frontier = c.hi
-    if frontier == b and u.contains(b):
-        return report(ClopenVerdict.COVERS_ALL)
-    raise AssertionError(
-        f"clopen hypotheses verified but the frontier stopped at {frontier}")
+    for c in comps:
+        if not c.lo_open and c.lo != a:
+            return report(ClopenVerdict.NOT_REL_OPEN, c.lo)
+        if not c.hi_open and c.hi != b:
+            return report(ClopenVerdict.NOT_REL_OPEN, c.hi)
+    # the first component starts closed at a, so its right end is the first
+    # open end if there is one; if not, that component is [a, b] itself
+    if comps[0].hi_open:
+        return report(ClopenVerdict.NOT_REL_CLOSED, comps[0].hi)
+    return report(ClopenVerdict.COVERS_ALL)
 
 
 # =============================================================================

@@ -1,6 +1,7 @@
 """Checker soundness: fresh-enclosure re-certification and mutation flips."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -580,6 +581,21 @@ MALFORMED = {
     "function-int": lambda: _with(["function"], 3),
     "top-level-list": lambda: [_bound_document()],
 }
+
+
+def _flag_document(field, flag, value):
+    """A topology document whose first interval in field has flag = value."""
+    row = {"set": "clopen", "cover": "subcover"}[field]
+    doc = to_document(ROW_PROBLEMS[row]())
+    doc["certificate"][field][0][flag] = value
+    return doc
+
+
+# an openness flag that is not a JSON bool is malformed, not read as truthy
+for _field, _flag in (("set", "hi_open"), ("cover", "lo_open")):
+    for _name, _value in (("str", "false"), ("zero", 0), ("null", None), ("list", [])):
+        MALFORMED[f"{_field}-{_flag}-{_name}"] = functools.partial(
+            _flag_document, _field, _flag, _value)
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))

@@ -195,10 +195,14 @@ def test_usage_errors(capsys):
     (["prove", "evt", "--fn", "x", "--a", "0", "--b", "1"], "--eps", "-1e-3", [], 2),
     (["cover", "--file", "{open}"], "--a", "-1e1", ["--b", "1"], 0),
     (["clopen", "--file", "{closed}"], "--a", "-1e1", ["--b", "1"], 0),
-], ids=["a-e2", "a-E-1", "a-ratio", "b-e2", "M", "eps", "cover", "clopen"])
+    (["prove", "bvt"], "--fn", "-x^2", ["--a", "0", "--b", "1"], 0),
+    (["prove", "bvt"], "--fn", "-(x)", ["--a", "0", "--b", "1"], 0),
+    (["prove", "bvt"], "--fn", "-sin(x)", ["--a", "0", "--b", "1"], 0),
+], ids=["a-e2", "a-E-1", "a-ratio", "b-e2", "M", "eps", "cover", "clopen",
+        "fn-power", "fn-paren", "fn-call"])
 def test_negative_option_value_in_e_notation(capsys, tmp_path, head, option, value, tail,
                                              exit_code):
-    # argparse took "-1e2" for an option flag and refused "--a -1e2"
+    # argparse took "-1e2" or "-x^2" for an option flag and refused "--a -1e2"
     files = {"{open}": tmp_path / "cover.txt", "{closed}": tmp_path / "set.txt"}
     files["{open}"].write_text("(-20, 2)\n")
     files["{closed}"].write_text("[-10, 1]\n")

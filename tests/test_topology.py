@@ -1,4 +1,4 @@
-"""Exact set algebra, clopen verdicts, and greedy subcover optimality."""
+"""Canonical interval sets, clopen verdicts, and greedy subcover optimality."""
 
 import hashlib
 import itertools
@@ -16,16 +16,10 @@ from suparg.topology import (
     Cover,
     RatIntervalSet,
     UncoveredPoint,
-    _intersect_pair,
     analyze_clopen,
-    complement_rel,
     extract_subcover,
-    intersect,
     parse_interval_file,
-    rel_closure,
-    rel_interior,
     uncovered_point,
-    union,
 )
 
 
@@ -37,26 +31,21 @@ def rset(*intervals):
     return RatIntervalSet(tuple(intervals))
 
 
+def _member(p, intervals):
+    """p lies in the union of the intervals (in any form, canonical or not)."""
+    return any(c.lo < p < c.hi or (p == c.lo and not c.lo_open)
+               or (p == c.hi and not c.hi_open) for c in intervals)
+
+
 # ---------------------------------------------------------------------------
-# set operations
+# canonical form
 # ---------------------------------------------------------------------------
-
-def test_complement_rel_example():
-    out = complement_rel(rset(iv(0, F(1, 2))), F(0), F(1))
-    assert out == rset(iv(F(1, 2), 1, lo_open=True))
-
-
-def test_rel_closure_example():
-    out = rel_closure(rset(iv(0, F(1, 2), hi_open=True)), F(0), F(1))
-    assert out == rset(iv(0, F(1, 2)))
-
 
 def test_union_merges_touching():
-    out = union(rset(iv(0, F(1, 4))), rset(iv(F(1, 4), F(1, 2))))
+    out = rset(iv(0, F(1, 4)), iv(F(1, 4), F(1, 2)))
     assert out == rset(iv(0, F(1, 2)))
     # open pieces that only touch do not merge
-    out2 = union(rset(iv(0, F(1, 2), hi_open=True)),
-                 rset(iv(F(1, 2), 1, lo_open=True)))
+    out2 = rset(iv(0, F(1, 2), hi_open=True), iv(F(1, 2), 1, lo_open=True))
     assert len(out2.components) == 2
 
 
@@ -64,21 +53,6 @@ def test_normalization_canonical():
     left = rset(iv(0, F(1, 4)), iv(F(1, 8), F(1, 2)), iv(F(3, 4), 1))
     right = rset(iv(F(3, 4), 1), iv(0, F(1, 2)))
     assert left == right
-
-
-def test_rel_interior_keeps_ambient_endpoints():
-    out = rel_interior(rset(iv(0, F(1, 2))), F(0), F(1))
-    assert out == rset(iv(0, F(1, 2), hi_open=True))
-    full = rel_interior(rset(iv(0, 1)), F(0), F(1))
-    assert full == rset(iv(0, 1))
-
-
-def test_intersect_openness():
-    out = intersect(rset(iv(0, F(1, 2), hi_open=True)), rset(iv(F(1, 4), 1)))
-    assert out == rset(iv(F(1, 4), F(1, 2), hi_open=True))
-    assert intersect(rset(iv(0, F(1, 4))), rset(iv(F(1, 2), 1))).is_empty()
-    singleton = intersect(rset(iv(0, F(1, 2))), rset(iv(F(1, 2), 1)))
-    assert singleton == rset(iv(F(1, 2), F(1, 2)))
 
 
 def test_containment_validation():
@@ -129,42 +103,48 @@ def _random_set(rng, parts=3):
     return RatIntervalSet(tuple(comps))
 
 
+# _random_set puts every end on a multiple of 1/12, so membership at the
+# multiples of 1/24 fixes the set, and the point 1/24 to one side of an end
+# stands for that side's neighbourhood
+_STEP = F(1, 24)
+_GRID = [k * _STEP for k in range(25)]
+
+
 def test_clopen_verdict_witnesses_verifiable():
     rng = random.Random(501)
     seen = set()
     for _ in range(400):
         u = _random_set(rng)
-        if u.is_empty():
+        if not u.components:
             continue
         report = analyze_clopen(u, F(0), F(1))
         seen.add(report.verdict)
+        w = report.witness
+        inside = lambda p: _member(p, u.components)  # noqa: E731
         if report.verdict is ClopenVerdict.NOT_CONTAINS_A:
-            assert not u.contains(F(0))
-        elif report.verdict is ClopenVerdict.NOT_REL_OPEN:
-            w = report.witness
-            assert u.contains(w)
-            assert not rel_interior(u, F(0), F(1)).contains(w)
-        elif report.verdict is ClopenVerdict.NOT_REL_CLOSED:
-            w = report.witness
-            assert rel_closure(u, F(0), F(1)).contains(w)
-            assert not u.contains(w)
-        else:
+            assert not inside(F(0))
+        elif report.verdict is ClopenVerdict.COVERS_ALL:
             assert u == rset(iv(0, 1))
+        else:
+            near = [p for p in (w - _STEP, w + _STEP) if 0 <= p <= 1]
+            if report.verdict is ClopenVerdict.NOT_REL_OPEN:
+                assert inside(w) and not all(map(inside, near))
+            else:
+                assert not inside(w) and any(map(inside, near))
         assert check(report)
     assert len(seen) == 4  # the generator reaches every verdict
 
 
 def test_connectedness_corollary():
-    # attempted disconnections: U covers a, V is the exact complement; when
-    # V is nonempty the analysis never concludes the full interval
+    # attempted disconnections: U covers a and some point of [a, b] lies
+    # outside U; then the analysis never concludes the full interval
     rng = random.Random(502)
     tried = 0
     for _ in range(300):
         anchor = RatInterval(F(0), F(rng.randrange(1, 11), 12),
                              False, rng.random() < 0.5)
-        u = union(rset(anchor), _random_set(rng))
-        v = complement_rel(u, F(0), F(1))
-        if v.is_empty():
+        u = rset(anchor, *_random_set(rng).components)
+        if all(_member(p, u.components) for p in _GRID):
             continue
         tried += 1
         report = analyze_clopen(u, F(0), F(1))
@@ -192,7 +172,7 @@ def test_subcover_gap_witness():
     out = extract_subcover(cover, F(0), F(1))
     assert isinstance(out, UncoveredPoint)
     assert out.point == F(1, 2)
-    assert all(not e.contains(out.point) for e in cover.elements)
+    assert not _member(out.point, cover.elements)
 
 
 def test_subcover_singleton():
@@ -230,7 +210,7 @@ def test_greedy_matches_brute_force_minimum():
         if isinstance(out, UncoveredPoint):
             uncovered += 1
             assert best is None
-            assert all(not e.contains(out.point) for e in elements)
+            assert not _member(out.point, elements)
         else:
             covering += 1
             assert len(out.indices) == best
@@ -277,16 +257,6 @@ def _ref_extract_subcover(elements, a, b):
         chain.append(c)
 
 
-def _ref_intersect(x, y):
-    out = []
-    for c in x.components:
-        for d in y.components:
-            got = _intersect_pair(c, d)
-            if got is not None:
-                out.append(got)
-    return RatIntervalSet(tuple(out))
-
-
 def _grid_cover(rng):
     # a coarse grid makes tied right ends, touching open ends and gaps common
     elements = []
@@ -310,13 +280,6 @@ def test_sweep_matches_quadratic_reference():
         seen["point"] += a == b
         seen["empty"] += not elements
     assert min(seen.values()) > 100
-
-
-def test_merged_intersect_matches_nested_loops():
-    rng = random.Random(505)
-    for _ in range(4000):
-        x, y = _random_set(rng, parts=6), _random_set(rng, parts=6)
-        assert intersect(x, y) == _ref_intersect(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -417,28 +380,65 @@ def _ends(comps):
 
 
 @_keyed_settings
-@example(xs=[RatInterval(0, _THIRD), RatInterval(_THIRD + _TINY, 1)],
-         ys=[RatInterval(_THIRD, _THIRD + _TINY, True, False)], ab=(_THIRD - _TINY, 1))
-@example(xs=[RatInterval(-_HUGE, _HUGE - 1, False, True), RatInterval(_HUGE, _HUGE + 1)],
-         ys=[], ab=(-_HUGE, _HUGE + 1))
-@given(xs=_intervals, ys=_intervals, ab=st.tuples(_point, _point).map(sorted))
-def test_keyed_set_algebra_matches_fraction_reference(xs, ys, ab):
-    a, b = ab
-    x, y = RatIntervalSet(xs), RatIntervalSet(ys)
+@example(xs=[RatInterval(0, _THIRD), RatInterval(_THIRD + _TINY, 1),
+             RatInterval(_THIRD, _THIRD + _TINY, True, False)])
+@example(xs=[RatInterval(-_HUGE, _HUGE - 1, False, True), RatInterval(_HUGE, _HUGE + 1)])
+@given(xs=_intervals)
+def test_keyed_set_algebra_matches_fraction_reference(xs):
+    x = RatIntervalSet(xs)
     assert x.components == _ref_normalize(xs)
-    assert y.components == _ref_normalize(ys)
+    for p in _probe_points(_ends(xs)):
+        assert _member(p, x.components) == _member(p, xs)
 
-    both = intersect(x, y)
-    assert both.components == _ref_normalize(
-        [p for c in x.components for d in y.components
-         if (p := _intersect_pair(c, d)) is not None])
 
-    inside = intersect(x, RatIntervalSet([RatInterval(a, b)]))
-    rest = complement_rel(inside, a, b)
-    assert rest.components == _ref_normalize(rest.components)  # canonical
-    for p in _probe_points(_ends(xs), _ends(ys), [a, b]):
-        assert both.contains(p) == (x.contains(p) and y.contains(p))
-        assert rest.contains(p) == (a <= p <= b and not x.contains(p))
+def _ref_clopen(intervals, a, b):
+    """(verdict, witness) by membership alone, for intervals inside [a, b].
+
+    Membership is constant between neighbouring points of [a, b] that are
+    a, b or an endpoint, so the midpoints beside such a point stand for its
+    one-sided neighbourhoods in [a, b]; the witness is the least failing
+    point."""
+    pts = sorted({a, b, *_ends(intervals)})
+    mids = [(p + q) / 2 for p, q in zip(pts, pts[1:])]
+    near = [[m for m in side if m is not None]
+            for side in zip([None] + mids, mids + [None])]
+    inside = lambda p: _member(p, intervals)  # noqa: E731
+    if not inside(a):
+        return ClopenVerdict.NOT_CONTAINS_A, None
+    for p, ns in zip(pts, near):
+        if inside(p) and not all(map(inside, ns)):
+            return ClopenVerdict.NOT_REL_OPEN, p
+    for p, ns in zip(pts, near):
+        if not inside(p) and any(map(inside, ns)):
+            return ClopenVerdict.NOT_REL_CLOSED, p
+    return ClopenVerdict.COVERS_ALL, None
+
+
+def _hull(xs):
+    return (min((c.lo for c in xs), default=0), max((c.hi for c in xs), default=0))
+
+
+@_keyed_settings
+@example(xs=[RatInterval(_THIRD, _THIRD + _TINY), RatInterval(_THIRD - _TINY, _THIRD, False, True)],
+         ab=None)
+@example(xs=[RatInterval(-_HUGE, _HUGE - 1, False, True), RatInterval(_HUGE - 1, _HUGE, True, False)],
+         ab=None)
+@example(xs=[RatInterval(F(1, 2), 1, True, False), RatInterval(0, F(1, 2)),
+             RatInterval(F(1, 4), F(3, 4), True, True)], ab=(0, 1))
+@example(xs=[RatInterval(0, 0)], ab=(0, _TINY))
+@example(xs=[RatInterval(1, 1)], ab=(1, 1))
+@example(xs=[], ab=(0, 0))
+@given(xs=_intervals, ab=st.one_of(st.none(), st.tuples(_point, _point).map(sorted)))
+def test_clopen_matches_membership_reference(xs, ab):
+    # raw, unnormalized input; ab None takes the hull of the intervals
+    a, b = _hull(xs) if ab is None else ab
+    inside = [c for c in xs if a <= c.lo and c.hi <= b]
+    report = analyze_clopen(RatIntervalSet(inside), a, b)
+    assert (report.verdict, report.witness) == _ref_clopen(inside, a, b)
+    assert check(report)
+    if len(inside) < len(xs):
+        with pytest.raises(ValueError):
+            analyze_clopen(RatIntervalSet(xs), a, b)
 
 
 @_keyed_settings
