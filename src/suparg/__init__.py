@@ -49,6 +49,13 @@ from .numeric import (
     FloatInterval,
     RatInterval,
     Rational,
+    iv_cos,
+    iv_exp,
+    iv_log,
+    iv_pow,
+    iv_sin,
+    iv_sqr,
+    iv_sqrt,
 )
 from .sweep import (
     FailureKind,

@@ -31,6 +31,11 @@ eval_iv runs the tape with one loop that fills one interval register per
 instruction: Moore's natural interval extension.  eval_d1 runs the same
 tape filling a value and a derivative register per instruction, by the
 forward-mode rules of interval differentiation (product, quotient, chain).
+A register is a pair of floats, its ends, kept in the lists lo and hi
+(dlo and dhi for derivatives), and filled by numeric's pair kernels.  Each
+register, and each intermediate pair of a derivative rule, is checked as
+the FloatInterval constructor checks, in the order the object forms built
+them; X, the result and an error's operand are the only FloatIntervals.
 A DomainError names the subexpression that failed: for eval_iv the
 outermost function application around the failing instruction, for
 eval_d1 the failing application itself.
@@ -42,17 +47,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numeric import (
+    _MAX_FLOAT,
     DivisionByZeroInterval,
     DomainError,
     FloatInterval,
-    iv_abs,
-    iv_cos,
-    iv_exp,
-    iv_log,
-    iv_pow,
-    iv_sin,
-    iv_sqr,
-    iv_sqrt,
+    _abs,
+    _cos,
+    _div,
+    _exp,
+    _log,
+    _mul,
+    _pow,
+    _sin,
+    _sqr,
+    _sqrt,
+    add_down,
+    add_up,
+    float_down,
+    float_up,
 )
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
@@ -388,26 +400,23 @@ def _print(e: Expr, ctx: int) -> str:
 # =============================================================================
 
 # Opcodes.  An instruction is (op, i, j, arg): i and j are the registers of
-# its operands (j is the exponent n for _POW).  arg is the enclosure of a
-# constant; for _HUGE, the value of a constant no binary64 interval
-# encloses; for _POW, the enclosure of n, the derivative's coefficient
-# (None when n is beyond binary64); for a function, its value enclosure.
+# its operands (j is the exponent n for _POW).  arg is the (lo, hi) enclosure
+# of a constant; for _HUGE, the value of a constant no binary64 interval
+# encloses; for _POW, the (lo, hi) enclosure of n, the derivative's
+# coefficient (None when n is beyond binary64); for a function, its pair
+# kernel.
 (_VAR, _CONST, _HUGE, _NEG, _ADD, _SUB, _MUL, _DIV, _POW,
  _SIN, _COS, _EXP, _LOG, _SQRT, _ABS) = range(15)
 
 _BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
 _APPLY = {
-    "sin": (_SIN, iv_sin),
-    "cos": (_COS, iv_cos),
-    "exp": (_EXP, iv_exp),
-    "log": (_LOG, iv_log),
-    "sqrt": (_SQRT, iv_sqrt),
-    "abs": (_ABS, iv_abs),
+    "sin": (_SIN, _sin),
+    "cos": (_COS, _cos),
+    "exp": (_EXP, _exp),
+    "log": (_LOG, _log),
+    "sqrt": (_SQRT, _sqrt),
+    "abs": (_ABS, _abs),
 }
-
-_ZERO = FloatInterval(0.0, 0.0)
-_ONE = FloatInterval(1.0, 1.0)
-_TWO = FloatInterval(2.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -418,9 +427,9 @@ class _Tape:
     has_abs: bool
 
 
-def _enclose(q: Fraction) -> FloatInterval | None:
+def _enclose(q: Fraction) -> tuple[float, float] | None:
     try:
-        return FloatInterval.from_rational(q)
+        return float_down(q), float_up(q)
     except OverflowError:
         return None
 
@@ -476,33 +485,37 @@ def eval_iv(f: Expr, X: FloatInterval) -> FloatInterval:
     subexpression's source text and the offending interval.
     """
     tape = f._tape or _compile(f)
-    v: list[FloatInterval] = []
-    push = v.append
+    lo: list[float] = []  # the registers' ends
+    hi: list[float] = []
     try:
         for op, i, j, arg in tape.code:
             if op == _VAR:
-                push(X)
+                a, b = X.lo, X.hi
             elif op == _CONST:
-                push(arg)
+                a, b = arg
             elif op == _MUL:
-                push(v[i] * v[j])
+                a, b = _mul(lo[i], hi[i], lo[j], hi[j])
             elif op == _ADD:
-                push(v[i] + v[j])
+                a, b = add_down(lo[i], lo[j]), add_up(hi[i], hi[j])
             elif op == _SUB:
-                push(v[i] - v[j])
+                a, b = add_down(lo[i], -hi[j]), add_up(hi[i], -lo[j])
             elif op == _POW:
-                push(iv_pow(v[i], j))
+                a, b = _pow(lo[i], hi[i], j)
             elif op == _DIV:
-                push(v[i] / v[j])
+                a, b = _div(lo[i], hi[i], lo[j], hi[j])
             elif op == _NEG:
-                push(-v[i])
+                a, b = -hi[i], -lo[i]
             elif op == _HUGE:
-                push(FloatInterval.from_rational(arg))  # raises OverflowError
-            else:  # a function application; arg is its value enclosure
-                push(arg(v[i]))
+                a, b = float_down(arg), float_up(arg)  # raises OverflowError
+            else:  # a function application; arg is its pair kernel
+                a, b = arg(lo[i], hi[i])
+            if not -_MAX_FLOAT <= a <= b <= _MAX_FLOAT:
+                FloatInterval(a, b)  # raises the constructor's error
+            lo.append(a)
+            hi.append(b)
     except (DomainError, DivisionByZeroInterval) as err:
-        raise _annotate(err, X, tape.outer[len(v)]) from None
-    return v[-1]
+        raise _annotate(err, X, tape.outer[len(lo)]) from None
+    return FloatInterval(a, b)
 
 
 def eval_d1(f: Expr, X: FloatInterval) -> EvalResult:
@@ -510,59 +523,82 @@ def eval_d1(f: Expr, X: FloatInterval) -> EvalResult:
     tape = f._tape or _compile(f)
     if tape.has_abs:
         raise NotDifferentiable("expression contains abs")
-    v: list[FloatInterval] = []
-    d: list[FloatInterval] = []
+    lo: list[float] = []
+    hi: list[float] = []
+    dlo: list[float] = []  # the derivative registers' ends
+    dhi: list[float] = []
     try:
         for op, i, j, arg in tape.code:
             if op == _VAR:
-                val, der = X, _ONE
+                a, b, p, q = X.lo, X.hi, 1.0, 1.0
             elif op == _CONST:
-                val, der = arg, _ZERO
+                (a, b), p, q = arg, 0.0, 0.0
             elif op == _MUL:
-                lv, ld, rv, rd = v[i], d[i], v[j], d[j]
-                val, der = lv * rv, ld * rv + lv * rd
+                a, b = _valid(_mul(lo[i], hi[i], lo[j], hi[j]))
+                u, v = _valid(_mul(dlo[i], dhi[i], lo[j], hi[j]))
+                s, t = _valid(_mul(lo[i], hi[i], dlo[j], dhi[j]))
+                p, q = add_down(u, s), add_up(v, t)
             elif op == _ADD:
-                val, der = v[i] + v[j], d[i] + d[j]
+                a, b = _valid((add_down(lo[i], lo[j]), add_up(hi[i], hi[j])))
+                p, q = add_down(dlo[i], dlo[j]), add_up(dhi[i], dhi[j])
             elif op == _SUB:
-                val, der = v[i] - v[j], d[i] - d[j]
+                a, b = _valid((add_down(lo[i], -hi[j]), add_up(hi[i], -lo[j])))
+                p, q = add_down(dlo[i], -dhi[j]), add_up(dhi[i], -dlo[j])
             elif op == _POW:
-                val = iv_pow(v[i], j)
+                a, b = _valid(_pow(lo[i], hi[i], j))
                 if j == 0:
-                    der = _ZERO
+                    p = q = 0.0
                 else:
                     # no coefficient when n is beyond binary64: enclosing it raises OverflowError
-                    coeff = arg if arg is not None else FloatInterval.from_rational(Fraction(j))
-                    der = coeff * iv_pow(v[i], j - 1) * d[i]
+                    c = arg or (float_down(Fraction(j)), float_up(Fraction(j)))
+                    u, v = _valid(_mul(*c, *_valid(_pow(lo[i], hi[i], j - 1))))
+                    p, q = _mul(u, v, dlo[i], dhi[i])
             elif op == _DIV:
-                lv, ld, rv, rd = v[i], d[i], v[j], d[j]
-                val = lv / rv
-                der = (ld * rv - lv * rd) / iv_sqr(rv)
+                a, b = _valid(_div(lo[i], hi[i], lo[j], hi[j]))
+                u, v = _valid(_mul(dlo[i], dhi[i], lo[j], hi[j]))
+                s, t = _valid(_mul(lo[i], hi[i], dlo[j], dhi[j]))
+                u, v = _valid((add_down(u, -t), add_up(v, -s)))
+                p, q = _div(u, v, *_valid(_sqr(lo[j], hi[j])))
             elif op == _NEG:
-                val, der = -v[i], -d[i]
+                a, b, p, q = -hi[i], -lo[i], -dhi[i], -dlo[i]
             elif op == _SIN:
-                val, der = iv_sin(v[i]), iv_cos(v[i]) * d[i]
+                a, b = _valid(_sin(lo[i], hi[i]))
+                p, q = _mul(*_valid(_cos(lo[i], hi[i])), dlo[i], dhi[i])
             elif op == _COS:
-                val, der = iv_cos(v[i]), -iv_sin(v[i]) * d[i]
+                a, b = _valid(_cos(lo[i], hi[i]))
+                s, t = _valid(_sin(lo[i], hi[i]))
+                p, q = _mul(-t, -s, dlo[i], dhi[i])
             elif op == _EXP:
-                val = iv_exp(v[i])
-                der = val * d[i]
+                a, b = _valid(_exp(lo[i], hi[i]))
+                p, q = _mul(a, b, dlo[i], dhi[i])
             elif op == _LOG:
-                val, der = iv_log(v[i]), d[i] / v[i]
+                a, b = _valid(_log(lo[i], hi[i]))
+                p, q = _div(dlo[i], dhi[i], lo[i], hi[i])
             elif op == _SQRT:
-                val = iv_sqrt(v[i])
-                der = d[i] / (_TWO * val)
-            else:
-                val = FloatInterval.from_rational(arg)  # _HUGE: raises OverflowError
-            v.append(val)
-            d.append(der)
+                a, b = _valid(_sqrt(lo[i], hi[i]))
+                p, q = _div(dlo[i], dhi[i], *_valid(_mul(2.0, 2.0, a, b)))
+            else:  # _HUGE: raises OverflowError
+                a, b, p, q = float_down(arg), float_up(arg), 0.0, 0.0
+            _valid((p, q))
+            lo.append(a)
+            hi.append(b)
+            dlo.append(p)
+            dhi.append(q)
     except (DomainError, DivisionByZeroInterval) as err:
-        k = len(v)
+        k = len(lo)
         op, i, _, _ = tape.code[k]
         if op >= _SIN and isinstance(err, DivisionByZeroInterval):
-            err = DomainError(tape.nodes[k].fn, v[i],
+            err = DomainError(tape.nodes[k].fn, FloatInterval(lo[i], hi[i]),
                               "derivative unbounded (argument range touches the domain boundary)")
         raise _annotate(err, X, tape.nodes[k]) from None
-    return EvalResult(v[-1], d[-1])
+    return EvalResult(FloatInterval(a, b), FloatInterval(p, q))
+
+
+def _valid(ends: tuple[float, float]) -> tuple[float, float]:
+    # ends, if they are those of a FloatInterval; else the constructor's error
+    if -_MAX_FLOAT <= ends[0] <= ends[1] <= _MAX_FLOAT:
+        return ends
+    return FloatInterval(*ends)  # raises
 
 
 def _annotate(err: Exception, X: FloatInterval, node: Expr | None) -> DomainError:

@@ -13,6 +13,15 @@ Infinite endpoints are rejected rather than propagated: an operation whose
 mathematical result has no finite enclosure raises OverflowError, so every
 bound stored downstream is a finite number.
 
+Interval operations run as pair kernels (_mul, _div, _sqr, _pow, _sin, ...),
+which take and return the ends of intervals as plain floats; the expression
+interpreters call them, and add with add_down/add_up.  A pair kernel builds
+a FloatInterval only to word a DomainError or DivisionByZeroInterval, and
+leaves its result unchecked: an end can step from ±max to ±inf.  Callers
+check it as the FloatInterval constructor does, and call the constructor
+for its error where the check fails.  FloatInterval's +, * and / and the
+iv_* functions are the kernels' object forms.
+
 Exact rational arithmetic is provided by ``fractions.Fraction`` (aliased
 ``Rational``), which maintains the lowest-terms/positive-denominator
 invariants natively.
@@ -54,7 +63,8 @@ _PI_DIGITS = (
 )
 _PI_NUM = int(_PI_DIGITS)
 _PI_DEN = 10 ** (len(_PI_DIGITS) - 1)
-_PI = Fraction(_PI_NUM, _PI_DEN)
+# 1/pi correctly rounded, for the float prefilter of _crit_indices
+_INV_PI = float(Fraction(_PI_DEN, _PI_NUM))
 # guard (1/den) for critical-point inclusion tests, far above the pi
 # approximation error and far below the smallest positive binary64
 _GUARD_DEN = 10 ** 400
@@ -95,30 +105,32 @@ def _next_down(x: float) -> float:
     return math.nextafter(x, -_INF)
 
 
-def _sum_err(a: float, b: float, s: float) -> float:
-    # Knuth TwoSum: the rounding error of s = fl(a + b), computed exactly,
-    # so true sum = s + error with no further rounding.
-    bp = s - a
-    ap = s - bp
-    return (a - ap) + (b - bp)
-
+# Knuth's TwoSum gives the rounding error of s = fl(a + b) exactly, as
+# (a - (s - bp)) + (b - bp) with bp = s - a, so the true sum is s plus that
+# error with no further rounding.  It is NaN when s overflowed.
 
 def add_down(a: float, b: float) -> float:
     s = a + b
+    bp = s - a
+    if (a - (s - bp)) + (b - bp) >= 0.0:
+        return s
     if math.isinf(s):
         if s > 0:
             return _MAX_FLOAT
         raise OverflowError("sum below the finite binary64 range")
-    return s if _sum_err(a, b, s) >= 0.0 else _next_down(s)
+    return _next_down(s)
 
 
 def add_up(a: float, b: float) -> float:
     s = a + b
+    bp = s - a
+    if (a - (s - bp)) + (b - bp) <= 0.0:
+        return s
     if math.isinf(s):
         if s < 0:
             return -_MAX_FLOAT
         raise OverflowError("sum above the finite binary64 range")
-    return s if _sum_err(a, b, s) <= 0.0 else _next_up(s)
+    return _next_up(s)
 
 
 def sum_above(a: float, b: float, t: float) -> bool:
@@ -129,7 +141,8 @@ def sum_above(a: float, b: float, t: float) -> bool:
     neighbours.  An overflowed s, ±inf, is on the side of t the true sum is.
     """
     s = a + b
-    return s > t or (s == t and _sum_err(a, b, s) > 0.0)
+    bp = s - a
+    return s > t or (s == t and (a - (s - bp)) + (b - bp) > 0.0)
 
 
 def sub_down(a: float, b: float) -> float:
@@ -154,6 +167,7 @@ def sub_up(a: float, b: float) -> float:
 #     ea + eb > -903;
 #   - every partial product and partial sum stays below about 2^901.
 # Outside the guard, exact integer cross-multiplication decides instead.
+# mul_down and mul_up, the hottest kernels, carry the error term inline.
 _SPLIT = 134217729.0  # 2^27 + 1
 _TP_LO = 2.0 ** -900
 _TP_HI = 2.0 ** 900
@@ -173,11 +187,8 @@ def _prod_err(a: float, b: float, p: float) -> float | None:
     return ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _mul_err_sign(a: float, b: float, p: float) -> int:
-    # exact sign of (a*b - p)
-    e = _prod_err(a, b, p)
-    if e is not None:
-        return (e > 0.0) - (e < 0.0)
+def _exact_mul_sign(a: float, b: float, p: float) -> int:
+    # exact sign of (a*b - p), by integer cross-multiplication
     na, da = a.as_integer_ratio()
     nb, db = b.as_integer_ratio()
     np_, dp = p.as_integer_ratio()
@@ -188,20 +199,30 @@ def _mul_err_sign(a: float, b: float, p: float) -> int:
 
 def mul_down(a: float, b: float) -> float:
     p = a * b
+    if _TP_LO < abs(a) < _TP_HI and _TP_LO < abs(b) < _TP_HI and _TP_LO < abs(p) < _TP_HI:
+        c, d = _SPLIT * a, _SPLIT * b
+        ah, bh = c - (c - a), d - (d - b)
+        al, bl = a - ah, b - bh
+        return p if ((ah * bh - p) + ah * bl + al * bh) + al * bl >= 0.0 else _next_down(p)
     if math.isinf(p):
         if p > 0:
             return _MAX_FLOAT
         raise OverflowError("product below the finite binary64 range")
-    return p if _mul_err_sign(a, b, p) >= 0 else _next_down(p)
+    return p if _exact_mul_sign(a, b, p) >= 0 else _next_down(p)
 
 
 def mul_up(a: float, b: float) -> float:
     p = a * b
+    if _TP_LO < abs(a) < _TP_HI and _TP_LO < abs(b) < _TP_HI and _TP_LO < abs(p) < _TP_HI:
+        c, d = _SPLIT * a, _SPLIT * b
+        ah, bh = c - (c - a), d - (d - b)
+        al, bl = a - ah, b - bh
+        return p if ((ah * bh - p) + ah * bl + al * bh) + al * bl <= 0.0 else _next_up(p)
     if math.isinf(p):
         if p < 0:
             return -_MAX_FLOAT
         raise OverflowError("product above the finite binary64 range")
-    return p if _mul_err_sign(a, b, p) <= 0 else _next_up(p)
+    return p if _exact_mul_sign(a, b, p) <= 0 else _next_up(p)
 
 
 def _div_err_sign(a: float, b: float, q: float) -> int:
@@ -260,23 +281,26 @@ def _sqrt_dir(v: float, up: bool) -> float:
 # at most 1 ulp for sin/cos, so 1 resp. 2 nudge steps give containment.
 _EXP_LOG_STEPS = 1
 _TRIG_STEPS = 2
+# Largest v with exp(v) <= _MAX_FLOAT; the next float above it exceeds
+# log(2^1024), so math.exp would raise for every larger v.
+_EXP_MAX = float.fromhex("0x1.62e42fefa39efp+9")  # 709.782712893384
 
 
 def _nudge(v: float, steps: int, up: bool) -> float:
+    toward = _INF if up else -_INF
     for _ in range(steps):
-        v = _next_up(v) if up else _next_down(v)
+        v = math.nextafter(v, toward)
     return v
 
 
 def _exp_dir(v: float, up: bool) -> float:
     if v == 0.0:
         return 1.0
-    e = math.exp(v)
-    if math.isinf(e):
+    if v > _EXP_MAX:
         if up:
             raise OverflowError("exp above the finite binary64 range")
         return _MAX_FLOAT
-    e = _nudge(e, _EXP_LOG_STEPS, up)
+    e = _nudge(math.exp(v), _EXP_LOG_STEPS, up)
     return e if up else max(e, 0.0)
 
 
@@ -286,18 +310,13 @@ def _log_dir(v: float, up: bool) -> float:
     return _nudge(math.log(v), _EXP_LOG_STEPS, up)
 
 
-def _sin_point(v: float, up: bool) -> float:
+def _trig_ends(fn, v: float, at_zero: float) -> tuple[float, float]:
+    # lower and upper bound of fn(v), fn being math.sin or math.cos, which
+    # take the exact value at_zero at v == 0
     if v == 0.0:
-        return 0.0
-    s = _nudge(math.sin(v), _TRIG_STEPS, up)
-    return min(s, 1.0) if up else max(s, -1.0)
-
-
-def _cos_point(v: float, up: bool) -> float:
-    if v == 0.0:
-        return 1.0
-    c = _nudge(math.cos(v), _TRIG_STEPS, up)
-    return min(c, 1.0) if up else max(c, -1.0)
+        return at_zero, at_zero
+    s = fn(v)
+    return max(_nudge(s, _TRIG_STEPS, False), -1.0), min(_nudge(s, _TRIG_STEPS, True), 1.0)
 
 
 def float_down(q: Fraction) -> float:
@@ -354,99 +373,99 @@ class FloatInterval:
     def point(cls, v: float) -> FloatInterval:
         return cls(v, v)
 
-    @classmethod
-    def from_rational(cls, q: Fraction) -> FloatInterval:
-        """Tightest representable enclosure of an exact rational."""
-        return cls(float_down(q), float_up(q))
-
-    def straddles_zero(self) -> bool:
-        return self.lo <= 0.0 <= self.hi
-
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
 
-    # --- arithmetic ---------------------------------------------------------
-
-    def __neg__(self) -> FloatInterval:
-        return FloatInterval(-self.hi, -self.lo)
+    # --- arithmetic: object forms of the pair kernels ----------------------
 
     def __add__(self, other: FloatInterval) -> FloatInterval:
         return FloatInterval(add_down(self.lo, other.lo), add_up(self.hi, other.hi))
 
-    def __sub__(self, other: FloatInterval) -> FloatInterval:
-        return FloatInterval(sub_down(self.lo, other.hi), sub_up(self.hi, other.lo))
-
     def __mul__(self, other: FloatInterval) -> FloatInterval:
-        # Moore's sign-case table: the operand signs fix which corner
-        # products are extreme, and directed rounding is monotone, so the
-        # result equals the min/max over all four corners.
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        if a >= 0.0:
-            if c >= 0.0:
-                lo, hi = mul_down(a, c), mul_up(b, d)
-            elif d <= 0.0:
-                lo, hi = mul_down(b, c), mul_up(a, d)
-            else:
-                lo, hi = mul_down(b, c), mul_up(b, d)
-        elif b <= 0.0:
-            if c >= 0.0:
-                lo, hi = mul_down(a, d), mul_up(b, c)
-            elif d <= 0.0:
-                lo, hi = mul_down(b, d), mul_up(a, c)
-            else:
-                lo, hi = mul_down(a, d), mul_up(a, c)
-        elif c >= 0.0:
-            lo, hi = mul_down(a, d), mul_up(b, d)
-        elif d <= 0.0:
-            lo, hi = mul_down(b, c), mul_up(a, c)
-        else:
-            lo = min(mul_down(a, d), mul_down(b, c))
-            hi = max(mul_up(a, c), mul_up(b, d))
-        return _signed_zero_fix(lo, hi, self, other, mul_down, mul_up)
+        return FloatInterval(*_mul(self.lo, self.hi, other.lo, other.hi))
 
     def __truediv__(self, other: FloatInterval) -> FloatInterval:
-        if other.straddles_zero():
-            raise DivisionByZeroInterval(f"denominator {other} contains zero")
-        # the denominator has one strict sign, so each numerator endpoint
-        # meets the denominator endpoint its own sign selects
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        if c > 0.0:
-            lo = div_down(a, d if a >= 0.0 else c)
-            hi = div_up(b, c if b >= 0.0 else d)
+        return FloatInterval(*_div(self.lo, self.hi, other.lo, other.hi))
+
+
+# =============================================================================
+# Pair kernels: an interval is its two ends, lo and hi, as plain floats
+# =============================================================================
+
+def _mul(a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    # Moore's sign-case table: the operand signs fix which corner products
+    # are extreme, and directed rounding is monotone, so the result equals
+    # the min/max over all four corners.
+    if a >= 0.0:
+        if c >= 0.0:
+            lo, hi = mul_down(a, c), mul_up(b, d)
+        elif d <= 0.0:
+            lo, hi = mul_down(b, c), mul_up(a, d)
         else:
-            lo = div_down(b, d if b >= 0.0 else c)
-            hi = div_up(a, c if a >= 0.0 else d)
-        return _signed_zero_fix(lo, hi, self, other, div_down, div_up)
+            lo, hi = mul_down(b, c), mul_up(b, d)
+    elif b <= 0.0:
+        if c >= 0.0:
+            lo, hi = mul_down(a, d), mul_up(b, c)
+        elif d <= 0.0:
+            lo, hi = mul_down(b, d), mul_up(a, c)
+        else:
+            lo, hi = mul_down(a, d), mul_up(a, c)
+    elif c >= 0.0:
+        lo, hi = mul_down(a, d), mul_up(b, d)
+    elif d <= 0.0:
+        lo, hi = mul_down(b, c), mul_up(a, c)
+    else:
+        lo = min(mul_down(a, d), mul_down(b, c))
+        hi = max(mul_up(a, c), mul_up(b, d))
+    if lo == 0.0 or hi == 0.0:
+        return _signed_zero_fix(lo, hi, a, b, c, d, mul_down, mul_up)
+    return lo, hi
 
 
-def _signed_zero_fix(lo: float, hi: float, x: FloatInterval, y: FloatInterval,
-                     down, up) -> FloatInterval:
+def _div(a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    if c <= 0.0 <= d:
+        raise DivisionByZeroInterval(f"denominator {FloatInterval(c, d)} contains zero")
+    # the denominator has one strict sign, so each numerator endpoint
+    # meets the denominator endpoint its own sign selects
+    if c > 0.0:
+        lo = div_down(a, d if a >= 0.0 else c)
+        hi = div_up(b, c if b >= 0.0 else d)
+    else:
+        lo = div_down(b, d if b >= 0.0 else c)
+        hi = div_up(a, c if a >= 0.0 else d)
+    if lo == 0.0 or hi == 0.0:
+        return _signed_zero_fix(lo, hi, a, b, c, d, div_down, div_up)
+    return lo, hi
+
+
+def _signed_zero_fix(lo: float, hi: float, a: float, b: float, c: float, d: float,
+                     down, up) -> tuple[float, float]:
     # A zero endpoint's sign depends on which corner a scan in the order
     # (lo,lo), (lo,hi), (hi,lo), (hi,hi) meets first; take it from that
     # scan so results, and the certificate bytes built from them, stay
     # bit-identical to the four-corner form.
     if lo == 0.0:
-        lo = min(down(x.lo, y.lo), down(x.lo, y.hi), down(x.hi, y.lo), down(x.hi, y.hi))
+        lo = min(down(a, c), down(a, d), down(b, c), down(b, d))
     if hi == 0.0:
-        hi = max(up(x.lo, y.lo), up(x.lo, y.hi), up(x.hi, y.lo), up(x.hi, y.hi))
-    return FloatInterval(lo, hi)
+        hi = max(up(a, c), up(a, d), up(b, c), up(b, d))
+    return lo, hi
 
 
-def iv_abs(x: FloatInterval) -> FloatInterval:
-    if x.lo >= 0.0:
-        return x
-    if x.hi <= 0.0:
-        return -x
-    return FloatInterval(0.0, max(-x.lo, x.hi))
+def _abs(a: float, b: float) -> tuple[float, float]:
+    if a >= 0.0:
+        return a, b
+    if b <= 0.0:
+        return -b, -a
+    return 0.0, max(-a, b)
 
 
-def iv_sqr(x: FloatInterval) -> FloatInterval:
+def _sqr(a: float, b: float) -> tuple[float, float]:
     # even-power range rule, not naive x*x, so sign-straddling inputs hit 0
-    if x.lo >= 0.0:
-        return FloatInterval(mul_down(x.lo, x.lo), mul_up(x.hi, x.hi))
-    if x.hi <= 0.0:
-        return FloatInterval(mul_down(x.hi, x.hi), mul_up(x.lo, x.lo))
-    return FloatInterval(0.0, max(mul_up(x.lo, x.lo), mul_up(x.hi, x.hi)))
+    if a >= 0.0:
+        return mul_down(a, a), mul_up(b, b)
+    if b <= 0.0:
+        return mul_down(b, b), mul_up(a, a)
+    return 0.0, max(mul_up(a, a), mul_up(b, b))
 
 
 def _pow_mag(m: float, n: int, up: bool) -> float:
@@ -465,47 +484,39 @@ def _pow_mag(m: float, n: int, up: bool) -> float:
         m = step(m, m)
 
 
-def _pow_point(v: float, n: int, up: bool) -> float:
-    if v >= 0.0:
-        return _pow_mag(v, n, up)
-    m = -v
-    if n % 2 == 0:
-        return _pow_mag(m, n, up)
-    return -_pow_mag(m, n, not up)
-
-
-def iv_pow(x: FloatInterval, n: int) -> FloatInterval:
+def _pow(a: float, b: float, n: int) -> tuple[float, float]:
     if n < 0:
-        raise DomainError("pow_n", x, "negative exponent")
+        raise DomainError("pow_n", FloatInterval(a, b), "negative exponent")
     if n == 0:
-        return FloatInterval(1.0, 1.0)
+        return 1.0, 1.0
     if n == 1:
-        return x
+        return a, b
     if n == 2:
-        return iv_sqr(x)
-    if n % 2 == 1:
-        return FloatInterval(_pow_point(x.lo, n, up=False), _pow_point(x.hi, n, up=True))
-    if x.lo >= 0.0:
-        return FloatInterval(_pow_mag(x.lo, n, up=False), _pow_mag(x.hi, n, up=True))
-    if x.hi <= 0.0:
-        return FloatInterval(_pow_mag(-x.hi, n, up=False), _pow_mag(-x.lo, n, up=True))
-    return FloatInterval(0.0, _pow_mag(max(-x.lo, x.hi), n, up=True))
+        return _sqr(a, b)
+    if a >= 0.0:
+        return _pow_mag(a, n, up=False), _pow_mag(b, n, up=True)
+    if n % 2 == 1:  # increasing, and a < 0
+        lo = -_pow_mag(-a, n, up=True)
+        return lo, _pow_mag(b, n, up=True) if b >= 0.0 else -_pow_mag(-b, n, up=False)
+    if b <= 0.0:
+        return _pow_mag(-b, n, up=False), _pow_mag(-a, n, up=True)
+    return 0.0, _pow_mag(max(-a, b), n, up=True)
 
 
-def iv_sqrt(x: FloatInterval) -> FloatInterval:
-    if x.lo < 0.0:
-        raise DomainError("sqrt", x)
-    return FloatInterval(_sqrt_dir(x.lo, up=False), _sqrt_dir(x.hi, up=True))
+def _sqrt(a: float, b: float) -> tuple[float, float]:
+    if a < 0.0:
+        raise DomainError("sqrt", FloatInterval(a, b))
+    return _sqrt_dir(a, up=False), _sqrt_dir(b, up=True)
 
 
-def iv_exp(x: FloatInterval) -> FloatInterval:
-    return FloatInterval(_exp_dir(x.lo, up=False), _exp_dir(x.hi, up=True))
+def _exp(a: float, b: float) -> tuple[float, float]:
+    return _exp_dir(a, up=False), _exp_dir(b, up=True)
 
 
-def iv_log(x: FloatInterval) -> FloatInterval:
-    if x.lo <= 0.0:
-        raise DomainError("log", x)
-    return FloatInterval(_log_dir(x.lo, up=False), _log_dir(x.hi, up=True))
+def _log(a: float, b: float) -> tuple[float, float]:
+    if a <= 0.0:
+        raise DomainError("log", FloatInterval(a, b))
+    return _log_dir(a, up=False), _log_dir(b, up=True)
 
 
 def _crit_indices(lo: float, hi: float, half_offset: int) -> range:
@@ -513,13 +524,31 @@ def _crit_indices(lo: float, hi: float, half_offset: int) -> range:
 
     A binary64 value is rational, so it never equals a critical point; a
     point interval therefore has no interior extrema.  False inclusions
-    (from the guard) only widen the trig range, never shrink it.  Pure
-    integer arithmetic: k bounds are ceil/floor of
-    (x/pi - half_offset/2 -+ guard) over a common denominator.
+    (from the guard) only widen the trig range, never shrink it.  The k
+    bounds are ceil/floor of (x/pi - half_offset/2 -+ guard), decided in
+    floats when both ends are far from an integer, else in pure integer
+    arithmetic over a common denominator.
     """
     if lo == hi:
         return range(0)
     if max(abs(lo), abs(hi)) <= _SHORT_LIMIT:
+        # Float prefilter.  With c = fl(1/pi) and u = fl(fl(x*c) - h),
+        # h = half_offset/2, each rounding is relative 2^-53, so
+        # |u - (x/pi - h)| <= |x/pi|*2^-51.9 + |u|*2^-52 + 2^-1074, and
+        # |x/pi| <= |u| + 1/2 + that error; the integer path's own k bound
+        # moves by |x|*10^-63 and its guard 10^-24.  All of this stays below
+        # err = (|u_lo| + |u_hi|)*2^-48 + 2^-40.  A computed distance to an
+        # integer above the float err means the true distance is above it
+        # too (rounding is monotone), so where every such distance exceeds
+        # err the exact bound and u lie strictly between the same two
+        # integers, and ceil/floor agree.  Otherwise (x = 0 for cos, or an
+        # end near a critical point) the integer path decides.
+        h = half_offset * 0.5
+        ul, uh = lo * _INV_PI - h, hi * _INV_PI - h
+        err = (abs(ul) + abs(uh)) * 2.0 ** -48 + 2.0 ** -40
+        klo, khi = math.ceil(ul), math.floor(uh)
+        if klo - ul > err < ul - (klo - 1) and uh - khi > err < khi + 1 - uh:
+            return range(klo, khi + 1)
         pn, pd, g = _PI_SHORT_NUM, _PI_SHORT_DEN, _GUARD_SHORT_DEN
     else:
         pn, pd, g = _PI_NUM, _PI_DEN, _GUARD_DEN
@@ -535,30 +564,36 @@ def _crit_indices(lo: float, hi: float, half_offset: int) -> range:
     return range(klo, khi + 1)
 
 
-def iv_sin(x: FloatInterval) -> FloatInterval:
-    if x.hi - x.lo >= 6.3:  # over a full period; [-1, 1] is the exact range
-        return FloatInterval(-1.0, 1.0)
-    lo = min(_sin_point(x.lo, up=False), _sin_point(x.hi, up=False))
-    hi = max(_sin_point(x.lo, up=True), _sin_point(x.hi, up=True))
-    for k in _crit_indices(x.lo, x.hi, 1):  # pi/2 + k*pi
+def _trig(a: float, b: float, fn, at_zero: float, half_offset: int) -> tuple[float, float]:
+    # extrema of sin and cos sit at pi*(k + half_offset/2), maxima at even k
+    if b - a >= 6.3:  # over a full period; [-1, 1] is the exact range
+        return -1.0, 1.0
+    la, ua = _trig_ends(fn, a, at_zero)
+    lb, ub = _trig_ends(fn, b, at_zero)
+    lo, hi = min(la, lb), max(ua, ub)
+    for k in _crit_indices(a, b, half_offset):
         if k % 2 == 0:
             hi = 1.0
         else:
             lo = -1.0
-    return FloatInterval(lo, hi)
+    return lo, hi
 
 
-def iv_cos(x: FloatInterval) -> FloatInterval:
-    if x.hi - x.lo >= 6.3:  # over a full period; [-1, 1] is the exact range
-        return FloatInterval(-1.0, 1.0)
-    lo = min(_cos_point(x.lo, up=False), _cos_point(x.hi, up=False))
-    hi = max(_cos_point(x.lo, up=True), _cos_point(x.hi, up=True))
-    for k in _crit_indices(x.lo, x.hi, 0):  # k*pi
-        if k % 2 == 0:
-            hi = 1.0
-        else:
-            lo = -1.0
-    return FloatInterval(lo, hi)
+def _sin(a: float, b: float) -> tuple[float, float]:
+    return _trig(a, b, math.sin, 0.0, 1)
+
+
+def _cos(a: float, b: float) -> tuple[float, float]:
+    return _trig(a, b, math.cos, 1.0, 0)
+
+
+def _object_form(kernel):
+    # the FloatInterval form of a pair kernel of one interval (and n, for pow)
+    return lambda x, *n: FloatInterval(*kernel(x.lo, x.hi, *n))
+
+
+iv_sqr, iv_pow, iv_sqrt, iv_exp, iv_log, iv_sin, iv_cos = map(
+    _object_form, (_sqr, _pow, _sqrt, _exp, _log, _sin, _cos))
 
 
 # =============================================================================

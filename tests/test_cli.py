@@ -91,6 +91,15 @@ def test_domain_error_exit_two(capsys):
     assert record["subexpression"] == "log(x)"
 
 
+def test_exp_overflow_exits_two_naming_exp(capsys):
+    # exp(exp(3)) is about 5.3e8, far beyond the binary64 range of exp
+    code, out, err = invoke(capsys, "prove", "bvt", "--fn", "exp(exp(exp(x)))",
+                            "--a", "0", "--b", "3")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "domain",
+                               "detail": "overflow: exp above the finite binary64 range"}
+
+
 def test_parse_error_exit_two(capsys):
     code, out, err = invoke(capsys, "prove", "bvt", "--fn", "2*+x",
                             "--a", "0", "--b", "1")

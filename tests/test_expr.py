@@ -1,15 +1,21 @@
 """Parser, printer, and enclosure tests for the expression module.
 
 Point oracle: mpmath at 50 digits, mirrored over the AST.  Derivative
-oracle: central finite differences of the mpmath evaluation.
+oracle: central finite differences of the mpmath evaluation.  The pair
+register interpreters are also compared, bit for bit, with the object
+interpreters they replaced, kept in object_kernels.py.
 """
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
+import object_kernels as ref
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from suparg import expr as expr_mod
 from suparg.expr import (
@@ -30,12 +36,12 @@ from suparg.expr import (
     parse,
     to_source,
 )
+from suparg import numeric
 from suparg.numeric import (
     DivisionByZeroInterval,
     DomainError,
     FloatInterval,
     float_to_hex,
-    iv_abs,
     iv_cos,
     iv_exp,
     iv_log,
@@ -297,17 +303,33 @@ def test_derivative_containment_fuzz():
 # the tape against the recursive evaluators it replaced
 # ---------------------------------------------------------------------------
 
+def _enclose(q):
+    return FloatInterval(numeric.float_down(q), numeric.float_up(q))
+
+
+def _neg(x):
+    return FloatInterval(-x.hi, -x.lo)
+
+
+def _minus(x, y):
+    return FloatInterval(numeric.sub_down(x.lo, y.hi), numeric.sub_up(x.hi, y.lo))
+
+
+def _iv_abs(x):
+    return FloatInterval(*numeric._abs(x.lo, x.hi))
+
+
 def _ref_eval(e, X):
     if isinstance(e, Const):
-        return FloatInterval.from_rational(e.value)
+        return _enclose(e.value)
     if isinstance(e, Var):
         return X
     if isinstance(e, Neg):
-        return -_ref_eval(e.arg, X)
+        return _neg(_ref_eval(e.arg, X))
     if isinstance(e, Add):
         return _ref_eval(e.left, X) + _ref_eval(e.right, X)
     if isinstance(e, Sub):
-        return _ref_eval(e.left, X) - _ref_eval(e.right, X)
+        return _minus(_ref_eval(e.left, X), _ref_eval(e.right, X))
     if isinstance(e, Mul):
         return _ref_eval(e.left, X) * _ref_eval(e.right, X)
     if isinstance(e, Div):
@@ -322,41 +344,41 @@ def _ref_eval(e, X):
 
 
 _REF_APPLY = {"sin": iv_sin, "cos": iv_cos, "exp": iv_exp, "log": iv_log,
-              "sqrt": iv_sqrt, "abs": iv_abs}
+              "sqrt": iv_sqrt, "abs": _iv_abs}
 
 
 def _ref_eval_d(e, X):
     if isinstance(e, Const):
-        return FloatInterval.from_rational(e.value), FloatInterval(0.0, 0.0)
+        return _enclose(e.value), FloatInterval(0.0, 0.0)
     if isinstance(e, Var):
         return X, FloatInterval(1.0, 1.0)
     if isinstance(e, Neg):
         v, d = _ref_eval_d(e.arg, X)
-        return -v, -d
+        return _neg(v), _neg(d)
     if isinstance(e, (Add, Sub, Mul, Div)):
         lv, ld = _ref_eval_d(e.left, X)
         rv, rd = _ref_eval_d(e.right, X)
         if isinstance(e, Add):
             return lv + rv, ld + rd
         if isinstance(e, Sub):
-            return lv - rv, ld - rd
+            return _minus(lv, rv), _minus(ld, rd)
         if isinstance(e, Mul):
             return lv * rv, ld * rv + lv * rd
         val = lv / rv
-        return val, (ld * rv - lv * rd) / iv_sqr(rv)
+        return val, _minus(ld * rv, lv * rd) / iv_sqr(rv)
     if isinstance(e, PowInt):
         bv, bd = _ref_eval_d(e.base, X)
         val = iv_pow(bv, e.n)
         if e.n == 0:
             return val, FloatInterval(0.0, 0.0)
-        coeff = FloatInterval.from_rational(Fraction(e.n))
+        coeff = _enclose(Fraction(e.n))
         return val, coeff * iv_pow(bv, e.n - 1) * bd
     av, ad = _ref_eval_d(e.arg, X)
     try:
         if e.fn == "sin":
             return iv_sin(av), iv_cos(av) * ad
         if e.fn == "cos":
-            return iv_cos(av), -iv_sin(av) * ad
+            return iv_cos(av), _neg(iv_sin(av)) * ad
         if e.fn == "exp":
             ev = iv_exp(av)
             return ev, ev * ad
@@ -528,6 +550,67 @@ def test_deep_trees_evaluate_without_recursion():
         f = Add(f, Const(Fraction(1))) if k % 2 else Mul(f, Const(Fraction(1, 2)))
     assert eval_iv(f, FloatInterval(0.0, 1.0)).hi <= 2.0
     assert eval_d1(f, FloatInterval(0.0, 1.0)).deriv.hi <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# pair-register interpreters against the object interpreters they replaced
+# ---------------------------------------------------------------------------
+
+_HUGE = Fraction(10) ** 400
+# two binary64 values whose product rounds to max with a positive error, so
+# that the upward product steps to inf
+_STEP_A, _STEP_B = Fraction(1.4954350870919408), Fraction(1.2021204734189789e+308)
+_leaf = st.one_of(
+    st.just(Var()),
+    st.builds(lambda n, d: Const(Fraction(n, d)), st.integers(0, 40), st.integers(1, 12)),
+    st.sampled_from((Const(_HUGE), Const(1 / _HUGE), Const(Fraction(2) ** 1023),
+                     Const(_STEP_A), Const(_STEP_B))))
+
+
+def _grow(children):
+    return st.one_of(
+        children.map(Neg),
+        st.builds(lambda op, l, r: op(l, r), st.sampled_from((Add, Sub, Mul, Div)),
+                  children, children),
+        st.builds(PowInt, children,
+                  st.integers(0, 6) | st.sampled_from((10, 10 ** 8, 10 ** 8 + 1, 10 ** 400))),
+        st.builds(Apply, st.sampled_from(("sin", "cos", "exp", "log", "sqrt", "abs")),
+                  children))
+
+
+_exprs = st.recursive(_leaf, _grow, max_leaves=8)
+_MAXF = sys.float_info.max
+_end = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.5, 2.0, 700.0, 710.0,
+                     1e154, 1e300, _MAXF, -_MAXF)),
+    st.floats(-4.0, 4.0),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _ref_outcome(run):
+    out = _outcome(run)
+    # the object kernel leaked libm's overflow message; the kernel names exp
+    if out == ("OverflowError", "math range error"):
+        return "OverflowError", "exp above the finite binary64 range"
+    return out
+
+
+@settings(max_examples=1500, derandomize=True, database=None, deadline=None)
+@example(f=parse("sqrt(x) + 1/(x - x)"), x=-1.0, y=1.0)
+@example(f=parse("log(x) + 1" + "0" * 400), x=-1.0, y=1.0)
+@example(f=parse("x * x + x"), x=1e300, y=_MAXF)
+@example(f=parse("(x + 1) * x"), x=1.0, y=_MAXF)   # the upward step from max reaches inf
+@example(f=Mul(Mul(Const(_STEP_A), Var()), Const(_STEP_B)), x=1.0, y=1.0)
+@example(f=parse("exp(exp(x))"), x=0.0, y=7.0)
+@example(f=parse("abs(x) * sin(x)"), x=-0.0, y=0.0)
+@given(f=_exprs, x=_end, y=_end)
+def test_pair_interpreters_match_object_interpreters(f, x, y):
+    lo, hi = min(x, y), max(x, y)
+    X, rX = FloatInterval(lo, hi), ref.FloatInterval(lo, hi)
+    want = _ref_outcome(lambda: (ref.eval_iv(f, rX),))
+    assert _outcome(lambda: (eval_iv(f, X),)) == want, (to_source(f), X)
+    want = _ref_outcome(lambda: (lambda r: (r.value, r.deriv))(ref.eval_d1(f, rX)))
+    assert _outcome(lambda: _tape_d1(f, X)) == want, (to_source(f), X)
 
 
 # ---------------------------------------------------------------------------

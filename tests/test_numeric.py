@@ -1,16 +1,23 @@
 """Containment and exactness tests for the interval/rational substrate.
 
 The independent oracle throughout is exact Fraction arithmetic for the
-field operations and 50-digit mpmath for the transcendentals.
+field operations and 50-digit mpmath for the transcendentals.  The pair
+kernels are also compared, bit for bit, with the object kernels they
+replaced, kept in object_kernels.py.
 """
 
+import importlib.util
 import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
+import object_kernels as ref
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from suparg import numeric
 from suparg.expr import eval_d1, eval_iv, parse
@@ -27,7 +34,6 @@ from suparg.numeric import (
     hex_to_interval,
     div_down,
     div_up,
-    iv_abs,
     iv_cos,
     iv_exp,
     iv_log,
@@ -38,6 +44,8 @@ from suparg.numeric import (
     mul_down,
     mul_up,
     parse_rational,
+    sub_down,
+    sub_up,
     format_rational,
 )
 
@@ -220,10 +228,21 @@ def _sample(rng: random.Random, x: FloatInterval) -> float:
     return min(max(x.lo + (x.hi - x.lo) * t, x.lo), x.hi)
 
 
+def _straddles_zero(x):
+    return x.lo <= 0.0 <= x.hi
+
+
+def _sub(a, b):
+    # the interpreters subtract [c, d] as + [-d, -c]
+    if isinstance(a, FloatInterval):
+        return FloatInterval(sub_down(a.lo, b.hi), sub_up(a.hi, b.lo))
+    return a - b
+
+
 # the Python operators act on FloatInterval and on Fraction alike
 _OPS = {
     "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
+    "sub": _sub,
     "mul": lambda a, b: a * b,
     "div": lambda a, b: a / b,
 }
@@ -235,7 +254,7 @@ def test_containment_fuzz_arith():
     for _ in range(10_000):
         op = rng.choice(["add", "sub", "mul", "div"])
         x, y = _rand_interval(rng), _rand_interval(rng)
-        if op == "div" and y.straddles_zero():
+        if op == "div" and _straddles_zero(y):
             continue
         out = _OPS[op](x, y)
         for _ in range(4):
@@ -247,9 +266,9 @@ def test_containment_fuzz_arith():
 
 
 _UNARY = {
-    "neg": lambda x, n: -x,
+    "neg": lambda x, n: FloatInterval(-x.hi, -x.lo),
     "sqr": lambda x, n: iv_sqr(x),
-    "abs": lambda x, n: iv_abs(x),
+    "abs": lambda x, n: FloatInterval(*numeric._abs(x.lo, x.hi)),
     "sqrt": lambda x, n: iv_sqrt(x),
     "exp": lambda x, n: iv_exp(x),
     "log": lambda x, n: iv_log(x),
@@ -296,7 +315,7 @@ def test_inclusion_monotonicity():
         pad = abs(_rand_float(rng))
         xw = FloatInterval(x.lo - pad, x.hi + pad)
         yw = FloatInterval(y.lo - pad, y.hi + pad)
-        if op == "div" and yw.straddles_zero():
+        if op == "div" and _straddles_zero(yw):
             continue
         inner = _OPS[op](x, y)
         outer = _OPS[op](xw, yw)
@@ -369,7 +388,7 @@ def _corner_mul(x, y):
 
 
 def _corner_div(x, y):
-    if y.straddles_zero():
+    if _straddles_zero(y):
         raise DivisionByZeroInterval(f"denominator {y} contains zero")
     corners = ((x.lo, y.lo), (x.lo, y.hi), (x.hi, y.lo), (x.hi, y.hi))
     lo = min(div_down(a, b) for a, b in corners)
@@ -536,7 +555,9 @@ def test_product_and_quotient_signs_match_integer_reference():
         for x, y in ((a, b), (b, a)):
             p = x * y
             if math.isfinite(p):
-                assert numeric._mul_err_sign(x, y, p) == _ref_mul_sign(x, y, p), (x, y)
+                # the exact sign of x*y - p, as the directed products decide it
+                sign = (mul_up(x, y) != p) - (mul_down(x, y) != p)
+                assert sign == _ref_mul_sign(x, y, p), (x, y)
                 exact = Fraction(x) * Fraction(y)
                 assert mul_down(x, y) == float_down(exact), (x, y)
                 assert mul_up(x, y) == float_up(exact), (x, y)
@@ -557,3 +578,183 @@ def test_sqrt_exactness_matches_integer_reference():
     for v in values:
         for up in (False, True):
             assert float_to_hex(numeric._sqrt_dir(v, up)) == float_to_hex(_ref_sqrt_dir(v, up)), (v, up)
+
+
+# ---------------------------------------------------------------------------
+# exp overflow is decided in the kernel
+# ---------------------------------------------------------------------------
+
+def test_exp_overflow_is_decided_in_the_kernel():
+    for x in (FloatInterval(0.0, 1000.0), FloatInterval(710.0, 711.0)):
+        with pytest.raises(OverflowError) as raised:
+            iv_exp(x)
+        assert str(raised.value) == "exp above the finite binary64 range"
+    # the largest argument with a finite enclosure, and the first without one
+    top = numeric._EXP_MAX
+    out = iv_exp(FloatInterval(top, top))
+    assert mpmath.mpf(out.lo) <= mpmath.exp(top) <= mpmath.mpf(out.hi) <= sys.float_info.max
+    assert mpmath.exp(math.nextafter(top, math.inf)) > sys.float_info.max
+    with pytest.raises(OverflowError):
+        iv_exp(FloatInterval(top, math.nextafter(top, math.inf)))
+    # an overflowing lower end is still a lower bound
+    assert numeric._exp_dir(1000.0, up=False) == sys.float_info.max
+
+
+# ---------------------------------------------------------------------------
+# pair kernels against the object kernels they replaced
+# ---------------------------------------------------------------------------
+
+_TINY = 5e-324
+_MAXF = sys.float_info.max
+# signed zeros, subnormals, the normal range's edges, ±max, the Dekker guard
+# 2^±900 and its neighbours, the exp overflow threshold, and plain values
+_KERNEL_EDGES = (
+    0.0, -0.0, _TINY, -_TINY, 3 * _TINY, 2.0 ** -1022, -(2.0 ** -1022),
+    math.nextafter(2.0 ** -1022, 0.0), _MAXF, -_MAXF, math.nextafter(_MAXF, 0.0),
+    2.0 ** 900, math.nextafter(2.0 ** 900, 0.0), math.nextafter(2.0 ** 900, math.inf),
+    2.0 ** -900, math.nextafter(2.0 ** -900, 0.0), math.nextafter(2.0 ** -900, math.inf),
+    -(2.0 ** 900), -(2.0 ** -900), 2.0 ** 512, 2.0 ** -537, numeric._EXP_MAX, 710.0,
+    -745.2, 1.0, -1.0, 0.5, -0.25, 3.0, 0.1, math.pi / 2, -math.pi, 2.0 ** 53, 1e300)
+_kernel_float = st.one_of(
+    st.sampled_from(_KERNEL_EDGES),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-8.0, 8.0),
+    st.integers(-2 ** 52, 2 ** 52).map(lambda n: n * _TINY),
+    # either side of the guard bounds 2^-900 and 2^900
+    st.builds(lambda m, e, s: s * m * 2.0 ** e, st.floats(1.0, 2.0),
+              st.integers(-912, -888) | st.integers(888, 912), st.sampled_from((1.0, -1.0))))
+_kernel_settings = settings(max_examples=600, derandomize=True, database=None, deadline=None)
+_EXP_MENDED = ("math range error", "exp above the finite binary64 range")
+
+
+def _ends(x, y):
+    return (x, y) if x <= y else (y, x)
+
+
+def _pair_outcome(run):
+    """Hex of both ends of an interval, or the error raised.  A pair is
+    checked as the interpreters check a register: by the constructor."""
+    try:
+        out = run()
+        if isinstance(out, tuple):
+            out = FloatInterval(*out)
+    except (OverflowError, ZeroDivisionError, ValueError) as err:
+        return type(err), str(err)
+    return float_to_hex(out.lo), float_to_hex(out.hi)
+
+
+def _ref_outcome(run):
+    out = _pair_outcome(run)
+    # the object kernel leaked libm's overflow message; the kernel names exp
+    return (OverflowError, _EXP_MENDED[1]) if out == (OverflowError, _EXP_MENDED[0]) else out
+
+
+_BINARY_PAIRS = {
+    "add": (lambda a, b, c, d: (numeric.add_down(a, c), numeric.add_up(b, d)),
+            lambda x, y: x + y),
+    "sub": (lambda a, b, c, d: (numeric.add_down(a, -d), numeric.add_up(b, -c)),
+            lambda x, y: x - y),
+    "mul": (numeric._mul, lambda x, y: x * y),
+    "div": (numeric._div, lambda x, y: x / y),
+}
+
+
+@_kernel_settings
+@example(x=-1.0, y=2.0, u=-0.25, v=0.0)     # "denominator [-0.25, 0.0] contains zero"
+@example(x=-0.0, y=0.0, u=-0.0, v=3.0)
+@example(x=2.0 ** 900, y=_MAXF, u=2.0 ** -900, v=2.0 ** 512)
+@example(x=-_MAXF, y=_MAXF, u=-_MAXF, v=_MAXF)
+@given(x=_kernel_float, y=_kernel_float, u=_kernel_float, v=_kernel_float)
+def test_binary_pair_kernels_match_object_kernels(x, y, u, v):
+    a, b = _ends(x, y)
+    c, d = _ends(u, v)
+    X, Y = FloatInterval(a, b), FloatInterval(c, d)
+    rX, rY = ref.FloatInterval(a, b), ref.FloatInterval(c, d)
+    for name, (pair, obj) in _BINARY_PAIRS.items():
+        want = _ref_outcome(lambda: obj(rX, rY))
+        assert _pair_outcome(lambda: pair(a, b, c, d)) == want, (name, X, Y)
+        if name != "sub":  # FloatInterval keeps +, * and / as object forms
+            assert _pair_outcome(lambda: obj(X, Y)) == want, (name, X, Y)
+
+
+_UNARY_PAIRS = {
+    "sqr": (numeric._sqr, numeric.iv_sqr, ref.iv_sqr),
+    "sin": (numeric._sin, numeric.iv_sin, ref.iv_sin),
+    "cos": (numeric._cos, numeric.iv_cos, ref.iv_cos),
+    "exp": (numeric._exp, numeric.iv_exp, ref.iv_exp),
+    "log": (numeric._log, numeric.iv_log, ref.iv_log),
+    "sqrt": (numeric._sqrt, numeric.iv_sqrt, ref.iv_sqrt),
+    "abs": (numeric._abs, None, ref.iv_abs),
+}
+
+
+@_kernel_settings
+@example(x=0.0, y=0.0, n=10 ** 8, point=False)
+@example(x=-0.0, y=1.0, n=3, point=False)
+@example(x=numeric._EXP_MAX, y=710.0, n=0, point=False)
+@example(x=-0.9, y=-0.5, n=10 ** 8 + 1, point=False)
+@given(x=_kernel_float, y=_kernel_float, point=st.booleans(),
+       n=st.sampled_from((0, 1, 2, 3, 4, 5, 7, 10, 64, 1000, 10 ** 8, 10 ** 8 + 1)))
+def test_unary_pair_kernels_match_object_kernels(x, y, n, point):
+    a, b = (x, x) if point else _ends(x, y)
+    X, rX = FloatInterval(a, b), ref.FloatInterval(a, b)
+    for name, (pair, obj, ref_obj) in _UNARY_PAIRS.items():
+        want = _ref_outcome(lambda: ref_obj(rX))
+        assert _pair_outcome(lambda: pair(a, b)) == want, (name, X)
+        if obj is not None:
+            assert _pair_outcome(lambda: obj(X)) == want, (name, X)
+    want = _ref_outcome(lambda: ref.iv_pow(rX, n))
+    assert _pair_outcome(lambda: numeric._pow(a, b, n)) == want, (X, n)
+    assert _pair_outcome(lambda: iv_pow(X, n)) == want, (X, n)
+    assert _pair_outcome(lambda: (-b, -a)) == _pair_outcome(lambda: -rX)  # the interpreters' negation
+
+
+def _scalar_outcome(kernel, x, y):
+    try:
+        return float_to_hex(kernel(x, y))
+    except OverflowError as err:
+        return type(err), str(err)
+
+
+@_kernel_settings
+@example(x=_MAXF, y=1e154, t=0.0)   # the upward step from max reaches inf
+@given(x=_kernel_float, y=_kernel_float, t=_kernel_float)
+def test_scalar_kernels_match_object_kernels(x, y, t):
+    for name in ("add_down", "add_up", "mul_down", "mul_up", "div_down", "div_up"):
+        if name.startswith("div") and y == 0.0:
+            continue
+        want = _scalar_outcome(getattr(ref, name), x, y)
+        assert _scalar_outcome(getattr(numeric, name), x, y) == want, (name, x, y)
+    assert numeric.sum_above(x, y, t) == ref.sum_above(x, y, t)
+
+
+@_kernel_settings
+@example(k=0, ulps=0, width=0.0, half_offset=0)   # x = 0 for cos: the integer path decides
+@example(k=1, ulps=1, width=0.0, half_offset=1)
+@example(k=-131069, ulps=0, width=0.25, half_offset=1)  # where a zero error margin
+@example(k=-131058, ulps=0, width=0.25, half_offset=0)  # would misplace a bound
+@given(k=st.integers(-10 ** 6, 10 ** 6) | st.integers(-40, 40), ulps=st.integers(-3, 3),
+       width=st.sampled_from((0.0, 1e-12, 1e-6, 0.5, 3.0, 6.2)) | st.floats(0.0, 7.0),
+       half_offset=st.sampled_from((0, 1)))
+def test_crit_indices_prefilter_matches_integer_path(k, ulps, width, half_offset):
+    # float neighbours of k*pi/2, where the float prefilter must hand over
+    lo = float(k) * (math.pi / 2)
+    for _ in range(abs(ulps)):
+        lo = math.nextafter(lo, math.copysign(math.inf, ulps))
+    for a, b in ((lo, lo + width), (lo - width, lo), (lo * 2.0 ** 20, lo * 2.0 ** 20 + width)):
+        a, b = _ends(a, b)
+        assert numeric._crit_indices(a, b, half_offset) == ref._crit_indices(a, b, half_offset)
+
+
+def test_perfbench_micro_kernels_run():
+    # perfbench/micro.py times these kernels by name; a change to the numeric
+    # API must not break its traced runs or baseline.py
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "micro.py"
+    spec = importlib.util.spec_from_file_location("perfbench_micro", path)
+    micro = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(micro)
+    operands = micro.operands(1)
+    assert set(operands) == set(micro.KERNELS)
+    for name, args in operands.items():
+        for a in args:
+            micro.KERNELS[name](*a)
