@@ -52,6 +52,8 @@ from typing import Callable
 from . import expr as expr_mod
 from .expr import Expr, eval_d1, eval_iv, parse
 from .numeric import (
+    _MAX_FLOAT,
+    _MIN_NORMAL,
     DomainError,
     FloatInterval,
     RatInterval,
@@ -73,9 +75,6 @@ from .numeric import (
 )
 
 SCHEMA = "suparg-cert/1"
-
-_MIN_NORMAL = 2.2250738585072014e-308
-_MAX_FLOAT = 1.7976931348623157e308
 
 
 class StructureError(ValueError):

@@ -32,10 +32,8 @@ instruction: Moore's natural interval extension.  eval_d1 runs the same
 tape filling a value and a derivative register per instruction, by the
 forward-mode rules of interval differentiation (product, quotient, chain).
 A register is a pair of floats, its ends, kept in the lists lo and hi
-(dlo and dhi for derivatives), and filled by numeric's pair kernels.  Each
-register, and each intermediate pair of a derivative rule, is checked as
-the FloatInterval constructor checks, in the order the object forms built
-them; X, the result and an error's operand are the only FloatIntervals.
+(dlo and dhi for derivatives), and filled by numeric's pair kernels; X, the
+result and an error's operand are the only FloatIntervals.
 A DomainError names the subexpression that failed: for eval_iv the
 outermost function application around the failing instruction, for
 eval_d1 the failing application itself.
@@ -47,7 +45,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numeric import (
-    _MAX_FLOAT,
     DivisionByZeroInterval,
     DomainError,
     FloatInterval,
@@ -509,8 +506,6 @@ def eval_iv(f: Expr, X: FloatInterval) -> FloatInterval:
                 a, b = float_down(arg), float_up(arg)  # raises OverflowError
             else:  # a function application; arg is its pair kernel
                 a, b = arg(lo[i], hi[i])
-            if not -_MAX_FLOAT <= a <= b <= _MAX_FLOAT:
-                FloatInterval(a, b)  # raises the constructor's error
             lo.append(a)
             hi.append(b)
     except (DomainError, DivisionByZeroInterval) as err:
@@ -534,52 +529,51 @@ def eval_d1(f: Expr, X: FloatInterval) -> EvalResult:
             elif op == _CONST:
                 (a, b), p, q = arg, 0.0, 0.0
             elif op == _MUL:
-                a, b = _valid(_mul(lo[i], hi[i], lo[j], hi[j]))
-                u, v = _valid(_mul(dlo[i], dhi[i], lo[j], hi[j]))
-                s, t = _valid(_mul(lo[i], hi[i], dlo[j], dhi[j]))
+                a, b = _mul(lo[i], hi[i], lo[j], hi[j])
+                u, v = _mul(dlo[i], dhi[i], lo[j], hi[j])
+                s, t = _mul(lo[i], hi[i], dlo[j], dhi[j])
                 p, q = add_down(u, s), add_up(v, t)
             elif op == _ADD:
-                a, b = _valid((add_down(lo[i], lo[j]), add_up(hi[i], hi[j])))
+                a, b = add_down(lo[i], lo[j]), add_up(hi[i], hi[j])
                 p, q = add_down(dlo[i], dlo[j]), add_up(dhi[i], dhi[j])
             elif op == _SUB:
-                a, b = _valid((add_down(lo[i], -hi[j]), add_up(hi[i], -lo[j])))
+                a, b = add_down(lo[i], -hi[j]), add_up(hi[i], -lo[j])
                 p, q = add_down(dlo[i], -dhi[j]), add_up(dhi[i], -dlo[j])
             elif op == _POW:
-                a, b = _valid(_pow(lo[i], hi[i], j))
+                a, b = _pow(lo[i], hi[i], j)
                 if j == 0:
                     p = q = 0.0
                 else:
                     # no coefficient when n is beyond binary64: enclosing it raises OverflowError
                     c = arg or (float_down(Fraction(j)), float_up(Fraction(j)))
-                    u, v = _valid(_mul(*c, *_valid(_pow(lo[i], hi[i], j - 1))))
+                    u, v = _mul(*c, *_pow(lo[i], hi[i], j - 1))
                     p, q = _mul(u, v, dlo[i], dhi[i])
             elif op == _DIV:
-                a, b = _valid(_div(lo[i], hi[i], lo[j], hi[j]))
-                u, v = _valid(_mul(dlo[i], dhi[i], lo[j], hi[j]))
-                s, t = _valid(_mul(lo[i], hi[i], dlo[j], dhi[j]))
-                u, v = _valid((add_down(u, -t), add_up(v, -s)))
-                p, q = _div(u, v, *_valid(_sqr(lo[j], hi[j])))
+                a, b = _div(lo[i], hi[i], lo[j], hi[j])
+                u, v = _mul(dlo[i], dhi[i], lo[j], hi[j])
+                s, t = _mul(lo[i], hi[i], dlo[j], dhi[j])
+                u, v = add_down(u, -t), add_up(v, -s)
+                p, q = _div(u, v, *_sqr(lo[j], hi[j]))
             elif op == _NEG:
                 a, b, p, q = -hi[i], -lo[i], -dhi[i], -dlo[i]
             elif op == _SIN:
-                a, b = _valid(_sin(lo[i], hi[i]))
-                p, q = _mul(*_valid(_cos(lo[i], hi[i])), dlo[i], dhi[i])
+                a, b = _sin(lo[i], hi[i])
+                p, q = _mul(*_cos(lo[i], hi[i]), dlo[i], dhi[i])
             elif op == _COS:
-                a, b = _valid(_cos(lo[i], hi[i]))
-                s, t = _valid(_sin(lo[i], hi[i]))
+                a, b = _cos(lo[i], hi[i])
+                s, t = _sin(lo[i], hi[i])
                 p, q = _mul(-t, -s, dlo[i], dhi[i])
             elif op == _EXP:
-                a, b = _valid(_exp(lo[i], hi[i]))
+                a, b = _exp(lo[i], hi[i])
                 p, q = _mul(a, b, dlo[i], dhi[i])
             elif op == _LOG:
-                a, b = _valid(_log(lo[i], hi[i]))
+                a, b = _log(lo[i], hi[i])
                 p, q = _div(dlo[i], dhi[i], lo[i], hi[i])
             elif op == _SQRT:
-                a, b = _valid(_sqrt(lo[i], hi[i]))
-                p, q = _div(dlo[i], dhi[i], *_valid(_mul(2.0, 2.0, a, b)))
+                a, b = _sqrt(lo[i], hi[i])
+                p, q = _div(dlo[i], dhi[i], *_mul(2.0, 2.0, a, b))
             else:  # _HUGE: raises OverflowError
                 a, b, p, q = float_down(arg), float_up(arg), 0.0, 0.0
-            _valid((p, q))
             lo.append(a)
             hi.append(b)
             dlo.append(p)
@@ -592,13 +586,6 @@ def eval_d1(f: Expr, X: FloatInterval) -> EvalResult:
                               "derivative unbounded (argument range touches the domain boundary)")
         raise _annotate(err, X, tape.nodes[k]) from None
     return EvalResult(FloatInterval(a, b), FloatInterval(p, q))
-
-
-def _valid(ends: tuple[float, float]) -> tuple[float, float]:
-    # ends, if they are those of a FloatInterval; else the constructor's error
-    if -_MAX_FLOAT <= ends[0] <= ends[1] <= _MAX_FLOAT:
-        return ends
-    return FloatInterval(*ends)  # raises
 
 
 def _annotate(err: Exception, X: FloatInterval, node: Expr | None) -> DomainError:

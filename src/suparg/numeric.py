@@ -15,12 +15,13 @@ bound stored downstream is a finite number.
 
 Interval operations run as pair kernels (_mul, _div, _sqr, _pow, _sin, ...),
 which take and return the ends of intervals as plain floats; the expression
-interpreters call them, and add with add_down/add_up.  A pair kernel builds
-a FloatInterval only to word a DomainError or DivisionByZeroInterval, and
-leaves its result unchecked: an end can step from ±max to ±inf.  Callers
-check it as the FloatInterval constructor does, and call the constructor
-for its error where the check fails.  FloatInterval's +, * and / and the
-iv_* functions are the kernels' object forms.
+interpreters call them, and add with add_down/add_up.  Every kernel returns
+finite ends (lo <= hi for an interval) or raises, so no caller re-checks a
+result: the outward step of a rounded result, _next_up from max or +inf and
+_next_down from -max or -inf, raises OverflowError (exp tests _EXP_MAX
+instead).  A pair kernel builds a FloatInterval only to word a DomainError
+or DivisionByZeroInterval.  FloatInterval's +, * and / and the iv_*
+functions are the kernels' object forms.
 
 Exact rational arithmetic is provided by ``fractions.Fraction`` (aliased
 ``Rational``), which maintains the lowest-terms/positive-denominator
@@ -97,27 +98,31 @@ class DivisionByZeroInterval(ZeroDivisionError):
 # Directed-rounding scalar kernels
 # =============================================================================
 
+# The one overflow rule: the outward step from ±max or from an overflowed
+# ±inf raises; the inward step from ∓inf gives ∓max, still a bound.
+
 def _next_up(x: float) -> float:
+    if x >= _MAX_FLOAT:
+        raise OverflowError("value above the finite binary64 range")
     return math.nextafter(x, _INF)
 
 
 def _next_down(x: float) -> float:
+    if x <= -_MAX_FLOAT:
+        raise OverflowError("value below the finite binary64 range")
     return math.nextafter(x, -_INF)
 
 
 # Knuth's TwoSum gives the rounding error of s = fl(a + b) exactly, as
 # (a - (s - bp)) + (b - bp) with bp = s - a, so the true sum is s plus that
-# error with no further rounding.  It is NaN when s overflowed.
+# error with no further rounding.  It is NaN when s overflowed, so an
+# overflowed s always takes the step.
 
 def add_down(a: float, b: float) -> float:
     s = a + b
     bp = s - a
     if (a - (s - bp)) + (b - bp) >= 0.0:
         return s
-    if math.isinf(s):
-        if s > 0:
-            return _MAX_FLOAT
-        raise OverflowError("sum below the finite binary64 range")
     return _next_down(s)
 
 
@@ -126,10 +131,6 @@ def add_up(a: float, b: float) -> float:
     bp = s - a
     if (a - (s - bp)) + (b - bp) <= 0.0:
         return s
-    if math.isinf(s):
-        if s < 0:
-            return -_MAX_FLOAT
-        raise OverflowError("sum above the finite binary64 range")
     return _next_up(s)
 
 
@@ -204,11 +205,7 @@ def mul_down(a: float, b: float) -> float:
         ah, bh = c - (c - a), d - (d - b)
         al, bl = a - ah, b - bh
         return p if ((ah * bh - p) + ah * bl + al * bh) + al * bl >= 0.0 else _next_down(p)
-    if math.isinf(p):
-        if p > 0:
-            return _MAX_FLOAT
-        raise OverflowError("product below the finite binary64 range")
-    return p if _exact_mul_sign(a, b, p) >= 0 else _next_down(p)
+    return p if not math.isinf(p) and _exact_mul_sign(a, b, p) >= 0 else _next_down(p)
 
 
 def mul_up(a: float, b: float) -> float:
@@ -218,11 +215,7 @@ def mul_up(a: float, b: float) -> float:
         ah, bh = c - (c - a), d - (d - b)
         al, bl = a - ah, b - bh
         return p if ((ah * bh - p) + ah * bl + al * bh) + al * bl <= 0.0 else _next_up(p)
-    if math.isinf(p):
-        if p < 0:
-            return -_MAX_FLOAT
-        raise OverflowError("product above the finite binary64 range")
-    return p if _exact_mul_sign(a, b, p) <= 0 else _next_up(p)
+    return p if not math.isinf(p) and _exact_mul_sign(a, b, p) <= 0 else _next_up(p)
 
 
 def _div_err_sign(a: float, b: float, q: float) -> int:
@@ -245,20 +238,12 @@ def _div_err_sign(a: float, b: float, q: float) -> int:
 
 def div_down(a: float, b: float) -> float:
     q = a / b
-    if math.isinf(q):
-        if q > 0:
-            return _MAX_FLOAT
-        raise OverflowError("quotient below the finite binary64 range")
-    return q if _div_err_sign(a, b, q) >= 0 else _next_down(q)
+    return q if not math.isinf(q) and _div_err_sign(a, b, q) >= 0 else _next_down(q)
 
 
 def div_up(a: float, b: float) -> float:
     q = a / b
-    if math.isinf(q):
-        if q < 0:
-            return -_MAX_FLOAT
-        raise OverflowError("quotient above the finite binary64 range")
-    return q if _div_err_sign(a, b, q) <= 0 else _next_up(q)
+    return q if not math.isinf(q) and _div_err_sign(a, b, q) <= 0 else _next_up(q)
 
 
 def _sqrt_dir(v: float, up: bool) -> float:
@@ -323,12 +308,8 @@ def float_down(q: Fraction) -> float:
     """Largest binary64 value that is <= q."""
     try:
         f = float(q)
-    except OverflowError:
-        f = _INF if q > 0 else -_INF
-    if math.isinf(f):
-        if f > 0:
-            return _MAX_FLOAT
-        raise OverflowError("value below the finite binary64 range")
+    except OverflowError:  # |q| is beyond the range: step from the infinity on its side
+        return _next_down(_INF if q > 0 else -_INF)
     return f if Fraction(f) <= q else _next_down(f)
 
 
@@ -337,11 +318,7 @@ def float_up(q: Fraction) -> float:
     try:
         f = float(q)
     except OverflowError:
-        f = _INF if q > 0 else -_INF
-    if math.isinf(f):
-        if f < 0:
-            return -_MAX_FLOAT
-        raise OverflowError("value above the finite binary64 range")
+        return _next_up(_INF if q > 0 else -_INF)
     return f if Fraction(f) >= q else _next_up(f)
 
 

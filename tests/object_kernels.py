@@ -2,11 +2,12 @@
 the interpreters moved to float-pair registers, kept as the reference for the
 differential tests in test_numeric.py and test_expr.py.
 
-Everything below the imports is copied verbatim from suparg.numeric and
-suparg.expr, with two changes: the exceptions, the pi constants and the AST
-come from the package, so error types compare equal; and _compile returns
-its tape instead of storing it on the expression, where it would collide
-with the package's own tape.
+Everything below the imports, up to the last section, is copied verbatim
+from suparg.numeric and suparg.expr, with two changes: the exceptions, the pi
+constants and the AST come from the package, so error types compare equal;
+and _compile returns its tape instead of storing it on the expression, where
+it would collide with the package's own tape.  The last section, mended,
+words this reference's overflow outcomes as the package words them now.
 """
 
 from __future__ import annotations
@@ -714,3 +715,34 @@ def _annotate(err: Exception, X: FloatInterval, node: Expr | None) -> DomainErro
     out = DomainError("div", X, str(err))
     out.context = None
     return out
+
+
+# =============================================================================
+# Not copied: this reference's overflow outcomes in the package's words
+# =============================================================================
+
+_STEP_KERNELS = ("sum", "product", "quotient")
+
+
+def mended(outcome: str | float) -> str:
+    """The OverflowError message the package gives where this reference gave
+    outcome: an OverflowError message, or an infinite scalar kernel result.
+
+    This reference stepped from ±max to ±inf and returned that end; building
+    an interval from it raised "non-finite interval endpoint [lo, hi]", and
+    its other overflow messages named the kernel.  The package raises at the
+    step instead, "value above (below) the finite binary64 range", for the
+    first end it computes that overflows, lo before hi.  libm's "math range
+    error" is exp's own message in the package.
+    """
+    if isinstance(outcome, float):
+        side = "above" if outcome > 0 else "below"
+    elif outcome == "math range error":
+        return "exp above the finite binary64 range"
+    elif outcome.startswith("non-finite interval endpoint ["):
+        side = "below" if outcome.startswith("non-finite interval endpoint [-inf") else "above"
+    elif outcome.split()[0] in _STEP_KERNELS and outcome.endswith(" the finite binary64 range"):
+        side = outcome.split()[1]
+    else:
+        return outcome
+    return f"value {side} the finite binary64 range"

@@ -1,9 +1,12 @@
-"""No dead public API: every public name in src/ has a caller in src/.
+"""No dead code: every function and method in src/ has a caller in src/.
 
-A public method, or a public module-level function that the package does not
-export from suparg/__init__.py, must be referenced somewhere in src/ outside
-its own definition.  A reference is a name, an attribute, or a string equal
-to the name (rows name their provers by string).
+A method, or a module-level function that the package does not export from
+suparg/__init__.py, must be referenced somewhere in src/ outside its own
+definition.  This holds for private (single-underscore) helpers as for
+public names.  A reference is a name, an attribute, or a string equal to the
+name (rows name their provers by string).  Dunder methods are exempt: Python
+calls them, and perfbench/micro.py times FloatInterval.__add__, __mul__ and
+__truediv__ by name.
 """
 
 import ast
@@ -46,18 +49,31 @@ def _definitions():
                         yield path.stem, node.name, item
 
 
-def test_every_public_function_and_method_has_a_caller():
+def _dead(private: bool) -> list[str]:
+    """Functions and methods, private ones or public ones, with no caller in src/."""
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     everywhere = sum((_references(tree) for tree in trees), Counter())
     exported = _exported()
     dead = []
     for module, cls_name, node in _definitions():
         name = node.name
-        if name.startswith("_"):
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if name.startswith("_") != private:
             continue
         if cls_name is None and name in exported:
             continue
         if everywhere[name] - _references(node)[name] <= 0:
             owner = f"{cls_name}." if cls_name else ""
             dead.append(f"{module}.{owner}{name}")
+    return dead
+
+
+def test_every_public_function_and_method_has_a_caller():
+    dead = _dead(private=False)
     assert not dead, f"public API with no caller in src/: {dead}"
+
+
+def test_every_private_helper_has_a_caller():
+    dead = _dead(private=True)
+    assert not dead, f"private helpers with no caller in src/: {dead}"

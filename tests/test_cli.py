@@ -100,6 +100,21 @@ def test_exp_overflow_exits_two_naming_exp(capsys):
                                "detail": "overflow: exp above the finite binary64 range"}
 
 
+@pytest.mark.parametrize("argv, detail", [
+    # osc_bound, eta * (b - a), rounds to max with a positive error, so no
+    # finite bound exists and no certificate may be written
+    (("cft", "--fn", "1", "--a", "0", "--b", "3367420450492015/2251799813685248",
+      "--eta", "1.2021204734189789e+308"), "overflow: value above the finite binary64 range"),
+    # the point enclosure of -max - 1 rounds down past -max
+    (("bvt", "--fn", "x", "--a", "-1.7976931348623158e308", "--b", "0"),
+     "overflow: value below the finite binary64 range"),
+])
+def test_overflow_past_max_exits_two(capsys, argv, detail):
+    code, out, err = invoke(capsys, "prove", *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "domain", "detail": detail}
+
+
 def test_parse_error_exit_two(capsys):
     code, out, err = invoke(capsys, "prove", "bvt", "--fn", "2*+x",
                             "--a", "0", "--b", "1")

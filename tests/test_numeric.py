@@ -108,6 +108,67 @@ def test_overflow_rejected():
         iv_exp(FloatInterval(0, 1000))
 
 
+_MAXF = sys.float_info.max
+_ABOVE = "value above the finite binary64 range"
+_BELOW = "value below the finite binary64 range"
+
+
+def test_outward_step_past_max_raises():
+    # the one overflow rule: out from ±max or ±inf raises, in from ∓inf is ∓max
+    for step, x, message in ((numeric._next_up, _MAXF, _ABOVE),
+                             (numeric._next_up, math.inf, _ABOVE),
+                             (numeric._next_down, -_MAXF, _BELOW),
+                             (numeric._next_down, -math.inf, _BELOW)):
+        with pytest.raises(OverflowError) as raised:
+            step(x)
+        assert str(raised.value) == message
+    assert numeric._next_up(-math.inf) == -_MAXF
+    assert numeric._next_down(math.inf) == _MAXF
+    assert numeric._next_up(math.nextafter(_MAXF, 0.0)) == _MAXF
+
+
+@pytest.mark.parametrize("kernel, a, b, message", [
+    # rounded to ±max with the error outward
+    (numeric.add_up, _MAXF, 1e154, _ABOVE),
+    (numeric.add_down, -_MAXF, -1e154, _BELOW),
+    (mul_up, 1.4954350870919408, 1.2021204734189789e+308, _ABOVE),
+    (mul_down, -1.4954350870919408, 1.2021204734189789e+308, _BELOW),
+    # overflowed to ±inf
+    (numeric.add_up, _MAXF, _MAXF, _ABOVE),
+    (mul_down, -_MAXF, 2.0, _BELOW),
+    (div_up, _MAXF, 0.5, _ABOVE),
+    (div_down, _MAXF, -0.5, _BELOW),
+])
+def test_directed_kernels_raise_past_max(kernel, a, b, message):
+    with pytest.raises(OverflowError) as raised:
+        kernel(a, b)
+    assert str(raised.value) == message
+
+
+def test_directed_kernels_step_in_from_an_overflow():
+    # an overflowed rounding whose bound points inward is ±max
+    assert numeric.add_down(_MAXF, _MAXF) == _MAXF
+    assert numeric.add_up(-_MAXF, -_MAXF) == -_MAXF
+    assert mul_down(_MAXF, 2.0) == _MAXF
+    assert mul_up(-_MAXF, 2.0) == -_MAXF
+    assert div_down(_MAXF, 0.5) == _MAXF
+    assert div_up(_MAXF, -0.5) == -_MAXF
+
+
+def test_float_conversion_past_max():
+    big = Fraction(_MAXF)
+    for q in (big + 1, Fraction(10) ** 400):
+        assert float_down(q) == _MAXF and float_up(-q) == -_MAXF
+        with pytest.raises(OverflowError) as raised:
+            float_up(q)
+        assert str(raised.value) == _ABOVE
+        with pytest.raises(OverflowError) as raised:
+            float_down(-q)
+        assert str(raised.value) == _BELOW
+    assert float_down(big) == float_up(big) == _MAXF
+    assert float_down(-big) == float_up(-big) == -_MAXF
+
+
 def test_nan_and_inf_rejected_at_construction():
     with pytest.raises(OverflowError):
         FloatInterval(math.inf, math.inf)
@@ -605,7 +666,6 @@ def test_exp_overflow_is_decided_in_the_kernel():
 # ---------------------------------------------------------------------------
 
 _TINY = 5e-324
-_MAXF = sys.float_info.max
 # signed zeros, subnormals, the normal range's edges, ±max, the Dekker guard
 # 2^±900 and its neighbours, the exp overflow threshold, and plain values
 _KERNEL_EDGES = (
@@ -624,7 +684,6 @@ _kernel_float = st.one_of(
     st.builds(lambda m, e, s: s * m * 2.0 ** e, st.floats(1.0, 2.0),
               st.integers(-912, -888) | st.integers(888, 912), st.sampled_from((1.0, -1.0))))
 _kernel_settings = settings(max_examples=600, derandomize=True, database=None, deadline=None)
-_EXP_MENDED = ("math range error", "exp above the finite binary64 range")
 
 
 def _ends(x, y):
@@ -632,21 +691,27 @@ def _ends(x, y):
 
 
 def _pair_outcome(run):
-    """Hex of both ends of an interval, or the error raised.  A pair is
-    checked as the interpreters check a register: by the constructor."""
+    """Hex of both ends of an interval, or the error raised.  A kernel
+    returns finite ordered ends or raises, so the ends are asserted to be
+    such."""
     try:
         out = run()
-        if isinstance(out, tuple):
-            out = FloatInterval(*out)
     except (OverflowError, ZeroDivisionError, ValueError) as err:
         return type(err), str(err)
-    return float_to_hex(out.lo), float_to_hex(out.hi)
+    lo, hi = out if isinstance(out, tuple) else (out.lo, out.hi)
+    assert -_MAXF <= lo <= hi <= _MAXF, out
+    return float_to_hex(lo), float_to_hex(hi)
 
 
 def _ref_outcome(run):
-    out = _pair_outcome(run)
-    # the object kernel leaked libm's overflow message; the kernel names exp
-    return (OverflowError, _EXP_MENDED[1]) if out == (OverflowError, _EXP_MENDED[0]) else out
+    # the object kernels' outcome, an overflow worded as the kernels word it
+    try:
+        out = run()
+    except OverflowError as err:
+        return OverflowError, ref.mended(str(err))
+    except (ZeroDivisionError, ValueError) as err:
+        return type(err), str(err)
+    return float_to_hex(out.lo), float_to_hex(out.hi)
 
 
 _BINARY_PAIRS = {
@@ -710,20 +775,33 @@ def test_unary_pair_kernels_match_object_kernels(x, y, n, point):
 
 
 def _scalar_outcome(kernel, x, y):
+    # a finite result, or the error raised
     try:
-        return float_to_hex(kernel(x, y))
+        v = kernel(x, y)
     except OverflowError as err:
         return type(err), str(err)
+    assert -_MAXF <= v <= _MAXF, v
+    return float_to_hex(v)
+
+
+def _ref_scalar_outcome(kernel, x, y):
+    # the object kernel's outcome, an overflow (an infinite result among
+    # them) worded as the kernels word it
+    try:
+        v = kernel(x, y)
+    except OverflowError as err:
+        return OverflowError, ref.mended(str(err))
+    return (OverflowError, ref.mended(v)) if math.isinf(v) else float_to_hex(v)
 
 
 @_kernel_settings
-@example(x=_MAXF, y=1e154, t=0.0)   # the upward step from max reaches inf
+@example(x=_MAXF, y=1e154, t=0.0)   # the upward step from max raises
 @given(x=_kernel_float, y=_kernel_float, t=_kernel_float)
 def test_scalar_kernels_match_object_kernels(x, y, t):
     for name in ("add_down", "add_up", "mul_down", "mul_up", "div_down", "div_up"):
         if name.startswith("div") and y == 0.0:
             continue
-        want = _scalar_outcome(getattr(ref, name), x, y)
+        want = _ref_scalar_outcome(getattr(ref, name), x, y)
         assert _scalar_outcome(getattr(numeric, name), x, y) == want, (name, x, y)
     assert numeric.sum_above(x, y, t) == ref.sum_above(x, y, t)
 
