@@ -514,7 +514,9 @@ ROWS = (
         grid="pieces", arrays=(("piece_osc", OSC),), params=("eps",),
         positive=("eps", "delta"), link=_overlap_gap,
         limit=lambda c: (lt, c.eps, "piece oscillation not below eps"),
-        start=lambda s: {"delta": 1.0}, step=_shrink_modulus),
+        start=lambda s: {"delta": 1.0}, step=_shrink_modulus,
+        # below eps is at most the float below it; a probe wider than max fails
+        accept=lambda s, e, p: OSC.holds(math.nextafter(s.eps, 0.0), e)),
     Row(IntegralCert, "integral", {"dit": {}}, prover="prove_integral",
         text=lambda c: (f"∫f over [{c.a!r}, {c.b!r}] ∈ [{c.lower_sum!r}, {c.upper_sum!r}], "
                         f"U − L < {c.eps!r} for f = {c.fn_source}"),
@@ -522,7 +524,7 @@ ROWS = (
         grid="partition", arrays=(("piece_lo", LO), ("piece_hi", HI)), params=("eps",),
         keys={"lower_sum": "L", "upper_sum": "U"}, positive=("eps",), total=_darboux_sums,
         start=lambda s: {"lower_sum": 0.0, "upper_sum": 0.0}, step=_add_darboux_terms,
-        accept=lambda s, e, p: sub_up(e.hi, e.lo) <= p.darboux_budget),
+        accept=lambda s, e, p: OSC.holds(p.darboux_budget, e)),
     Row(MonotoneCert, "monotone", {"sift": {"strict": True}, "ift": {"strict": False}},
         prover="prove_monotone",
         text=lambda c: (f"∀x₁<x₂ in [{c.a!r}, {c.b!r}]: f(x₁) {'<' if c.strict else '≤'} "

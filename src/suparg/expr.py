@@ -17,15 +17,15 @@ Grammar (whitespace insensitive)::
 
 "^" binds tighter than unary minus, so -x^2 parses as -(x^2).  Numeric
 literals are kept as exact rationals; "0.1" means 1/10, not the nearest
-binary64.  Parentheses and function calls nest at most MAX_DEPTH deep, and
-the tree parse() returns is at most MAX_DEPTH nodes high; deeper input is a
-ParseError, because printing, comparing and hashing a tree recurse once per
-level.
+binary64.  Parentheses and function calls nest at most MAX_DEPTH deep;
+deeper input is a ParseError.  No other size or shape is refused, because
+no walk of an expression recurses.
 
-Evaluation runs a tape.  On its first evaluation an expression is compiled,
-by an iterative walk, into a flat post-order list of instructions, each
-naming the registers of its operands; the tape is stored on that Expr
-object and reused by every later call.  Constants are enclosed once, at
+Every walk runs a tape.  On first use an expression is compiled, by an
+iterative walk, into a flat post-order list of instructions, each naming
+the registers of its operands; the tape is stored on that Expr object and
+reused by every later call.  Printing renders the tape bottom-up, and
+equality and hashing compare its shape.  Constants are enclosed once, at
 compile time, and the tape records whether the expression contains abs.
 eval_iv runs the tape with one loop that fills one interval register per
 instruction: Moore's natural interval extension.  eval_d1 runs the same
@@ -41,6 +41,7 @@ eval_d1 the failing application itself.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,10 +66,9 @@ from .numeric import (
 )
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
-# Nesting and height limit of parsed expressions.  Each level of nested
-# parentheses costs the parser five Python frames, and printing, comparing
-# and hashing an AST recurse once or twice per level, so this keeps every
-# walk of a parsed expression far inside the default recursion limit.
+# Nesting limit of parentheses and function calls.  The parser recurses once
+# per group, at five Python frames a level, so this keeps a parse far inside
+# the default recursion limit.
 MAX_DEPTH = 100
 
 
@@ -91,60 +91,68 @@ class NotDifferentiable(ValueError):
 # AST
 # =============================================================================
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Expr:
-    # the compiled tape, stored on the object by its first evaluation; not
-    # a dataclass field, so equality and hashing ignore it
+    # the compiled tape, stored on the object by its first use; not a
+    # dataclass field.  Equality and hashing compare the tapes' shapes.
     _tape = None
 
     def __str__(self) -> str:
         return to_source(self)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Expr):
+            return NotImplemented
+        return (self._tape or _compile(self)).shape == (other._tape or _compile(other)).shape
+
+    def __hash__(self) -> int:
+        return hash((self._tape or _compile(self)).shape)
 
     @property
     def differentiable(self) -> bool:
         return not (self._tape or _compile(self)).has_abs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowInt(Expr):
     base: Expr
     n: int
@@ -154,7 +162,7 @@ class PowInt(Expr):
             raise ValueError("PowInt exponent must be a non-negative integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Apply(Expr):
     fn: str
     arg: Expr
@@ -198,104 +206,98 @@ class _Scanner:
     def error(self, expected: str) -> ParseError:
         return ParseError(self.pos, expected, self.peek())
 
-    def deeper(self, height: int) -> int:
-        """Height of a node over children at most `height` high."""
-        if height >= MAX_DEPTH:
-            raise self.error(f"at most {MAX_DEPTH} levels of nesting")
-        return height + 1
+    def digits(self) -> tuple[int, int]:
+        """Read the run of decimal digits at pos: its value and its length."""
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        run = self.text[start:self.pos]
+        try:
+            return int(run or "0"), len(run)
+        except ValueError:  # the run is longer than int() converts
+            raise ParseError(start, f"at most {sys.get_int_max_str_digits()} digits",
+                             f"{len(run)} digits") from None
 
-
-# Each parser returns the subtree it read and that subtree's height.
 
 def parse(text: str) -> Expr:
     """Parse an expression; raises ParseError with offset and expectation."""
     sc = _Scanner(text)
-    e, _ = _parse_expr(sc)
+    e = _parse_expr(sc)
     if sc.peek():
         raise sc.error("end of input or operator")
     return e
 
 
-def _parse_expr(sc: _Scanner) -> tuple[Expr, int]:
-    e, h = _parse_term(sc)
+def _parse_expr(sc: _Scanner) -> Expr:
+    e = _parse_term(sc)
     while sc.peek() in ("+", "-"):
         op = sc.advance()
-        rhs, rh = _parse_term(sc)
+        rhs = _parse_term(sc)
         e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-        h = sc.deeper(max(h, rh))
-    return e, h
+    return e
 
 
-def _parse_term(sc: _Scanner) -> tuple[Expr, int]:
-    e, h = _parse_factor(sc)
+def _parse_term(sc: _Scanner) -> Expr:
+    e = _parse_factor(sc)
     while sc.peek() in ("*", "/"):
         op = sc.advance()
-        rhs, rh = _parse_factor(sc)
+        rhs = _parse_factor(sc)
         e = Mul(e, rhs) if op == "*" else Div(e, rhs)
-        h = sc.deeper(max(h, rh))
-    return e, h
+    return e
 
 
-def _parse_factor(sc: _Scanner) -> tuple[Expr, int]:
+def _parse_factor(sc: _Scanner) -> Expr:
     signs = 0
     while sc.peek() == "-":
         sc.advance()
         signs += 1
-    e, h = _parse_power(sc)
+    e = _parse_power(sc)
     for _ in range(signs):
-        e, h = Neg(e), sc.deeper(h)
-    return e, h
+        e = Neg(e)
+    return e
 
 
-def _parse_power(sc: _Scanner) -> tuple[Expr, int]:
-    base, h = _parse_atom(sc)
+def _parse_power(sc: _Scanner) -> Expr:
+    base = _parse_atom(sc)
     if sc.peek() == "^":
         sc.advance()
-        n = _parse_nat(sc)
-        return PowInt(base, n), sc.deeper(h)
-    return base, h
+        sc.skip_ws()
+        n, count = sc.digits()
+        if not count:
+            raise sc.error("non-negative integer exponent")
+        return PowInt(base, n)
+    return base
 
 
-def _parse_nat(sc: _Scanner) -> int:
-    sc.skip_ws()
-    start = sc.pos
-    while sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
-        sc.pos += 1
-    if sc.pos == start:
-        raise sc.error("non-negative integer exponent")
-    return int(sc.text[start:sc.pos])
-
-
-def _parse_group(sc: _Scanner) -> tuple[Expr, int]:
+def _parse_group(sc: _Scanner) -> Expr:
     # "(" expr ")"; the parser recurses once per group, so groups are
     # bounded before they are read, not after
     if sc.groups >= MAX_DEPTH:
         raise sc.error(f"at most {MAX_DEPTH} levels of nesting")
     sc.advance()
     sc.groups += 1
-    e, h = _parse_expr(sc)
+    e = _parse_expr(sc)
     if sc.peek() != ")":
         raise sc.error("')'")
     sc.advance()
     sc.groups -= 1
-    return e, h
+    return e
 
 
-def _parse_atom(sc: _Scanner) -> tuple[Expr, int]:
+def _parse_atom(sc: _Scanner) -> Expr:
     ch = sc.peek()
     if ch == "(":
         return _parse_group(sc)
-    if ch.isdigit() or ch == ".":
-        return Const(_parse_number(sc)), 1
+    if ch.isdecimal() or ch == ".":
+        return Const(_parse_number(sc))
     if ch.isalpha():
         name = _parse_name(sc)
         if name == "x":
-            return Var(), 1
+            return Var()
         if name in FUNCTIONS:
             if sc.peek() != "(":
                 raise sc.error(f"'(' after {name}")
-            arg, h = _parse_group(sc)
-            return Apply(name, arg), sc.deeper(h)
+            return Apply(name, _parse_group(sc))
         raise ParseError(sc.pos - len(name), "number, 'x', function, or '('", name)
     raise sc.error("number, 'x', function, or '('")
 
@@ -309,22 +311,14 @@ def _parse_name(sc: _Scanner) -> str:
 
 
 def _parse_number(sc: _Scanner) -> Fraction:
-    sc.skip_ws()
-    start = sc.pos
-    while sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
-        sc.pos += 1
-    int_digits = sc.text[start:sc.pos]
-    frac_digits = ""
+    whole, count = sc.digits()
+    frac, places = 0, 0
     if sc.pos < len(sc.text) and sc.text[sc.pos] == ".":
         sc.pos += 1
-        fstart = sc.pos
-        while sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
-            sc.pos += 1
-        frac_digits = sc.text[fstart:sc.pos]
-    if not int_digits and not frac_digits:
+        frac, places = sc.digits()
+    if not count and not places:
         raise sc.error("digits")
-    whole = int(int_digits or "0")
-    return Fraction(whole) + Fraction(int(frac_digits or "0"), 10 ** len(frac_digits))
+    return Fraction(whole) + Fraction(frac, 10 ** places)
 
 
 # =============================================================================
@@ -356,40 +350,39 @@ def _format_const(q: Fraction) -> str:
 
 
 def to_source(e: Expr) -> str:
-    """Render an expression; reparsing yields a structurally identical AST
-    whenever the expression originated from parse()."""
-    return _print(e, 0)
+    """Render an expression.  The text of an expression parse() returned
+    parses to an equal one: it parenthesizes an operand only where the
+    grammar needs it and writes unary minus by factor := "-" factor, so it
+    has no group its source lacked and stays within MAX_DEPTH groups.
+    """
+    tape = e._tape or _compile(e)
+    done: list[tuple[str, int]] = []  # text and level of finished operands, last on top
+    for (op, _, n, _), node in zip(tape.code, tape.nodes):
+        if op in _INFIX:
+            sym, level = _INFIX[op]
+            right = _operand(done.pop(), level + 1)
+            done.append((f"{_operand(done.pop(), level)} {sym} {right}", level))
+        elif op == _NEG:
+            done.append(("-" + _operand(done.pop(), _FACTOR), _FACTOR))
+        elif op == _POW:
+            done.append((f"{_operand(done.pop(), _ATOM)}^{n}", _POWER))
+        elif op == _VAR:
+            done.append(("x", _ATOM))
+        elif op in (_CONST, _HUGE):
+            done.append((_format_const(node.value), _ATOM))
+        else:
+            done.append((f"{node.fn}({done.pop()[0]})", _ATOM))
+    return done[0][0]
 
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW = 1, 2, 3, 4
+# Binding levels of printed text, by the grammar rule that reads it: an
+# operand below the level its place needs is parenthesized.
+_SUM, _TERM, _FACTOR, _POWER, _ATOM = range(5)
 
 
-def _print(e: Expr, ctx: int) -> str:
-    if isinstance(e, Const):
-        return _format_const(e.value)
-    if isinstance(e, Var):
-        return "x"
-    if isinstance(e, Apply):
-        return f"{e.fn}({_print(e.arg, 0)})"
-    if isinstance(e, PowInt):
-        # grammar: the base of "^" must be an atom
-        base = _print(e.base, 0)
-        if not isinstance(e.base, (Const, Var, Apply)):
-            base = f"({base})"
-        return f"{base}^{e.n}"
-    if isinstance(e, Neg):
-        inner = _print(e.arg, _PREC_NEG)
-        text = f"-{inner}" if not isinstance(e.arg, (Add, Sub, Mul, Div)) else f"-({_print(e.arg, 0)})"
-        return f"({text})" if ctx > _PREC_MUL else text
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        text = f"{_print(e.left, _PREC_ADD)} {op} {_print(e.right, _PREC_ADD + 1)}"
-        return f"({text})" if ctx > _PREC_ADD else text
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        text = f"{_print(e.left, _PREC_MUL)} {op} {_print(e.right, _PREC_MUL + 1)}"
-        return f"({text})" if ctx > _PREC_MUL else text
-    raise TypeError(f"unknown node {e!r}")
+def _operand(done: tuple[str, int], need: int) -> str:
+    text, level = done
+    return text if level >= need else f"({text})"
 
 
 # =============================================================================
@@ -406,6 +399,7 @@ def _print(e: Expr, ctx: int) -> str:
  _SIN, _COS, _EXP, _LOG, _SQRT, _ABS) = range(15)
 
 _BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
+_INFIX = {_ADD: ("+", _SUM), _SUB: ("-", _SUM), _MUL: ("*", _TERM), _DIV: ("/", _TERM)}
 _APPLY = {
     "sin": (_SIN, _sin),
     "cos": (_COS, _cos),
@@ -421,6 +415,7 @@ class _Tape:
     code: tuple     # instructions in post-order: operands before their use
     nodes: tuple    # the subexpression each instruction evaluates
     outer: tuple    # outermost Apply enclosing each instruction's node (or None)
+    shape: tuple    # code with constants' values for their instructions: equal iff trees are
     has_abs: bool
 
 
@@ -433,7 +428,7 @@ def _enclose(q: Fraction) -> tuple[float, float] | None:
 
 def _compile(f: Expr) -> _Tape:
     """Compile f into a tape and store it on f (iterative post-order walk)."""
-    code, nodes, outer = [], [], []
+    code, nodes, outer, shape = [], [], [], []
     regs: list[int] = []  # registers of finished operands, last on top
     todo = [(f, None, False)]
     while todo:
@@ -469,7 +464,8 @@ def _compile(f: Expr) -> _Tape:
         code.append(ins)
         nodes.append(e)
         outer.append(out)
-    tape = _Tape(tuple(code), tuple(nodes), tuple(outer),
+        shape.append(e.value if isinstance(e, Const) else ins)
+    tape = _Tape(tuple(code), tuple(nodes), tuple(outer), tuple(shape),
                  any(ins[0] == _ABS for ins in code))
     object.__setattr__(f, "_tape", tape)
     return tape

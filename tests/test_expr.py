@@ -37,6 +37,7 @@ from suparg.expr import (
     to_source,
 )
 from suparg import numeric
+from suparg.certificates import check, dumps, loads
 from suparg.numeric import (
     DivisionByZeroInterval,
     DomainError,
@@ -50,6 +51,7 @@ from suparg.numeric import (
     iv_sqr,
     iv_sqrt,
 )
+from suparg.theorems import prove_bound
 
 mpmath.mp.dps = 50
 _MAXF = sys.float_info.max
@@ -632,8 +634,85 @@ def test_nesting_up_to_the_limit_parses_and_roundtrips():
 def test_nesting_beyond_the_limit_is_a_parse_error():
     n = MAX_DEPTH + 1
     for text in ["(" * n + "x" + ")" * n, "sin(" * n + "x" + ")" * n,
-                 " + ".join(["x"] * n), " * ".join(["x"] * n), "-" * n + "x",
-                 "(" * 2000 + "x" + ")" * 2000, " + ".join(["x"] * 3000)]:
+                 "(" * 2000 + "x" + ")" * 2000]:
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert exc.value.expected == f"at most {MAX_DEPTH} levels of nesting"
+
+
+def test_long_flat_expressions_parse_roundtrip_and_evaluate():
+    n = MAX_DEPTH + 1
+    for text, hi in [(" + ".join(["x"] * n), n), (" * ".join(["x"] * n), 1.0),
+                     ("-" * n + "x", 0.0), (" + ".join(["x"] * 3000), 3000)]:
+        e = parse(text)
+        assert parse(to_source(e)) == e and hash(parse(to_source(e))) == hash(e)
+        assert eval_iv(e, FloatInterval(0.0, 1.0)).hi == hi
+
+
+def test_over_long_digit_run_is_a_parse_error_at_its_start():
+    run = "9" * 5000
+    for text, start in [(run + " * x", 0), ("x + 0." + run, 6), ("x^ " + run, 3)]:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.position, exc.value.found) == (start, "5000 digits")
+    with pytest.raises(ParseError) as exc:  # a digit int() does not read
+        parse("x^\u00b2")
+    assert exc.value.position == 2
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_no_walk_of_an_expression_recurses():
+    def chains():
+        add = Var()
+        for _ in range(2_999):
+            add = Add(add, Var())
+        neg = Var()
+        for _ in range(3_000):
+            neg = Neg(neg)
+        return add, neg, parse(" * ".join(["x"] * 3000))
+
+    X = FloatInterval(0.0, 1.0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        for e, twin in zip(chains(), chains()):
+            assert parse(to_source(e)) == e == twin and hash(e) == hash(twin)
+            eval_iv(e, X)
+            eval_d1(e, X)
+        add = chains()[0]
+        cert = loads(dumps(prove_bound(add, 0.0, 1.0)))
+        assert check(cert, add, 0.0, 1.0).valid
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+_GROUPED = ("({})", "sin({})", "sqrt({})", "({})^2", "x * -({})", "-({})", "2 / ({} - x)")
+_FLAT = ("{}", "-{}", "--{}", "---{}", "{} + x", "x - {}", "{} * 0.5", "x / {}",
+         "x * -{}", "-x * {}", "{} - -x")
+
+
+def _source(layers) -> str:
+    text = "x"
+    for flat, grouped in layers:
+        text = grouped.format(flat.format(text))
+    return text
+
+
+_sources = st.lists(st.tuples(st.sampled_from(_FLAT), st.sampled_from(_GROUPED)),
+                    max_size=MAX_DEPTH).map(_source)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@example(s=_source([("x * -{}", "x * -({})")] * MAX_DEPTH))
+@example(s=_source([("---{}", "-({})")] * MAX_DEPTH))
+@given(s=_sources)
+def test_printed_text_of_a_parsed_expression_parses_to_it(s):
+    e = parse(s)
+    again = parse(to_source(e))
+    assert again == e and hash(again) == hash(e)
