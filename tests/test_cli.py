@@ -150,16 +150,20 @@ def test_non_positive_piece_budget_exits_two(capsys, budget):
 
 DEEP = "(" * 2000 + "x" + ")" * 2000
 LONG = " + ".join(["x"] * 3000)
+# a long sum parses; one whose last term is nested past the limit does not
+LONG_DEEP = LONG + " + " + "(" * 101 + "x" + ")" * 101
 
 
-@pytest.mark.parametrize("fn", [DEEP], ids=["nested"])
+@pytest.mark.parametrize("fn", [DEEP, LONG_DEEP], ids=["nested", "long-sum"])
 def test_deep_or_long_expression_exits_two(capsys, fn):
     code, out, err = invoke(capsys, "prove", "bvt", "--fn", fn, "--a", "0", "--b", "1")
     assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "parse"
+    record = json.loads(err)
+    assert record["error"] == "parse" and "levels of nesting" in record["detail"]
+    assert record["position"] == fn.index("(" * 101) + 100
 
 
-@pytest.mark.parametrize("fn", [DEEP], ids=["nested"])
+@pytest.mark.parametrize("fn", [DEEP, LONG_DEEP], ids=["nested", "long-sum"])
 def test_stored_function_over_the_nesting_limit_is_invalid(capsys, tmp_path, fn):
     code, out, _ = invoke(capsys, "prove", "bvt", "--fn", "x", "--a", "0", "--b", "1",
                           "--format", "json")
