@@ -58,6 +58,7 @@ from .numeric import (
     iv_sqrt,
 )
 from .sweep import (
+    DarbouxPlan,
     FailureKind,
     LocalWitness,
     Problem,

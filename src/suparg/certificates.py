@@ -334,7 +334,7 @@ class Row:
     candidate: bool = False          # probes points for a maximizer candidate
     start: Callable = lambda s: {}   # s -> scalars of the certificate on [a, a]
     step: Callable | None = None     # (s, w) -> None: scalars after taking in w
-    accept: Callable | None = None   # (s, e, p) -> bool; default: the limit holds
+    accept: Callable | None = None   # (s, e, p, piece) -> bool; default: the limit holds
     refute: Callable | None = None   # (s, e) -> reason when e certifies it false
     stall: str = ""                  # why a degenerate domain does not certify
 
@@ -472,7 +472,7 @@ ROWS = (
         positive=("bound",), pointwise=True,
         limit=lambda c: (le, c.bound, "M < piece bound"),
         start=lambda s: {"bound": _MIN_NORMAL}, step=_raise_bound,
-        accept=lambda s, e, p: True),
+        accept=lambda s, e, p, piece: True),
     Row(MaxCert, "max", {"evt": {}}, prover="prove_max",
         text=lambda c: (f"∃c = {c.c!r} ∈ [{c.a!r}, {c.b!r}]: ∀t: f(t) ≤ f(c) + {c.eps!r}, "
                         f"f(c) ≥ {c.f_at_c_lo!r} for f = {c.fn_source}"),
@@ -516,7 +516,7 @@ ROWS = (
         limit=lambda c: (lt, c.eps, "piece oscillation not below eps"),
         start=lambda s: {"delta": 1.0}, step=_shrink_modulus,
         # below eps is at most the float below it; a probe wider than max fails
-        accept=lambda s, e, p: OSC.holds(math.nextafter(s.eps, 0.0), e)),
+        accept=lambda s, e, p, piece: OSC.holds(math.nextafter(s.eps, 0.0), e)),
     Row(IntegralCert, "integral", {"dit": {}}, prover="prove_integral",
         text=lambda c: (f"∫f over [{c.a!r}, {c.b!r}] ∈ [{c.lower_sum!r}, {c.upper_sum!r}], "
                         f"U − L < {c.eps!r} for f = {c.fn_source}"),
@@ -524,7 +524,8 @@ ROWS = (
         grid="partition", arrays=(("piece_lo", LO), ("piece_hi", HI)), params=("eps",),
         keys={"lower_sum": "L", "upper_sum": "U"}, positive=("eps",), total=_darboux_sums,
         start=lambda s: {"lower_sum": 0.0, "upper_sum": 0.0}, step=_add_darboux_terms,
-        accept=lambda s, e, p: OSC.holds(p.darboux_budget, e)),
+        accept=lambda s, e, p, piece: OSC.holds(
+            p.darboux_budget if p.plan is None else p.plan.budget(s, piece), e)),
     Row(MonotoneCert, "monotone", {"sift": {"strict": True}, "ift": {"strict": False}},
         prover="prove_monotone",
         text=lambda c: (f"∀x₁<x₂ in [{c.a!r}, {c.b!r}]: f(x₁) {'<' if c.strict else '≤'} "

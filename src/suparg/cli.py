@@ -71,6 +71,18 @@ class _Parser(argparse.ArgumentParser):
         # to parse_rational or parse
         self._negative_number_matcher = re.compile(r"-[^-]")
 
+    def parse_args(self, args: list[str], namespace=None):
+        # A token that starts with "--" is taken for an option flag even as
+        # the value of --fn, where "--x" is -(-x); joined as "--fn=--x" it is
+        # the value, as argparse reads that form
+        joined = []
+        for token in args:
+            if joined and joined[-1] == "--fn":
+                joined[-1] = "--fn=" + token
+            else:
+                joined.append(token)
+        return super().parse_args(joined, namespace)
+
     def error(self, message):  # one machine-parsable line instead of usage spam
         raise UsageError(message)
 

@@ -325,10 +325,27 @@ def _parse_number(sc: _Scanner) -> Fraction:
 # Printing
 # =============================================================================
 
+# Digits per chunk when printing an integer: at most the smallest limit
+# sys.set_int_max_str_digits accepts (640), so int -> str never refuses a
+# chunk, whatever the interpreter's limit.
+_CHUNK_DIGITS = 512
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _digits(n: int) -> str:
+    """The decimal digits of n >= 0, of any length."""
+    chunks = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(str(r).rjust(_CHUNK_DIGITS, "0"))
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
 def _format_const(q: Fraction) -> str:
     num, den = q.numerator, q.denominator
     if den == 1:
-        return str(num) if num >= 0 else f"(0 - {-num})"
+        return _digits(num) if num >= 0 else f"(0 - {_digits(-num)})"
     # decimal expansion when the denominator is of the form 2^a * 5^b
     d = den
     twos = fives = 0
@@ -341,11 +358,11 @@ def _format_const(q: Fraction) -> str:
     if d == 1:
         k = max(twos, fives)
         scaled = abs(num) * 10 ** k // den
-        digits = str(scaled).rjust(k + 1, "0")
+        digits = _digits(scaled).rjust(k + 1, "0")
         text = f"{digits[:-k]}.{digits[-k:]}"
         return text if num >= 0 else f"(0 - {text})"
     # not decimal-representable: fall back to an explicit quotient
-    inner = f"{abs(num)} / {den}"
+    inner = f"{_digits(abs(num))} / {_digits(den)}"
     return f"({inner})" if num >= 0 else f"(0 - {inner})"
 
 

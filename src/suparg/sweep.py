@@ -41,6 +41,7 @@ chains strict inequalities through shared piece endpoints.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -49,6 +50,7 @@ from types import SimpleNamespace
 from .certificates import (
     ROWS,
     Certificate,
+    IntegralCert,
     Partition,
     Row,
     StructureError,
@@ -74,13 +76,68 @@ def default_h_min(a: float, b: float) -> float:
 
 
 @dataclass(frozen=True)
+class DarbouxPlan:
+    """Where a coarser dit sweep of the same problem found f steep, to spread
+    the Darboux gap evenly over the pieces of the next sweep.
+
+    A piece of width w and oscillation osc has gap osc * w, and
+    sqrt(osc * w) estimates the integral of sqrt|f'| over it.  For a gap g
+    per piece, a stretch needs about (that integral) / sqrt(g) pieces, so
+    the fewest pieces for a total gap R take g = (R / S)^2 each, S the
+    integral over what is left (de Boor's equidistribution, 1973).  points
+    is the coarse partition, left[i] the estimate S over [points[i], b].
+    """
+
+    points: tuple[float, ...]
+    left: tuple[float, ...]
+
+    @classmethod
+    def of(cls, c: IntegralCert) -> DarbouxPlan | None:
+        """The plan a coarse certificate gives; None when its estimate is
+        not finite."""
+        points = c.partition.points
+        left, total = [0.0], 0.0
+        for k in range(len(c.piece_lo) - 1, -1, -1):
+            total += math.sqrt((c.piece_hi[k] - c.piece_lo[k]) * (points[k + 1] - points[k]))
+            left.append(total)
+        if not math.isfinite(total):
+            return None
+        return cls(tuple(points), tuple(reversed(left)))
+
+    def remaining(self, x: float) -> float:
+        """The estimate S over [x, b], linear within a coarse piece."""
+        points, left = self.points, self.left
+        k = bisect_right(points, x) - 1
+        if k >= len(points) - 1:
+            return 0.0
+        u, v = points[k], points[k + 1]
+        return left[k + 1] + (left[k] - left[k + 1]) * ((v - x) / (v - u))
+
+    def budget(self, s, piece: FloatInterval) -> float:
+        """The oscillation a piece past the state s may have: its gap is at
+        most both the remaining share R = 7/8 eps - (U - L) of the gap and
+        (R / S)^2.  It only steers the sweep, so it is computed with the
+        float arithmetic's rounding, which neither raises nor needs to bound
+        anything: the other 1/8 of eps absorbs that rounding and the sums',
+        and prove_integral tests the gap exactly."""
+        r = 0.875 * s.eps - (s.upper_sum - s.lower_sum)
+        if not r > 0.0:
+            return 0.0
+        rest = self.remaining(piece.lo)
+        if rest > 0.0:
+            r = min(r, (r / rest) * (r / rest))
+        return r / (piece.hi - piece.lo)
+
+
+@dataclass(frozen=True)
 class Problem:
     """A theorem to certify for one function over one interval.
 
     theorem is the theorem's code, one of those a sweep proves ("bvt" …
     "cft"; ValueError otherwise).  eps, M and eta are the parameters of the
     theorem, named by their JSON keys; its row says which it takes and
-    their signs.
+    their signs.  plan, for dit only, replaces the per-prefix budget with
+    the plan's budget.
     """
 
     f: Expr
@@ -91,6 +148,7 @@ class Problem:
     M: float | None = None
     eta: float | None = None
     fn_source: str | None = None
+    plan: DarbouxPlan | None = field(default=None, repr=False, compare=False)
     row: Row = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -111,6 +169,8 @@ class Problem:
                 raise ValueError(f"{key} must be positive")
             if name in row.nonnegative and value < 0:
                 raise ValueError(f"{key} must be nonnegative")
+        if self.plan is not None and self.theorem != "dit":
+            raise ValueError("only dit takes a plan")
         if row.deriv and not self.f.differentiable:
             raise ValueError("derivative-based kinds need a differentiable expression")
         if self.fn_source is None:
@@ -118,7 +178,9 @@ class Problem:
 
     @cached_property
     def darboux_budget(self) -> float:
-        """Per-piece oscillation budget eps / (2 (b - a)), rounded down."""
+        """Per-piece oscillation budget eps / (2 (b - a)), rounded down: the
+        per-prefix rule of a dit sweep without a plan, which keeps the gap
+        on [a, x] at most (x - a) eps / (2 (b - a))."""
         return div_down(self.eps, mul_up(2.0, sub_up(self.b, self.a)))
 
 
@@ -217,9 +279,9 @@ def _start(p: Problem) -> SimpleNamespace:
     return s
 
 
-def _accepts(row: Row, p: Problem, s, e: FloatInterval) -> bool:
+def _accepts(row: Row, p: Problem, s, e: FloatInterval, piece: FloatInterval) -> bool:
     if row.accept is not None:
-        return row.accept(s, e, p)
+        return row.accept(s, e, p, piece)
     op, t, _ = row.limit(s)
     return op(row.arrays[0][1].store(e), t)
 
@@ -258,7 +320,7 @@ def base_case(p: Problem, opts: SweepOptions | None = None) -> SweepState | Swee
             if refuted:
                 return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=a, witness=point,
                                     enclosure=v, detail=refuted)
-            if not _accepts(row, p, acc, v):
+            if not _accepts(row, p, acc, v, point):
                 return SweepFailure(FailureKind.STALLED, at=a, detail=row.stall)
     return SweepState(acc, 0.0, 0.0, 0)
 
@@ -383,7 +445,7 @@ def _probe(p: Problem, s, piece: FloatInterval, x: float,
     row = p.row
     if row.deriv:
         d = eval_d1(p.f, piece).deriv
-        if _accepts(row, p, s, d):
+        if _accepts(row, p, s, d, piece):
             return LocalWitness(piece, deriv=d, h=h)
         refuted = row.refute(s, d)
         if refuted:
@@ -413,7 +475,7 @@ def _probe(p: Problem, s, piece: FloatInterval, x: float,
             return None  # backward extension lost to rounding; halving only shrinks it
         ext = FloatInterval(lo, piece.hi)
         v = eval_iv(p.f, ext)
-        return LocalWitness(piece, value=v, ext=ext, h=h) if _accepts(row, p, s, v) else None
+        return LocalWitness(piece, value=v, ext=ext, h=h) if _accepts(row, p, s, v, piece) else None
 
     v = eval_iv(p.f, piece)
     if row.candidate:
@@ -427,10 +489,10 @@ def _probe(p: Problem, s, piece: FloatInterval, x: float,
             cand, cand_lo = piece.hi, end_lo
         # judged against the certificate once this piece's candidate is in
         after = SimpleNamespace(f_at_c_lo=max(s.f_at_c_lo, cand_lo), eps=s.eps)
-        if _accepts(row, p, after, v):
+        if _accepts(row, p, after, v, piece):
             return LocalWitness(piece, value=v, cand=cand, cand_lo=cand_lo, h=h)
         return None
-    if _accepts(row, p, s, v):
+    if _accepts(row, p, s, v, piece):
         return LocalWitness(piece, value=v, h=h)
     refuted = row.refute(s, v) if row.refute is not None else ""
     if refuted:

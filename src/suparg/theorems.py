@@ -9,6 +9,7 @@ endpoints; no per-pair sweeps are run.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .certificates import (
@@ -23,8 +24,9 @@ from .certificates import (
     RootBracket,
 )
 from .expr import Expr, eval_iv, parse
-from .numeric import FloatInterval
+from .numeric import _MAX_FLOAT, DomainError, FloatInterval
 from .sweep import (
+    DarbouxPlan,
     FailureKind,
     Problem,
     SweepFailure,
@@ -79,10 +81,32 @@ def prove_integral(f: Expr | str, a: float, b: float, eps: float,
                    opts: SweepOptions | None = None) -> IntegralCert | SweepFailure:
     """Enclose the Darboux integral of f over [a, b] with gap below eps.
 
-    The sweep enforces the per-prefix budget (x - a) * eps / (2 (b - a)), so
-    a full run ends with a gap of at most eps/2 plus rounding dust.
+    A first sweep at 16 eps, with a sixteenth of the piece budget, shows
+    where f is steep, and its DarbouxPlan lets a second sweep spread the
+    gap so that each piece takes an even share of what is left (about
+    (integral of sqrt|f'|)^2 / eps pieces, where a budget per unit length
+    needs about 2 (b - a) (integral of |f'|) / eps).  That certificate is
+    returned when its gap is below eps.  On any other outcome of either
+    sweep, a failure, a domain error or a gap not below eps, the plain
+    sweep's result is returned: the per-prefix budget
+    (x - a) * eps / (2 (b - a)) ends a full run with a gap of at most eps/2
+    plus rounding dust, and a failure is exactly the plain sweep's.
     """
-    return _sweep(f, a, b, "dit", opts, eps=eps)
+    expr, src = _as_expr(f)
+    plain = Problem(expr, a, b, "dit", eps=eps, fn_source=src)
+    opts = opts or SweepOptions()
+    try:
+        coarse = run_sweep(replace(plain, eps=min(16.0 * eps, _MAX_FLOAT)),
+                           replace(opts, max_pieces=max(1, opts.max_pieces // 16)))
+        plan = DarbouxPlan.of(coarse) if isinstance(coarse, IntegralCert) else None
+        if plan is not None:
+            cert = run_sweep(replace(plain, plan=plan), opts)
+            if (isinstance(cert, IntegralCert)
+                    and Fraction(cert.upper_sum) - Fraction(cert.lower_sum) < Fraction(eps)):
+                return cert
+    except (DomainError, OverflowError):
+        pass
+    return run_sweep(plain, opts)
 
 
 def prove_monotone(f: Expr | str, a: float, b: float, strict: bool,

@@ -41,6 +41,7 @@ from suparg.certificates import (
 )
 from suparg.expr import eval_d1, eval_iv, parse
 from suparg.numeric import FloatInterval, RatInterval, float_down
+from suparg.sweep import Problem, run_sweep
 from suparg.theorems import (
     prove_bound,
     prove_flat,
@@ -359,6 +360,10 @@ GOLDEN_PROBLEMS = {
     "ivt-root": lambda: prove_root("x^2 - 2", 0.0, 2.0, 1e-9),
     "uct": lambda: prove_modulus("sin(x)", 0.0, 2.0, 0.3),
     "dit": lambda: prove_integral("x^2 - x", 0.0, 1.0, 1e-2),
+    # the per-prefix budget of a sweep without a plan, which prove_integral
+    # falls back to
+    "dit-prefix": lambda: run_sweep(Problem(parse("x^2 - x"), 0.0, 1.0, "dit", eps=1e-2,
+                                            fn_source="x^2 - x")),
     "sift": lambda: prove_monotone("exp(x)", 0.0, 1.0, True),
     "ift": lambda: prove_monotone("x^3", 0.0, 1.0, False),
     "mvi": lambda: prove_mvi("x^2", 0.0, 1.0, 2.5),
@@ -413,7 +418,8 @@ GOLDEN_CERT_SHA256 = {
     "ivt-neg": "b5f20c61ff4663f137cd68fffe56e23c294a7c18e8f11f123725a397b8a87d3e",
     "ivt-root": "e4c03a966c68a99263d9c00b2a0ce28cf655246c5d4692efc139faacab658930",
     "uct": "3b81daf7aa6fb4f26166bbce37ed44d3269233cbaad1144ba17914561c7d2bda",
-    "dit": "08d9e585ad5662727ef42b1b072f9aec77b2a86e4ea59f20609b5666b4dfc336",
+    "dit": "084c4f1625c5e2d2053807139fad05449ee11fdf2018c7aadaa18d3c88f98e7f",
+    "dit-prefix": "08d9e585ad5662727ef42b1b072f9aec77b2a86e4ea59f20609b5666b4dfc336",
     "sift": "3cee6cd109a9555189c6a7e0c803e2133269732f45a2d2014a6379a0f4fbaf17",
     "ift": "b117807e030a731639be8e55b2838e2f4e04024bef1a1162c4857988efb1f5e2",
     "mvi": "7ba3bd1a10c99322a3ff8b839380bf70ef7bd80cc08172dc9066de59c5942138",
@@ -437,8 +443,10 @@ GOLDEN_CONCLUSIONS = {
     "ivt-neg": "∀t∈[0.0, 1.0]: f(t) < 0 for f = x - 3",
     "ivt-root": "∃c∈[1.4142135623715149, 1.4142135633028374]: f(c) = 0 for f = x^2 - 2",
     "uct": "∀s,t∈[0.0, 2.0]: |s−t| < 0.0625 ⇒ |f(s)−f(t)| < 0.3 for f = sin(x)",
-    "dit": ("∫f over [0.0, 1.0] ∈ [-0.16847612243145704, -0.16485561337321997], U − L < 0.01 for "
+    "dit": ("∫f over [0.0, 1.0] ∈ [-0.1710144281387329, -0.16231262683868408], U − L < 0.01 for "
            "f = x^2 - x"),
+    "dit-prefix": ("∫f over [0.0, 1.0] ∈ [-0.16847612243145704, -0.16485561337321997], "
+                  "U − L < 0.01 for f = x^2 - x"),
     "sift": "∀x₁<x₂ in [0.0, 1.0]: f(x₁) < f(x₂) for f = exp(x)",
     "ift": "∀x₁<x₂ in [0.0, 1.0]: f(x₁) ≤ f(x₂) for f = x^3",
     "mvi": "∀x₁<x₂ in [0.0, 1.0]: f(x₂) − f(x₁) ≤ 2.5·(x₂ − x₁) for f = x^2",
@@ -480,6 +488,13 @@ GOLDEN_TAMPERED = {
         "piece_osc[5]+ V, piece_osc[5]- I5, piece_osc[5]+1 I5, piece_osc[5]-1 I5, "
     ),
     "dit": (
+        "eps+ V, eps- V, eps+1 V, eps-1 I, piece_lo[123]+ I123, piece_lo[123]- I, "
+        "piece_lo[123]+1 I123, piece_lo[123]-1 I, piece_hi[123]+ I, "
+        "piece_hi[123]- I123, piece_hi[123]+1 I, piece_hi[123]-1 I123, lower_sum+ I, "
+        "lower_sum- V, lower_sum+1 I, lower_sum-1 I, upper_sum+ V, upper_sum- I, "
+        "upper_sum+1 I, upper_sum-1 I, "
+    ),
+    "dit-prefix": (
         "eps+ V, eps- V, eps+1 V, eps-1 I, piece_lo[294]+ I294, piece_lo[294]- I, "
         "piece_lo[294]+1 I294, piece_lo[294]-1 I, piece_hi[294]+ I, "
         "piece_hi[294]- I294, piece_hi[294]+1 I, piece_hi[294]-1 I294, lower_sum+ I, "
@@ -892,7 +907,7 @@ class _CountedFraction(Fraction):
 # with width about h, so the piece count scales as 1 / eps
 _PIECE_COUNT_PROBLEMS = {
     "dit": (lambda: prove_integral("x - x", 0.0, 1.0, 1e-2),
-            lambda: prove_integral("x - x", 0.0, 1.0, 5e-4)),
+            lambda: prove_integral("x - x", 0.0, 1.0, 4e-4)),
     "uct": (lambda: prove_modulus("x - x", 0.0, 1.0, 1e-2),
             lambda: prove_modulus("x - x", 0.0, 1.0, 5e-4)),
     "evt": (lambda: prove_max("x - x", 0.0, 1.0, 1e-2),

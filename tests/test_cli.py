@@ -11,9 +11,11 @@ from fractions import Fraction as F
 import pytest
 
 import suparg
+from suparg import cli
 from suparg.certificates import check, from_document, loads, to_document
 from suparg.cli import run
 from suparg.numeric import RatInterval
+from suparg.sweep import Problem, run_sweep
 from suparg.topology import Cover, RatIntervalSet, analyze_clopen, extract_subcover
 
 
@@ -194,6 +196,44 @@ def test_long_expression_proves_and_checks_valid(capsys, tmp_path, fn):
     assert invoke(capsys, "check", str(path)) == (0, "Valid\n", "")
 
 
+@pytest.mark.parametrize("fn", ["--x", "-" * 3000 + "x"], ids=["double-minus", "minus-run"])
+def test_fn_value_starting_with_two_dashes(capsys, tmp_path, fn):
+    # argparse took "--x" for an option flag and left "--fn --x" without a value
+    spaced = invoke(capsys, "prove", "bvt", "--fn", fn, "--a", "0", "--b", "1",
+                    "--format", "json")
+    assert spaced == invoke(capsys, "prove", "bvt", f"--fn={fn}", "--a", "0", "--b", "1",
+                            "--format", "json")
+    code, out, err = spaced
+    assert (code, err) == (0, "")
+    assert loads(out).fn_source == fn
+    path = tmp_path / "dashes.json"
+    path.write_text(out)
+    assert invoke(capsys, "check", str(path)) == (0, "Valid\n", "")
+
+
+# a constant whose decimal expansion (4,400 digits) is longer than CPython
+# converts between int and str in one piece
+LONG_CONSTANT = "1" + "0" * 299 + "." + "1" * 4100
+
+
+def test_domain_error_names_a_long_constant(capsys, tmp_path):
+    fn = f"log(x - {LONG_CONSTANT})"
+    code, out, err = invoke(capsys, "prove", "bvt", "--fn", fn, "--a", "0", "--b", "1")
+    assert (code, out) == (2, "")
+    record = json.loads(err)
+    assert record["error"] == "domain" and record["subexpression"] == fn
+    code, out, _ = invoke(capsys, "prove", "bvt", "--fn", "x", "--a", "0", "--b", "1",
+                          "--format", "json")
+    result = check(dataclasses.replace(loads(out), fn_source=fn))
+    assert not result.valid and result.reason.startswith("re-evaluation failed: log undefined")
+    path = tmp_path / "constant.json"
+    doc = json.loads(out)
+    doc["function"] = fn
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "check", str(path))
+    assert code == 1 and err == "" and out.startswith("Invalid")
+
+
 RUN = "9" * 5000
 
 
@@ -226,6 +266,23 @@ def test_probe_wider_than_max_is_rejected_not_fatal(capsys, tmp_path, theorem, e
                           "--eps", eps, "--out", str(path))
     assert (code, err) == (0, "")
     assert invoke(capsys, "check", str(path)) == (0, "Valid\n", "")
+
+
+def _per_prefix_integral(f, a, b, eps, opts):
+    return run_sweep(Problem(f, a, b, "dit", eps=eps), opts)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--fn", "1000000000000000+x", "--a", "0", "--b", "1", "--eps", "1e-3"], 1),
+    (["--fn", "log(x)", "--a", "-1", "--b", "1", "--eps", "1e-3"], 2),
+    (["--fn", "sin(x)", "--a", "0", "--b", "3", "--eps", "1e-3", "--max-pieces", "50"], 1),
+], ids=["stall", "domain", "budget"])
+def test_failing_integral_prints_what_the_per_prefix_sweep_prints(capsys, monkeypatch,
+                                                                   argv, code):
+    got = invoke(capsys, "prove", "dit", *argv)
+    monkeypatch.setattr(cli, "prove_integral", _per_prefix_integral)
+    assert got == invoke(capsys, "prove", "dit", *argv)
+    assert got[0] == code
 
 
 def test_one_process_runs_like_fresh_processes(capsys, tmp_path):

@@ -165,6 +165,28 @@ def test_print_parse_roundtrip_random():
         assert parse(to_source(e)) == e, to_source(e)
 
 
+def test_constant_longer_than_one_int_to_str_conversion_prints():
+    # CPython converts at most sys.get_int_max_str_digits() digits (4,300 by
+    # default) between int and str in one piece; the printer converts in
+    # chunks, so the text is the same under the smallest limit
+    text = "x - 1" + "0" * 299 + "." + "1" * 4100
+    e = parse(text)
+    big = 10 ** 5000 + 7
+    digits = "1" + "0" * 4999 + "7"
+    limit = sys.get_int_max_str_digits()
+    try:
+        for at in (limit, 640):
+            sys.set_int_max_str_digits(at)
+            assert to_source(e) == text
+            assert to_source(Const(Fraction(big))) == digits
+            assert to_source(Const(Fraction(-big))) == f"(0 - {digits})"
+            assert to_source(Const(Fraction(big, 3))) == f"({digits} / 3)"
+            assert to_source(Const(Fraction(3, big))) == f"(3 / {digits})"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert parse(to_source(e)) == e
+
+
 # ---------------------------------------------------------------------------
 # evaluation examples
 # ---------------------------------------------------------------------------

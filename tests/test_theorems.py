@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suparg.certificates import (
     IntegralCert,
@@ -17,7 +19,7 @@ from suparg.certificates import (
     check,
 )
 from suparg.numeric import DomainError, FloatInterval
-from suparg.sweep import FailureKind, SweepFailure, SweepOptions
+from suparg.sweep import FailureKind, Problem, SweepFailure, SweepOptions, run_sweep
 from suparg.theorems import (
     Inconclusive,
     PreconditionError,
@@ -204,6 +206,56 @@ def test_integral_degenerate_zero():
     cert = prove_integral("x^2", 1.0, 1.0, 1e-6)
     assert check(cert)
     assert cert.lower_sum == 0.0 == cert.upper_sum
+
+
+@pytest.mark.parametrize("src,rate,a,b,kinks", [
+    ("sin(x)", lambda t: abs(mpmath.cos(t)), 0.0, 3.14159, [mpmath.pi / 2]),
+    ("x^3 - x", lambda t: 3 * t ** 2 + 1, -1.0, 1.5, []),
+], ids=["sin", "cubic"])
+def test_integral_piece_count_near_the_lower_bound(src, rate, a, b, kinks):
+    # rate is the width per unit width of the natural extension's enclosure:
+    # |f'| for sin, whose enclosure is its range, but 3 t^2 + 1 for x^3 - x,
+    # whose two terms' widths add.  A piece [u, v] (one without a turning
+    # point of sin) then has gap at least (v - u) * (integral of rate over
+    # it), at least (integral of sqrt(rate) over it)^2, so by Cauchy-Schwarz
+    # a gap below eps takes about (integral of sqrt(rate))^2 / eps pieces
+    eps = 1e-3
+    points = [mpmath.mpf(a), *kinks, mpmath.mpf(b)]
+    bound = int(mpmath.ceil(mpmath.quad(lambda t: mpmath.sqrt(rate(t)), points) ** 2 / eps))
+    cert = prove_integral(src, a, b, eps)
+    assert check(cert)
+    assert len(cert.piece_lo) <= 2.5 * bound
+    prefix = run_sweep(Problem(parse(src), a, b, "dit", eps=eps))
+    assert len(cert.piece_lo) <= len(prefix.piece_lo)
+
+
+_POLY_TERMS = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
+_OUTER = {"{}": lambda v: v, "sin({})": mpmath.sin, "exp({})": mpmath.exp,
+          "sin(x) * exp({})": None}
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(coeffs=_POLY_TERMS, outer=st.sampled_from(sorted(_OUTER)),
+       ends=st.tuples(st.integers(-16, 16), st.integers(-16, 16)).filter(lambda e: e[0] != e[1]))
+def test_integral_of_random_compositions_encloses_the_mpmath_integral(coeffs, outer, ends):
+    # the polynomial sum of (c / 4) x^k, on [a, b] inside [-1, 1]
+    poly = " + ".join(f"{c}/4*x^{k}" for k, c in enumerate(coeffs))
+    src = outer.format(poly)
+
+    def f(t):
+        v = sum(mpmath.mpf(c) / 4 * t ** k for k, c in enumerate(coeffs))
+        return mpmath.sin(t) * mpmath.exp(v) if _OUTER[outer] is None else _OUTER[outer](v)
+
+    a, b = (min(ends) / 16, max(ends) / 16)
+    # eps for a few hundred pieces: (integral of sqrt|f'|)^2 estimated on a grid
+    grid = [a + (b - a) * i / 256 for i in range(257)]
+    root_var = sum(mpmath.sqrt(abs(f(v) - f(u)) * (v - u)) for u, v in zip(grid, grid[1:]))
+    eps = max(float(root_var ** 2 / 250), 1e-6)
+    cert = prove_integral(src, a, b, eps)
+    assert isinstance(cert, IntegralCert), (src, a, b, eps, cert)
+    assert check(cert)
+    assert cert.lower_sum <= mpmath.quad(f, [a, b]) <= cert.upper_sum
+    assert Fraction(cert.upper_sum) - Fraction(cert.lower_sum) < Fraction(eps)
 
 
 # ---------------------------------------------------------------------------
