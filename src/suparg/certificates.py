@@ -316,7 +316,6 @@ class Row:
     type: str                        # JSON "type"
     theorems: dict[str, dict]        # theorem code -> field values that select it
     text: Callable                   # c -> statement
-    data: Callable                   # c -> machine-readable conclusion
     prover: str | None = None        # name of the theorems function proving it
     grid: str | None = None          # field holding the pieces, or what piece_count counts
     arrays: tuple[tuple[str, Side], ...] = ()   # per-piece arrays
@@ -428,16 +427,24 @@ def _darboux_sums(c) -> str | None:
         n, d = hi.as_integer_ratio()
         upper += (n << (kb + 1 - d.bit_length())) * w
         u = v
-    # stored sums L = nl / dl and U = nu / du, eps = ne / de: cross-multiply
-    # by the positive denominators
+    # stored sums L = nl / dl and U = nu / du: cross-multiply by the
+    # positive denominators
     k = kp + kb
     nl, dl = c.lower_sum.as_integer_ratio()
     nu, du = c.upper_sum.as_integer_ratio()
-    ne, de = c.eps.as_integer_ratio()
     if nl << k > lower * dl:
         return "stored lower sum above the exact piece sum"
     if nu << k < upper * du:
         return "stored upper sum below the exact piece sum"
+    return _darboux_gap(c)
+
+
+def _darboux_gap(c) -> str | None:
+    """The reason the stored gap U - L is not below eps, exactly; None when
+    it is.  O(1), so run_sweep tests every dit certificate it returns."""
+    nl, dl = c.lower_sum.as_integer_ratio()
+    nu, du = c.upper_sum.as_integer_ratio()
+    ne, de = c.eps.as_integer_ratio()
     if not (nu * dl - nl * du) * de < ne * du * dl:
         return "Darboux gap not below eps"
     return None
@@ -467,7 +474,6 @@ def _parse_rat_iv(d: dict) -> RatInterval:
 ROWS = (
     Row(BoundCert, "bound", {"bvt": {}}, prover="prove_bound",
         text=lambda c: f"∀t∈[{c.a!r}, {c.b!r}]: f(t) ≤ {c.bound!r} for f = {c.fn_source}",
-        data=lambda c: {"M": c.bound},
         grid="partition", arrays=(("piece_sup", HI),), keys={"bound": "M"},
         positive=("bound",), pointwise=True,
         limit=lambda c: (le, c.bound, "M < piece bound"),
@@ -476,7 +482,6 @@ ROWS = (
     Row(MaxCert, "max", {"evt": {}}, prover="prove_max",
         text=lambda c: (f"∃c = {c.c!r} ∈ [{c.a!r}, {c.b!r}]: ∀t: f(t) ≤ f(c) + {c.eps!r}, "
                         f"f(c) ≥ {c.f_at_c_lo!r} for f = {c.fn_source}"),
-        data=lambda c: {"c": c.c, "f_at_c_lo": c.f_at_c_lo, "eps": c.eps},
         grid="partition", arrays=(("piece_sup", HI),), params=("eps",),
         positive=("eps",), pointwise=True,
         requires=((lambda c, f: c.a <= c.c <= c.b, "maximizer candidate outside the domain"),
@@ -489,14 +494,12 @@ ROWS = (
         step=_take_candidate, stall="point enclosure wider than eps"),
     Row(NegCert, "neg", {"ivt": {}}, prover="prove_root",
         text=lambda c: f"∀t∈[{c.a!r}, {c.b!r}]: f(t) < 0 for f = {c.fn_source}",
-        data=lambda c: {},
         grid="partition", arrays=(("piece_hi", HI),), pointwise=True,
         limit=lambda c: (lt, 0.0, "piece upper bound not negative"),
         refute=lambda s, e: "range certified positive" if e.lo > 0.0 else "",
         stall="sign at the degenerate point undecided"),
     Row(RootBracket, "root_bracket", {"ivt": {}}, prover="prove_root",
         text=lambda c: f"∃c∈[{c.l!r}, {c.r!r}]: f(c) = 0 for f = {c.fn_source}",
-        data=lambda c: {"l": c.l, "r": c.r, "width": c.r - c.l},
         params=("tol",), positive=("tol",),
         requires=((lambda c, f: c.a <= c.l < c.r <= c.b, "bracket not inside the domain"),
                   (lambda c, f: Fraction(c.r) - Fraction(c.l) <= Fraction(c.tol),
@@ -510,7 +513,6 @@ ROWS = (
     Row(ModulusCert, "modulus", {"uct": {}}, prover="prove_modulus",
         text=lambda c: (f"∀s,t∈[{c.a!r}, {c.b!r}]: |s−t| < {c.delta!r} ⇒ "
                         f"|f(s)−f(t)| < {c.eps!r} for f = {c.fn_source}"),
-        data=lambda c: {"delta": c.delta, "eps": c.eps},
         grid="pieces", arrays=(("piece_osc", OSC),), params=("eps",),
         positive=("eps", "delta"), link=_overlap_gap,
         limit=lambda c: (lt, c.eps, "piece oscillation not below eps"),
@@ -520,7 +522,6 @@ ROWS = (
     Row(IntegralCert, "integral", {"dit": {}}, prover="prove_integral",
         text=lambda c: (f"∫f over [{c.a!r}, {c.b!r}] ∈ [{c.lower_sum!r}, {c.upper_sum!r}], "
                         f"U − L < {c.eps!r} for f = {c.fn_source}"),
-        data=lambda c: {"L": c.lower_sum, "U": c.upper_sum, "eps": c.eps},
         grid="partition", arrays=(("piece_lo", LO), ("piece_hi", HI)), params=("eps",),
         keys={"lower_sum": "L", "upper_sum": "U"}, positive=("eps",), total=_darboux_sums,
         start=lambda s: {"lower_sum": 0.0, "upper_sum": 0.0}, step=_add_darboux_terms,
@@ -530,7 +531,6 @@ ROWS = (
         prover="prove_monotone",
         text=lambda c: (f"∀x₁<x₂ in [{c.a!r}, {c.b!r}]: f(x₁) {'<' if c.strict else '≤'} "
                         f"f(x₂) for f = {c.fn_source}"),
-        data=lambda c: {"strict": c.strict},
         grid="partition", arrays=(("piece_deriv_lo", LO),), deriv=True,
         limit=lambda c: ((gt, 0.0, "strict monotonicity needs a positive derivative bound")
                          if c.strict else
@@ -539,7 +539,6 @@ ROWS = (
     Row(MviCert, "mvi", {"mvi": {}}, prover="prove_mvi",
         text=lambda c: (f"∀x₁<x₂ in [{c.a!r}, {c.b!r}]: f(x₂) − f(x₁) ≤ "
                         f"{c.bound!r}·(x₂ − x₁) for f = {c.fn_source}"),
-        data=lambda c: {"M": c.bound},
         grid="partition", arrays=(("piece_deriv_hi", HI),), deriv=True, params=("bound",),
         keys={"bound": "M"}, positive=("bound",),
         limit=lambda c: (le, c.bound, "piece derivative bound above M"),
@@ -547,7 +546,6 @@ ROWS = (
     Row(FlatCert, "flat", {"cft": {}}, prover="prove_flat",
         text=lambda c: (f"∀t∈[{c.a!r}, {c.b!r}]: |f(t) − f(a)| ≤ {c.osc_bound!r} "
                         f"for f = {c.fn_source}" + (" (exact constancy)" if c.eta == 0.0 else "")),
-        data=lambda c: {"eta": c.eta, "osc_bound": c.osc_bound},
         grid="partition", arrays=(("piece_deriv_abs", ABS),), deriv=True, params=("eta",),
         nonnegative=("eta",),
         requires=((lambda c, f: Fraction(c.osc_bound)
@@ -560,12 +558,9 @@ ROWS = (
     Row(ClopenReport, "clopen", {"i1": {}},
         text=lambda c: (f"clopen analysis on [{c.a}, {c.b}]: {c.verdict.value}"
                         + (f" (witness {c.witness})" if c.witness is not None else "")),
-        data=lambda c: {"verdict": c.verdict.value,
-                        "witness": None if c.witness is None else format_rational(c.witness)},
         grid="components", keys={"components": "set"}),
     Row(SubcoverCert, "subcover", {"i2": {}},
         text=lambda c: f"[{c.a}, {c.b}] ⊆ union of cover elements {list(c.indices)}",
-        data=lambda c: {"indices": list(c.indices)},
         grid="indices"),
 )
 
@@ -753,13 +748,11 @@ def _check_topology(cert: ClopenReport | SubcoverCert) -> CheckResult:
 class Conclusion:
     theorem: str
     text: str
-    data: dict = field(default_factory=dict)
 
 
 def conclusion_of(cert: Certificate) -> Conclusion:
-    """Human- and machine-readable statement certified by the certificate."""
-    row = _row(cert)
-    return Conclusion(cert.theorem, row.text(cert), row.data(cert))
+    """The statement certified by the certificate, with its theorem code."""
+    return Conclusion(cert.theorem, _row(cert).text(cert))
 
 
 # =============================================================================

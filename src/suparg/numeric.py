@@ -168,24 +168,15 @@ def sub_up(a: float, b: float) -> float:
 #     ea + eb > -903;
 #   - every partial product and partial sum stays below about 2^901.
 # Outside the guard, exact integer cross-multiplication decides instead.
-# mul_down and mul_up, the hottest kernels, carry the error term inline.
+# mul_down and mul_up, the hottest kernels, carry the error term inline;
+# _prod_cmp is the one exact comparison that division and square root use.
+# Its precondition, c within a factor of 2 of p (|c|/2 <= |p| <= 2|c|, one
+# sign), makes c - p exact by Sterbenz's lemma, so a*b - c = e - (c - p) is
+# decided by comparing e with it.  Both uses meet it inside the guard: q*b
+# against a for q = fl(a/b), and r*r against v for r = fl(sqrt(v)).
 _SPLIT = 134217729.0  # 2^27 + 1
 _TP_LO = 2.0 ** -900
 _TP_HI = 2.0 ** 900
-
-
-def _prod_err(a: float, b: float, p: float) -> float | None:
-    """a*b - p exactly, for p = fl(a*b); None outside the guarded range."""
-    if not (_TP_LO < abs(a) < _TP_HI and _TP_LO < abs(b) < _TP_HI
-            and _TP_LO < abs(p) < _TP_HI):
-        return None
-    c = _SPLIT * a
-    ah = c - (c - a)
-    al = a - ah
-    c = _SPLIT * b
-    bh = c - (c - b)
-    bl = b - bh
-    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def _exact_mul_sign(a: float, b: float, p: float) -> int:
@@ -196,6 +187,18 @@ def _exact_mul_sign(a: float, b: float, p: float) -> int:
     lhs = na * nb * dp
     rhs = np_ * da * db
     return (lhs > rhs) - (lhs < rhs)
+
+
+def _prod_cmp(a: float, b: float, c: float) -> int:
+    """Exact sign of a*b - c, for finite c within a factor of 2 of fl(a*b)."""
+    p = a * b
+    if _TP_LO < abs(a) < _TP_HI and _TP_LO < abs(b) < _TP_HI and _TP_LO < abs(p) < _TP_HI:
+        x, y = _SPLIT * a, _SPLIT * b
+        ah, bh = x - (x - a), y - (y - b)
+        al, bl = a - ah, b - bh
+        e, r = ((ah * bh - p) + ah * bl + al * bh) + al * bl, c - p
+        return (e > r) - (e < r)
+    return _exact_mul_sign(a, b, c)
 
 
 def mul_down(a: float, b: float) -> float:
@@ -220,20 +223,8 @@ def mul_up(a: float, b: float) -> float:
 
 def _div_err_sign(a: float, b: float, q: float) -> int:
     # exact sign of (a/b - q) = sign(a - q*b) * sign(b)
-    p = q * b
-    e = _prod_err(q, b, p)
-    if e is not None:
-        # q*b = p + e exactly, and a - p is exact (Sterbenz): q and p are
-        # correctly rounded and not subnormal, so p = a*(1 + d) with |d| < 2^-51
-        r = a - p
-        s = (r > e) - (r < e)
-    else:
-        na, da = a.as_integer_ratio()
-        nb, db = b.as_integer_ratio()
-        nq, dq = q.as_integer_ratio()
-        num = na * dq * db - nq * nb * da
-        s = (num > 0) - (num < 0)
-    return -s if b < 0 else s
+    s = _prod_cmp(q, b, a)
+    return s if b < 0 else -s
 
 
 def div_down(a: float, b: float) -> float:
@@ -248,15 +239,7 @@ def div_up(a: float, b: float) -> float:
 
 def _sqrt_dir(v: float, up: bool) -> float:
     r = math.sqrt(v)
-    p = r * r
-    e = _prod_err(r, r, p)
-    if e is not None:
-        exact = e == 0.0 and p == v
-    else:
-        nr, dr = r.as_integer_ratio()
-        nv, dv = v.as_integer_ratio()
-        exact = nr * nr * dv == nv * dr * dr
-    if exact:
+    if _prod_cmp(r, r, v) == 0:
         return r
     # sqrt is correctly rounded, so one step always crosses the true value
     return _next_up(r) if up else max(_next_down(r), 0.0)

@@ -54,6 +54,7 @@ from .certificates import (
     Partition,
     Row,
     StructureError,
+    _darboux_gap,
 )
 from .expr import Expr, eval_d1, eval_iv, to_source
 from .numeric import (
@@ -119,7 +120,7 @@ class DarbouxPlan:
         (R / S)^2.  It only steers the sweep, so it is computed with the
         float arithmetic's rounding, which neither raises nor needs to bound
         anything: the other 1/8 of eps absorbs that rounding and the sums',
-        and prove_integral tests the gap exactly."""
+        and run_sweep tests the gap exactly."""
         r = 0.875 * s.eps - (s.upper_sum - s.lower_sum)
         if not r > 0.0:
             return 0.0
@@ -396,7 +397,11 @@ def run_sweep(p: Problem, opts: SweepOptions | None = None) -> Certificate | Swe
 
     On success the returned certificate passes the independent checker with
     no re-tuning; on failure the frontier value and, when one was certified,
-    a refuting witness piece are reported.
+    a refuting witness piece are reported.  A dit certificate is returned
+    only when its exact Darboux gap is below eps: the pieces keep the
+    budget, but the directed sums of a large integrand round by ulp(f)
+    times the width on every piece, and a full sweep whose gap that
+    rounding lifts to eps or above ends STALLED at b.
     """
     s = base_case(p, opts)
     if isinstance(s, SweepFailure):
@@ -406,7 +411,11 @@ def run_sweep(p: Problem, opts: SweepOptions | None = None) -> Certificate | Swe
         if isinstance(w, SweepFailure):
             return w
         combine(p, s, w)
-    return finish(p, s)
+    cert = finish(p, s)
+    gap = _darboux_gap(cert) if isinstance(cert, IntegralCert) else None
+    if gap is not None:
+        return SweepFailure(FailureKind.STALLED, at=p.b, detail=gap)
+    return cert
 
 
 # =============================================================================

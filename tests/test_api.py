@@ -3,7 +3,8 @@
 A method, or a module-level function that the package does not export from
 suparg/__init__.py, must be referenced somewhere in src/ outside its own
 definition.  This holds for private (single-underscore) helpers as for
-public names.  A reference is a name, an attribute, or a string equal to the
+public names, and every private module-level constant or class must be read
+the same way.  A reference is a name, an attribute, or a string equal to the
 name (rows name their provers by string).  Dunder methods are exempt: Python
 calls them, and perfbench/micro.py times FloatInterval.__add__, __mul__ and
 __truediv__ by name.
@@ -49,10 +50,14 @@ def _definitions():
                         yield path.stem, node.name, item
 
 
+def _everywhere() -> Counter:
+    return sum((_references(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))),
+               Counter())
+
+
 def _dead(private: bool) -> list[str]:
     """Functions and methods, private ones or public ones, with no caller in src/."""
-    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
-    everywhere = sum((_references(tree) for tree in trees), Counter())
+    everywhere = _everywhere()
     exported = _exported()
     dead = []
     for module, cls_name, node in _definitions():
@@ -77,3 +82,27 @@ def test_every_public_function_and_method_has_a_caller():
 def test_every_private_helper_has_a_caller():
     dead = _dead(private=True)
     assert not dead, f"private helpers with no caller in src/: {dead}"
+
+
+def _private_module_names():
+    """(module name, name, defining statement) for every _-prefixed
+    module-level constant and class of the package."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    yield path.stem, name, node
+
+
+def test_every_private_module_name_is_read():
+    everywhere = _everywhere()
+    unread = [f"{module}.{name}" for module, name, node in _private_module_names()
+              if everywhere[name] - _references(node)[name] <= 0]
+    assert not unread, f"private module-level names nothing in src/ reads: {unread}"

@@ -286,7 +286,6 @@ def test_conclusion_projections():
     ic = prove_integral("x^2", 0.0, 1.0, 1e-2)
     c = conclusion_of(ic)
     assert c.theorem == "dit"
-    assert c.data["L"] == ic.lower_sum and c.data["U"] == ic.upper_sum
     assert repr(ic.lower_sum) in c.text
 
     rb = prove_root("x^2 - 2", 0.0, 2.0, 1e-9)

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, determinism, and the JSON surfaces."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -9,13 +11,16 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import suparg
 from suparg import cli
 from suparg.certificates import check, from_document, loads, to_document
 from suparg.cli import run
+from suparg.expr import parse
 from suparg.numeric import RatInterval
-from suparg.sweep import Problem, run_sweep
+from suparg.sweep import FailureKind, Problem, SweepFailure, run_sweep
 from suparg.topology import Cover, RatIntervalSet, analyze_clopen, extract_subcover
 
 
@@ -185,7 +190,8 @@ def test_stored_function_over_the_nesting_limit_is_invalid(capsys, tmp_path, fn)
 @pytest.mark.parametrize("fn", [" + ".join(["x"] * 101), LONG, "-" * 3000 + "x"],
                          ids=["sum-101", "long-sum", "minus-run"])
 def test_long_expression_proves_and_checks_valid(capsys, tmp_path, fn):
-    # "=" keeps argparse from taking a value that starts with "--" for a flag
+    # the "=" form; the spaced form "--fn VALUE" gives the same result, as
+    # test_fn_value_starting_with_two_dashes checks
     code, out, err = invoke(capsys, "prove", "bvt", f"--fn={fn}", "--a", "0", "--b", "1",
                             "--format", "json")
     assert code == 0 and err == ""
@@ -283,6 +289,50 @@ def test_failing_integral_prints_what_the_per_prefix_sweep_prints(capsys, monkey
     monkeypatch.setattr(cli, "prove_integral", _per_prefix_integral)
     assert got == invoke(capsys, "prove", "dit", *argv)
     assert got[0] == code
+
+
+def test_integral_gap_lifted_by_rounding_is_a_stall(capsys):
+    # every directed Darboux term of 10^12 + x rounds by up to ulp(10^12),
+    # about 1.2e-4, so the pieces keep their budget but the sums' gap does
+    # not stay below eps: no certificate is returned that check rejects
+    code, out, err = invoke(capsys, "prove", "dit", "--fn", "1000000000000+x",
+                            "--a", "0", "--b", "1", "--eps", "1e-3")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"failure": "stalled", "at": "0x1.0000000000000p+0",
+                               "detail": "Darboux gap not below eps",
+                               "witness": None, "enclosure": None}
+    res = run_sweep(Problem(parse("1000000000000+x"), 0.0, 1.0, "dit", eps=1e-3))
+    assert res == SweepFailure(FailureKind.STALLED, at=1.0,
+                               detail="Darboux gap not below eps")
+
+
+_CONTRACT_PARAMS = {"evt": ["--eps", "1e-3"], "uct": ["--eps", "1e-3"],
+                    "dit": ["--eps", "1e-3"], "mvi": ["--M", "10"], "cft": ["--eta", "10"]}
+_CONTRACT_G = ("x", "x^3 - x", "sqrt(x + 2)", "sin(3*x)", "exp(x)", "1/(1 + x^2)")
+
+
+def _quiet(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+@example(theorem="dit", c=10 ** 12, g="x^3 - x")
+@example(theorem="dit", c=10 ** 12, g="sqrt(x + 2)")
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(theorem=st.sampled_from(cli.THEOREMS),
+       c=st.sampled_from([0] + [s * 10 ** k for k in range(16) for s in (1, -1)]),
+       g=st.sampled_from(_CONTRACT_G))
+def test_every_proved_certificate_checks_valid(tmp_path_factory, theorem, c, g):
+    # the exit-code contract: a prove that exits 0 wrote a certificate that
+    # the independent checker calls Valid, whatever the size of f
+    path = tmp_path_factory.mktemp("contract") / "cert.json"
+    code, _ = _quiet(["prove", theorem, "--fn", f"{c} + {g}", "--a", "0", "--b", "1",
+                        *_CONTRACT_PARAMS.get(theorem, []), "--max-pieces", "20000",
+                        "--out", str(path)])
+    if code == 0:
+        assert _quiet(["check", str(path)]) == (0, "Valid\n"), (theorem, c, g)
 
 
 def test_one_process_runs_like_fresh_processes(capsys, tmp_path):

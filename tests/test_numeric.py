@@ -630,6 +630,38 @@ def test_product_and_quotient_signs_match_integer_reference():
                 assert div_up(x, y) == float_up(exact), (x, y)
 
 
+def _ulps_from(p, k):
+    # the float k ulps above p (below for k < 0)
+    for _ in range(abs(k)):
+        p = math.nextafter(p, math.copysign(math.inf, k))
+    return p
+
+
+def test_product_comparison_matches_fraction_reference():
+    # _prod_cmp(a, b, c) is the exact sign of a*b - c for c within a factor of
+    # 2 of fl(a*b): c at and 1 or 2 ulps either side of it, then the
+    # quotient's (q, b, a) and the square root's (r, r, v)
+    def ref(a, b, c):
+        d = Fraction(a) * Fraction(b) - Fraction(c)
+        return (d > 0) - (d < 0)
+
+    rng = random.Random(111)
+    for a, b in _tp_pairs(rng, 6_000):
+        for x, y in ((a, b), (b, a)):
+            p = x * y
+            if math.isfinite(p):
+                for k in range(-2, 3):
+                    c = _ulps_from(p, k)
+                    if math.isfinite(c):
+                        assert numeric._prod_cmp(x, y, c) == ref(x, y, c), (x, y, c)
+            if y and math.isfinite(x / y):
+                q = x / y
+                assert numeric._prod_cmp(q, y, x) == ref(q, y, x), (x, y)
+        v = abs(a)
+        r = math.sqrt(v)
+        assert numeric._prod_cmp(r, r, v) == ref(r, r, v), v
+
+
 def test_sqrt_exactness_matches_integer_reference():
     rng = random.Random(110)
     values = [abs(_tp_operand(rng)) for _ in range(10_000)]
