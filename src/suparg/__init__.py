@@ -58,7 +58,6 @@ from .numeric import (
     iv_sqrt,
 )
 from .sweep import (
-    DarbouxPlan,
     FailureKind,
     LocalWitness,
     Problem,

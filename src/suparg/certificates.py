@@ -30,11 +30,13 @@ Each certificate type is described once, by one `Row` in `ROWS`: its
 theorem codes, JSON type, per-piece arrays and the side of the enclosure
 each one bounds, parameters, scalar conditions, per-piece limit, statement
 text, and the start values and per-piece step by which the sweep builds it.
-The checker, the JSON codec, the conclusion, the sweep (which selects a row
-by theorem code and builds the certificate in its fields) and the CLI all
-read the rows.  So a conclusion is added by adding a class, its row and the
-`prove_*` function in `theorems` that the row names as its prover; `cli`
-imports that function and calls it by the row's name.
+Start also reads the problem, so what a sweep needs beyond the certificate
+lives in the row too: dit's start plans its budget from a coarser pass's
+certificate.  The checker, the JSON codec, the conclusion, the sweep (which
+selects a row by theorem code and builds the certificate in its fields) and
+the CLI all read the rows.  So a conclusion is added by adding a class, its
+row and the `prove_*` function in `theorems` that the row names as its
+prover; `cli` imports that function and calls it by the row's name.
 """
 
 from __future__ import annotations
@@ -42,9 +44,11 @@ from __future__ import annotations
 import json
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from operator import ge, gt, le, lt
 from typing import Callable
@@ -60,6 +64,7 @@ from .numeric import (
     Rational,
     add_down,
     add_up,
+    div_down,
     float_down,
     float_to_hex,
     format_rational,
@@ -308,8 +313,9 @@ class Row:
     """Everything suparg knows about one certificate type.
 
     Callables take the certificate (or the sweep's state, which has the
-    certificate's field names) as c or s, the function as f, an enclosure
-    as e, a LocalWitness as w and the sweep's Problem as p.
+    certificate's field names and what start adds) as c or s, the function
+    as f, an enclosure as e, a LocalWitness as w and the sweep's Problem as
+    p.  A sweep returns only a certificate that meets requires.
     """
 
     cls: type
@@ -331,7 +337,7 @@ class Row:
     total: Callable | None = None    # c -> reason when the pieces do not add up
     # how the sweep builds it
     candidate: bool = False          # probes points for a maximizer candidate
-    start: Callable = lambda s: {}   # s -> scalars of the certificate on [a, a]
+    start: Callable = lambda s, p: {}   # (s, p) -> scalars on [a, a], the state's own too
     step: Callable | None = None     # (s, w) -> None: scalars after taking in w
     accept: Callable | None = None   # (s, e, p, piece) -> bool; default: the limit holds
     refute: Callable | None = None   # (s, e) -> reason when e certifies it false
@@ -441,13 +447,80 @@ def _darboux_sums(c) -> str | None:
 
 def _darboux_gap(c) -> str | None:
     """The reason the stored gap U - L is not below eps, exactly; None when
-    it is.  O(1), so run_sweep tests every dit certificate it returns."""
+    it is.  O(1), so the row requires it of every certificate a sweep
+    returns: rounding in the directed sums can lift a gap the pieces kept."""
     nl, dl = c.lower_sum.as_integer_ratio()
     nu, du = c.upper_sum.as_integer_ratio()
     ne, de = c.eps.as_integer_ratio()
     if not (nu * dl - nl * du) * de < ne * du * dl:
         return "Darboux gap not below eps"
     return None
+
+
+@dataclass(frozen=True)
+class DarbouxPlan:
+    """Where a coarser dit sweep of the same problem found f steep, to spread
+    the Darboux gap evenly over the pieces of the next sweep.
+
+    A piece of width w and oscillation osc has gap osc * w, and
+    sqrt(osc * w) estimates the integral of sqrt|f'| over it.  For a gap g
+    per piece, a stretch needs about (that integral) / sqrt(g) pieces, so
+    the fewest pieces for a total gap R take g = (R / S)^2 each, S the
+    integral over what is left (de Boor's equidistribution, 1973).  points
+    is the coarse partition, left[i] the estimate S over [points[i], b].
+    """
+
+    points: tuple[float, ...]
+    left: tuple[float, ...]
+
+    @classmethod
+    def of(cls, c: IntegralCert) -> DarbouxPlan | None:
+        """The plan a coarse certificate gives; None when its estimate is
+        not finite."""
+        points = c.partition.points
+        left, total = [0.0], 0.0
+        for k in range(len(c.piece_lo) - 1, -1, -1):
+            total += math.sqrt((c.piece_hi[k] - c.piece_lo[k]) * (points[k + 1] - points[k]))
+            left.append(total)
+        if not math.isfinite(total):
+            return None
+        return cls(tuple(points), tuple(reversed(left)))
+
+    def remaining(self, x: float) -> float:
+        """The estimate S over [x, b], linear within a coarse piece."""
+        points, left = self.points, self.left
+        k = bisect_right(points, x) - 1
+        if k >= len(points) - 1:
+            return 0.0
+        u, v = points[k], points[k + 1]
+        return left[k + 1] + (left[k] - left[k + 1]) * ((v - x) / (v - u))
+
+    def budget(self, s, piece: FloatInterval) -> float:
+        """The oscillation a piece past the state s may have: its gap is at
+        most both the remaining share R = 7/8 eps - (U - L) of the gap and
+        (R / S)^2.  It only steers the sweep, so it is computed with the
+        float arithmetic's rounding, which neither raises nor needs to bound
+        anything: the other 1/8 of eps absorbs that rounding and the sums',
+        and the row's requires tests the gap exactly."""
+        r = 0.875 * s.eps - (s.upper_sum - s.lower_sum)
+        if not r > 0.0:
+            return 0.0
+        rest = self.remaining(piece.lo)
+        if rest > 0.0:
+            r = min(r, (r / rest) * (r / rest))
+        return r / (piece.hi - piece.lo)
+
+
+def _start_darboux(s, p) -> dict:
+    """Empty sums and budget(s, piece), the oscillation a piece past s may
+    have: by the plan of p.prior, a coarser sweep's certificate, when it
+    gives one; else eps / (2 (b - a)) rounded down, which keeps the gap on
+    [a, x] at most (x - a) eps / (2 (b - a)), and which is computed at the
+    first probe, so that a domain error there comes before its overflow."""
+    plan = DarbouxPlan.of(p.prior) if p.prior is not None else None
+    flat = cache(lambda: div_down(s.eps, mul_up(2.0, sub_up(p.b, p.a))))
+    budget = plan.budget if plan is not None else lambda s, piece: flat()
+    return {"lower_sum": 0.0, "upper_sum": 0.0, "budget": budget}
 
 
 def _stretch_flat(s, w) -> None:
@@ -477,7 +550,7 @@ ROWS = (
         grid="partition", arrays=(("piece_sup", HI),), keys={"bound": "M"},
         positive=("bound",), pointwise=True,
         limit=lambda c: (le, c.bound, "M < piece bound"),
-        start=lambda s: {"bound": _MIN_NORMAL}, step=_raise_bound,
+        start=lambda s, p: {"bound": _MIN_NORMAL}, step=_raise_bound,
         accept=lambda s, e, p, piece: True),
     Row(MaxCert, "max", {"evt": {}}, prover="prove_max",
         text=lambda c: (f"∃c = {c.c!r} ∈ [{c.a!r}, {c.b!r}]: ∀t: f(t) ≤ f(c) + {c.eps!r}, "
@@ -490,7 +563,7 @@ ROWS = (
         # add_down gives float_down(f_at_c_lo + eps), and a float v is at most
         # a rational q exactly when it is at most float_down(q)
         limit=lambda c: (le, add_down(c.f_at_c_lo, c.eps), "piece sup-bound above f(c) + eps"),
-        candidate=True, start=lambda s: {"c": s.a, "f_at_c_lo": -_MAX_FLOAT},
+        candidate=True, start=lambda s, p: {"c": s.a, "f_at_c_lo": -_MAX_FLOAT},
         step=_take_candidate, stall="point enclosure wider than eps"),
     Row(NegCert, "neg", {"ivt": {}}, prover="prove_root",
         text=lambda c: f"∀t∈[{c.a!r}, {c.b!r}]: f(t) < 0 for f = {c.fn_source}",
@@ -516,17 +589,18 @@ ROWS = (
         grid="pieces", arrays=(("piece_osc", OSC),), params=("eps",),
         positive=("eps", "delta"), link=_overlap_gap,
         limit=lambda c: (lt, c.eps, "piece oscillation not below eps"),
-        start=lambda s: {"delta": 1.0}, step=_shrink_modulus,
+        start=lambda s, p: {"delta": 1.0}, step=_shrink_modulus,
         # below eps is at most the float below it; a probe wider than max fails
         accept=lambda s, e, p, piece: OSC.holds(math.nextafter(s.eps, 0.0), e)),
     Row(IntegralCert, "integral", {"dit": {}}, prover="prove_integral",
         text=lambda c: (f"∫f over [{c.a!r}, {c.b!r}] ∈ [{c.lower_sum!r}, {c.upper_sum!r}], "
                         f"U − L < {c.eps!r} for f = {c.fn_source}"),
         grid="partition", arrays=(("piece_lo", LO), ("piece_hi", HI)), params=("eps",),
-        keys={"lower_sum": "L", "upper_sum": "U"}, positive=("eps",), total=_darboux_sums,
-        start=lambda s: {"lower_sum": 0.0, "upper_sum": 0.0}, step=_add_darboux_terms,
-        accept=lambda s, e, p, piece: OSC.holds(
-            p.darboux_budget if p.plan is None else p.plan.budget(s, piece), e)),
+        keys={"lower_sum": "L", "upper_sum": "U"}, positive=("eps",),
+        requires=((lambda c, f: not _darboux_gap(c), "Darboux gap not below eps"),),
+        total=_darboux_sums,
+        start=_start_darboux, step=_add_darboux_terms,
+        accept=lambda s, e, p, piece: OSC.holds(s.budget(s, piece), e)),
     Row(MonotoneCert, "monotone", {"sift": {"strict": True}, "ift": {"strict": False}},
         prover="prove_monotone",
         text=lambda c: (f"∀x₁<x₂ in [{c.a!r}, {c.b!r}]: f(x₁) {'<' if c.strict else '≤'} "
@@ -552,7 +626,7 @@ ROWS = (
                    >= Fraction(c.eta) * (Fraction(c.b) - Fraction(c.a)),
                    "oscillation conclusion below eta * (b - a)"),),
         limit=lambda c: (le, c.eta, "piece derivative magnitude above eta"),
-        start=lambda s: {"osc_bound": mul_up(s.eta, sub_up(s.b, s.a))}, step=_stretch_flat,
+        start=lambda s, p: {"osc_bound": mul_up(s.eta, sub_up(s.b, s.a))}, step=_stretch_flat,
         refute=lambda s, d: ("derivative certified outside [-eta, eta]"
                              if d.lo > s.eta or d.hi < -s.eta else "")),
     Row(ClopenReport, "clopen", {"i1": {}},

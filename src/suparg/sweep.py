@@ -1,12 +1,13 @@
 """The generic frontier-sweep engine.
 
-Each theorem a sweep proves, named by its code ("bvt" … "cft"), is a
-prefix statement about [a, x] that holds trivially at x = a, extends
-locally by one interval evaluation over a small piece, and merges with what
-is already certified.  The classical proof takes the supremum of the
-certified prefix set and derives a contradiction from the ability to extend
-past it; here the same extension step simply advances a frontier until it
-reaches b.
+Each theorem a sweep proves is a prefix statement about [a, x] that holds
+trivially at x = a, extends locally by one interval evaluation over a small
+piece, and merges with what is already certified.  The classical proof
+takes the supremum of the certified prefix set and derives a contradiction
+from the ability to extend past it; here the same extension step simply
+advances a frontier until it reaches b.  The engine names no theorem: the
+certificate's row, selected by the theorem's code, says how to start, probe,
+accept, refute and merge, and what the finished certificate requires.
 
 run_sweep is the argument's three steps written out as a fold over one
 carried SweepState, for every domain: base_case opens it on [a, a],
@@ -17,57 +18,39 @@ the point, so the loop never runs, and a point that refutes the theorem
 ends the fold there.
 
 Local extension searches for a workable step width by geometric halving
-down to h_min, over the lattice of widths h_init * 2**-k.  The width that
-certified the previous piece is the best guess for the next one, so the
-search warm-starts at twice that width (capped at h_init) and only the
-first piece starts cold at h_init.  A warm search that certifies nothing is
-rerun once from h_init, so a frontier fails exactly where the cold search
-fails, refutation probes at the wide widths included.  A failure to certify
-is reported as a stall unless the evaluated enclosure itself refutes the
-hypothesis (for example a certified-positive range while proving
-negativity), in which case the failure carries the refuting piece: interval
-arithmetic cannot otherwise distinguish "hypothesis false" from "enclosure
-too loose".
+down to h_min, over the lattice of widths h_init * 2**-k, h_init being
+(b - a) / 8.  The width that certified the previous piece is the best guess
+for the next one, so the search warm-starts at twice that width (capped at
+h_init) and only the first piece starts cold at h_init.  A warm search that
+certifies nothing is rerun once from h_init, so a frontier fails exactly
+where the cold search fails, refutation probes at the wide widths included.
+A failure to certify is reported as a stall unless the evaluated enclosure
+itself refutes the hypothesis (for example a certified-positive range while
+proving negativity), in which case the failure carries the refuting piece:
+interval arithmetic cannot otherwise distinguish "hypothesis false" from
+"enclosure too loose".
 
-Combination is the paper's merge rule made concrete.  For most theorems it
-is transitive: the piece is appended and the row's scalars updated (a
-running bound, a Darboux sum).  Uniform continuity (uct) is
-quasi-pseudo-transitive: it merges with a shrinking modulus (pieces are
-kept overlapping, and the merged delta never exceeds a constituent delta
-nor half an overlap).  Strict monotonicity (sift) is pseudo-transitive: it
-chains strict inequalities through shared piece endpoints.
+Combination is the paper's merge rule, made concrete by the row's step: it
+is transitive where the piece is appended and the scalars updated (a
+running bound, a Darboux sum), quasi-pseudo-transitive where a modulus
+shrinks so that overlapping pieces still hold every close pair, and
+pseudo-transitive where strict inequalities chain through shared piece
+endpoints.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cached_property
 from types import SimpleNamespace
 
-from .certificates import (
-    ROWS,
-    Certificate,
-    IntegralCert,
-    Partition,
-    Row,
-    StructureError,
-    _darboux_gap,
-)
+from .certificates import ROWS, Certificate, Partition, Row, StructureError
 from .expr import Expr, eval_d1, eval_iv, to_source
-from .numeric import (
-    DomainError,
-    FloatInterval,
-    div_down,
-    mul_up,
-    sub_up,
-)
+from .numeric import DomainError, FloatInterval
 
 
-# theorem code -> the row of the certificate its sweep builds: NegCert for
-# ivt (prove_root bisects for its RootBracket), MonotoneCert for sift and ift
+# theorem code -> the row of the certificate its sweep builds, one with per-piece arrays
 _SWEPT = {th: row for row in ROWS if row.arrays for th in row.theorems}
 
 
@@ -77,68 +60,14 @@ def default_h_min(a: float, b: float) -> float:
 
 
 @dataclass(frozen=True)
-class DarbouxPlan:
-    """Where a coarser dit sweep of the same problem found f steep, to spread
-    the Darboux gap evenly over the pieces of the next sweep.
-
-    A piece of width w and oscillation osc has gap osc * w, and
-    sqrt(osc * w) estimates the integral of sqrt|f'| over it.  For a gap g
-    per piece, a stretch needs about (that integral) / sqrt(g) pieces, so
-    the fewest pieces for a total gap R take g = (R / S)^2 each, S the
-    integral over what is left (de Boor's equidistribution, 1973).  points
-    is the coarse partition, left[i] the estimate S over [points[i], b].
-    """
-
-    points: tuple[float, ...]
-    left: tuple[float, ...]
-
-    @classmethod
-    def of(cls, c: IntegralCert) -> DarbouxPlan | None:
-        """The plan a coarse certificate gives; None when its estimate is
-        not finite."""
-        points = c.partition.points
-        left, total = [0.0], 0.0
-        for k in range(len(c.piece_lo) - 1, -1, -1):
-            total += math.sqrt((c.piece_hi[k] - c.piece_lo[k]) * (points[k + 1] - points[k]))
-            left.append(total)
-        if not math.isfinite(total):
-            return None
-        return cls(tuple(points), tuple(reversed(left)))
-
-    def remaining(self, x: float) -> float:
-        """The estimate S over [x, b], linear within a coarse piece."""
-        points, left = self.points, self.left
-        k = bisect_right(points, x) - 1
-        if k >= len(points) - 1:
-            return 0.0
-        u, v = points[k], points[k + 1]
-        return left[k + 1] + (left[k] - left[k + 1]) * ((v - x) / (v - u))
-
-    def budget(self, s, piece: FloatInterval) -> float:
-        """The oscillation a piece past the state s may have: its gap is at
-        most both the remaining share R = 7/8 eps - (U - L) of the gap and
-        (R / S)^2.  It only steers the sweep, so it is computed with the
-        float arithmetic's rounding, which neither raises nor needs to bound
-        anything: the other 1/8 of eps absorbs that rounding and the sums',
-        and run_sweep tests the gap exactly."""
-        r = 0.875 * s.eps - (s.upper_sum - s.lower_sum)
-        if not r > 0.0:
-            return 0.0
-        rest = self.remaining(piece.lo)
-        if rest > 0.0:
-            r = min(r, (r / rest) * (r / rest))
-        return r / (piece.hi - piece.lo)
-
-
-@dataclass(frozen=True)
 class Problem:
     """A theorem to certify for one function over one interval.
 
-    theorem is the theorem's code, one of those a sweep proves ("bvt" …
-    "cft"; ValueError otherwise).  eps, M and eta are the parameters of the
-    theorem, named by their JSON keys; its row says which it takes and
-    their signs.  plan, for dit only, replaces the per-prefix budget with
-    the plan's budget.
+    theorem is the theorem's code, one of those a sweep proves (ValueError
+    otherwise).  eps, M and eta are the parameters of the theorem, named by
+    their JSON keys; its row says which it takes and their signs.  prior,
+    the certificate of a coarser pass over the same problem, is for the
+    row's start to read.  b - a must not overflow binary64.
     """
 
     f: Expr
@@ -149,7 +78,7 @@ class Problem:
     M: float | None = None
     eta: float | None = None
     fn_source: str | None = None
-    plan: DarbouxPlan | None = field(default=None, repr=False, compare=False)
+    prior: Certificate | None = field(default=None, repr=False, compare=False)
     row: Row = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -157,6 +86,8 @@ class Problem:
             raise ValueError("domain endpoints must be finite")
         if self.a > self.b:
             raise ValueError("domain endpoints out of order")
+        if not math.isfinite(self.b - self.a):
+            raise ValueError("domain width b - a overflows binary64")
         row = _SWEPT.get(self.theorem)
         if row is None:
             raise ValueError(f"no sweep proves theorem {self.theorem!r}")
@@ -170,19 +101,10 @@ class Problem:
                 raise ValueError(f"{key} must be positive")
             if name in row.nonnegative and value < 0:
                 raise ValueError(f"{key} must be nonnegative")
-        if self.plan is not None and self.theorem != "dit":
-            raise ValueError("only dit takes a plan")
         if row.deriv and not self.f.differentiable:
             raise ValueError("derivative-based kinds need a differentiable expression")
         if self.fn_source is None:
             object.__setattr__(self, "fn_source", to_source(self.f))
-
-    @cached_property
-    def darboux_budget(self) -> float:
-        """Per-piece oscillation budget eps / (2 (b - a)), rounded down: the
-        per-prefix rule of a dit sweep without a plan, which keeps the gap
-        on [a, x] at most (x - a) eps / (2 (b - a))."""
-        return div_down(self.eps, mul_up(2.0, sub_up(self.b, self.a)))
 
 
 @dataclass(frozen=True)
@@ -225,7 +147,6 @@ class SweepFailure:
 
 @dataclass(frozen=True)
 class SweepOptions:
-    h_init: float | None = None      # default (b - a) / 8
     h_min: float | None = None       # default: default_h_min(a, b)
     max_pieces: int = 2 ** 20
 
@@ -234,7 +155,8 @@ class SweepOptions:
             raise ValueError(f"max_pieces must be at least 1, got {self.max_pieces}")
 
     def resolve(self, p: Problem) -> tuple[float, float, int]:
-        h_init = self.h_init if self.h_init is not None else (p.b - p.a) / 8
+        """(h_init, h_min, max_pieces), h_init = (b - a) / 8."""
+        h_init = (p.b - p.a) / 8
         h_min = self.h_min if self.h_min is not None else default_h_min(p.a, p.b)
         if not 0 < h_min <= h_init:
             raise ValueError("need 0 < h_min <= h_init")
@@ -274,7 +196,7 @@ def _start(p: Problem) -> SimpleNamespace:
     s = SimpleNamespace(fn_source=p.fn_source, a=p.a, b=p.a,
                         **{name: getattr(p, row.key(name)) for name in row.params},
                         **row.theorems[p.theorem])
-    vars(s).update(row.start(s))
+    vars(s).update(row.start(s, p))
     vars(s).update({name: [] for name, _ in row.arrays})
     setattr(s, row.grid, [p.a] if row.grid == "partition" else [])
     return s
@@ -383,10 +305,13 @@ def combine(p: Problem, s: SweepState, w: LocalWitness) -> None:
 
 
 def finish(p: Problem, s: SweepState) -> Certificate:
-    """The certificate on [a, frontier].  It copies the state's lists, so the
+    """The certificate on [a, frontier], from the state's entries that are
+    fields of the row's class; what only the sweep reads, such as a budget
+    its row's start set, stays out.  It copies the state's lists, so the
     fold may go on afterwards."""
-    row = p.row
-    values = {k: tuple(v) if isinstance(v, list) else v for k, v in vars(s.acc).items()}
+    row, acc = p.row, vars(s.acc)
+    values = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in ((fld.name, acc[fld.name]) for fld in fields(row.cls))}
     if row.grid == "partition":
         values["partition"] = Partition(values["partition"])
     return row.cls(**values)
@@ -397,11 +322,10 @@ def run_sweep(p: Problem, opts: SweepOptions | None = None) -> Certificate | Swe
 
     On success the returned certificate passes the independent checker with
     no re-tuning; on failure the frontier value and, when one was certified,
-    a refuting witness piece are reported.  A dit certificate is returned
-    only when its exact Darboux gap is below eps: the pieces keep the
-    budget, but the directed sums of a large integrand round by ulp(f)
-    times the width on every piece, and a full sweep whose gap that
-    rounding lifts to eps or above ends STALLED at b.
+    a refuting witness piece are reported.  A certificate is returned only
+    when it meets its row's requires: a full sweep whose certificate fails
+    one, as rounding in the row's scalars can make it, ends STALLED at b
+    with that requirement's reason.
     """
     s = base_case(p, opts)
     if isinstance(s, SweepFailure):
@@ -412,9 +336,9 @@ def run_sweep(p: Problem, opts: SweepOptions | None = None) -> Certificate | Swe
             return w
         combine(p, s, w)
     cert = finish(p, s)
-    gap = _darboux_gap(cert) if isinstance(cert, IntegralCert) else None
-    if gap is not None:
-        return SweepFailure(FailureKind.STALLED, at=p.b, detail=gap)
+    for test, reason in p.row.requires:
+        if not test(cert, p.f):
+            return SweepFailure(FailureKind.STALLED, at=p.b, detail=reason)
     return cert
 
 

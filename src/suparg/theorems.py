@@ -26,7 +26,6 @@ from .certificates import (
 from .expr import Expr, eval_iv, parse
 from .numeric import _MAX_FLOAT, DomainError, FloatInterval
 from .sweep import (
-    DarbouxPlan,
     FailureKind,
     Problem,
     SweepFailure,
@@ -82,12 +81,12 @@ def prove_integral(f: Expr | str, a: float, b: float, eps: float,
     """Enclose the Darboux integral of f over [a, b] with gap below eps.
 
     A first sweep at 16 eps, with a sixteenth of the piece budget, shows
-    where f is steep, and its DarbouxPlan lets a second sweep spread the
-    gap so that each piece takes an even share of what is left (about
-    (integral of sqrt|f'|)^2 / eps pieces, where a budget per unit length
-    needs about 2 (b - a) (integral of |f'|) / eps).  That certificate is
-    returned when the second sweep succeeds; run_sweep returns a dit
-    certificate only when its exact gap is below eps.  On any other outcome
+    where f is steep.  Its certificate is the prior of a second sweep, whose
+    row plans from it to give each piece an even share of the gap left
+    (about (integral of sqrt|f'|)^2 / eps pieces, where a budget per unit
+    length needs about 2 (b - a) (integral of |f'|) / eps).  That
+    certificate is returned when the second sweep succeeds; run_sweep
+    returns one only when its exact gap is below eps.  On any other outcome
     of either sweep, a failure or a domain error, the plain sweep's result
     is returned: the per-prefix budget (x - a) * eps / (2 (b - a)) ends a
     full run with a gap of at most eps/2 plus rounding dust, and a failure
@@ -99,9 +98,8 @@ def prove_integral(f: Expr | str, a: float, b: float, eps: float,
     try:
         coarse = run_sweep(replace(plain, eps=min(16.0 * eps, _MAX_FLOAT)),
                            replace(opts, max_pieces=max(1, opts.max_pieces // 16)))
-        plan = DarbouxPlan.of(coarse) if isinstance(coarse, IntegralCert) else None
-        if plan is not None:
-            cert = run_sweep(replace(plain, plan=plan), opts)
+        if isinstance(coarse, IntegralCert):
+            cert = run_sweep(replace(plain, prior=coarse), opts)
             if isinstance(cert, IntegralCert):
                 return cert
     except (DomainError, OverflowError):
@@ -152,12 +150,12 @@ def prove_root(f: Expr | str, a: float, b: float, tol: float,
     expr, src = _as_expr(f)
     if not tol > 0:
         raise ValueError("tol must be positive")
+    problem = Problem(expr, a, b, "ivt", fn_source=src)
     f_a = eval_iv(expr, FloatInterval.point(a))
     if not f_a.hi < 0.0:
         raise PreconditionError(
             f"f(a) is not certified negative: enclosure {f_a} at a = {a!r}")
 
-    problem = Problem(expr, a, b, "ivt", fn_source=src)
     res = run_sweep(problem, opts)
     if isinstance(res, NegCert):
         return res

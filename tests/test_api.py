@@ -1,6 +1,7 @@
-"""No dead code: every function and method in src/ has a caller in src/.
+"""No dead code, and a sweep that names no theorem.
 
-A method, or a module-level function that the package does not export from
+Every function and method in src/ has a caller in src/.  A method, or a
+module-level function that the package does not export from
 suparg/__init__.py, must be referenced somewhere in src/ outside its own
 definition.  This holds for private (single-underscore) helpers as for
 public names, and every private module-level constant or class must be read
@@ -8,6 +9,10 @@ the same way.  A reference is a name, an attribute, or a string equal to the
 name (rows name their provers by string).  Dunder methods are exempt: Python
 calls them, and perfbench/micro.py times FloatInterval.__add__, __mul__ and
 __truediv__ by name.
+
+sweep.py holds no string equal to a theorem code and imports no
+certificate class: what one theorem's sweep needs lives in that theorem's
+row.
 """
 
 import ast
@@ -106,3 +111,17 @@ def test_every_private_module_name_is_read():
     unread = [f"{module}.{name}" for module, name, node in _private_module_names()
               if everywhere[name] - _references(node)[name] <= 0]
     assert not unread, f"private module-level names nothing in src/ reads: {unread}"
+
+
+def test_sweep_names_no_theorem():
+    from suparg.certificates import ROWS
+    codes = {th for row in ROWS for th in row.theorems}
+    tree = ast.parse((SRC / "sweep.py").read_text())
+    named = sorted({node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and node.value in codes})
+    assert not named, f"sweep.py names theorem codes {named}"
+    allowed = {"Certificate", "Partition", "Row", "ROWS", "StructureError"}
+    imported = {alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module == "certificates"
+                for alias in node.names}
+    assert imported <= allowed, f"sweep.py imports {sorted(imported - allowed)} from certificates"

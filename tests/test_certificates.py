@@ -687,6 +687,99 @@ def test_every_row_roundtrips_checks_and_catches_a_tampered_piece(row):
 
 
 # ---------------------------------------------------------------------------
+# hostile documents: each checker verdict, and exit 1 from `suparg check`
+# ---------------------------------------------------------------------------
+
+def _subcover_of_three():
+    cover = Cover(tuple(_rat_open(lo, hi) for lo, hi in
+                        (("-1/10", "2/5"), ("3/10", "7/10"), ("3/5", "11/10"))))
+    return extract_subcover(cover, Fraction(0), Fraction(1))
+
+
+def _hostile(make, *edits):
+    """The document of make()'s certificate with each (path, value) of
+    edits set in it."""
+    def build():
+        doc = to_document(make())
+        for path, value in edits:
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        return doc
+    return build
+
+
+def _gap_and_piece_past():
+    # eps set to the stored gap fails the gap test, and the first piece
+    # bound set below f fails its fresh enclosure
+    cert = prove_integral("x^2", 0.0, 1.0, 1e-3)
+    doc = to_document(cert)
+    doc["params"]["eps"] = _HEX(cert.upper_sum - cert.lower_sum)
+    doc["certificate"]["piece_hi"][0] = _HEX(-1.0)
+    return doc
+
+
+_HEX = certificates.float_to_hex
+
+HOSTILE = {
+    "inverted domain": _hostile(ROW_PROBLEMS["bound"],
+                                (["domain"], [_HEX(3.0), _HEX(0.0)])),
+    "partition does not start at a": _hostile(ROW_PROBLEMS["bound"],
+                                              (["domain", 0], _HEX(-1.0))),
+    # a == b with one degenerate piece [0, 0] that starts and ends there
+    "degenerate domain with nonempty pieces": _hostile(
+        lambda: prove_modulus("x", 0.0, 0.0, 1.0),
+        (["certificate", "pieces"], [[_HEX(0.0), _HEX(0.0)]]),
+        (["certificate", "piece_osc"], [_HEX(0.0)])),
+    "no cover elements chosen": _hostile(_subcover_of_three,
+                                         (["certificate", "indices"], [])),
+    "chosen index 5 outside the cover": _hostile(_subcover_of_three,
+                                                 (["certificate", "indices"], [0, 5, 2])),
+    "cover element is not an open interval": _hostile(
+        _subcover_of_three, (["certificate", "cover", 1, "lo_open"], False)),
+    # (-1/10, 1/5) holds 0 and (3/10, 7/10) holds 2/5, but [1/5, 3/10] lies
+    # between them
+    "chosen elements miss the point 1/5": _hostile(
+        _subcover_of_three, (["certificate", "cover", 0, "hi"], "1/5")),
+    "stored verdict not reproduced by exact set algebra": _hostile(
+        ROW_PROBLEMS["clopen"], (["certificate", "verdict"], "covers_all")),
+    # the gap test is among the row's requires, so it is reported before
+    # the piece past its fresh enclosure
+    "Darboux gap not below eps": _gap_and_piece_past,
+}
+
+
+@pytest.mark.parametrize("reason", sorted(HOSTILE))
+def test_hostile_document_gives_its_reason(reason, tmp_path, capsys):
+    from suparg.cli import run
+    doc = HOSTILE[reason]()
+    result = check(from_document(doc))
+    assert not result and result.reason == reason
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check", str(path)]) == 1
+    assert capsys.readouterr() == (f"{result}\n", "")
+
+
+def test_unknown_certificate_type_is_a_structure_error(tmp_path, capsys):
+    from suparg.cli import run
+    doc = _hostile(ROW_PROBLEMS["bound"], (["certificate", "type"], "lemma"))()
+    with pytest.raises(StructureError, match="unknown certificate type 'lemma'"):
+        from_document(doc)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
+
+
+def test_caller_domain_mismatch_at_a():
+    cert = ROW_PROBLEMS["bound"]()
+    result = check(cert, parse("sin(x)"), 0.5, 3.0)
+    assert not result and result.reason == "domain mismatch: a"
+
+
+# ---------------------------------------------------------------------------
 # exact float and scaled-integer tests against the Fraction forms they replaced
 # ---------------------------------------------------------------------------
 

@@ -359,6 +359,44 @@ def test_one_process_runs_like_fresh_processes(capsys, tmp_path):
     assert in_process[2][0] == 2  # dit without --eps is refused
 
 
+def test_python_dash_m_suparg_runs_the_cli(capsys):
+    argv = ["prove", "bvt", "--fn", "x", "--a", "0", "--b", "1", "--format", "json"]
+    code, out, _ = invoke(capsys, *argv)
+    src = os.path.dirname(os.path.dirname(suparg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    fresh = subprocess.run([sys.executable, "-m", "suparg", *argv], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert code == 0
+    assert (fresh.returncode, fresh.stdout) == (0, out)
+
+
+_WIDEST = str(2 ** 1023)
+
+
+@pytest.mark.parametrize("theorem", cli.THEOREMS)
+def test_domain_wider_than_binary64_exits_two(capsys, theorem):
+    # b - a = 2^1024 overflows: refused before any sweep, which would
+    # otherwise halve an infinite step width forever
+    code, out, err = invoke(capsys, "prove", theorem, "--fn", "x", "--a", "-" + _WIDEST,
+                            "--b", _WIDEST, *_CONTRACT_PARAMS.get(theorem, []))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "usage",
+                               "detail": "domain width b - a overflows binary64"}
+
+
+def test_integral_budget_overflow_comes_after_the_first_domain_error(capsys):
+    # on [0, 2^1023] the per-prefix budget eps / (2 (b - a)) overflows; the
+    # first piece's domain error is still the one reported
+    code, out, err = invoke(capsys, "prove", "dit", "--fn", "log(x)", "--a", "0",
+                            "--b", _WIDEST, "--eps", "1")
+    record = json.loads(err)
+    assert (code, out, record["error"]) == (2, "", "domain")
+    assert record["detail"].startswith("log undefined")
+    code, _, err = invoke(capsys, "prove", "dit", "--fn", "x", "--a", "0", "--b", _WIDEST,
+                          "--eps", "1")
+    assert code == 2 and json.loads(err)["detail"].startswith("overflow")
+
+
 def test_usage_errors(capsys):
     code, _, err = invoke(capsys, "prove", "dit", "--fn", "x", "--a", "0", "--b", "1")
     assert code == 2 and json.loads(err)["error"] == "usage"  # missing --eps

@@ -38,8 +38,8 @@ def at_frontier(src, a, b, theorem, x, h_init, h_prev=None, **kw):
     """The problem on [x, b] with the widths of the one on [a, b]: a fresh
     fold whose frontier is x, searching as the sweep on [a, b] does there."""
     p = problem(src, x, b, theorem, **kw)
-    state = base_case(p, SweepOptions(h_init=h_init, h_min=default_h_min(a, b)))
-    state.h_prev = h_prev
+    state = base_case(p, SweepOptions(h_min=default_h_min(a, b)))
+    state.h_init, state.h_prev = h_init, h_prev
     return p, state
 
 
@@ -61,6 +61,12 @@ def test_problem_param_validation():
     for theorem in ("i1", "i2", "xyz"):  # no sweep proves these
         with pytest.raises(ValueError):
             problem("x", 0, 1, theorem)
+
+
+def test_domain_wider_than_binary64_rejected():
+    with pytest.raises(ValueError, match="overflows"):
+        problem("sin(x)", -2.0 ** 1023, 2.0 ** 1023, "ivt")
+    assert problem("x", -2.0 ** 1022, 2.0 ** 1022, "ivt").b == 2.0 ** 1022  # 2^1023 wide
 
 
 @pytest.mark.parametrize("theorem", cli.THEOREMS)
@@ -91,7 +97,8 @@ def test_base_case_is_vacuous():
 def test_base_case_hypothesis_free_for_sign():
     # f(a) >= 0 does not fail the base case; the first extension fails
     p = problem("x + 1", 0.0, 1.0, "ivt")
-    state = base_case(p, SweepOptions(h_init=0.125))
+    state = base_case(p)
+    state.h_init = 0.125
     assert state.frontier == 0.0
     res = local_extend(p, state)
     assert isinstance(res, SweepFailure)
@@ -118,7 +125,7 @@ def test_degenerate_domain_immediately_final():
         assert check(out), (theorem, check(out))
         assert _point_fold(p) == out, theorem
         # the options are neither used nor checked on a single point
-        assert run_sweep(p, SweepOptions(h_init=0.5, h_min=1.0)) == out
+        assert run_sweep(p, SweepOptions(h_min=1.0)) == out
     p = problem("x - 1", 0.5, 0.5, "ivt")
     neg = run_sweep(p)
     assert isinstance(neg, NegCert) and check(neg)
@@ -185,7 +192,8 @@ def test_local_extend_requires_room():
 def test_local_extend_reports_domain_error_piece():
     from suparg.numeric import DomainError
     p = problem("log(x)", -1.0, 1.0, "bvt")
-    state = base_case(p, SweepOptions(h_init=0.25))
+    state = base_case(p)
+    state.h_init = 0.25
     with pytest.raises(DomainError) as exc:
         local_extend(p, state)
     assert exc.value.piece.lo == -1.0
@@ -197,7 +205,8 @@ def test_local_extend_reports_domain_error_piece():
 
 def test_combine_base_promotes_witness():
     p = problem("sin(x)", 0.0, 3.0, "bvt")
-    state = base_case(p, SweepOptions(h_init=0.375))
+    state = base_case(p)
+    state.h_init = 0.375
     w = local_extend(p, state)
     combine(p, state, w)
     cert = finish(p, state)
@@ -208,7 +217,8 @@ def test_combine_base_promotes_witness():
 
 def test_combine_endpoint_mismatch_rejected():
     p = problem("sin(x)", 0.0, 3.0, "bvt")
-    state = base_case(p, SweepOptions(h_init=0.375))
+    state = base_case(p)
+    state.h_init = 0.375
     w = local_extend(p, state)
     shifted = LocalWitness(FloatInterval(0.5, 0.75), value=w.value)
     with pytest.raises(StructureError):
@@ -289,7 +299,8 @@ def test_non_positive_budget_rejected(max_pieces):
 
 def _manual_run(p, h_init, h_min):
     """Step with the public operations, checking the partial at each stop."""
-    state = base_case(p, SweepOptions(h_init=h_init, h_min=h_min))
+    state = base_case(p, SweepOptions(h_min=h_min))
+    state.h_init = h_init
     frontiers = [state.frontier]
     while state.frontier < p.b:
         res = local_extend(p, state)
@@ -320,7 +331,7 @@ def test_frontier_monotone_and_fold_matches_sweep(src, theorem, kw):
         assert v > u
         assert v - u >= h_min * 0.5 or v == b
     assert state.pieces_used <= math.ceil((b - a) / h_min) + 1
-    swept = run_sweep(p, SweepOptions(h_init=h_init, h_min=h_min))
+    swept = run_sweep(p, SweepOptions(h_min=h_min))
     assert swept == finish(p, state)
 
 

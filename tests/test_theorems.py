@@ -19,6 +19,7 @@ from suparg.certificates import (
     check,
 )
 from suparg.numeric import DomainError, FloatInterval
+from suparg import theorems
 from suparg.sweep import FailureKind, Problem, SweepFailure, SweepOptions, run_sweep
 from suparg.theorems import (
     Inconclusive,
@@ -111,6 +112,25 @@ def test_root_sqrt2_bracket():
     assert cert.l <= root <= cert.r
     olo, ohi = bisect_oracle(lambda t: t * t - 2, 0.0, 2.0)
     assert cert.l <= ohi and olo <= cert.r  # brackets agree
+
+
+def test_root_bisection_moves_the_left_end(monkeypatch):
+    # with h_min = 2^-6 the negativity sweep stalls at 1.40625, short of
+    # sqrt(2) by more than tol, so bisection moves l as well as r
+    starts = []
+    real = theorems._bisect_bracket
+    monkeypatch.setattr(theorems, "_bisect_bracket",
+                        lambda *args: starts.append((args[5], args[7])) or real(*args))
+    cert = prove_root("x^2 - 2", 0.0, 2.0, 1e-9, SweepOptions(h_min=2.0 ** -6))
+    assert starts == [(1.40625, 1.65625)]
+    assert isinstance(cert, RootBracket) and check(cert)
+    assert 1.40625 < cert.l <= math.sqrt(2.0) <= cert.r
+
+
+def test_root_sweep_out_of_pieces_is_returned():
+    res = prove_root("x^2 - 2", 0.0, 2.0, 1e-9, SweepOptions(max_pieces=2))
+    assert isinstance(res, SweepFailure) and res.kind is FailureKind.BUDGET
+    assert str(res) == "budget at 0.5; piece budget 2 exhausted"
 
 
 def test_root_never_crossing_gives_negativity():
