@@ -62,7 +62,6 @@ from .sweep import (
     LocalWitness,
     Problem,
     SweepFailure,
-    SweepOptions,
     SweepState,
     base_case,
     combine,

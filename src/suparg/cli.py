@@ -35,7 +35,7 @@ from .numeric import (
     interval_to_hex,
     parse_rational,
 )
-from .sweep import SweepFailure, SweepOptions, default_h_min
+from .sweep import SweepFailure, default_h_min
 from .theorems import (  # noqa: F401  provers are called by the name their row gives
     Inconclusive,
     PreconditionError,
@@ -101,7 +101,6 @@ def _build_parser() -> _Parser:
     pr.add_argument("--M", help="derivative cap for mvi")
     pr.add_argument("--eta", help="flatness budget for cft")
     pr.add_argument("--tol", default="1e-9", help="bracket width for ivt")
-    pr.add_argument("--h-min", dest="h_min", help="smallest step (default (b-a)*2^-40)")
     pr.add_argument("--max-pieces", dest="max_pieces", type=int, default=2 ** 20)
     pr.add_argument("--out", help="write certificate JSON to this file")
     pr.add_argument("--format", choices=("json", "text"), default="text")
@@ -170,8 +169,6 @@ def _cmd_prove(args) -> int:
     if a > b:
         raise UsageError("--a must not exceed --b")
     given = {key: _strict_param(getattr(args, key), key) for key in ("eps", "M", "eta", "tol")}
-    h_min = _strict_param(args.h_min, "h-min")
-    opts = SweepOptions(h_min=h_min, max_pieces=args.max_pieces)
 
     th = args.theorem
     row = _PROVED[th]
@@ -183,7 +180,8 @@ def _cmd_prove(args) -> int:
     # looked up at call time, so a wrapper installed on this module sees the call
     prover = globals()[row.prover]
     try:
-        result = prover(f, a, b, *values, *row.theorems[th].values(), opts)
+        result = prover(f, a, b, *values, *row.theorems[th].values(),
+                        max_pieces=args.max_pieces)
     except PreconditionError as err:
         return _emit_failure({"failure": "precondition", "detail": str(err)})
     except Inconclusive as err:
@@ -192,8 +190,7 @@ def _cmd_prove(args) -> int:
     if isinstance(result, SweepFailure):
         return _emit_failure(_failure_record(result))
 
-    resolved_h_min = h_min if h_min is not None else default_h_min(a, b)
-    engine = {"pieces": piece_count(result), "h_min": float_to_hex(resolved_h_min)}
+    engine = {"pieces": piece_count(result), "h_min": float_to_hex(default_h_min(a, b))}
     text = dumps(result, engine)
     if args.out:
         with open(args.out, "w") as handle:

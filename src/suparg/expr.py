@@ -371,35 +371,47 @@ def to_source(e: Expr) -> str:
     parses to an equal one: it parenthesizes an operand only where the
     grammar needs it and writes unary minus by factor := "-" factor, so it
     has no group its source lacked and stays within MAX_DEPTH groups.
+
+    The tape is read from its last instruction, the root, down to its
+    operands, left to right, and each fragment of text is emitted once: the
+    fragments are joined at the end, in time linear in the text's length.
     """
     tape = e._tape or _compile(e)
-    done: list[tuple[str, int]] = []  # text and level of finished operands, last on top
-    for (op, _, n, _), node in zip(tape.code, tape.nodes):
+    code, nodes = tape.code, tape.nodes
+    parts: list[str] = []
+    # text still to emit, or (instruction, level its place needs); last on top
+    todo: list = [(len(code) - 1, _SUM)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        k, need = item
+        op, i, j, _ = code[k]
+        if _LEVEL.get(op, _ATOM) < need:
+            parts.append("(")
+            todo.append(")")
         if op in _INFIX:
             sym, level = _INFIX[op]
-            right = _operand(done.pop(), level + 1)
-            done.append((f"{_operand(done.pop(), level)} {sym} {right}", level))
+            todo += ((j, level + 1), f" {sym} ", (i, level))
         elif op == _NEG:
-            done.append(("-" + _operand(done.pop(), _FACTOR), _FACTOR))
+            parts.append("-")
+            todo.append((i, _FACTOR))
         elif op == _POW:
-            done.append((f"{_operand(done.pop(), _ATOM)}^{n}", _POWER))
+            todo += (f"^{j}", (i, _ATOM))
         elif op == _VAR:
-            done.append(("x", _ATOM))
+            parts.append("x")
         elif op in (_CONST, _HUGE):
-            done.append((_format_const(node.value), _ATOM))
+            parts.append(_format_const(nodes[k].value))
         else:
-            done.append((f"{node.fn}({done.pop()[0]})", _ATOM))
-    return done[0][0]
+            parts.append(f"{nodes[k].fn}(")
+            todo += (")", (i, _SUM))
+    return "".join(parts)
 
 
 # Binding levels of printed text, by the grammar rule that reads it: an
 # operand below the level its place needs is parenthesized.
 _SUM, _TERM, _FACTOR, _POWER, _ATOM = range(5)
-
-
-def _operand(done: tuple[str, int], need: int) -> str:
-    text, level = done
-    return text if level >= need else f"({text})"
 
 
 # =============================================================================
@@ -417,6 +429,7 @@ def _operand(done: tuple[str, int], need: int) -> str:
 
 _BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
 _INFIX = {_ADD: ("+", _SUM), _SUB: ("-", _SUM), _MUL: ("*", _TERM), _DIV: ("/", _TERM)}
+_LEVEL = {op: level for op, (_, level) in _INFIX.items()} | {_NEG: _FACTOR, _POW: _POWER}
 _APPLY = {
     "sin": (_SIN, _sin),
     "cos": (_COS, _cos),

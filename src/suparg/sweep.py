@@ -18,12 +18,13 @@ the point, so the loop never runs, and a point that refutes the theorem
 ends the fold there.
 
 Local extension searches for a workable step width by geometric halving
-down to h_min, over the lattice of widths h_init * 2**-k, h_init being
-(b - a) / 8.  The width that certified the previous piece is the best guess
-for the next one, so the search warm-starts at twice that width (capped at
-h_init) and only the first piece starts cold at h_init.  A warm search that
-certifies nothing is rerun once from h_init, so a frontier fails exactly
-where the cold search fails, refutation probes at the wide widths included.
+over a fixed lattice of widths h_init * 2**-k, from h_init = (b - a) / 8
+down to h_min = (b - a) * 2**-40: at most 38 widths per search.  The width
+that certified the previous piece is the best guess for the next one, so
+the search warm-starts at twice that width (capped at h_init) and only the
+first piece starts cold at h_init.  A warm search that certifies nothing is
+rerun once from h_init, so a frontier fails exactly where the cold search
+fails, refutation probes at the wide widths included.
 A failure to certify is reported as a stall unless the evaluated enclosure
 itself refutes the hypothesis (for example a certified-positive range while
 proving negativity), in which case the failure carries the refuting piece:
@@ -55,7 +56,7 @@ _SWEPT = {th: row for row in ROWS if row.arrays for th in row.theorems}
 
 
 def default_h_min(a: float, b: float) -> float:
-    """Smallest step width when none is given: (b - a) * 2**-40."""
+    """The smallest step width of a sweep on [a, b]: (b - a) * 2**-40."""
     return (b - a) * 2.0 ** -40
 
 
@@ -67,7 +68,12 @@ class Problem:
     otherwise).  eps, M and eta are the parameters of the theorem, named by
     their JSON keys; its row says which it takes and their signs.  prior,
     the certificate of a coarser pass over the same problem, is for the
-    row's start to read.  b - a must not overflow binary64.
+    row's start to read.  max_pieces caps the pieces a sweep may take.
+
+    The sweep searches the fixed lattice of step widths from h_init =
+    (b - a) / 8 down to h_min = (b - a) * 2**-40, at most 38 widths per
+    search; so when a < b, b - a must neither overflow binary64 nor be so
+    narrow that h_min underflows to 0.
     """
 
     f: Expr
@@ -78,16 +84,22 @@ class Problem:
     M: float | None = None
     eta: float | None = None
     fn_source: str | None = None
+    max_pieces: int = 2 ** 20
     prior: Certificate | None = field(default=None, repr=False, compare=False)
     row: Row = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.max_pieces < 1:
+            raise ValueError(f"max_pieces must be at least 1, got {self.max_pieces}")
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError("domain endpoints must be finite")
         if self.a > self.b:
             raise ValueError("domain endpoints out of order")
         if not math.isfinite(self.b - self.a):
             raise ValueError("domain width b - a overflows binary64")
+        if self.a < self.b and not default_h_min(self.a, self.b) > 0:
+            raise ValueError("domain width b - a too narrow: "
+                             "h_min = (b - a) * 2**-40 underflows to 0")
         row = _SWEPT.get(self.theorem)
         if row is None:
             raise ValueError(f"no sweep proves theorem {self.theorem!r}")
@@ -145,24 +157,6 @@ class SweepFailure:
         return "; ".join(parts)
 
 
-@dataclass(frozen=True)
-class SweepOptions:
-    h_min: float | None = None       # default: default_h_min(a, b)
-    max_pieces: int = 2 ** 20
-
-    def __post_init__(self):
-        if self.max_pieces < 1:
-            raise ValueError(f"max_pieces must be at least 1, got {self.max_pieces}")
-
-    def resolve(self, p: Problem) -> tuple[float, float, int]:
-        """(h_init, h_min, max_pieces), h_init = (b - a) / 8."""
-        h_init = (p.b - p.a) / 8
-        h_min = self.h_min if self.h_min is not None else default_h_min(p.a, p.b)
-        if not 0 < h_min <= h_init:
-            raise ValueError("need 0 < h_min <= h_init")
-        return h_init, h_min, self.max_pieces
-
-
 # =============================================================================
 # The carried state: the certificate as it grows, with the certificate's
 # field names, lists in place of tuples and the partition's points as a list
@@ -172,16 +166,15 @@ class SweepOptions:
 class SweepState:
     """What a fold carries from one step to the next.
 
-    acc holds the certificate on [a, frontier] as it grows; h_init, h_min and
-    max_pieces are the resolved SweepOptions (0 on a single-point domain,
-    where nothing is searched); h_prev is the width that certified the last
-    piece (None starts the next search cold).
+    acc holds the certificate on [a, frontier] as it grows; h_init and h_min
+    bound the lattice of step widths (0 on a single-point domain, where
+    nothing is searched); h_prev is the width that certified the last piece
+    (None starts the next search cold).
     """
 
     acc: SimpleNamespace
     h_init: float
     h_min: float
-    max_pieces: int
     h_prev: float | None = None
     pieces_used: int = 0
 
@@ -213,24 +206,23 @@ def _accepts(row: Row, p: Problem, s, e: FloatInterval, piece: FloatInterval) ->
 # The fold: base case, local extension, combination
 # =============================================================================
 
-def base_case(p: Problem, opts: SweepOptions | None = None) -> SweepState | SweepFailure:
-    """The state on [a, a], from which the fold extends.
+def base_case(p: Problem) -> SweepState | SweepFailure:
+    """The state on [a, a], from which the fold extends, with the sweep's
+    lattice of step widths.
 
-    When a < b the theorem holds vacuously at a.  The options are resolved
-    here, once, so a ValueError for bad widths is raised before any
-    evaluation, and no hypothesis is evaluated: a problem that is doomed
-    (say, proving negativity when f(a) >= 0) fails at the first extension.
+    When a < b the theorem holds vacuously at a, and no hypothesis is
+    evaluated: a problem that is doomed (say, proving negativity when
+    f(a) >= 0) fails at the first extension.
 
-    When a == b the state is already final, its widths and budget 0: the
-    options are neither used nor checked, and the point is evaluated here.
-    A theorem that binds f itself (the row's pointwise) is judged at a, and
-    a point that refutes it or leaves it undecided is returned as a
-    SweepFailure.
+    When a == b the state is already final, its widths 0, and the point is
+    evaluated here.  A theorem that binds f itself (the row's pointwise) is
+    judged at a, and a point that refutes it or leaves it undecided is
+    returned as a SweepFailure.
     """
-    acc = _start(p)
+    s = SweepState(_start(p), (p.b - p.a) / 8, default_h_min(p.a, p.b))
     if p.a < p.b:
-        return SweepState(acc, *(opts or SweepOptions()).resolve(p))
-    row, a = p.row, p.a
+        return s
+    row, a, acc = p.row, p.a, s.acc
     point = FloatInterval.point(a)
     if row.deriv:
         eval_d1(p.f, point)  # for its domain errors: f' bounds nothing on a point
@@ -245,14 +237,14 @@ def base_case(p: Problem, opts: SweepOptions | None = None) -> SweepState | Swee
                                     enclosure=v, detail=refuted)
             if not _accepts(row, p, acc, v, point):
                 return SweepFailure(FailureKind.STALLED, at=a, detail=row.stall)
-    return SweepState(acc, 0.0, 0.0, 0)
+    return s
 
 
 def local_extend(p: Problem, s: SweepState) -> LocalWitness | SweepFailure:
     """Find a step width h in [s.h_min, s.h_init] whose piece, starting at
     the frontier, certifies the local predicate; stall if none does, fail
     with a refuting piece if an enclosure certifies the hypothesis false,
-    and fail with BUDGET once s.max_pieces pieces have been taken.
+    and fail with BUDGET once p.max_pieces pieces have been taken.
 
     The search halves geometrically from min(s.h_init, 2 * s.h_prev), or
     from s.h_init when s.h_prev is None.  A warm search that certifies
@@ -264,9 +256,9 @@ def local_extend(p: Problem, s: SweepState) -> LocalWitness | SweepFailure:
     x = s.frontier
     if not x < p.b:
         raise ValueError("frontier already at b")
-    if s.pieces_used >= s.max_pieces:
+    if s.pieces_used >= p.max_pieces:
         return SweepFailure(FailureKind.BUDGET, at=x,
-                            detail=f"piece budget {s.max_pieces} exhausted")
+                            detail=f"piece budget {p.max_pieces} exhausted")
     # Anything but a witness from the warm search is redone cold, so a
     # failure or a domain error names the piece the cold search reaches.
     if s.h_prev is not None and 2 * s.h_prev < s.h_init:
@@ -317,7 +309,7 @@ def finish(p: Problem, s: SweepState) -> Certificate:
     return row.cls(**values)
 
 
-def run_sweep(p: Problem, opts: SweepOptions | None = None) -> Certificate | SweepFailure:
+def run_sweep(p: Problem) -> Certificate | SweepFailure:
     """Advance the frontier from a to b, or report how and where it failed.
 
     On success the returned certificate passes the independent checker with
@@ -327,7 +319,7 @@ def run_sweep(p: Problem, opts: SweepOptions | None = None) -> Certificate | Swe
     one, as rounding in the row's scalars can make it, ends STALLED at b
     with that requirement's reason.
     """
-    s = base_case(p, opts)
+    s = base_case(p)
     if isinstance(s, SweepFailure):
         return s
     while s.frontier < p.b:

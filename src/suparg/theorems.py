@@ -25,13 +25,7 @@ from .certificates import (
 )
 from .expr import Expr, eval_iv, parse
 from .numeric import _MAX_FLOAT, DomainError, FloatInterval
-from .sweep import (
-    FailureKind,
-    Problem,
-    SweepFailure,
-    SweepOptions,
-    run_sweep,
-)
+from .sweep import FailureKind, Problem, SweepFailure, default_h_min, run_sweep
 
 
 class PreconditionError(ValueError):
@@ -48,36 +42,36 @@ def _as_expr(f: Expr | str) -> tuple[Expr, str]:
     return f, None
 
 
-def _sweep(f: Expr | str, a: float, b: float, theorem: str,
-           opts: SweepOptions | None, **params):
+def _sweep(f: Expr | str, a: float, b: float, theorem: str, max_pieces: int, **params):
     expr, src = _as_expr(f)
-    return run_sweep(Problem(expr, a, b, theorem, fn_source=src, **params), opts)
+    return run_sweep(Problem(expr, a, b, theorem, fn_source=src, max_pieces=max_pieces,
+                             **params))
 
 
 def prove_bound(f: Expr | str, a: float, b: float,
-                opts: SweepOptions | None = None) -> BoundCert | SweepFailure:
+                max_pieces: int = 2 ** 20) -> BoundCert | SweepFailure:
     """Certify a positive global upper bound for f on [a, b]."""
-    return _sweep(f, a, b, "bvt", opts)
+    return _sweep(f, a, b, "bvt", max_pieces)
 
 
 def prove_max(f: Expr | str, a: float, b: float, eps: float,
-              opts: SweepOptions | None = None) -> MaxCert | SweepFailure:
+              max_pieces: int = 2 ** 20) -> MaxCert | SweepFailure:
     """Certify an eps-maximizer: a point c with f(t) <= f(c) + eps everywhere.
 
     The exact-maximizer statement is not certifiable from finitely many
     enclosures, so the eps-relaxed form is what the engine proves.
     """
-    return _sweep(f, a, b, "evt", opts, eps=eps)
+    return _sweep(f, a, b, "evt", max_pieces, eps=eps)
 
 
 def prove_modulus(f: Expr | str, a: float, b: float, eps: float,
-                  opts: SweepOptions | None = None) -> ModulusCert | SweepFailure:
+                  max_pieces: int = 2 ** 20) -> ModulusCert | SweepFailure:
     """Certify a uniform-continuity modulus delta for the given eps."""
-    return _sweep(f, a, b, "uct", opts, eps=eps)
+    return _sweep(f, a, b, "uct", max_pieces, eps=eps)
 
 
 def prove_integral(f: Expr | str, a: float, b: float, eps: float,
-                   opts: SweepOptions | None = None) -> IntegralCert | SweepFailure:
+                   max_pieces: int = 2 ** 20) -> IntegralCert | SweepFailure:
     """Enclose the Darboux integral of f over [a, b] with gap below eps.
 
     A first sweep at 16 eps, with a sixteenth of the piece budget, shows
@@ -93,40 +87,39 @@ def prove_integral(f: Expr | str, a: float, b: float, eps: float,
     is exactly the plain sweep's.
     """
     expr, src = _as_expr(f)
-    plain = Problem(expr, a, b, "dit", eps=eps, fn_source=src)
-    opts = opts or SweepOptions()
+    plain = Problem(expr, a, b, "dit", eps=eps, fn_source=src, max_pieces=max_pieces)
     try:
-        coarse = run_sweep(replace(plain, eps=min(16.0 * eps, _MAX_FLOAT)),
-                           replace(opts, max_pieces=max(1, opts.max_pieces // 16)))
+        coarse = run_sweep(replace(plain, eps=min(16.0 * eps, _MAX_FLOAT),
+                                   max_pieces=max(1, max_pieces // 16)))
         if isinstance(coarse, IntegralCert):
-            cert = run_sweep(replace(plain, prior=coarse), opts)
+            cert = run_sweep(replace(plain, prior=coarse))
             if isinstance(cert, IntegralCert):
                 return cert
     except (DomainError, OverflowError):
         pass
-    return run_sweep(plain, opts)
+    return run_sweep(plain)
 
 
 def prove_monotone(f: Expr | str, a: float, b: float, strict: bool,
-                   opts: SweepOptions | None = None) -> MonotoneCert | SweepFailure:
+                   max_pieces: int = 2 ** 20) -> MonotoneCert | SweepFailure:
     """Certify (strict) monotonicity via per-piece derivative lower bounds."""
-    return _sweep(f, a, b, "sift" if strict else "ift", opts)
+    return _sweep(f, a, b, "sift" if strict else "ift", max_pieces)
 
 
 def prove_mvi(f: Expr | str, a: float, b: float, M: float,
-              opts: SweepOptions | None = None) -> MviCert | SweepFailure:
+              max_pieces: int = 2 ** 20) -> MviCert | SweepFailure:
     """Certify f(x2) - f(x1) <= M (x2 - x1) via per-piece derivative caps."""
-    return _sweep(f, a, b, "mvi", opts, M=M)
+    return _sweep(f, a, b, "mvi", max_pieces, M=M)
 
 
 def prove_flat(f: Expr | str, a: float, b: float, eta: float,
-               opts: SweepOptions | None = None) -> FlatCert | SweepFailure:
+               max_pieces: int = 2 ** 20) -> FlatCert | SweepFailure:
     """Certify |f(t) - f(a)| <= eta (b - a); exact constancy when eta = 0.
 
     With eta = 0 only a syntactically zero derivative enclosure certifies,
     so anything short of that stalls rather than rounding its way through.
     """
-    return _sweep(f, a, b, "cft", opts, eta=eta)
+    return _sweep(f, a, b, "cft", max_pieces, eta=eta)
 
 
 # =============================================================================
@@ -137,7 +130,7 @@ _PROBE_LADDER = (8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15)
 
 
 def prove_root(f: Expr | str, a: float, b: float, tol: float,
-               opts: SweepOptions | None = None) -> RootBracket | NegCert | SweepFailure:
+               max_pieces: int = 2 ** 20) -> RootBracket | NegCert | SweepFailure:
     """Localize a zero of f given a certified-negative left endpoint.
 
     The negativity sweep either reaches b (then f < 0 on all of [a, b] and a
@@ -150,26 +143,26 @@ def prove_root(f: Expr | str, a: float, b: float, tol: float,
     expr, src = _as_expr(f)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    problem = Problem(expr, a, b, "ivt", fn_source=src)
+    problem = Problem(expr, a, b, "ivt", fn_source=src, max_pieces=max_pieces)
     f_a = eval_iv(expr, FloatInterval.point(a))
     if not f_a.hi < 0.0:
         raise PreconditionError(
             f"f(a) is not certified negative: enclosure {f_a} at a = {a!r}")
 
-    res = run_sweep(problem, opts)
+    res = run_sweep(problem)
     if isinstance(res, NegCert):
         return res
     if res.kind is FailureKind.BUDGET:
         return res
 
-    h_init, h_min, _ = (opts or SweepOptions()).resolve(problem)
     left = res.at
     f_left = eval_iv(expr, FloatInterval.point(left))
     if not f_left.hi < 0.0:
         raise Inconclusive(
             f"sign undecidable at the stalled frontier {left!r}: enclosure {f_left}")
 
-    right, f_right = _find_positive_point(expr, left, b, h_init, h_min)
+    # probed on the sweep's lattice of widths
+    right, f_right = _find_positive_point(expr, left, b, (b - a) / 8, default_h_min(a, b))
     if right is None:
         raise Inconclusive(
             f"no certified-positive point found to the right of {left!r}")

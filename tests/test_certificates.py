@@ -28,6 +28,7 @@ from suparg.certificates import (
     ModulusCert,
     Partition,
     StructureError,
+    _darboux_gap,
     _darboux_sums,
     _overlap_gap,
     _shrink_modulus,
@@ -818,6 +819,10 @@ def _ref_darboux_sums(c):
         return "stored lower sum above the exact piece sum"
     if Fraction(c.upper_sum) < upper:
         return "stored upper sum below the exact piece sum"
+    return None
+
+
+def _ref_darboux_gap(c):
     if not Fraction(c.upper_sum) - Fraction(c.lower_sum) < Fraction(c.eps):
         return "Darboux gap not below eps"
     return None
@@ -960,6 +965,18 @@ def _integral_cert(draw):
 @given(c=_integral_cert())
 def test_darboux_sums_match_fraction_reference(c):
     assert _darboux_sums(c) == _ref_darboux_sums(c)
+
+
+@_exact_settings
+@example(c=IntegralCert("x", 0.0, 1.0, 2 * _TINY, Partition((0.0, 0.5, 1.0)), (1.0, 2.0),
+                        (1.0, 2.0), 1.5, 1.5))
+@example(c=IntegralCert("x", -_MAX, _MAX, _MAX, Partition((-_MAX, _TINY, _MAX)),
+                        (-_MAX, _MAX), (_MAX, _MAX), -_MAX, _MAX))
+@example(c=IntegralCert("x", 0.0, 1.0, 2.0 ** -52, Partition((0.0, 1.0)), (1.0,), (1.0,),
+                        1.0, 1.0 + 2.0 ** -52))
+@given(c=_integral_cert())
+def test_darboux_gap_matches_fraction_reference(c):
+    assert _darboux_gap(c) == _ref_darboux_gap(c)
 
 
 @_exact_settings

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, and the JSON surfaces."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import suparg
 from suparg import cli
-from suparg.certificates import check, from_document, loads, to_document
+from suparg.certificates import check, from_document, loads, piece_count, to_document
 from suparg.cli import run
 from suparg.expr import parse
 from suparg.numeric import RatInterval
@@ -274,8 +275,8 @@ def test_probe_wider_than_max_is_rejected_not_fatal(capsys, tmp_path, theorem, e
     assert invoke(capsys, "check", str(path)) == (0, "Valid\n", "")
 
 
-def _per_prefix_integral(f, a, b, eps, opts):
-    return run_sweep(Problem(f, a, b, "dit", eps=eps), opts)
+def _per_prefix_integral(f, a, b, eps, max_pieces):
+    return run_sweep(Problem(f, a, b, "dit", eps=eps, max_pieces=max_pieces))
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -382,6 +383,44 @@ def test_domain_wider_than_binary64_exits_two(capsys, theorem):
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "usage",
                                "detail": "domain width b - a overflows binary64"}
+
+
+_LEAST = "1/" + str(2 ** 1074)
+
+
+@pytest.mark.parametrize("theorem", cli.THEOREMS)
+def test_domain_too_narrow_for_h_min_exits_two(capsys, theorem):
+    # b - a = 2^-1074, the least subnormal: the sweep's h_min underflows to 0
+    code, out, err = invoke(capsys, "prove", theorem, "--fn", "x", "--a", "0", "--b", _LEAST,
+                            *_CONTRACT_PARAMS.get(theorem, []))
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert json.loads(err) == {
+        "error": "usage",
+        "detail": "domain width b - a too narrow: h_min = (b - a) * 2**-40 underflows to 0"}
+
+
+@pytest.mark.parametrize("theorem", cli.THEOREMS)
+def test_engine_record_counts_pieces_and_names_h_min(capsys, theorem):
+    a, b = 0.5, 1.75
+    code, out, err = invoke(capsys, "prove", theorem, "--fn", "x^2 - 1/2", "--a", str(a),
+                            "--b", str(b), *_CONTRACT_PARAMS.get(theorem, []),
+                            "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["engine"] == {"pieces": piece_count(from_document(doc)),
+                             "h_min": float.hex((b - a) * 2 ** -40)}
+
+
+def test_prove_takes_exactly_the_known_options():
+    # the theorem's inputs, the rows' parameter keys and the output options:
+    # a new sweep knob fails here until it is added on purpose
+    parser = cli._build_parser()
+    subparsers = next(act for act in parser._actions
+                      if isinstance(act, argparse._SubParsersAction))
+    options = {opt for act in subparsers.choices["prove"]._actions
+               if not isinstance(act, argparse._HelpAction) for opt in act.option_strings}
+    assert options == {"--fn", "--a", "--b", "--eps", "--M", "--eta", "--tol",
+                       "--max-pieces", "--out", "--format"}
 
 
 def test_integral_budget_overflow_comes_after_the_first_domain_error(capsys):

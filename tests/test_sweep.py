@@ -17,7 +17,6 @@ from suparg.sweep import (
     Problem,
     StructureError,
     SweepFailure,
-    SweepOptions,
     base_case,
     combine,
     default_h_min,
@@ -38,8 +37,8 @@ def at_frontier(src, a, b, theorem, x, h_init, h_prev=None, **kw):
     """The problem on [x, b] with the widths of the one on [a, b]: a fresh
     fold whose frontier is x, searching as the sweep on [a, b] does there."""
     p = problem(src, x, b, theorem, **kw)
-    state = base_case(p, SweepOptions(h_min=default_h_min(a, b)))
-    state.h_init, state.h_prev = h_init, h_prev
+    state = base_case(p)
+    state.h_init, state.h_min, state.h_prev = h_init, default_h_min(a, b), h_prev
     return p, state
 
 
@@ -67,6 +66,14 @@ def test_domain_wider_than_binary64_rejected():
     with pytest.raises(ValueError, match="overflows"):
         problem("sin(x)", -2.0 ** 1023, 2.0 ** 1023, "ivt")
     assert problem("x", -2.0 ** 1022, 2.0 ** 1022, "ivt").b == 2.0 ** 1022  # 2^1023 wide
+
+
+def test_domain_too_narrow_for_h_min_rejected():
+    # h_min = (b - a) * 2^-40: 2^-1075 rounds to 0, 2^-1074 is the least subnormal
+    with pytest.raises(ValueError, match=r"h_min = \(b - a\) \* 2\*\*-40 underflows to 0"):
+        problem("x - 2", 0.0, 2.0 ** -1035, "ivt")
+    assert check(run_sweep(problem("x - 2", 0.0, 2.0 ** -1034, "ivt")))
+    assert check(run_sweep(problem("x - 2", 2.0 ** -1074, 2.0 ** -1074, "ivt")))  # a point
 
 
 @pytest.mark.parametrize("theorem", cli.THEOREMS)
@@ -124,8 +131,6 @@ def test_degenerate_domain_immediately_final():
         assert not isinstance(out, SweepFailure), (theorem, out)
         assert check(out), (theorem, check(out))
         assert _point_fold(p) == out, theorem
-        # the options are neither used nor checked on a single point
-        assert run_sweep(p, SweepOptions(h_min=1.0)) == out
     p = problem("x - 1", 0.5, 0.5, "ivt")
     neg = run_sweep(p)
     assert isinstance(neg, NegCert) and check(neg)
@@ -260,8 +265,7 @@ def test_combine_darboux_sums_add():
 # ---------------------------------------------------------------------------
 
 def test_run_sweep_bound_example():
-    out = run_sweep(problem("sin(x)", 0.0, 3.0, "bvt"),
-                    SweepOptions(h_min=3.0 * 2.0 ** -40))
+    out = run_sweep(problem("sin(x)", 0.0, 3.0, "bvt"))
     assert 1.0 <= out.bound <= 1.0001
     assert check(out)
 
@@ -281,16 +285,15 @@ def test_run_sweep_weak_monotone_refuted():
 
 
 def test_run_sweep_budget():
-    res = run_sweep(problem("x", 0.0, 1.0, "bvt"),
-                    SweepOptions(max_pieces=3))
+    res = run_sweep(problem("x", 0.0, 1.0, "bvt", max_pieces=3))
     assert isinstance(res, SweepFailure)
     assert res.kind is FailureKind.BUDGET
 
 
 @pytest.mark.parametrize("max_pieces", [0, -5])
 def test_non_positive_budget_rejected(max_pieces):
-    with pytest.raises(ValueError):
-        SweepOptions(max_pieces=max_pieces)
+    with pytest.raises(ValueError, match=f"max_pieces must be at least 1, got {max_pieces}"):
+        problem("x", 0.0, 1.0, "bvt", max_pieces=max_pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +302,8 @@ def test_non_positive_budget_rejected(max_pieces):
 
 def _manual_run(p, h_init, h_min):
     """Step with the public operations, checking the partial at each stop."""
-    state = base_case(p, SweepOptions(h_min=h_min))
-    state.h_init = h_init
+    state = base_case(p)
+    state.h_init, state.h_min = h_init, h_min
     frontiers = [state.frontier]
     while state.frontier < p.b:
         res = local_extend(p, state)
@@ -331,13 +334,13 @@ def test_frontier_monotone_and_fold_matches_sweep(src, theorem, kw):
         assert v > u
         assert v - u >= h_min * 0.5 or v == b
     assert state.pieces_used <= math.ceil((b - a) / h_min) + 1
-    swept = run_sweep(p, SweepOptions(h_min=h_min))
+    swept = run_sweep(p)
     assert swept == finish(p, state)
 
 
-def _fold(p, opts=None):
+def _fold(p):
     """The public fold, stopping at the first failure."""
-    state = base_case(p, opts)
+    state = base_case(p)
     while state.frontier < p.b:
         w = local_extend(p, state)
         if isinstance(w, SweepFailure):
@@ -360,11 +363,10 @@ def test_public_fold_builds_one_partition(monkeypatch):
 
 
 def test_public_fold_budget_failure_matches_sweep():
-    p = problem("x", 0.0, 1.0, "bvt")
-    opts = SweepOptions(max_pieces=3)
-    res = _fold(p, opts)
+    p = problem("x", 0.0, 1.0, "bvt", max_pieces=3)
+    res = _fold(p)
     assert isinstance(res, SweepFailure) and res.kind is FailureKind.BUDGET
-    assert res == run_sweep(p, opts)
+    assert res == run_sweep(p)
 
 
 def test_unifcont_delta_rule_fields():

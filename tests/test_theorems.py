@@ -20,7 +20,7 @@ from suparg.certificates import (
 )
 from suparg.numeric import DomainError, FloatInterval
 from suparg import theorems
-from suparg.sweep import FailureKind, Problem, SweepFailure, SweepOptions, run_sweep
+from suparg.sweep import FailureKind, Problem, SweepFailure, run_sweep
 from suparg.theorems import (
     Inconclusive,
     PreconditionError,
@@ -33,7 +33,7 @@ from suparg.theorems import (
     prove_mvi,
     prove_root,
 )
-from suparg.expr import eval_d1, parse
+from suparg.expr import eval_d1, eval_iv, parse
 
 mpmath.mp.dps = 50
 
@@ -114,21 +114,20 @@ def test_root_sqrt2_bracket():
     assert cert.l <= ohi and olo <= cert.r  # brackets agree
 
 
-def test_root_bisection_moves_the_left_end(monkeypatch):
-    # with h_min = 2^-6 the negativity sweep stalls at 1.40625, short of
-    # sqrt(2) by more than tol, so bisection moves l as well as r
-    starts = []
-    real = theorems._bisect_bracket
-    monkeypatch.setattr(theorems, "_bisect_bracket",
-                        lambda *args: starts.append((args[5], args[7])) or real(*args))
-    cert = prove_root("x^2 - 2", 0.0, 2.0, 1e-9, SweepOptions(h_min=2.0 ** -6))
-    assert starts == [(1.40625, 1.65625)]
+def test_root_bisection_moves_the_left_end():
+    # from the bracket [1.40625, 1.65625], whose left end is short of sqrt(2)
+    # by more than tol, bisection moves l as well as r
+    f = parse("x^2 - 2")
+    l, r = 1.40625, 1.65625
+    cert = theorems._bisect_bracket(f, "x^2 - 2", 0.0, 2.0, 1e-9,
+                                    l, eval_iv(f, FloatInterval.point(l)),
+                                    r, eval_iv(f, FloatInterval.point(r)))
     assert isinstance(cert, RootBracket) and check(cert)
     assert 1.40625 < cert.l <= math.sqrt(2.0) <= cert.r
 
 
 def test_root_sweep_out_of_pieces_is_returned():
-    res = prove_root("x^2 - 2", 0.0, 2.0, 1e-9, SweepOptions(max_pieces=2))
+    res = prove_root("x^2 - 2", 0.0, 2.0, 1e-9, max_pieces=2)
     assert isinstance(res, SweepFailure) and res.kind is FailureKind.BUDGET
     assert str(res) == "budget at 0.5; piece budget 2 exhausted"
 
