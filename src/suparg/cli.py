@@ -193,8 +193,11 @@ def _cmd_prove(args) -> int:
     engine = {"pieces": piece_count(result), "h_min": float_to_hex(default_h_min(a, b))}
     text = dumps(result, engine)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise UsageError(f"cannot write certificate {args.out!r}: {err}") from None
     if args.format == "json":
         sys.stdout.write(text)
     else:

@@ -20,11 +20,18 @@ ends the fold there.
 Local extension searches for a workable step width by geometric halving
 over a fixed lattice of widths h_init * 2**-k, from h_init = (b - a) / 8
 down to h_min = (b - a) * 2**-40: at most 38 widths per search.  The width
-that certified the previous piece is the best guess for the next one, so
-the search warm-starts at twice that width (capped at h_init) and only the
-first piece starts cold at h_init.  A warm search that certifies nothing is
-rerun once from h_init, so a frontier fails exactly where the cold search
-fails, refutation probes at the wide widths included.
+that certified the previous piece is the best guess for the next one, and
+only the first piece starts cold at h_init.  A growth try starts at twice
+that width (capped at h_init); where the certifiable width holds steady it
+fails and costs a second evaluation, so the controller backs off, as ODE
+step-size controllers do.  After a rejected growth try the next `wait`
+searches start at the previous width; `wait` doubles with each further
+rejection, up to _HOLD_CAP = 4, and returns to 1 when a growth try
+certifies at its starting width.  A steady width then costs 1.2
+evaluations a piece, not 2; a longer hold misses widths that grow, which
+costs pieces on problems of a few hundred.  A warm search that certifies
+nothing is rerun once from h_init, so a frontier fails exactly where the
+cold search fails, refutation probes at the wide widths included.
 A failure to certify is reported as a stall unless the evaluated enclosure
 itself refutes the hypothesis (for example a certified-positive range while
 proving negativity), in which case the failure carries the refuting piece:
@@ -53,6 +60,9 @@ from .numeric import DomainError, FloatInterval
 
 # theorem code -> the row of the certificate its sweep builds, one with per-piece arrays
 _SWEPT = {th: row for row in ROWS if row.arrays for th in row.theorems}
+
+# the most searches a rejected growth try holds the step width for
+_HOLD_CAP = 4
 
 
 def default_h_min(a: float, b: float) -> float:
@@ -169,7 +179,9 @@ class SweepState:
     acc holds the certificate on [a, frontier] as it grows; h_init and h_min
     bound the lattice of step widths (0 on a single-point domain, where
     nothing is searched); h_prev is the width that certified the last piece
-    (None starts the next search cold).
+    (None starts the next search cold).  hold counts the searches left that
+    start at h_prev without trying to grow, and wait is the hold the next
+    rejected growth try sets.
     """
 
     acc: SimpleNamespace
@@ -177,6 +189,8 @@ class SweepState:
     h_min: float
     h_prev: float | None = None
     pieces_used: int = 0
+    hold: int = 0
+    wait: int = 1
 
     @property
     def frontier(self) -> float:
@@ -246,12 +260,13 @@ def local_extend(p: Problem, s: SweepState) -> LocalWitness | SweepFailure:
     with a refuting piece if an enclosure certifies the hypothesis false,
     and fail with BUDGET once p.max_pieces pieces have been taken.
 
-    The search halves geometrically from min(s.h_init, 2 * s.h_prev), or
-    from s.h_init when s.h_prev is None.  A warm search that certifies
-    nothing is rerun once from s.h_init, so failures (and domain errors)
-    are those of the cold search at this frontier.  The witness reports the
-    certifying width as w.h, which combine records as the next h_prev.
-    The state is not changed.
+    The search halves geometrically from _start_width(s): s.h_init when
+    s.h_prev is None, s.h_prev while s.hold > 0, and min(s.h_init,
+    2 * s.h_prev) otherwise.  A warm search that certifies nothing is rerun
+    once from s.h_init, so failures (and domain errors) are those of the
+    cold search at this frontier.  The witness reports the certifying width
+    as w.h, which combine records as the next h_prev and compares with the
+    start width to set the hold.  The state is not changed.
     """
     x = s.frontier
     if not x < p.b:
@@ -261,9 +276,10 @@ def local_extend(p: Problem, s: SweepState) -> LocalWitness | SweepFailure:
                             detail=f"piece budget {p.max_pieces} exhausted")
     # Anything but a witness from the warm search is redone cold, so a
     # failure or a domain error names the piece the cold search reaches.
-    if s.h_prev is not None and 2 * s.h_prev < s.h_init:
+    h = _start_width(s)
+    if h < s.h_init:
         try:
-            res = _halving_search(p, x, s.acc, 2 * s.h_prev, s.h_min)
+            res = _halving_search(p, x, s.acc, h, s.h_min)
         except DomainError:
             res = None
         if isinstance(res, LocalWitness):
@@ -274,7 +290,8 @@ def local_extend(p: Problem, s: SweepState) -> LocalWitness | SweepFailure:
 def combine(p: Problem, s: SweepState, w: LocalWitness) -> None:
     """Take the piece [x, y] of w into the state on [a, x], in place: the
     row's step updates the scalars (the min-rule for the uniform-continuity
-    delta), the piece is appended and counted, and w.h becomes h_prev.
+    delta), the piece is appended and counted, w.h becomes h_prev, and the
+    hold is spent or set by whether a growth try certified at its start.
 
     The piece must start exactly at the frontier; StructureError otherwise.
     """
@@ -292,6 +309,14 @@ def combine(p: Problem, s: SweepState, w: LocalWitness) -> None:
         getattr(acc, name).append(side.store(e))
     getattr(acc, row.grid).append(y if row.grid == "partition" else w.ext)
     acc.b = y
+    h = _start_width(s)
+    if s.h_prev is not None and h > s.h_prev:
+        if w.h is not None and w.h >= h:
+            s.wait = 1
+        else:
+            s.hold, s.wait = s.wait, min(2 * s.wait, _HOLD_CAP)
+    elif s.hold:
+        s.hold -= 1
     s.h_prev = w.h
     s.pieces_used += 1
 
@@ -337,6 +362,15 @@ def run_sweep(p: Problem) -> Certificate | SweepFailure:
 # =============================================================================
 # Local extension: the halving search and one probe
 # =============================================================================
+
+def _start_width(s: SweepState) -> float:
+    """The width the next search starts at: cold, held, or a growth try."""
+    if s.h_prev is None:
+        return s.h_init
+    if s.hold:
+        return s.h_prev
+    return min(s.h_init, 2 * s.h_prev)
+
 
 def _halving_search(p: Problem, x: float, s, h: float,
                     h_min: float) -> LocalWitness | SweepFailure:

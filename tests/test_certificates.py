@@ -418,7 +418,7 @@ GOLDEN_CERT_SHA256 = {
     "ivt-neg": "b5f20c61ff4663f137cd68fffe56e23c294a7c18e8f11f123725a397b8a87d3e",
     "ivt-root": "e4c03a966c68a99263d9c00b2a0ce28cf655246c5d4692efc139faacab658930",
     "uct": "3b81daf7aa6fb4f26166bbce37ed44d3269233cbaad1144ba17914561c7d2bda",
-    "dit": "084c4f1625c5e2d2053807139fad05449ee11fdf2018c7aadaa18d3c88f98e7f",
+    "dit": "7b5adf60664558a83408ed179979393ee97e4a5fd0c594b4e979fd72820cf475",
     "dit-prefix": "08d9e585ad5662727ef42b1b072f9aec77b2a86e4ea59f20609b5666b4dfc336",
     "sift": "3cee6cd109a9555189c6a7e0c803e2133269732f45a2d2014a6379a0f4fbaf17",
     "ift": "b117807e030a731639be8e55b2838e2f4e04024bef1a1162c4857988efb1f5e2",
@@ -443,8 +443,8 @@ GOLDEN_CONCLUSIONS = {
     "ivt-neg": "∀t∈[0.0, 1.0]: f(t) < 0 for f = x - 3",
     "ivt-root": "∃c∈[1.4142135623715149, 1.4142135633028374]: f(c) = 0 for f = x^2 - 2",
     "uct": "∀s,t∈[0.0, 2.0]: |s−t| < 0.0625 ⇒ |f(s)−f(t)| < 0.3 for f = sin(x)",
-    "dit": ("∫f over [0.0, 1.0] ∈ [-0.1710144281387329, -0.16231262683868408], U − L < 0.01 for "
-           "f = x^2 - x"),
+    "dit": ("∫f over [0.0, 1.0] ∈ [-0.17101562023162842, -0.16231143474578857], U − L < 0.01 "
+           "for f = x^2 - x"),
     "dit-prefix": ("∫f over [0.0, 1.0] ∈ [-0.16847612243145704, -0.16485561337321997], "
                   "U − L < 0.01 for f = x^2 - x"),
     "sift": "∀x₁<x₂ in [0.0, 1.0]: f(x₁) < f(x₂) for f = exp(x)",

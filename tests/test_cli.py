@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import copy
 import dataclasses
 import io
 import json
@@ -17,7 +18,15 @@ from hypothesis import strategies as st
 
 import suparg
 from suparg import cli
-from suparg.certificates import check, from_document, loads, piece_count, to_document
+from suparg.certificates import (
+    CheckResult,
+    StructureError,
+    check,
+    from_document,
+    loads,
+    piece_count,
+    to_document,
+)
 from suparg.cli import run
 from suparg.expr import parse
 from suparg.numeric import RatInterval
@@ -154,6 +163,20 @@ def test_non_positive_piece_budget_exits_two(capsys, budget):
     assert err.count("\n") == 1
     record = json.loads(err)
     assert record["error"] == "usage" and "max_pieces" in record["detail"]
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_unwritable_out_exits_two(capsys, tmp_path, where, fmt):
+    # exit 1 is a proof failure; a path that cannot be written is a usage error
+    path = tmp_path / "no" / "such" / "c.json" if where == "missing-dir" else tmp_path
+    code, out, err = invoke(capsys, "prove", "bvt", "--fn", "x", "--a", "0", "--b", "1",
+                            "--format", fmt, "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error"] == "usage"
+    assert record["detail"].startswith(f"cannot write certificate {str(path)!r}: ")
 
 
 DEEP = "(" * 2000 + "x" + ")" * 2000
@@ -334,6 +357,66 @@ def test_every_proved_certificate_checks_valid(tmp_path_factory, theorem, c, g):
                         "--out", str(path)])
     if code == 0:
         assert _quiet(["check", str(path)]) == (0, "Valid\n"), (theorem, c, g)
+
+
+_MUTATED_PROVES = [
+    ["bvt", "--fn", "x^2", "--a", "0", "--b", "1"],
+    ["evt", "--fn", "sin(x)", "--a", "0", "--b", "3", "--eps", "0.1"],
+    ["ivt", "--fn", "x - 3", "--a", "0", "--b", "1"],
+    ["ivt", "--fn", "x^2 - 2", "--a", "0", "--b", "2", "--tol", "1e-3"],
+    ["uct", "--fn", "sin(x)", "--a", "0", "--b", "2", "--eps", "0.5"],
+    ["dit", "--fn", "x^2", "--a", "0", "--b", "1", "--eps", "0.1"],
+    ["mvi", "--fn", "x^2", "--a", "0", "--b", "1", "--M", "2.5"],
+    ["cft", "--fn", "sin(x)", "--a", "0", "--b", "1", "--eta", "1.5"],
+    ["sift", "--fn", "exp(x)", "--a", "0", "--b", "1"],
+]
+_MUTANTS = [None, True, False, 0, -1, 2 ** 70, "0x1.fffffffffffffp+1023",
+            "-0x1.fffffffffffffp+1023", "0x0.0000000000001p-1022", "0x1.0000000000000p-1022",
+            "nan", "inf", "", [], {}]
+_DELETE = object()
+
+
+def _leaves(node, path=()):
+    """The paths of the scalar leaves of a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, (*path, key))
+        else:
+            yield (*path, key)
+
+
+@pytest.fixture(scope="module")
+def proved_documents():
+    docs = []
+    for argv in _MUTATED_PROVES:
+        code, text = _quiet(["prove", *argv, "--format", "json"])
+        assert code == 0, argv
+        docs.append(json.loads(text))
+    return docs
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_never_raise_past_the_checker(proved_documents, data):
+    # a checker reads documents from anywhere: a hostile one is Invalid or
+    # refused as malformed, never an exception of another kind
+    doc = copy.deepcopy(data.draw(st.sampled_from(proved_documents)))
+    for _ in range(data.draw(st.integers(1, 2))):
+        *parents, key = data.draw(st.sampled_from(list(_leaves(doc))))
+        target = doc
+        for step in parents:
+            target = target[step]
+        value = data.draw(st.sampled_from([_DELETE, *_MUTANTS]))
+        if value is _DELETE:
+            del target[key]
+        else:
+            target[key] = copy.deepcopy(value)
+    try:
+        result = check(from_document(doc))
+    except StructureError:
+        return
+    assert isinstance(result, CheckResult)
 
 
 def test_one_process_runs_like_fresh_processes(capsys, tmp_path):

@@ -1,5 +1,8 @@
 """Frontier, local-extension and combiner behavior of the sweep engine."""
 
+import copy
+import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -8,7 +11,14 @@ from fractions import Fraction
 import pytest
 
 from suparg import cli
-from suparg.certificates import IntegralCert, ModulusCert, NegCert, check, from_document
+from suparg.certificates import (
+    IntegralCert,
+    ModulusCert,
+    NegCert,
+    check,
+    dumps,
+    from_document,
+)
 from suparg.expr import parse
 from suparg.numeric import FloatInterval
 from suparg.sweep import (
@@ -321,8 +331,9 @@ def _manual_run(p, h_init, h_min):
     ("exp(x)", "sift", {}),
     ("sin(x)", "uct", {"eps": 0.5}),
     ("x^2", "dit", {"eps": 0.1}),
-    # past the maximum the certifiable width jumps and the warm start doubles
-    # up to it mid-sweep, so a cold fold gives 9 pieces here, not 11
+    # past the maximum the certifiable width jumps and growth tries double
+    # up to it one piece at a time, so the sweep takes 10 pieces here where
+    # a fold that starts every search cold takes 9
     ("exp(-4*x*x)", "evt", {"eps": 1e-3}),
 ])
 def test_frontier_monotone_and_fold_matches_sweep(src, theorem, kw):
@@ -358,7 +369,7 @@ def test_public_fold_builds_one_partition(monkeypatch):
     monkeypatch.setattr(sweep_mod, "Partition", lambda points: built.append(1) or real(points))
     folded = _fold(p)
     assert len(built) == 1
-    assert len(folded.partition) == 5038
+    assert len(folded.partition) == 5041
     assert folded == swept
 
 
@@ -406,6 +417,16 @@ def test_random_problems_prove_then_check():
 # warm-started step width
 # ---------------------------------------------------------------------------
 
+def _search_starts(monkeypatch):
+    """The list each halving search appends its starting width to."""
+    import suparg.sweep as sweep_mod
+    starts = []
+    real = sweep_mod._halving_search
+    monkeypatch.setattr(sweep_mod, "_halving_search",
+                        lambda p, x, s, h, h_min: starts.append(h) or real(p, x, s, h, h_min))
+    return starts
+
+
 def test_warm_start_evaluations_per_piece(monkeypatch):
     import suparg.sweep as sweep_mod
     calls = []
@@ -413,7 +434,76 @@ def test_warm_start_evaluations_per_piece(monkeypatch):
     monkeypatch.setattr(sweep_mod, "eval_iv", lambda f, x: calls.append(x) or real(f, x))
     out = run_sweep(problem("x^3 - x", -1.0, 1.5, "dit", eps=1e-2))
     assert isinstance(out, IntegralCert) and check(out)
-    assert len(calls) <= 2.5 * len(out.partition)
+    assert len(calls) <= 1.3 * len(out.partition)
+
+
+def test_steady_width_backs_off(monkeypatch):
+    # every piece certifies at the same width, so each growth try fails: a
+    # try on every search would cost 2 evaluations a piece
+    import suparg.sweep as sweep_mod
+    calls = []
+    real = sweep_mod.eval_iv
+    monkeypatch.setattr(sweep_mod, "eval_iv", lambda f, x: calls.append(x) or real(f, x))
+    out = run_sweep(problem("x", 0.0, 1.0, "uct", eps=1e-3))
+    assert isinstance(out, ModulusCert) and check(out)
+    assert len(out.pieces) == 2047
+    assert len(calls) <= 1.3 * len(out.pieces)
+    # the bytes of the sweep that tried to grow on every search
+    assert hashlib.sha256(dumps(out).encode()).hexdigest() == (
+        "b265f663f5bace101759b7cc0ed9eec0a132033905413579e40edec711480a03")
+
+
+def _held_fold(p):
+    """Fold p with the public operations, stopping once a rejected growth try
+    has set a hold: the problem and the state, hold > 0."""
+    state = base_case(p)
+    while not state.hold:
+        combine(p, state, local_extend(p, state))
+    return p, state
+
+
+def test_local_extend_leaves_the_state_unchanged():
+    p, state = _held_fold(problem("x", 0.0, 1.0, "uct", eps=1e-3))
+    before = copy.deepcopy(vars(state))
+    first = local_extend(p, state)
+    assert vars(state) == before
+    assert local_extend(p, state) == first
+
+
+def test_witness_without_width_starts_the_next_search_cold(monkeypatch):
+    p = problem("x", 0.0, 1.0, "uct", eps=1e-3)
+    state = base_case(p)
+    combine(p, state, local_extend(p, state))
+    w = local_extend(p, state)  # a growth try
+    combine(p, state, dataclasses.replace(w, h=None))
+    assert state.h_prev is None
+    starts = _search_starts(monkeypatch)
+    assert isinstance(local_extend(p, state), LocalWitness)
+    assert starts == [state.h_init]
+
+
+def test_rejected_growth_try_holds_then_probes_again(monkeypatch):
+    starts = _search_starts(monkeypatch)
+    p = problem("x", 0.0, 1.0, "uct", eps=1e-3)
+    state = base_case(p)
+    runs, held = [], None  # searches held after each rejected growth try
+    while state.frontier < p.b:
+        h_prev, starts[:] = state.h_prev, []
+        w = local_extend(p, state)
+        combine(p, state, w)
+        if h_prev is None:
+            continue
+        if starts[0] == h_prev:
+            assert held is not None, "a hold with no rejected growth try before it"
+            held += 1
+            continue
+        assert starts[0] == min(state.h_init, 2 * h_prev)
+        if held is not None:
+            runs.append(held)
+        held = 0 if w.h < starts[0] else None
+    # the hold doubles with each further rejection, up to 4 searches
+    assert runs[:3] == [1, 2, 4] and set(runs[2:]) == {4}
+    assert len(runs) > len(state.acc.pieces) // 6
 
 
 @pytest.mark.parametrize("src,a,b,theorem,kw,expected", [
