@@ -34,7 +34,6 @@ from .certificates import (
     to_document,
 )
 from .expr import (
-    EvalResult,
     Expr,
     NotDifferentiable,
     ParseError,

@@ -111,10 +111,6 @@ class Partition:
     def b(self) -> float:
         return self.points[-1]
 
-    @property
-    def pieces(self) -> tuple[FloatInterval, ...]:
-        return tuple(FloatInterval(u, v) for u, v in zip(self.points, self.points[1:]))
-
     def __len__(self) -> int:
         return len(self.points) - 1
 
@@ -294,18 +290,19 @@ Certificate = (
 
 @dataclass(frozen=True)
 class Side:
-    """Which side of an enclosure e a per-piece value bounds: store(e) is the
-    value a prover records, holds(v, e) whether a stored v still bounds e."""
+    """Which side of an enclosure [lo, hi] a per-piece value bounds:
+    store(lo, hi) is the value a prover records, holds(v, lo, hi) whether a
+    stored v still bounds the enclosure."""
 
-    store: Callable[[FloatInterval], float]
-    holds: Callable[[float, FloatInterval], bool]
+    store: Callable[[float, float], float]
+    holds: Callable[[float, float, float], bool]
 
 
-HI = Side(lambda e: e.hi, lambda v, e: e.hi <= v)
-LO = Side(lambda e: e.lo, lambda v, e: v <= e.lo)
-ABS = Side(lambda e: max(abs(e.lo), abs(e.hi)),
-           lambda v, e: v >= max(abs(e.lo), abs(e.hi)))
-OSC = Side(lambda e: sub_up(e.hi, e.lo), lambda v, e: not sum_above(e.hi, -e.lo, v))
+HI = Side(lambda lo, hi: hi, lambda v, lo, hi: hi <= v)
+LO = Side(lambda lo, hi: lo, lambda v, lo, hi: v <= lo)
+ABS = Side(lambda lo, hi: max(abs(lo), abs(hi)),
+           lambda v, lo, hi: v >= max(abs(lo), abs(hi)))
+OSC = Side(lambda lo, hi: sub_up(hi, lo), lambda v, lo, hi: not sum_above(hi, -lo, v))
 
 
 @dataclass(frozen=True)
@@ -314,8 +311,9 @@ class Row:
 
     Callables take the certificate (or the sweep's state, which has the
     certificate's field names and what start adds) as c or s, the function
-    as f, an enclosure as e, a LocalWitness as w and the sweep's Problem as
-    p.  A sweep returns only a certificate that meets requires.
+    as f, an enclosure as its ends lo and hi, a piece as its ends x and y, a
+    LocalWitness as w and the sweep's Problem as p.  A sweep returns only a
+    certificate that meets requires.
     """
 
     cls: type
@@ -339,20 +337,16 @@ class Row:
     candidate: bool = False          # probes points for a maximizer candidate
     start: Callable = lambda s, p: {}   # (s, p) -> scalars on [a, a], the state's own too
     step: Callable | None = None     # (s, w) -> None: scalars after taking in w
-    accept: Callable | None = None   # (s, e, p, piece) -> bool; default: the limit holds
-    refute: Callable | None = None   # (s, e) -> reason when e certifies it false
+    accept: Callable | None = None   # (s, lo, hi, x, y) -> bool; default: the limit holds
+    refute: Callable | None = None   # (s, lo, hi) -> reason when [lo, hi] certifies it false
     stall: str = ""                  # why a degenerate domain does not certify
 
     def key(self, name: str) -> str:
         return self.keys.get(name, name)
 
 
-def _point(f: Expr, x: float) -> FloatInterval:
-    return eval_iv(f, FloatInterval.point(x))
-
-
 def _raise_bound(s, w) -> None:
-    s.bound = max(s.bound, w.value.hi)
+    s.bound = max(s.bound, w.hi)
 
 
 def _take_candidate(s, w) -> None:
@@ -373,12 +367,12 @@ def _half_down(x: float, y: float) -> float:
 
 def _shrink_modulus(s, w) -> None:
     # min-rule: never above a constituent delta, never above half an overlap
-    x, y = w.piece.lo, w.piece.hi
+    x, y = w.x, w.y
     half = _half_down(x, y)
     if s.pieces:
-        if x <= w.ext.lo:
+        if x <= w.ext_lo:
             raise StructureError("uniform-continuity pieces must overlap")
-        s.delta = min(s.delta, half, _half_down(w.ext.lo, x))
+        s.delta = min(s.delta, half, _half_down(w.ext_lo, x))
     else:
         s.delta = half
 
@@ -403,9 +397,9 @@ def _term_up(m: float, x: float, y: float) -> float:
 
 
 def _add_darboux_terms(s, w) -> None:
-    x, y = w.piece.lo, w.piece.hi
-    s.lower_sum = add_down(s.lower_sum, _term_down(w.value.lo, x, y))
-    s.upper_sum = add_up(s.upper_sum, _term_up(w.value.hi, x, y))
+    x, y = w.x, w.y
+    s.lower_sum = add_down(s.lower_sum, _term_down(w.lo, x, y))
+    s.upper_sum = add_up(s.upper_sum, _term_up(w.hi, x, y))
 
 
 def _scale(values) -> int:
@@ -497,8 +491,8 @@ class DarbouxPlan:
         u, v = points[k], points[k + 1]
         return left[k + 1] + (left[k] - left[k + 1]) * ((v - x) / (v - u))
 
-    def budget(self, s, piece: FloatInterval) -> float:
-        """The oscillation a piece past the state s may have: its gap is at
+    def budget(self, s, x: float, y: float) -> float:
+        """The oscillation a piece [x, y] past the state s may have: its gap is at
         most both the remaining share R = 7/8 eps - (U - L) of the gap and
         (R / S)^2.  It only steers the sweep, so it is computed with the
         float arithmetic's rounding, which neither raises nor needs to bound
@@ -507,32 +501,32 @@ class DarbouxPlan:
         r = 0.875 * s.eps - (s.upper_sum - s.lower_sum)
         if not r > 0.0:
             return 0.0
-        rest = self.remaining(piece.lo)
+        rest = self.remaining(x)
         if rest > 0.0:
             r = min(r, (r / rest) * (r / rest))
-        return r / (piece.hi - piece.lo)
+        return r / (y - x)
 
 
 def _start_darboux(s, p) -> dict:
-    """Empty sums and budget(s, piece), the oscillation a piece past s may
+    """Empty sums and budget(s, x, y), the oscillation a piece past s may
     have: by the plan of p.prior, a coarser sweep's certificate, when it
     gives one; else eps / (2 (b - a)) rounded down, which keeps the gap on
     [a, x] at most (x - a) eps / (2 (b - a)), and which is computed at the
     first probe, so that a domain error there comes before its overflow."""
     plan = DarbouxPlan.of(p.prior) if p.prior is not None else None
     flat = cache(lambda: div_down(s.eps, mul_up(2.0, sub_up(p.b, p.a))))
-    budget = plan.budget if plan is not None else lambda s, piece: flat()
+    budget = plan.budget if plan is not None else lambda s, x, y: flat()
     return {"lower_sum": 0.0, "upper_sum": 0.0, "budget": budget}
 
 
 def _stretch_flat(s, w) -> None:
-    s.osc_bound = mul_up(s.eta, sub_up(w.piece.hi, s.a))
+    s.osc_bound = mul_up(s.eta, sub_up(w.y, s.a))
 
 
-def _monotone_refuted(s, d) -> str:
+def _monotone_refuted(s, lo, hi) -> str:
     if s.strict:
-        return "derivative certified nonpositive" if d.hi <= 0.0 else ""
-    return "derivative certified negative" if d.hi < 0.0 else ""
+        return "derivative certified nonpositive" if hi <= 0.0 else ""
+    return "derivative certified negative" if hi < 0.0 else ""
 
 
 def _rat_iv(e: RatInterval) -> dict:
@@ -553,14 +547,14 @@ ROWS = (
         positive=("bound",), pointwise=True,
         limit=lambda c: (le, c.bound, "M < piece bound"),
         start=lambda s, p: {"bound": _MIN_NORMAL}, step=_raise_bound,
-        accept=lambda s, e, p, piece: True),
+        accept=lambda s, lo, hi, x, y: True),
     Row(MaxCert, "max", {"evt": {}}, prover="prove_max",
         text=lambda c: (f"∃c = {c.c!r} ∈ [{c.a!r}, {c.b!r}]: ∀t: f(t) ≤ f(c) + {c.eps!r}, "
                         f"f(c) ≥ {c.f_at_c_lo!r} for f = {c.fn_source}"),
         grid="partition", arrays=(("piece_sup", HI),), params=("eps",),
         positive=("eps",), pointwise=True,
         requires=((lambda c, f: c.a <= c.c <= c.b, "maximizer candidate outside the domain"),
-                  (lambda c, f: c.f_at_c_lo <= _point(f, c.c).lo,
+                  (lambda c, f: c.f_at_c_lo <= eval_iv(f, c.c, c.c)[0],
                    "f_at_c_lo tighter than fresh enclosure at c")),
         # add_down gives float_down(f_at_c_lo + eps), and a float v is at most
         # a rational q exactly when it is at most float_down(q)
@@ -571,7 +565,7 @@ ROWS = (
         text=lambda c: f"∀t∈[{c.a!r}, {c.b!r}]: f(t) < 0 for f = {c.fn_source}",
         grid="partition", arrays=(("piece_hi", HI),), pointwise=True,
         limit=lambda c: (lt, 0.0, "piece upper bound not negative"),
-        refute=lambda s, e: "range certified positive" if e.lo > 0.0 else "",
+        refute=lambda s, lo, hi: "range certified positive" if lo > 0.0 else "",
         stall="sign at the degenerate point undecided"),
     Row(RootBracket, "root_bracket", {"ivt": {}}, prover="prove_root",
         text=lambda c: f"∃c∈[{c.l!r}, {c.r!r}]: f(c) = 0 for f = {c.fn_source}",
@@ -579,10 +573,10 @@ ROWS = (
         requires=((lambda c, f: c.a <= c.l < c.r <= c.b, "bracket not inside the domain"),
                   (lambda c, f: Fraction(c.r) - Fraction(c.l) <= Fraction(c.tol),
                    "bracket wider than tol"),
-                  (lambda c, f: _point(f, c.l).hi <= c.f_l_hi,
+                  (lambda c, f: eval_iv(f, c.l, c.l)[1] <= c.f_l_hi,
                    "left bound tighter than fresh enclosure"),
                   (lambda c, f: c.f_l_hi < 0.0, "left endpoint not certified negative"),
-                  (lambda c, f: c.f_r_lo <= _point(f, c.r).lo,
+                  (lambda c, f: c.f_r_lo <= eval_iv(f, c.r, c.r)[0],
                    "right bound tighter than fresh enclosure"),
                   (lambda c, f: c.f_r_lo > 0.0, "right endpoint not certified positive"))),
     Row(ModulusCert, "modulus", {"uct": {}}, prover="prove_modulus",
@@ -593,7 +587,7 @@ ROWS = (
         limit=lambda c: (lt, c.eps, "piece oscillation not below eps"),
         start=lambda s, p: {"delta": 1.0}, step=_shrink_modulus,
         # below eps is at most the float below it; a probe wider than max fails
-        accept=lambda s, e, p, piece: OSC.holds(math.nextafter(s.eps, 0.0), e)),
+        accept=lambda s, lo, hi, x, y: OSC.holds(math.nextafter(s.eps, 0.0), lo, hi)),
     Row(IntegralCert, "integral", {"dit": {}}, prover="prove_integral",
         text=lambda c: (f"∫f over [{c.a!r}, {c.b!r}] ∈ [{c.lower_sum!r}, {c.upper_sum!r}], "
                         f"U − L < {c.eps!r} for f = {c.fn_source}"),
@@ -602,7 +596,7 @@ ROWS = (
         requires=((lambda c, f: not _darboux_gap(c), "Darboux gap not below eps"),),
         total=_darboux_sums,
         start=_start_darboux, step=_add_darboux_terms,
-        accept=lambda s, e, p, piece: OSC.holds(s.budget(s, piece), e)),
+        accept=lambda s, lo, hi, x, y: OSC.holds(s.budget(s, x, y), lo, hi)),
     Row(MonotoneCert, "monotone", {"sift": {"strict": True}, "ift": {"strict": False}},
         prover="prove_monotone",
         text=lambda c: (f"∀x₁<x₂ in [{c.a!r}, {c.b!r}]: f(x₁) {'<' if c.strict else '≤'} "
@@ -618,7 +612,7 @@ ROWS = (
         grid="partition", arrays=(("piece_deriv_hi", HI),), deriv=True, params=("bound",),
         keys={"bound": "M"}, positive=("bound",),
         limit=lambda c: (le, c.bound, "piece derivative bound above M"),
-        refute=lambda s, d: "derivative certified above M" if d.lo > s.bound else ""),
+        refute=lambda s, lo, hi: "derivative certified above M" if lo > s.bound else ""),
     Row(FlatCert, "flat", {"cft": {}}, prover="prove_flat",
         text=lambda c: (f"∀t∈[{c.a!r}, {c.b!r}]: |f(t) − f(a)| ≤ {c.osc_bound!r} "
                         f"for f = {c.fn_source}" + (" (exact constancy)" if c.eta == 0.0 else "")),
@@ -629,8 +623,8 @@ ROWS = (
                    "oscillation conclusion below eta * (b - a)"),),
         limit=lambda c: (le, c.eta, "piece derivative magnitude above eta"),
         start=lambda s, p: {"osc_bound": mul_up(s.eta, sub_up(s.b, s.a))}, step=_stretch_flat,
-        refute=lambda s, d: ("derivative certified outside [-eta, eta]"
-                             if d.lo > s.eta or d.hi < -s.eta else "")),
+        refute=lambda s, lo, hi: ("derivative certified outside [-eta, eta]"
+                                  if lo > s.eta or hi < -s.eta else "")),
     Row(ClopenReport, "clopen", {"i1": {}},
         text=lambda c: (f"clopen analysis on [{c.a}, {c.b}]: {c.verdict.value}"
                         + (f" (witness {c.witness})" if c.witness is not None else "")),
@@ -737,9 +731,9 @@ def _check_function(row: Row, c, f: Expr) -> CheckResult:
     if row.grid is not None:
         grid = getattr(c, row.grid)
         if isinstance(grid, Partition):
-            pieces, start, end = grid.pieces, grid.a, grid.b
+            pieces, start, end = list(zip(grid.points, grid.points[1:])), grid.a, grid.b
         else:
-            pieces = grid
+            pieces = [(piece.lo, piece.hi) for piece in grid]
             start, end = (grid[0].lo, grid[-1].hi) if grid else (c.a, c.a)
         if start != c.a:
             return _invalid("partition does not start at a")
@@ -757,18 +751,18 @@ def _check_function(row: Row, c, f: Expr) -> CheckResult:
 
     op, t, reason = row.limit(c) if row.limit is not None else (None, None, "")
     if c.a == c.b:
-        point = FloatInterval.point(c.a)
-        fresh = eval_d1(f, point).deriv if row.deriv else eval_iv(f, point)
-        if row.pointwise and not op(row.arrays[0][1].store(fresh), t):
+        lo, hi = eval_d1(f, c.a, c.a)[2:] if row.deriv else eval_iv(f, c.a, c.a)
+        if row.pointwise and not op(row.arrays[0][1].store(lo, hi), t):
             return _invalid(f"{reason} at the degenerate point")
 
     stored = [(getattr(c, name), side.holds, name) for name, side in row.arrays]
     first, deriv = stored[0][0], row.deriv
     gap = row.link(c) if row.link is not None else None
     for k in range(len(pieces) if gap is None else gap[0]):
-        fresh = eval_d1(f, pieces[k]).deriv if deriv else eval_iv(f, pieces[k])
+        x, y = pieces[k]
+        lo, hi = eval_d1(f, x, y)[2:] if deriv else eval_iv(f, x, y)
         for values, holds, name in stored:
-            if not holds(values[k], fresh):
+            if not holds(values[k], lo, hi):
                 return _invalid(f"{name} tighter than fresh enclosure", k)
         if op is not None and not op(first[k], t):
             return _invalid(reason, k)

@@ -32,6 +32,7 @@ from .numeric import (
     DomainError,
     float_down,
     float_to_hex,
+    format_rational,
     interval_to_hex,
     parse_rational,
 )
@@ -129,7 +130,7 @@ def _exact_endpoint(text: str, name: str) -> float:
     if Fraction(f) != q:
         raise UsageError(
             f"--{name} {text!r} is not exactly representable in binary64; "
-            f"use a dyadic value such as {f!r}")
+            f"use a dyadic value such as {format_rational(Fraction(f))}")
     return f
 
 

@@ -31,9 +31,10 @@ eval_iv runs the tape with one loop that fills one interval register per
 instruction: Moore's natural interval extension.  eval_d1 runs the same
 tape filling a value and a derivative register per instruction, by the
 forward-mode rules of interval differentiation (product, quotient, chain).
-A register is a pair of floats, its ends, kept in the lists lo and hi
-(dlo and dhi for derivatives), and filled by numeric's pair kernels; X, the
-result and an error's operand are the only FloatIntervals.
+A register is a pair of floats, its ends, kept in the lists vlo and vhi
+(dlo and dhi for derivatives), and filled by numeric's pair kernels.  Both
+interpreters take and return ends, so a caller's loop builds no object per
+call; a FloatInterval is built only for an error.
 A DomainError names the subexpression that failed: for eval_iv the
 outermost function application around the failing instruction, for
 eval_d1 the failing application itself.
@@ -46,6 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numeric import (
+    _MAX_FLOAT,
     DivisionByZeroInterval,
     DomainError,
     FloatInterval,
@@ -170,14 +172,6 @@ class Apply(Expr):
     def __post_init__(self):
         if self.fn not in FUNCTIONS:
             raise ValueError(f"unknown function {self.fn!r}")
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """Range enclosure of f, optionally paired with one of f'."""
-
-    value: FloatInterval
-    deriv: FloatInterval | None = None
 
 
 # =============================================================================
@@ -501,125 +495,136 @@ def _compile(f: Expr) -> _Tape:
     return tape
 
 
-def eval_iv(f: Expr, X: FloatInterval) -> FloatInterval:
-    """Natural interval extension: an enclosure of {f(t) : t in X}.
-
+def eval_iv(f: Expr, lo: float, hi: float) -> tuple[float, float]:
+    """Natural interval extension: the ends of an enclosure of {f(t) : t in
+    [lo, hi]}.  Input or result ends that are not an interval raise as
+    FloatInterval does (OverflowError if not finite, ValueError if inverted).
     DomainError raised from a subexpression is annotated with that
     subexpression's source text and the offending interval.
     """
+    if not -_MAX_FLOAT <= lo <= hi <= _MAX_FLOAT:
+        FloatInterval(lo, hi)  # raises
     tape = f._tape or _compile(f)
-    lo: list[float] = []  # the registers' ends
-    hi: list[float] = []
+    vlo: list[float] = []  # the registers' ends
+    vhi: list[float] = []
     try:
         for op, i, j, arg in tape.code:
             if op == _VAR:
-                a, b = X.lo, X.hi
+                a, b = lo, hi
             elif op == _CONST:
                 a, b = arg
             elif op == _MUL:
-                a, b = _mul(lo[i], hi[i], lo[j], hi[j])
+                a, b = _mul(vlo[i], vhi[i], vlo[j], vhi[j])
             elif op == _ADD:
-                a, b = add_down(lo[i], lo[j]), add_up(hi[i], hi[j])
+                a, b = add_down(vlo[i], vlo[j]), add_up(vhi[i], vhi[j])
             elif op == _SUB:
-                a, b = add_down(lo[i], -hi[j]), add_up(hi[i], -lo[j])
+                a, b = add_down(vlo[i], -vhi[j]), add_up(vhi[i], -vlo[j])
             elif op == _POW:
-                a, b = _pow(lo[i], hi[i], j)
+                a, b = _pow(vlo[i], vhi[i], j)
             elif op == _DIV:
-                a, b = _div(lo[i], hi[i], lo[j], hi[j])
+                a, b = _div(vlo[i], vhi[i], vlo[j], vhi[j])
             elif op == _NEG:
-                a, b = -hi[i], -lo[i]
+                a, b = -vhi[i], -vlo[i]
             elif op == _HUGE:
                 a, b = float_down(arg), float_up(arg)  # raises OverflowError
             else:  # a function application; arg is its pair kernel
-                a, b = arg(lo[i], hi[i])
-            lo.append(a)
-            hi.append(b)
+                a, b = arg(vlo[i], vhi[i])
+            vlo.append(a)
+            vhi.append(b)
     except (DomainError, DivisionByZeroInterval) as err:
-        raise _annotate(err, X, tape.outer[len(lo)]) from None
-    return FloatInterval(a, b)
+        raise _annotate(err, lo, hi, tape.outer[len(vlo)]) from None
+    if not -_MAX_FLOAT <= a <= b <= _MAX_FLOAT:
+        FloatInterval(a, b)  # raises
+    return a, b
 
 
-def eval_d1(f: Expr, X: FloatInterval) -> EvalResult:
-    """Enclosures of f and f' over X by forward-mode interval differentiation."""
+def eval_d1(f: Expr, lo: float, hi: float) -> tuple[float, float, float, float]:
+    """Enclosures of f and f' over [lo, hi] by forward-mode interval
+    differentiation, as their ends (lo, hi, dlo, dhi), checked as eval_iv
+    checks its ends."""
+    if not -_MAX_FLOAT <= lo <= hi <= _MAX_FLOAT:
+        FloatInterval(lo, hi)  # raises
     tape = f._tape or _compile(f)
     if tape.has_abs:
         raise NotDifferentiable("expression contains abs")
-    lo: list[float] = []
-    hi: list[float] = []
+    vlo: list[float] = []
+    vhi: list[float] = []
     dlo: list[float] = []  # the derivative registers' ends
     dhi: list[float] = []
     try:
         for op, i, j, arg in tape.code:
             if op == _VAR:
-                a, b, p, q = X.lo, X.hi, 1.0, 1.0
+                a, b, p, q = lo, hi, 1.0, 1.0
             elif op == _CONST:
                 (a, b), p, q = arg, 0.0, 0.0
             elif op == _MUL:
-                a, b = _mul(lo[i], hi[i], lo[j], hi[j])
-                u, v = _mul(dlo[i], dhi[i], lo[j], hi[j])
-                s, t = _mul(lo[i], hi[i], dlo[j], dhi[j])
+                a, b = _mul(vlo[i], vhi[i], vlo[j], vhi[j])
+                u, v = _mul(dlo[i], dhi[i], vlo[j], vhi[j])
+                s, t = _mul(vlo[i], vhi[i], dlo[j], dhi[j])
                 p, q = add_down(u, s), add_up(v, t)
             elif op == _ADD:
-                a, b = add_down(lo[i], lo[j]), add_up(hi[i], hi[j])
+                a, b = add_down(vlo[i], vlo[j]), add_up(vhi[i], vhi[j])
                 p, q = add_down(dlo[i], dlo[j]), add_up(dhi[i], dhi[j])
             elif op == _SUB:
-                a, b = add_down(lo[i], -hi[j]), add_up(hi[i], -lo[j])
+                a, b = add_down(vlo[i], -vhi[j]), add_up(vhi[i], -vlo[j])
                 p, q = add_down(dlo[i], -dhi[j]), add_up(dhi[i], -dlo[j])
             elif op == _POW:
-                a, b = _pow(lo[i], hi[i], j)
+                a, b = _pow(vlo[i], vhi[i], j)
                 if j == 0:
                     p = q = 0.0
                 else:
                     # no coefficient when n is beyond binary64: enclosing it raises OverflowError
                     c = arg or (float_down(Fraction(j)), float_up(Fraction(j)))
-                    u, v = _mul(*c, *_pow(lo[i], hi[i], j - 1))
+                    u, v = _mul(*c, *_pow(vlo[i], vhi[i], j - 1))
                     p, q = _mul(u, v, dlo[i], dhi[i])
             elif op == _DIV:
-                a, b = _div(lo[i], hi[i], lo[j], hi[j])
-                u, v = _mul(dlo[i], dhi[i], lo[j], hi[j])
-                s, t = _mul(lo[i], hi[i], dlo[j], dhi[j])
+                a, b = _div(vlo[i], vhi[i], vlo[j], vhi[j])
+                u, v = _mul(dlo[i], dhi[i], vlo[j], vhi[j])
+                s, t = _mul(vlo[i], vhi[i], dlo[j], dhi[j])
                 u, v = add_down(u, -t), add_up(v, -s)
-                p, q = _div(u, v, *_sqr(lo[j], hi[j]))
+                p, q = _div(u, v, *_sqr(vlo[j], vhi[j]))
             elif op == _NEG:
-                a, b, p, q = -hi[i], -lo[i], -dhi[i], -dlo[i]
+                a, b, p, q = -vhi[i], -vlo[i], -dhi[i], -dlo[i]
             elif op == _SIN:
-                a, b = _sin(lo[i], hi[i])
-                p, q = _mul(*_cos(lo[i], hi[i]), dlo[i], dhi[i])
+                a, b = _sin(vlo[i], vhi[i])
+                p, q = _mul(*_cos(vlo[i], vhi[i]), dlo[i], dhi[i])
             elif op == _COS:
-                a, b = _cos(lo[i], hi[i])
-                s, t = _sin(lo[i], hi[i])
+                a, b = _cos(vlo[i], vhi[i])
+                s, t = _sin(vlo[i], vhi[i])
                 p, q = _mul(-t, -s, dlo[i], dhi[i])
             elif op == _EXP:
-                a, b = _exp(lo[i], hi[i])
+                a, b = _exp(vlo[i], vhi[i])
                 p, q = _mul(a, b, dlo[i], dhi[i])
             elif op == _LOG:
-                a, b = _log(lo[i], hi[i])
-                p, q = _div(dlo[i], dhi[i], lo[i], hi[i])
+                a, b = _log(vlo[i], vhi[i])
+                p, q = _div(dlo[i], dhi[i], vlo[i], vhi[i])
             elif op == _SQRT:
-                a, b = _sqrt(lo[i], hi[i])
+                a, b = _sqrt(vlo[i], vhi[i])
                 p, q = _div(dlo[i], dhi[i], *_mul(2.0, 2.0, a, b))
             else:  # _HUGE: raises OverflowError
                 a, b, p, q = float_down(arg), float_up(arg), 0.0, 0.0
-            lo.append(a)
-            hi.append(b)
+            vlo.append(a)
+            vhi.append(b)
             dlo.append(p)
             dhi.append(q)
     except (DomainError, DivisionByZeroInterval) as err:
-        k = len(lo)
+        k = len(vlo)
         op, i, _, _ = tape.code[k]
         if op >= _SIN and isinstance(err, DivisionByZeroInterval):
-            err = DomainError(tape.nodes[k].fn, FloatInterval(lo[i], hi[i]),
+            err = DomainError(tape.nodes[k].fn, FloatInterval(vlo[i], vhi[i]),
                               "derivative unbounded (argument range touches the domain boundary)")
-        raise _annotate(err, X, tape.nodes[k]) from None
-    return EvalResult(FloatInterval(a, b), FloatInterval(p, q))
+        raise _annotate(err, lo, hi, tape.nodes[k]) from None
+    if not (-_MAX_FLOAT <= a <= b <= _MAX_FLOAT and -_MAX_FLOAT <= p <= q <= _MAX_FLOAT):
+        FloatInterval(a, b), FloatInterval(p, q)  # one raises
+    return a, b, p, q
 
 
-def _annotate(err: Exception, X: FloatInterval, node: Expr | None) -> DomainError:
+def _annotate(err: Exception, lo: float, hi: float, node: Expr | None) -> DomainError:
     # a DomainError always comes from a function application, named by node
     if isinstance(err, DomainError):
         out = DomainError(err.fn, err.operand, err.detail)
         out.context = to_source(node)
         return out
-    out = DomainError("div", X, str(err))
+    out = DomainError("div", FloatInterval(lo, hi), str(err))
     out.context = None
     return out

@@ -313,8 +313,9 @@ def float_up(q: Fraction) -> float:
 class FloatInterval:
     """Closed interval with finite binary64 endpoints, lo <= hi.
 
-    The enclosure currency of the whole engine: every bound, every
-    evaluated range and every certificate field is one of these.
+    The interval of the API and of documents.  The interpreters, the sweep
+    and the checker carry ends as float pairs and build one only where a
+    value leaves them: a stored uct piece, a failure's witness, an error.
     """
 
     lo: float

@@ -52,6 +52,7 @@ import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .certificates import ROWS, Certificate, Partition, Row, StructureError
 from .expr import Expr, eval_d1, eval_iv, to_source
@@ -129,17 +130,18 @@ class Problem:
             object.__setattr__(self, "fn_source", to_source(self.f))
 
 
-@dataclass(frozen=True)
-class LocalWitness:
-    """One certified step: the new piece and the enclosure data backing it."""
+class LocalWitness(NamedTuple):
+    """One certified step, as floats: the new piece [x, y] and the ends of
+    the enclosure backing it, of f, or of f' when the row's deriv is set."""
 
-    piece: FloatInterval
-    value: FloatInterval | None = None
-    deriv: FloatInterval | None = None
-    ext: FloatInterval | None = None     # evaluated overlapping piece (uniform continuity)
-    cand: float | None = None            # improved maximizer candidate
-    cand_lo: float | None = None
-    h: float | None = None               # lattice step width that certified the piece
+    x: float
+    y: float
+    lo: float
+    hi: float
+    h: float | None = None          # lattice step width that certified the piece
+    ext_lo: float | None = None     # left end of the evaluated overlapping piece [ext_lo, y]
+    cand: float | None = None       # improved maximizer candidate
+    cand_lo: float | None = None    # lower bound of f at cand
 
 
 class FailureKind(Enum):
@@ -209,11 +211,11 @@ def _start(p: Problem) -> SimpleNamespace:
     return s
 
 
-def _accepts(row: Row, p: Problem, s, e: FloatInterval, piece: FloatInterval) -> bool:
+def _accepts(row: Row, s, lo: float, hi: float, x: float, y: float) -> bool:
     if row.accept is not None:
-        return row.accept(s, e, p, piece)
+        return row.accept(s, lo, hi, x, y)
     op, t, _ = row.limit(s)
-    return op(row.arrays[0][1].store(e), t)
+    return op(row.arrays[0][1].store(lo, hi), t)
 
 
 # =============================================================================
@@ -237,19 +239,19 @@ def base_case(p: Problem) -> SweepState | SweepFailure:
     if p.a < p.b:
         return s
     row, a, acc = p.row, p.a, s.acc
-    point = FloatInterval.point(a)
     if row.deriv:
-        eval_d1(p.f, point)  # for its domain errors: f' bounds nothing on a point
+        eval_d1(p.f, a, a)  # for its domain errors: f' bounds nothing on a point
     else:
-        v = eval_iv(p.f, point)
+        lo, hi = eval_iv(p.f, a, a)
         if row.pointwise:
             if row.step is not None:
-                row.step(acc, LocalWitness(point, value=v, cand=a, cand_lo=v.lo))
-            refuted = row.refute(acc, v) if row.refute is not None else ""
+                row.step(acc, LocalWitness(a, a, lo, hi, cand=a, cand_lo=lo))
+            refuted = row.refute(acc, lo, hi) if row.refute is not None else ""
             if refuted:
-                return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=a, witness=point,
-                                    enclosure=v, detail=refuted)
-            if not _accepts(row, p, acc, v, point):
+                return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=a,
+                                    witness=FloatInterval.point(a),
+                                    enclosure=FloatInterval(lo, hi), detail=refuted)
+            if not _accepts(row, acc, lo, hi, a, a):
                 return SweepFailure(FailureKind.STALLED, at=a, detail=row.stall)
     return s
 
@@ -296,7 +298,7 @@ def combine(p: Problem, s: SweepState, w: LocalWitness) -> None:
     The piece must start exactly at the frontier; StructureError otherwise.
     """
     row, acc = p.row, s.acc
-    x, y = w.piece.lo, w.piece.hi
+    x, y = w.x, w.y
     if x != acc.b:
         raise StructureError(
             f"piece starts at {x!r} but certified domain ends at {acc.b!r}")
@@ -304,10 +306,9 @@ def combine(p: Problem, s: SweepState, w: LocalWitness) -> None:
         raise StructureError("degenerate piece")
     if row.step is not None:
         row.step(acc, w)
-    e = w.deriv if row.deriv else w.value
     for name, side in row.arrays:
-        getattr(acc, name).append(side.store(e))
-    getattr(acc, row.grid).append(y if row.grid == "partition" else w.ext)
+        getattr(acc, name).append(side.store(w.lo, w.hi))
+    getattr(acc, row.grid).append(y if row.grid == "partition" else FloatInterval(w.ext_lo, y))
     acc.b = y
     h = _start_width(s)
     if s.h_prev is not None and h > s.h_prev:
@@ -381,11 +382,10 @@ def _halving_search(p: Problem, x: float, s, h: float,
             y = p.b
         if not y > x:
             break
-        piece = FloatInterval(x, y)
         try:
-            result = _probe(p, s, piece, x, h)
+            result = _probe(p, s, x, y, h)
         except DomainError as err:
-            err.piece = piece
+            err.piece = FloatInterval(x, y)
             raise
         if result is not None:
             return result
@@ -394,67 +394,66 @@ def _halving_search(p: Problem, x: float, s, h: float,
                         detail=f"no certifiable piece above h_min = {h_min!r}")
 
 
-def _probe(p: Problem, s, piece: FloatInterval, x: float,
+def _probe(p: Problem, s, x: float, y: float,
            h: float) -> LocalWitness | SweepFailure | None:
-    """One evaluation at the current step width: a witness, a certified
-    refutation, or None (inconclusive, keep halving).
+    """One evaluation of the piece [x, y] at the current step width h: a
+    witness, a certified refutation, or None (inconclusive, keep halving).
 
     s is the certificate so far, as the carried SweepState.acc; the row's
     accept and refute tests read their thresholds from it."""
     row = p.row
     if row.deriv:
-        d = eval_d1(p.f, piece).deriv
-        if _accepts(row, p, s, d, piece):
-            return LocalWitness(piece, deriv=d, h=h)
-        refuted = row.refute(s, d)
+        _, _, lo, hi = eval_d1(p.f, x, y)
+        if _accepts(row, s, lo, hi, x, y):
+            return LocalWitness(x, y, lo, hi, h)
+        refuted = row.refute(s, lo, hi)
         if refuted:
-            return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=x, witness=piece,
-                                enclosure=d, detail=refuted)
+            return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=x, witness=FloatInterval(x, y),
+                                enclosure=FloatInterval(lo, hi), detail=refuted)
         # The violation may lie strictly beyond any reachable frontier, in
         # which case no frontier piece ever refutes; probe the right half
         # being discarded by the halving before giving it up.
-        mid = min(max(x + (piece.hi - x) / 2, piece.lo), piece.hi)
-        if x < mid < piece.hi:
-            right = FloatInterval(mid, piece.hi)
-            d2 = eval_d1(p.f, right).deriv
-            refuted = row.refute(s, d2)
+        mid = min(max(x + (y - x) / 2, x), y)
+        if x < mid < y:
+            _, _, lo, hi = eval_d1(p.f, mid, y)
+            refuted = row.refute(s, lo, hi)
             if refuted:
-                return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=x, witness=right,
-                                    enclosure=d2, detail=refuted)
+                return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=x,
+                                    witness=FloatInterval(mid, y),
+                                    enclosure=FloatInterval(lo, hi), detail=refuted)
         return None
 
     if row.grid == "pieces":
         # evaluate over a backward-extended piece so stored pieces overlap;
         # the extension never reaches past the previous piece's left end,
         # which keeps the stored pieces sorted
-        lo = max(p.a, x - h)
+        ext_lo = max(p.a, x - h)
         if s.pieces:
-            lo = max(lo, s.pieces[-1].lo)
-        if x > p.a and not lo < x:
+            ext_lo = max(ext_lo, s.pieces[-1].lo)
+        if x > p.a and not ext_lo < x:
             return None  # backward extension lost to rounding; halving only shrinks it
-        ext = FloatInterval(lo, piece.hi)
-        v = eval_iv(p.f, ext)
-        return LocalWitness(piece, value=v, ext=ext, h=h) if _accepts(row, p, s, v, piece) else None
+        lo, hi = eval_iv(p.f, ext_lo, y)
+        return LocalWitness(x, y, lo, hi, h, ext_lo) if _accepts(row, s, lo, hi, x, y) else None
 
-    v = eval_iv(p.f, piece)
+    lo, hi = eval_iv(p.f, x, y)
     if row.candidate:
         # witness-point probes: the midpoint covers an interior maximum,
         # the right endpoint covers a maximum sitting at (or beyond) the
         # frontier, so monotone stretches certify at full width
-        mid = min(max(x + (piece.hi - x) / 2, piece.lo), piece.hi)
-        cand, cand_lo = mid, eval_iv(p.f, FloatInterval.point(mid)).lo
-        end_lo = eval_iv(p.f, FloatInterval.point(piece.hi)).lo
+        mid = min(max(x + (y - x) / 2, x), y)
+        cand, cand_lo = mid, eval_iv(p.f, mid, mid)[0]
+        end_lo = eval_iv(p.f, y, y)[0]
         if end_lo > cand_lo:
-            cand, cand_lo = piece.hi, end_lo
+            cand, cand_lo = y, end_lo
         # judged against the certificate once this piece's candidate is in
         after = SimpleNamespace(f_at_c_lo=max(s.f_at_c_lo, cand_lo), eps=s.eps)
-        if _accepts(row, p, after, v, piece):
-            return LocalWitness(piece, value=v, cand=cand, cand_lo=cand_lo, h=h)
+        if _accepts(row, after, lo, hi, x, y):
+            return LocalWitness(x, y, lo, hi, h, None, cand, cand_lo)
         return None
-    if _accepts(row, p, s, v, piece):
-        return LocalWitness(piece, value=v, h=h)
-    refuted = row.refute(s, v) if row.refute is not None else ""
+    if _accepts(row, s, lo, hi, x, y):
+        return LocalWitness(x, y, lo, hi, h)
+    refuted = row.refute(s, lo, hi) if row.refute is not None else ""
     if refuted:
-        return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=x, witness=piece,
-                            enclosure=v, detail=refuted)
+        return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=x, witness=FloatInterval(x, y),
+                            enclosure=FloatInterval(lo, hi), detail=refuted)
     return None

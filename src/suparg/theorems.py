@@ -144,7 +144,7 @@ def prove_root(f: Expr | str, a: float, b: float, tol: float,
     if not tol > 0:
         raise ValueError("tol must be positive")
     problem = Problem(expr, a, b, "ivt", fn_source=src, max_pieces=max_pieces)
-    f_a = eval_iv(expr, FloatInterval.point(a))
+    f_a = FloatInterval(*eval_iv(expr, a, a))
     if not f_a.hi < 0.0:
         raise PreconditionError(
             f"f(a) is not certified negative: enclosure {f_a} at a = {a!r}")
@@ -156,38 +156,38 @@ def prove_root(f: Expr | str, a: float, b: float, tol: float,
         return res
 
     left = res.at
-    f_left = eval_iv(expr, FloatInterval.point(left))
+    f_left = FloatInterval(*eval_iv(expr, left, left))
     if not f_left.hi < 0.0:
         raise Inconclusive(
             f"sign undecidable at the stalled frontier {left!r}: enclosure {f_left}")
 
     # probed on the sweep's lattice of widths
-    right, f_right = _find_positive_point(expr, left, b, (b - a) / 8, default_h_min(a, b))
+    right, f_right_lo = _find_positive_point(expr, left, b, (b - a) / 8, default_h_min(a, b))
     if right is None:
         raise Inconclusive(
             f"no certified-positive point found to the right of {left!r}")
 
     return _bisect_bracket(expr, problem.fn_source, a, b, tol,
-                           left, f_left, right, f_right)
+                           left, f_left.hi, right, f_right_lo)
 
 
 def _find_positive_point(expr: Expr, x: float, b: float, h_init: float,
-                         h_min: float) -> tuple[float, FloatInterval] | tuple[None, None]:
+                         h_min: float) -> tuple[float, float] | tuple[None, None]:
+    """A point right of x where f is certified positive, and f's lower end there."""
     h = h_init
     while h >= h_min:
         cand = min(x + h, b)
         if cand <= x:
             break
-        v = eval_iv(expr, FloatInterval.point(cand))
-        if v.lo > 0.0:
-            return cand, v
+        lo = eval_iv(expr, cand, cand)[0]
+        if lo > 0.0:
+            return cand, lo
         h = h / 2
     return None, None
 
 
 def _bisect_bracket(expr: Expr, src: str, a: float, b: float, tol: float,
-                    l: float, f_l: FloatInterval, r: float,
-                    f_r: FloatInterval) -> RootBracket:
+                    l: float, f_l_hi: float, r: float, f_r_lo: float) -> RootBracket:
     tol_q = Fraction(tol)
     while Fraction(r) - Fraction(l) > tol_q:
         moved = False
@@ -196,17 +196,17 @@ def _bisect_bracket(expr: Expr, src: str, a: float, b: float, tol: float,
             m = l + span * (k / 16.0)
             if not l < m < r:
                 continue
-            v = eval_iv(expr, FloatInterval.point(m))
-            if v.hi < 0.0:
-                l, f_l = m, v
+            lo, hi = eval_iv(expr, m, m)
+            if hi < 0.0:
+                l, f_l_hi = m, hi
                 moved = True
                 break
-            if v.lo > 0.0:
-                r, f_r = m, v
+            if lo > 0.0:
+                r, f_r_lo = m, lo
                 moved = True
                 break
         if not moved:
             raise Inconclusive(
                 f"sign undecidable everywhere inside [{l!r}, {r!r}] "
                 f"(width {r - l!r} > tol {tol!r})")
-    return RootBracket(src, a, b, l, r, f_l.hi, f_r.lo, tol)
+    return RootBracket(src, a, b, l, r, f_l_hi, f_r_lo, tol)

@@ -6,7 +6,9 @@ Everything below the imports, up to the last section, is copied verbatim
 from suparg.numeric and suparg.expr, with two changes: the exceptions, the pi
 constants and the AST come from the package, so error types compare equal;
 and _compile returns its tape instead of storing it on the expression, where
-it would collide with the package's own tape.  The last section, mended,
+it would collide with the package's own tape.  EvalResult, the result type
+of the object-form eval_d1, lives only here now that the package's
+interpreters return float ends.  The last section, mended,
 words this reference's overflow outcomes as the package words them now.
 """
 
@@ -22,7 +24,6 @@ from suparg.expr import (
     Apply,
     Const,
     Div,
-    EvalResult,
     Expr,
     Mul,
     Neg,
@@ -550,6 +551,14 @@ _APPLY = {
 _ZERO = FloatInterval(0.0, 0.0)
 _ONE = FloatInterval(1.0, 1.0)
 _TWO = FloatInterval(2.0, 2.0)
+
+
+@dataclass(frozen=True)
+class EvalResult:
+    """Range enclosure of f, optionally paired with one of f'."""
+
+    value: FloatInterval
+    deriv: FloatInterval | None = None
 
 
 @dataclass(frozen=True)

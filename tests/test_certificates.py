@@ -42,7 +42,7 @@ from suparg.certificates import (
 )
 from suparg.expr import eval_d1, eval_iv, parse
 from suparg.numeric import FloatInterval, RatInterval, float_down
-from suparg.sweep import Problem, run_sweep
+from suparg.sweep import LocalWitness, Problem, run_sweep
 from suparg.theorems import (
     prove_bound,
     prove_flat,
@@ -655,14 +655,14 @@ ROW_PROBLEMS = {
 }
 
 
-def _past(side, fresh):
-    """A value next to side.store(fresh) that no longer bounds fresh."""
-    v = side.store(fresh)
+def _past(side, lo, hi):
+    """A value next to side.store(lo, hi) that no longer bounds [lo, hi]."""
+    v = side.store(lo, hi)
     for to in (-math.inf, math.inf):
         moved = v
         for _ in range(4):
             moved = math.nextafter(moved, to)
-            if not side.holds(moved, fresh):
+            if not side.holds(moved, lo, hi):
                 return moved
     raise AssertionError("no value within 4 ulps falls past the enclosure")
 
@@ -677,13 +677,14 @@ def test_every_row_roundtrips_checks_and_catches_a_tampered_piece(row):
     if not row.arrays:
         return
     grid = getattr(cert, row.grid)
-    pieces = grid.pieces if isinstance(grid, Partition) else grid
+    pieces = list(zip(grid.points, grid.points[1:])) if isinstance(grid, Partition) \
+        else [(piece.lo, piece.hi) for piece in grid]
     k = len(pieces) // 2
-    fresh = eval_d1(parse(cert.fn_source), pieces[k]).deriv if row.deriv \
-        else eval_iv(parse(cert.fn_source), pieces[k])
+    f = parse(cert.fn_source)
+    lo, hi = eval_d1(f, *pieces[k])[2:] if row.deriv else eval_iv(f, *pieces[k])
     for name, side in row.arrays:
         values = getattr(cert, name)
-        result = check(replace(cert, **{name: tuple_set(values, k, _past(side, fresh))}))
+        result = check(replace(cert, **{name: tuple_set(values, k, _past(side, lo, hi))}))
         assert not result and result.piece == k, (name, result)
 
 
@@ -829,10 +830,10 @@ def _ref_darboux_gap(c):
 
 
 def _ref_shrink_modulus(s, w):
-    x, y = w.piece.lo, w.piece.hi
+    x, y = w.x, w.y
     fwd = Fraction(y) - Fraction(x)
     if s.pieces:
-        overlap = Fraction(x) - Fraction(w.ext.lo)
+        overlap = Fraction(x) - Fraction(w.ext_lo)
         if overlap <= 0:
             raise StructureError("uniform-continuity pieces must overlap")
         s.delta = min(s.delta, float_down(min(fwd, overlap) / 2))
@@ -885,7 +886,7 @@ def test_oscillation_test_matches_fraction_reference(x, y, ulps, other, near):
     e = _interval(x, y)
     d = e.hi - e.lo
     v = _step(d, ulps) if near and math.isfinite(d) else other
-    assert OSC.holds(v, e) == _ref_osc_holds(v, e)
+    assert OSC.holds(v, e.lo, e.hi) == _ref_osc_holds(v, e)
 
 
 @_exact_settings
@@ -895,7 +896,7 @@ def test_oscillation_test_matches_fraction_reference(x, y, ulps, other, near):
 def test_magnitude_test_matches_fraction_reference(x, y, ulps, other, near):
     e = _interval(x, y)
     v = _step(max(abs(e.lo), abs(e.hi)), ulps) if near else other
-    assert ABS.holds(v, e) == _ref_abs_holds(v, e)
+    assert ABS.holds(v, e.lo, e.hi) == _ref_abs_holds(v, e)
 
 
 @_exact_settings
@@ -988,7 +989,7 @@ def test_darboux_gap_matches_fraction_reference(c):
        first=st.booleans())
 def test_shrink_modulus_matches_fraction_reference(x, y, ext_lo, delta, first):
     piece = _interval(x, y)
-    w = SimpleNamespace(piece=piece, ext=FloatInterval(min(ext_lo, piece.lo), piece.hi))
+    w = LocalWitness(piece.lo, piece.hi, 0.0, 0.0, ext_lo=min(ext_lo, piece.lo))
     got = SimpleNamespace(pieces=[] if first else [piece], delta=delta)
     want = SimpleNamespace(pieces=[] if first else [piece], delta=delta)
     try:
@@ -999,6 +1000,23 @@ def test_shrink_modulus_matches_fraction_reference(x, y, ext_lo, delta, first):
         return
     _shrink_modulus(got, w)
     assert got.delta == want.delta
+
+
+def test_sweep_and_checker_build_no_interval_per_piece(monkeypatch):
+    # both carry float ends; a FloatInterval is built only where a value
+    # leaves them, as a stored uniform-continuity piece
+    made = []
+    original = FloatInterval.__post_init__
+    monkeypatch.setattr(FloatInterval, "__post_init__",
+                        lambda self: made.append(self) or original(self))
+    dit = GOLDEN_PROBLEMS["dit"]()
+    assert (piece_count(dit), len(made)) == (246, 0)
+    assert check(dit) and len(made) == 0
+    bound = prove_bound("sin(x)", 0.0, 3.0)
+    assert check(bound) and len(made) == 0
+    modulus = prove_modulus("x", 0.0, 1.0, 1e-3)
+    assert (piece_count(modulus), len(made)) == (2047, 2047)
+    assert check(modulus) and len(made) == 2047
 
 
 class _CountedFraction(Fraction):

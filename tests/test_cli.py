@@ -29,7 +29,7 @@ from suparg.certificates import (
 )
 from suparg.cli import run
 from suparg.expr import parse
-from suparg.numeric import RatInterval
+from suparg.numeric import RatInterval, float_down, parse_rational
 from suparg.sweep import FailureKind, Problem, SweepFailure, run_sweep
 from suparg.topology import Cover, RatIntervalSet, analyze_clopen, extract_subcover
 
@@ -559,6 +559,29 @@ def test_negative_inexact_endpoint_still_refused(capsys):
     code, out, err = invoke(capsys, "prove", "bvt", "--fn", "x", "--a", "-1e-3", "--b", "1")
     assert code == 2 and out == ""
     assert "not exactly representable" in json.loads(err)["detail"]
+
+
+@pytest.mark.parametrize("text, where", [
+    ("0.1", ["--a", "0", "--b"]),
+    ("-0.1", ["--b", "1", "--a"]),
+    ("709.78", ["--a", "0", "--b"]),
+    ("1e300", ["--a", "0", "--b"]),
+    ("1e-320", ["--b", "1", "--a"]),  # a subnormal
+])
+def test_suggested_endpoint_is_accepted(capsys, text, where):
+    # the suggestion once printed the shortest repr, which reads back as the
+    # decimal it was rounded from, so each retry was refused one ulp lower
+    code, _, err = invoke(capsys, "prove", "bvt", "--fn", "x", *where, text)
+    assert code == 2
+    suggested = json.loads(err)["detail"].rsplit(" ", 1)[-1]
+    want = float_down(parse_rational(text))
+    assert F(want) < parse_rational(text)
+    code, out, err = invoke(capsys, "prove", "bvt", "--fn", "x", *where, suggested,
+                            "--format", "json")
+    assert (code, err) == (0, "")
+    assert cli._exact_endpoint(suggested, where[-1][2:]) == want
+    domain = json.loads(out)["domain"]
+    assert float.fromhex(domain[where[-1] == "--b"]) == want
 
 
 def test_prove_determinism_bytes(capsys):

@@ -10,6 +10,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 import object_kernels as ref
@@ -112,16 +113,16 @@ def test_parse_error_position():
 def test_exact_decimal_literals():
     e = parse("0.1")
     assert isinstance(e, Const) and e.value == Fraction(1, 10)
-    out = eval_iv(e, FloatInterval(0, 1))
-    assert Fraction(out.lo) <= Fraction(1, 10) <= Fraction(out.hi)
-    assert out.hi == math.nextafter(out.lo, math.inf)  # tightest enclosure
+    lo, hi = eval_iv(e, 0, 1)
+    assert Fraction(lo) <= Fraction(1, 10) <= Fraction(hi)
+    assert hi == math.nextafter(lo, math.inf)  # tightest enclosure
 
 
 def test_differentiable_flag():
     assert parse("sin(x)*x").differentiable
     assert not parse("abs(x) + 1").differentiable
     with pytest.raises(NotDifferentiable):
-        eval_d1(parse("abs(x)"), FloatInterval(0, 1))
+        eval_d1(parse("abs(x)"), 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,62 +193,62 @@ def test_constant_longer_than_one_int_to_str_conversion_prints():
 # ---------------------------------------------------------------------------
 
 def test_eval_square_shift():
-    out = eval_iv(parse("x^2 - 2"), FloatInterval(0, 2))
-    assert out == FloatInterval(-2, 2)
+    out = eval_iv(parse("x^2 - 2"), 0, 2)
+    assert out == (-2, 2)
 
 
 def test_eval_sin_with_peak():
-    out = eval_iv(parse("sin(x)"), FloatInterval(0, 1.6))
-    assert out.hi >= 1.0
-    assert out.lo <= 0.0
+    lo, hi = eval_iv(parse("sin(x)"), 0, 1.6)
+    assert hi >= 1.0
+    assert lo <= 0.0
     # dense-sampling oracle: enclosure contains the sampled range
     samples = [float(mpmath.sin(mpmath.mpf(t) * frac / 1000))
                for frac in range(0, 1001) for t in [1.6]]
-    assert out.lo <= min(samples) and max(samples) <= out.hi
+    assert lo <= min(samples) and max(samples) <= hi
 
 
 def test_eval_log_domain_error_annotated():
     with pytest.raises(DomainError) as exc:
-        eval_iv(parse("log(x)"), FloatInterval(-1, 1))
+        eval_iv(parse("log(x)"), -1, 1)
     assert exc.value.context == "log(x)"
 
 
-def _encloses(x: FloatInterval, lo: float, hi: float, width: float = math.inf) -> bool:
-    """x contains [lo, hi] and is at most width wide."""
-    return x.lo <= lo and hi <= x.hi and x.hi - x.lo <= width
+def _encloses(x: tuple[float, float], lo: float, hi: float, width: float = math.inf) -> bool:
+    """The ends x contain [lo, hi] and are at most width apart."""
+    return x[0] <= lo and hi <= x[1] and x[1] - x[0] <= width
 
 
 def test_eval_d1_power_at_point():
-    res = eval_d1(parse("x^2"), FloatInterval(1, 1))
-    assert _encloses(res.value, 1.0, 1.0, width=1e-15)
-    assert _encloses(res.deriv, 2.0, 2.0, width=1e-15)
+    res = eval_d1(parse("x^2"), 1, 1)
+    assert _encloses(res[:2], 1.0, 1.0, width=1e-15)
+    assert _encloses(res[2:], 2.0, 2.0, width=1e-15)
 
 
 def test_eval_d1_cubic_contains_zero():
-    res = eval_d1(parse("x^3"), FloatInterval(-1, 1))
-    assert _encloses(res.deriv, 0.0, 3.0)
+    res = eval_d1(parse("x^3"), -1, 1)
+    assert _encloses(res[2:], 0.0, 3.0)
 
 
 def test_eval_d1_sin_derivative_bounds():
-    res = eval_d1(parse("sin(x)"), FloatInterval(0, 0.5))
+    _, _, dlo, dhi = eval_d1(parse("sin(x)"), 0, 0.5)
     cos_half = float(mpmath.cos(mpmath.mpf(1) / 2))  # ~0.87758
-    assert res.deriv.lo > 0.8
-    assert res.deriv.lo <= cos_half
-    assert res.deriv.hi >= 1.0
-    assert res.deriv.hi <= 1.0 + 1e-12
+    assert dlo > 0.8
+    assert dlo <= cos_half
+    assert dhi >= 1.0
+    assert dhi <= 1.0 + 1e-12
 
 
 def test_eval_d1_exact_zero_through_product():
     # multiplying by the literal 0 must keep the derivative exactly [0, 0]
-    res = eval_d1(parse("sin(x)*0 + 2"), FloatInterval(0, 1))
-    assert res.deriv == FloatInterval(0.0, 0.0)
-    res2 = eval_d1(parse("3"), FloatInterval(0, 1))
-    assert res2.deriv == FloatInterval(0.0, 0.0)
+    res = eval_d1(parse("sin(x)*0 + 2"), 0, 1)
+    assert res[2:] == (0.0, 0.0)
+    res2 = eval_d1(parse("3"), 0, 1)
+    assert res2[2:] == (0.0, 0.0)
 
 
 def test_eval_d1_sqrt_at_zero_rejected():
     with pytest.raises(DomainError):
-        eval_d1(parse("sqrt(x)"), FloatInterval(0, 1))
+        eval_d1(parse("sqrt(x)"), 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +292,14 @@ def test_fundamental_containment_fuzz():
         lo = rng.uniform(-3, 3)
         X = FloatInterval(lo, lo + rng.uniform(0, 2))
         try:
-            out = eval_iv(f, X)
+            lo_f, hi_f = eval_iv(f, X.lo, X.hi)
         except (DomainError, OverflowError):
             continue
         for _ in range(5):
             t = rng.uniform(X.lo, X.hi)
             t = min(max(t, X.lo), X.hi)
             v = mp_eval(f, mpmath.mpf(t))
-            assert mpmath.mpf(out.lo) <= v <= mpmath.mpf(out.hi), (to_source(f), X, t)
+            assert mpmath.mpf(lo_f) <= v <= mpmath.mpf(hi_f), (to_source(f), X, t)
             done += 1
 
 
@@ -310,7 +311,7 @@ def test_derivative_containment_fuzz():
         lo = rng.uniform(-3, 3)
         X = FloatInterval(lo, lo + rng.uniform(0.01, 1.5))
         try:
-            res = eval_d1(f, X)
+            _, _, dlo, dhi = eval_d1(f, X.lo, X.hi)
         except (DomainError, OverflowError):
             continue
         width = X.hi - X.lo
@@ -319,7 +320,7 @@ def test_derivative_containment_fuzz():
             t = rng.uniform(X.lo + 2e-6 * width, X.hi - 2e-6 * width)
             fd = (mp_eval(f, mpmath.mpf(t) + h) - mp_eval(f, mpmath.mpf(t) - h)) / (2 * h)
             scale = mpmath.mpf(1e-4) * (1 + abs(fd))
-            assert mpmath.mpf(res.deriv.lo) - scale <= fd <= mpmath.mpf(res.deriv.hi) + scale, \
+            assert mpmath.mpf(dlo) - scale <= fd <= mpmath.mpf(dhi) + scale, \
                 (to_source(f), X, t)
             done += 1
 
@@ -475,9 +476,20 @@ def _ref_d1(f, X):
         raise _ref_annotate(err, X) from None
 
 
+class _Ends(NamedTuple):
+    """The interpreters' ends, read as _hexes and _outcome read an interval."""
+
+    lo: float
+    hi: float
+
+
+def _tape_iv(f, X):
+    return (_Ends(*eval_iv(f, X.lo, X.hi)),)
+
+
 def _tape_d1(f, X):
-    res = eval_d1(f, X)
-    return res.value, res.deriv
+    lo, hi, dlo, dhi = eval_d1(f, X.lo, X.hi)
+    return _Ends(lo, hi), _Ends(dlo, dhi)
 
 
 def _rand_piece(rng):
@@ -509,7 +521,7 @@ def test_tape_matches_recursive_reference():
         for _ in range(3):
             X = _rand_piece(rng)
             want = _outcome(lambda: _ref_iv(f, X))
-            assert _outcome(lambda: (eval_iv(f, X),)) == want, (to_source(f), X)
+            assert _outcome(lambda: _tape_iv(f, X)) == want, (to_source(f), X)
             want_d = _outcome(lambda: _ref_d1(f, X))
             assert _outcome(lambda: _tape_d1(f, X)) == want_d, (to_source(f), X)
             seen.add(want[0])
@@ -521,19 +533,18 @@ def test_domain_error_context_is_the_enclosing_application():
     # eval_iv names the outermost application around the failing one,
     # eval_d1 the failing application itself
     f = parse("1 + exp(sqrt(log(x)))")
-    X = FloatInterval(0.5, 0.6)
     with pytest.raises(DomainError) as exc:
-        eval_iv(f, X)
+        eval_iv(f, 0.5, 0.6)
     assert (exc.value.fn, exc.value.context) == ("sqrt", "exp(sqrt(log(x)))")
     with pytest.raises(DomainError) as exc:
-        eval_d1(f, X)
+        eval_d1(f, 0.5, 0.6)
     assert (exc.value.fn, exc.value.context) == ("sqrt", "sqrt(log(x))")
     with pytest.raises(DomainError) as exc:
-        eval_d1(parse("sin(sqrt(x))"), FloatInterval(0.0, 1.0))
+        eval_d1(parse("sin(sqrt(x))"), 0.0, 1.0)
     assert exc.value.detail.startswith("derivative unbounded")
     assert (exc.value.fn, exc.value.context) == ("sqrt", "sqrt(x)")
     with pytest.raises(DomainError) as exc:
-        eval_iv(parse("sin(1/x)"), FloatInterval(-1.0, 1.0))
+        eval_iv(parse("sin(1/x)"), -1.0, 1.0)
     assert (exc.value.fn, exc.value.context) == ("div", None)
 
 
@@ -548,36 +559,69 @@ def test_expression_is_compiled_once(monkeypatch):
     monkeypatch.setattr(expr_mod, "_compile", counting)
     f = parse("sin(x)*exp(x) + x^3/(1 + x^2)")
     for k in range(20):
-        X = FloatInterval(k / 20, (k + 1) / 20)
-        eval_iv(f, X)
-        eval_d1(f, X)
+        eval_iv(f, k / 20, (k + 1) / 20)
+        eval_d1(f, k / 20, (k + 1) / 20)
         assert f.differentiable
     assert compiled == [f]
     g = parse("abs(x) - 1")
     for _ in range(5):
-        eval_iv(g, FloatInterval(-1.0, 1.0))
+        eval_iv(g, -1.0, 1.0)
         with pytest.raises(NotDifferentiable):
-            eval_d1(g, FloatInterval(-1.0, 1.0))
+            eval_d1(g, -1.0, 1.0)
     assert compiled == [f, g]
 
 
 def test_constant_beyond_binary64_overflows_in_evaluation_order():
     huge = "1" + "0" * 400
     with pytest.raises(OverflowError):
-        eval_iv(parse(f"x + {huge}"), FloatInterval(0.0, 1.0))
+        eval_iv(parse(f"x + {huge}"), 0.0, 1.0)
     with pytest.raises(DomainError):
-        eval_iv(parse(f"log(x) + {huge}"), FloatInterval(-1.0, 1.0))
+        eval_iv(parse(f"log(x) + {huge}"), -1.0, 1.0)
     with pytest.raises(OverflowError):
-        eval_d1(parse(f"x^{huge}"), FloatInterval(0.5, 0.9))
-    assert eval_iv(parse(f"x^{huge}"), FloatInterval(0.5, 0.9)).lo == 0.0
+        eval_d1(parse(f"x^{huge}"), 0.5, 0.9)
+    assert eval_iv(parse(f"x^{huge}"), 0.5, 0.9)[0] == 0.0
+
+
+@pytest.mark.parametrize("lo, hi, error", [
+    (1.0, 0.0, ValueError),
+    (0.0, -5e-324, ValueError),
+    (0.0, math.inf, OverflowError),
+    (-math.inf, 0.0, OverflowError),
+    (math.inf, math.inf, OverflowError),
+    (math.nan, 1.0, OverflowError),
+    (0.0, math.nan, OverflowError),
+])
+def test_ends_that_are_no_interval_raise_as_floatinterval_does(lo, hi, error):
+    with pytest.raises(error) as made:
+        FloatInterval(lo, hi)
+    for run in (eval_iv, eval_d1):
+        with pytest.raises(error) as exc:
+            run(parse("x + 1"), lo, hi)
+        assert str(exc.value) == str(made.value)
+
+
+def test_result_ends_that_are_no_interval_raise(monkeypatch):
+    # a kernel that returned an inverted pair would be caught at the result
+    inverted = lambda lo, hi: (1.0, 0.0)  # noqa: E731
+    monkeypatch.setitem(expr_mod._APPLY, "sin", (expr_mod._SIN, inverted))
+    monkeypatch.setattr(expr_mod, "_sin", inverted)
+    with pytest.raises(ValueError, match="inverted interval"):
+        eval_iv(parse("sin(x)"), 0.0, 1.0)
+    with pytest.raises(ValueError, match="inverted interval"):
+        eval_d1(parse("sin(x)"), 0.0, 1.0)
+    # and so would an inverted derivative: f' = cos(x) * 1 comes out [2, 1]
+    monkeypatch.setattr(expr_mod, "_sin", lambda lo, hi: (0.0, 0.5))
+    monkeypatch.setattr(expr_mod, "_cos", lambda lo, hi: (2.0, 1.0))
+    with pytest.raises(ValueError, match=r"inverted interval \[2\.0, 1\.0\]"):
+        eval_d1(parse("sin(x)"), 0.0, 1.0)
 
 
 def test_deep_trees_evaluate_without_recursion():
     f = Var()
     for k in range(5_000):
         f = Add(f, Const(Fraction(1))) if k % 2 else Mul(f, Const(Fraction(1, 2)))
-    assert eval_iv(f, FloatInterval(0.0, 1.0)).hi <= 2.0
-    assert eval_d1(f, FloatInterval(0.0, 1.0)).deriv.hi <= 1.0
+    assert eval_iv(f, 0.0, 1.0)[1] <= 2.0
+    assert eval_d1(f, 0.0, 1.0)[3] <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +679,7 @@ def test_pair_interpreters_match_object_interpreters(f, x, y):
     lo, hi = min(x, y), max(x, y)
     X, rX = FloatInterval(lo, hi), ref.FloatInterval(lo, hi)
     want = _ref_outcome(lambda: (ref.eval_iv(f, rX),))
-    assert _outcome(lambda: (eval_iv(f, X),)) == want, (to_source(f), X)
+    assert _outcome(lambda: _tape_iv(f, X)) == want, (to_source(f), X)
     want = _ref_outcome(lambda: (lambda r: (r.value, r.deriv))(ref.eval_d1(f, rX)))
     assert _outcome(lambda: _tape_d1(f, X)) == want, (to_source(f), X)
 
@@ -650,7 +694,7 @@ def test_nesting_up_to_the_limit_parses_and_roundtrips():
                  " + ".join(["x"] * n), "-" * (n - 1) + "x", "(" * (n - 2) + "x^2" + ")" * (n - 2)]:
         e = parse(text)
         assert parse(to_source(e)) == e and hash(e) == hash(parse(text))
-        eval_iv(e, FloatInterval(0.0, 1.0))
+        eval_iv(e, 0.0, 1.0)
 
 
 def test_nesting_beyond_the_limit_is_a_parse_error():
@@ -668,7 +712,7 @@ def test_long_flat_expressions_parse_roundtrip_and_evaluate():
                      ("-" * n + "x", 0.0), (" + ".join(["x"] * 3000), 3000)]:
         e = parse(text)
         assert parse(to_source(e)) == e and hash(parse(to_source(e))) == hash(e)
-        assert eval_iv(e, FloatInterval(0.0, 1.0)).hi == hi
+        assert eval_iv(e, 0.0, 1.0)[1] == hi
 
 
 def test_over_long_digit_run_is_a_parse_error_at_its_start():
@@ -699,14 +743,13 @@ def test_no_walk_of_an_expression_recurses():
             neg = Neg(neg)
         return add, neg, parse(" * ".join(["x"] * 3000))
 
-    X = FloatInterval(0.0, 1.0)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
         for e, twin in zip(chains(), chains()):
             assert parse(to_source(e)) == e == twin and hash(e) == hash(twin)
-            eval_iv(e, X)
-            eval_d1(e, X)
+            eval_iv(e, 0.0, 1.0)
+            eval_d1(e, 0.0, 1.0)
         add = chains()[0]
         cert = loads(dumps(prove_bound(add, 0.0, 1.0)))
         assert check(cert, add, 0.0, 1.0).valid

@@ -536,11 +536,10 @@ def test_pow_contains_exact_powers_in_every_sign_case():
 
 
 def test_huge_exponent_evaluates():
-    x = FloatInterval(0.5, 0.9)
-    out = eval_iv(parse("x^100000000"), x)
-    assert out.lo == 0.0 and 0.0 < out.hi <= 5e-324
+    lo, hi = eval_iv(parse("x^100000000"), 0.5, 0.9)
+    assert lo == 0.0 and 0.0 < hi <= 5e-324
     assert iv_pow(FloatInterval(-0.9, -0.5), 10 ** 8 + 1) == FloatInterval(-5e-324, -0.0)
-    assert eval_d1(parse("x^100000000"), x).deriv.lo >= 0.0
+    assert eval_d1(parse("x^100000000"), 0.5, 0.9)[2] >= 0.0
     with pytest.raises(OverflowError):
         iv_pow(FloatInterval(1.5, 2.0), 10 ** 8)
 

@@ -1,7 +1,6 @@
 """Frontier, local-extension and combiner behavior of the sweep engine."""
 
 import copy
-import dataclasses
 import hashlib
 import json
 import math
@@ -165,8 +164,8 @@ def test_local_extend_bounded_piece():
     p, state = at_frontier("sin(x)", 0.0, 3.0, "bvt", 1.0, 0.5)
     w = local_extend(p, state)
     assert isinstance(w, LocalWitness)
-    assert w.piece == FloatInterval(1.0, 1.5)
-    assert w.value.hi <= 1.0 + math.ulp(1.0)  # pi/2 inside, peak detected
+    assert (w.x, w.y) == (1.0, 1.5)
+    assert w.hi <= 1.0 + math.ulp(1.0)  # pi/2 inside, peak detected
 
 
 def test_strict_monotone_stalls_at_cubic_zero():
@@ -175,7 +174,7 @@ def test_strict_monotone_stalls_at_cubic_zero():
     q, state = at_frontier("x^3", -1.0, 1.0, "sift", -0.05, 0.25)
     w = local_extend(q, state)
     assert isinstance(w, LocalWitness)
-    assert w.piece.hi < 0.0 and w.deriv.lo > 0.0
+    assert w.y < 0.0 and w.lo > 0.0
     res = run_sweep(problem("x^3", -1.0, 1.0, "sift"))
     assert isinstance(res, SweepFailure)
     assert res.kind is FailureKind.STALLED
@@ -186,9 +185,9 @@ def test_local_extend_sign_neg_halves_to_fit():
     p, state = at_frontier("x - 0.5", 0.0, 1.0, "ivt", 0.4, 0.4)
     w = local_extend(p, state)
     assert isinstance(w, LocalWitness)
-    assert w.piece.lo == 0.4
-    assert abs(w.piece.hi - 0.45) < 1e-12
-    assert w.value.hi < 0.0
+    assert w.x == 0.4
+    assert abs(w.y - 0.45) < 1e-12
+    assert w.hi < 0.0
 
 
 def test_sign_sweep_stalls_at_crossing_for_root_refinement():
@@ -226,7 +225,7 @@ def test_combine_base_promotes_witness():
     combine(p, state, w)
     cert = finish(p, state)
     assert len(cert.partition) == 1
-    assert cert.b == w.piece.hi
+    assert cert.b == w.y
     assert check(cert)
 
 
@@ -235,7 +234,7 @@ def test_combine_endpoint_mismatch_rejected():
     state = base_case(p)
     state.h_init = 0.375
     w = local_extend(p, state)
-    shifted = LocalWitness(FloatInterval(0.5, 0.75), value=w.value)
+    shifted = w._replace(x=0.5, y=0.75)
     with pytest.raises(StructureError):
         combine(p, state, shifted)
 
@@ -246,12 +245,10 @@ def test_combine_unifcont_min_rule():
     # min(0.25, 0.15)
     p = problem("x", 0.0, 1.0, "uct", eps=1.0)
     state = base_case(p)
-    first = FloatInterval(0.0, 0.5)
-    combine(p, state, LocalWitness(first, value=first, ext=first))
+    combine(p, state, LocalWitness(0.0, 0.5, 0.0, 0.5, ext_lo=0.0))
     left = finish(p, state)
     assert isinstance(left, ModulusCert) and left.delta == 0.25
-    w = LocalWitness(FloatInterval(0.5, 0.8), value=FloatInterval(0.2, 0.8),
-                     ext=FloatInterval(0.2, 0.8))
+    w = LocalWitness(0.5, 0.8, 0.2, 0.8, ext_lo=0.2)
     combine(p, state, w)
     merged = finish(p, state)
     assert merged.delta == 0.15
@@ -264,9 +261,9 @@ def test_combine_darboux_sums_add():
     assert isinstance(out, IntegralCert)
     # refold the same pieces through combine, left to right
     state = base_case(p)
-    for k, piece in enumerate(out.partition.pieces):
-        w = LocalWitness(piece, value=FloatInterval(out.piece_lo[k], out.piece_hi[k]))
-        combine(p, state, w)
+    points = out.partition.points
+    for x, y, lo, hi in zip(points, points[1:], out.piece_lo, out.piece_hi):
+        combine(p, state, LocalWitness(x, y, lo, hi))
     assert finish(p, state) == out
 
 
@@ -320,7 +317,7 @@ def _manual_run(p, h_init, h_min):
         assert isinstance(res, LocalWitness)
         combine(p, state, res)
         restricted = check(finish(p, state))
-        assert restricted, f"partial invalid at {res.piece}: {restricted}"
+        assert restricted, f"partial invalid at [{res.x}, {res.y}]: {restricted}"
         frontiers.append(state.frontier)
     return state, frontiers
 
@@ -431,7 +428,8 @@ def test_warm_start_evaluations_per_piece(monkeypatch):
     import suparg.sweep as sweep_mod
     calls = []
     real = sweep_mod.eval_iv
-    monkeypatch.setattr(sweep_mod, "eval_iv", lambda f, x: calls.append(x) or real(f, x))
+    monkeypatch.setattr(sweep_mod, "eval_iv",
+                        lambda f, lo, hi: calls.append((lo, hi)) or real(f, lo, hi))
     out = run_sweep(problem("x^3 - x", -1.0, 1.5, "dit", eps=1e-2))
     assert isinstance(out, IntegralCert) and check(out)
     assert len(calls) <= 1.3 * len(out.partition)
@@ -443,7 +441,8 @@ def test_steady_width_backs_off(monkeypatch):
     import suparg.sweep as sweep_mod
     calls = []
     real = sweep_mod.eval_iv
-    monkeypatch.setattr(sweep_mod, "eval_iv", lambda f, x: calls.append(x) or real(f, x))
+    monkeypatch.setattr(sweep_mod, "eval_iv",
+                        lambda f, lo, hi: calls.append((lo, hi)) or real(f, lo, hi))
     out = run_sweep(problem("x", 0.0, 1.0, "uct", eps=1e-3))
     assert isinstance(out, ModulusCert) and check(out)
     assert len(out.pieces) == 2047
@@ -475,7 +474,7 @@ def test_witness_without_width_starts_the_next_search_cold(monkeypatch):
     state = base_case(p)
     combine(p, state, local_extend(p, state))
     w = local_extend(p, state)  # a growth try
-    combine(p, state, dataclasses.replace(w, h=None))
+    combine(p, state, w._replace(h=None))
     assert state.h_prev is None
     starts = _search_starts(monkeypatch)
     assert isinstance(local_extend(p, state), LocalWitness)

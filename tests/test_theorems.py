@@ -120,8 +120,7 @@ def test_root_bisection_moves_the_left_end():
     f = parse("x^2 - 2")
     l, r = 1.40625, 1.65625
     cert = theorems._bisect_bracket(f, "x^2 - 2", 0.0, 2.0, 1e-9,
-                                    l, eval_iv(f, FloatInterval.point(l)),
-                                    r, eval_iv(f, FloatInterval.point(r)))
+                                    l, eval_iv(f, l, l)[1], r, eval_iv(f, r, r)[0])
     assert isinstance(cert, RootBracket) and check(cert)
     assert 1.40625 < cert.l <= math.sqrt(2.0) <= cert.r
 
@@ -312,8 +311,8 @@ def test_mvi_parabola_tight_cap_refuted():
     res = prove_mvi("x^2", 0.0, 1.0, 1.9)
     assert isinstance(res, SweepFailure)
     assert res.kind is FailureKind.HYPOTHESIS_FAIL
-    fresh = eval_d1(parse("x^2"), res.witness).deriv
-    assert fresh.lo > 1.9
+    _, _, dlo, _ = eval_d1(parse("x^2"), res.witness.lo, res.witness.hi)
+    assert dlo > 1.9
 
 
 def test_mvi_sin_unit_cap():
