@@ -312,8 +312,9 @@ class Row:
     Callables take the certificate (or the sweep's state, which has the
     certificate's field names and what start adds) as c or s, the function
     as f, an enclosure as its ends lo and hi, a piece as its ends x and y, a
-    LocalWitness as w and the sweep's Problem as p.  A sweep returns only a
-    certificate that meets requires.
+    LocalWitness as w and the sweep's Problem as p; t_lo is f's lower end at
+    the best of the row's points (None without points).  A sweep returns
+    only a certificate that meets requires.
     """
 
     cls: type
@@ -334,10 +335,11 @@ class Row:
     link: Callable | None = None     # c -> (k, reason) of the first unlinked piece
     total: Callable | None = None    # c -> reason when the pieces do not add up
     # how the sweep builds it
-    candidate: bool = False          # probes points for a maximizer candidate
     start: Callable = lambda s, p: {}   # (s, p) -> scalars on [a, a], the state's own too
-    step: Callable | None = None     # (s, w) -> None: scalars after taking in w
-    accept: Callable | None = None   # (s, lo, hi, x, y) -> bool; default: the limit holds
+    window: Callable | None = None   # (s, p, x, h) -> left end u <= x of the piece to evaluate
+    points: Callable | None = None   # (x, y) -> points of [x, y] where f is evaluated
+    step: Callable | None = None     # (s, w) -> None: scalars (and pieces) after taking in w
+    accept: Callable | None = None   # (s, lo, hi, x, y, t_lo) -> bool; default: the limit holds
     refute: Callable | None = None   # (s, lo, hi) -> reason when [lo, hi] certifies it false
     stall: str = ""                  # why a degenerate domain does not certify
 
@@ -366,7 +368,8 @@ def _half_down(x: float, y: float) -> float:
 
 
 def _shrink_modulus(s, w) -> None:
-    # min-rule: never above a constituent delta, never above half an overlap
+    # min-rule: never above a constituent delta, never above half an overlap;
+    # then the evaluated piece [ext_lo, y] is stored
     x, y = w.x, w.y
     half = _half_down(x, y)
     if s.pieces:
@@ -375,6 +378,7 @@ def _shrink_modulus(s, w) -> None:
         s.delta = min(s.delta, half, _half_down(w.ext_lo, x))
     else:
         s.delta = half
+    s.pieces.append(FloatInterval(w.ext_lo, y))
 
 
 def _overlap_gap(c) -> tuple[int, str] | None:
@@ -547,7 +551,7 @@ ROWS = (
         positive=("bound",), pointwise=True,
         limit=lambda c: (le, c.bound, "M < piece bound"),
         start=lambda s, p: {"bound": _MIN_NORMAL}, step=_raise_bound,
-        accept=lambda s, lo, hi, x, y: True),
+        accept=lambda s, lo, hi, x, y, t_lo: True),
     Row(MaxCert, "max", {"evt": {}}, prover="prove_max",
         text=lambda c: (f"∃c = {c.c!r} ∈ [{c.a!r}, {c.b!r}]: ∀t: f(t) ≤ f(c) + {c.eps!r}, "
                         f"f(c) ≥ {c.f_at_c_lo!r} for f = {c.fn_source}"),
@@ -559,8 +563,13 @@ ROWS = (
         # add_down gives float_down(f_at_c_lo + eps), and a float v is at most
         # a rational q exactly when it is at most float_down(q)
         limit=lambda c: (le, add_down(c.f_at_c_lo, c.eps), "piece sup-bound above f(c) + eps"),
-        candidate=True, start=lambda s, p: {"c": s.a, "f_at_c_lo": -_MAX_FLOAT},
-        step=_take_candidate, stall="point enclosure wider than eps"),
+        start=lambda s, p: {"c": s.a, "f_at_c_lo": -_MAX_FLOAT},
+        # the midpoint covers an interior maximum, the right end one at (or
+        # beyond) the frontier, so monotone stretches certify at full width
+        points=lambda x, y: (min(max(x + (y - x) / 2, x), y), y),
+        step=_take_candidate, stall="point enclosure wider than eps",
+        # judged against the certificate once this piece's candidate is in
+        accept=lambda s, lo, hi, x, y, t_lo: hi <= add_down(max(s.f_at_c_lo, t_lo), s.eps)),
     Row(NegCert, "neg", {"ivt": {}}, prover="prove_root",
         text=lambda c: f"∀t∈[{c.a!r}, {c.b!r}]: f(t) < 0 for f = {c.fn_source}",
         grid="partition", arrays=(("piece_hi", HI),), pointwise=True,
@@ -585,9 +594,13 @@ ROWS = (
         grid="pieces", arrays=(("piece_osc", OSC),), params=("eps",),
         positive=("eps", "delta"), link=_overlap_gap,
         limit=lambda c: (lt, c.eps, "piece oscillation not below eps"),
-        start=lambda s, p: {"delta": 1.0}, step=_shrink_modulus,
+        start=lambda s, p: {"delta": 1.0, "pieces": []}, step=_shrink_modulus,
+        # evaluate over a backward-extended piece so stored pieces overlap;
+        # the extension never reaches past the previous piece's left end,
+        # which keeps the stored pieces sorted
+        window=lambda s, p, x, h: max(p.a, x - h, s.pieces[-1].lo if s.pieces else p.a),
         # below eps is at most the float below it; a probe wider than max fails
-        accept=lambda s, lo, hi, x, y: OSC.holds(math.nextafter(s.eps, 0.0), lo, hi)),
+        accept=lambda s, lo, hi, x, y, t_lo: OSC.holds(math.nextafter(s.eps, 0.0), lo, hi)),
     Row(IntegralCert, "integral", {"dit": {}}, prover="prove_integral",
         text=lambda c: (f"∫f over [{c.a!r}, {c.b!r}] ∈ [{c.lower_sum!r}, {c.upper_sum!r}], "
                         f"U − L < {c.eps!r} for f = {c.fn_source}"),
@@ -596,7 +609,7 @@ ROWS = (
         requires=((lambda c, f: not _darboux_gap(c), "Darboux gap not below eps"),),
         total=_darboux_sums,
         start=_start_darboux, step=_add_darboux_terms,
-        accept=lambda s, lo, hi, x, y: OSC.holds(s.budget(s, x, y), lo, hi)),
+        accept=lambda s, lo, hi, x, y, t_lo: OSC.holds(s.budget(s, x, y), lo, hi)),
     Row(MonotoneCert, "monotone", {"sift": {"strict": True}, "ift": {"strict": False}},
         prover="prove_monotone",
         text=lambda c: (f"∀x₁<x₂ in [{c.a!r}, {c.b!r}]: f(x₁) {'<' if c.strict else '≤'} "

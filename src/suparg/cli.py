@@ -55,6 +55,8 @@ from .topology import Cover, RatIntervalSet, UncoveredPoint, analyze_clopen, \
 # theorem code -> the row of the certificate its prover returns on success
 _PROVED = {th: row for row in ROWS if row.prover for th in row.theorems}
 THEOREMS = tuple(_PROVED)
+# parameters a theorem that takes them may omit
+_DEFAULTS = {"tol": "1e-9"}
 
 
 class UsageError(ValueError):
@@ -101,7 +103,7 @@ def _build_parser() -> _Parser:
     pr.add_argument("--eps", help="tolerance for evt/uct/dit")
     pr.add_argument("--M", help="derivative cap for mvi")
     pr.add_argument("--eta", help="flatness budget for cft")
-    pr.add_argument("--tol", default="1e-9", help="bracket width for ivt")
+    pr.add_argument("--tol", help="bracket width for ivt (default 1e-9)")
     pr.add_argument("--max-pieces", dest="max_pieces", type=int, default=2 ** 20)
     pr.add_argument("--out", help="write certificate JSON to this file")
     pr.add_argument("--format", choices=("json", "text"), default="text")
@@ -134,9 +136,7 @@ def _exact_endpoint(text: str, name: str) -> float:
     return f
 
 
-def _strict_param(text: str | None, name: str) -> float | None:
-    if text is None:
-        return None
+def _strict_param(text: str, name: str) -> float:
     q = parse_rational(text)
     f = float_down(q)  # round toward the stricter side
     if f <= 0 and q > 0:
@@ -169,15 +169,18 @@ def _cmd_prove(args) -> int:
     b = _exact_endpoint(args.b, "b")
     if a > b:
         raise UsageError("--a must not exceed --b")
-    given = {key: _strict_param(getattr(args, key), key) for key in ("eps", "M", "eta", "tol")}
-
     th = args.theorem
     row = _PROVED[th]
+    takes = [row.key(name) for name in row.params]
+    for key in ("eps", "M", "eta", "tol"):
+        if getattr(args, key) is not None and key not in takes:
+            raise UsageError(f"{th} takes no --{key}")
     values = []
-    for name in row.params:
-        if given[row.key(name)] is None:
-            raise UsageError(f"{th} requires --{row.key(name)}")
-        values.append(given[row.key(name)])
+    for key in takes:
+        text = _DEFAULTS.get(key) if getattr(args, key) is None else getattr(args, key)
+        if text is None:
+            raise UsageError(f"{th} requires --{key}")
+        values.append(_strict_param(text, key))
     # looked up at call time, so a wrapper installed on this module sees the call
     prover = globals()[row.prover]
     try:

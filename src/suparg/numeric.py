@@ -330,10 +330,6 @@ class FloatInterval:
             raise OverflowError(f"non-finite interval endpoint [{self.lo}, {self.hi}]")
         raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
 
-    @classmethod
-    def point(cls, v: float) -> FloatInterval:
-        return cls(v, v)
-
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
 

@@ -32,11 +32,17 @@ evaluations a piece, not 2; a longer hold misses widths that grow, which
 costs pieces on problems of a few hundred.  A warm search that certifies
 nothing is rerun once from h_init, so a frontier fails exactly where the
 cold search fails, refutation probes at the wide widths included.
-A failure to certify is reported as a stall unless the evaluated enclosure
-itself refutes the hypothesis (for example a certified-positive range while
-proving negativity), in which case the failure carries the refuting piece:
-interval arithmetic cannot otherwise distinguish "hypothesis false" from
-"enclosure too loose".
+
+Every probe takes one path, and reads no field that only some certificates
+have: the row's window gives the left end u <= x of the piece [u, y] to
+evaluate (uct widens it backward so that its pieces overlap), one enclosure
+of f, or of f' where the row's deriv is set, is taken over it, f is
+evaluated at the row's points (evt's maximizer candidates), and the row's
+accept judges the enclosure.  A failure to certify is reported as a stall
+unless an enclosure itself refutes the hypothesis (for example a
+certified-positive range while proving negativity), in which case the
+failure carries the refuting piece: interval arithmetic cannot otherwise
+distinguish "hypothesis false" from "enclosure too loose".
 
 Combination is the paper's merge rule, made concrete by the row's step: it
 is transitive where the piece is appended and the scalars updated (a
@@ -139,8 +145,8 @@ class LocalWitness(NamedTuple):
     lo: float
     hi: float
     h: float | None = None          # lattice step width that certified the piece
-    ext_lo: float | None = None     # left end of the evaluated overlapping piece [ext_lo, y]
-    cand: float | None = None       # improved maximizer candidate
+    ext_lo: float | None = None     # left end of the evaluated piece [ext_lo, y], from the window
+    cand: float | None = None       # the best of the row's points
     cand_lo: float | None = None    # lower bound of f at cand
 
 
@@ -171,7 +177,8 @@ class SweepFailure:
 
 # =============================================================================
 # The carried state: the certificate as it grows, with the certificate's
-# field names, lists in place of tuples and the partition's points as a list
+# field names, lists in place of tuples and, for every row, the pieces' ends
+# as the partition list
 # =============================================================================
 
 @dataclass
@@ -190,13 +197,16 @@ class SweepState:
     h_init: float
     h_min: float
     h_prev: float | None = None
-    pieces_used: int = 0
     hold: int = 0
     wait: int = 1
 
     @property
     def frontier(self) -> float:
         return self.acc.b
+
+    @property
+    def pieces_used(self) -> int:
+        return len(self.acc.partition) - 1
 
 
 def _start(p: Problem) -> SimpleNamespace:
@@ -206,14 +216,13 @@ def _start(p: Problem) -> SimpleNamespace:
                         **{name: getattr(p, row.key(name)) for name in row.params},
                         **row.theorems[p.theorem])
     vars(s).update(row.start(s, p))
-    vars(s).update({name: [] for name, _ in row.arrays})
-    setattr(s, row.grid, [p.a] if row.grid == "partition" else [])
+    vars(s).update({name: [] for name, _ in row.arrays}, partition=[p.a])
     return s
 
 
-def _accepts(row: Row, s, lo: float, hi: float, x: float, y: float) -> bool:
+def _accepts(row: Row, s, lo: float, hi: float, x: float, y: float, t_lo) -> bool:
     if row.accept is not None:
-        return row.accept(s, lo, hi, x, y)
+        return row.accept(s, lo, hi, x, y, t_lo)
     op, t, _ = row.limit(s)
     return op(row.arrays[0][1].store(lo, hi), t)
 
@@ -239,20 +248,17 @@ def base_case(p: Problem) -> SweepState | SweepFailure:
     if p.a < p.b:
         return s
     row, a, acc = p.row, p.a, s.acc
-    if row.deriv:
-        eval_d1(p.f, a, a)  # for its domain errors: f' bounds nothing on a point
-    else:
-        lo, hi = eval_iv(p.f, a, a)
-        if row.pointwise:
-            if row.step is not None:
-                row.step(acc, LocalWitness(a, a, lo, hi, cand=a, cand_lo=lo))
-            refuted = row.refute(acc, lo, hi) if row.refute is not None else ""
-            if refuted:
-                return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=a,
-                                    witness=FloatInterval.point(a),
-                                    enclosure=FloatInterval(lo, hi), detail=refuted)
-            if not _accepts(row, acc, lo, hi, a, a):
-                return SweepFailure(FailureKind.STALLED, at=a, detail=row.stall)
+    # evaluated for its domain errors even where it bounds nothing (f')
+    lo, hi = _enclose(row, p.f, a, a)
+    if row.pointwise:
+        # the point is its own piece and its own candidate point
+        if row.step is not None:
+            row.step(acc, LocalWitness(a, a, lo, hi, cand=a, cand_lo=lo))
+        failure = _refutation(row, acc, a, a, a, lo, hi)
+        if failure is not None:
+            return failure
+        if not _accepts(row, acc, lo, hi, a, a, lo):
+            return SweepFailure(FailureKind.STALLED, at=a, detail=row.stall)
     return s
 
 
@@ -292,8 +298,9 @@ def local_extend(p: Problem, s: SweepState) -> LocalWitness | SweepFailure:
 def combine(p: Problem, s: SweepState, w: LocalWitness) -> None:
     """Take the piece [x, y] of w into the state on [a, x], in place: the
     row's step updates the scalars (the min-rule for the uniform-continuity
-    delta), the piece is appended and counted, w.h becomes h_prev, and the
-    hold is spent or set by whether a growth try certified at its start.
+    delta, which stores its own overlapping piece), y is appended to the
+    partition, w.h becomes h_prev, and the hold is spent or set by whether a
+    growth try certified at its start.
 
     The piece must start exactly at the frontier; StructureError otherwise.
     """
@@ -308,7 +315,7 @@ def combine(p: Problem, s: SweepState, w: LocalWitness) -> None:
         row.step(acc, w)
     for name, side in row.arrays:
         getattr(acc, name).append(side.store(w.lo, w.hi))
-    getattr(acc, row.grid).append(y if row.grid == "partition" else FloatInterval(w.ext_lo, y))
+    acc.partition.append(y)
     acc.b = y
     h = _start_width(s)
     if s.h_prev is not None and h > s.h_prev:
@@ -319,18 +326,17 @@ def combine(p: Problem, s: SweepState, w: LocalWitness) -> None:
     elif s.hold:
         s.hold -= 1
     s.h_prev = w.h
-    s.pieces_used += 1
 
 
 def finish(p: Problem, s: SweepState) -> Certificate:
     """The certificate on [a, frontier], from the state's entries that are
     fields of the row's class; what only the sweep reads, such as a budget
-    its row's start set, stays out.  It copies the state's lists, so the
-    fold may go on afterwards."""
+    its row's start set or the partition of a class without one, stays
+    out.  It copies the state's lists, so the fold may go on afterwards."""
     row, acc = p.row, vars(s.acc)
     values = {k: tuple(v) if isinstance(v, list) else v
               for k, v in ((fld.name, acc[fld.name]) for fld in fields(row.cls))}
-    if row.grid == "partition":
+    if "partition" in values:
         values["partition"] = Partition(values["partition"])
     return row.cls(**values)
 
@@ -396,64 +402,45 @@ def _halving_search(p: Problem, x: float, s, h: float,
 
 def _probe(p: Problem, s, x: float, y: float,
            h: float) -> LocalWitness | SweepFailure | None:
-    """One evaluation of the piece [x, y] at the current step width h: a
-    witness, a certified refutation, or None (inconclusive, keep halving).
-
-    s is the certificate so far, as the carried SweepState.acc; the row's
-    accept and refute tests read their thresholds from it."""
-    row = p.row
-    if row.deriv:
-        _, _, lo, hi = eval_d1(p.f, x, y)
-        if _accepts(row, s, lo, hi, x, y):
-            return LocalWitness(x, y, lo, hi, h)
-        refuted = row.refute(s, lo, hi)
-        if refuted:
-            return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=x, witness=FloatInterval(x, y),
-                                enclosure=FloatInterval(lo, hi), detail=refuted)
+    """One evaluation of the piece [x, y], widened to [u, y] by the row's
+    window, at the current step width h: a witness, a certified refutation,
+    or None (inconclusive, keep halving).  The first of the row's points
+    with the best lower end of f is the witness's candidate.  s is the
+    certificate so far, as the carried SweepState.acc; the row's accept and
+    refute tests read their thresholds from it."""
+    row, f = p.row, p.f
+    u = x if row.window is None else row.window(s, p, x, h)
+    lo, hi = _enclose(row, f, u, y)
+    cand = cand_lo = None
+    if row.points is not None:
+        for t in row.points(x, y):
+            t_lo = eval_iv(f, t, t)[0]
+            if cand is None or t_lo > cand_lo:
+                cand, cand_lo = t, t_lo
+    if _accepts(row, s, lo, hi, x, y, cand_lo):
+        return LocalWitness(x, y, lo, hi, h, u, cand, cand_lo)
+    failure = _refutation(row, s, x, u, y, lo, hi)
+    if failure is None and row.deriv:
         # The violation may lie strictly beyond any reachable frontier, in
         # which case no frontier piece ever refutes; probe the right half
         # being discarded by the halving before giving it up.
         mid = min(max(x + (y - x) / 2, x), y)
         if x < mid < y:
-            _, _, lo, hi = eval_d1(p.f, mid, y)
-            refuted = row.refute(s, lo, hi)
-            if refuted:
-                return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=x,
-                                    witness=FloatInterval(mid, y),
-                                    enclosure=FloatInterval(lo, hi), detail=refuted)
-        return None
+            lo, hi = _enclose(row, f, mid, y)
+            failure = _refutation(row, s, x, mid, y, lo, hi)
+    return failure
 
-    if row.grid == "pieces":
-        # evaluate over a backward-extended piece so stored pieces overlap;
-        # the extension never reaches past the previous piece's left end,
-        # which keeps the stored pieces sorted
-        ext_lo = max(p.a, x - h)
-        if s.pieces:
-            ext_lo = max(ext_lo, s.pieces[-1].lo)
-        if x > p.a and not ext_lo < x:
-            return None  # backward extension lost to rounding; halving only shrinks it
-        lo, hi = eval_iv(p.f, ext_lo, y)
-        return LocalWitness(x, y, lo, hi, h, ext_lo) if _accepts(row, s, lo, hi, x, y) else None
 
-    lo, hi = eval_iv(p.f, x, y)
-    if row.candidate:
-        # witness-point probes: the midpoint covers an interior maximum,
-        # the right endpoint covers a maximum sitting at (or beyond) the
-        # frontier, so monotone stretches certify at full width
-        mid = min(max(x + (y - x) / 2, x), y)
-        cand, cand_lo = mid, eval_iv(p.f, mid, mid)[0]
-        end_lo = eval_iv(p.f, y, y)[0]
-        if end_lo > cand_lo:
-            cand, cand_lo = y, end_lo
-        # judged against the certificate once this piece's candidate is in
-        after = SimpleNamespace(f_at_c_lo=max(s.f_at_c_lo, cand_lo), eps=s.eps)
-        if _accepts(row, after, lo, hi, x, y):
-            return LocalWitness(x, y, lo, hi, h, None, cand, cand_lo)
-        return None
-    if _accepts(row, s, lo, hi, x, y):
-        return LocalWitness(x, y, lo, hi, h)
+def _enclose(row: Row, f: Expr, u: float, y: float) -> tuple[float, float]:
+    """The ends of the enclosure over [u, y] of f', when the row's deriv is set, or of f."""
+    return eval_d1(f, u, y)[2:] if row.deriv else eval_iv(f, u, y)
+
+
+def _refutation(row: Row, s, at: float, u: float, y: float,
+                lo: float, hi: float) -> SweepFailure | None:
+    """HYPOTHESIS_FAIL at the frontier at when the enclosure [lo, hi] over [u, y] refutes."""
     refuted = row.refute(s, lo, hi) if row.refute is not None else ""
-    if refuted:
-        return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=x, witness=FloatInterval(x, y),
-                            enclosure=FloatInterval(lo, hi), detail=refuted)
-    return None
+    if not refuted:
+        return None
+    return SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=at, witness=FloatInterval(u, y),
+                        enclosure=FloatInterval(lo, hi), detail=refuted)

@@ -10,13 +10,16 @@ name (rows name their provers by string).  Dunder methods are exempt: Python
 calls them, and perfbench/micro.py times FloatInterval.__add__, __mul__ and
 __truediv__ by name.
 
-sweep.py holds no string equal to a theorem code and imports no
-certificate class: what one theorem's sweep needs lives in that theorem's
-row.
+sweep.py holds no string equal to a theorem code, imports no certificate
+class and reads no attribute named like a field that some swept
+certificates have and others lack (partition, which the sweep keeps for
+every row, excepted): what one theorem's sweep needs lives in that
+theorem's row.
 """
 
 import ast
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import suparg
@@ -125,3 +128,13 @@ def test_sweep_names_no_theorem():
                 if isinstance(node, ast.ImportFrom) and node.module == "certificates"
                 for alias in node.names}
     assert imported <= allowed, f"sweep.py imports {sorted(imported - allowed)} from certificates"
+
+
+def test_sweep_reads_no_field_of_some_certificates_only():
+    from suparg.certificates import ROWS
+    swept = [{fld.name for fld in fields(row.cls)} for row in ROWS if row.arrays]
+    partial = set().union(*swept) - set.intersection(*swept) - {"partition"}
+    tree = ast.parse((SRC / "sweep.py").read_text())
+    read = sorted({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+                  & partial)
+    assert not read, f"sweep.py reads fields of some certificates only: {read}"

@@ -1002,6 +1002,20 @@ def test_shrink_modulus_matches_fraction_reference(x, y, ext_lo, delta, first):
     assert got.delta == want.delta
 
 
+@_exact_settings
+@example(x=1.0 + 2.0 ** -52, h=2.0 ** -53, a=0.0, prev=None)  # x + h ties and rounds up
+@example(x=2.0 ** -1022, h=_TINY, a=-_TINY, prev=-_TINY)
+@example(x=_MAX, h=_MAX, a=-_MAX, prev=None)
+@given(x=_finite, h=_finite.filter(lambda v: v > 0.0), a=_finite, prev=st.none() | _finite)
+def test_overlap_window_is_left_of_every_frontier_a_probe_reaches(x, h, a, prev):
+    # the sweep probes [x, y] past a > x only when x + h rounds above x (a y
+    # clipped to b is above x too); then x - h rounds below x, so the stored
+    # uniform-continuity pieces overlap and _shrink_modulus never refuses them
+    assume(a < x and x + h > x and (prev is None or prev < x))
+    s = SimpleNamespace(pieces=[] if prev is None else [FloatInterval(prev, x)])
+    assert ROW_OF[ModulusCert].window(s, SimpleNamespace(a=a), x, h) < x
+
+
 def test_sweep_and_checker_build_no_interval_per_piece(monkeypatch):
     # both carry float ends; a FloatInterval is built only where a value
     # leaves them, as a stored uniform-continuity piece

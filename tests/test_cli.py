@@ -529,6 +529,51 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+_IVT_HALF = ["prove", "ivt", "--fn", "x-0.5", "--a", "0", "--b", "1"]
+
+
+@pytest.mark.parametrize("argv, code, stream, record", [
+    (["prove", "bvt", "--fn", "x", "--a", "1", "--b", "0"], 2, "err",
+     {"error": "usage", "detail": "--a must not exceed --b"}),
+    (["prove", "dit", "--fn", "x", "--a", "0", "--b", "1", "--eps", "1e-400"], 2, "err",
+     {"error": "usage", "detail": "--eps '1e-400' underflows to zero"}),
+    (_IVT_HALF + ["--tol", "0"], 2, "err", {"error": "usage", "detail": "tol must be positive"}),
+    (_IVT_HALF + ["--tol", "1e-300"], 1, "out",
+     {"failure": "inconclusive",
+      "detail": "sign undecidable everywhere inside [0.49999999999999994, 0.5000000000000001] "
+                "(width 1.6653345369377348e-16 > tol 9.999999999999999e-301)"}),
+    (["cover", "--file", "{missing}", "--a", "0", "--b", "1"], 2, "err",
+     {"error": "usage", "detail": "[Errno 2] No such file or directory: '{missing}'"}),
+    (["clopen", "--file", "{missing}", "--a", "0", "--b", "1"], 2, "err",
+     {"error": "usage", "detail": "[Errno 2] No such file or directory: '{missing}'"}),
+    (["clopen", "--file", "{set}", "--a", "0", "--b", "1"], 2, "err",
+     {"error": "usage", "detail": "set [0, 2] is not contained in [0, 1]"}),
+], ids=["a-after-b", "eps-underflow", "tol-zero", "tol-below-ulp", "cover-no-file",
+        "clopen-no-file", "clopen-set-outside"])
+def test_contract_line(capsys, tmp_path, argv, code, stream, record):
+    # one record on one stream, the other empty, and the exit code
+    files = {"{missing}": str(tmp_path / "missing.txt"), "{set}": str(tmp_path / "set.txt")}
+    (tmp_path / "set.txt").write_text("[0, 2]\n")
+    argv = [files.get(arg, arg) for arg in argv]
+    record = {k: v.replace("{missing}", files["{missing}"]) for k, v in record.items()}
+    got_code, out, err = invoke(capsys, *argv)
+    quiet, loud = (err, out) if stream == "out" else (out, err)
+    assert (got_code, quiet, json.loads(loud)) == (code, "", record)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["prove", "bvt", "--fn", "x", "--a", "0", "--b", "1", "--eps", "0.1"], "--eps"),
+    (["prove", "bvt", "--fn", "x", "--a", "0", "--b", "1", "--tol", "1e-9"], "--tol"),
+    (["prove", "mvi", "--fn", "x", "--a", "0", "--b", "1", "--M", "2", "--eta", "5",
+      "--eps", "3"], "--eps"),
+    (["prove", "evt", "--fn", "x", "--a", "0", "--b", "1", "--eps", "0.1", "--M", "1"], "--M"),
+], ids=["bvt-eps", "bvt-tol", "mvi-eta-eps", "evt-M"])
+def test_prove_refuses_a_parameter_its_theorem_does_not_take(capsys, argv, option):
+    # as Problem refuses eps for bvt; ivt alone takes --tol, which defaults to 1e-9
+    assert invoke(capsys, *argv) == (
+        2, "", json.dumps({"detail": f"{argv[1]} takes no {option}", "error": "usage"}) + "\n")
+
+
 @pytest.mark.parametrize("head, option, value, tail, exit_code", [
     (["prove", "bvt", "--fn", "x"], "--a", "-1e2", ["--b", "1"], 0),
     (["prove", "bvt", "--fn", "x"], "--a", "-5E-1", ["--b", "1"], 0),

@@ -156,6 +156,20 @@ def test_degenerate_integral_is_zero():
     assert out.lower_sum == 0.0 and out.upper_sum == 0.0
 
 
+@pytest.mark.parametrize("fn, theorem, kw, failure", [
+    ("x - 0.5", "ivt", {}, "stalled at 0.5; sign at the degenerate point undecided"),
+    ("sin(x)", "evt", {"eps": 1e-300}, "stalled at 0.5; point enclosure wider than eps"),
+    ("x + 1", "ivt", {}, "hypothesis_fail at 0.5; witness piece [0.5, 0.5]; "
+                         "enclosure [1.5, 1.5]; range certified positive"),
+], ids=["undecided-sign", "wide-point", "refuted"])
+def test_degenerate_point_failure_comes_from_the_base_case(fn, theorem, kw, failure):
+    # a point that leaves a pointwise theorem undecided stalls with its row's
+    # reason; one that refutes it carries the point as its witness piece
+    p = problem(fn, 0.5, 0.5, theorem, **kw)
+    assert str(run_sweep(p)) == failure
+    assert base_case(p) == run_sweep(p)
+
+
 # ---------------------------------------------------------------------------
 # local extension
 # ---------------------------------------------------------------------------
