@@ -71,6 +71,7 @@ from .numeric import (
     hex_to_float,
     hex_to_interval,
     interval_to_hex,
+    midpoint,
     mul_down,
     mul_up,
     parse_rational,
@@ -340,6 +341,10 @@ class Row:
     points: Callable | None = None   # (x, y) -> points of [x, y] where f is evaluated
     step: Callable | None = None     # (s, w) -> None: scalars (and pieces) after taking in w
     accept: Callable | None = None   # (s, lo, hi, x, y, t_lo) -> bool; default: the limit holds
+    # (s, lo, hi, x, y) -> (r, p), judging in accept's place: r is the
+    # threshold over the tested quantity, 0 when that exceeds it, and falls
+    # about as width ** -p
+    margin: Callable | None = None
     refute: Callable | None = None   # (s, lo, hi) -> reason when [lo, hi] certifies it false
     stall: str = ""                  # why a degenerate domain does not certify
 
@@ -368,17 +373,27 @@ def _half_down(x: float, y: float) -> float:
 
 
 def _shrink_modulus(s, w) -> None:
-    # min-rule: never above a constituent delta, never above half an overlap;
-    # then the evaluated piece [ext_lo, y] is stored
+    # min-rule: half the first piece, then never above half an overlap
+    # [ext_lo, x] with the previous piece, which is all _overlap_gap needs;
+    # a forward piece [x, y], a sliver where a search clips at b, does not
+    # bound it.  Then the evaluated piece [ext_lo, y] is stored
     x, y = w.x, w.y
-    half = _half_down(x, y)
     if s.pieces:
         if x <= w.ext_lo:
             raise StructureError("uniform-continuity pieces must overlap")
-        s.delta = min(s.delta, half, _half_down(w.ext_lo, x))
+        s.delta = min(s.delta, _half_down(w.ext_lo, x))
     else:
-        s.delta = half
+        s.delta = _half_down(x, y)
     s.pieces.append(FloatInterval(w.ext_lo, y))
+
+
+def _osc_margin(t: float, lo: float, hi: float) -> float:
+    # t over an oscillation hi - lo that must stay at most t (inf for a
+    # point enclosure), or 0 when OSC refuses it
+    if not OSC.holds(t, lo, hi):
+        return 0.0
+    osc = hi - lo
+    return t / osc if osc > 0.0 else math.inf
 
 
 def _overlap_gap(c) -> tuple[int, str] | None:
@@ -566,7 +581,7 @@ ROWS = (
         start=lambda s, p: {"c": s.a, "f_at_c_lo": -_MAX_FLOAT},
         # the midpoint covers an interior maximum, the right end one at (or
         # beyond) the frontier, so monotone stretches certify at full width
-        points=lambda x, y: (min(max(x + (y - x) / 2, x), y), y),
+        points=lambda x, y: (midpoint(x, y), y),
         step=_take_candidate, stall="point enclosure wider than eps",
         # judged against the certificate once this piece's candidate is in
         accept=lambda s, lo, hi, x, y, t_lo: hi <= add_down(max(s.f_at_c_lo, t_lo), s.eps)),
@@ -599,8 +614,9 @@ ROWS = (
         # the extension never reaches past the previous piece's left end,
         # which keeps the stored pieces sorted
         window=lambda s, p, x, h: max(p.a, x - h, s.pieces[-1].lo if s.pieces else p.a),
-        # below eps is at most the float below it; a probe wider than max fails
-        accept=lambda s, lo, hi, x, y, t_lo: OSC.holds(math.nextafter(s.eps, 0.0), lo, hi)),
+        # below eps is at most the float below it; a probe wider than max
+        # fails.  The oscillation grows about linearly with the width
+        margin=lambda s, lo, hi, x, y: (_osc_margin(math.nextafter(s.eps, 0.0), lo, hi), 1)),
     Row(IntegralCert, "integral", {"dit": {}}, prover="prove_integral",
         text=lambda c: (f"∫f over [{c.a!r}, {c.b!r}] ∈ [{c.lower_sum!r}, {c.upper_sum!r}], "
                         f"U − L < {c.eps!r} for f = {c.fn_source}"),
@@ -609,7 +625,9 @@ ROWS = (
         requires=((lambda c, f: not _darboux_gap(c), "Darboux gap not below eps"),),
         total=_darboux_sums,
         start=_start_darboux, step=_add_darboux_terms,
-        accept=lambda s, lo, hi, x, y, t_lo: OSC.holds(s.budget(s, x, y), lo, hi)),
+        # a planned budget falls as 1 / width while the oscillation grows
+        # with it; the flat budget's p would be 1, and 2 only steps warier
+        margin=lambda s, lo, hi, x, y: (_osc_margin(s.budget(s, x, y), lo, hi), 2)),
     Row(MonotoneCert, "monotone", {"sift": {"strict": True}, "ift": {"strict": False}},
         prover="prove_monotone",
         text=lambda c: (f"∀x₁<x₂ in [{c.a!r}, {c.b!r}]: f(x₁) {'<' if c.strict else '≤'} "

@@ -154,6 +154,11 @@ def sub_up(a: float, b: float) -> float:
     return add_up(a, -b)
 
 
+def midpoint(x: float, y: float) -> float:
+    """x + (y - x) / 2 in float arithmetic, kept inside [x, y]."""
+    return min(max(x + (y - x) / 2, x), y)
+
+
 # Dekker's TwoProduct (T. J. Dekker, Numer. Math. 18, 1971) gives the
 # rounding error a*b - p of p = fl(a*b) exactly, in binary64 alone (Python
 # has no fma).  Veltkamp's split by C = 2^27 + 1 writes a = ah + al exactly,
@@ -429,8 +434,14 @@ def _pow_mag(m: float, n: int, up: bool) -> float:
     # m >= 0, n >= 1; square-and-multiply with directed products, which
     # are monotone on non-negative operands, so every intermediate stays a
     # bound.  The base is squared only while exponent bits remain, so no
-    # intermediate exceeds m^n.
+    # intermediate exceeds m^n.  Cubes and fourth powers, the common cases,
+    # are the loop's own products written out.
     step = mul_up if up else mul_down
+    if n == 3:
+        return step(m, step(m, m))
+    if n == 4:
+        m = step(m, m)
+        return step(m, m)
     acc = None
     while True:
         if n & 1:

@@ -17,28 +17,27 @@ a single-point domain the base case is the whole proof: base_case evaluates
 the point, so the loop never runs, and a point that refutes the theorem
 ends the fold there.
 
-Local extension searches for a workable step width by geometric halving
-over a fixed lattice of widths h_init * 2**-k, from h_init = (b - a) / 8
-down to h_min = (b - a) * 2**-40: at most 38 widths per search.  The width
-that certified the previous piece is the best guess for the next one, and
-only the first piece starts cold at h_init.  A growth try starts at twice
-that width (capped at h_init); where the certifiable width holds steady it
-fails and costs a second evaluation, so the controller backs off, as ODE
-step-size controllers do.  After a rejected growth try the next `wait`
-searches start at the previous width; `wait` doubles with each further
-rejection, up to _HOLD_CAP = 4, and returns to 1 when a growth try
-certifies at its starting width.  A steady width then costs 1.2
-evaluations a piece, not 2; a longer hold misses widths that grow, which
-costs pieces on problems of a few hundred.  A warm search that certifies
-nothing is rerun once from h_init, so a frontier fails exactly where the
-cold search fails, refutation probes at the wide widths included.
+Local extension halves a step width from a start width down to h_min =
+(b - a) * 2**-40 until a piece certifies.  The first piece starts cold at
+h_init = (b - a) / 8; after it the width that certified the last piece,
+scaled and capped at h_init, is the start.  A row with a margin r (its
+threshold over the accepted enclosure's tested quantity, which grows about
+as width**p) scales by clamp(_SAFETY * r**(1/p), 1/2, 2), as ODE step-size
+controllers do, so a start lands just under the width that certifies: about
+one evaluation a piece, at widths off any lattice.  A row without one tries
+twice the width, and backs off where that fails: after a rejected growth
+try the next `wait` searches start at the last width; `wait` doubles with
+each further rejection, up to _HOLD_CAP = 4, and returns to 1 when a growth
+try certifies at its start.  A warm search that certifies nothing is rerun
+once from h_init, so a frontier fails exactly where the cold search fails,
+refutation probes at the wide widths included.
 
 Every probe takes one path, and reads no field that only some certificates
 have: the row's window gives the left end u <= x of the piece [u, y] to
 evaluate (uct widens it backward so that its pieces overlap), one enclosure
 of f, or of f' where the row's deriv is set, is taken over it, f is
 evaluated at the row's points (evt's maximizer candidates), and the row's
-accept judges the enclosure.  A failure to certify is reported as a stall
+margin, or its accept, judges the enclosure.  A failure to certify is reported as a stall
 unless an enclosure itself refutes the hypothesis (for example a
 certified-positive range while proving negativity), in which case the
 failure carries the refuting piece: interval arithmetic cannot otherwise
@@ -62,14 +61,15 @@ from typing import NamedTuple
 
 from .certificates import ROWS, Certificate, Partition, Row, StructureError
 from .expr import Expr, eval_d1, eval_iv, to_source
-from .numeric import DomainError, FloatInterval
+from .numeric import DomainError, FloatInterval, midpoint
 
 
 # theorem code -> the row of the certificate its sweep builds, one with per-piece arrays
 _SWEPT = {th: row for row in ROWS if row.arrays for th in row.theorems}
 
-# the most searches a rejected growth try holds the step width for
-_HOLD_CAP = 4
+# the most searches a rejected growth try holds the step width for, and the
+# safety factor on the start width a row's margin gives
+_HOLD_CAP, _SAFETY = 4, 0.9
 
 
 def default_h_min(a: float, b: float) -> float:
@@ -87,10 +87,9 @@ class Problem:
     the certificate of a coarser pass over the same problem, is for the
     row's start to read.  max_pieces caps the pieces a sweep may take.
 
-    The sweep searches the fixed lattice of step widths from h_init =
-    (b - a) / 8 down to h_min = (b - a) * 2**-40, at most 38 widths per
-    search; so when a < b, b - a must neither overflow binary64 nor be so
-    narrow that h_min underflows to 0.
+    The sweep's step widths lie between h_min = (b - a) * 2**-40 and h_init
+    = (b - a) / 8; so when a < b, b - a must neither overflow binary64 nor
+    be so narrow that h_min underflows to 0.
     """
 
     f: Expr
@@ -144,10 +143,11 @@ class LocalWitness(NamedTuple):
     y: float
     lo: float
     hi: float
-    h: float | None = None          # lattice step width that certified the piece
+    h: float | None = None          # step width that certified the piece
     ext_lo: float | None = None     # left end of the evaluated piece [ext_lo, y], from the window
     cand: float | None = None       # the best of the row's points
     cand_lo: float | None = None    # lower bound of f at cand
+    grow: float = 2.0               # the next search starts at min(h_init, grow * h)
 
 
 class FailureKind(Enum):
@@ -186,17 +186,19 @@ class SweepState:
     """What a fold carries from one step to the next.
 
     acc holds the certificate on [a, frontier] as it grows; h_init and h_min
-    bound the lattice of step widths (0 on a single-point domain, where
-    nothing is searched); h_prev is the width that certified the last piece
-    (None starts the next search cold).  hold counts the searches left that
-    start at h_prev without trying to grow, and wait is the hold the next
-    rejected growth try sets.
+    bound the step widths (0 on a single-point domain, where nothing is
+    searched); h_prev is the width that certified the last piece (None
+    starts the next search cold), and grow * h_prev, capped at h_init, the
+    next start.  For a row without a margin, hold counts the searches left
+    that start at h_prev without trying to grow, and wait is the hold the
+    next rejected growth try sets.
     """
 
     acc: SimpleNamespace
     h_init: float
     h_min: float
     h_prev: float | None = None
+    grow: float = 2.0
     hold: int = 0
     wait: int = 1
 
@@ -220,11 +222,16 @@ def _start(p: Problem) -> SimpleNamespace:
     return s
 
 
-def _accepts(row: Row, s, lo: float, hi: float, x: float, y: float, t_lo) -> bool:
+def _accepts(row: Row, s, lo: float, hi: float, x: float, y: float, t_lo) -> float | None:
+    """None when the row refuses the enclosure, else the scale of the next
+    start width: from the margin (r, p), or 2 for a row without one."""
+    if row.margin is not None:
+        r, order = row.margin(s, lo, hi, x, y)
+        return min(2.0, max(0.5, _SAFETY * r ** (1 / order))) if r > 0.0 else None
     if row.accept is not None:
-        return row.accept(s, lo, hi, x, y, t_lo)
+        return 2.0 if row.accept(s, lo, hi, x, y, t_lo) else None
     op, t, _ = row.limit(s)
-    return op(row.arrays[0][1].store(lo, hi), t)
+    return 2.0 if op(row.arrays[0][1].store(lo, hi), t) else None
 
 
 # =============================================================================
@@ -232,8 +239,8 @@ def _accepts(row: Row, s, lo: float, hi: float, x: float, y: float, t_lo) -> boo
 # =============================================================================
 
 def base_case(p: Problem) -> SweepState | SweepFailure:
-    """The state on [a, a], from which the fold extends, with the sweep's
-    lattice of step widths.
+    """The state on [a, a], from which the fold extends, with the bounds
+    h_init and h_min of the sweep's step widths.
 
     When a < b the theorem holds vacuously at a, and no hypothesis is
     evaluated: a problem that is doomed (say, proving negativity when
@@ -257,7 +264,7 @@ def base_case(p: Problem) -> SweepState | SweepFailure:
         failure = _refutation(row, acc, a, a, a, lo, hi)
         if failure is not None:
             return failure
-        if not _accepts(row, acc, lo, hi, a, a, lo):
+        if _accepts(row, acc, lo, hi, a, a, lo) is None:
             return SweepFailure(FailureKind.STALLED, at=a, detail=row.stall)
     return s
 
@@ -270,11 +277,11 @@ def local_extend(p: Problem, s: SweepState) -> LocalWitness | SweepFailure:
 
     The search halves geometrically from _start_width(s): s.h_init when
     s.h_prev is None, s.h_prev while s.hold > 0, and min(s.h_init,
-    2 * s.h_prev) otherwise.  A warm search that certifies nothing is rerun
-    once from s.h_init, so failures (and domain errors) are those of the
-    cold search at this frontier.  The witness reports the certifying width
-    as w.h, which combine records as the next h_prev and compares with the
-    start width to set the hold.  The state is not changed.
+    s.grow * s.h_prev) otherwise.  A warm search that certifies nothing is
+    rerun once from s.h_init, so failures (and domain errors) are those of
+    the cold search at this frontier.  The witness reports the certifying
+    width as w.h and, from the row's margin, the next scale as w.grow
+    (2 without one), which combine records.  The state is not changed.
     """
     x = s.frontier
     if not x < p.b:
@@ -299,8 +306,9 @@ def combine(p: Problem, s: SweepState, w: LocalWitness) -> None:
     """Take the piece [x, y] of w into the state on [a, x], in place: the
     row's step updates the scalars (the min-rule for the uniform-continuity
     delta, which stores its own overlapping piece), y is appended to the
-    partition, w.h becomes h_prev, and the hold is spent or set by whether a
-    growth try certified at its start.
+    partition, w.h and w.grow set the next start, and, for a row without a
+    margin, the hold is spent or set by whether a growth try certified at
+    its start.
 
     The piece must start exactly at the frontier; StructureError otherwise.
     """
@@ -317,15 +325,15 @@ def combine(p: Problem, s: SweepState, w: LocalWitness) -> None:
         getattr(acc, name).append(side.store(w.lo, w.hi))
     acc.partition.append(y)
     acc.b = y
-    h = _start_width(s)
-    if s.h_prev is not None and h > s.h_prev:
+    # a growth try of a row without a margin sets or spends the hold
+    if row.margin is None and s.h_prev is not None and (h := _start_width(s)) > s.h_prev:
         if w.h is not None and w.h >= h:
             s.wait = 1
         else:
             s.hold, s.wait = s.wait, min(2 * s.wait, _HOLD_CAP)
     elif s.hold:
         s.hold -= 1
-    s.h_prev = w.h
+    s.h_prev, s.grow = w.h, w.grow
 
 
 def finish(p: Problem, s: SweepState) -> Certificate:
@@ -376,7 +384,7 @@ def _start_width(s: SweepState) -> float:
         return s.h_init
     if s.hold:
         return s.h_prev
-    return min(s.h_init, 2 * s.h_prev)
+    return min(s.h_init, s.grow * s.h_prev)
 
 
 def _halving_search(p: Problem, x: float, s, h: float,
@@ -417,14 +425,15 @@ def _probe(p: Problem, s, x: float, y: float,
             t_lo = eval_iv(f, t, t)[0]
             if cand is None or t_lo > cand_lo:
                 cand, cand_lo = t, t_lo
-    if _accepts(row, s, lo, hi, x, y, cand_lo):
-        return LocalWitness(x, y, lo, hi, h, u, cand, cand_lo)
+    grow = _accepts(row, s, lo, hi, x, y, cand_lo)
+    if grow is not None:
+        return LocalWitness(x, y, lo, hi, h, u, cand, cand_lo, grow)
     failure = _refutation(row, s, x, u, y, lo, hi)
     if failure is None and row.deriv:
         # The violation may lie strictly beyond any reachable frontier, in
         # which case no frontier piece ever refutes; probe the right half
         # being discarded by the halving before giving it up.
-        mid = min(max(x + (y - x) / 2, x), y)
+        mid = midpoint(x, y)
         if x < mid < y:
             lo, hi = _enclose(row, f, mid, y)
             failure = _refutation(row, s, x, mid, y, lo, hi)

@@ -41,7 +41,7 @@ from suparg.certificates import (
     to_document,
 )
 from suparg.expr import eval_d1, eval_iv, parse
-from suparg.numeric import FloatInterval, RatInterval, float_down
+from suparg.numeric import FloatInterval, RatInterval, float_down, float_up
 from suparg.sweep import LocalWitness, Problem, run_sweep
 from suparg.theorems import (
     prove_bound,
@@ -174,8 +174,16 @@ def test_modulus_mutations():
 def test_integral_mutations():
     cert = prove_integral("x^2", 0.0, 1.0, 1e-2)
     assert check(cert)
-    assert not check(replace(cert, lower_sum=UP(cert.lower_sum)))
-    assert not check(replace(cert, upper_sum=DOWN(cert.upper_sum)))
+    # the directed sums may keep some ulps of slack over the exact sums of
+    # the pieces; the checker's boundary is the exact sums themselves
+    points = [Fraction(v) for v in cert.partition.points]
+    widths = [v - u for u, v in zip(points, points[1:])]
+    lower = sum(Fraction(m) * w for m, w in zip(cert.piece_lo, widths))
+    upper = sum(Fraction(m) * w for m, w in zip(cert.piece_hi, widths))
+    assert check(replace(cert, lower_sum=float_down(lower)))
+    assert not check(replace(cert, lower_sum=UP(float_down(lower))))
+    assert check(replace(cert, upper_sum=float_up(upper)))
+    assert not check(replace(cert, upper_sum=DOWN(float_up(upper))))
     assert not check(replace(cert, piece_lo=tuple_set(cert.piece_lo, 3,
                                                       UP(cert.piece_lo[3]))))
     assert not check(replace(cert, eps=cert.upper_sum - cert.lower_sum))
@@ -417,9 +425,9 @@ GOLDEN_CERT_SHA256 = {
     "evt": "39088006183b557d72c07c8ed9a1ab83120658905554f071af44ce5d86a92703",
     "ivt-neg": "b5f20c61ff4663f137cd68fffe56e23c294a7c18e8f11f123725a397b8a87d3e",
     "ivt-root": "e4c03a966c68a99263d9c00b2a0ce28cf655246c5d4692efc139faacab658930",
-    "uct": "3b81daf7aa6fb4f26166bbce37ed44d3269233cbaad1144ba17914561c7d2bda",
-    "dit": "7b5adf60664558a83408ed179979393ee97e4a5fd0c594b4e979fd72820cf475",
-    "dit-prefix": "08d9e585ad5662727ef42b1b072f9aec77b2a86e4ea59f20609b5666b4dfc336",
+    "uct": "10795483f14f3f25f495bf57ac83d5fa8eec1cc67b919c9ec18fa06933217810",
+    "dit": "8636738be0374a4a65f48d1e46212357940b05b7044365b201a5b93b495d6b7f",
+    "dit-prefix": "fafd5db08ad1e1c5da344f3f22f6a72c97bf488ff8fad1a83a257d3e78bb9417",
     "sift": "3cee6cd109a9555189c6a7e0c803e2133269732f45a2d2014a6379a0f4fbaf17",
     "ift": "b117807e030a731639be8e55b2838e2f4e04024bef1a1162c4857988efb1f5e2",
     "mvi": "7ba3bd1a10c99322a3ff8b839380bf70ef7bd80cc08172dc9066de59c5942138",
@@ -443,9 +451,9 @@ GOLDEN_CONCLUSIONS = {
     "ivt-neg": "∀t∈[0.0, 1.0]: f(t) < 0 for f = x - 3",
     "ivt-root": "∃c∈[1.4142135623715149, 1.4142135633028374]: f(c) = 0 for f = x^2 - 2",
     "uct": "∀s,t∈[0.0, 2.0]: |s−t| < 0.0625 ⇒ |f(s)−f(t)| < 0.3 for f = sin(x)",
-    "dit": ("∫f over [0.0, 1.0] ∈ [-0.17101562023162842, -0.16231143474578857], U − L < 0.01 "
+    "dit": ("∫f over [0.0, 1.0] ∈ [-0.17101894760221711, -0.16230769358689448], U − L < 0.01 "
            "for f = x^2 - x"),
-    "dit-prefix": ("∫f over [0.0, 1.0] ∈ [-0.16847612243145704, -0.16485561337321997], "
+    "dit-prefix": ("∫f over [0.0, 1.0] ∈ [-0.16870057631511925, -0.1646309095059007], "
                   "U − L < 0.01 for f = x^2 - x"),
     "sift": "∀x₁<x₂ in [0.0, 1.0]: f(x₁) < f(x₂) for f = exp(x)",
     "ift": "∀x₁<x₂ in [0.0, 1.0]: f(x₁) ≤ f(x₂) for f = x^3",
@@ -487,18 +495,20 @@ GOLDEN_TAMPERED = {
         "eps+ V, eps- V, eps+1 V, eps-1 I, delta+ V, delta- V, delta+1 I0, delta-1 I, "
         "piece_osc[5]+ V, piece_osc[5]- I5, piece_osc[5]+1 I5, piece_osc[5]-1 I5, "
     ),
+    # off the dyadic points the directed sums keep a few ulps of slack, so
+    # one-ulp moves of a sum, or of a bound against it, stay Valid
     "dit": (
-        "eps+ V, eps- V, eps+1 V, eps-1 I, piece_lo[123]+ I123, piece_lo[123]- I, "
-        "piece_lo[123]+1 I123, piece_lo[123]-1 I, piece_hi[123]+ I, "
-        "piece_hi[123]- I123, piece_hi[123]+1 I, piece_hi[123]-1 I123, lower_sum+ I, "
-        "lower_sum- V, lower_sum+1 I, lower_sum-1 I, upper_sum+ V, upper_sum- I, "
+        "eps+ V, eps- V, eps+1 V, eps-1 I, piece_lo[113]+ I113, piece_lo[113]- V, "
+        "piece_lo[113]+1 I113, piece_lo[113]-1 I, piece_hi[113]+ V, "
+        "piece_hi[113]- I113, piece_hi[113]+1 I, piece_hi[113]-1 I113, lower_sum+ V, "
+        "lower_sum- V, lower_sum+1 I, lower_sum-1 I, upper_sum+ V, upper_sum- V, "
         "upper_sum+1 I, upper_sum-1 I, "
     ),
     "dit-prefix": (
-        "eps+ V, eps- V, eps+1 V, eps-1 I, piece_lo[294]+ I294, piece_lo[294]- I, "
-        "piece_lo[294]+1 I294, piece_lo[294]-1 I, piece_hi[294]+ I, "
-        "piece_hi[294]- I294, piece_hi[294]+1 I, piece_hi[294]-1 I294, lower_sum+ I, "
-        "lower_sum- V, lower_sum+1 I, lower_sum-1 I, upper_sum+ V, upper_sum- I, "
+        "eps+ V, eps- V, eps+1 V, eps-1 I, piece_lo[246]+ I246, piece_lo[246]- V, "
+        "piece_lo[246]+1 I246, piece_lo[246]-1 I, piece_hi[246]+ V, "
+        "piece_hi[246]- I246, piece_hi[246]+1 I, piece_hi[246]-1 I246, lower_sum+ V, "
+        "lower_sum- V, lower_sum+1 I, lower_sum-1 I, upper_sum+ V, upper_sum- V, "
         "upper_sum+1 I, upper_sum-1 I, "
     ),
     "sift": (
@@ -830,15 +840,15 @@ def _ref_darboux_gap(c):
 
 
 def _ref_shrink_modulus(s, w):
+    # half the first piece, then half of each overlap with the piece before
     x, y = w.x, w.y
-    fwd = Fraction(y) - Fraction(x)
     if s.pieces:
         overlap = Fraction(x) - Fraction(w.ext_lo)
         if overlap <= 0:
             raise StructureError("uniform-continuity pieces must overlap")
-        s.delta = min(s.delta, float_down(min(fwd, overlap) / 2))
+        s.delta = min(s.delta, float_down(overlap / 2))
     else:
-        s.delta = float_down(fwd / 2)
+        s.delta = float_down((Fraction(y) - Fraction(x)) / 2)
 
 
 _MAX = sys.float_info.max
@@ -1024,13 +1034,13 @@ def test_sweep_and_checker_build_no_interval_per_piece(monkeypatch):
     monkeypatch.setattr(FloatInterval, "__post_init__",
                         lambda self: made.append(self) or original(self))
     dit = GOLDEN_PROBLEMS["dit"]()
-    assert (piece_count(dit), len(made)) == (246, 0)
+    assert (piece_count(dit), len(made)) == (227, 0)
     assert check(dit) and len(made) == 0
     bound = prove_bound("sin(x)", 0.0, 3.0)
     assert check(bound) and len(made) == 0
     modulus = prove_modulus("x", 0.0, 1.0, 1e-3)
-    assert (piece_count(modulus), len(made)) == (2047, 2047)
-    assert check(modulus) and len(made) == 2047
+    assert (piece_count(modulus), len(made)) == (2222, 2222)
+    assert check(modulus) and len(made) == 2222
 
 
 class _CountedFraction(Fraction):

@@ -805,6 +805,24 @@ def test_unary_pair_kernels_match_object_kernels(x, y, n, point):
     assert _pair_outcome(lambda: (-b, -a)) == _pair_outcome(lambda: -rX)  # the interpreters' negation
 
 
+_POW_ENDS = (0.0, -0.0, 5e-324, 3 * 5e-324, 2.0 ** -1022, 1e-160, 0.25, 0.5, 0.9, 1.0,
+             1.1, 3.0, 1e77, 1e300)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_written_out_powers_match_square_and_multiply(n):
+    # numeric writes out n = 3 and n = 4; the object kernels keep the loop.
+    # Bits, zero signs and overflows must agree, for subnormal results too
+    for m in _POW_ENDS:
+        for up in (False, True):
+            assert (_pair_outcome(lambda: (numeric._pow_mag(m, n, up),) * 2)
+                    == _ref_outcome(lambda: ref.FloatInterval(*(ref._pow_mag(m, n, up),) * 2)))
+    ends = sorted(_POW_ENDS + tuple(-v for v in _POW_ENDS))
+    for a, b in ((a, b) for a in ends for b in ends if a <= b):
+        want = _ref_outcome(lambda: ref.iv_pow(ref.FloatInterval(a, b), n))
+        assert _pair_outcome(lambda: numeric._pow(a, b, n)) == want, (a, b, n)
+
+
 def _scalar_outcome(kernel, x, y):
     # a finite result, or the error raised
     try:

@@ -12,6 +12,7 @@ import pytest
 from suparg import cli
 from suparg.certificates import (
     IntegralCert,
+    MaxCert,
     ModulusCert,
     NegCert,
     check,
@@ -19,7 +20,7 @@ from suparg.certificates import (
     from_document,
 )
 from suparg.expr import parse
-from suparg.numeric import FloatInterval
+from suparg.numeric import FloatInterval, float_down
 from suparg.sweep import (
     FailureKind,
     LocalWitness,
@@ -40,6 +41,12 @@ CUBE = parse("x^3")
 
 def problem(src, a, b, theorem, **kw):
     return Problem(parse(src), a, b, theorem, fn_source=src, **kw)
+
+
+def steady():
+    """evt up to the maximum, where 126 of the 170 pieces certify at one
+    width: a row without a margin backs off its growth tries there."""
+    return problem("x*(1 - x)", 0.0, 0.5, "evt", eps=1e-3)
 
 
 def at_frontier(src, a, b, theorem, x, h_init, h_prev=None, **kw):
@@ -255,8 +262,8 @@ def test_combine_endpoint_mismatch_rejected():
 
 def test_combine_unifcont_min_rule():
     # left piece [0, 0.5] gives delta 0.25; new piece [0.5, 0.8] evaluated
-    # over [0.2, 0.8]: contribution min(width 0.3)/2 = 0.15, merged delta =
-    # min(0.25, 0.15)
+    # over [0.2, 0.8]: contribution half the overlap [0.2, 0.5], 0.15,
+    # merged delta = min(0.25, 0.15)
     p = problem("x", 0.0, 1.0, "uct", eps=1.0)
     state = base_case(p)
     combine(p, state, LocalWitness(0.0, 0.5, 0.0, 0.5, ext_lo=0.0))
@@ -380,7 +387,7 @@ def test_public_fold_builds_one_partition(monkeypatch):
     monkeypatch.setattr(sweep_mod, "Partition", lambda points: built.append(1) or real(points))
     folded = _fold(p)
     assert len(built) == 1
-    assert len(folded.partition) == 5041
+    assert len(folded.partition) == 4244
     assert folded == swept
 
 
@@ -392,16 +399,20 @@ def test_public_fold_budget_failure_matches_sweep():
 
 
 def test_unifcont_delta_rule_fields():
-    out = run_sweep(problem("sin(x)", 0.0, 4.0, "uct", eps=0.1))
-    assert isinstance(out, ModulusCert)
-    delta = Fraction(out.delta)
-    widths = [Fraction(pc.hi) - Fraction(pc.lo) for pc in out.pieces]
-    overlaps = [Fraction(out.pieces[k].hi) - Fraction(out.pieces[k + 1].lo)
-                for k in range(len(out.pieces) - 1)]
-    assert all(delta <= w / 2 for w in widths[:1])  # first constituent
-    assert all(delta <= ov for ov in overlaps)
-    assert delta <= min(overlaps) / 2
-    assert check(out)
+    for src, b, eps in (("sin(x)", 4.0, 0.1), ("x", 1.0, 1e-3), ("sin(x)*exp(x)", 4.0, 0.1),
+                        ("sqrt(x + 1)", 3.0, 1e-2)):
+        out = run_sweep(problem(src, 0.0, b, "uct", eps=eps))
+        assert isinstance(out, ModulusCert)
+        delta = Fraction(out.delta)
+        widths = [Fraction(pc.hi) - Fraction(pc.lo) for pc in out.pieces]
+        overlaps = [Fraction(out.pieces[k].hi) - Fraction(out.pieces[k + 1].lo)
+                    for k in range(len(out.pieces) - 1)]
+        assert all(delta <= w / 2 for w in widths[:1])  # first constituent
+        assert all(delta <= ov for ov in overlaps)
+        assert delta <= min(overlaps) / 2
+        # the least half-overlap, or half the first piece: no other piece bounds it
+        assert out.delta == min(float_down(h / 2) for h in widths[:1] + overlaps)
+        assert check(out)
 
 
 def test_random_problems_prove_then_check():
@@ -449,9 +460,33 @@ def test_warm_start_evaluations_per_piece(monkeypatch):
     assert len(calls) <= 1.3 * len(out.partition)
 
 
+def _probes(monkeypatch):
+    """The list each probe's enclosure appends its piece to; evt's
+    candidate points are evaluated apart from it."""
+    import suparg.sweep as sweep_mod
+    probes = []
+    real = sweep_mod._enclose
+    monkeypatch.setattr(sweep_mod, "_enclose",
+                        lambda row, f, u, y: probes.append((u, y)) or real(row, f, u, y))
+    return probes
+
+
 def test_steady_width_backs_off(monkeypatch):
-    # every piece certifies at the same width, so each growth try fails: a
-    # try on every search would cost 2 evaluations a piece
+    # at a steady width each growth try fails: a try on every search costs
+    # 343 probes here, 2 a piece
+    probes = _probes(monkeypatch)
+    out = run_sweep(steady())
+    assert isinstance(out, MaxCert) and check(out)
+    assert len(out.partition) == 170
+    assert len(probes) <= 1.3 * len(out.partition)
+    # the bytes of the sweep that tried to grow on every search
+    assert hashlib.sha256(dumps(out).encode()).hexdigest() == (
+        "ee3a1b0bb994506b79b379181f8414747945c70500c933a7ff8d1334c12faf9f")
+
+
+def test_margin_step_makes_one_evaluation_per_piece(monkeypatch):
+    # the margin sets each start just under the width that certifies, so a
+    # probe seldom fails: 8 evaluations more than pieces
     import suparg.sweep as sweep_mod
     calls = []
     real = sweep_mod.eval_iv
@@ -459,11 +494,34 @@ def test_steady_width_backs_off(monkeypatch):
                         lambda f, lo, hi: calls.append((lo, hi)) or real(f, lo, hi))
     out = run_sweep(problem("x", 0.0, 1.0, "uct", eps=1e-3))
     assert isinstance(out, ModulusCert) and check(out)
-    assert len(out.pieces) == 2047
-    assert len(calls) <= 1.3 * len(out.pieces)
-    # the bytes of the sweep that tried to grow on every search
-    assert hashlib.sha256(dumps(out).encode()).hexdigest() == (
-        "b265f663f5bace101759b7cc0ed9eec0a132033905413579e40edec711480a03")
+    assert (len(out.pieces), len(calls)) == (2222, 2230)
+
+
+def _planned(src, a, b, eps):
+    """The dit problem with the plan of a sweep at 16 eps as its prior."""
+    return problem(src, a, b, "dit", eps=eps,
+                   prior=run_sweep(problem(src, a, b, "dit", eps=16 * eps)))
+
+
+@pytest.mark.parametrize("p", [
+    problem("x", 0.0, 1.0, "uct", eps=1e-3),
+    problem("sin(x)*exp(x)", 0.0, 4.0, "uct", eps=0.1),
+    problem("1/(1 + 2.01*x^2)", -1.0, 1.0, "uct", eps=1e-2),
+    problem("x^3 - x", -1.0, 1.5, "dit", eps=1e-2),
+    _planned("x^3 - x", -1.0, 1.5, 1e-2),
+], ids=["uct-x", "uct-sinexp", "uct-runge", "dit-prefix", "dit-planned"])
+def test_warm_starts_stay_within_half_and_twice_the_last_width(monkeypatch, p):
+    starts = _search_starts(monkeypatch)
+    state = base_case(p)
+    ratios = set()
+    while state.frontier < p.b:
+        h_prev, starts[:] = state.h_prev, []
+        combine(p, state, local_extend(p, state))
+        if h_prev is not None and starts[0] < state.h_init:
+            assert h_prev / 2 <= starts[0] <= 2 * h_prev
+            ratios.add(starts[0] / h_prev)
+    # the margin, not a lattice of widths, sets the start
+    assert len(ratios) > 10
 
 
 def _held_fold(p):
@@ -476,7 +534,7 @@ def _held_fold(p):
 
 
 def test_local_extend_leaves_the_state_unchanged():
-    p, state = _held_fold(problem("x", 0.0, 1.0, "uct", eps=1e-3))
+    p, state = _held_fold(steady())
     before = copy.deepcopy(vars(state))
     first = local_extend(p, state)
     assert vars(state) == before
@@ -484,7 +542,7 @@ def test_local_extend_leaves_the_state_unchanged():
 
 
 def test_witness_without_width_starts_the_next_search_cold(monkeypatch):
-    p = problem("x", 0.0, 1.0, "uct", eps=1e-3)
+    p = steady()
     state = base_case(p)
     combine(p, state, local_extend(p, state))
     w = local_extend(p, state)  # a growth try
@@ -497,7 +555,7 @@ def test_witness_without_width_starts_the_next_search_cold(monkeypatch):
 
 def test_rejected_growth_try_holds_then_probes_again(monkeypatch):
     starts = _search_starts(monkeypatch)
-    p = problem("x", 0.0, 1.0, "uct", eps=1e-3)
+    p = steady()
     state = base_case(p)
     runs, held = [], None  # searches held after each rejected growth try
     while state.frontier < p.b:
@@ -516,7 +574,7 @@ def test_rejected_growth_try_holds_then_probes_again(monkeypatch):
         held = 0 if w.h < starts[0] else None
     # the hold doubles with each further rejection, up to 4 searches
     assert runs[:3] == [1, 2, 4] and set(runs[2:]) == {4}
-    assert len(runs) > len(state.acc.pieces) // 6
+    assert len(runs) > state.pieces_used // 6
 
 
 @pytest.mark.parametrize("src,a,b,theorem,kw,expected", [

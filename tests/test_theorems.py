@@ -17,6 +17,7 @@ from suparg.certificates import (
     NegCert,
     RootBracket,
     check,
+    piece_count,
 )
 from suparg.numeric import DomainError, FloatInterval
 from suparg import theorems
@@ -245,6 +246,27 @@ def test_integral_piece_count_near_the_lower_bound(src, rate, a, b, kinks):
     assert len(cert.piece_lo) <= 2.5 * bound
     prefix = run_sweep(Problem(parse(src), a, b, "dit", eps=eps))
     assert len(cert.piece_lo) <= len(prefix.piece_lo)
+
+
+# Pieces, and uct's delta, of small problems.  Widths on the lattice
+# h_init * 2**-k took 289, 1923, 1984 and 397 uct pieces and 2026, 636 and
+# 12748 dit pieces here.  A delta that also halved every forward piece,
+# which the last piece, clipped at b, can make a sliver, fell to 1.77e-4
+# on x^3 - x and 1.23e-4 on sin(x)*exp(x).
+@pytest.mark.parametrize("prove,args,pieces,delta", [
+    (prove_modulus, ("sqrt(x + 1)", 0.0, 3.0, 1e-2), 223, 0.00451314519460732),
+    (prove_modulus, ("x^3 - x", -1.0, 1.5, 1e-2), 1526, 0.0002906383224546838),
+    (prove_modulus, ("sin(x)*exp(x)", 0.0, 4.0, 0.1), 1533, 0.00029240360602034166),
+    (prove_modulus, ("1/(1 + 2.01*x^2)", -1.0, 1.0, 1e-2), 299, 0.0024434793182781245),
+    (prove_integral, ("x^3 - x", -1.0, 1.5, 1e-2), 1806, None),
+    (prove_integral, ("sin(x)", 0.0, 3.0, 1e-2), 589, None),
+    (prove_integral, ("x*exp(-x)", 0.0, 8.0, 1e-3), 11751, None),
+], ids=["uct-sqrt", "uct-cubic", "uct-sinexp", "uct-runge", "dit-cubic", "dit-sin", "dit-xexp"])
+def test_margin_widths_keep_pieces_and_delta(prove, args, pieces, delta):
+    cert = prove(*args)
+    assert check(cert)
+    assert piece_count(cert) == pieces
+    assert getattr(cert, "delta", None) == delta
 
 
 _POLY_TERMS = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
