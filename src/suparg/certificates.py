@@ -554,9 +554,8 @@ def _rat_iv(e: RatInterval) -> dict:
 
 
 def _parse_rat_iv(d: dict) -> RatInterval:
-    flag = _typed(bool)
     return RatInterval(parse_rational(d["lo"]), parse_rational(d["hi"]),
-                       flag(d["lo_open"]), flag(d["hi_open"]))
+                       _flag(d["lo_open"]), _flag(d["hi_open"]))
 
 
 ROWS = (
@@ -872,11 +871,12 @@ def _hex_list(values) -> list[str]:
     return [float_to_hex(v) for v in values]
 
 
+_flag = _typed(bool)
 # field annotation -> (encode, decode); every decoder raises on a value of
 # the wrong shape or type, which from_document reports as a StructureError
 _CODECS = {
     "str": (str, _typed(str)),
-    "bool": (bool, _typed(bool)),
+    "bool": (bool, _flag),
     "float": (float_to_hex, hex_to_float),
     "tuple[float, ...]": (_hex_list, lambda v: tuple(map(hex_to_float, v))),
     "Partition": (lambda p: _hex_list(p.points),
@@ -921,8 +921,9 @@ def piece_count(cert: Certificate) -> int:
 
 
 def dumps(cert: Certificate, engine: dict | None = None) -> str:
-    """Deterministic JSON text: sorted keys, fixed layout, hexfloat scalars."""
-    return json.dumps(to_document(cert, engine), sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text, compact: sorted keys, no whitespace,
+    hexfloat scalars.  Without an indent CPython runs its C encoder."""
+    return json.dumps(to_document(cert, engine), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def from_document(doc: dict) -> Certificate:

@@ -4,7 +4,8 @@ Scalar arguments are parsed as exact decimals.  Domain endpoints must be
 exactly representable in binary64 (they anchor exact partition arithmetic);
 tolerance-like parameters are rounded toward the stricter side.  Output is
 deterministic: identical invocations produce byte-identical certificate
-JSON.  Proof failures exit 1 with a witness record on stdout; usage, parse
+JSON, in the compact layout of certificates.dumps; `check` reads any JSON
+layout.  Proof failures exit 1 with a witness record on stdout; usage, parse
 and domain errors exit 2 with a one-line JSON record on stderr.
 """
 

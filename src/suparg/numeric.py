@@ -570,14 +570,15 @@ iv_sqr, iv_pow, iv_sqrt, iv_exp, iv_log, iv_sin, iv_cos = map(
 
 def parse_rational(text: str) -> Rational:
     """Parse "n/d", an integer, or a (possibly scientific) decimal, exactly."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        d = int(den)
+    num, slash, den = text.partition("/")
+    if slash:
+        # int() ignores whitespace around a part but quotes it on refusal, so
+        # trim the outer side only: an error quotes it as in the stripped text
+        d = int(den.rstrip())
         if d == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), d)
-    return _parse_decimal(text)
+            raise ValueError(f"zero denominator: {text.strip()!r}")
+        return Fraction(int(num.lstrip()), d)
+    return _parse_decimal(text.strip())
 
 
 # Largest |exponent| accepted in e-notation: the digit limit CPython applies
@@ -653,9 +654,10 @@ class RatInterval:
     hi_open: bool = False
 
     def __post_init__(self):
-        if self.lo < self.hi:  # the common case settles in one comparison
+        lo, hi = self.lo, self.hi
+        if lo.numerator * hi.denominator < hi.numerator * lo.denominator:  # denominators > 0
             return
-        if self.lo > self.hi:
+        if lo > hi:
             raise ValueError(f"inverted rational interval {self}")
         if self.lo_open or self.hi_open:
             raise ValueError("degenerate rational interval must be closed")

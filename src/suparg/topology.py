@@ -15,13 +15,14 @@ set misses (its docstring gives the reason); every other point of [a, b]
 is interior to a component or to a gap, where neither hypothesis can fail.
 
 Sorting, merging and the frontier walk order endpoints by the key
-(float(q), q).  float(q) is the correctly rounded int / int quotient, hence
-monotone in q, so two keys whose floats differ are ordered by one C float
-comparison, and only a float tie (rationals closer than one ulp, or both
-beyond binary64 and saturated to the same infinity) compares the rationals
-themselves.  The key order is therefore exactly the rational order, while
-nearly every comparison skips Fraction arithmetic; the public values stay
-the exact rationals.
+(q.numerator / q.denominator, q).  Its float is CPython's correctly rounded
+int / int quotient, the value float(q) returns, read without a Fraction
+method call; it is monotone in q, so two keys whose floats differ are
+ordered by one C float comparison, and only a float tie (rationals closer
+than one ulp, or both beyond binary64 and saturated to the same infinity)
+compares the rationals themselves.  The key order is therefore exactly the
+rational order, while nearly every comparison skips Fraction arithmetic;
+the public values stay the exact rationals.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def _key(q: Rational) -> tuple[float, Rational]:
     """(float(q), q), which orders exactly as q does (see the module
     docstring); beyond binary64 the float saturates to ±inf."""
     try:
-        return (float(q), q)
+        return (q.numerator / q.denominator, q)
     except OverflowError:
         return (_INF if q > 0 else -_INF, q)
 
@@ -135,7 +136,8 @@ def analyze_clopen(u: RatIntervalSet, a: Rational, b: Rational) -> ClopenReport:
 
 @dataclass(frozen=True)
 class Cover:
-    """Finite list of nondegenerate open rational intervals."""
+    """Finite list of open rational intervals, each nondegenerate, since
+    RatInterval refuses an open one with lo == hi."""
 
     elements: tuple[RatInterval, ...]
 
@@ -143,8 +145,6 @@ class Cover:
         for e in self.elements:
             if not e.is_open_interval():
                 raise ValueError(f"cover element {e} is not an open interval")
-            if not e.lo < e.hi:
-                raise ValueError(f"cover element {e} is degenerate")
 
 
 @dataclass(frozen=True)

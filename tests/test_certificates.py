@@ -421,27 +421,27 @@ def _verdict(result):
 
 
 GOLDEN_CERT_SHA256 = {
-    "bvt": "807ce6a2ea7e2503888206305361ce4cbab4aa1563ed4fd70f10909b260fe51f",
-    "evt": "39088006183b557d72c07c8ed9a1ab83120658905554f071af44ce5d86a92703",
-    "ivt-neg": "b5f20c61ff4663f137cd68fffe56e23c294a7c18e8f11f123725a397b8a87d3e",
-    "ivt-root": "e4c03a966c68a99263d9c00b2a0ce28cf655246c5d4692efc139faacab658930",
-    "uct": "10795483f14f3f25f495bf57ac83d5fa8eec1cc67b919c9ec18fa06933217810",
-    "dit": "8636738be0374a4a65f48d1e46212357940b05b7044365b201a5b93b495d6b7f",
-    "dit-prefix": "fafd5db08ad1e1c5da344f3f22f6a72c97bf488ff8fad1a83a257d3e78bb9417",
-    "sift": "3cee6cd109a9555189c6a7e0c803e2133269732f45a2d2014a6379a0f4fbaf17",
-    "ift": "b117807e030a731639be8e55b2838e2f4e04024bef1a1162c4857988efb1f5e2",
-    "mvi": "7ba3bd1a10c99322a3ff8b839380bf70ef7bd80cc08172dc9066de59c5942138",
-    "cft": "cfd5b10438e09613937c1cf102fca1641d39d83679de31d9e5781f5eabbacd56",
-    "cft-exact": "f0877eebfd7710917919aa84092634d10e42d6b1f43a4d624ac6b8b04761d48d",
-    "bvt-point": "7da86a3054fea7932c4878685b629e7ad385eba575ee0b67792d5625ef5ef52d",
-    "evt-point": "9de99202dae6e41d13704e2ff211781f0fc983c014f37a574a3fe54fa29bcdb2",
-    "ivt-point": "16a86adba1a028a1876e4e44f510a0eed674a0ca1311994cbcf8058b0b6bfd1f",
-    "uct-point": "0f2d57b79cb3cf4f4aa83bec299a2ccd08d4b7bb9c2210e7dbf406b6850a7412",
-    "dit-point": "871dd91336381fab733179aecd6861748d0e06669282c0aab3ebe5667dd81a15",
-    "sift-point": "5245ef4352ec1f5366fa8d84ec4474934fb0149c37f148f21ac78785293870dd",
-    "ift-point": "c495cb2dcfb1f4734a4b9d820a6c77745bb5db88716fd0b223dfe130ef6d0ef7",
-    "mvi-point": "e781c938b4e828a5de17cedbcff91675b0119947b66d233b31e36da21895ed37",
-    "cft-point": "fa7e6045bc8de5a711e822aa3e2a8bebcaad7fc1ff84a452453b96d227ad884e",
+    "bvt": "56bb5b67519eb3348a6c8db11f2f5902cab4893f94a6a6cedef01abe9dbcd60c",
+    "evt": "8810a51efbd3184016e86ce59990595c56319149760afdafaf5947e28b164c01",
+    "ivt-neg": "e4622a1f5f492ce7462d62428983285cd54b698077f12f547bb516aa3a85a213",
+    "ivt-root": "8fadb178a35ed59887f0e4c1dabf83371ca164a6ea55921ca78f667101287197",
+    "uct": "c128d637d0fbc6e0b5111b0dbd519ad1f82f2474d9e010a3377b335bd9d7b7ea",
+    "dit": "d6b1ec044577ab7461f2cbd7e0cdfd02c3fcadd4ea648b6c15dff83522c718b1",
+    "dit-prefix": "350f88400159c3301d12554e219ef93e30a1da7884dc90bf6381cd4cbda8d961",
+    "sift": "372cc2bc5dc2e483ca190b6f582e66d28a1b62d24ad3d912f02f990c8b747b56",
+    "ift": "7de623821135c2adf60fe49c0973d7f062da1c593e792f2f3a9cc194070e6a9e",
+    "mvi": "9f0f7df7b75d97a3790894f8936743e8d1336072748356bba0b523d1e4262537",
+    "cft": "2537d0d33783b3a2b2a93148a93daaf388a1294e5f57c618d8d4b86b35cb4a70",
+    "cft-exact": "57efd2dc024044bc20d70a29c4a71418032068f4b01c870cb41f6e7a456ac52f",
+    "bvt-point": "e74660a1cbe6502ea32b20c10ca2eddf82d934479a08d59ed8e9da5f1f0d267d",
+    "evt-point": "37b2c41263ecca9d5d41a533545537714367452b79ae849e71e2b28c490bb959",
+    "ivt-point": "45cc51612fa05b7dc4c096964a47e2adae839c8f71386d62aed5b680cd11d9cc",
+    "uct-point": "5348875880bbc0c940aca0b813af96cdc81e29088b19cea2c60d9c134d4084d0",
+    "dit-point": "f10549dd74930500ae0a80cffc171e219adc78b689f6ff4cfa72f853a99a9112",
+    "sift-point": "daea208811c479869352ddc796b5dfc275c104c014a152728cb5e12ba2d964aa",
+    "ift-point": "5a0b2a90ea4cf0e12ac0a5d03ebd0ab00006bc6916c43bf4496075008bb15a1b",
+    "mvi-point": "39a64956c5be869929cbdcb34b8e9aad771d1a0959811852abe26e30c9334f8e",
+    "cft-point": "c6fce6a771adba0ec6f41f70daf6cc12d39b204f22c95c51db0583a33bd4368e",
 }
 
 GOLDEN_CONCLUSIONS = {
@@ -570,6 +570,17 @@ def test_function_certificate_bytes_are_golden(name):
     assert check(cert)
     assert hashlib.sha256(dumps(cert).encode()).hexdigest() == GOLDEN_CERT_SHA256[name]
     assert conclusion_of(cert).text == GOLDEN_CONCLUSIONS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PROBLEMS))
+def test_golden_documents_are_compact_and_read_in_either_layout(name):
+    cert = GOLDEN_PROBLEMS[name]()
+    text = dumps(cert)
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+    assert dumps(loads(text)) == text
+    # the layout dumps wrote before the compact one: a two-space indent
+    again = loads(json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n")
+    assert again == cert and check(again) == check(cert)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PROBLEMS))

@@ -77,6 +77,25 @@ def test_check_flags_tampered_certificate(capsys, tmp_path):
     assert "Invalid" in out
 
 
+def test_check_reads_an_indented_certificate_as_the_compact_one(capsys, tmp_path):
+    compact = tmp_path / "dit.json"
+    invoke(capsys, "prove", "dit", "--fn", "x^2", "--a", "0", "--b", "1",
+           "--eps", "1e-3", "--out", str(compact))
+    doc = json.loads(compact.read_text())
+    assert compact.read_text() == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    tampered = copy.deepcopy(doc)
+    tampered["certificate"]["L"] = "0x1.8000000000000p-2"
+    for d, want in ((doc, 0), (tampered, 1)):
+        # the indented file is the layout written before the compact one
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(d, sort_keys=True, indent=2) + "\n")
+        compact.write_text(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n")
+        for fmt in ("text", "json"):
+            seen = invoke(capsys, "check", "--format", fmt, str(compact))
+            assert seen[0] == want
+            assert invoke(capsys, "check", "--format", fmt, str(indented)) == seen
+
+
 def test_prove_failure_exits_one_with_witness(capsys):
     code, out, err = invoke(capsys, "prove", "sift", "--fn", "x^3",
                             "--a", "-1", "--b", "1")

@@ -437,6 +437,68 @@ def test_rat_interval_invariant_where_floats_tie():
         assert str(err.value) == "degenerate rational interval must be closed"
 
 
+# parse_rational's "n/d" path and RatInterval's cross-multiplied order test
+# against Fraction itself: text with signs, whitespace around either part
+# and negative denominators; pairs equal, inverted, or apart by less than
+# one ulp of their floats
+_rational_settings = settings(max_examples=500, derandomize=True, database=None, deadline=None)
+_space = st.sampled_from(("", " ", "  ", "\t", "\n", "\u00a0", "\u3000"))
+_rational = st.one_of(
+    st.fractions(),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40)),
+    st.sampled_from((Fraction(0), Fraction(1, 3), Fraction(-7, 2), Fraction(10) ** 400)))
+
+
+@_rational_settings
+@example(n=1, d=1, signs=("", ""), spaces=("", "", "", ""))
+@example(n=-3, d=-4, signs=("", ""), spaces=(" ", "\t", " ", "\n"))
+@given(n=st.integers(-10 ** 30, 10 ** 30) | st.integers(-9, 9),
+       d=st.integers(-10 ** 30, 10 ** 30).filter(bool) | st.integers(1, 9),
+       signs=st.tuples(st.sampled_from(("", "+")), st.sampled_from(("", "+"))),
+       spaces=st.tuples(_space, _space, _space, _space))
+def test_parse_rational_fraction_text_matches_fraction(n, d, signs, spaces):
+    # an explicit "+" only on a nonnegative part, where it changes nothing
+    num = (signs[0] if n >= 0 else "") + str(n)
+    den = (signs[1] if d >= 0 else "") + str(d)
+    text = f"{spaces[0]}{num}{spaces[1]}/{spaces[2]}{den}{spaces[3]}"
+    got = parse_rational(text)
+    assert type(got) is Fraction and got == Fraction(n, d)
+    zero = f"{spaces[0]}{num}{spaces[1]}/{spaces[2]}{signs[1]}0{spaces[3]}"
+    with pytest.raises(ValueError) as err:
+        parse_rational(zero)
+    # the message shows the text without its surrounding whitespace: "1/0"
+    # for the first example
+    assert str(err.value) == f"zero denominator: {zero.strip()!r}"
+    # a refused part is quoted as the stripped text splits it
+    for bad, part in ((f"{spaces[0]}x{spaces[1]}/{spaces[2]}{den}{spaces[3]}", f"x{spaces[1]}"),
+                      (f"{spaces[0]}{num}{spaces[1]}/{spaces[2]}y{spaces[3]}", f"{spaces[2]}y")):
+        with pytest.raises(ValueError) as err:
+            parse_rational(bad)
+        assert str(err.value) == f"invalid literal for int() with base 10: {part!r}"
+
+
+@_rational_settings
+@example(lo=Fraction(1, 3), step=Fraction(1, 10 ** 40), lo_open=True, hi_open=True)
+@example(lo=Fraction(1, 3), step=Fraction(-1, 10 ** 40), lo_open=False, hi_open=False)
+@example(lo=Fraction(5), step=Fraction(0), lo_open=False, hi_open=False)
+@example(lo=Fraction(5), step=Fraction(0), lo_open=False, hi_open=True)
+@given(lo=_rational,
+       step=st.sampled_from((Fraction(0), Fraction(1, 10 ** 40), Fraction(-1, 10 ** 40)))
+       | _rational,
+       lo_open=st.booleans(), hi_open=st.booleans())
+def test_rat_interval_accepts_exactly_by_fraction_order(lo, step, lo_open, hi_open):
+    hi = lo + step
+    if lo < hi or (lo == hi and not (lo_open or hi_open)):
+        iv = RatInterval(lo, hi, lo_open, hi_open)
+        assert (iv.lo, iv.hi) == (lo, hi)
+        return
+    with pytest.raises(ValueError) as err:
+        RatInterval(lo, hi, lo_open, hi_open)
+    lb, rb = "(" if lo_open else "[", ")" if hi_open else "]"
+    assert str(err.value) == ("degenerate rational interval must be closed" if lo == hi
+                              else f"inverted rational interval {lb}{lo}, {hi}{rb}")
+
+
 # ---------------------------------------------------------------------------
 # sign-case product and quotient against the four-corner reference
 # ---------------------------------------------------------------------------

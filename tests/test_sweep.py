@@ -481,7 +481,7 @@ def test_steady_width_backs_off(monkeypatch):
     assert len(probes) <= 1.3 * len(out.partition)
     # the bytes of the sweep that tried to grow on every search
     assert hashlib.sha256(dumps(out).encode()).hexdigest() == (
-        "ee3a1b0bb994506b79b379181f8414747945c70500c933a7ff8d1334c12faf9f")
+        "f3970d2138935fb5c3f6bede970a74f5676ef3c5b7cc4e9b3b427ad441cd11d4")
 
 
 def test_margin_step_makes_one_evaluation_per_piece(monkeypatch):

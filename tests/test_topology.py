@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from suparg.certificates import ClopenVerdict, SubcoverCert, check, dumps
+from suparg.certificates import ClopenVerdict, SubcoverCert, check, dumps, loads
 from suparg.numeric import RatInterval
 from suparg.topology import (
     Cover,
     RatIntervalSet,
     UncoveredPoint,
+    _key,
     analyze_clopen,
     extract_subcover,
     parse_interval_file,
@@ -465,6 +467,26 @@ def test_keyed_walk_matches_fraction_reference(elements, ab):
     assert check(out)
 
 
+# half an ulp above the largest float: from here up float() overflows
+_ROUNDS_TO_INF = F(2 ** 1024 - 2 ** 970)
+
+
+@_keyed_settings
+@example(q=_ROUNDS_TO_INF)
+@example(q=-_ROUNDS_TO_INF)
+@example(q=_ROUNDS_TO_INF - F(1, 3))
+@example(q=F(1, 2 ** 1080))
+@given(q=st.one_of(_point, st.fractions(),
+                   st.builds(F, st.integers(-10 ** 400, 10 ** 400), st.integers(1, 10 ** 60))))
+def test_key_float_is_float_of_the_rational(q):
+    try:
+        want = float(q)
+    except OverflowError:
+        want = math.inf if q > 0 else -math.inf
+    first, second = _key(q)
+    assert first == want and type(first) is float and second is q
+
+
 class _Counted(F):
     """Fraction that counts every comparison made on it."""
 
@@ -551,14 +573,14 @@ GOLDEN_CLOPEN = {
 }
 
 GOLDEN_SHA256 = {
-    "long-chain": "5166aa83053307e5a8087f71d3824144ddb89de2334ff5a6e7bd2d7ba6ee21d8",
-    "tied-ends": "721ea129e3564e8001e12ecf3c843d1d939da7d178d5eb6a6a129f5a988d2fe2",
+    "long-chain": "3875b74cc256747faa95b168b819c98de31a11deacc805e5406740e66f1a6c20",
+    "tied-ends": "fd614586fc62930b1ff1e6dab36c10790f47d246e13cf630fb2ecc091991af07",
     "touching-gap": "213d994c54de440501f8e9febcc5f1ec7dd6f134c5d4d03bc562e8d3129175e7",
-    "point-domain": "cc7f671b8730c09d0fafbc02a5503aba00798c7cbd745470aa0e78622a4106ee",
-    "covers-all": "ebcda3cd5f8e47cb58dc813c6e9a9a7edc70b3c1eaed2e412f0519cd49e4318b",
-    "not-contains-a": "f3708274763167be2810f9b21f6f36b95314e2d698f693c2830bb8adf97113f9",
-    "not-rel-open": "42817d2d5f0d1a83a1a3d328940884e3aa664ba06bfc2bd402f23be6d4c58d2a",
-    "not-rel-closed": "79ebcfb4c2161b62c01afe56ea34dd8653eb8b118cc05c2af3ef2873872d46f0",
+    "point-domain": "4af01f01f249ed833a9ba891326dbc23b621bc9939bba0004a807a54b57af327",
+    "covers-all": "47226b82ac4c5ad256bc262971936b8f5e46300718032143984c17208eeb2127",
+    "not-contains-a": "fd880759480bef6be2a884968378ab668a751b8cd7cd81ecc2ed583ae4d54784",
+    "not-rel-open": "2757b2d9eadb37c0e86f5bb1fd85a218ff0f341a6554030013bfbe15fe4dc6fd",
+    "not-rel-closed": "b73310d3a9f0bcf8d8d85ba38de5f1cbdcc07df3713ff86a080e4e29e06aadd2",
 }
 
 
@@ -574,6 +596,21 @@ def test_topology_output_bytes_are_golden(name):
         text = dumps(out)
         assert check(out)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_topology_documents_roundtrip_in_either_layout(name):
+    if name in GOLDEN_COVERS:
+        elements, a, b = GOLDEN_COVERS[name]
+        out = extract_subcover(Cover(tuple(elements)), a, b)
+        if isinstance(out, UncoveredPoint):
+            return
+    else:
+        out = analyze_clopen(GOLDEN_CLOPEN[name], F(0), F(1))
+    text = dumps(out)
+    assert text.count("\n") == 1 and dumps(loads(text)) == text
+    again = loads(json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n")
+    assert again == out and check(again) == check(out)
 
 
 # ---------------------------------------------------------------------------
