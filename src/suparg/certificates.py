@@ -37,13 +37,16 @@ selects a row by theorem code and builds the certificate in its fields) and
 the CLI all read the rows.  So a conclusion is added by adding a class, its
 row and the `prove_*` function in `theorems` that the row names as its
 prover; `cli` imports that function and calls it by the row's name.
+
+Topology documents hold rationals as "n/d" and each interval as an interval
+file writes it, "[0/1, 1/2)".  A subcover document states the frontier chain
+alone (see SubcoverCert): reading it builds no interval outside the chain.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -67,6 +70,7 @@ from .numeric import (
     div_down,
     float_down,
     float_to_hex,
+    format_rat_interval,
     format_rational,
     hex_to_float,
     hex_to_interval,
@@ -74,6 +78,7 @@ from .numeric import (
     midpoint,
     mul_down,
     mul_up,
+    parse_rat_interval,
     parse_rational,
     sub_down,
     sub_up,
@@ -270,11 +275,17 @@ class ClopenReport(_Stated):
 
 @dataclass(frozen=True)
 class SubcoverCert(_Stated):
-    """Finite subcover chain: the chosen open elements already cover [a,b]."""
+    """Finite subcover chain: the chosen open elements already cover [a,b].
+
+    The chain alone: the cover's size, the chosen elements in chain order
+    with their indices in the cover, and frontiers a = chain[0] < ... < b,
+    chain[k] inside elements[k]; the rest of the cover is not restated.
+    """
 
     a: Rational
     b: Rational
-    cover: tuple[RatInterval, ...]
+    cover_size: int
+    elements: tuple[RatInterval, ...]
     indices: tuple[int, ...]
     chain: tuple[Rational, ...]
 
@@ -548,16 +559,6 @@ def _monotone_refuted(s, lo, hi) -> str:
     return "derivative certified negative" if hi < 0.0 else ""
 
 
-def _rat_iv(e: RatInterval) -> dict:
-    return {"lo": format_rational(e.lo), "hi": format_rational(e.hi),
-            "lo_open": e.lo_open, "hi_open": e.hi_open}
-
-
-def _parse_rat_iv(d: dict) -> RatInterval:
-    return RatInterval(parse_rational(d["lo"]), parse_rational(d["hi"]),
-                       _flag(d["lo_open"]), _flag(d["hi_open"]))
-
-
 ROWS = (
     Row(BoundCert, "bound", {"bvt": {}}, prover="prove_bound",
         text=lambda c: f"∀t∈[{c.a!r}, {c.b!r}]: f(t) ≤ {c.bound!r} for f = {c.fn_source}",
@@ -808,13 +809,16 @@ def _check_topology(cert: ClopenReport | SubcoverCert) -> CheckResult:
     if isinstance(cert, SubcoverCert):
         if not cert.indices:
             return _invalid("no cover elements chosen")
-        for i in cert.indices:
-            if not 0 <= i < len(cert.cover):
+        chosen, stated = cert.elements, {}
+        if len(chosen) != len(cert.indices):
+            return _invalid("chosen elements do not match the chosen indices")
+        for i, e in zip(cert.indices, chosen):
+            if not 0 <= i < cert.cover_size:
                 return _invalid(f"chosen index {i} outside the cover")
-        chosen = [cert.cover[i] for i in cert.indices]
-        for e in chosen:
             if not e.is_open_interval():
                 return _invalid("cover element is not an open interval")
+            if stated.setdefault(i, e) != e:
+                return _invalid(f"cover element {i} stated twice, differently")
         chain = cert.chain
         if not chain or chain[0] != cert.a or chain[-1] != cert.b:
             return _invalid("witness chain does not run from a to b")
@@ -860,8 +864,9 @@ def conclusion_of(cert: Certificate) -> Conclusion:
 # =============================================================================
 
 def _typed(kind: type) -> Callable:
+    # the exact type, so that an int refuses a JSON true or false
     def decode(value):
-        if not isinstance(value, kind):
+        if type(value) is not kind:
             raise TypeError(f"expected {kind.__name__}, found {type(value).__name__}")
         return value
     return decode
@@ -871,12 +876,13 @@ def _hex_list(values) -> list[str]:
     return [float_to_hex(v) for v in values]
 
 
-_flag = _typed(bool)
+_text, _int = _typed(str), _typed(int)
 # field annotation -> (encode, decode); every decoder raises on a value of
 # the wrong shape or type, which from_document reports as a StructureError
 _CODECS = {
-    "str": (str, _typed(str)),
-    "bool": (bool, _flag),
+    "str": (str, _text),
+    "bool": (bool, _typed(bool)),
+    "int": (int, _int),
     "float": (float_to_hex, hex_to_float),
     "tuple[float, ...]": (_hex_list, lambda v: tuple(map(hex_to_float, v))),
     "Partition": (lambda p: _hex_list(p.points),
@@ -888,9 +894,9 @@ _CODECS = {
                         lambda v: None if v is None else parse_rational(v)),
     "tuple[Rational, ...]": (lambda v: [format_rational(q) for q in v],
                              lambda v: tuple(map(parse_rational, v))),
-    "tuple[int, ...]": (list, lambda v: tuple(map(operator.index, v))),
-    "tuple[RatInterval, ...]": (lambda v: [_rat_iv(e) for e in v],
-                                lambda v: tuple(map(_parse_rat_iv, v))),
+    "tuple[int, ...]": (list, lambda v: tuple(map(_int, v))),
+    "tuple[RatInterval, ...]": (lambda v: list(map(format_rat_interval, v)),
+                                lambda v: tuple(map(parse_rat_interval, map(_text, v)))),
     "ClopenVerdict": (lambda v: v.value, ClopenVerdict),
 }
 

@@ -146,9 +146,8 @@ def _strict_param(text: str, name: str) -> float:
 
 
 def _error_line(category: str, detail: str, **extra) -> None:
-    record = {"error": category, "detail": detail}
-    record.update(extra)
-    print(json.dumps(record, sort_keys=True), file=sys.stderr)
+    print(json.dumps({"error": category, "detail": detail, **extra}, sort_keys=True),
+          file=sys.stderr)
 
 
 def _emit_failure(record: dict) -> int:
@@ -157,11 +156,9 @@ def _emit_failure(record: dict) -> int:
 
 
 def _failure_record(res: SweepFailure) -> dict:
-    record = {"failure": res.kind.value, "at": float_to_hex(res.at),
-              "detail": res.detail}
-    record["witness"] = None if res.witness is None else interval_to_hex(res.witness)
-    record["enclosure"] = None if res.enclosure is None else interval_to_hex(res.enclosure)
-    return record
+    hexed = lambda x: None if x is None else interval_to_hex(x)  # noqa: E731
+    return {"failure": res.kind.value, "at": float_to_hex(res.at), "detail": res.detail,
+            "witness": hexed(res.witness), "enclosure": hexed(res.enclosure)}
 
 
 def _cmd_prove(args) -> int:
@@ -240,13 +237,8 @@ def _read_intervals(path: str):
 
 def _cmd_cover(args) -> int:
     elements = _read_intervals(args.file)
-    a = parse_rational(args.a)
-    b = parse_rational(args.b)
-    try:
-        cover = Cover(tuple(elements))
-    except ValueError as err:
-        raise UsageError(str(err)) from None
-    result = extract_subcover(cover, a, b)
+    a, b = parse_rational(args.a), parse_rational(args.b)
+    result = extract_subcover(Cover(tuple(elements)), a, b)  # ValueError: run() reports usage
     if isinstance(result, UncoveredPoint):
         return _emit_failure({"failure": "uncovered_point", "point": str(result.point)})
     if args.format == "json":
@@ -259,13 +251,8 @@ def _cmd_cover(args) -> int:
 
 def _cmd_clopen(args) -> int:
     elements = _read_intervals(args.file)
-    a = parse_rational(args.a)
-    b = parse_rational(args.b)
-    u = RatIntervalSet(tuple(elements))
-    try:
-        report = analyze_clopen(u, a, b)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    a, b = parse_rational(args.a), parse_rational(args.b)
+    report = analyze_clopen(RatIntervalSet(tuple(elements)), a, b)  # ValueError: as in cover
     if args.format == "json":
         sys.stdout.write(dumps(report))
     else:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -617,6 +618,23 @@ def format_rational(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def parse_rat_interval(text: str) -> RatInterval:
+    """Parse "(lo, hi)", "[lo, hi]" or a half-open mix, ends as parse_rational."""
+    if text[0] not in "([" or text[-1] not in ")]":
+        raise ValueError("interval must be bracketed")
+    parts = text[1:-1].split(",")
+    if len(parts) != 2:
+        raise ValueError("expected two comma-separated endpoints")
+    return RatInterval(parse_rational(parts[0]), parse_rational(parts[1]),
+                       text[0] == "(", text[-1] == ")")
+
+
+def format_rat_interval(e: RatInterval) -> str:
+    """The text parse_rat_interval reads back as e, such as "(-1/10, 2/5]"."""
+    return (f"{'(' if e.lo_open else '['}{format_rational(e.lo)}, "
+            f"{format_rational(e.hi)}{')' if e.hi_open else ']'}")
+
+
 # =============================================================================
 # Bit-exact serialization
 # =============================================================================
@@ -641,31 +659,28 @@ def hex_to_interval(pair: list[str]) -> FloatInterval:
 # Rational intervals (substrate of the topology module)
 # =============================================================================
 
-@dataclass(frozen=True)
-class RatInterval:
+class RatInterval(namedtuple("RatInterval", "lo hi lo_open hi_open")):
     """Interval with exact rational endpoints and per-endpoint openness.
 
     Either lo < hi, or lo == hi with both endpoints closed (a singleton).
+    A tuple, checked as it is built: half the cost of a frozen dataclass.
     """
 
-    lo: Rational
-    hi: Rational
-    lo_open: bool = False
-    hi_open: bool = False
+    __slots__ = ()
+    _make = classmethod(lambda cls, ends: cls(*ends))  # so _replace checks too
 
-    def __post_init__(self):
-        lo, hi = self.lo, self.hi
+    def __new__(cls, lo: Rational, hi: Rational, lo_open: bool = False, hi_open: bool = False):
+        self = tuple.__new__(cls, (lo, hi, lo_open, hi_open))
         if lo.numerator * hi.denominator < hi.numerator * lo.denominator:  # denominators > 0
-            return
+            return self
         if lo > hi:
             raise ValueError(f"inverted rational interval {self}")
-        if self.lo_open or self.hi_open:
+        if lo_open or hi_open:
             raise ValueError("degenerate rational interval must be closed")
+        return self
 
     def is_open_interval(self) -> bool:
         return self.lo_open and self.hi_open
 
     def __str__(self) -> str:
-        lb = "(" if self.lo_open else "["
-        rb = ")" if self.hi_open else "]"
-        return f"{lb}{self.lo}, {self.hi}{rb}"
+        return f"{'(' if self.lo_open else '['}{self.lo}, {self.hi}{')' if self.hi_open else ']'}"

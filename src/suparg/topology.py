@@ -23,6 +23,11 @@ than one ulp, or both beyond binary64 and saturated to the same infinity)
 compares the rationals themselves.  The key order is therefore exactly the
 rational order, while nearly every comparison skips Fraction arithmetic;
 the public values stay the exact rationals.
+
+A subcover certificate keeps what the sup argument leaves: the cover's
+size, the chosen elements in chain order with their indices, and the
+frontiers.  Documents write each interval as an interval file does, with
+"n/d" ends, and numeric.parse_rat_interval reads both.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certificates import ClopenReport, ClopenVerdict, SubcoverCert
-from .numeric import RatInterval, Rational, parse_rational
+from .numeric import RatInterval, Rational, parse_rat_interval
 
 
 @dataclass(frozen=True)
@@ -208,10 +213,9 @@ def extract_subcover(cover: Cover, a: Rational,
     the one with maximal right endpoint (ties to the lowest index), advance
     the frontier there, and stop once the last element contains b.  The
     frontier value itself is the uncovered witness when no element
-    straddles it.  The elements are sorted by left end once and swept with
-    a running best, so the walk makes O(N log N) comparisons of exact keys
-    (float, rational); a rational is compared only where two floats tie,
-    and the order is still exactly the rational order.
+    straddles it.  One sort by left end and a sweep with a running best:
+    O(N log N) comparisons of exact keys.  The certificate keeps the chain
+    alone (see SubcoverCert), not the cover.
     """
     if a > b:
         raise ValueError("domain endpoints out of order")
@@ -220,7 +224,9 @@ def extract_subcover(cover: Cover, a: Rational,
         return UncoveredPoint(uncovered)
     if chain[-1] != b:
         chain.append(b)
-    return SubcoverCert(a, b, cover.elements, tuple(chosen), tuple(chain))
+    elements = cover.elements
+    return SubcoverCert(a, b, len(elements), tuple(elements[i] for i in chosen),
+                        tuple(chosen), tuple(chain))
 
 
 # =============================================================================
@@ -239,21 +245,7 @@ def parse_interval_file(text: str) -> list[RatInterval]:
         if not line or line.startswith("#"):
             continue
         try:
-            out.append(_parse_interval_line(line))
+            out.append(parse_rat_interval(line))
         except (ValueError, ZeroDivisionError) as err:
             raise ValueError(f"line {lineno}: cannot parse {line!r}: {err}") from None
     return out
-
-
-def _parse_interval_line(line: str) -> RatInterval:
-    if line[0] not in "([" or line[-1] not in ")]":
-        raise ValueError("interval must be bracketed")
-    lo_open = line[0] == "("
-    hi_open = line[-1] == ")"
-    inner = line[1:-1]
-    parts = inner.split(",")
-    if len(parts) != 2:
-        raise ValueError("expected two comma-separated endpoints")
-    lo = parse_rational(parts[0])
-    hi = parse_rational(parts[1])
-    return RatInterval(lo, hi, lo_open, hi_open)

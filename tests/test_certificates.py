@@ -619,19 +619,34 @@ MALFORMED = {
 }
 
 
-def _flag_document(field, flag, value):
-    """A topology document whose first interval in field has flag = value."""
-    row = {"set": "clopen", "cover": "subcover"}[field]
+def _topology_document(row, edit):
     doc = to_document(ROW_PROBLEMS[row]())
-    doc["certificate"][field][0][flag] = value
+    edit(doc["certificate"])
     return doc
 
 
-# an openness flag that is not a JSON bool is malformed, not read as truthy
-for _field, _flag in (("set", "hi_open"), ("cover", "lo_open")):
-    for _name, _value in (("str", "false"), ("zero", 0), ("null", None), ("list", [])):
-        MALFORMED[f"{_field}-{_flag}-{_name}"] = functools.partial(
-            _flag_document, _field, _flag, _value)
+def _first_interval(field, value):
+    """A topology document whose first interval in field is value."""
+    row = {"set": "clopen", "elements": "subcover"}[field]
+    return _topology_document(row, lambda body: body[field].__setitem__(0, value))
+
+
+# an interval is a string in an interval file's syntax; any other value, or
+# a string that does not parse to an interval, is malformed.  The ids are
+# those of the cases these replace, which set an openness flag (set ×
+# hi_open, cover × lo_open) to a non-bool when an interval was an object
+# with lo, hi and two flags
+for _field, _old in (("set", "set-hi_open"), ("elements", "cover-lo_open")):
+    for _name, _value in (("str", "(0; 1)"), ("list", "[1/2, 0]"), ("zero", 5),
+                          ("null", None)):
+        MALFORMED[f"{_old}-{_name}"] = functools.partial(_first_interval, _field, _value)
+
+# operator.index takes true and false for 1 and 0; a count or index refuses
+# them as the "bool" codec refuses 0 and 1
+MALFORMED["indices-bool"] = functools.partial(
+    _topology_document, "subcover", lambda body: body.update(indices=[False, True, 2]))
+MALFORMED["cover-size-bool"] = functools.partial(
+    _topology_document, "subcover", lambda body: body.update(cover_size=True))
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -759,12 +774,22 @@ HOSTILE = {
                                          (["certificate", "indices"], [])),
     "chosen index 5 outside the cover": _hostile(_subcover_of_three,
                                                  (["certificate", "indices"], [0, 5, 2])),
+    "chosen index 2 outside the cover": _hostile(_subcover_of_three,
+                                                 (["certificate", "cover_size"], 2)),
+    "chosen elements do not match the chosen indices": _hostile(
+        _subcover_of_three, (["certificate", "elements"], ["(-1/10, 2/5)", "(3/10, 7/10)"])),
+    # element 0 is (-1/10, 2/5) where the chain first takes it
+    "cover element 0 stated twice, differently": _hostile(
+        _subcover_of_three, (["certificate", "indices"], [0, 0, 2])),
     "cover element is not an open interval": _hostile(
-        _subcover_of_three, (["certificate", "cover", 1, "lo_open"], False)),
+        _subcover_of_three, (["certificate", "elements", 1], "[3/10, 7/10)")),
+    # the chain is 0, 2/5, 7/10, 1
+    "chosen element (9/20, 7/10) does not contain the chain point 2/5": _hostile(
+        _subcover_of_three, (["certificate", "elements", 1], "(9/20, 7/10)")),
     # (-1/10, 1/5) holds 0 and (3/10, 7/10) holds 2/5, but [1/5, 3/10] lies
     # between them
     "chosen elements miss the point 1/5": _hostile(
-        _subcover_of_three, (["certificate", "cover", 0, "hi"], "1/5")),
+        _subcover_of_three, (["certificate", "elements", 0], "(-1/10, 1/5)")),
     "stored verdict not reproduced by exact set algebra": _hostile(
         ROW_PROBLEMS["clopen"], (["certificate", "verdict"], "covers_all")),
     # the gap test is among the row's requires, so it is reported before
@@ -1052,6 +1077,36 @@ def test_sweep_and_checker_build_no_interval_per_piece(monkeypatch):
     modulus = prove_modulus("x", 0.0, 1.0, 1e-3)
     assert (piece_count(modulus), len(made)) == (2222, 2222)
     assert check(modulus) and len(made) == 2222
+
+
+def _long_cover(size):
+    """Three open links chaining [0, 1], then size - 3 elements that each
+    lie inside the first two links and reach less far than they do."""
+    links = [_rat_open(lo, hi) for lo, hi in (("-1/10", "2/5"), ("3/10", "7/10"),
+                                              ("3/5", "11/10"))]
+    inner = [RatInterval(Fraction(j, 2 * size), Fraction(j + 1, 2 * size), True, True)
+             for j in range(size - 3)]
+    return Cover(tuple(inner[:size // 2] + links + inner[size // 2:]))
+
+
+def test_subcover_check_builds_only_the_chosen_intervals(monkeypatch):
+    # a document states the chain's elements alone, so reading and checking
+    # it builds one RatInterval per chosen element, whatever the cover's size
+    cert = extract_subcover(_long_cover(2000), Fraction(0), Fraction(1))
+    text = dumps(cert)
+    made = []
+    original = RatInterval.__new__
+    monkeypatch.setattr(RatInterval, "__new__",
+                        lambda cls, *args: made.append(args) or original(cls, *args))
+    again = loads(text)
+    assert again == cert and check(again)
+    assert (cert.cover_size, len(cert.indices), len(made)) == (2000, 3, 3)
+
+
+def test_subcover_document_does_not_grow_with_the_cover():
+    cert = extract_subcover(_long_cover(10_000), Fraction(0), Fraction(1))
+    assert cert.indices == (5000, 5001, 5002)
+    assert len(dumps(cert).encode()) < 1000
 
 
 class _CountedFraction(Fraction):

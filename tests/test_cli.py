@@ -752,7 +752,7 @@ HOSTILE_TOPOLOGY = {
     "subcover-reversed-domain": (_subcover_doc, _reversed_subcover),
     "clopen-reversed-domain": (_clopen_doc, lambda doc: doc.update(domain=["1", "0"])),
     "clopen-set-outside-domain":
-        (_clopen_doc, lambda doc: doc["certificate"]["set"][0].update(hi="2")),
+        (_clopen_doc, lambda doc: doc["certificate"]["set"].__setitem__(0, "[0, 2)")),
 }
 
 
@@ -790,7 +790,7 @@ def test_huge_decimal_exponent_exits_two_at_once(capsys, tmp_path):
     assert record["error"] == "usage" and "decimal exponent" in record["detail"]
 
     doc = _subcover_doc()
-    doc["certificate"]["cover"][0]["lo"] = "-1e100000000"
+    doc["certificate"]["elements"][0] = "(-1e100000000, 2/5)"
     path = tmp_path / "subcover.json"
     path.write_text(json.dumps(doc))
     start = time.perf_counter()

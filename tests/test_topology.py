@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from suparg.certificates import ClopenVerdict, SubcoverCert, check, dumps, loads
-from suparg.numeric import RatInterval
+from suparg.numeric import RatInterval, format_rat_interval, parse_rat_interval
 from suparg.topology import (
     Cover,
     RatIntervalSet,
@@ -238,6 +238,12 @@ def _ref_uncovered_point(elements, a, b):
         c = best
 
 
+def _chain_cert(elements, a, b, chosen, chain):
+    """The certificate of the chain through elements[i] for i in chosen."""
+    return SubcoverCert(a, b, len(elements), tuple(elements[i] for i in chosen),
+                        tuple(chosen), tuple(chain))
+
+
 def _ref_extract_subcover(elements, a, b):
     c = a
     chain = [a]
@@ -254,7 +260,7 @@ def _ref_extract_subcover(elements, a, b):
         if b < best_r:
             if chain[-1] != b:
                 chain.append(b)
-            return SubcoverCert(a, b, tuple(elements), tuple(chosen), tuple(chain))
+            return _chain_cert(elements, a, b, chosen, chain)
         c = best_r
         chain.append(c)
 
@@ -353,8 +359,8 @@ _point = st.one_of(st.sampled_from(_POINTS), st.integers(-2, 3),
 
 
 @st.composite
-def _interval(draw, open_only=False):
-    lo, hi = sorted(draw(st.tuples(_point, _point)))
+def _interval(draw, open_only=False, point=_point):
+    lo, hi = sorted(draw(st.tuples(point, point)))
     if lo == hi and open_only:
         hi = lo + draw(st.sampled_from((_TINY, F(1, 4), 1)))
     if lo == hi:
@@ -463,7 +469,7 @@ def test_keyed_walk_matches_fraction_reference(elements, ab):
         return
     if chain[-1] != b:
         chain.append(b)
-    assert out == SubcoverCert(a, b, tuple(elements), tuple(chosen), tuple(chain))
+    assert out == _chain_cert(elements, a, b, chosen, chain)
     assert check(out)
 
 
@@ -573,14 +579,14 @@ GOLDEN_CLOPEN = {
 }
 
 GOLDEN_SHA256 = {
-    "long-chain": "3875b74cc256747faa95b168b819c98de31a11deacc805e5406740e66f1a6c20",
-    "tied-ends": "fd614586fc62930b1ff1e6dab36c10790f47d246e13cf630fb2ecc091991af07",
+    "long-chain": "05cc8f171b8ae1a3169a955983aa92a869910295084ab3e99ad7e15a5842d784",
+    "tied-ends": "b497821349dba6dfb2b6be390a02c8858131216a7ce80be64311b181eada4471",
     "touching-gap": "213d994c54de440501f8e9febcc5f1ec7dd6f134c5d4d03bc562e8d3129175e7",
-    "point-domain": "4af01f01f249ed833a9ba891326dbc23b621bc9939bba0004a807a54b57af327",
-    "covers-all": "47226b82ac4c5ad256bc262971936b8f5e46300718032143984c17208eeb2127",
-    "not-contains-a": "fd880759480bef6be2a884968378ab668a751b8cd7cd81ecc2ed583ae4d54784",
-    "not-rel-open": "2757b2d9eadb37c0e86f5bb1fd85a218ff0f341a6554030013bfbe15fe4dc6fd",
-    "not-rel-closed": "b73310d3a9f0bcf8d8d85ba38de5f1cbdcc07df3713ff86a080e4e29e06aadd2",
+    "point-domain": "2d367b42041f0c9e99fa2882a16e66c3b16cf60479b8d8c81fac244bdfc1c048",
+    "covers-all": "dc240d68580b75a882347a8467544db717f554fcc7ed9c2c572605b625aec36b",
+    "not-contains-a": "1c284be9367fc08575b7c0751498150400c4fe328e05e9d2f6c145383204b944",
+    "not-rel-open": "b4642c2cdb93e7d322ba8a8562b10d8765d8c2101cb024eb3793d4b566fb27bd",
+    "not-rel-closed": "8d8d26b8546a497b01ff521fadd30f6991780d8166f17c257bda79277c8853d4",
 }
 
 
@@ -611,6 +617,41 @@ def test_topology_documents_roundtrip_in_either_layout(name):
     assert text.count("\n") == 1 and dumps(loads(text)) == text
     again = loads(json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n")
     assert again == out and check(again) == check(out)
+
+
+# ---------------------------------------------------------------------------
+# interval text: files and certificate documents write it alike
+# ---------------------------------------------------------------------------
+
+# ends beyond 2^64 on both sides, with denominators beyond it too
+_wide_point = st.one_of(_point, st.integers(-2 ** 80, 2 ** 80),
+                        st.builds(F, st.integers(-2 ** 90, 2 ** 90), st.integers(1, 2 ** 70)))
+
+
+@_keyed_settings
+@example(e=RatInterval(F(-1, 10), F(2, 5), True, True))
+@example(e=RatInterval(F(-3), F(7), False, True))
+@example(e=RatInterval(F(1, 3), F(1, 3)))
+@example(e=RatInterval(-F(2 ** 64 + 1, 3), F(2 ** 64), True, False))
+@given(e=_interval(point=_wide_point))
+def test_interval_text_reads_back_equal(e):
+    text = format_rat_interval(e)
+    assert parse_rat_interval(text) == e
+    assert parse_interval_file(f"# one interval\n{text}\n") == [e]
+
+
+@_keyed_settings
+@given(xs=st.lists(_interval(point=_wide_point), max_size=8))
+def test_topology_documents_read_back_to_their_text(xs):
+    a, b = _hull(xs)
+    report = analyze_clopen(RatIntervalSet(xs), a, b)
+    # an element around the hull makes every cover cover [a, b]
+    cover = [RatInterval(c.lo, c.hi, True, True) for c in xs if c.lo != c.hi]
+    cover.append(RatInterval(a - 1, b + 1, True, True))
+    subcover = extract_subcover(Cover(tuple(cover)), a, b)
+    for cert in (report, subcover):
+        text = dumps(cert)
+        assert dumps(loads(text)) == text and loads(text) == cert
 
 
 # ---------------------------------------------------------------------------
