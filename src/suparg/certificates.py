@@ -304,17 +304,27 @@ Certificate = (
 class Side:
     """Which side of an enclosure [lo, hi] a per-piece value bounds:
     store(lo, hi) is the value a prover records, holds(v, lo, hi) whether a
-    stored v still bounds the enclosure."""
+    stored v still bounds it, room(t, lo, hi) the width a limit t allows it."""
 
     store: Callable[[float, float], float]
     holds: Callable[[float, float, float], bool]
+    room: Callable[[float, float, float], float]
+
+    def margin(self, t: float, lo: float, hi: float) -> float:
+        """room over hi - lo, at least 1, where holds (exact) finds that t bounds
+        the value, else 0: inf for a point, 1 where hi - lo (and room) overflows."""
+        if not self.holds(t, lo, hi):
+            return 0.0
+        span = hi - lo
+        return math.inf if span == 0.0 else 1.0 if span == math.inf else self.room(t, lo, hi) / span
 
 
-HI = Side(lambda lo, hi: hi, lambda v, lo, hi: hi <= v)
-LO = Side(lambda lo, hi: lo, lambda v, lo, hi: v <= lo)
+HI = Side(lambda lo, hi: hi, lambda v, lo, hi: hi <= v, lambda t, lo, hi: t - lo)
+LO = Side(lambda lo, hi: lo, lambda v, lo, hi: v <= lo, lambda t, lo, hi: hi - t)
 ABS = Side(lambda lo, hi: max(abs(lo), abs(hi)),
-           lambda v, lo, hi: v >= max(abs(lo), abs(hi)))
-OSC = Side(lambda lo, hi: sub_up(hi, lo), lambda v, lo, hi: not sum_above(hi, -lo, v))
+           lambda v, lo, hi: v >= max(abs(lo), abs(hi)), lambda t, lo, hi: min(t - lo, hi + t))
+OSC = Side(lambda lo, hi: sub_up(hi, lo), lambda v, lo, hi: not sum_above(hi, -lo, v),
+           lambda t, lo, hi: t)
 
 
 @dataclass(frozen=True)
@@ -351,16 +361,21 @@ class Row:
     window: Callable | None = None   # (s, p, x, h) -> left end u <= x of the piece to evaluate
     points: Callable | None = None   # (x, y) -> points of [x, y] where f is evaluated
     step: Callable | None = None     # (s, w) -> None: scalars (and pieces) after taking in w
-    accept: Callable | None = None   # (s, lo, hi, x, y, t_lo) -> bool; default: the limit holds
-    # (s, lo, hi, x, y) -> (r, p), judging in accept's place: r is the
-    # threshold over the tested quantity, 0 when that exceeds it, and falls
-    # about as width ** -p
-    margin: Callable | None = None
+    margin: Callable | None = None   # (s, lo, hi, x, y, t_lo) -> (r, p): see judge
     refute: Callable | None = None   # (s, lo, hi) -> reason when [lo, hi] certifies it false
     stall: str = ""                  # why a degenerate domain does not certify
 
     def key(self, name: str) -> str:
         return self.keys.get(name, name)
+
+    def judge(self, s, lo: float, hi: float, x: float, y: float, t_lo) -> tuple[float, int]:
+        """(r, p): r > 0 exactly when [lo, hi] passes on [x, y], and falls about as
+        width**-p; the margin, else the limit's, p = 1, a strict limit at the next float."""
+        if self.margin is not None:
+            return self.margin(s, lo, hi, x, y, t_lo)
+        op, t, _ = self.limit(s)
+        t = math.nextafter(t, -math.inf if op is lt else math.inf) if op in (lt, gt) else t
+        return self.arrays[0][1].margin(t, lo, hi), 1
 
 
 def _raise_bound(s, w) -> None:
@@ -396,15 +411,6 @@ def _shrink_modulus(s, w) -> None:
     else:
         s.delta = _half_down(x, y)
     s.pieces.append(FloatInterval(w.ext_lo, y))
-
-
-def _osc_margin(t: float, lo: float, hi: float) -> float:
-    # t over an oscillation hi - lo that must stay at most t (inf for a
-    # point enclosure), or 0 when OSC refuses it
-    if not OSC.holds(t, lo, hi):
-        return 0.0
-    osc = hi - lo
-    return t / osc if osc > 0.0 else math.inf
 
 
 def _overlap_gap(c) -> tuple[int, str] | None:
@@ -478,9 +484,7 @@ def _darboux_gap(c) -> str | None:
     nl, dl = c.lower_sum.as_integer_ratio()
     nu, du = c.upper_sum.as_integer_ratio()
     ne, de = c.eps.as_integer_ratio()
-    if not (nu * dl - nl * du) * de < ne * du * dl:
-        return "Darboux gap not below eps"
-    return None
+    return None if (nu * dl - nl * du) * de < ne * du * dl else "Darboux gap not below eps"
 
 
 @dataclass(frozen=True)
@@ -508,9 +512,7 @@ class DarbouxPlan:
         for k in range(len(c.piece_lo) - 1, -1, -1):
             total += math.sqrt((c.piece_hi[k] - c.piece_lo[k]) * (points[k + 1] - points[k]))
             left.append(total)
-        if not math.isfinite(total):
-            return None
-        return cls(tuple(points), tuple(reversed(left)))
+        return cls(tuple(points), tuple(reversed(left))) if math.isfinite(total) else None
 
     def remaining(self, x: float) -> float:
         """The estimate S over [x, b], linear within a coarse piece."""
@@ -566,7 +568,7 @@ ROWS = (
         positive=("bound",), pointwise=True,
         limit=lambda c: (le, c.bound, "M < piece bound"),
         start=lambda s, p: {"bound": _MIN_NORMAL}, step=_raise_bound,
-        accept=lambda s, lo, hi, x, y, t_lo: True),
+        margin=lambda s, lo, hi, x, y, t_lo: (math.inf, 1)),  # the bound rises to meet it
     Row(MaxCert, "max", {"evt": {}}, prover="prove_max",
         text=lambda c: (f"∃c = {c.c!r} ∈ [{c.a!r}, {c.b!r}]: ∀t: f(t) ≤ f(c) + {c.eps!r}, "
                         f"f(c) ≥ {c.f_at_c_lo!r} for f = {c.fn_source}"),
@@ -584,7 +586,8 @@ ROWS = (
         points=lambda x, y: (midpoint(x, y), y),
         step=_take_candidate, stall="point enclosure wider than eps",
         # judged against the certificate once this piece's candidate is in
-        accept=lambda s, lo, hi, x, y, t_lo: hi <= add_down(max(s.f_at_c_lo, t_lo), s.eps)),
+        margin=lambda s, lo, hi, x, y, t_lo: (
+            HI.margin(add_down(max(s.f_at_c_lo, t_lo), s.eps), lo, hi), 1)),
     Row(NegCert, "neg", {"ivt": {}}, prover="prove_root",
         text=lambda c: f"∀t∈[{c.a!r}, {c.b!r}]: f(t) < 0 for f = {c.fn_source}",
         grid="partition", arrays=(("piece_hi", HI),), pointwise=True,
@@ -613,10 +616,7 @@ ROWS = (
         # evaluate over a backward-extended piece so stored pieces overlap;
         # the extension never reaches past the previous piece's left end,
         # which keeps the stored pieces sorted
-        window=lambda s, p, x, h: max(p.a, x - h, s.pieces[-1].lo if s.pieces else p.a),
-        # below eps is at most the float below it; a probe wider than max
-        # fails.  The oscillation grows about linearly with the width
-        margin=lambda s, lo, hi, x, y: (_osc_margin(math.nextafter(s.eps, 0.0), lo, hi), 1)),
+        window=lambda s, p, x, h: max(p.a, x - h, s.pieces[-1].lo if s.pieces else p.a)),
     Row(IntegralCert, "integral", {"dit": {}}, prover="prove_integral",
         text=lambda c: (f"∫f over [{c.a!r}, {c.b!r}] ∈ [{c.lower_sum!r}, {c.upper_sum!r}], "
                         f"U − L < {c.eps!r} for f = {c.fn_source}"),
@@ -627,7 +627,7 @@ ROWS = (
         start=_start_darboux, step=_add_darboux_terms,
         # a planned budget falls as 1 / width while the oscillation grows
         # with it; the flat budget's p would be 1, and 2 only steps warier
-        margin=lambda s, lo, hi, x, y: (_osc_margin(s.budget(s, x, y), lo, hi), 2)),
+        margin=lambda s, lo, hi, x, y, t_lo: (OSC.margin(s.budget(s, x, y), lo, hi), 2)),
     Row(MonotoneCert, "monotone", {"sift": {"strict": True}, "ift": {"strict": False}},
         prover="prove_monotone",
         text=lambda c: (f"∀x₁<x₂ in [{c.a!r}, {c.b!r}]: f(x₁) {'<' if c.strict else '≤'} "

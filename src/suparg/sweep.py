@@ -7,7 +7,7 @@ takes the supremum of the certified prefix set and derives a contradiction
 from the ability to extend past it; here the same extension step simply
 advances a frontier until it reaches b.  The engine names no theorem: the
 certificate's row, selected by the theorem's code, says how to start, probe,
-accept, refute and merge, and what the finished certificate requires.
+judge, refute and merge, and what the finished certificate requires.
 
 run_sweep is the argument's three steps written out as a fold over one
 carried SweepState, for every domain: base_case opens it on [a, a],
@@ -20,24 +20,20 @@ ends the fold there.
 Local extension halves a step width from a start width down to h_min =
 (b - a) * 2**-40 until a piece certifies.  The first piece starts cold at
 h_init = (b - a) / 8; after it the width that certified the last piece,
-scaled and capped at h_init, is the start.  A row with a margin r (its
-threshold over the accepted enclosure's tested quantity, which grows about
-as width**p) scales by clamp(_SAFETY * r**(1/p), 1/2, 2), as ODE step-size
-controllers do, so a start lands just under the width that certifies: about
-one evaluation a piece, at widths off any lattice.  A row without one tries
-twice the width, and backs off where that fails: after a rejected growth
-try the next `wait` searches start at the last width; `wait` doubles with
-each further rejection, up to _HOLD_CAP = 4, and returns to 1 when a growth
-try certifies at its start.  A warm search that certifies nothing is rerun
-once from h_init, so a frontier fails exactly where the cold search fails,
-refutation probes at the wide widths included.
+scaled by clamp(_SAFETY * r**(1/p), 1/2, 2) and capped at h_init, is the
+start, as in ODE step-size controllers: the row judges each enclosure by a
+margin r, the width its limit allows the enclosure over the width it has,
+which falls about as width**-p, so a start lands just under the width that
+certifies, about one evaluation a piece.  A warm search that certifies
+nothing is rerun once from h_init, so a frontier fails exactly where the
+cold search fails, refutation probes at the wide widths included.
 
 Every probe takes one path, and reads no field that only some certificates
 have: the row's window gives the left end u <= x of the piece [u, y] to
 evaluate (uct widens it backward so that its pieces overlap), one enclosure
 of f, or of f' where the row's deriv is set, is taken over it, f is
 evaluated at the row's points (evt's maximizer candidates), and the row's
-margin, or its accept, judges the enclosure.  A failure to certify is reported as a stall
+judge gives the enclosure's margin.  A failure to certify is reported as a stall
 unless an enclosure itself refutes the hypothesis (for example a
 certified-positive range while proving negativity), in which case the
 failure carries the refuting piece: interval arithmetic cannot otherwise
@@ -67,9 +63,8 @@ from .numeric import DomainError, FloatInterval, midpoint
 # theorem code -> the row of the certificate its sweep builds, one with per-piece arrays
 _SWEPT = {th: row for row in ROWS if row.arrays for th in row.theorems}
 
-# the most searches a rejected growth try holds the step width for, and the
-# safety factor on the start width a row's margin gives
-_HOLD_CAP, _SAFETY = 4, 0.9
+# the safety factor on the start width a margin gives
+_SAFETY = 0.9
 
 
 def default_h_min(a: float, b: float) -> float:
@@ -189,9 +184,7 @@ class SweepState:
     bound the step widths (0 on a single-point domain, where nothing is
     searched); h_prev is the width that certified the last piece (None
     starts the next search cold), and grow * h_prev, capped at h_init, the
-    next start.  For a row without a margin, hold counts the searches left
-    that start at h_prev without trying to grow, and wait is the hold the
-    next rejected growth try sets.
+    next start.
     """
 
     acc: SimpleNamespace
@@ -199,8 +192,6 @@ class SweepState:
     h_min: float
     h_prev: float | None = None
     grow: float = 2.0
-    hold: int = 0
-    wait: int = 1
 
     @property
     def frontier(self) -> float:
@@ -224,14 +215,9 @@ def _start(p: Problem) -> SimpleNamespace:
 
 def _accepts(row: Row, s, lo: float, hi: float, x: float, y: float, t_lo) -> float | None:
     """None when the row refuses the enclosure, else the scale of the next
-    start width: from the margin (r, p), or 2 for a row without one."""
-    if row.margin is not None:
-        r, order = row.margin(s, lo, hi, x, y)
-        return min(2.0, max(0.5, _SAFETY * r ** (1 / order))) if r > 0.0 else None
-    if row.accept is not None:
-        return 2.0 if row.accept(s, lo, hi, x, y, t_lo) else None
-    op, t, _ = row.limit(s)
-    return 2.0 if op(row.arrays[0][1].store(lo, hi), t) else None
+    start width, from the margin (r, p) the row judges it by."""
+    r, order = row.judge(s, lo, hi, x, y, t_lo)
+    return min(2.0, max(0.5, _SAFETY * r ** (1 / order))) if r > 0.0 else None
 
 
 # =============================================================================
@@ -275,13 +261,12 @@ def local_extend(p: Problem, s: SweepState) -> LocalWitness | SweepFailure:
     with a refuting piece if an enclosure certifies the hypothesis false,
     and fail with BUDGET once p.max_pieces pieces have been taken.
 
-    The search halves geometrically from _start_width(s): s.h_init when
-    s.h_prev is None, s.h_prev while s.hold > 0, and min(s.h_init,
-    s.grow * s.h_prev) otherwise.  A warm search that certifies nothing is
-    rerun once from s.h_init, so failures (and domain errors) are those of
-    the cold search at this frontier.  The witness reports the certifying
-    width as w.h and, from the row's margin, the next scale as w.grow
-    (2 without one), which combine records.  The state is not changed.
+    The search halves geometrically from s.h_init when s.h_prev is None,
+    else from min(s.h_init, s.grow * s.h_prev).  A warm search that
+    certifies nothing is rerun once from s.h_init, so failures (and domain
+    errors) are those of the cold search at this frontier.  The witness
+    reports the certifying width as w.h and, from its margin, the next
+    scale as w.grow, which combine records.  The state is not changed.
     """
     x = s.frontier
     if not x < p.b:
@@ -291,7 +276,7 @@ def local_extend(p: Problem, s: SweepState) -> LocalWitness | SweepFailure:
                             detail=f"piece budget {p.max_pieces} exhausted")
     # Anything but a witness from the warm search is redone cold, so a
     # failure or a domain error names the piece the cold search reaches.
-    h = _start_width(s)
+    h = s.h_init if s.h_prev is None else min(s.h_init, s.grow * s.h_prev)
     if h < s.h_init:
         try:
             res = _halving_search(p, x, s.acc, h, s.h_min)
@@ -306,9 +291,7 @@ def combine(p: Problem, s: SweepState, w: LocalWitness) -> None:
     """Take the piece [x, y] of w into the state on [a, x], in place: the
     row's step updates the scalars (the min-rule for the uniform-continuity
     delta, which stores its own overlapping piece), y is appended to the
-    partition, w.h and w.grow set the next start, and, for a row without a
-    margin, the hold is spent or set by whether a growth try certified at
-    its start.
+    partition, and w.h and w.grow set the next start.
 
     The piece must start exactly at the frontier; StructureError otherwise.
     """
@@ -325,14 +308,6 @@ def combine(p: Problem, s: SweepState, w: LocalWitness) -> None:
         getattr(acc, name).append(side.store(w.lo, w.hi))
     acc.partition.append(y)
     acc.b = y
-    # a growth try of a row without a margin sets or spends the hold
-    if row.margin is None and s.h_prev is not None and (h := _start_width(s)) > s.h_prev:
-        if w.h is not None and w.h >= h:
-            s.wait = 1
-        else:
-            s.hold, s.wait = s.wait, min(2 * s.wait, _HOLD_CAP)
-    elif s.hold:
-        s.hold -= 1
     s.h_prev, s.grow = w.h, w.grow
 
 
@@ -378,15 +353,6 @@ def run_sweep(p: Problem) -> Certificate | SweepFailure:
 # Local extension: the halving search and one probe
 # =============================================================================
 
-def _start_width(s: SweepState) -> float:
-    """The width the next search starts at: cold, held, or a growth try."""
-    if s.h_prev is None:
-        return s.h_init
-    if s.hold:
-        return s.h_prev
-    return min(s.h_init, s.grow * s.h_prev)
-
-
 def _halving_search(p: Problem, x: float, s, h: float,
                     h_min: float) -> LocalWitness | SweepFailure:
     while h >= h_min:
@@ -414,7 +380,7 @@ def _probe(p: Problem, s, x: float, y: float,
     window, at the current step width h: a witness, a certified refutation,
     or None (inconclusive, keep halving).  The first of the row's points
     with the best lower end of f is the witness's candidate.  s is the
-    certificate so far, as the carried SweepState.acc; the row's accept and
+    certificate so far, as the carried SweepState.acc; the row's judge and
     refute tests read their thresholds from it."""
     row, f = p.row, p.f
     u = x if row.window is None else row.window(s, p, x, h)

@@ -161,7 +161,7 @@ def prove_root(f: Expr | str, a: float, b: float, tol: float,
         raise Inconclusive(
             f"sign undecidable at the stalled frontier {left!r}: enclosure {f_left}")
 
-    # probed on the sweep's lattice of widths
+    # probed at the widths of a cold search: h_init halved down to h_min
     right, f_right_lo = _find_positive_point(expr, left, b, (b - a) / 8, default_h_min(a, b))
     if right is None:
         raise Inconclusive(

@@ -14,7 +14,8 @@ sweep.py holds no string equal to a theorem code, imports no certificate
 class and reads no attribute named like a field that some swept
 certificates have and others lack (partition, which the sweep keeps for
 every row, excepted): what one theorem's sweep needs lives in that
-theorem's row.
+theorem's row.  Nor does it read a row's limit or accept: a probe is
+judged only through the row's judge.
 """
 
 import ast
@@ -138,3 +139,10 @@ def test_sweep_reads_no_field_of_some_certificates_only():
     read = sorted({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
                   & partial)
     assert not read, f"sweep.py reads fields of some certificates only: {read}"
+
+
+def test_sweep_judges_a_probe_only_through_the_row():
+    tree = ast.parse((SRC / "sweep.py").read_text())
+    read = sorted({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+                  & {"limit", "accept"})
+    assert not read, f"sweep.py reads the row's {read}"

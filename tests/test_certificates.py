@@ -422,14 +422,14 @@ def _verdict(result):
 
 GOLDEN_CERT_SHA256 = {
     "bvt": "56bb5b67519eb3348a6c8db11f2f5902cab4893f94a6a6cedef01abe9dbcd60c",
-    "evt": "8810a51efbd3184016e86ce59990595c56319149760afdafaf5947e28b164c01",
+    "evt": "60e92197ca5f5f722b50401e17d4f7d0a11e71a03dd7dcfe4d01739057ba3b71",
     "ivt-neg": "e4622a1f5f492ce7462d62428983285cd54b698077f12f547bb516aa3a85a213",
-    "ivt-root": "8fadb178a35ed59887f0e4c1dabf83371ca164a6ea55921ca78f667101287197",
+    "ivt-root": "756118199ce5233f305963ace250f5296435247296e4ddc6f3d19bc336fc1b02",
     "uct": "c128d637d0fbc6e0b5111b0dbd519ad1f82f2474d9e010a3377b335bd9d7b7ea",
     "dit": "d6b1ec044577ab7461f2cbd7e0cdfd02c3fcadd4ea648b6c15dff83522c718b1",
     "dit-prefix": "350f88400159c3301d12554e219ef93e30a1da7884dc90bf6381cd4cbda8d961",
     "sift": "372cc2bc5dc2e483ca190b6f582e66d28a1b62d24ad3d912f02f990c8b747b56",
-    "ift": "7de623821135c2adf60fe49c0973d7f062da1c593e792f2f3a9cc194070e6a9e",
+    "ift": "9f689a6aef5e2e62056744222ebc4d10fed38416d7a97b6271661fbdbcdba0bf",
     "mvi": "9f0f7df7b75d97a3790894f8936743e8d1336072748356bba0b523d1e4262537",
     "cft": "2537d0d33783b3a2b2a93148a93daaf388a1294e5f57c618d8d4b86b35cb4a70",
     "cft-exact": "57efd2dc024044bc20d70a29c4a71418032068f4b01c870cb41f6e7a456ac52f",
@@ -446,10 +446,10 @@ GOLDEN_CERT_SHA256 = {
 
 GOLDEN_CONCLUSIONS = {
     "bvt": "∀t∈[0.0, 3.0]: f(t) ≤ 1.0 for f = sin(x)",
-    "evt": ("∃c = 1.5 ∈ [0.0, 3.0]: ∀t: f(t) ≤ f(c) + 0.01, f(c) ≥ 0.9974949866040542 for f = "
-           "sin(x)"),
+    "evt": ("∃c = 1.4984125991762678 ∈ [0.0, 3.0]: ∀t: f(t) ≤ f(c) + 0.01, "
+           "f(c) ≥ 0.997381441594711 for f = sin(x)"),
     "ivt-neg": "∀t∈[0.0, 1.0]: f(t) < 0 for f = x - 3",
-    "ivt-root": "∃c∈[1.4142135623715149, 1.4142135633028374]: f(c) = 0 for f = x^2 - 2",
+    "ivt-root": "∃c∈[1.4142135623729233, 1.4142135633042459]: f(c) = 0 for f = x^2 - 2",
     "uct": "∀s,t∈[0.0, 2.0]: |s−t| < 0.0625 ⇒ |f(s)−f(t)| < 0.3 for f = sin(x)",
     "dit": ("∫f over [0.0, 1.0] ∈ [-0.17101894760221711, -0.16230769358689448], U − L < 0.01 "
            "for f = x^2 - x"),

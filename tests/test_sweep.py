@@ -5,12 +5,18 @@ import hashlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
+from operator import le
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from suparg import cli
 from suparg.certificates import (
+    OSC,
     IntegralCert,
     MaxCert,
     ModulusCert,
@@ -22,6 +28,7 @@ from suparg.certificates import (
 from suparg.expr import parse
 from suparg.numeric import FloatInterval, float_down
 from suparg.sweep import (
+    _SWEPT,
     FailureKind,
     LocalWitness,
     Problem,
@@ -44,8 +51,9 @@ def problem(src, a, b, theorem, **kw):
 
 
 def steady():
-    """evt up to the maximum, where 126 of the 170 pieces certify at one
-    width: a row without a margin backs off its growth tries there."""
+    """evt up to the maximum, at a steady width: the lattice of widths
+    certified 126 of its 170 pieces at one width, and the margin starts
+    each search just under it."""
     return problem("x*(1 - x)", 0.0, 0.5, "evt", eps=1e-3)
 
 
@@ -349,9 +357,8 @@ def _manual_run(p, h_init, h_min):
     ("exp(x)", "sift", {}),
     ("sin(x)", "uct", {"eps": 0.5}),
     ("x^2", "dit", {"eps": 0.1}),
-    # past the maximum the certifiable width jumps and growth tries double
-    # up to it one piece at a time, so the sweep takes 10 pieces here where
-    # a fold that starts every search cold takes 9
+    # past the maximum the certifiable width jumps and the start grows at
+    # most 2x a piece towards it
     ("exp(-4*x*x)", "evt", {"eps": 1e-3}),
 ])
 def test_frontier_monotone_and_fold_matches_sweep(src, theorem, kw):
@@ -472,16 +479,16 @@ def _probes(monkeypatch):
 
 
 def test_steady_width_backs_off(monkeypatch):
-    # at a steady width each growth try fails: a try on every search costs
-    # 343 probes here, 2 a piece
+    # a start at twice the width on every search costs 343 probes here, 2 a
+    # piece, and the lattice's back-off 210 for 170 pieces; the margin sets
+    # each start just under the width that certifies: 167 for 165
     probes = _probes(monkeypatch)
     out = run_sweep(steady())
     assert isinstance(out, MaxCert) and check(out)
-    assert len(out.partition) == 170
-    assert len(probes) <= 1.3 * len(out.partition)
-    # the bytes of the sweep that tried to grow on every search
+    assert len(out.partition) == 165
+    assert len(probes) <= 1.05 * len(out.partition)
     assert hashlib.sha256(dumps(out).encode()).hexdigest() == (
-        "f3970d2138935fb5c3f6bede970a74f5676ef3c5b7cc4e9b3b427ad441cd11d4")
+        "5a7954cc3beadf0fcd0c39fa1d0172316cd6dec3fb52c1a00ebe2d3d2d3aa8c1")
 
 
 def test_margin_step_makes_one_evaluation_per_piece(monkeypatch):
@@ -509,7 +516,10 @@ def _planned(src, a, b, eps):
     problem("1/(1 + 2.01*x^2)", -1.0, 1.0, "uct", eps=1e-2),
     problem("x^3 - x", -1.0, 1.5, "dit", eps=1e-2),
     _planned("x^3 - x", -1.0, 1.5, 1e-2),
-], ids=["uct-x", "uct-sinexp", "uct-runge", "dit-prefix", "dit-planned"])
+    problem("sin(x)*exp(x)", 0.0, 4.0, "evt", eps=1e-3),
+    problem("x*(1 - x) - 0.251", 0.0, 1.0, "ivt"),
+    problem("x^3 - 3*x^2 + 3.01*x", 0.0, 2.0, "sift"),
+], ids=["uct-x", "uct-sinexp", "uct-runge", "dit-prefix", "dit-planned", "evt", "ivt", "sift"])
 def test_warm_starts_stay_within_half_and_twice_the_last_width(monkeypatch, p):
     starts = _search_starts(monkeypatch)
     state = base_case(p)
@@ -524,17 +534,17 @@ def test_warm_starts_stay_within_half_and_twice_the_last_width(monkeypatch, p):
     assert len(ratios) > 10
 
 
-def _held_fold(p):
-    """Fold p with the public operations, stopping once a rejected growth try
-    has set a hold: the problem and the state, hold > 0."""
+def _warm_fold(p):
+    """Fold p with the public operations, stopping once a margin has scaled
+    the next start: the problem and the state, h_prev set and grow != 2."""
     state = base_case(p)
-    while not state.hold:
+    while state.h_prev is None or state.grow == 2.0:
         combine(p, state, local_extend(p, state))
     return p, state
 
 
 def test_local_extend_leaves_the_state_unchanged():
-    p, state = _held_fold(steady())
+    p, state = _warm_fold(steady())
     before = copy.deepcopy(vars(state))
     first = local_extend(p, state)
     assert vars(state) == before
@@ -545,36 +555,12 @@ def test_witness_without_width_starts_the_next_search_cold(monkeypatch):
     p = steady()
     state = base_case(p)
     combine(p, state, local_extend(p, state))
-    w = local_extend(p, state)  # a growth try
+    w = local_extend(p, state)  # a warm search
     combine(p, state, w._replace(h=None))
     assert state.h_prev is None
     starts = _search_starts(monkeypatch)
     assert isinstance(local_extend(p, state), LocalWitness)
     assert starts == [state.h_init]
-
-
-def test_rejected_growth_try_holds_then_probes_again(monkeypatch):
-    starts = _search_starts(monkeypatch)
-    p = steady()
-    state = base_case(p)
-    runs, held = [], None  # searches held after each rejected growth try
-    while state.frontier < p.b:
-        h_prev, starts[:] = state.h_prev, []
-        w = local_extend(p, state)
-        combine(p, state, w)
-        if h_prev is None:
-            continue
-        if starts[0] == h_prev:
-            assert held is not None, "a hold with no rejected growth try before it"
-            held += 1
-            continue
-        assert starts[0] == min(state.h_init, 2 * h_prev)
-        if held is not None:
-            runs.append(held)
-        held = 0 if w.h < starts[0] else None
-    # the hold doubles with each further rejection, up to 4 searches
-    assert runs[:3] == [1, 2, 4] and set(runs[2:]) == {4}
-    assert len(runs) > state.pieces_used // 6
 
 
 @pytest.mark.parametrize("src,a,b,theorem,kw,expected", [
@@ -603,9 +589,94 @@ def test_warm_domain_error_reports_the_cold_piece():
     assert exc.value.piece == FloatInterval(-0.5, -0.25)
 
 
-def test_witness_reports_its_lattice_width():
+def test_witness_reports_its_width_and_next_scale():
     w = local_extend(*at_frontier("x - 0.5", 0.0, 1.0, "ivt", 0.4, 0.4))
-    assert w.h == 0.05
-    warm = local_extend(*at_frontier("x - 0.5", 0.0, 1.0, "ivt", 0.4, 0.4,
-                                     h_prev=w.h))
-    assert warm == w  # 2 * h_prev = 0.1 is refused, h_prev certifies again
+    # the cold search halves to 0.05; below 0 the limit leaves the enclosure
+    # [-0.1, -0.05] twice its width, so the next start scales by 0.9 * 2
+    assert (w.h, w.grow) == (0.05, 1.8)
+    p, state = at_frontier("x - 0.5", 0.0, 1.0, "ivt", 0.4, 0.4, h_prev=w.h)
+    state.grow = w.grow
+    warm = local_extend(p, state)
+    assert warm.h == 1.8 * 0.05  # the start certifies: [0.4, 0.49]
+
+
+# ---------------------------------------------------------------------------
+# the sweep's judgment against the checker's per-piece test
+# ---------------------------------------------------------------------------
+
+_MAX = sys.float_info.max
+_ENDS = (0.0, 5e-324, 1e-310, 2.0 ** -1022, 0.5, 1.0, 1e300, _MAX)  # and their negatives
+
+
+def _around(v):
+    """v and the floats one ulp either side of it."""
+    return v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)
+
+
+def _state(code, t, f_at_c_lo):
+    """A state whose limit, or dit's budget, is t: an M, eps or eta of t."""
+    return SimpleNamespace(bound=t, eps=t, eta=t, strict=code == "sift", f_at_c_lo=f_at_c_lo,
+                           budget=lambda s, x, y: t)
+
+
+def _threshold(code, s, t_lo):
+    """What the value the prover stores is tested against: evt's f(c) + eps
+    once the piece's candidate is in, dit's budget, or the row's limit."""
+    row = _SWEPT[code]
+    if code == "evt":
+        return row.limit(SimpleNamespace(f_at_c_lo=max(s.f_at_c_lo, t_lo), eps=s.eps))[1]
+    return s.budget(s, 0.0, 1.0) if code == "dit" else row.limit(s)[1]
+
+
+@st.composite
+def _judged(draw):
+    """(code, state, lo, hi, t_lo): a swept row, its state, and an
+    enclosure whose ends are subnormal, +-max, tied with the threshold or an
+    ulp either side of it, or any float; an oscillation hi - lo is tied too."""
+    code = draw(st.sampled_from(sorted(_SWEPT)))
+    t = draw(st.sampled_from(_ENDS) | st.floats(0.0, _MAX))
+    f_at_c_lo, t_lo = draw(st.floats(-1e300, 1e300)), draw(st.floats(-1e300, 1e300))
+    s = _state(code, t, f_at_c_lo)
+    at = _threshold(code, s, t_lo)
+    ends = [v for v in _around(at) + _around(-at) + _ENDS + tuple(-e for e in _ENDS)
+            if math.isfinite(v)]  # an enclosure's ends are
+    lo, hi = sorted(draw(st.sampled_from(ends) | st.floats(-_MAX, _MAX)) for _ in range(2))
+    if code in ("uct", "dit") and draw(st.booleans()):
+        hi = draw(st.sampled_from(_around(lo + at)))
+        assume(lo <= hi <= _MAX)
+    return code, s, lo, hi, t_lo
+
+
+def _checker_accepts(code, s, lo, hi, t_lo):
+    """The checker's per-piece test of the value the prover stores, once
+    the piece is in: bvt's bound rises to meet it, evt tests against its
+    candidate's threshold and dit its budget; a value the prover cannot
+    store (an oscillation beyond max) is refused."""
+    if code == "bvt":
+        return True
+    row = _SWEPT[code]
+    side, op = (OSC, le) if code == "dit" else (row.arrays[0][1], row.limit(s)[0])
+    try:
+        v = side.store(lo, hi)
+    except OverflowError:
+        return False
+    return side.holds(v, lo, hi) and op(v, _threshold(code, s, t_lo))
+
+
+@settings(max_examples=1500, derandomize=True, database=None, deadline=None)
+@given(_judged())
+@example(("ivt", _state("ivt", 1.0, 0.0), -1.0, 0.0, 0.0))          # tied with a strict 0
+@example(("sift", _state("sift", 1.0, 0.0), 0.0, 1.0, 0.0))         # tied with a strict 0
+@example(("uct", _state("uct", 0.5, 0.0), 0.0, 0.5, 0.0))           # tied with a strict eps
+@example(("uct", _state("uct", _MAX, 0.0), -_MAX, _MAX, 0.0))       # hi - lo beyond max
+@example(("dit", _state("dit", 1.0, 0.0), -_MAX, _MAX, 0.0))
+@example(("mvi", _state("mvi", _MAX, 0.0), -_MAX, _MAX, 0.0))       # and within the limit
+@example(("cft", _state("cft", _MAX, 0.0), -_MAX, _MAX, 0.0))
+@example(("cft", _state("cft", 0.0, 0.0), -0.0, 0.0, 0.0))          # a point, eta = 0
+@example(("mvi", _state("mvi", 5e-324, 0.0), -5e-324, 5e-324, 0.0))
+def test_judgment_accepts_exactly_what_the_checker_accepts(case):
+    import suparg.sweep as sweep_mod
+    code, s, lo, hi, t_lo = case
+    scale = sweep_mod._accepts(_SWEPT[code], s, lo, hi, 0.0, 1.0, t_lo)
+    assert (scale is not None) == _checker_accepts(code, s, lo, hi, t_lo)
+    assert scale is None or 0.5 <= scale <= 2.0
