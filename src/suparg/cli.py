@@ -236,9 +236,9 @@ def _read_intervals(path: str):
 
 
 def _cmd_cover(args) -> int:
-    elements = _read_intervals(args.file)
+    table = _read_intervals(args.file)
     a, b = parse_rational(args.a), parse_rational(args.b)
-    result = extract_subcover(Cover(tuple(elements)), a, b)  # ValueError: run() reports usage
+    result = extract_subcover(Cover(table), a, b)  # ValueError: run() reports usage
     if isinstance(result, UncoveredPoint):
         return _emit_failure({"failure": "uncovered_point", "point": str(result.point)})
     if args.format == "json":
@@ -250,9 +250,9 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_clopen(args) -> int:
-    elements = _read_intervals(args.file)
+    table = _read_intervals(args.file)
     a, b = parse_rational(args.a), parse_rational(args.b)
-    report = analyze_clopen(RatIntervalSet(tuple(elements)), a, b)  # ValueError: as in cover
+    report = analyze_clopen(RatIntervalSet(table), a, b)  # ValueError: as in cover
     if args.format == "json":
         sys.stdout.write(dumps(report))
     else:

@@ -566,13 +566,18 @@ _IVT_HALF = ["prove", "ivt", "--fn", "x-0.5", "--a", "0", "--b", "1"]
     (["clopen", "--file", "{missing}", "--a", "0", "--b", "1"], 2, "err",
      {"error": "usage", "detail": "[Errno 2] No such file or directory: '{missing}'"}),
     (["clopen", "--file", "{set}", "--a", "0", "--b", "1"], 2, "err",
-     {"error": "usage", "detail": "set [0, 2] is not contained in [0, 1]"}),
+     {"error": "usage", "detail": "set component [1/2, 2] is not contained in [0, 1]"}),
+    (["cover", "--file", "{cover}", "--a", "0", "--b", "1"], 2, "err",
+     {"error": "usage", "detail": "line 3: cover element [1/2, 2) is not an open interval"}),
 ], ids=["a-after-b", "eps-underflow", "tol-zero", "tol-below-ulp", "cover-no-file",
-        "clopen-no-file", "clopen-set-outside"])
+        "clopen-no-file", "clopen-set-outside", "cover-element-not-open"])
 def test_contract_line(capsys, tmp_path, argv, code, stream, record):
     # one record on one stream, the other empty, and the exit code
-    files = {"{missing}": str(tmp_path / "missing.txt"), "{set}": str(tmp_path / "set.txt")}
-    (tmp_path / "set.txt").write_text("[0, 2]\n")
+    files = {"{missing}": str(tmp_path / "missing.txt"), "{set}": str(tmp_path / "set.txt"),
+             "{cover}": str(tmp_path / "cover.txt")}
+    # of the two components outside [0, 1], the message names the first
+    (tmp_path / "set.txt").write_text("[3, 4]\n[0, 1/4]\n[1/2, 2]\n[5/2, 3)\n")
+    (tmp_path / "cover.txt").write_text("(-1, 1/2)\n\n[1/2, 2)\n(0, 3)\n")
     argv = [files.get(arg, arg) for arg in argv]
     record = {k: v.replace("{missing}", files["{missing}"]) for k, v in record.items()}
     got_code, out, err = invoke(capsys, *argv)

@@ -11,13 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from suparg import cli
 from suparg.certificates import ClopenVerdict, SubcoverCert, check, dumps, loads
-from suparg.numeric import RatInterval, format_rat_interval, parse_rat_interval
+from suparg.numeric import RatInterval, format_rat_interval, parse_rat_interval, \
+    parse_rational
 from suparg.topology import (
     Cover,
     RatIntervalSet,
     UncoveredPoint,
-    _key,
+    _floats,
     analyze_clopen,
     extract_subcover,
     parse_interval_file,
@@ -387,16 +389,40 @@ def _ends(comps):
     return [e for c in comps for e in (c.lo, c.hi)]
 
 
+def _file_text(intervals):
+    """The interval file of intervals, every third end written unreduced
+    (2n/2d), so that one value can be written two ways."""
+    scale = itertools.cycle((1, 1, 2))
+
+    def end(q):
+        k = next(scale)
+        return f"{q.numerator * k}/{q.denominator * k}"
+
+    return "".join(f"{'(' if c.lo_open else '['}{end(c.lo)}, {end(c.hi)}"
+                   f"{')' if c.hi_open else ']'}\n" for c in intervals)
+
+
+# one ulp at 1/3 is 2^-54, so 1/3 and 1/3 + _BELOW_ULP share a float
+_BELOW_ULP = F(1, 2 ** 80)
+
+
 @_keyed_settings
 @example(xs=[RatInterval(0, _THIRD), RatInterval(_THIRD + _TINY, 1),
              RatInterval(_THIRD, _THIRD + _TINY, True, False)])
+@example(xs=[RatInterval(0, _THIRD, False, True), RatInterval(_THIRD + _BELOW_ULP, 1),
+             RatInterval(_THIRD, _THIRD + _BELOW_ULP, True, True)])
 @example(xs=[RatInterval(-_HUGE, _HUGE - 1, False, True), RatInterval(_HUGE, _HUGE + 1)])
+# the third end, 1/2, is written "2/4", and the first "1/2"
+@example(xs=[RatInterval(F(1, 2), 1, True, False), RatInterval(0, F(1, 2), False, True)])
+@example(xs=[RatInterval(F(1, 4), 1, True, False), RatInterval(F(1, 2), F(1, 2))])
 @given(xs=_intervals)
 def test_keyed_set_algebra_matches_fraction_reference(xs):
     x = RatIntervalSet(xs)
     assert x.components == _ref_normalize(xs)
     for p in _probe_points(_ends(xs)):
         assert _member(p, x.components) == _member(p, xs)
+    # the same intervals as file text, read into float keys where they order it
+    assert RatIntervalSet(parse_interval_file(_file_text(xs))).components == x.components
 
 
 def _ref_clopen(intervals, a, b):
@@ -455,7 +481,15 @@ def test_clopen_matches_membership_reference(xs, ab):
 @example(elements=[RatInterval(-1, _THIRD + _TINY, True, True),
                    RatInterval(_THIRD, 2, True, True),
                    RatInterval(_THIRD - _TINY, 2, True, True)], ab=(0, 1))
+@example(elements=[RatInterval(-1, _THIRD + _BELOW_ULP, True, True),
+                   RatInterval(_THIRD, 2, True, True)], ab=(0, 1))
 @example(elements=[RatInterval(-_HUGE, _HUGE + 1, True, True)], ab=(-_HUGE, _HUGE))
+@example(elements=[RatInterval(-1, _HUGE - 1, True, True),
+                   RatInterval(_HUGE - 2, _HUGE + 1, True, True)], ab=(0, _HUGE))
+# a and b are ends; 0 is also written "0/2", and 1/2 "2/4" beside "1/2"
+@example(elements=[RatInterval(-1, 0, True, True), RatInterval(0, 1, True, True),
+                   RatInterval(F(-1, 2), F(1, 2), True, True),
+                   RatInterval(F(1, 2), 2, True, True)], ab=(0, 1))
 @example(elements=[], ab=(0, 0))
 @given(elements=st.lists(_interval(open_only=True), max_size=8),
        ab=st.tuples(_point, _point).map(sorted))
@@ -464,6 +498,8 @@ def test_keyed_walk_matches_fraction_reference(elements, ab):
     chosen, chain, uncovered = _ref_frontier_walk(elements, a, b)
     assert uncovered_point(elements, a, b) == uncovered
     out = extract_subcover(Cover(tuple(elements)), a, b)
+    # the same elements as file text, read into float keys where they order it
+    assert extract_subcover(Cover(parse_interval_file(_file_text(elements))), a, b) == out
     if uncovered is not None:
         assert out == UncoveredPoint(uncovered)
         return
@@ -489,8 +525,10 @@ def test_key_float_is_float_of_the_rational(q):
         want = float(q)
     except OverflowError:
         want = math.inf if q > 0 else -math.inf
-    first, second = _key(q)
-    assert first == want and type(first) is float and second is q
+    got = _floats([q.as_integer_ratio()])[0]
+    assert got == want and type(got) is float
+    # beside an end beyond binary64, which takes every end through the saturation
+    assert _floats([q.as_integer_ratio(), (2 ** 1100, 3)]) == [want, math.inf]
 
 
 class _Counted(F):
@@ -534,6 +572,36 @@ def test_subcover_walk_makes_n_log_n_comparisons():
     _Counted.comparisons = 0
     assert uncovered_point(elements, a, b) is None
     assert _Counted.comparisons <= limit
+
+
+def test_cover_from_a_file_builds_fractions_for_the_chain_only(tmp_path, capsys, monkeypatch):
+    # a 700-line chain file as the benchmark's largest: 350 links across
+    # [0, 1], each overlapping only its neighbours, and 350 intervals inside them
+    rng = random.Random(507)
+    links, den = 350, 350_000
+    xs = [0, *sorted(rng.sample(range(1, den), links - 1)), den]
+    reach = min(v - u for u, v in zip(xs, xs[1:])) // 3 or 1
+    ivs = [(xs[k] - rng.randint(1, reach), xs[k + 1] + rng.randint(1, reach))
+           for k in range(links)]
+    ivs += [sorted(rng.sample(range(lo + 1, hi), 2)) for lo, hi in rng.choices(ivs, k=links)]
+    rng.shuffle(ivs)
+    path = tmp_path / "chain.txt"
+    path.write_text("".join(f"({F(lo, den)}, {F(hi, den)})\n" for lo, hi in ivs))
+
+    built = 0
+    fraction_new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counted))
+    code = cli.run(["cover", "--file", str(path), "--a", "0", "--b", "1", "--format", "json"])
+    monkeypatch.undo()
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and len(doc["certificate"]["indices"]) == links
+    assert built <= 3 * links + 4
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +705,7 @@ _wide_point = st.one_of(_point, st.integers(-2 ** 80, 2 ** 80),
 def test_interval_text_reads_back_equal(e):
     text = format_rat_interval(e)
     assert parse_rat_interval(text) == e
-    assert parse_interval_file(f"# one interval\n{text}\n") == [e]
+    assert list(parse_interval_file(f"# one interval\n{text}\n")) == [e]
 
 
 @_keyed_settings
@@ -665,7 +733,7 @@ def test_parse_interval_file_forms():
     [0.25, 0.75)
     (1/2, 1.1]
     """
-    got = parse_interval_file(text)
+    got = list(parse_interval_file(text))
     assert got == [iv(F(-1, 10), F(6, 10), True, True),
                    iv(F(1, 4), F(3, 4), False, True),
                    iv(F(1, 2), F(11, 10), True, False)]
@@ -673,3 +741,87 @@ def test_parse_interval_file_forms():
         parse_interval_file("0.2, 0.3")
     with pytest.raises(ValueError):
         parse_interval_file("(0.2; 0.3)")
+
+
+def _reference_read(text):
+    """(intervals, error message or None): each line on its own through
+    parse_rat_interval, stopping at the first line it refuses."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            out.append((lineno, parse_rat_interval(line)))
+        except (ValueError, ZeroDivisionError) as err:
+            return out, f"line {lineno}: cannot parse {line!r}: {err}"
+    return out, None
+
+
+_digits = st.one_of(st.integers(0, 10 ** 6), st.integers(0, 10 ** 40)).map(str)
+_zeros = st.integers(0, 2).map("0".__mul__)
+_int_text = st.builds(lambda sign, zeros, n: sign + zeros + n,
+                      st.sampled_from(("", "", "-")), _zeros, _digits)
+_plain_end = st.one_of(_int_text, st.builds(lambda n, zeros, d: f"{n}/{zeros}{d}",
+                                            _int_text, _zeros, st.integers(1, 10 ** 6)))
+_end_text = st.one_of(
+    *[_plain_end] * 6,
+    st.sampled_from(("1.5", "-0.25", ".5", "1e3", "2.5E-2", "-1e-400", "+3", "+1/2", "1_0/3",
+                     "1/1_0", "1/-2", "2 /3", "2/ 3", "١٢", "１/２")),
+    st.sampled_from((f"1{'0' * 400}", f"-1{'0' * 400}/3", f"1/1{'0' * 400}",
+                     f"1{'0' * 309}", f"17{'0' * 307}/9", f"-1{'0' * 320}")),
+    # refused: each line holding one raises at that line
+    st.sampled_from(("1e5000", "1_000", "- 1", "0x10", "nan", "", "-", "1/", "/2", "1//2",
+                     "1/0", "-3/00", "9" * 5000, f"1/{'7' * 5000}")),
+)
+_space = st.sampled_from(("", "", "", "", "", " ", "\t", " \t "))
+_edge = st.one_of(_space, st.just("\u2003"))
+
+
+@st.composite
+def _file_line(draw):
+    kind = draw(st.sampled_from(("interval",) * 24 + ("degenerate", "comment", "blank", "junk")))
+    if kind == "comment":
+        return draw(_space) + "#" + draw(st.sampled_from(("", " (0, 1)", "[1, 0]")))
+    if kind == "blank":
+        return draw(_space)
+    if kind == "junk":
+        return draw(st.text(max_size=10))
+    lo = draw(_end_text)
+    hi = lo if kind == "degenerate" else draw(_end_text)
+    try:
+        inverted = parse_rational(lo) > parse_rational(hi)
+    except ValueError:
+        inverted = False
+    if inverted and draw(st.integers(0, 7)):  # mostly ordered, sometimes inverted
+        lo, hi = hi, lo
+    left = draw(st.sampled_from("(" * 12 + "[" * 12 + "{ "))
+    right = draw(st.sampled_from(")" * 12 + "]" * 12 + "} "))
+    comma = draw(st.sampled_from((",",) * 24 + (";", ",,", "")))
+    parts = (left, lo, comma, hi, right)
+    return draw(_edge) + "".join(draw(_space) + part for part in parts) + draw(_edge)
+
+
+@_keyed_settings
+@example(lines=["(1/2, 2/4]", "[1/2, 2/4]", "(0, 1)"], newline="\n")
+@example(lines=["(-7/10, 1/0)"], newline="\n")
+@example(lines=["# cover", "", " (1/3, 2/3)\t", "[2, -1]"], newline="\r\n")
+@example(lines=[f"(1{'0' * 400}, 2{'0' * 400})", f"[-1{'0' * 400}, -1{'0' * 400}]"],
+         newline="\n")
+@example(lines=[f"(1, 1{'0' * 640})", f"(-1/{'0' * 640}1, 1)", f"(1, 1{'0' * 5000})"],
+         newline="\n")
+@given(lines=st.lists(_file_line(), max_size=6), newline=st.sampled_from(("\n", "\r\n")))
+def test_reader_matches_parse_rat_interval_line_by_line(lines, newline):
+    text = newline.join(lines) + newline
+    want, error = _reference_read(text)
+    if error is not None:
+        with pytest.raises(ValueError) as refused:
+            parse_interval_file(text)
+        assert str(refused.value) == error
+        return
+    table = parse_interval_file(text)
+    assert list(table) == [e for _, e in want]
+    assert table.lines == tuple(lineno for lineno, _ in want)
+    for i, (_, e) in enumerate(want):
+        assert table.lo[i] == _floats([e.lo.as_integer_ratio()])[0]
+        assert table.hi[i] == _floats([e.hi.as_integer_ratio()])[0]
