@@ -1,16 +1,18 @@
 """Per-theorem drivers over the sweep engine.
 
-Each driver instantiates the sweep for one conclusion and, where the raw
-sweep outcome is not yet the certificate (the root prover), post-processes
-it.  Conclusions over sub-pairs (monotonicity, the mean-value inequality,
-flatness) follow from per-piece data by telescoping through shared piece
-endpoints; no per-pair sweeps are run.
+Each driver instantiates the sweep for one conclusion.  Two run it more
+than once: the integral prover plans a second sweep from a coarse one, and
+the root prover sweeps again over the bracket that the last sweep's stall
+gave, until the bracket is within tol.  Conclusions over sub-pairs
+(monotonicity, the mean-value inequality, flatness) follow from per-piece
+data by telescoping through shared piece endpoints; no per-pair sweeps are
+run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
-from fractions import Fraction
 
 from .certificates import (
     BoundCert,
@@ -24,7 +26,7 @@ from .certificates import (
     RootBracket,
 )
 from .expr import Expr, eval_iv, parse
-from .numeric import _MAX_FLOAT, DomainError, FloatInterval
+from .numeric import _MAX_FLOAT, DomainError, FloatInterval, sub_up
 from .sweep import FailureKind, Problem, SweepFailure, default_h_min, run_sweep
 
 
@@ -33,7 +35,9 @@ class PreconditionError(ValueError):
 
 
 class Inconclusive(RuntimeError):
-    """Sign refinement could not certify a bracket down to the tolerance."""
+    """The root prover's sweeps could not narrow a sign change to within tol:
+    f is undecided at a stall, no point past it is certified positive, or a
+    pass over the bracket moves neither end."""
 
 
 def _as_expr(f: Expr | str) -> tuple[Expr, str]:
@@ -126,19 +130,18 @@ def prove_flat(f: Expr | str, a: float, b: float, eta: float,
 # Root localization
 # =============================================================================
 
-_PROBE_LADDER = (8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15)
-
-
 def prove_root(f: Expr | str, a: float, b: float, tol: float,
                max_pieces: int = 2 ** 20) -> RootBracket | NegCert | SweepFailure:
     """Localize a zero of f given a certified-negative left endpoint.
 
-    The negativity sweep either reaches b (then f < 0 on all of [a, b] and a
-    NegCert is returned) or stalls where the enclosures can no longer keep f
-    below zero; bisection on the stalled region then produces a bracket
-    [l, r] of width at most tol with f(l) < 0 < f(r) certified.  A zero that
-    is merely touched, never crossed, leaves every probe sign-undecidable
-    and raises Inconclusive.
+    The zero is the paper's c = sup{x : f < 0 on [a, x]}, which the
+    negativity sweep finds: it reaches b (f < 0 on all of [a, b], a NegCert)
+    or stalls at l, where the enclosures no longer keep f below zero.  A
+    climb from l by h_min, 2 h_min, ... takes the first certified-positive
+    point as r.  While [l, r] is wider than tol the sweep runs again on it,
+    with an h_min relative to the bracket, so each pass shrinks it by about
+    2**-38.  A zero only touched, never crossed, leaves no positive point or
+    a pass that moves neither end, and raises Inconclusive.
     """
     expr, src = _as_expr(f)
     if not tol > 0:
@@ -149,64 +152,28 @@ def prove_root(f: Expr | str, a: float, b: float, tol: float,
         raise PreconditionError(
             f"f(a) is not certified negative: enclosure {f_a} at a = {a!r}")
 
-    res = run_sweep(problem)
-    if isinstance(res, NegCert):
-        return res
-    if res.kind is FailureKind.BUDGET:
-        return res
-
-    left = res.at
-    f_left = FloatInterval(*eval_iv(expr, left, left))
-    if not f_left.hi < 0.0:
-        raise Inconclusive(
-            f"sign undecidable at the stalled frontier {left!r}: enclosure {f_left}")
-
-    # probed at the widths of a cold search: h_init halved down to h_min
-    right, f_right_lo = _find_positive_point(expr, left, b, (b - a) / 8, default_h_min(a, b))
-    if right is None:
-        raise Inconclusive(
-            f"no certified-positive point found to the right of {left!r}")
-
-    return _bisect_bracket(expr, problem.fn_source, a, b, tol,
-                           left, f_left.hi, right, f_right_lo)
-
-
-def _find_positive_point(expr: Expr, x: float, b: float, h_init: float,
-                         h_min: float) -> tuple[float, float] | tuple[None, None]:
-    """A point right of x where f is certified positive, and f's lower end there."""
-    h = h_init
-    while h >= h_min:
-        cand = min(x + h, b)
-        if cand <= x:
-            break
-        lo = eval_iv(expr, cand, cand)[0]
-        if lo > 0.0:
-            return cand, lo
-        h = h / 2
-    return None, None
-
-
-def _bisect_bracket(expr: Expr, src: str, a: float, b: float, tol: float,
-                    l: float, f_l_hi: float, r: float, f_r_lo: float) -> RootBracket:
-    tol_q = Fraction(tol)
-    while Fraction(r) - Fraction(l) > tol_q:
-        moved = False
-        span = r - l
-        for k in _PROBE_LADDER:
-            m = l + span * (k / 16.0)
-            if not l < m < r:
-                continue
-            lo, hi = eval_iv(expr, m, m)
-            if hi < 0.0:
-                l, f_l_hi = m, hi
-                moved = True
-                break
-            if lo > 0.0:
-                r, f_r_lo = m, lo
-                moved = True
-                break
-        if not moved:
+    l, r = a, b
+    while True:
+        res = run_sweep(replace(problem, a=l, b=r))
+        if isinstance(res, NegCert) or res.kind is FailureKind.BUDGET:
+            return res
+        at = res.at
+        f_at = FloatInterval(*eval_iv(expr, at, at))
+        if not f_at.hi < 0.0:
             raise Inconclusive(
-                f"sign undecidable everywhere inside [{l!r}, {r!r}] "
-                f"(width {r - l!r} > tol {tol!r})")
-    return RootBracket(src, a, b, l, r, f_l_hi, f_r_lo, tol)
+                f"sign undecidable at the stalled frontier {at!r}: enclosure {f_at}")
+        h, right, f_right_lo = default_h_min(l, r), at, 0.0
+        while not f_right_lo > 0.0:
+            if not right < r:
+                raise Inconclusive(
+                    f"no certified-positive point found to the right of {at!r}")
+            # at + h below an ulp rounds onto a point already probed: take the next float
+            right = min(max(at + h, math.nextafter(right, r)), r)
+            f_right_lo, h = eval_iv(expr, right, right)[0], 2.0 * h
+        if sub_up(right, at) <= tol:
+            return RootBracket(problem.fn_source, a, b, at, right, f_at.hi, f_right_lo, tol)
+        if (at, right) == (l, r) or not default_h_min(at, right) > 0:
+            raise Inconclusive(
+                f"sign undecidable everywhere inside [{at!r}, {right!r}] "
+                f"(width {right - at!r} > tol {tol!r})")
+        l, r = at, right

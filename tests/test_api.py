@@ -16,6 +16,10 @@ certificates have and others lack (partition, which the sweep keeps for
 every row, excepted): what one theorem's sweep needs lives in that
 theorem's row.  Nor does it read a row's limit or accept: a probe is
 judged only through the row's judge.
+
+theorems.py builds no Fraction: exact rational tests belong to the
+checker, and the root prover's width test takes sub_up, an upper bound of
+the exact width.
 """
 
 import ast
@@ -146,3 +150,14 @@ def test_sweep_judges_a_probe_only_through_the_row():
     read = sorted({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
                   & {"limit", "accept"})
     assert not read, f"sweep.py reads the row's {read}"
+
+
+def test_theorems_builds_no_fraction():
+    tree = ast.parse((SRC / "theorems.py").read_text())
+    named = sorted({node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and node.id == "Fraction"
+                    or isinstance(node, ast.Attribute) and node.attr == "Fraction"
+                    or isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                    or isinstance(node, ast.Import)
+                    and any(alias.name == "fractions" for alias in node.names)})
+    assert not named, f"theorems.py names Fraction or fractions on lines {named}"

@@ -424,7 +424,7 @@ GOLDEN_CERT_SHA256 = {
     "bvt": "56bb5b67519eb3348a6c8db11f2f5902cab4893f94a6a6cedef01abe9dbcd60c",
     "evt": "60e92197ca5f5f722b50401e17d4f7d0a11e71a03dd7dcfe4d01739057ba3b71",
     "ivt-neg": "e4622a1f5f492ce7462d62428983285cd54b698077f12f547bb516aa3a85a213",
-    "ivt-root": "756118199ce5233f305963ace250f5296435247296e4ddc6f3d19bc336fc1b02",
+    "ivt-root": "155cd3af5187a2f7d49b185a33948a805a7a6d61beb27b7e8e2ec76b96191008",
     "uct": "c128d637d0fbc6e0b5111b0dbd519ad1f82f2474d9e010a3377b335bd9d7b7ea",
     "dit": "d6b1ec044577ab7461f2cbd7e0cdfd02c3fcadd4ea648b6c15dff83522c718b1",
     "dit-prefix": "350f88400159c3301d12554e219ef93e30a1da7884dc90bf6381cd4cbda8d961",
@@ -449,7 +449,7 @@ GOLDEN_CONCLUSIONS = {
     "evt": ("∃c = 1.4984125991762678 ∈ [0.0, 3.0]: ∀t: f(t) ≤ f(c) + 0.01, "
            "f(c) ≥ 0.997381441594711 for f = sin(x)"),
     "ivt-neg": "∀t∈[0.0, 1.0]: f(t) < 0 for f = x - 3",
-    "ivt-root": "∃c∈[1.4142135623729233, 1.4142135633042459]: f(c) = 0 for f = x^2 - 2",
+    "ivt-root": "∃c∈[1.4142135623729233, 1.4142135623747423]: f(c) = 0 for f = x^2 - 2",
     "uct": "∀s,t∈[0.0, 2.0]: |s−t| < 0.0625 ⇒ |f(s)−f(t)| < 0.3 for f = sin(x)",
     "dit": ("∫f over [0.0, 1.0] ∈ [-0.17101894760221711, -0.16230769358689448], U − L < 0.01 "
            "for f = x^2 - x"),

@@ -2,6 +2,7 @@
 
 import math
 import random
+from unittest import mock
 from fractions import Fraction
 
 import mpmath
@@ -34,7 +35,7 @@ from suparg.theorems import (
     prove_mvi,
     prove_root,
 )
-from suparg.expr import eval_d1, eval_iv, parse
+from suparg.expr import eval_d1, parse
 
 mpmath.mp.dps = 50
 
@@ -115,15 +116,55 @@ def test_root_sqrt2_bracket():
     assert cert.l <= ohi and olo <= cert.r  # brackets agree
 
 
-def test_root_bisection_moves_the_left_end():
-    # from the bracket [1.40625, 1.65625], whose left end is short of sqrt(2)
-    # by more than tol, bisection moves l as well as r
-    f = parse("x^2 - 2")
-    l, r = 1.40625, 1.65625
-    cert = theorems._bisect_bracket(f, "x^2 - 2", 0.0, 2.0, 1e-9,
-                                    l, eval_iv(f, l, l)[1], r, eval_iv(f, r, r)[0])
+@pytest.mark.parametrize("fn, a, b, tol, first_stall, root", [
+    ("x^2 - 2", 0.0, 2.0, 1e-15, 1.4142135623729233, mpmath.sqrt(2)),
+    ("x - x + x - 1.25", 0.0, 2.0, 1e-14, None, mpmath.mpf(1.25)),
+], ids=["sqrt2", "cancelling"])
+def test_root_resweep_shrinks_the_first_bracket(fn, a, b, tol, first_stall, root):
+    # a tol below the first pass's h_min needs a second sweep over [l, r],
+    # which moves l past the first pass's stall
+    first = prove_root(fn, a, b, 1e-3)
+    assert first_stall is None or first.l == first_stall
+    assert first.r - first.l > tol
+    cert = prove_root(fn, a, b, tol)
     assert isinstance(cert, RootBracket) and check(cert)
-    assert 1.40625 < cert.l <= math.sqrt(2.0) <= cert.r
+    assert cert.l > first.l and cert.r - cert.l <= tol
+    assert cert.l <= root <= cert.r
+
+
+_ROOT_FAMILIES = {
+    # source template, domain, range of c in thousandths, the exact root from c;
+    # c keeps f' away from 0 at the root, where the signs left undecided by
+    # rounding span more than 1e-15
+    "x - {c}": ((-2.0, 2.0), (-1900, 1900), lambda c: c),
+    "x^3 - {c}": ((-2.0, 2.0), (-7000, 7000), lambda c: mpmath.sign(c) * mpmath.cbrt(abs(c))),
+    "exp(x) - {c}": ((-2.0, 2.0), (400, 2700), mpmath.log),
+    "sin(x) - {c}": ((-1.5, 1.5), (-600, 600), mpmath.asin),
+}
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(family=st.sampled_from(sorted(_ROOT_FAMILIES)), data=st.data(),
+       tol=st.sampled_from([1e-3, 1e-10, 1e-15]))
+def test_root_bracket_holds_the_exact_root(family, data, tol):
+    (a, b), (k_lo, k_hi), solve = _ROOT_FAMILIES[family]
+    k = data.draw(st.integers(k_lo, k_hi))
+    fn = family.format(c=f"({k / 1000!r})")
+    with mock.patch.object(theorems, "eval_iv", wraps=theorems.eval_iv) as spy:
+        cert = prove_root(fn, a, b, tol)
+    assert isinstance(cert, RootBracket) and check(cert), (fn, cert)
+    assert Fraction(cert.r) - Fraction(cert.l) <= Fraction(tol)
+    assert cert.l <= solve(mpmath.mpf(k) / 1000) <= cert.r
+    if tol == 1e-10:
+        # f(a), f(l) and the climb of a single pass
+        assert spy.call_count <= 5, (fn, spy.call_count)
+
+
+def test_root_bracket_whose_h_min_underflows_is_inconclusive():
+    # a root at 0 and a tol below 2**-1034: the bracket's h_min,
+    # (r - l) * 2**-40, underflows before the bracket is within tol
+    with pytest.raises(Inconclusive, match=r"sign undecidable everywhere inside \[-5\.00"):
+        prove_root("x", -1.0, 1.0, 1e-320)
 
 
 def test_root_sweep_out_of_pieces_is_returned():
