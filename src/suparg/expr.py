@@ -17,20 +17,21 @@ Grammar (whitespace insensitive)::
 
 "^" binds tighter than unary minus, so -x^2 parses as -(x^2).  Numeric
 literals are kept as exact rationals; "0.1" means 1/10, not the nearest
-binary64.  Parentheses and function calls nest at most MAX_DEPTH deep;
-deeper input is a ParseError.  No other size or shape is refused, because
-no walk of an expression recurses.
+binary64.  Parentheses and function calls nest at most MAX_DEPTH deep, and
+an expression has at most MAX_NODES nodes; larger input is a ParseError.
+No walk of an expression recurses.
 
-Every walk runs a tape.  On first use an expression is compiled, by an
-iterative walk, into a flat post-order list of instructions, each naming
-the registers of its operands; the tape is stored on that Expr object and
-reused by every later call.  Printing renders the tape bottom-up, and
-equality and hashing compare its shape.  Constants are enclosed once, at
-compile time, and the tape records whether the expression contains abs.
-eval_iv runs the tape with one loop that fills one interval register per
-instruction: Moore's natural interval extension.  eval_d1 runs the same
-tape filling a value and a derivative register per instruction, by the
-forward-mode rules of interval differentiation (product, quotient, chain).
+An expression is its tape.  The parser finishes each operand before its
+operator, so it writes the expression once, as it reads it, as a flat
+post-order list of instructions, each naming the registers of its
+operands: the subexpression an instruction computes is the run of tape
+that ends at it.  Constants are enclosed as they are read.  Printing
+renders the tape from an instruction down to its operands, and equality
+and hashing compare its shape.  eval_iv runs the tape with one loop that
+fills one interval register per instruction: Moore's natural interval
+extension.  eval_d1 runs the same tape filling a value and a derivative
+register per instruction, by the forward-mode rules of interval
+differentiation (product, quotient, chain).
 A register is a pair of floats, its ends, kept in the lists vlo and vhi
 (dlo and dhi for derivatives), and filled by numeric's pair kernels.  Both
 interpreters take and return ends, so a caller's loop builds no object per
@@ -43,7 +44,6 @@ eval_d1 the failing application itself.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .numeric import (
@@ -72,6 +72,8 @@ FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 # per group, at five Python frames a level, so this keeps a parse far inside
 # the default recursion limit.
 MAX_DEPTH = 100
+# Size limit of an expression, in nodes: the instructions of its tape.
+MAX_NODES = 100_000
 
 
 class ParseError(ValueError):
@@ -90,14 +92,42 @@ class NotDifferentiable(ValueError):
 
 
 # =============================================================================
-# AST
+# The tape
 # =============================================================================
 
-@dataclass(frozen=True, eq=False)
+# Opcodes.  An instruction is (op, i, j, arg): i and j are the registers of
+# its operands (j is the exponent n for _POW).  arg is the (lo, hi) enclosure
+# of a constant; for _HUGE, the value of a constant no binary64 interval
+# encloses; for _POW, the (lo, hi) enclosure of n, the derivative's
+# coefficient (None when n is beyond binary64); for a function, its pair
+# kernel.  The functions' opcodes follow the order of FUNCTIONS.
+(_VAR, _CONST, _HUGE, _NEG, _ADD, _SUB, _MUL, _DIV, _POW,
+ _SIN, _COS, _EXP, _LOG, _SQRT, _ABS) = range(15)
+
+_APPLY = {
+    "sin": (_SIN, _sin),
+    "cos": (_COS, _cos),
+    "exp": (_EXP, _exp),
+    "log": (_LOG, _log),
+    "sqrt": (_SQRT, _sqrt),
+    "abs": (_ABS, _abs),
+}
+
+
 class Expr:
-    # the compiled tape, stored on the object by its first use; not a
-    # dataclass field.  Equality and hashing compare the tapes' shapes.
-    _tape = None
+    """A parsed expression, held as its tape; only parse builds one.
+
+    code is the instructions in post-order, operands before their use.
+    shape is code with each constant's exact value in its place: two
+    expressions are equal iff their shapes are.  outer[k] is the index of
+    the outermost function application around instruction k (k itself if it
+    is one), or None.  has_abs records whether abs occurs.
+    """
+
+    __slots__ = ("code", "shape", "outer", "has_abs")
+
+    def __init__(self, code: tuple, shape: tuple, outer: tuple, has_abs: bool):
+        self.code, self.shape, self.outer, self.has_abs = code, shape, outer, has_abs
 
     def __str__(self) -> str:
         return to_source(self)
@@ -105,77 +135,25 @@ class Expr:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Expr):
             return NotImplemented
-        return (self._tape or _compile(self)).shape == (other._tape or _compile(other)).shape
+        return self.shape == other.shape
 
     def __hash__(self) -> int:
-        return hash((self._tape or _compile(self)).shape)
+        return hash(self.shape)
 
     @property
     def differentiable(self) -> bool:
-        return not (self._tape or _compile(self)).has_abs
+        return not self.has_abs
 
 
-@dataclass(frozen=True, eq=False)
-class Const(Expr):
-    value: Fraction
-
-
-@dataclass(frozen=True, eq=False)
-class Var(Expr):
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class Neg(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True, eq=False)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, eq=False)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, eq=False)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, eq=False)
-class Div(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, eq=False)
-class PowInt(Expr):
-    base: Expr
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("PowInt exponent must be a non-negative integer")
-
-
-@dataclass(frozen=True, eq=False)
-class Apply(Expr):
-    fn: str
-    arg: Expr
-
-    def __post_init__(self):
-        if self.fn not in FUNCTIONS:
-            raise ValueError(f"unknown function {self.fn!r}")
+def _enclose(q: Fraction) -> tuple[float, float] | None:
+    try:
+        return float_down(q), float_up(q)
+    except OverflowError:
+        return None
 
 
 # =============================================================================
-# Parser (recursive descent over a token-free scanner)
+# Parser (recursive descent over a token-free scanner, writing the tape)
 # =============================================================================
 
 class _Scanner:
@@ -183,6 +161,9 @@ class _Scanner:
         self.text = text
         self.pos = 0
         self.groups = 0  # parentheses and function calls open at pos
+        self.code: list[tuple] = []
+        self.shape: list = []
+        self.outer: list[int | None] = []
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -212,86 +193,106 @@ class _Scanner:
             raise ParseError(start, f"at most {sys.get_int_max_str_digits()} digits",
                              f"{len(run)} digits") from None
 
+    def emit(self, ins: tuple, shape=None) -> int:
+        """Append an instruction, whose shape is ins unless given; its register."""
+        k = len(self.code)
+        if k == MAX_NODES:
+            raise ParseError(self.pos, f"at most {MAX_NODES} nodes", "more")
+        self.code.append(ins)
+        self.shape.append(ins if shape is None else shape)
+        self.outer.append(None)
+        return k
+
 
 def parse(text: str) -> Expr:
     """Parse an expression; raises ParseError with offset and expectation."""
     sc = _Scanner(text)
-    e = _parse_expr(sc)
+    _parse_expr(sc)
     if sc.peek():
         raise sc.error("end of input or operator")
-    return e
+    return Expr(tuple(sc.code), tuple(sc.shape), tuple(sc.outer),
+                any(ins[0] == _ABS for ins in sc.code))
 
 
-def _parse_expr(sc: _Scanner) -> Expr:
-    e = _parse_term(sc)
+# Each _parse_* function writes the tape of what it reads and returns the
+# register of its value.
+
+def _parse_expr(sc: _Scanner) -> int:
+    i = _parse_term(sc)
     while sc.peek() in ("+", "-"):
-        op = sc.advance()
-        rhs = _parse_term(sc)
-        e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-    return e
+        op = _ADD if sc.advance() == "+" else _SUB
+        i = sc.emit((op, i, _parse_term(sc), None))
+    return i
 
 
-def _parse_term(sc: _Scanner) -> Expr:
-    e = _parse_factor(sc)
+def _parse_term(sc: _Scanner) -> int:
+    i = _parse_factor(sc)
     while sc.peek() in ("*", "/"):
-        op = sc.advance()
-        rhs = _parse_factor(sc)
-        e = Mul(e, rhs) if op == "*" else Div(e, rhs)
-    return e
+        op = _MUL if sc.advance() == "*" else _DIV
+        i = sc.emit((op, i, _parse_factor(sc), None))
+    return i
 
 
-def _parse_factor(sc: _Scanner) -> Expr:
+def _parse_factor(sc: _Scanner) -> int:
     signs = 0
     while sc.peek() == "-":
         sc.advance()
         signs += 1
-    e = _parse_power(sc)
+    i = _parse_power(sc)
     for _ in range(signs):
-        e = Neg(e)
-    return e
+        i = sc.emit((_NEG, i, 0, None))
+    return i
 
 
-def _parse_power(sc: _Scanner) -> Expr:
-    base = _parse_atom(sc)
+def _parse_power(sc: _Scanner) -> int:
+    i = _parse_atom(sc)
     if sc.peek() == "^":
         sc.advance()
         sc.skip_ws()
         n, count = sc.digits()
         if not count:
             raise sc.error("non-negative integer exponent")
-        return PowInt(base, n)
-    return base
+        return sc.emit((_POW, i, n, _enclose(Fraction(n))))
+    return i
 
 
-def _parse_group(sc: _Scanner) -> Expr:
+def _parse_group(sc: _Scanner) -> int:
     # "(" expr ")"; the parser recurses once per group, so groups are
     # bounded before they are read, not after
     if sc.groups >= MAX_DEPTH:
         raise sc.error(f"at most {MAX_DEPTH} levels of nesting")
     sc.advance()
     sc.groups += 1
-    e = _parse_expr(sc)
+    i = _parse_expr(sc)
     if sc.peek() != ")":
         raise sc.error("')'")
     sc.advance()
     sc.groups -= 1
-    return e
+    return i
 
 
-def _parse_atom(sc: _Scanner) -> Expr:
+def _parse_atom(sc: _Scanner) -> int:
     ch = sc.peek()
     if ch == "(":
         return _parse_group(sc)
     if ch.isdecimal() or ch == ".":
-        return Const(_parse_number(sc))
+        q = _parse_number(sc)
+        iv = _enclose(q)
+        return sc.emit((_CONST, 0, 0, iv) if iv is not None else (_HUGE, 0, 0, q), q)
     if ch.isalpha():
         name = _parse_name(sc)
         if name == "x":
-            return Var()
+            return sc.emit((_VAR, 0, 0, None))
         if name in FUNCTIONS:
             if sc.peek() != "(":
                 raise sc.error(f"'(' after {name}")
-            return Apply(name, _parse_group(sc))
+            op, kernel = _APPLY[name]
+            start = len(sc.code)
+            k = sc.emit((op, _parse_group(sc), 0, kernel))
+            # the run of tape from start to k is this application; the
+            # application around it, if any, writes over it later
+            sc.outer[start:] = [k] * (k + 1 - start)
+            return k
         raise ParseError(sc.pos - len(name), "number, 'x', function, or '('", name)
     raise sc.error("number, 'x', function, or '('")
 
@@ -337,44 +338,36 @@ def _digits(n: int) -> str:
 
 
 def _format_const(q: Fraction) -> str:
+    # parse reads a constant from a decimal literal: q >= 0, and its
+    # denominator is 2^a * 5^b, so its decimal expansion ends
     num, den = q.numerator, q.denominator
     if den == 1:
-        return _digits(num) if num >= 0 else f"(0 - {_digits(-num)})"
-    # decimal expansion when the denominator is of the form 2^a * 5^b
-    d = den
-    twos = fives = 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
+        return _digits(num)
+    twos = (den & -den).bit_length() - 1
+    d, fives = den >> twos, 0
+    while d > 1:
         d //= 5
         fives += 1
-    if d == 1:
-        k = max(twos, fives)
-        scaled = abs(num) * 10 ** k // den
-        digits = _digits(scaled).rjust(k + 1, "0")
-        text = f"{digits[:-k]}.{digits[-k:]}"
-        return text if num >= 0 else f"(0 - {text})"
-    # not decimal-representable: fall back to an explicit quotient
-    inner = f"{_digits(abs(num))} / {_digits(den)}"
-    return f"({inner})" if num >= 0 else f"(0 - {inner})"
+    k = max(twos, fives)
+    digits = _digits(num * 10 ** k // den).rjust(k + 1, "0")
+    return f"{digits[:-k]}.{digits[-k:]}"
 
 
-def to_source(e: Expr) -> str:
-    """Render an expression.  The text of an expression parse() returned
-    parses to an equal one: it parenthesizes an operand only where the
-    grammar needs it and writes unary minus by factor := "-" factor, so it
-    has no group its source lacked and stays within MAX_DEPTH groups.
+def to_source(e: Expr, k: int = -1) -> str:
+    """Render an expression, or the subexpression instruction k computes.
+    The text of an expression parse() returned parses to an equal one: it
+    parenthesizes an operand only where the grammar needs it and writes
+    unary minus by factor := "-" factor, so it has no group its source
+    lacked and stays within MAX_DEPTH groups.
 
-    The tape is read from its last instruction, the root, down to its
-    operands, left to right, and each fragment of text is emitted once: the
-    fragments are joined at the end, in time linear in the text's length.
+    The tape is read from instruction k down to its operands, left to right,
+    and each fragment of text is emitted once: the fragments are joined at
+    the end, in time linear in the text's length.
     """
-    tape = e._tape or _compile(e)
-    code, nodes = tape.code, tape.nodes
+    code = e.code
     parts: list[str] = []
     # text still to emit, or (instruction, level its place needs); last on top
-    todo: list = [(len(code) - 1, _SUM)]
+    todo: list = [(k, _SUM)]
     while todo:
         item = todo.pop()
         if isinstance(item, str):
@@ -396,9 +389,9 @@ def to_source(e: Expr) -> str:
         elif op == _VAR:
             parts.append("x")
         elif op in (_CONST, _HUGE):
-            parts.append(_format_const(nodes[k].value))
+            parts.append(_format_const(e.shape[k]))
         else:
-            parts.append(f"{nodes[k].fn}(")
+            parts.append(f"{FUNCTIONS[op - _SIN]}(")
             todo += (")", (i, _SUM))
     return "".join(parts)
 
@@ -406,94 +399,13 @@ def to_source(e: Expr) -> str:
 # Binding levels of printed text, by the grammar rule that reads it: an
 # operand below the level its place needs is parenthesized.
 _SUM, _TERM, _FACTOR, _POWER, _ATOM = range(5)
-
-
-# =============================================================================
-# Tape compilation, interval evaluation and forward-mode differentiation
-# =============================================================================
-
-# Opcodes.  An instruction is (op, i, j, arg): i and j are the registers of
-# its operands (j is the exponent n for _POW).  arg is the (lo, hi) enclosure
-# of a constant; for _HUGE, the value of a constant no binary64 interval
-# encloses; for _POW, the (lo, hi) enclosure of n, the derivative's
-# coefficient (None when n is beyond binary64); for a function, its pair
-# kernel.
-(_VAR, _CONST, _HUGE, _NEG, _ADD, _SUB, _MUL, _DIV, _POW,
- _SIN, _COS, _EXP, _LOG, _SQRT, _ABS) = range(15)
-
-_BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
 _INFIX = {_ADD: ("+", _SUM), _SUB: ("-", _SUM), _MUL: ("*", _TERM), _DIV: ("/", _TERM)}
 _LEVEL = {op: level for op, (_, level) in _INFIX.items()} | {_NEG: _FACTOR, _POW: _POWER}
-_APPLY = {
-    "sin": (_SIN, _sin),
-    "cos": (_COS, _cos),
-    "exp": (_EXP, _exp),
-    "log": (_LOG, _log),
-    "sqrt": (_SQRT, _sqrt),
-    "abs": (_ABS, _abs),
-}
 
 
-@dataclass(frozen=True)
-class _Tape:
-    code: tuple     # instructions in post-order: operands before their use
-    nodes: tuple    # the subexpression each instruction evaluates
-    outer: tuple    # outermost Apply enclosing each instruction's node (or None)
-    shape: tuple    # code with constants' values for their instructions: equal iff trees are
-    has_abs: bool
-
-
-def _enclose(q: Fraction) -> tuple[float, float] | None:
-    try:
-        return float_down(q), float_up(q)
-    except OverflowError:
-        return None
-
-
-def _compile(f: Expr) -> _Tape:
-    """Compile f into a tape and store it on f (iterative post-order walk)."""
-    code, nodes, outer, shape = [], [], [], []
-    regs: list[int] = []  # registers of finished operands, last on top
-    todo = [(f, None, False)]
-    while todo:
-        e, out, ready = todo.pop()
-        if not ready:
-            if out is None and isinstance(e, Apply):
-                out = e
-            todo.append((e, out, True))
-            if isinstance(e, (Neg, Apply)):
-                todo.append((e.arg, out, False))
-            elif isinstance(e, PowInt):
-                todo.append((e.base, out, False))
-            elif not isinstance(e, (Const, Var)):
-                todo.append((e.right, out, False))
-                todo.append((e.left, out, False))
-            continue
-        if isinstance(e, Const):
-            iv = _enclose(e.value)
-            ins = (_CONST, 0, 0, iv) if iv is not None else (_HUGE, 0, 0, e.value)
-        elif isinstance(e, Var):
-            ins = (_VAR, 0, 0, None)
-        elif isinstance(e, Neg):
-            ins = (_NEG, regs.pop(), 0, None)
-        elif isinstance(e, PowInt):
-            ins = (_POW, regs.pop(), e.n, _enclose(Fraction(e.n)))
-        elif isinstance(e, Apply):
-            op, fn = _APPLY[e.fn]
-            ins = (op, regs.pop(), 0, fn)
-        else:
-            j = regs.pop()
-            ins = (_BINARY[type(e)], regs.pop(), j, None)
-        regs.append(len(code))
-        code.append(ins)
-        nodes.append(e)
-        outer.append(out)
-        shape.append(e.value if isinstance(e, Const) else ins)
-    tape = _Tape(tuple(code), tuple(nodes), tuple(outer), tuple(shape),
-                 any(ins[0] == _ABS for ins in code))
-    object.__setattr__(f, "_tape", tape)
-    return tape
-
+# =============================================================================
+# Interval evaluation and forward-mode differentiation
+# =============================================================================
 
 def eval_iv(f: Expr, lo: float, hi: float) -> tuple[float, float]:
     """Natural interval extension: the ends of an enclosure of {f(t) : t in
@@ -504,11 +416,10 @@ def eval_iv(f: Expr, lo: float, hi: float) -> tuple[float, float]:
     """
     if not -_MAX_FLOAT <= lo <= hi <= _MAX_FLOAT:
         FloatInterval(lo, hi)  # raises
-    tape = f._tape or _compile(f)
     vlo: list[float] = []  # the registers' ends
     vhi: list[float] = []
     try:
-        for op, i, j, arg in tape.code:
+        for op, i, j, arg in f.code:
             if op == _VAR:
                 a, b = lo, hi
             elif op == _CONST:
@@ -532,7 +443,7 @@ def eval_iv(f: Expr, lo: float, hi: float) -> tuple[float, float]:
             vlo.append(a)
             vhi.append(b)
     except (DomainError, DivisionByZeroInterval) as err:
-        raise _annotate(err, lo, hi, tape.outer[len(vlo)]) from None
+        raise _annotate(err, lo, hi, f, f.outer[len(vlo)]) from None
     if not -_MAX_FLOAT <= a <= b <= _MAX_FLOAT:
         FloatInterval(a, b)  # raises
     return a, b
@@ -544,15 +455,14 @@ def eval_d1(f: Expr, lo: float, hi: float) -> tuple[float, float, float, float]:
     checks its ends."""
     if not -_MAX_FLOAT <= lo <= hi <= _MAX_FLOAT:
         FloatInterval(lo, hi)  # raises
-    tape = f._tape or _compile(f)
-    if tape.has_abs:
+    if f.has_abs:
         raise NotDifferentiable("expression contains abs")
     vlo: list[float] = []
     vhi: list[float] = []
     dlo: list[float] = []  # the derivative registers' ends
     dhi: list[float] = []
     try:
-        for op, i, j, arg in tape.code:
+        for op, i, j, arg in f.code:
             if op == _VAR:
                 a, b, p, q = lo, hi, 1.0, 1.0
             elif op == _CONST:
@@ -609,21 +519,21 @@ def eval_d1(f: Expr, lo: float, hi: float) -> tuple[float, float, float, float]:
             dhi.append(q)
     except (DomainError, DivisionByZeroInterval) as err:
         k = len(vlo)
-        op, i, _, _ = tape.code[k]
+        op, i, _, _ = f.code[k]
         if op >= _SIN and isinstance(err, DivisionByZeroInterval):
-            err = DomainError(tape.nodes[k].fn, FloatInterval(vlo[i], vhi[i]),
+            err = DomainError(FUNCTIONS[op - _SIN], FloatInterval(vlo[i], vhi[i]),
                               "derivative unbounded (argument range touches the domain boundary)")
-        raise _annotate(err, lo, hi, tape.nodes[k]) from None
+        raise _annotate(err, lo, hi, f, k) from None
     if not (-_MAX_FLOAT <= a <= b <= _MAX_FLOAT and -_MAX_FLOAT <= p <= q <= _MAX_FLOAT):
         FloatInterval(a, b), FloatInterval(p, q)  # one raises
     return a, b, p, q
 
 
-def _annotate(err: Exception, lo: float, hi: float, node: Expr | None) -> DomainError:
-    # a DomainError always comes from a function application, named by node
+def _annotate(err: Exception, lo: float, hi: float, f: Expr, k: int | None) -> DomainError:
+    # a DomainError always comes from a function application, instruction k
     if isinstance(err, DomainError):
         out = DomainError(err.fn, err.operand, err.detail)
-        out.context = to_source(node)
+        out.context = to_source(f, k)
         return out
     out = DomainError("div", FloatInterval(lo, hi), str(err))
     out.context = None

@@ -3,13 +3,15 @@ the interpreters moved to float-pair registers, kept as the reference for the
 differential tests in test_numeric.py and test_expr.py.
 
 Everything below the imports, up to the last section, is copied verbatim
-from suparg.numeric and suparg.expr, with two changes: the exceptions, the pi
-constants and the AST come from the package, so error types compare equal;
-and _compile returns its tape instead of storing it on the expression, where
-it would collide with the package's own tape.  EvalResult, the result type
-of the object-form eval_d1, lives only here now that the package's
-interpreters return float ends.  The last section, mended,
-words this reference's overflow outcomes as the package words them now.
+from suparg.numeric and suparg.expr, with three changes: the exceptions and
+the pi constants come from the package, so error types compare equal; the
+interpreters run the tape of an expression the package parsed, with each
+constant enclosed and each function applied in object form (_object_code),
+and they read its outer, has_abs and, through to_source, its text; and
+EvalResult, the result type of the object-form eval_d1, lives only here now
+that the package's interpreters return float ends.  The last section,
+mended, words this reference's overflow outcomes as the package words them
+now.
 """
 
 from __future__ import annotations
@@ -20,17 +22,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from suparg.expr import (
-    Add,
-    Apply,
-    Const,
-    Div,
+    _ABS,
+    _ADD,
+    _CONST,
+    _COS,
+    _DIV,
+    _EXP,
+    _HUGE,
+    _LOG,
+    _MUL,
+    _NEG,
+    _POW,
+    _SIN,
+    _SQRT,
+    _SUB,
+    _VAR,
+    FUNCTIONS,
     Expr,
-    Mul,
-    Neg,
     NotDifferentiable,
-    PowInt,
-    Sub,
-    Var,
     to_source,
 )
 from suparg.numeric import (
@@ -527,26 +536,16 @@ def iv_cos(x: FloatInterval) -> FloatInterval:
 
 
 # =============================================================================
-# Tape compilation, interval evaluation and forward-mode differentiation
+# Interval evaluation and forward-mode differentiation
 # =============================================================================
 
-# Opcodes.  An instruction is (op, i, j, arg): i and j are the registers of
-# its operands (j is the exponent n for _POW).  arg is the enclosure of a
-# constant; for _HUGE, the value of a constant no binary64 interval
-# encloses; for _POW, the enclosure of n, the derivative's coefficient
-# (None when n is beyond binary64); for a function, its value enclosure.
-(_VAR, _CONST, _HUGE, _NEG, _ADD, _SUB, _MUL, _DIV, _POW,
- _SIN, _COS, _EXP, _LOG, _SQRT, _ABS) = range(15)
-
-_BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
-_APPLY = {
-    "sin": (_SIN, iv_sin),
-    "cos": (_COS, iv_cos),
-    "exp": (_EXP, iv_exp),
-    "log": (_LOG, iv_log),
-    "sqrt": (_SQRT, iv_sqrt),
-    "abs": (_ABS, iv_abs),
-}
+# An instruction is (op, i, j, arg), with the package's opcodes: i and j are
+# the registers of its operands (j is the exponent n for _POW).  arg is the
+# enclosure of a constant; for _HUGE, the value of a constant no binary64
+# interval encloses; for _POW, the enclosure of n, the derivative's
+# coefficient (None when n is beyond binary64); for a function, its value
+# enclosure.
+_APPLY = {_SIN: iv_sin, _COS: iv_cos, _EXP: iv_exp, _LOG: iv_log, _SQRT: iv_sqrt, _ABS: iv_abs}
 
 _ZERO = FloatInterval(0.0, 0.0)
 _ONE = FloatInterval(1.0, 1.0)
@@ -561,14 +560,6 @@ class EvalResult:
     deriv: FloatInterval | None = None
 
 
-@dataclass(frozen=True)
-class _Tape:
-    code: tuple     # instructions in post-order: operands before their use
-    nodes: tuple    # the subexpression each instruction evaluates
-    outer: tuple    # outermost Apply enclosing each instruction's node (or None)
-    has_abs: bool
-
-
 def _enclose(q: Fraction) -> FloatInterval | None:
     try:
         return FloatInterval.from_rational(q)
@@ -576,47 +567,19 @@ def _enclose(q: Fraction) -> FloatInterval | None:
         return None
 
 
-def _compile(f: Expr) -> _Tape:
-    """Compile f into a tape (iterative post-order walk)."""
-    code, nodes, outer = [], [], []
-    regs: list[int] = []  # registers of finished operands, last on top
-    todo = [(f, None, False)]
-    while todo:
-        e, out, ready = todo.pop()
-        if not ready:
-            if out is None and isinstance(e, Apply):
-                out = e
-            todo.append((e, out, True))
-            if isinstance(e, (Neg, Apply)):
-                todo.append((e.arg, out, False))
-            elif isinstance(e, PowInt):
-                todo.append((e.base, out, False))
-            elif not isinstance(e, (Const, Var)):
-                todo.append((e.right, out, False))
-                todo.append((e.left, out, False))
-            continue
-        if isinstance(e, Const):
-            iv = _enclose(e.value)
-            ins = (_CONST, 0, 0, iv) if iv is not None else (_HUGE, 0, 0, e.value)
-        elif isinstance(e, Var):
-            ins = (_VAR, 0, 0, None)
-        elif isinstance(e, Neg):
-            ins = (_NEG, regs.pop(), 0, None)
-        elif isinstance(e, PowInt):
-            ins = (_POW, regs.pop(), e.n, _enclose(Fraction(e.n)))
-        elif isinstance(e, Apply):
-            op, fn = _APPLY[e.fn]
-            ins = (op, regs.pop(), 0, fn)
+def _object_code(f: Expr) -> list[tuple]:
+    """f's tape, each constant read from its shape and enclosed, and each
+    function's value enclosure, in object form."""
+    code = []
+    for (op, i, j, _), q in zip(f.code, f.shape):
+        if op in (_CONST, _HUGE):
+            iv = _enclose(q)
+            code.append((_CONST, 0, 0, iv) if iv is not None else (_HUGE, 0, 0, q))
+        elif op == _POW:
+            code.append((_POW, i, j, _enclose(Fraction(j))))
         else:
-            j = regs.pop()
-            ins = (_BINARY[type(e)], regs.pop(), j, None)
-        regs.append(len(code))
-        code.append(ins)
-        nodes.append(e)
-        outer.append(out)
-    tape = _Tape(tuple(code), tuple(nodes), tuple(outer),
-                 any(ins[0] == _ABS for ins in code))
-    return tape
+            code.append((op, i, j, _APPLY.get(op)))
+    return code
 
 
 def eval_iv(f: Expr, X: FloatInterval) -> FloatInterval:
@@ -625,11 +588,10 @@ def eval_iv(f: Expr, X: FloatInterval) -> FloatInterval:
     DomainError raised from a subexpression is annotated with that
     subexpression's source text and the offending interval.
     """
-    tape = _compile(f)
     v: list[FloatInterval] = []
     push = v.append
     try:
-        for op, i, j, arg in tape.code:
+        for op, i, j, arg in _object_code(f):
             if op == _VAR:
                 push(X)
             elif op == _CONST:
@@ -651,19 +613,19 @@ def eval_iv(f: Expr, X: FloatInterval) -> FloatInterval:
             else:  # a function application; arg is its value enclosure
                 push(arg(v[i]))
     except (DomainError, DivisionByZeroInterval) as err:
-        raise _annotate(err, X, tape.outer[len(v)]) from None
+        raise _annotate(err, X, f, f.outer[len(v)]) from None
     return v[-1]
 
 
 def eval_d1(f: Expr, X: FloatInterval) -> EvalResult:
     """Enclosures of f and f' over X by forward-mode interval differentiation."""
-    tape = _compile(f)
-    if tape.has_abs:
+    if f.has_abs:
         raise NotDifferentiable("expression contains abs")
     v: list[FloatInterval] = []
     d: list[FloatInterval] = []
     try:
-        for op, i, j, arg in tape.code:
+        code = _object_code(f)
+        for op, i, j, arg in code:
             if op == _VAR:
                 val, der = X, _ONE
             elif op == _CONST:
@@ -707,19 +669,19 @@ def eval_d1(f: Expr, X: FloatInterval) -> EvalResult:
             d.append(der)
     except (DomainError, DivisionByZeroInterval) as err:
         k = len(v)
-        op, i, _, _ = tape.code[k]
+        op, i, _, _ = code[k]
         if op >= _SIN and isinstance(err, DivisionByZeroInterval):
-            err = DomainError(tape.nodes[k].fn, v[i],
+            err = DomainError(FUNCTIONS[op - _SIN], v[i],
                               "derivative unbounded (argument range touches the domain boundary)")
-        raise _annotate(err, X, tape.nodes[k]) from None
+        raise _annotate(err, X, f, k) from None
     return EvalResult(v[-1], d[-1])
 
 
-def _annotate(err: Exception, X: FloatInterval, node: Expr | None) -> DomainError:
-    # a DomainError always comes from a function application, named by node
+def _annotate(err: Exception, X: FloatInterval, f: Expr, k: int | None) -> DomainError:
+    # a DomainError always comes from a function application, instruction k
     if isinstance(err, DomainError):
         out = DomainError(err.fn, err.operand, err.detail)
-        out.context = to_source(node)
+        out.context = to_source(f, k)
         return out
     out = DomainError("div", X, str(err))
     out.context = None

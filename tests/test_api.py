@@ -20,6 +20,9 @@ judged only through the row's judge.
 theorems.py builds no Fraction: exact rational tests belong to the
 checker, and the root prover's width test takes sub_up, an upper bound of
 the exact width.
+
+An expression has one representation, the tape parse writes: no module
+subclasses Expr, and only parse calls Expr(...).
 """
 
 import ast
@@ -161,3 +164,22 @@ def test_theorems_builds_no_fraction():
                     or isinstance(node, ast.Import)
                     and any(alias.name == "fractions" for alias in node.names)})
     assert not named, f"theorems.py names Fraction or fractions on lines {named}"
+
+
+def _names_expr(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "Expr" \
+        or isinstance(node, ast.Attribute) and node.attr == "Expr"
+
+
+def test_only_parse_builds_an_expression():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            in_parse = path.stem == "expr" and isinstance(top, ast.FunctionDef) \
+                and top.name == "parse"
+            for node in ast.walk(top):
+                if isinstance(node, ast.ClassDef) and any(map(_names_expr, node.bases)):
+                    found.append(f"{path.stem}.{node.name} subclasses Expr")
+                elif isinstance(node, ast.Call) and _names_expr(node.func) and not in_parse:
+                    found.append(f"{path.stem}.py:{node.lineno} calls Expr")
+    assert not found, f"an expression built outside parse: {found}"

@@ -230,6 +230,25 @@ def test_stored_function_over_the_nesting_limit_is_invalid(capsys, tmp_path, fn)
     assert code == 1 and err == "" and out.startswith("Invalid")
 
 
+# 50,001 terms: 100,001 nodes, one more than parse takes
+TOO_MANY_NODES = " + ".join(["x"] * 50_001)
+
+
+def test_stored_function_over_the_node_limit_is_invalid(capsys, tmp_path):
+    code, out, _ = invoke(capsys, "prove", "bvt", "--fn", "x", "--a", "0", "--b", "1",
+                          "--format", "json")
+    assert code == 0
+    reason = ("stored function does not parse: "
+              "expected at most 100000 nodes at offset 200001, found more")
+    assert check(dataclasses.replace(loads(out), fn_source=TOO_MANY_NODES)) == \
+        CheckResult(False, reason)
+    path = tmp_path / "big.json"
+    doc = json.loads(out)
+    doc["function"] = TOO_MANY_NODES
+    path.write_text(json.dumps(doc))
+    assert invoke(capsys, "check", str(path)) == (1, f"Invalid: {reason}\n", "")
+
+
 @pytest.mark.parametrize("fn", [" + ".join(["x"] * 101), LONG, "-" * 3000 + "x"],
                          ids=["sum-101", "long-sum", "minus-run"])
 def test_long_expression_proves_and_checks_valid(capsys, tmp_path, fn):
@@ -569,8 +588,11 @@ _IVT_HALF = ["prove", "ivt", "--fn", "x-0.5", "--a", "0", "--b", "1"]
      {"error": "usage", "detail": "set component [1/2, 2] is not contained in [0, 1]"}),
     (["cover", "--file", "{cover}", "--a", "0", "--b", "1"], 2, "err",
      {"error": "usage", "detail": "line 3: cover element [1/2, 2) is not an open interval"}),
+    (["prove", "bvt", "--fn", TOO_MANY_NODES, "--a", "0", "--b", "1"], 2, "err",
+     {"error": "parse", "position": 200_001,
+      "detail": "expected at most 100000 nodes at offset 200001, found more"}),
 ], ids=["a-after-b", "eps-underflow", "tol-zero", "tol-below-ulp", "cover-no-file",
-        "clopen-no-file", "clopen-set-outside", "cover-element-not-open"])
+        "clopen-no-file", "clopen-set-outside", "cover-element-not-open", "too-many-nodes"])
 def test_contract_line(capsys, tmp_path, argv, code, stream, record):
     # one record on one stream, the other empty, and the exit code
     files = {"{missing}": str(tmp_path / "missing.txt"), "{set}": str(tmp_path / "set.txt"),
@@ -579,7 +601,8 @@ def test_contract_line(capsys, tmp_path, argv, code, stream, record):
     (tmp_path / "set.txt").write_text("[3, 4]\n[0, 1/4]\n[1/2, 2]\n[5/2, 3)\n")
     (tmp_path / "cover.txt").write_text("(-1, 1/2)\n\n[1/2, 2)\n(0, 3)\n")
     argv = [files.get(arg, arg) for arg in argv]
-    record = {k: v.replace("{missing}", files["{missing}"]) for k, v in record.items()}
+    record = {k: v.replace("{missing}", files["{missing}"]) if isinstance(v, str) else v
+              for k, v in record.items()}
     got_code, out, err = invoke(capsys, *argv)
     quiet, loud = (err, out) if stream == "out" else (out, err)
     assert (got_code, quiet, json.loads(loud)) == (code, "", record)

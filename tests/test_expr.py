@@ -1,12 +1,16 @@
 """Parser, printer, and enclosure tests for the expression module.
 
-Point oracle: mpmath at 50 digits, mirrored over the AST.  Derivative
-oracle: central finite differences of the mpmath evaluation.  The pair
-register interpreters are also compared, bit for bit, with the object
-interpreters they replaced, kept in object_kernels.py.
+Random expressions are built as test-local trees (nested tuples) and
+written as source text, which the package parses.  Point oracle: mpmath at
+50 digits, mirrored over the tree.  Derivative oracle: central finite
+differences of the mpmath evaluation.  The pair register interpreters are
+also compared, bit for bit, with the recursive evaluators over the tree and
+with the object interpreters they replaced, kept in object_kernels.py.
 """
 
+import hashlib
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -20,18 +24,11 @@ from hypothesis import strategies as st
 
 from suparg import expr as expr_mod
 from suparg.expr import (
+    FUNCTIONS,
     MAX_DEPTH,
-    Add,
-    Apply,
-    Const,
-    Div,
-    Mul,
-    Neg,
+    MAX_NODES,
     NotDifferentiable,
     ParseError,
-    PowInt,
-    Sub,
-    Var,
     eval_d1,
     eval_iv,
     parse,
@@ -58,26 +55,58 @@ mpmath.mp.dps = 50
 _MAXF = sys.float_info.max
 
 
+# A test-local expression tree is a nested tuple: ("x",), ("const", q) for
+# a rational q >= 0 whose denominator is 2^a * 5^b, ("neg", a), (op, a, b)
+# for op in _OPS, ("^", a, n), or (fn, a) for fn in FUNCTIONS.
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_LEAVES = ("x", "const")
+
+
+def _literal(q: Fraction) -> str:
+    """The decimal literal of q."""
+    k = 0
+    while (q * 10 ** k).denominator != 1:
+        k += 1
+    digits = str(q * 10 ** k).rjust(k + 1, "0")
+    return f"{digits[:-k]}.{digits[-k:]}" if k else digits
+
+
+def _text(e) -> str:
+    """Source text of a tree, each operand that is not a leaf in parentheses."""
+    def operand(a):
+        return _text(a) if a[0] in _LEAVES else f"({_text(a)})"
+
+    tag = e[0]
+    if tag == "x":
+        return "x"
+    if tag == "const":
+        return _literal(e[1])
+    if tag == "neg":
+        return "-" + operand(e[1])
+    if tag == "^":
+        return f"{operand(e[1])}^{e[2]}"
+    if tag in _OPS:
+        return f"{operand(e[1])} {tag} {operand(e[2])}"
+    return f"{tag}({_text(e[1])})"
+
+
+_MP = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp,
+       "log": mpmath.log, "sqrt": mpmath.sqrt, "abs": abs}
+
+
 def mp_eval(e, t):
-    if isinstance(e, Const):
-        return mpmath.mpf(e.value.numerator) / e.value.denominator
-    if isinstance(e, Var):
+    tag = e[0]
+    if tag == "const":
+        return mpmath.mpf(e[1].numerator) / e[1].denominator
+    if tag == "x":
         return t
-    if isinstance(e, Neg):
-        return -mp_eval(e.arg, t)
-    if isinstance(e, Add):
-        return mp_eval(e.left, t) + mp_eval(e.right, t)
-    if isinstance(e, Sub):
-        return mp_eval(e.left, t) - mp_eval(e.right, t)
-    if isinstance(e, Mul):
-        return mp_eval(e.left, t) * mp_eval(e.right, t)
-    if isinstance(e, Div):
-        return mp_eval(e.left, t) / mp_eval(e.right, t)
-    if isinstance(e, PowInt):
-        return mp_eval(e.base, t) ** e.n
-    fn = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp,
-          "log": mpmath.log, "sqrt": mpmath.sqrt, "abs": abs}[e.fn]
-    return fn(mp_eval(e.arg, t))
+    if tag == "neg":
+        return -mp_eval(e[1], t)
+    if tag in _OPS:
+        return _OPS[tag](mp_eval(e[1], t), mp_eval(e[2], t))
+    if tag == "^":
+        return mp_eval(e[1], t) ** e[2]
+    return _MP[tag](mp_eval(e[1], t))
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +114,19 @@ def mp_eval(e, t):
 # ---------------------------------------------------------------------------
 
 def test_parse_basic_shapes():
-    assert parse("x^2 - 2") == Sub(PowInt(Var(), 2), Const(Fraction(2)))
-    assert parse("sin(x)*exp(x)") == Mul(Apply("sin", Var()), Apply("exp", Var()))
-    assert parse("0.1") == Const(Fraction(1, 10))
-    assert parse("-x^2") == Neg(PowInt(Var(), 2))
-    assert parse("-x*x") == Mul(Neg(Var()), Var())
-    assert parse(" ( x + 1 ) / ( x - 1 ) ") == Div(
-        Add(Var(), Const(Fraction(1))), Sub(Var(), Const(Fraction(1))))
+    m = expr_mod
+    x, one, two = (m._VAR, 0, 0, None), (m._CONST, 0, 0, (1.0, 1.0)), (m._CONST, 0, 0, (2.0, 2.0))
+    tenth = (m._CONST, 0, 0, (numeric.float_down(Fraction(1, 10)), numeric.float_up(Fraction(1, 10))))
+    assert parse("x^2 - 2").code == (x, (m._POW, 0, 2, (2.0, 2.0)), two, (m._SUB, 1, 2, None))
+    assert parse("sin(x)*exp(x)").code == (
+        x, (m._SIN, 0, 0, numeric._sin), x, (m._EXP, 2, 0, numeric._exp), (m._MUL, 1, 3, None))
+    assert parse("0.1").code == (tenth,)
+    assert parse("-x^2").code == (x, (m._POW, 0, 2, (2.0, 2.0)), (m._NEG, 1, 0, None))
+    assert parse("-x*x").code == (x, (m._NEG, 0, 0, None), x, (m._MUL, 1, 2, None))
+    assert parse(" ( x + 1 ) / ( x - 1 ) ").code == (
+        x, one, (m._ADD, 0, 1, None), x, one, (m._SUB, 3, 4, None), (m._DIV, 2, 5, None))
+    # each instruction's outermost application: exp(...), at 4
+    assert parse("1 + exp(sqrt(log(x)))").outer == (None, 4, 4, 4, 4, None)
 
 
 def test_parse_error_position():
@@ -112,7 +147,7 @@ def test_parse_error_position():
 
 def test_exact_decimal_literals():
     e = parse("0.1")
-    assert isinstance(e, Const) and e.value == Fraction(1, 10)
+    assert e.shape == (Fraction(1, 10),)
     lo, hi = eval_iv(e, 0, 1)
     assert Fraction(lo) <= Fraction(1, 10) <= Fraction(hi)
     assert hi == math.nextafter(lo, math.inf)  # tightest enclosure
@@ -129,27 +164,22 @@ def test_differentiable_flag():
 # printing round-trip
 # ---------------------------------------------------------------------------
 
-def _rand_expr(rng: random.Random, depth: int, fns=("sin", "cos", "exp", "log", "sqrt", "abs")):
+def _rand_expr(rng: random.Random, depth: int, fns=FUNCTIONS):
+    """A random tree."""
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.5:
-            return Var()
+            return ("x",)
         if rng.random() < 0.5:
-            return Const(Fraction(rng.randint(0, 30)))
-        return Const(Fraction(rng.randint(1, 400), 10 ** rng.randint(1, 3)))
+            return ("const", Fraction(rng.randint(0, 30)))
+        return ("const", Fraction(rng.randint(1, 400), 10 ** rng.randint(1, 3)))
     kind = rng.randrange(8)
-    if kind == 0:
-        return Add(_rand_expr(rng, depth - 1, fns), _rand_expr(rng, depth - 1, fns))
-    if kind == 1:
-        return Sub(_rand_expr(rng, depth - 1, fns), _rand_expr(rng, depth - 1, fns))
-    if kind == 2:
-        return Mul(_rand_expr(rng, depth - 1, fns), _rand_expr(rng, depth - 1, fns))
-    if kind == 3:
-        return Div(_rand_expr(rng, depth - 1, fns), _rand_expr(rng, depth - 1, fns))
+    if kind < 4:
+        return ("+-*/"[kind], _rand_expr(rng, depth - 1, fns), _rand_expr(rng, depth - 1, fns))
     if kind == 4:
-        return Neg(_rand_expr(rng, depth - 1, fns))
+        return ("neg", _rand_expr(rng, depth - 1, fns))
     if kind == 5:
-        return PowInt(_rand_expr(rng, depth - 1, fns), rng.randrange(0, 5))
-    return Apply(rng.choice(fns), _rand_expr(rng, depth - 1, fns))
+        return ("^", _rand_expr(rng, depth - 1, fns), rng.randrange(0, 5))
+    return (rng.choice(fns), _rand_expr(rng, depth - 1, fns))
 
 
 def test_print_parse_roundtrip_fixed():
@@ -162,7 +192,7 @@ def test_print_parse_roundtrip_fixed():
 def test_print_parse_roundtrip_random():
     rng = random.Random(202)
     for _ in range(500):
-        e = _rand_expr(rng, 4)
+        e = parse(_text(_rand_expr(rng, 4)))
         assert parse(to_source(e)) == e, to_source(e)
 
 
@@ -172,17 +202,14 @@ def test_constant_longer_than_one_int_to_str_conversion_prints():
     # chunks, so the text is the same under the smallest limit
     text = "x - 1" + "0" * 299 + "." + "1" * 4100
     e = parse(text)
-    big = 10 ** 5000 + 7
-    digits = "1" + "0" * 4999 + "7"
+    digits = "1" + "0" * 3999 + "7"  # within the default limit, so parse reads it
+    big = parse(digits)
     limit = sys.get_int_max_str_digits()
     try:
         for at in (limit, 640):
             sys.set_int_max_str_digits(at)
             assert to_source(e) == text
-            assert to_source(Const(Fraction(big))) == digits
-            assert to_source(Const(Fraction(-big))) == f"(0 - {digits})"
-            assert to_source(Const(Fraction(big, 3))) == f"({digits} / 3)"
-            assert to_source(Const(Fraction(3, big))) == f"(3 / {digits})"
+            assert to_source(big) == digits
     finally:
         sys.set_int_max_str_digits(limit)
     assert parse(to_source(e)) == e
@@ -261,27 +288,27 @@ def _safe_expr(rng: random.Random, depth: int, allow_abs: bool):
     if depth == 0 or rng.random() < 0.35:
         r = rng.random()
         if r < 0.45:
-            return Var()
+            return ("x",)
         if r < 0.7:
-            return Const(Fraction(rng.randint(1, 9)))
-        return Const(Fraction(rng.randint(1, 50), 10))
+            return ("const", Fraction(rng.randint(1, 9)))
+        return ("const", Fraction(rng.randint(1, 50), 10))
     kind = rng.randrange(9)
     if kind in (0, 1):
-        return Add(_safe_expr(rng, depth - 1, allow_abs), _safe_expr(rng, depth - 1, allow_abs))
+        return ("+", _safe_expr(rng, depth - 1, allow_abs), _safe_expr(rng, depth - 1, allow_abs))
     if kind == 2:
-        return Sub(_safe_expr(rng, depth - 1, allow_abs), _safe_expr(rng, depth - 1, allow_abs))
+        return ("-", _safe_expr(rng, depth - 1, allow_abs), _safe_expr(rng, depth - 1, allow_abs))
     if kind in (3, 4):
-        return Mul(_safe_expr(rng, depth - 1, allow_abs), _safe_expr(rng, depth - 1, allow_abs))
+        return ("*", _safe_expr(rng, depth - 1, allow_abs), _safe_expr(rng, depth - 1, allow_abs))
     if kind == 5:
-        denom = Add(PowInt(Var(), 2), Const(Fraction(rng.randint(1, 4))))
-        return Div(_safe_expr(rng, depth - 1, allow_abs), denom)
+        denom = ("+", ("^", ("x",), 2), ("const", Fraction(rng.randint(1, 4))))
+        return ("/", _safe_expr(rng, depth - 1, allow_abs), denom)
     if kind == 6:
-        return PowInt(_safe_expr(rng, depth - 1, allow_abs), rng.randrange(0, 4))
+        return ("^", _safe_expr(rng, depth - 1, allow_abs), rng.randrange(0, 4))
     if kind == 7:
         fns = ["sin", "cos", "exp"] + (["abs"] if allow_abs else [])
-        return Apply(rng.choice(fns), _safe_expr(rng, depth - 1, allow_abs))
-    guarded = Add(PowInt(Var(), 2), Const(Fraction(rng.randint(1, 3))))
-    return Apply(rng.choice(["log", "sqrt"]), guarded)
+        return (rng.choice(fns), _safe_expr(rng, depth - 1, allow_abs))
+    guarded = ("+", ("^", ("x",), 2), ("const", Fraction(rng.randint(1, 3))))
+    return (rng.choice(["log", "sqrt"]), guarded)
 
 
 def test_fundamental_containment_fuzz():
@@ -292,14 +319,14 @@ def test_fundamental_containment_fuzz():
         lo = rng.uniform(-3, 3)
         X = FloatInterval(lo, lo + rng.uniform(0, 2))
         try:
-            lo_f, hi_f = eval_iv(f, X.lo, X.hi)
+            lo_f, hi_f = eval_iv(parse(_text(f)), X.lo, X.hi)
         except (DomainError, OverflowError):
             continue
         for _ in range(5):
             t = rng.uniform(X.lo, X.hi)
             t = min(max(t, X.lo), X.hi)
             v = mp_eval(f, mpmath.mpf(t))
-            assert mpmath.mpf(lo_f) <= v <= mpmath.mpf(hi_f), (to_source(f), X, t)
+            assert mpmath.mpf(lo_f) <= v <= mpmath.mpf(hi_f), (_text(f), X, t)
             done += 1
 
 
@@ -311,7 +338,7 @@ def test_derivative_containment_fuzz():
         lo = rng.uniform(-3, 3)
         X = FloatInterval(lo, lo + rng.uniform(0.01, 1.5))
         try:
-            _, _, dlo, dhi = eval_d1(f, X.lo, X.hi)
+            _, _, dlo, dhi = eval_d1(parse(_text(f)), X.lo, X.hi)
         except (DomainError, OverflowError):
             continue
         width = X.hi - X.lo
@@ -321,7 +348,7 @@ def test_derivative_containment_fuzz():
             fd = (mp_eval(f, mpmath.mpf(t) + h) - mp_eval(f, mpmath.mpf(t) - h)) / (2 * h)
             scale = mpmath.mpf(1e-4) * (1 + abs(fd))
             assert mpmath.mpf(dlo) - scale <= fd <= mpmath.mpf(dhi) + scale, \
-                (to_source(f), X, t)
+                (_text(f), X, t)
             done += 1
 
 
@@ -345,27 +372,33 @@ def _iv_abs(x):
     return FloatInterval(*numeric._abs(x.lo, x.hi))
 
 
+def _context(e) -> str:
+    """The package's text of the subtree e, as a DomainError names it."""
+    return to_source(parse(_text(e)))
+
+
 def _ref_eval(e, X):
-    if isinstance(e, Const):
-        return _enclose(e.value)
-    if isinstance(e, Var):
+    tag = e[0]
+    if tag == "const":
+        return _enclose(e[1])
+    if tag == "x":
         return X
-    if isinstance(e, Neg):
-        return _neg(_ref_eval(e.arg, X))
-    if isinstance(e, Add):
-        return _ref_eval(e.left, X) + _ref_eval(e.right, X)
-    if isinstance(e, Sub):
-        return _minus(_ref_eval(e.left, X), _ref_eval(e.right, X))
-    if isinstance(e, Mul):
-        return _ref_eval(e.left, X) * _ref_eval(e.right, X)
-    if isinstance(e, Div):
-        return _ref_eval(e.left, X) / _ref_eval(e.right, X)
-    if isinstance(e, PowInt):
-        return iv_pow(_ref_eval(e.base, X), e.n)
+    if tag == "neg":
+        return _neg(_ref_eval(e[1], X))
+    if tag == "+":
+        return _ref_eval(e[1], X) + _ref_eval(e[2], X)
+    if tag == "-":
+        return _minus(_ref_eval(e[1], X), _ref_eval(e[2], X))
+    if tag == "*":
+        return _ref_eval(e[1], X) * _ref_eval(e[2], X)
+    if tag == "/":
+        return _ref_eval(e[1], X) / _ref_eval(e[2], X)
+    if tag == "^":
+        return iv_pow(_ref_eval(e[1], X), e[2])
     try:
-        return _REF_APPLY[e.fn](_ref_eval(e.arg, X))
+        return _REF_APPLY[tag](_ref_eval(e[1], X))
     except DomainError as err:
-        err.context = to_source(e)
+        err.context = _context(e)
         raise
 
 
@@ -374,63 +407,61 @@ _REF_APPLY = {"sin": iv_sin, "cos": iv_cos, "exp": iv_exp, "log": iv_log,
 
 
 def _ref_eval_d(e, X):
-    if isinstance(e, Const):
-        return _enclose(e.value), FloatInterval(0.0, 0.0)
-    if isinstance(e, Var):
+    tag = e[0]
+    if tag == "const":
+        return _enclose(e[1]), FloatInterval(0.0, 0.0)
+    if tag == "x":
         return X, FloatInterval(1.0, 1.0)
-    if isinstance(e, Neg):
-        v, d = _ref_eval_d(e.arg, X)
+    if tag == "neg":
+        v, d = _ref_eval_d(e[1], X)
         return _neg(v), _neg(d)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        lv, ld = _ref_eval_d(e.left, X)
-        rv, rd = _ref_eval_d(e.right, X)
-        if isinstance(e, Add):
+    if tag in _OPS:
+        lv, ld = _ref_eval_d(e[1], X)
+        rv, rd = _ref_eval_d(e[2], X)
+        if tag == "+":
             return lv + rv, ld + rd
-        if isinstance(e, Sub):
+        if tag == "-":
             return _minus(lv, rv), _minus(ld, rd)
-        if isinstance(e, Mul):
+        if tag == "*":
             return lv * rv, ld * rv + lv * rd
         val = lv / rv
         return val, _minus(ld * rv, lv * rd) / iv_sqr(rv)
-    if isinstance(e, PowInt):
-        bv, bd = _ref_eval_d(e.base, X)
-        val = iv_pow(bv, e.n)
-        if e.n == 0:
+    if tag == "^":
+        bv, bd = _ref_eval_d(e[1], X)
+        n = e[2]
+        val = iv_pow(bv, n)
+        if n == 0:
             return val, FloatInterval(0.0, 0.0)
-        coeff = _enclose(Fraction(e.n))
-        return val, coeff * iv_pow(bv, e.n - 1) * bd
-    av, ad = _ref_eval_d(e.arg, X)
+        coeff = _enclose(Fraction(n))
+        return val, coeff * iv_pow(bv, n - 1) * bd
+    av, ad = _ref_eval_d(e[1], X)
     try:
-        if e.fn == "sin":
+        if tag == "sin":
             return iv_sin(av), iv_cos(av) * ad
-        if e.fn == "cos":
+        if tag == "cos":
             return iv_cos(av), _neg(iv_sin(av)) * ad
-        if e.fn == "exp":
+        if tag == "exp":
             ev = iv_exp(av)
             return ev, ev * ad
-        if e.fn == "log":
+        if tag == "log":
             return iv_log(av), ad / av
-        if e.fn == "sqrt":
+        if tag == "sqrt":
             sv = iv_sqrt(av)
             return sv, ad / (FloatInterval(2.0, 2.0) * sv)
     except (DomainError, DivisionByZeroInterval) as err:
         if isinstance(err, DomainError):
-            err.context = to_source(e)
+            err.context = _context(e)
             raise
-        derr = DomainError(e.fn, av, "derivative unbounded (argument range touches the domain boundary)")
-        derr.context = to_source(e)
+        derr = DomainError(tag, av, "derivative unbounded (argument range touches the domain boundary)")
+        derr.context = _context(e)
         raise derr from None
     raise NotDifferentiable("expression contains abs")
 
 
 def _ref_contains_abs(e):
-    if isinstance(e, Apply):
-        return e.fn == "abs" or _ref_contains_abs(e.arg)
-    if isinstance(e, (Const, Var)):
+    if e[0] in _LEAVES:
         return False
-    if isinstance(e, (Neg, PowInt)):
-        return _ref_contains_abs(e.arg if isinstance(e, Neg) else e.base)
-    return _ref_contains_abs(e.left) or _ref_contains_abs(e.right)
+    return e[0] == "abs" or any(_ref_contains_abs(a) for a in e[1:] if isinstance(a, tuple))
 
 
 def _ref_annotate(err, X):
@@ -517,12 +548,13 @@ def test_tape_matches_recursive_reference():
         with_abs = k % 2 == 0
         fns = ("sin", "cos", "exp", "log", "sqrt", "abs") if with_abs else \
             ("sin", "cos", "exp", "log", "sqrt")
-        f = _rand_expr(rng, rng.randint(1, 5), fns)
+        tree = _rand_expr(rng, rng.randint(1, 5), fns)
+        f = parse(_text(tree))
         for _ in range(3):
             X = _rand_piece(rng)
-            want = _outcome(lambda: _ref_iv(f, X))
+            want = _outcome(lambda: _ref_iv(tree, X))
             assert _outcome(lambda: _tape_iv(f, X)) == want, (to_source(f), X)
-            want_d = _outcome(lambda: _ref_d1(f, X))
+            want_d = _outcome(lambda: _ref_d1(tree, X))
             assert _outcome(lambda: _tape_d1(f, X)) == want_d, (to_source(f), X)
             seen.add(want[0])
             seen.add(want_d[0])
@@ -546,29 +578,6 @@ def test_domain_error_context_is_the_enclosing_application():
     with pytest.raises(DomainError) as exc:
         eval_iv(parse("sin(1/x)"), -1.0, 1.0)
     assert (exc.value.fn, exc.value.context) == ("div", None)
-
-
-def test_expression_is_compiled_once(monkeypatch):
-    compiled = []
-    original = expr_mod._compile
-
-    def counting(f):
-        compiled.append(f)
-        return original(f)
-
-    monkeypatch.setattr(expr_mod, "_compile", counting)
-    f = parse("sin(x)*exp(x) + x^3/(1 + x^2)")
-    for k in range(20):
-        eval_iv(f, k / 20, (k + 1) / 20)
-        eval_d1(f, k / 20, (k + 1) / 20)
-        assert f.differentiable
-    assert compiled == [f]
-    g = parse("abs(x) - 1")
-    for _ in range(5):
-        eval_iv(g, -1.0, 1.0)
-        with pytest.raises(NotDifferentiable):
-            eval_d1(g, -1.0, 1.0)
-    assert compiled == [f, g]
 
 
 def test_constant_beyond_binary64_overflows_in_evaluation_order():
@@ -617,10 +626,9 @@ def test_result_ends_that_are_no_interval_raise(monkeypatch):
 
 
 def test_deep_trees_evaluate_without_recursion():
-    f = Var()
-    for k in range(5_000):
-        f = Add(f, Const(Fraction(1))) if k % 2 else Mul(f, Const(Fraction(1, 2)))
-    assert eval_iv(f, 0.0, 1.0)[1] <= 2.0
+    # a chain 5,000 operations deep: x halved 2,500 times, then 2,500 ones added
+    f = parse("x" + " * 0.5" * 2_500 + " + 1" * 2_500)
+    assert eval_iv(f, 0.0, 1.0)[1] <= 2_501.0
     assert eval_d1(f, 0.0, 1.0)[3] <= 1.0
 
 
@@ -632,25 +640,26 @@ _HUGE = Fraction(10) ** 400
 # two binary64 values whose product rounds to max with a positive error, so
 # that the upward product steps past max, which raises
 _STEP_A, _STEP_B = Fraction(1.4954350870919408), Fraction(1.2021204734189789e+308)
+# source texts, each operand in parentheses
 _leaf = st.one_of(
-    st.just(Var()),
-    st.builds(lambda n, d: Const(Fraction(n, d)), st.integers(0, 40), st.integers(1, 12)),
-    st.sampled_from((Const(_HUGE), Const(1 / _HUGE), Const(Fraction(2) ** 1023),
-                     Const(_STEP_A), Const(_STEP_B))))
+    st.just("x"),
+    st.builds(lambda n, d: f"{n} / {d}", st.integers(0, 40), st.integers(1, 12)),
+    st.builds(lambda n, k: _literal(Fraction(n, 10 ** k)), st.integers(0, 400), st.integers(0, 3)),
+    st.sampled_from(tuple(map(_literal, (_HUGE, 1 / _HUGE, Fraction(2) ** 1023,
+                                         _STEP_A, _STEP_B))))).map("({})".format)
 
 
 def _grow(children):
     return st.one_of(
-        children.map(Neg),
-        st.builds(lambda op, l, r: op(l, r), st.sampled_from((Add, Sub, Mul, Div)),
+        children.map("-{}".format),
+        st.builds(lambda op, l, r: f"({l} {op} {r})", st.sampled_from("+-*/"),
                   children, children),
-        st.builds(PowInt, children,
+        st.builds("({})^{}".format, children,
                   st.integers(0, 6) | st.sampled_from((10, 10 ** 8, 10 ** 8 + 1, 10 ** 400))),
-        st.builds(Apply, st.sampled_from(("sin", "cos", "exp", "log", "sqrt", "abs")),
-                  children))
+        st.builds(lambda fn, c: f"{fn}({c})", st.sampled_from(FUNCTIONS), children))
 
 
-_exprs = st.recursive(_leaf, _grow, max_leaves=8)
+_exprs = st.recursive(_leaf, _grow, max_leaves=8).map(parse)
 _end = st.one_of(
     st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.5, 2.0, 700.0, 710.0,
                      1e154, 1e300, _MAXF, -_MAXF)),
@@ -671,7 +680,7 @@ def _ref_outcome(run):
 @example(f=parse("log(x) + 1" + "0" * 400), x=-1.0, y=1.0)
 @example(f=parse("x * x + x"), x=1e300, y=_MAXF)
 @example(f=parse("(x + 1) * x"), x=1.0, y=_MAXF)   # the upward step from max raises
-@example(f=Mul(Mul(Const(_STEP_A), Var()), Const(_STEP_B)), x=1.0, y=1.0)
+@example(f=parse(f"{_literal(_STEP_A)} * x * {_literal(_STEP_B)}"), x=1.0, y=1.0)
 @example(f=parse("exp(exp(x))"), x=0.0, y=7.0)
 @example(f=parse("abs(x) * sin(x)"), x=-0.0, y=0.0)
 @given(f=_exprs, x=_end, y=_end)
@@ -715,6 +724,15 @@ def test_long_flat_expressions_parse_roundtrip_and_evaluate():
         assert eval_iv(e, 0.0, 1.0)[1] == hi
 
 
+def test_more_nodes_than_the_limit_is_a_parse_error():
+    at_limit = "-" + " + ".join(["x"] * (MAX_NODES // 2))
+    assert len(parse(at_limit).code) == MAX_NODES
+    for text in (at_limit + " + x", "-" * MAX_NODES + "x"):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.expected, exc.value.found) == (f"at most {MAX_NODES} nodes", "more")
+
+
 def test_over_long_digit_run_is_a_parse_error_at_its_start():
     run = "9" * 5000
     for text, start in [(run + " * x", 0), ("x + 0." + run, 6), ("x^ " + run, 3)]:
@@ -735,13 +753,8 @@ def _stack_depth() -> int:
 
 def test_no_walk_of_an_expression_recurses():
     def chains():
-        add = Var()
-        for _ in range(2_999):
-            add = Add(add, Var())
-        neg = Var()
-        for _ in range(3_000):
-            neg = Neg(neg)
-        return add, neg, parse(" * ".join(["x"] * 3000))
+        return (parse(" + ".join(["x"] * 3000)), parse("-" * 3000 + "x"),
+                parse(" * ".join(["x"] * 3000)))
 
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
@@ -781,3 +794,62 @@ def test_printed_text_of_a_parsed_expression_parses_to_it(s):
     e = parse(s)
     again = parse(to_source(e))
     assert again == e and hash(again) == hash(e)
+
+
+# ---------------------------------------------------------------------------
+# a digest of printing and evaluation over seeded random sources
+# ---------------------------------------------------------------------------
+
+_MAX_DIGITS = str(int(_MAXF))
+_DIGEST_LEAVES = (
+    "x", "0", "7", "0.5", "2.25", "0.1", "0.30000000000000004",
+    "1" + "0" * 400,                    # beyond binary64
+    _MAX_DIGITS,                        # max itself
+    str(int(_MAXF) + 2 ** 970),         # the first value float() rounds past max
+    "0." + "0" * 330 + "7",             # below the least subnormal
+    "0." + "0" * 323 + "5",             # about the least subnormal
+)
+_DIGEST_PIECES = ((-2.0, 2.0), (0.25, 0.5), (-0.0, 0.0), (1.0, 900.0))
+# sha256 of the records of 2,000 sources, as the tree-building parser and
+# its compiled tape printed and evaluated them
+_DIGEST = "ef1825b0b9cbcb336dec2f04b4df34e97791130ca1a1abf57e6c06c9a5dc45d5"
+
+
+def _digest_source(rng: random.Random, depth: int) -> str:
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(_DIGEST_LEAVES)
+    kind = rng.randrange(6)
+    inner = _digest_source(rng, depth - 1)
+    if kind == 0:
+        return f"({inner}) {rng.choice('+-*/')} ({_digest_source(rng, depth - 1)})"
+    if kind == 1:  # a unary minus chain
+        return "-" * rng.randint(1, 4) + (inner if inner in _DIGEST_LEAVES else f"({inner})")
+    if kind == 2:
+        return f"({inner})^{rng.choice((0, 1, 2, 3, 7, 10 ** 8 + 1, 10 ** 400))}"
+    if kind == 3:  # nested sqrt, log and abs
+        for _ in range(rng.randint(1, 3)):
+            inner = f"{rng.choice(('sqrt', 'log', 'abs'))}({inner})"
+        return inner
+    return f"{rng.choice(('sin', 'cos', 'exp', 'log', 'sqrt', 'abs'))}({inner})"
+
+
+def _digest_outcome(run, lo, hi):
+    try:
+        return "ok", tuple(float_to_hex(v) for v in run(lo, hi))
+    except (DomainError, NotDifferentiable, OverflowError, ValueError) as err:
+        return (type(err).__name__, str(err), getattr(err, "fn", None),
+                getattr(err, "context", None))
+
+
+def test_printing_and_evaluation_digest():
+    rng = random.Random(207)
+    records = []
+    for _ in range(2_000):
+        e = parse(_digest_source(rng, rng.randint(1, 5)))
+        text = to_source(e)
+        records.append((text, parse(text) == e))
+        for lo, hi in _DIGEST_PIECES:
+            records.append(_digest_outcome(lambda u, v: eval_iv(e, u, v), lo, hi))
+            records.append(_digest_outcome(lambda u, v: eval_d1(e, u, v), lo, hi))
+    digest = hashlib.sha256("\n".join(map(repr, records)).encode()).hexdigest()
+    assert digest == _DIGEST
