@@ -61,7 +61,6 @@ from .sweep import (
     LocalWitness,
     Problem,
     SweepFailure,
-    SweepState,
     base_case,
     combine,
     finish,

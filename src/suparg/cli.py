@@ -37,7 +37,7 @@ from .numeric import (
     interval_to_hex,
     parse_rational,
 )
-from .sweep import SweepFailure, default_h_min
+from .sweep import MAX_PIECES, SweepFailure, default_h_min
 from .theorems import (  # noqa: F401  provers are called by the name their row gives
     Inconclusive,
     PreconditionError,
@@ -105,7 +105,7 @@ def _build_parser() -> _Parser:
     pr.add_argument("--M", help="derivative cap for mvi")
     pr.add_argument("--eta", help="flatness budget for cft")
     pr.add_argument("--tol", help="bracket width for ivt (default 1e-9)")
-    pr.add_argument("--max-pieces", dest="max_pieces", type=int, default=2 ** 20)
+    pr.add_argument("--max-pieces", dest="max_pieces", type=int, default=MAX_PIECES)
     pr.add_argument("--out", help="write certificate JSON to this file")
     pr.add_argument("--format", choices=("json", "text"), default="text")
 

@@ -9,24 +9,25 @@ advances a frontier until it reaches b.  The engine names no theorem: the
 certificate's row, selected by the theorem's code, says how to start, probe,
 judge, refute and merge, and what the finished certificate requires.
 
-run_sweep is the argument's three steps written out as a fold over one
-carried SweepState, for every domain: base_case opens it on [a, a],
-local_extend finds a witness piece past the frontier, combine takes that
-piece in, in O(1), and finish builds the certificate on [a, frontier].  On
-a single-point domain the base case is the whole proof: base_case evaluates
-the point, so the loop never runs, and a point that refutes the theorem
-ends the fold there.
+run_sweep is the argument's three steps written out as a fold, for every
+domain, over the one object the argument works with: the certificate on
+[a, x] as it grows, the certified prefix.  base_case opens it on [a, a],
+local_extend finds a witness piece past its end x, combine takes that piece
+in, in O(1), and finish copies out the certificate.  On a single-point
+domain the base case is the whole proof: base_case evaluates the point, so
+the loop never runs, and a point that refutes the theorem ends the fold
+there.
 
 Local extension halves a step width from a start width down to h_min =
 (b - a) * 2**-40 until a piece certifies.  The first piece starts cold at
 h_init = (b - a) / 8; after it the width that certified the last piece,
-scaled by clamp(_SAFETY * r**(1/p), 1/2, 2) and capped at h_init, is the
-start, as in ODE step-size controllers: the row judges each enclosure by a
-margin r, the width its limit allows the enclosure over the width it has,
-which falls about as width**-p, so a start lands just under the width that
-certifies, about one evaluation a piece.  A warm search that certifies
-nothing is rerun once from h_init, so a frontier fails exactly where the
-cold search fails, refutation probes at the wide widths included.
+scaled by clamp(_SAFETY * r**(1/p), 1/2, 2), is the next start h_next,
+capped at h_init, as in ODE step-size controllers: the row judges each
+enclosure by a margin r, the width its limit allows the enclosure over the
+width it has, which falls about as width**-p, so a start lands just under
+the width that certifies, about one evaluation a piece.  A warm search that
+certifies nothing is rerun once from h_init, so a frontier fails exactly
+where the cold search fails, refutation probes at the wide widths included.
 
 Every probe takes one path, and reads no field that only some certificates
 have: the row's window gives the left end u <= x of the piece [u, y] to
@@ -66,6 +67,9 @@ _SWEPT = {th: row for row in ROWS if row.arrays for th in row.theorems}
 # the safety factor on the start width a margin gives
 _SAFETY = 0.9
 
+# the piece budget of a sweep, unless its caller sets one
+MAX_PIECES = 2 ** 20
+
 
 def default_h_min(a: float, b: float) -> float:
     """The smallest step width of a sweep on [a, b]: (b - a) * 2**-40."""
@@ -78,9 +82,10 @@ class Problem:
 
     theorem is the theorem's code, one of those a sweep proves (ValueError
     otherwise).  eps, M and eta are the parameters of the theorem, named by
-    their JSON keys; its row says which it takes and their signs.  prior,
-    the certificate of a coarser pass over the same problem, is for the
-    row's start to read.  max_pieces caps the pieces a sweep may take.
+    their JSON keys; its row says which it takes and their signs, and each
+    must be finite.  prior, the certificate of a coarser pass over the same
+    problem, is for the row's start to read.  max_pieces caps the pieces a
+    sweep may take.
 
     The sweep's step widths lie between h_min = (b - a) * 2**-40 and h_init
     = (b - a) / 8; so when a < b, b - a must neither overflow binary64 nor
@@ -95,7 +100,7 @@ class Problem:
     M: float | None = None
     eta: float | None = None
     fn_source: str | None = None
-    max_pieces: int = 2 ** 20
+    max_pieces: int = MAX_PIECES
     prior: Certificate | None = field(default=None, repr=False, compare=False)
     row: Row = field(init=False, repr=False, compare=False)
 
@@ -120,6 +125,8 @@ class Problem:
             value, name = getattr(self, key), takes.get(key)
             if (name is None) != (value is None):
                 raise ValueError(f"{self.theorem} requires {key} exactly when applicable")
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite")
             if name in row.positive and not value > 0:
                 raise ValueError(f"{key} must be positive")
             if name in row.nonnegative and value < 0:
@@ -138,11 +145,10 @@ class LocalWitness(NamedTuple):
     y: float
     lo: float
     hi: float
-    h: float | None = None          # step width that certified the piece
+    h_next: float | None = None     # the next search starts at min(h_init, h_next); None: cold
     ext_lo: float | None = None     # left end of the evaluated piece [ext_lo, y], from the window
     cand: float | None = None       # the best of the row's points
     cand_lo: float | None = None    # lower bound of f at cand
-    grow: float = 2.0               # the next search starts at min(h_init, grow * h)
 
 
 class FailureKind(Enum):
@@ -170,49 +176,6 @@ class SweepFailure:
         return "; ".join(parts)
 
 
-# =============================================================================
-# The carried state: the certificate as it grows, with the certificate's
-# field names, lists in place of tuples and, for every row, the pieces' ends
-# as the partition list
-# =============================================================================
-
-@dataclass
-class SweepState:
-    """What a fold carries from one step to the next.
-
-    acc holds the certificate on [a, frontier] as it grows; h_init and h_min
-    bound the step widths (0 on a single-point domain, where nothing is
-    searched); h_prev is the width that certified the last piece (None
-    starts the next search cold), and grow * h_prev, capped at h_init, the
-    next start.
-    """
-
-    acc: SimpleNamespace
-    h_init: float
-    h_min: float
-    h_prev: float | None = None
-    grow: float = 2.0
-
-    @property
-    def frontier(self) -> float:
-        return self.acc.b
-
-    @property
-    def pieces_used(self) -> int:
-        return len(self.acc.partition) - 1
-
-
-def _start(p: Problem) -> SimpleNamespace:
-    """The certificate on [a, a], before any piece."""
-    row = p.row
-    s = SimpleNamespace(fn_source=p.fn_source, a=p.a, b=p.a,
-                        **{name: getattr(p, row.key(name)) for name in row.params},
-                        **row.theorems[p.theorem])
-    vars(s).update(row.start(s, p))
-    vars(s).update({name: [] for name, _ in row.arrays}, partition=[p.a])
-    return s
-
-
 def _accepts(row: Row, s, lo: float, hi: float, x: float, y: float, t_lo) -> float | None:
     """None when the row refuses the enclosure, else the scale of the next
     start width, from the margin (r, p) the row judges it by."""
@@ -224,101 +187,111 @@ def _accepts(row: Row, s, lo: float, hi: float, x: float, y: float, t_lo) -> flo
 # The fold: base case, local extension, combination
 # =============================================================================
 
-def base_case(p: Problem) -> SweepState | SweepFailure:
-    """The state on [a, a], from which the fold extends, with the bounds
-    h_init and h_min of the sweep's step widths.
+def base_case(p: Problem) -> SimpleNamespace | SweepFailure:
+    """The certificate on [a, a], which the fold carries and grows: a
+    namespace with the certificate's field names, what the row's start adds,
+    lists in place of tuples and, for every row, the pieces' ends as the
+    partition list; its b is the frontier.  It also holds the step widths:
+    h_init and h_min bound them (0 on a single-point domain, where nothing
+    is searched), and h_next, None until a piece certifies, starts the next
+    search.
 
     When a < b the theorem holds vacuously at a, and no hypothesis is
     evaluated: a problem that is doomed (say, proving negativity when
     f(a) >= 0) fails at the first extension.
 
-    When a == b the state is already final, its widths 0, and the point is
+    When a == b the certificate is already final, and the point is
     evaluated here.  A theorem that binds f itself (the row's pointwise) is
     judged at a, and a point that refutes it or leaves it undecided is
     returned as a SweepFailure.
     """
-    s = SweepState(_start(p), (p.b - p.a) / 8, default_h_min(p.a, p.b))
-    if p.a < p.b:
+    row, a = p.row, p.a
+    s = SimpleNamespace(fn_source=p.fn_source, a=a, b=a,
+                        **{name: getattr(p, row.key(name)) for name in row.params},
+                        **row.theorems[p.theorem])
+    vars(s).update(row.start(s, p))
+    vars(s).update({name: [] for name, _ in row.arrays}, partition=[a],
+                   h_init=(p.b - a) / 8, h_min=default_h_min(a, p.b), h_next=None)
+    if a < p.b:
         return s
-    row, a, acc = p.row, p.a, s.acc
     # evaluated for its domain errors even where it bounds nothing (f')
     lo, hi = _enclose(row, p.f, a, a)
     if row.pointwise:
         # the point is its own piece and its own candidate point
         if row.step is not None:
-            row.step(acc, LocalWitness(a, a, lo, hi, cand=a, cand_lo=lo))
-        failure = _refutation(row, acc, a, a, a, lo, hi)
+            row.step(s, LocalWitness(a, a, lo, hi, cand=a, cand_lo=lo))
+        failure = _refutation(row, s, a, a, a, lo, hi)
         if failure is not None:
             return failure
-        if _accepts(row, acc, lo, hi, a, a, lo) is None:
+        if _accepts(row, s, lo, hi, a, a, lo) is None:
             return SweepFailure(FailureKind.STALLED, at=a, detail=row.stall)
     return s
 
 
-def local_extend(p: Problem, s: SweepState) -> LocalWitness | SweepFailure:
+def local_extend(p: Problem, s: SimpleNamespace) -> LocalWitness | SweepFailure:
     """Find a step width h in [s.h_min, s.h_init] whose piece, starting at
-    the frontier, certifies the local predicate; stall if none does, fail
-    with a refuting piece if an enclosure certifies the hypothesis false,
-    and fail with BUDGET once p.max_pieces pieces have been taken.
+    the frontier s.b, certifies the local predicate; stall if none does,
+    fail with a refuting piece if an enclosure certifies the hypothesis
+    false, and fail with BUDGET once p.max_pieces pieces have been taken.
 
-    The search halves geometrically from s.h_init when s.h_prev is None,
-    else from min(s.h_init, s.grow * s.h_prev).  A warm search that
-    certifies nothing is rerun once from s.h_init, so failures (and domain
-    errors) are those of the cold search at this frontier.  The witness
-    reports the certifying width as w.h and, from its margin, the next
-    scale as w.grow, which combine records.  The state is not changed.
+    The search halves geometrically from min(s.h_init, s.h_next), or cold
+    from s.h_init when s.h_next is None.  A warm search that certifies
+    nothing is rerun once from s.h_init, so failures (and domain errors)
+    are those of the cold search at this frontier.  The witness carries the
+    next start, the certifying width scaled by its margin, as w.h_next,
+    which combine records.  The state is not changed.
     """
-    x = s.frontier
+    x = s.b
     if not x < p.b:
         raise ValueError("frontier already at b")
-    if s.pieces_used >= p.max_pieces:
+    if len(s.partition) - 1 >= p.max_pieces:
         return SweepFailure(FailureKind.BUDGET, at=x,
                             detail=f"piece budget {p.max_pieces} exhausted")
     # Anything but a witness from the warm search is redone cold, so a
     # failure or a domain error names the piece the cold search reaches.
-    h = s.h_init if s.h_prev is None else min(s.h_init, s.grow * s.h_prev)
-    if h < s.h_init:
+    if s.h_next is not None and s.h_next < s.h_init:
         try:
-            res = _halving_search(p, x, s.acc, h, s.h_min)
+            res = _halving_search(p, s, s.h_next)
         except DomainError:
             res = None
         if isinstance(res, LocalWitness):
             return res
-    return _halving_search(p, x, s.acc, s.h_init, s.h_min)
+    return _halving_search(p, s, s.h_init)
 
 
-def combine(p: Problem, s: SweepState, w: LocalWitness) -> None:
-    """Take the piece [x, y] of w into the state on [a, x], in place: the
-    row's step updates the scalars (the min-rule for the uniform-continuity
-    delta, which stores its own overlapping piece), y is appended to the
-    partition, and w.h and w.grow set the next start.
+def combine(p: Problem, s: SimpleNamespace, w: LocalWitness) -> None:
+    """Take the piece [x, y] of w into the certificate s on [a, x], in
+    place: the row's step updates the scalars (the min-rule for the
+    uniform-continuity delta, which stores its own overlapping piece), y is
+    appended to the partition and becomes s.b, and w.h_next becomes
+    s.h_next, the next search's start.
 
     The piece must start exactly at the frontier; StructureError otherwise.
     """
-    row, acc = p.row, s.acc
+    row = p.row
     x, y = w.x, w.y
-    if x != acc.b:
+    if x != s.b:
         raise StructureError(
-            f"piece starts at {x!r} but certified domain ends at {acc.b!r}")
+            f"piece starts at {x!r} but certified domain ends at {s.b!r}")
     if not y > x:
         raise StructureError("degenerate piece")
     if row.step is not None:
-        row.step(acc, w)
+        row.step(s, w)
     for name, side in row.arrays:
-        getattr(acc, name).append(side.store(w.lo, w.hi))
-    acc.partition.append(y)
-    acc.b = y
-    s.h_prev, s.grow = w.h, w.grow
+        getattr(s, name).append(side.store(w.lo, w.hi))
+    s.partition.append(y)
+    s.b, s.h_next = y, w.h_next
 
 
-def finish(p: Problem, s: SweepState) -> Certificate:
-    """The certificate on [a, frontier], from the state's entries that are
-    fields of the row's class; what only the sweep reads, such as a budget
-    its row's start set or the partition of a class without one, stays
-    out.  It copies the state's lists, so the fold may go on afterwards."""
-    row, acc = p.row, vars(s.acc)
+def finish(p: Problem, s: SimpleNamespace) -> Certificate:
+    """The certificate on [a, s.b], from the state's entries that are
+    fields of the row's class; what only the sweep reads, such as the step
+    widths, a budget its row's start set or the partition of a class
+    without one, stays out.  It copies the state's lists, so the fold may go
+    on afterwards."""
+    row, state = p.row, vars(s)
     values = {k: tuple(v) if isinstance(v, list) else v
-              for k, v in ((fld.name, acc[fld.name]) for fld in fields(row.cls))}
+              for k, v in ((fld.name, state[fld.name]) for fld in fields(row.cls))}
     if "partition" in values:
         values["partition"] = Partition(values["partition"])
     return row.cls(**values)
@@ -337,7 +310,7 @@ def run_sweep(p: Problem) -> Certificate | SweepFailure:
     s = base_case(p)
     if isinstance(s, SweepFailure):
         return s
-    while s.frontier < p.b:
+    while s.b < p.b:
         w = local_extend(p, s)
         if isinstance(w, SweepFailure):
             return w
@@ -353,8 +326,9 @@ def run_sweep(p: Problem) -> Certificate | SweepFailure:
 # Local extension: the halving search and one probe
 # =============================================================================
 
-def _halving_search(p: Problem, x: float, s, h: float,
-                    h_min: float) -> LocalWitness | SweepFailure:
+def _halving_search(p: Problem, s, h: float) -> LocalWitness | SweepFailure:
+    """Probe pieces from the frontier s.b at widths h, h/2, ... down to s.h_min."""
+    x, h_min = s.b, s.h_min
     while h >= h_min:
         y = x + h
         # clip at b, absorbing any sub-h_min remainder so no dust piece forms
@@ -380,8 +354,8 @@ def _probe(p: Problem, s, x: float, y: float,
     window, at the current step width h: a witness, a certified refutation,
     or None (inconclusive, keep halving).  The first of the row's points
     with the best lower end of f is the witness's candidate.  s is the
-    certificate so far, as the carried SweepState.acc; the row's judge and
-    refute tests read their thresholds from it."""
+    certificate so far, as the fold carries it; the row's judge and refute
+    tests read their thresholds from it."""
     row, f = p.row, p.f
     u = x if row.window is None else row.window(s, p, x, h)
     lo, hi = _enclose(row, f, u, y)
@@ -391,9 +365,9 @@ def _probe(p: Problem, s, x: float, y: float,
             t_lo = eval_iv(f, t, t)[0]
             if cand is None or t_lo > cand_lo:
                 cand, cand_lo = t, t_lo
-    grow = _accepts(row, s, lo, hi, x, y, cand_lo)
-    if grow is not None:
-        return LocalWitness(x, y, lo, hi, h, u, cand, cand_lo, grow)
+    scale = _accepts(row, s, lo, hi, x, y, cand_lo)
+    if scale is not None:
+        return LocalWitness(x, y, lo, hi, scale * h, u, cand, cand_lo)
     failure = _refutation(row, s, x, u, y, lo, hi)
     if failure is None and row.deriv:
         # The violation may lie strictly beyond any reachable frontier, in

@@ -27,7 +27,7 @@ from .certificates import (
 )
 from .expr import Expr, eval_iv, parse
 from .numeric import _MAX_FLOAT, DomainError, FloatInterval, sub_up
-from .sweep import FailureKind, Problem, SweepFailure, default_h_min, run_sweep
+from .sweep import MAX_PIECES, FailureKind, Problem, SweepFailure, default_h_min, run_sweep
 
 
 class PreconditionError(ValueError):
@@ -53,13 +53,13 @@ def _sweep(f: Expr | str, a: float, b: float, theorem: str, max_pieces: int, **p
 
 
 def prove_bound(f: Expr | str, a: float, b: float,
-                max_pieces: int = 2 ** 20) -> BoundCert | SweepFailure:
+                max_pieces: int = MAX_PIECES) -> BoundCert | SweepFailure:
     """Certify a positive global upper bound for f on [a, b]."""
     return _sweep(f, a, b, "bvt", max_pieces)
 
 
 def prove_max(f: Expr | str, a: float, b: float, eps: float,
-              max_pieces: int = 2 ** 20) -> MaxCert | SweepFailure:
+              max_pieces: int = MAX_PIECES) -> MaxCert | SweepFailure:
     """Certify an eps-maximizer: a point c with f(t) <= f(c) + eps everywhere.
 
     The exact-maximizer statement is not certifiable from finitely many
@@ -69,13 +69,13 @@ def prove_max(f: Expr | str, a: float, b: float, eps: float,
 
 
 def prove_modulus(f: Expr | str, a: float, b: float, eps: float,
-                  max_pieces: int = 2 ** 20) -> ModulusCert | SweepFailure:
+                  max_pieces: int = MAX_PIECES) -> ModulusCert | SweepFailure:
     """Certify a uniform-continuity modulus delta for the given eps."""
     return _sweep(f, a, b, "uct", max_pieces, eps=eps)
 
 
 def prove_integral(f: Expr | str, a: float, b: float, eps: float,
-                   max_pieces: int = 2 ** 20) -> IntegralCert | SweepFailure:
+                   max_pieces: int = MAX_PIECES) -> IntegralCert | SweepFailure:
     """Enclose the Darboux integral of f over [a, b] with gap below eps.
 
     A first sweep at 16 eps, with a sixteenth of the piece budget, shows
@@ -105,19 +105,19 @@ def prove_integral(f: Expr | str, a: float, b: float, eps: float,
 
 
 def prove_monotone(f: Expr | str, a: float, b: float, strict: bool,
-                   max_pieces: int = 2 ** 20) -> MonotoneCert | SweepFailure:
+                   max_pieces: int = MAX_PIECES) -> MonotoneCert | SweepFailure:
     """Certify (strict) monotonicity via per-piece derivative lower bounds."""
     return _sweep(f, a, b, "sift" if strict else "ift", max_pieces)
 
 
 def prove_mvi(f: Expr | str, a: float, b: float, M: float,
-              max_pieces: int = 2 ** 20) -> MviCert | SweepFailure:
+              max_pieces: int = MAX_PIECES) -> MviCert | SweepFailure:
     """Certify f(x2) - f(x1) <= M (x2 - x1) via per-piece derivative caps."""
     return _sweep(f, a, b, "mvi", max_pieces, M=M)
 
 
 def prove_flat(f: Expr | str, a: float, b: float, eta: float,
-               max_pieces: int = 2 ** 20) -> FlatCert | SweepFailure:
+               max_pieces: int = MAX_PIECES) -> FlatCert | SweepFailure:
     """Certify |f(t) - f(a)| <= eta (b - a); exact constancy when eta = 0.
 
     With eta = 0 only a syntactically zero derivative enclosure certifies,
@@ -131,7 +131,7 @@ def prove_flat(f: Expr | str, a: float, b: float, eta: float,
 # =============================================================================
 
 def prove_root(f: Expr | str, a: float, b: float, tol: float,
-               max_pieces: int = 2 ** 20) -> RootBracket | NegCert | SweepFailure:
+               max_pieces: int = MAX_PIECES) -> RootBracket | NegCert | SweepFailure:
     """Localize a zero of f given a certified-negative left endpoint.
 
     The zero is the paper's c = sup{x : f < 0 on [a, x]}, which the
@@ -144,6 +144,8 @@ def prove_root(f: Expr | str, a: float, b: float, tol: float,
     a pass that moves neither end, and raises Inconclusive.
     """
     expr, src = _as_expr(f)
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     if not tol > 0:
         raise ValueError("tol must be positive")
     problem = Problem(expr, a, b, "ivt", fn_source=src, max_pieces=max_pieces)

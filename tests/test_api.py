@@ -17,6 +17,10 @@ every row, excepted): what one theorem's sweep needs lives in that
 theorem's row.  Nor does it read a row's limit or accept: a probe is
 judged only through the row's judge.
 
+The fold carries the certificate it builds: sweep.py defines no class but
+its input, its witness and its failure, and no swept certificate has a
+field named like a step width the fold carries beside the certificate's.
+
 theorems.py builds no Fraction: exact rational tests belong to the
 checker, and the root prover's width test takes sub_up, an upper bound of
 the exact width.
@@ -153,6 +157,17 @@ def test_sweep_judges_a_probe_only_through_the_row():
     read = sorted({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
                   & {"limit", "accept"})
     assert not read, f"sweep.py reads the row's {read}"
+
+
+def test_the_fold_carries_the_certificate_itself():
+    from suparg.certificates import ROWS
+    tree = ast.parse((SRC / "sweep.py").read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    extra = sorted(defined - {"Problem", "LocalWitness", "FailureKind", "SweepFailure"})
+    assert not extra, f"sweep.py defines classes {extra}"
+    clash = sorted({fld.name for row in ROWS if row.arrays for fld in fields(row.cls)}
+                   & {"h_init", "h_min", "h_next"})
+    assert not clash, f"swept certificates have fields named like step widths: {clash}"
 
 
 def test_theorems_builds_no_fraction():

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from operator import le
 from types import SimpleNamespace
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from suparg import cli
+from suparg import cli, theorems
 from suparg.certificates import (
     OSC,
     IntegralCert,
@@ -57,12 +58,12 @@ def steady():
     return problem("x*(1 - x)", 0.0, 0.5, "evt", eps=1e-3)
 
 
-def at_frontier(src, a, b, theorem, x, h_init, h_prev=None, **kw):
+def at_frontier(src, a, b, theorem, x, h_init, h_next=None, **kw):
     """The problem on [x, b] with the widths of the one on [a, b]: a fresh
     fold whose frontier is x, searching as the sweep on [a, b] does there."""
     p = problem(src, x, b, theorem, **kw)
     state = base_case(p)
-    state.h_init, state.h_min, state.h_prev = h_init, default_h_min(a, b), h_prev
+    state.h_init, state.h_min, state.h_next = h_init, default_h_min(a, b), h_next
     return p, state
 
 
@@ -84,6 +85,17 @@ def test_problem_param_validation():
     for theorem in ("i1", "i2", "xyz"):  # no sweep proves these
         with pytest.raises(ValueError):
             problem("x", 0, 1, theorem)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("code", [code for code, row in cli._PROVED.items() if row.params])
+def test_non_finite_parameter_rejected(code, value):
+    # a non-finite eps, M, eta or tol is refused before any sweep, where it
+    # gave certificates the checker calls Invalid or raised from the kernels
+    row = cli._PROVED[code]
+    key = row.key(row.params[0])
+    with pytest.raises(ValueError, match=f"^{key} must be finite$"):
+        getattr(theorems, row.prover)("x - 1", 0.0, 2.0, value)
 
 
 def test_domain_wider_than_binary64_rejected():
@@ -120,8 +132,8 @@ def test_theorem_code_selects_the_row_its_prover_returns(theorem, capsys):
 def test_base_case_is_vacuous():
     p = problem("sin(x)", 0.0, 3.0, "bvt")
     state = base_case(p)
-    assert state.frontier == 0.0
-    assert state.pieces_used == 0
+    assert state.b == 0.0
+    assert state.partition == [0.0]
     assert len(finish(p, state).partition) == 0
 
 
@@ -130,7 +142,7 @@ def test_base_case_hypothesis_free_for_sign():
     p = problem("x + 1", 0.0, 1.0, "ivt")
     state = base_case(p)
     state.h_init = 0.125
-    assert state.frontier == 0.0
+    assert state.b == 0.0
     res = local_extend(p, state)
     assert isinstance(res, SweepFailure)
     assert res.kind is FailureKind.HYPOTHESIS_FAIL
@@ -140,7 +152,7 @@ def test_base_case_hypothesis_free_for_sign():
 def _point_fold(p):
     """The public fold on [a, a]: base_case leaves nothing to extend."""
     state = base_case(p)
-    assert state.frontier == p.b
+    assert state.b == p.b
     return finish(p, state)
 
 
@@ -340,14 +352,14 @@ def _manual_run(p, h_init, h_min):
     """Step with the public operations, checking the partial at each stop."""
     state = base_case(p)
     state.h_init, state.h_min = h_init, h_min
-    frontiers = [state.frontier]
-    while state.frontier < p.b:
+    frontiers = [state.b]
+    while state.b < p.b:
         res = local_extend(p, state)
         assert isinstance(res, LocalWitness)
         combine(p, state, res)
         restricted = check(finish(p, state))
         assert restricted, f"partial invalid at [{res.x}, {res.y}]: {restricted}"
-        frontiers.append(state.frontier)
+        frontiers.append(state.b)
     return state, frontiers
 
 
@@ -369,7 +381,7 @@ def test_frontier_monotone_and_fold_matches_sweep(src, theorem, kw):
     for u, v in zip(frontiers, frontiers[1:]):
         assert v > u
         assert v - u >= h_min * 0.5 or v == b
-    assert state.pieces_used <= math.ceil((b - a) / h_min) + 1
+    assert len(state.partition) - 1 <= math.ceil((b - a) / h_min) + 1
     swept = run_sweep(p)
     assert swept == finish(p, state)
 
@@ -377,7 +389,7 @@ def test_frontier_monotone_and_fold_matches_sweep(src, theorem, kw):
 def _fold(p):
     """The public fold, stopping at the first failure."""
     state = base_case(p)
-    while state.frontier < p.b:
+    while state.b < p.b:
         w = local_extend(p, state)
         if isinstance(w, SweepFailure):
             return w
@@ -452,7 +464,7 @@ def _search_starts(monkeypatch):
     starts = []
     real = sweep_mod._halving_search
     monkeypatch.setattr(sweep_mod, "_halving_search",
-                        lambda p, x, s, h, h_min: starts.append(h) or real(p, x, s, h, h_min))
+                        lambda p, s, h: starts.append(h) or real(p, s, h))
     return starts
 
 
@@ -521,11 +533,22 @@ def _planned(src, a, b, eps):
     problem("x^3 - 3*x^2 + 3.01*x", 0.0, 2.0, "sift"),
 ], ids=["uct-x", "uct-sinexp", "uct-runge", "dit-prefix", "dit-planned", "evt", "ivt", "sift"])
 def test_warm_starts_stay_within_half_and_twice_the_last_width(monkeypatch, p):
+    import suparg.sweep as sweep_mod
     starts = _search_starts(monkeypatch)
+    widths, real = [], sweep_mod._probe
+
+    def probe(p, s, x, y, h):  # records the widths that certify
+        res = real(p, s, x, y, h)
+        if isinstance(res, LocalWitness):
+            widths.append(h)
+        return res
+
+    monkeypatch.setattr(sweep_mod, "_probe", probe)
     state = base_case(p)
     ratios = set()
-    while state.frontier < p.b:
-        h_prev, starts[:] = state.h_prev, []
+    while state.b < p.b:
+        h_prev = widths[-1] if widths else None
+        starts[:] = []
         combine(p, state, local_extend(p, state))
         if h_prev is not None and starts[0] < state.h_init:
             assert h_prev / 2 <= starts[0] <= 2 * h_prev
@@ -535,10 +558,10 @@ def test_warm_starts_stay_within_half_and_twice_the_last_width(monkeypatch, p):
 
 
 def _warm_fold(p):
-    """Fold p with the public operations, stopping once a margin has scaled
-    the next start: the problem and the state, h_prev set and grow != 2."""
+    """Fold p with the public operations, stopping once the next search
+    starts warm: the problem and the state, h_next below h_init."""
     state = base_case(p)
-    while state.h_prev is None or state.grow == 2.0:
+    while state.h_next is None or not state.h_next < state.h_init:
         combine(p, state, local_extend(p, state))
     return p, state
 
@@ -556,8 +579,8 @@ def test_witness_without_width_starts_the_next_search_cold(monkeypatch):
     state = base_case(p)
     combine(p, state, local_extend(p, state))
     w = local_extend(p, state)  # a warm search
-    combine(p, state, w._replace(h=None))
-    assert state.h_prev is None
+    combine(p, state, w._replace(h_next=None))
+    assert state.h_next is None
     starts = _search_starts(monkeypatch)
     assert isinstance(local_extend(p, state), LocalWitness)
     assert starts == [state.h_init]
@@ -582,22 +605,21 @@ def test_failure_is_the_cold_search_failure(src, a, b, theorem, kw, expected):
 
 def test_warm_domain_error_reports_the_cold_piece():
     p, state = at_frontier("log(x)", -1.0, 1.0, "bvt", -0.5, 0.25,
-                           h_prev=2.0 ** -10)
+                           h_next=2.0 ** -9)
     from suparg.numeric import DomainError
     with pytest.raises(DomainError) as exc:
         local_extend(p, state)
     assert exc.value.piece == FloatInterval(-0.5, -0.25)
 
 
-def test_witness_reports_its_width_and_next_scale():
+def test_witness_reports_its_next_start_width():
     w = local_extend(*at_frontier("x - 0.5", 0.0, 1.0, "ivt", 0.4, 0.4))
     # the cold search halves to 0.05; below 0 the limit leaves the enclosure
-    # [-0.1, -0.05] twice its width, so the next start scales by 0.9 * 2
-    assert (w.h, w.grow) == (0.05, 1.8)
-    p, state = at_frontier("x - 0.5", 0.0, 1.0, "ivt", 0.4, 0.4, h_prev=w.h)
-    state.grow = w.grow
+    # [-0.1, -0.05] twice its width, so the next start scales it by 0.9 * 2
+    assert (w.y, w.h_next) == (0.4 + 0.05, 1.8 * 0.05)
+    p, state = at_frontier("x - 0.5", 0.0, 1.0, "ivt", 0.4, 0.4, h_next=w.h_next)
     warm = local_extend(p, state)
-    assert warm.h == 1.8 * 0.05  # the start certifies: [0.4, 0.49]
+    assert warm.y == 0.4 + 1.8 * 0.05  # the start certifies: [0.4, 0.49]
 
 
 # ---------------------------------------------------------------------------
@@ -680,3 +702,70 @@ def test_judgment_accepts_exactly_what_the_checker_accepts(case):
     scale = sweep_mod._accepts(_SWEPT[code], s, lo, hi, 0.0, 1.0, t_lo)
     assert (scale is not None) == _checker_accepts(code, s, lo, hi, t_lo)
     assert scale is None or 0.5 <= scale <= 2.0
+
+
+# ---------------------------------------------------------------------------
+# a digest of the fold over seeded problems
+# ---------------------------------------------------------------------------
+
+_FOLD_FNS = ("sin(x)", "x^3 - x", "exp(x) - 3", "x*exp(-x)", "1/(1 + 4*x*x)", "x - 0.5",
+             "x*x - 0.25", "cos(3*x) + x", "exp(-x*x)", "-x", "log(x)", "sqrt(x) - 2",
+             "abs(x) - 1", "1/x", "x^2 - 2")
+_FOLD_PARAMS = {"eps": (0.5, 0.1, 0.02, 1e-300), "M": (0.1, 0.77, 2.0, 30.0),
+                "eta": (0.0, 0.05, 0.5, 5.0), "tol": (1e-3, 1e-9)}
+# sha256 of the outcomes and evaluation counts of 300 seeded problems, as
+# the fold that wrapped its certificate in a second state object computed them
+_FOLD_DIGEST = "a26159a9fb4be64e3952ec0fdf60e7a703f1d225e83d9413eb96868719d4c6e5"
+
+
+def _hex_ends(iv):
+    return iv and (iv.lo.hex(), iv.hi.hex())
+
+
+def _fold_outcome(code, rng):
+    """A seeded problem for the prover of code, run: the certificate's
+    document, the failure's fields or the error's, with the problem."""
+    row = cli._PROVED[code]
+    a = rng.choice((-2.0, -1.0, -0.5, 0.0, 0.25, 1.0))
+    b = a + rng.choice((0.0, 0.5, 1.0, 2.0, 3.0))
+    fn = rng.choice(_FOLD_FNS)
+    values = [rng.choice(_FOLD_PARAMS[row.key(name)]) for name in row.params]
+    max_pieces = rng.choice((2, 5, 40, 2 ** 20, 2 ** 20))
+    prover = getattr(theorems, row.prover)
+    case = (code, fn, a.hex(), b.hex(), values, max_pieces)
+    try:
+        out = prover(fn, a, b, *values, *row.theorems[code].values(), max_pieces=max_pieces)
+    except (ValueError, ArithmeticError, theorems.Inconclusive) as err:
+        return case, type(err).__name__, str(err), _hex_ends(getattr(err, "piece", None))
+    if isinstance(out, SweepFailure):
+        return (case, out.kind.value, out.at.hex(), _hex_ends(out.witness),
+                _hex_ends(out.enclosure), out.detail)
+    return case, dumps(out)
+
+
+def _counted(real, key, counts):
+    def call(*args):
+        counts[key] += 1
+        return real(*args)
+    return call
+
+
+def test_fold_digest(monkeypatch):
+    # every warm start shows in the evaluation counts, every piece in the bytes
+    import suparg.sweep as sweep_mod
+    counts = Counter()
+    for module, name in ((sweep_mod, "eval_iv"), (sweep_mod, "eval_d1"), (theorems, "eval_iv")):
+        monkeypatch.setattr(module, name, _counted(getattr(module, name),
+                                                   f"{module.__name__}.{name}", counts))
+    rng = random.Random(28)
+    records, outcomes = [], set()
+    for k in range(300):
+        counts.clear()
+        record = _fold_outcome(cli.THEOREMS[k % len(cli.THEOREMS)], rng)
+        records.append((record, sorted(counts.items())))
+        a, b = record[0][2:4]
+        outcomes.add(("point " if a == b else "") + (record[1] if len(record) > 2 else "cert"))
+    assert {"cert", "stalled", "hypothesis_fail", "budget", "DomainError", "PreconditionError",
+            "point cert", "point DomainError"} <= outcomes
+    digest = hashlib.sha256("\n".join(map(repr, records)).encode()).hexdigest()
+    assert digest == _FOLD_DIGEST
