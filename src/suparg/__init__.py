@@ -56,29 +56,6 @@ from .numeric import (
     iv_sqr,
     iv_sqrt,
 )
-from .sweep import (
-    FailureKind,
-    LocalWitness,
-    Problem,
-    SweepFailure,
-    base_case,
-    combine,
-    finish,
-    local_extend,
-    run_sweep,
-)
-from .theorems import (
-    Inconclusive,
-    PreconditionError,
-    prove_bound,
-    prove_flat,
-    prove_integral,
-    prove_max,
-    prove_modulus,
-    prove_monotone,
-    prove_mvi,
-    prove_root,
-)
 from .topology import (
     Cover,
     RatIntervalSet,
@@ -88,3 +65,27 @@ from .topology import (
 )
 
 __version__ = "0.1.0"
+
+# The prover modules load on first use (PEP 562), so cover, clopen and check
+# never import them: module -> the names it gives the package
+_LAZY = {
+    "sweep": ("FailureKind", "LocalWitness", "Problem", "SweepFailure", "base_case", "combine",
+              "finish", "local_extend", "run_sweep"),
+    "theorems": ("Inconclusive", "PreconditionError", "prove_bound", "prove_flat",
+                 "prove_integral", "prove_max", "prove_modulus", "prove_monotone", "prove_mvi",
+                 "prove_root"),
+}
+
+
+# what `from suparg import *` binds: the names imported above and the lazy ones
+__all__ = [name for name in dir() if not name.startswith("_")] + \
+    [name for names in _LAZY.values() for name in names]
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    for module, names in _LAZY.items():
+        if name in names:
+            return getattr(import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -36,7 +36,9 @@ certificate.  The checker, the JSON codec, the conclusion, the sweep (which
 selects a row by theorem code and builds the certificate in its fields) and
 the CLI all read the rows.  So a conclusion is added by adding a class, its
 row and the `prove_*` function in `theorems` that the row names as its
-prover; `cli` imports that function and calls it by the row's name.
+prover; `cli` looks that function up by the row's name, and imports
+`theorems` on the first prove.  Every class here is a namedtuple or a
+slotted class: a cold start builds no dataclass.
 
 Topology documents hold rationals as "n/d" and each interval as an interval
 file writes it, "[0/1, 1/2)".  A subcover document states the frontier chain
@@ -48,7 +50,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cache
@@ -96,18 +98,19 @@ class StructureError(ValueError):
 # Structure
 # =============================================================================
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "points")):
     """Strictly increasing binary64 grid from a to b (a single point when a == b)."""
 
-    points: tuple[float, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if not self.points:
+    def __new__(cls, points: tuple[float, ...]):
+        if not points:
             raise StructureError("empty partition")
-        for u, v in zip(self.points, self.points[1:]):
+        for u, v in zip(points, points[1:]):
             if not u < v:
                 raise StructureError(f"partition not strictly increasing at {u!r}")
+        return tuple.__new__(cls, (points,))
 
     @property
     def a(self) -> float:
@@ -126,6 +129,11 @@ class Partition:
 # =============================================================================
 
 class _Stated:
+    """A certificate: a record of its fields that equals only a certificate
+    of its own type with the same values, never a plain tuple."""
+
+    __slots__ = ()
+
     @property
     def theorem(self) -> str:
         """Code of the theorem the certificate states (bvt … cft, i1, i2)."""
@@ -133,60 +141,40 @@ class _Stated:
         return next(th for th, fixed in codes.items()
                     if all(getattr(self, k) == v for k, v in fixed.items()))
 
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
 
-@dataclass(frozen=True)
-class BoundCert(_Stated):
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__  # equal certificates are equal tuples
+
+
+class BoundCert(_Stated, namedtuple("BoundCert", "fn_source a b partition piece_sup bound")):
     """Global upper bound: for all t in [a,b], f(t) <= bound."""
 
-    fn_source: str
-    a: float
-    b: float
-    partition: Partition
-    piece_sup: tuple[float, ...]
-    bound: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MaxCert(_Stated):
+class MaxCert(_Stated, namedtuple("MaxCert", "fn_source a b eps c f_at_c_lo partition piece_sup")):
     """eps-maximizer: f(t) <= f(c) + eps for all t, with f(c) >= f_at_c_lo."""
 
-    fn_source: str
-    a: float
-    b: float
-    eps: float
-    c: float
-    f_at_c_lo: float
-    partition: Partition
-    piece_sup: tuple[float, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NegCert(_Stated):
+class NegCert(_Stated, namedtuple("NegCert", "fn_source a b partition piece_hi")):
     """Strict negativity: f < 0 everywhere on [a,b]."""
 
-    fn_source: str
-    a: float
-    b: float
-    partition: Partition
-    piece_hi: tuple[float, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RootBracket(_Stated):
+class RootBracket(_Stated, namedtuple("RootBracket", "fn_source a b l r f_l_hi f_r_lo tol")):
     """Sign-certified bracket: f(l) < 0 < f(r), so f has a zero in [l,r]."""
 
-    fn_source: str
-    a: float
-    b: float
-    l: float
-    r: float
-    f_l_hi: float
-    f_r_lo: float
-    tol: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ModulusCert(_Stated):
+class ModulusCert(_Stated, namedtuple("ModulusCert", "fn_source a b eps delta pieces piece_osc")):
     """Uniform-continuity modulus: |s-t| < delta implies |f(s)-f(t)| < eps.
 
     Pieces are closed, cover [a,b], and consecutive pieces overlap by at
@@ -194,65 +182,34 @@ class ModulusCert(_Stated):
     oscillation is below eps.
     """
 
-    fn_source: str
-    a: float
-    b: float
-    eps: float
-    delta: float
-    pieces: tuple[FloatInterval, ...]
-    piece_osc: tuple[float, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntegralCert(_Stated):
+class IntegralCert(_Stated, namedtuple(
+        "IntegralCert", "fn_source a b eps partition piece_lo piece_hi lower_sum upper_sum")):
     """Darboux enclosure: lower_sum <= integral of f <= upper_sum, gap < eps."""
 
-    fn_source: str
-    a: float
-    b: float
-    eps: float
-    partition: Partition
-    piece_lo: tuple[float, ...]
-    piece_hi: tuple[float, ...]
-    lower_sum: float
-    upper_sum: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MonotoneCert(_Stated):
+class MonotoneCert(_Stated, namedtuple(
+        "MonotoneCert", "fn_source a b strict partition piece_deriv_lo")):
     """Monotonicity from per-piece derivative lower bounds (> 0 strict, >= 0 weak)."""
 
-    fn_source: str
-    a: float
-    b: float
-    strict: bool
-    partition: Partition
-    piece_deriv_lo: tuple[float, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MviCert(_Stated):
+class MviCert(_Stated, namedtuple("MviCert", "fn_source a b bound partition piece_deriv_hi")):
     """Mean-value inequality: f(x2) - f(x1) <= bound * (x2 - x1) for x1 < x2."""
 
-    fn_source: str
-    a: float
-    b: float
-    bound: float
-    partition: Partition
-    piece_deriv_hi: tuple[float, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FlatCert(_Stated):
+class FlatCert(_Stated, namedtuple(
+        "FlatCert", "fn_source a b eta osc_bound partition piece_deriv_abs")):
     """eta-flatness: |f(t) - f(a)| <= osc_bound = eta * (b - a); exact when eta = 0."""
 
-    fn_source: str
-    a: float
-    b: float
-    eta: float
-    osc_bound: float
-    partition: Partition
-    piece_deriv_abs: tuple[float, ...]
+    __slots__ = ()
 
 
 class ClopenVerdict(Enum):
@@ -262,19 +219,14 @@ class ClopenVerdict(Enum):
     NOT_REL_CLOSED = "not_rel_closed"
 
 
-@dataclass(frozen=True)
-class ClopenReport(_Stated):
+class ClopenReport(_Stated, namedtuple("ClopenReport", "a b components verdict witness",
+                                        defaults=(None,))):
     """Outcome of the relative-clopen analysis of a set U inside [a,b]."""
 
-    a: Rational
-    b: Rational
-    components: tuple[RatInterval, ...]
-    verdict: ClopenVerdict
-    witness: Rational | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SubcoverCert(_Stated):
+class SubcoverCert(_Stated, namedtuple("SubcoverCert", "a b cover_size elements indices chain")):
     """Finite subcover chain: the chosen open elements already cover [a,b].
 
     The chain alone: the cover's size, the chosen elements in chain order
@@ -282,12 +234,7 @@ class SubcoverCert(_Stated):
     chain[k] inside elements[k]; the rest of the cover is not restated.
     """
 
-    a: Rational
-    b: Rational
-    cover_size: int
-    elements: tuple[RatInterval, ...]
-    indices: tuple[int, ...]
-    chain: tuple[Rational, ...]
+    __slots__ = ()
 
 
 Certificate = (
@@ -300,15 +247,17 @@ Certificate = (
 # One row per certificate type
 # =============================================================================
 
-@dataclass(frozen=True)
 class Side:
     """Which side of an enclosure [lo, hi] a per-piece value bounds:
     store(lo, hi) is the value a prover records, holds(v, lo, hi) whether a
     stored v still bounds it, room(t, lo, hi) the width a limit t allows it."""
 
-    store: Callable[[float, float], float]
-    holds: Callable[[float, float, float], bool]
-    room: Callable[[float, float, float], float]
+    __slots__ = ("store", "holds", "room")
+
+    def __init__(self, store: Callable[[float, float], float],
+                 holds: Callable[[float, float, float], bool],
+                 room: Callable[[float, float, float], float]):
+        self.store, self.holds, self.room = store, holds, room
 
     def margin(self, t: float, lo: float, hi: float) -> float:
         """room over hi - lo, at least 1, where holds (exact) finds that t bounds
@@ -327,7 +276,6 @@ OSC = Side(lambda lo, hi: sub_up(hi, lo), lambda v, lo, hi: not sum_above(hi, -l
            lambda t, lo, hi: t)
 
 
-@dataclass(frozen=True)
 class Row:
     """Everything suparg knows about one certificate type.
 
@@ -339,31 +287,42 @@ class Row:
     only a certificate that meets requires.
     """
 
-    cls: type
-    type: str                        # JSON "type"
-    theorems: dict[str, dict]        # theorem code -> field values that select it
-    text: Callable                   # c -> statement
-    prover: str | None = None        # name of the theorems function proving it
-    grid: str | None = None          # field holding the pieces, or what piece_count counts
-    arrays: tuple[tuple[str, Side], ...] = ()   # per-piece arrays
-    params: tuple[str, ...] = ()     # fields stored under "params": the theorem's inputs
-    keys: dict[str, str] = field(default_factory=dict)  # JSON name where it differs
-    deriv: bool = False              # pieces enclose f' (eval_d1), not f (eval_iv)
-    positive: tuple[str, ...] = ()
-    nonnegative: tuple[str, ...] = ()
-    requires: tuple[tuple[Callable, str], ...] = ()     # (c, f) -> bool, reason
-    pointwise: bool = False          # limit binds f itself, so a == b is not vacuous
-    limit: Callable | None = None    # c -> (op, t, reason): op(first array value, t)
-    link: Callable | None = None     # c -> (k, reason) of the first unlinked piece
-    total: Callable | None = None    # c -> reason when the pieces do not add up
-    # how the sweep builds it
-    start: Callable = lambda s, p: {}   # (s, p) -> scalars on [a, a], the state's own too
-    window: Callable | None = None   # (s, p, x, h) -> left end u <= x of the piece to evaluate
-    points: Callable | None = None   # (x, y) -> points of [x, y] where f is evaluated
-    step: Callable | None = None     # (s, w) -> None: scalars (and pieces) after taking in w
-    margin: Callable | None = None   # (s, lo, hi, x, y, t_lo) -> (r, p): see judge
-    refute: Callable | None = None   # (s, lo, hi) -> reason when [lo, hi] certifies it false
-    stall: str = ""                  # why a degenerate domain does not certify
+    __slots__ = ("cls", "type", "theorems", "text", "prover", "grid", "arrays", "params", "keys",
+                 "deriv", "positive", "nonnegative", "requires", "pointwise", "limit", "link",
+                 "total", "start", "window", "points", "step", "margin", "refute", "stall")
+
+    def __init__(
+        self,
+        cls: type,
+        type: str,                          # JSON "type"
+        theorems: dict[str, dict],          # theorem code -> field values that select it
+        text: Callable,                     # c -> statement
+        prover: str | None = None,          # name of the theorems function proving it
+        grid: str | None = None,            # field holding the pieces, or what piece_count counts
+        arrays: tuple[tuple[str, Side], ...] = (),  # per-piece arrays
+        params: tuple[str, ...] = (),       # fields stored under "params": the theorem's inputs
+        keys: dict[str, str] | None = None,  # JSON name where it differs
+        deriv: bool = False,                # pieces enclose f' (eval_d1), not f (eval_iv)
+        positive: tuple[str, ...] = (),
+        nonnegative: tuple[str, ...] = (),
+        requires: tuple[tuple[Callable, str], ...] = (),  # (c, f) -> bool, reason
+        pointwise: bool = False,            # limit binds f itself, so a == b is not vacuous
+        limit: Callable | None = None,      # c -> (op, t, reason): op(first array value, t)
+        link: Callable | None = None,       # c -> (k, reason) of the first unlinked piece
+        total: Callable | None = None,      # c -> reason when the pieces do not add up
+        # how the sweep builds it
+        start: Callable = lambda s, p: {},  # (s, p) -> scalars on [a, a], the state's own too
+        window: Callable | None = None,     # (s, p, x, h) -> left end u <= x of the piece evaluated
+        points: Callable | None = None,     # (x, y) -> points of [x, y] where f is evaluated
+        step: Callable | None = None,       # (s, w) -> None: scalars (and pieces) after taking in w
+        margin: Callable | None = None,     # (s, lo, hi, x, y, t_lo) -> (r, p): see judge
+        refute: Callable | None = None,     # (s, lo, hi) -> reason when [lo, hi] certifies it false
+        stall: str = "",                    # why a degenerate domain does not certify
+    ):
+        fields = locals()
+        for name in self.__slots__:
+            setattr(self, name, fields[name])
+        self.keys = dict(keys or {})  # its own dict, not one shared default
 
     def key(self, name: str) -> str:
         return self.keys.get(name, name)
@@ -487,7 +446,6 @@ def _darboux_gap(c) -> str | None:
     return None if (nu * dl - nl * du) * de < ne * du * dl else "Darboux gap not below eps"
 
 
-@dataclass(frozen=True)
 class DarbouxPlan:
     """Where a coarser dit sweep of the same problem found f steep, to spread
     the Darboux gap evenly over the pieces of the next sweep.
@@ -498,10 +456,13 @@ class DarbouxPlan:
     the fewest pieces for a total gap R take g = (R / S)^2 each, S the
     integral over what is left (de Boor's equidistribution, 1973).  points
     is the coarse partition, left[i] the estimate S over [points[i], b].
+    A slotted class: the sweep reads its fields at every probe.
     """
 
-    points: tuple[float, ...]
-    left: tuple[float, ...]
+    __slots__ = ("points", "left")
+
+    def __init__(self, points: tuple[float, ...], left: tuple[float, ...]):
+        self.points, self.left = points, left
 
     @classmethod
     def of(cls, c: IntegralCert) -> DarbouxPlan | None:
@@ -680,11 +641,8 @@ def _row(cert) -> Row:
 # Checking
 # =============================================================================
 
-@dataclass(frozen=True)
-class CheckResult:
-    valid: bool
-    reason: str = ""
-    piece: int | None = None
+class CheckResult(namedtuple("CheckResult", "valid reason piece", defaults=("", None))):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.valid
@@ -744,11 +702,10 @@ def check(cert: Certificate, f: Expr | None = None,
 def _nonfinite_field(cert) -> str | None:
     # NaN slips through every ordered comparison and the exact tests cannot
     # take NaN or inf, so a hostile scalar or per-piece value is refused first.
-    for fld in fields(cert):
-        value = getattr(cert, fld.name)
+    for name, value in zip(cert._fields, cert):
         values = value if isinstance(value, tuple) else (value,)
         if not all(math.isfinite(v) for v in values if isinstance(v, float)):
-            return fld.name
+            return name
     return None
 
 
@@ -848,10 +805,8 @@ def _check_topology(cert: ClopenReport | SubcoverCert) -> CheckResult:
 # Conclusions
 # =============================================================================
 
-@dataclass(frozen=True)
-class Conclusion:
-    theorem: str
-    text: str
+class Conclusion(namedtuple("Conclusion", "theorem text")):
+    __slots__ = ()
 
 
 def conclusion_of(cert: Certificate) -> Conclusion:
@@ -877,38 +832,52 @@ def _hex_list(values) -> list[str]:
 
 
 _text, _int = _typed(str), _typed(int)
-# field annotation -> (encode, decode); every decoder raises on a value of
-# the wrong shape or type, which from_document reports as a StructureError
+_FLOAT = (float_to_hex, hex_to_float)
+_RATIONAL = (format_rational, parse_rational)
+_RAT_INTERVALS = (lambda v: list(map(format_rat_interval, v)),
+                  lambda v: tuple(map(parse_rat_interval, map(_text, v))))
+# field name -> (encode, decode), for every field but a and b that is not a
+# float scalar; every decoder raises on a value of the wrong shape or type,
+# which from_document reports as a StructureError
 _CODECS = {
-    "str": (str, _text),
-    "bool": (bool, _typed(bool)),
-    "int": (int, _int),
-    "float": (float_to_hex, hex_to_float),
-    "tuple[float, ...]": (_hex_list, lambda v: tuple(map(hex_to_float, v))),
-    "Partition": (lambda p: _hex_list(p.points),
+    "fn_source": (str, _text),
+    "strict": (bool, _typed(bool)),
+    "cover_size": (int, _int),
+    "partition": (lambda p: _hex_list(p.points),
                   lambda v: Partition(tuple(map(hex_to_float, v)))),
-    "tuple[FloatInterval, ...]": (lambda v: [interval_to_hex(x) for x in v],
-                                  lambda v: tuple(map(hex_to_interval, v))),
-    "Rational": (format_rational, parse_rational),
-    "Rational | None": (lambda q: None if q is None else format_rational(q),
-                        lambda v: None if v is None else parse_rational(v)),
-    "tuple[Rational, ...]": (lambda v: [format_rational(q) for q in v],
-                             lambda v: tuple(map(parse_rational, v))),
-    "tuple[int, ...]": (list, lambda v: tuple(map(_int, v))),
-    "tuple[RatInterval, ...]": (lambda v: list(map(format_rat_interval, v)),
-                                lambda v: tuple(map(parse_rat_interval, map(_text, v)))),
-    "ClopenVerdict": (lambda v: v.value, ClopenVerdict),
+    "pieces": (lambda v: [interval_to_hex(x) for x in v],
+               lambda v: tuple(map(hex_to_interval, v))),
+    "witness": (lambda q: None if q is None else format_rational(q),
+                lambda v: None if v is None else parse_rational(v)),
+    "chain": (lambda v: [format_rational(q) for q in v],
+              lambda v: tuple(map(parse_rational, v))),
+    "indices": (list, lambda v: tuple(map(_int, v))),
+    "components": _RAT_INTERVALS,
+    "elements": _RAT_INTERVALS,
+    "verdict": (lambda v: v.value, ClopenVerdict),
+    **{name: (_hex_list, lambda v: tuple(map(hex_to_float, v)))
+       for row in ROWS for name, _ in row.arrays},
 }
+
+
+@cache
+def _codecs(cls: type) -> list[tuple[str, tuple]]:
+    """(name, codec) of each field of a certificate class.  a and b are
+    binary64 where a function is evaluated on them, exact otherwise."""
+    domain = _FLOAT if "fn_source" in cls._fields else _RATIONAL
+    return [(name, domain if name in ("a", "b") else _CODECS.get(name, _FLOAT))
+            for name in cls._fields]
+
 
 def to_document(cert: Certificate, engine: dict | None = None) -> dict:
     row = _row(cert)
     domain, body, params = [], {"type": row.type}, {}
-    for fld in fields(cert):
-        value = _CODECS[fld.type][0](getattr(cert, fld.name))
-        if fld.name in ("a", "b"):  # a precedes b in every certificate class
+    for (name, (encode, _)), value in zip(_codecs(row.cls), cert):
+        value = encode(value)
+        if name in ("a", "b"):  # a precedes b in every certificate class
             domain.append(value)
-        elif fld.name != "fn_source":
-            (params if fld.name in row.params else body)[row.key(fld.name)] = value
+        elif name != "fn_source":
+            (params if name in row.params else body)[row.key(name)] = value
     return {
         "schema": SCHEMA,
         "theorem": cert.theorem,
@@ -944,16 +913,16 @@ def from_document(doc: dict) -> Certificate:
         if row is None:
             raise StructureError(f"unknown certificate type {body['type']!r}")
         params = doc.get("params", {})
-        values = {}
-        for fld in fields(row.cls):
-            if fld.name == "fn_source":
+        values = []
+        for name, (_, decode) in _codecs(row.cls):
+            if name == "fn_source":
                 raw = doc["function"]
-            elif fld.name in ("a", "b"):
-                raw = doc["domain"][fld.name == "b"]
+            elif name in ("a", "b"):
+                raw = doc["domain"][name == "b"]
             else:
-                raw = (params if fld.name in row.params else body).get(row.key(fld.name))
-            values[fld.name] = _CODECS[fld.type][1](raw)
-        return row.cls(**values)
+                raw = (params if name in row.params else body).get(row.key(name))
+            values.append(decode(raw))
+        return row.cls(*values)
     except StructureError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as err:

@@ -37,19 +37,6 @@ from .numeric import (
     interval_to_hex,
     parse_rational,
 )
-from .sweep import MAX_PIECES, SweepFailure, default_h_min
-from .theorems import (  # noqa: F401  provers are called by the name their row gives
-    Inconclusive,
-    PreconditionError,
-    prove_bound,
-    prove_flat,
-    prove_integral,
-    prove_max,
-    prove_modulus,
-    prove_monotone,
-    prove_mvi,
-    prove_root,
-)
 from .topology import Cover, RatIntervalSet, UncoveredPoint, analyze_clopen, \
     extract_subcover, parse_interval_file
 
@@ -58,6 +45,16 @@ _PROVED = {th: row for row in ROWS if row.prover for th in row.theorems}
 THEOREMS = tuple(_PROVED)
 # parameters a theorem that takes them may omit
 _DEFAULTS = {"tol": "1e-9"}
+
+
+def __getattr__(name: str):
+    """A prover, by the name its row gives, from theorems (PEP 562): the
+    prover modules load on the first prove, so cover, clopen and check never
+    import them."""
+    if name not in {row.prover for row in ROWS}:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import theorems
+    return getattr(theorems, name)
 
 
 class UsageError(ValueError):
@@ -105,7 +102,7 @@ def _build_parser() -> _Parser:
     pr.add_argument("--M", help="derivative cap for mvi")
     pr.add_argument("--eta", help="flatness budget for cft")
     pr.add_argument("--tol", help="bracket width for ivt (default 1e-9)")
-    pr.add_argument("--max-pieces", dest="max_pieces", type=int, default=MAX_PIECES)
+    pr.add_argument("--max-pieces", dest="max_pieces", type=int)  # default: sweep.MAX_PIECES
     pr.add_argument("--out", help="write certificate JSON to this file")
     pr.add_argument("--format", choices=("json", "text"), default="text")
 
@@ -162,6 +159,9 @@ def _failure_record(res: SweepFailure) -> dict:
 
 
 def _cmd_prove(args) -> int:
+    from .sweep import MAX_PIECES, SweepFailure, default_h_min
+    from .theorems import Inconclusive, PreconditionError
+
     f = parse(args.fn)
     a = _exact_endpoint(args.a, "a")
     b = _exact_endpoint(args.b, "b")
@@ -179,11 +179,11 @@ def _cmd_prove(args) -> int:
         if text is None:
             raise UsageError(f"{th} requires --{key}")
         values.append(_strict_param(text, key))
-    # looked up at call time, so a wrapper installed on this module sees the call
-    prover = globals()[row.prover]
+    # looked up on this module at call time, so a wrapper installed on it sees the call
+    prover = getattr(sys.modules[__name__], row.prover)
+    max_pieces = MAX_PIECES if args.max_pieces is None else args.max_pieces
     try:
-        result = prover(f, a, b, *values, *row.theorems[th].values(),
-                        max_pieces=args.max_pieces)
+        result = prover(f, a, b, *values, *row.theorems[th].values(), max_pieces=max_pieces)
     except PreconditionError as err:
         return _emit_failure({"failure": "precondition", "detail": str(err)})
     except Inconclusive as err:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
@@ -315,26 +314,31 @@ def float_up(q: Fraction) -> float:
 # FloatInterval
 # =============================================================================
 
-@dataclass(frozen=True)
 class FloatInterval:
     """Closed interval with finite binary64 endpoints, lo <= hi.
 
     The interval of the API and of documents.  The interpreters, the sweep
     and the checker carry ends as float pairs and build one only where a
     value leaves them: a stored uct piece, a failure's witness, an error.
+    A slotted class, not a tuple, so that +, * and / are interval arithmetic.
     """
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
+    def __init__(self, lo: float, hi: float):
         # one chained comparison admits every valid interval; it is false for
         # NaN, an infinite endpoint or an inverted pair, told apart only then
-        if -_MAX_FLOAT <= self.lo <= self.hi <= _MAX_FLOAT:
-            return
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise OverflowError(f"non-finite interval endpoint [{self.lo}, {self.hi}]")
-        raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
+        if not -_MAX_FLOAT <= lo <= hi <= _MAX_FLOAT:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise OverflowError(f"non-finite interval endpoint [{lo}, {hi}]")
+            raise ValueError(f"inverted interval [{lo}, {hi}]")
+        self.lo, self.hi = lo, hi
+
+    def __eq__(self, other) -> bool:
+        return type(other) is FloatInterval and self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
@@ -663,7 +667,7 @@ class RatInterval(namedtuple("RatInterval", "lo hi lo_open hi_open")):
     """Interval with exact rational endpoints and per-endpoint openness.
 
     Either lo < hi, or lo == hi with both endpoints closed (a singleton).
-    A tuple, checked as it is built: half the cost of a frozen dataclass.
+    A tuple, checked as it is built, also by _replace.
     """
 
     __slots__ = ()

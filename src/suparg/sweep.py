@@ -51,7 +51,7 @@ endpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from enum import Enum
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -76,7 +76,6 @@ def default_h_min(a: float, b: float) -> float:
     return (b - a) * 2.0 ** -40
 
 
-@dataclass(frozen=True)
 class Problem:
     """A theorem to certify for one function over one interval.
 
@@ -85,56 +84,60 @@ class Problem:
     their JSON keys; its row says which it takes and their signs, and each
     must be finite.  prior, the certificate of a coarser pass over the same
     problem, is for the row's start to read.  max_pieces caps the pieces a
-    sweep may take.
+    sweep may take.  row, the row of the theorem's certificate, is derived.
 
     The sweep's step widths lie between h_min = (b - a) * 2**-40 and h_init
     = (b - a) / 8; so when a < b, b - a must neither overflow binary64 nor
     be so narrow that h_min underflows to 0.
     """
 
-    f: Expr
-    a: float
-    b: float
-    theorem: str
-    eps: float | None = None
-    M: float | None = None
-    eta: float | None = None
-    fn_source: str | None = None
-    max_pieces: int = MAX_PIECES
-    prior: Certificate | None = field(default=None, repr=False, compare=False)
-    row: Row = field(init=False, repr=False, compare=False)
+    __slots__ = ("f", "a", "b", "theorem", "eps", "M", "eta", "fn_source", "max_pieces",
+                 "prior", "row")
 
-    def __post_init__(self):
-        if self.max_pieces < 1:
-            raise ValueError(f"max_pieces must be at least 1, got {self.max_pieces}")
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+    def __init__(self, f: Expr, a: float, b: float, theorem: str, eps: float | None = None,
+                 M: float | None = None, eta: float | None = None, fn_source: str | None = None,
+                 max_pieces: int = MAX_PIECES, prior: Certificate | None = None):
+        if max_pieces < 1:
+            raise ValueError(f"max_pieces must be at least 1, got {max_pieces}")
+        if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("domain endpoints must be finite")
-        if self.a > self.b:
+        if a > b:
             raise ValueError("domain endpoints out of order")
-        if not math.isfinite(self.b - self.a):
+        if not math.isfinite(b - a):
             raise ValueError("domain width b - a overflows binary64")
-        if self.a < self.b and not default_h_min(self.a, self.b) > 0:
+        if a < b and not default_h_min(a, b) > 0:
             raise ValueError("domain width b - a too narrow: "
                              "h_min = (b - a) * 2**-40 underflows to 0")
-        row = _SWEPT.get(self.theorem)
+        row = _SWEPT.get(theorem)
         if row is None:
-            raise ValueError(f"no sweep proves theorem {self.theorem!r}")
-        object.__setattr__(self, "row", row)
+            raise ValueError(f"no sweep proves theorem {theorem!r}")
         takes = {row.key(name): name for name in row.params}
-        for key in ("eps", "M", "eta"):
-            value, name = getattr(self, key), takes.get(key)
+        for key, value in (("eps", eps), ("M", M), ("eta", eta)):
+            name = takes.get(key)
             if (name is None) != (value is None):
-                raise ValueError(f"{self.theorem} requires {key} exactly when applicable")
+                raise ValueError(f"{theorem} requires {key} exactly when applicable")
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite")
             if name in row.positive and not value > 0:
                 raise ValueError(f"{key} must be positive")
             if name in row.nonnegative and value < 0:
                 raise ValueError(f"{key} must be nonnegative")
-        if row.deriv and not self.f.differentiable:
+        if row.deriv and not f.differentiable:
             raise ValueError("derivative-based kinds need a differentiable expression")
-        if self.fn_source is None:
-            object.__setattr__(self, "fn_source", to_source(self.f))
+        if fn_source is None:
+            fn_source = to_source(f)
+        values = locals()
+        for name in self.__slots__:
+            setattr(self, name, values[name])
+
+    def _replace(self, **changes) -> Problem:
+        """This problem with the given fields changed, checked as it is built;
+        row, the last slot, is derived again."""
+        return Problem(**{name: getattr(self, name) for name in self.__slots__[:-1]} | changes)
+
+    def __repr__(self) -> str:  # prior, a certificate, and the derived row left out
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-2])
+        return f"Problem({', '.join(shown)})"
 
 
 class LocalWitness(NamedTuple):
@@ -157,13 +160,9 @@ class FailureKind(Enum):
     BUDGET = "budget"
 
 
-@dataclass(frozen=True)
-class SweepFailure:
-    kind: FailureKind
-    at: float
-    witness: FloatInterval | None = None
-    enclosure: FloatInterval | None = None
-    detail: str = ""
+class SweepFailure(namedtuple("SweepFailure", "kind at witness enclosure detail",
+                              defaults=(None, None, ""))):
+    __slots__ = ()
 
     def __str__(self) -> str:
         parts = [f"{self.kind.value} at {self.at!r}"]
@@ -291,7 +290,7 @@ def finish(p: Problem, s: SimpleNamespace) -> Certificate:
     on afterwards."""
     row, state = p.row, vars(s)
     values = {k: tuple(v) if isinstance(v, list) else v
-              for k, v in ((fld.name, state[fld.name]) for fld in fields(row.cls))}
+              for k, v in ((name, state[name]) for name in row.cls._fields)}
     if "partition" in values:
         values["partition"] = Partition(values["partition"])
     return row.cls(**values)

@@ -12,7 +12,6 @@ run.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .certificates import (
     BoundCert,
@@ -93,10 +92,10 @@ def prove_integral(f: Expr | str, a: float, b: float, eps: float,
     expr, src = _as_expr(f)
     plain = Problem(expr, a, b, "dit", eps=eps, fn_source=src, max_pieces=max_pieces)
     try:
-        coarse = run_sweep(replace(plain, eps=min(16.0 * eps, _MAX_FLOAT),
+        coarse = run_sweep(plain._replace(eps=min(16.0 * eps, _MAX_FLOAT),
                                    max_pieces=max(1, max_pieces // 16)))
         if isinstance(coarse, IntegralCert):
-            cert = run_sweep(replace(plain, prior=coarse))
+            cert = run_sweep(plain._replace(prior=coarse))
             if isinstance(cert, IntegralCert):
                 return cert
     except (DomainError, OverflowError):
@@ -156,7 +155,7 @@ def prove_root(f: Expr | str, a: float, b: float, tol: float,
 
     l, r = a, b
     while True:
-        res = run_sweep(replace(problem, a=l, b=r))
+        res = run_sweep(problem._replace(a=l, b=r))
         if isinstance(res, NegCert) or res.kind is FailureKind.BUDGET:
             return res
         at = res.at

@@ -32,8 +32,8 @@ frontiers.  Documents write each interval as an interval file does, with
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import ClopenReport, ClopenVerdict, SubcoverCert
@@ -101,18 +101,18 @@ class IntervalTable(Sequence):
         return exact(self.lo, self.lo_end), exact(self.hi, self.hi_end), exact(at, ends)
 
 
-@dataclass(frozen=True)
-class RatIntervalSet:
+class RatIntervalSet(namedtuple("RatIntervalSet", "components")):
     """Finite union of rational intervals, kept in canonical form.
 
     Components are sorted, pairwise disjoint and non-mergeable, so equal
     sets always have identical representations.
     """
 
-    components: tuple[RatInterval, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace normalizes too
 
-    def __init__(self, components=()):
-        object.__setattr__(self, "components", _normalize(IntervalTable.of(components)))
+    def __new__(cls, components=()):
+        return tuple.__new__(cls, (_normalize(IntervalTable.of(components)),))
 
 
 def _normalize(table: IntervalTable) -> tuple[RatInterval, ...]:
@@ -181,27 +181,26 @@ def analyze_clopen(u: RatIntervalSet, a: Rational, b: Rational) -> ClopenReport:
 # Finite subcover extraction
 # =============================================================================
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(namedtuple("Cover", "elements")):
     """Finite list of open rational intervals, each nondegenerate, since
     RatInterval refuses an open one with lo == hi."""
 
-    elements: IntervalTable
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __init__(self, elements):
+    def __new__(cls, elements):
         table = IntervalTable.of(elements)
         for i, (lo_open, hi_open) in enumerate(zip(table.lo_open, table.hi_open)):
             if not (lo_open and hi_open):
                 where = f"line {table.lines[i]}: " if table.lines else ""
                 raise ValueError(f"{where}cover element {table[i]} is not an open interval")
-        object.__setattr__(self, "elements", table)
+        return tuple.__new__(cls, (table,))
 
 
-@dataclass(frozen=True)
-class UncoveredPoint:
+class UncoveredPoint(namedtuple("UncoveredPoint", "point")):
     """Exact point of [a, b] contained in no cover element."""
 
-    point: Rational
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"uncovered point {self.point}"

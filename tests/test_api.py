@@ -27,11 +27,19 @@ the exact width.
 
 An expression has one representation, the tape parse writes: no module
 subclasses Expr, and only parse calls Expr(...).
+
+A cold start stays cheap: no module imports dataclasses, and cover, clopen
+and check run without importing sweep or theorems, which suparg and
+suparg.cli give on first use.  Names a tracer binds on suparg.cli, the
+provers among them, still resolve and can be patched before any prove.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
-from dataclasses import fields
 from pathlib import Path
 
 import suparg
@@ -52,9 +60,12 @@ def _references(node) -> Counter:
 
 
 def _exported() -> set[str]:
+    """The names __init__ imports, and those it gives on first use (_LAZY)."""
     tree = ast.parse((SRC / "__init__.py").read_text())
+    lazy = next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "_LAZY")
     return {alias.asname or alias.name for node in tree.body
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+            if isinstance(node, ast.ImportFrom) for alias in node.names}.union(*lazy.values())
 
 
 def _definitions():
@@ -144,7 +155,7 @@ def test_sweep_names_no_theorem():
 
 def test_sweep_reads_no_field_of_some_certificates_only():
     from suparg.certificates import ROWS
-    swept = [{fld.name for fld in fields(row.cls)} for row in ROWS if row.arrays]
+    swept = [set(row.cls._fields) for row in ROWS if row.arrays]
     partial = set().union(*swept) - set.intersection(*swept) - {"partition"}
     tree = ast.parse((SRC / "sweep.py").read_text())
     read = sorted({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
@@ -165,7 +176,7 @@ def test_the_fold_carries_the_certificate_itself():
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
     extra = sorted(defined - {"Problem", "LocalWitness", "FailureKind", "SweepFailure"})
     assert not extra, f"sweep.py defines classes {extra}"
-    clash = sorted({fld.name for row in ROWS if row.arrays for fld in fields(row.cls)}
+    clash = sorted({name for row in ROWS if row.arrays for name in row.cls._fields}
                    & {"h_init", "h_min", "h_next"})
     assert not clash, f"swept certificates have fields named like step widths: {clash}"
 
@@ -198,3 +209,78 @@ def test_only_parse_builds_an_expression():
                 elif isinstance(node, ast.Call) and _names_expr(node.func) and not in_parse:
                     found.append(f"{path.stem}.py:{node.lineno} calls Expr")
     assert not found, f"an expression built outside parse: {found}"
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) \
+                else [node.module] if isinstance(node, ast.ImportFrom) else []
+            found += [f"{path.name}:{node.lineno}" for name in names if name == "dataclasses"]
+    assert not found, f"dataclasses imported at {found}"
+
+
+def _fresh(script: str, *args: str) -> dict:
+    """The JSON that script prints, run in a fresh interpreter on src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
+_PROVER_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+from suparg.cli import run
+
+work = sys.argv[1]
+codes, loaded = [], []
+for i, argv in enumerate([["cover", "--file", work + "/cover.txt", "--a", "0", "--b", "1"],
+                          ["clopen", "--file", work + "/clopen.txt", "--a", "0", "--b", "1"]]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes.append(run(argv + ["--format", "json"]))
+    path = f"{work}/cert-{i}.json"
+    with open(path, "w") as handle:
+        handle.write(out.getvalue())
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(run(["check", path]))
+provers = sorted({"suparg.sweep", "suparg.theorems"} & set(sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(run(["prove", "bvt", "--fn", "x", "--a", "0", "--b", "1"]))
+print(json.dumps({"codes": codes, "provers": provers}))
+"""
+
+
+def test_cover_clopen_and_check_load_no_prover_module(tmp_path):
+    (tmp_path / "cover.txt").write_text("(-1, 2)\n")
+    (tmp_path / "clopen.txt").write_text("[0, 1]\n")
+    got = _fresh(_PROVER_MODULES_SCRIPT, str(tmp_path))
+    assert got == {"codes": [0, 0, 0, 0, 0], "provers": []}
+
+
+_TRACER_SCRIPT = """
+import importlib, io, contextlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import spans
+from suparg import cli
+
+# the cli's first, while the prover modules are not loaded yet
+resolved = [f"{m}.{a}" for m, a in sorted(spans.TARGETS, key=lambda t: t[0] != "suparg.cli")
+            if callable(getattr(importlib.import_module(m), a))]
+calls = []
+original = cli.prove_bound
+cli.prove_bound = lambda *args, **kwargs: calls.append(args[1:3]) or original(*args, **kwargs)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(["prove", "bvt", "--fn", "x", "--a", "0", "--b", "1"])
+print(json.dumps({"targets": len(spans.TARGETS), "resolved": len(resolved),
+                  "code": code, "calls": calls}))
+"""
+
+
+def test_every_traced_name_resolves_and_a_patched_prover_is_called():
+    # the tracer binds each target by getattr and patches it by setattr, in
+    # an interpreter where no prove has run yet
+    got = _fresh(_TRACER_SCRIPT, str(SRC.parent.parent / "perfbench"))
+    assert got["resolved"] == got["targets"] > 0
+    assert (got["code"], got["calls"]) == (0, [[0.0, 1.0]])

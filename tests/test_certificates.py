@@ -1,6 +1,5 @@
 """Checker soundness: fresh-enclosure re-certification and mutation flips."""
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -26,6 +25,7 @@ from suparg.certificates import (
     IntegralCert,
     MaxCert,
     ModulusCert,
+    MviCert,
     Partition,
     StructureError,
     _darboux_gap,
@@ -41,7 +41,7 @@ from suparg.certificates import (
     to_document,
 )
 from suparg.expr import eval_d1, eval_iv, parse
-from suparg.numeric import FloatInterval, RatInterval, float_down, float_up
+from suparg.numeric import FloatInterval, RatInterval, float_down, float_up, parse_rat_interval
 from suparg.sweep import LocalWitness, Problem, run_sweep
 from suparg.theorems import (
     prove_bound,
@@ -60,7 +60,7 @@ DOWN = lambda v: math.nextafter(v, -math.inf)   # noqa: E731
 
 
 def replace(cert, **kw):
-    return dataclasses.replace(cert, **kw)
+    return cert._replace(**kw)
 
 
 def tuple_set(values, k, v):
@@ -330,7 +330,7 @@ def _one_of_each_function_certificate():
 
 
 def _float_scalar_fields(cert):
-    return [f.name for f in dataclasses.fields(cert) if isinstance(getattr(cert, f.name), float)]
+    return [name for name, value in zip(cert._fields, cert) if isinstance(value, float)]
 
 
 def test_nonfinite_scalars_are_invalid(tmp_path, capsys):
@@ -393,24 +393,23 @@ def _tampered(cert):
     """(label, certificate) for each scalar and the middle value of each
     per-piece array moved by one ulp and by 1.0 each way; bools flipped."""
     out = []
-    for fld in dataclasses.fields(cert):
-        value = getattr(cert, fld.name)
-        if fld.name in ("a", "b"):
+    for field, value in zip(cert._fields, cert):
+        if field in ("a", "b"):
             continue
         if isinstance(value, bool):
-            out.append((f"{fld.name}!", replace(cert, **{fld.name: not value})))
+            out.append((f"{field}!", replace(cert, **{field: not value})))
             continue
         if isinstance(value, float):
-            k, values, name = None, (value,), fld.name
+            k, values, name = None, (value,), field
         elif isinstance(value, tuple) and value and isinstance(value[0], float):
-            k, values, name = len(value) // 2, value, f"{fld.name}[{len(value) // 2}]"
+            k, values, name = len(value) // 2, value, f"{field}[{len(value) // 2}]"
         else:
             continue
         at = 0 if k is None else k
         for label, moved in (("+", UP(values[at])), ("-", DOWN(values[at])),
                              ("+1", values[at] + 1.0), ("-1", values[at] - 1.0)):
             new = moved if k is None else tuple_set(values, k, moved)
-            out.append((name + label, replace(cert, **{fld.name: new})))
+            out.append((name + label, replace(cert, **{field: new})))
     return out
 
 
@@ -1066,9 +1065,9 @@ def test_sweep_and_checker_build_no_interval_per_piece(monkeypatch):
     # both carry float ends; a FloatInterval is built only where a value
     # leaves them, as a stored uniform-continuity piece
     made = []
-    original = FloatInterval.__post_init__
-    monkeypatch.setattr(FloatInterval, "__post_init__",
-                        lambda self: made.append(self) or original(self))
+    original = FloatInterval.__init__
+    monkeypatch.setattr(FloatInterval, "__init__",
+                        lambda self, lo, hi: made.append(self) or original(self, lo, hi))
     dit = GOLDEN_PROBLEMS["dit"]()
     assert (piece_count(dit), len(made)) == (227, 0)
     assert check(dit) and len(made) == 0
@@ -1146,3 +1145,67 @@ def test_fraction_count_does_not_grow_with_pieces(name, monkeypatch):
     (small, small_made), (large, large_made) = made
     assert small < 1000 < 5000 < large
     assert large_made == small_made
+
+
+# ---------------------------------------------------------------------------
+# records: a certificate equals only its own type, and _replace checks
+# ---------------------------------------------------------------------------
+
+def test_certificates_of_two_types_with_equal_values_differ():
+    values = ("x", 0.0, 1.0, 1.0, Partition((0.0, 1.0)), (1.0,))
+    bound, mvi = BoundCert(*values), MviCert(*values)
+    assert tuple(bound) == tuple(mvi)
+    assert bound != mvi and not bound == mvi and mvi != bound
+    assert bound == BoundCert(*values) and not bound != BoundCert(*values)
+    assert hash(bound) == hash(BoundCert(*values))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PROBLEMS))
+def test_golden_certificate_is_no_plain_tuple_and_hashes_as_it_compares(name):
+    cert = GOLDEN_PROBLEMS[name]()
+    again = loads(dumps(cert))
+    assert again == cert and hash(again) == hash(cert)
+    plain = tuple(cert)
+    assert cert != plain and plain != cert and not cert == plain and not plain == cert
+
+
+def test_topology_certificates_round_trip_and_differ_from_tuples():
+    a, b = Fraction(0), Fraction(1)
+    report = analyze_clopen(RatIntervalSet([parse_rat_interval("[0, 1]")]), a, b)
+    cover = extract_subcover(Cover([parse_rat_interval("(-1, 2)")]), a, b)
+    for cert in (report, cover):
+        again = loads(dumps(cert))
+        assert again == cert and hash(again) == hash(cert) and cert != tuple(cert)
+
+
+def test_replace_checks_as_the_constructor_does():
+    p = Problem(parse("x"), 0.0, 1.0, "evt", eps=1e-3)
+    assert p._replace(a=0.5).a == 0.5 and p._replace(eps=1e-2).row is p.row
+    with pytest.raises(ValueError, match="out of order"):
+        p._replace(a=2.0)
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            p._replace(eps=eps)
+    with pytest.raises(StructureError, match="not strictly increasing"):
+        Partition((0.0, 1.0))._replace(points=(1.0, 0.0))
+    with pytest.raises(ValueError, match="not an open interval"):
+        Cover([parse_rat_interval("(0, 1)")])._replace(elements=[parse_rat_interval("[0, 1]")])
+    pieces = [parse_rat_interval("[1, 2]"), parse_rat_interval("[0, 1]")]
+    merged = RatIntervalSet(pieces[1:])._replace(components=pieces)
+    assert merged.components == (parse_rat_interval("[0, 2]"),)
+    # FloatInterval is a slotted class, built only by its constructor
+    with pytest.raises(ValueError, match="inverted interval"):
+        FloatInterval(2.0, 1.0)
+
+
+def test_problem_repr_leaves_out_the_prior_and_the_row():
+    p = Problem(parse("x"), 0.0, 1.0, "dit", eps=1e-3)
+    prior = prove_integral("x", 0.0, 1.0, 1e-2)
+    shown = repr(p._replace(prior=prior))
+    assert shown == repr(p) and "prior" not in shown and "row" not in shown
+    assert shown.endswith(", theorem='dit', eps=0.001, M=None, eta=None, fn_source='x', "
+                          "max_pieces=1048576)")
+
+
+def test_rows_do_not_share_a_keys_dict():
+    assert len({id(row.keys) for row in ROWS}) == len(ROWS)

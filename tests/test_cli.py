@@ -3,7 +3,6 @@
 import argparse
 import contextlib
 import copy
-import dataclasses
 import io
 import json
 import os
@@ -218,7 +217,7 @@ def test_stored_function_over_the_nesting_limit_is_invalid(capsys, tmp_path, fn)
     code, out, _ = invoke(capsys, "prove", "bvt", "--fn", "x", "--a", "0", "--b", "1",
                           "--format", "json")
     assert code == 0
-    cert = dataclasses.replace(loads(out), fn_source=fn)
+    cert = loads(out)._replace(fn_source=fn)
     result = check(cert)
     assert not result.valid
     assert result.reason.startswith("stored function does not parse")
@@ -240,7 +239,7 @@ def test_stored_function_over_the_node_limit_is_invalid(capsys, tmp_path):
     assert code == 0
     reason = ("stored function does not parse: "
               "expected at most 100000 nodes at offset 200001, found more")
-    assert check(dataclasses.replace(loads(out), fn_source=TOO_MANY_NODES)) == \
+    assert check(loads(out)._replace(fn_source=TOO_MANY_NODES)) == \
         CheckResult(False, reason)
     path = tmp_path / "big.json"
     doc = json.loads(out)
@@ -292,7 +291,7 @@ def test_domain_error_names_a_long_constant(capsys, tmp_path):
     assert record["error"] == "domain" and record["subexpression"] == fn
     code, out, _ = invoke(capsys, "prove", "bvt", "--fn", "x", "--a", "0", "--b", "1",
                           "--format", "json")
-    result = check(dataclasses.replace(loads(out), fn_source=fn))
+    result = check(loads(out)._replace(fn_source=fn))
     assert not result.valid and result.reason.startswith("re-evaluation failed: log undefined")
     path = tmp_path / "constant.json"
     doc = json.loads(out)
@@ -314,7 +313,7 @@ def test_over_long_digit_run_is_a_parse_error(capsys, tmp_path, fn, start):
     assert (record["error"], record["position"]) == ("parse", start)
     code, out, _ = invoke(capsys, "prove", "bvt", "--fn", "x", "--a", "0", "--b", "1",
                           "--format", "json")
-    result = check(dataclasses.replace(loads(out), fn_source=fn))
+    result = check(loads(out)._replace(fn_source=fn))
     assert not result.valid and result.reason.startswith("stored function does not parse")
     path = tmp_path / "digits.json"
     doc = json.loads(out)
