@@ -70,7 +70,6 @@ from .numeric import (
     add_down,
     add_up,
     div_down,
-    float_down,
     float_to_hex,
     format_rat_interval,
     format_rational,
@@ -346,30 +345,16 @@ def _take_candidate(s, w) -> None:
         s.c, s.f_at_c_lo = w.cand, w.cand_lo
 
 
-_HALVING_EXACT = 2.0 ** -1021  # halving a float at or above this loses no bit
-
-
-def _half_down(x: float, y: float) -> float:
-    """Largest float <= (y - x) / 2."""
-    d = sub_down(y, x)
-    if _HALVING_EXACT <= d < _MAX_FLOAT:  # d = float_down(y - x), d / 2 is exact
-        return d / 2
-    return float_down((Fraction(y) - Fraction(x)) / 2)  # subnormal or overflowed
-
-
 def _shrink_modulus(s, w) -> None:
-    # min-rule: half the first piece, then never above half an overlap
-    # [ext_lo, x] with the previous piece, which is all _overlap_gap needs;
-    # a forward piece [x, y], a sliver where a search clips at b, does not
-    # bound it.  Then the evaluated piece [ext_lo, y] is stored
-    x, y = w.x, w.y
+    # min-rule: delta is the least overlap [ext_lo, x] with the previous
+    # piece, rounded down, the most _overlap_gap admits; a forward piece
+    # [x, y], a sliver where a search clips at b, does not bound it.  Then
+    # the evaluated piece [ext_lo, y] is stored
     if s.pieces:
-        if x <= w.ext_lo:
+        if w.x <= w.ext_lo:
             raise StructureError("uniform-continuity pieces must overlap")
-        s.delta = min(s.delta, _half_down(w.ext_lo, x))
-    else:
-        s.delta = _half_down(x, y)
-    s.pieces.append(FloatInterval(w.ext_lo, y))
+        s.delta = min(s.delta, sub_down(w.x, w.ext_lo))
+    s.pieces.append(FloatInterval(w.ext_lo, w.y))
 
 
 def _overlap_gap(c) -> tuple[int, str] | None:
@@ -573,7 +558,9 @@ ROWS = (
         grid="pieces", arrays=(("piece_osc", OSC),), params=("eps",),
         positive=("eps", "delta"), link=_overlap_gap,
         limit=lambda c: (lt, c.eps, "piece oscillation not below eps"),
-        start=lambda s, p: {"delta": 1.0, "pieces": []}, step=_shrink_modulus,
+        # while one piece covers [a, b] any delta holds: b - a, or 1.0 on a point
+        start=lambda s, p: {"delta": sub_down(p.b, p.a) or 1.0, "pieces": []},
+        step=_shrink_modulus,
         # evaluate over a backward-extended piece so stored pieces overlap;
         # the extension never reaches past the previous piece's left end,
         # which keeps the stored pieces sorted
@@ -903,26 +890,27 @@ def dumps(cert: Certificate, engine: dict | None = None) -> str:
 
 def from_document(doc: dict) -> Certificate:
     """Certificate from a parsed JSON document; StructureError for any
-    document that does not have the shape and types dumps() writes."""
+    document that does not have the shape and types dumps() writes, or
+    whose theorem is not the one its certificate states."""
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != SCHEMA:
         raise StructureError(f"unsupported schema {schema!r}")
     try:
-        body = doc["certificate"]
+        body, domain = doc["certificate"], doc["domain"]
         row = _ROW_OF_TYPE.get(body["type"])
         if row is None:
             raise StructureError(f"unknown certificate type {body['type']!r}")
+        if type(domain) is not list or len(domain) != 2:
+            raise StructureError(f"domain is not a list of two values: {domain!r}")
         params = doc.get("params", {})
-        values = []
-        for name, (_, decode) in _codecs(row.cls):
-            if name == "fn_source":
-                raw = doc["function"]
-            elif name in ("a", "b"):
-                raw = doc["domain"][name == "b"]
-            else:
-                raw = (params if name in row.params else body).get(row.key(name))
-            values.append(decode(raw))
-        return row.cls(*values)
+        top = {"fn_source": doc.get("function"), "a": domain[0], "b": domain[1]}
+        cert = row.cls(*(decode(top[name] if name in top else
+                                (params if name in row.params else body).get(row.key(name)))
+                         for name, (_, decode) in _codecs(row.cls)))
+        if doc["theorem"] != cert.theorem:
+            raise StructureError(f"document names theorem {doc['theorem']!r}, "
+                                 f"its certificate states {cert.theorem!r}")
+        return cert
     except StructureError:
         raise
     except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as err:

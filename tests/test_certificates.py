@@ -7,6 +7,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -424,7 +425,7 @@ GOLDEN_CERT_SHA256 = {
     "evt": "60e92197ca5f5f722b50401e17d4f7d0a11e71a03dd7dcfe4d01739057ba3b71",
     "ivt-neg": "e4622a1f5f492ce7462d62428983285cd54b698077f12f547bb516aa3a85a213",
     "ivt-root": "155cd3af5187a2f7d49b185a33948a805a7a6d61beb27b7e8e2ec76b96191008",
-    "uct": "c128d637d0fbc6e0b5111b0dbd519ad1f82f2474d9e010a3377b335bd9d7b7ea",
+    "uct": "1c9d5f1ca6601242f254f0f42cab64d96e9f18f878068ea4c001396ac9007693",
     "dit": "d6b1ec044577ab7461f2cbd7e0cdfd02c3fcadd4ea648b6c15dff83522c718b1",
     "dit-prefix": "350f88400159c3301d12554e219ef93e30a1da7884dc90bf6381cd4cbda8d961",
     "sift": "372cc2bc5dc2e483ca190b6f582e66d28a1b62d24ad3d912f02f990c8b747b56",
@@ -449,7 +450,7 @@ GOLDEN_CONCLUSIONS = {
            "f(c) ≥ 0.997381441594711 for f = sin(x)"),
     "ivt-neg": "∀t∈[0.0, 1.0]: f(t) < 0 for f = x - 3",
     "ivt-root": "∃c∈[1.4142135623729233, 1.4142135623747423]: f(c) = 0 for f = x^2 - 2",
-    "uct": "∀s,t∈[0.0, 2.0]: |s−t| < 0.0625 ⇒ |f(s)−f(t)| < 0.3 for f = sin(x)",
+    "uct": "∀s,t∈[0.0, 2.0]: |s−t| < 0.125 ⇒ |f(s)−f(t)| < 0.3 for f = sin(x)",
     "dit": ("∫f over [0.0, 1.0] ∈ [-0.17101894760221711, -0.16230769358689448], U − L < 0.01 "
            "for f = x^2 - x"),
     "dit-prefix": ("∫f over [0.0, 1.0] ∈ [-0.16870057631511925, -0.1646309095059007], "
@@ -490,8 +491,9 @@ GOLDEN_TAMPERED = {
         "f_l_hi+1 I, f_l_hi-1 I, f_r_lo+ I, f_r_lo- V, f_r_lo+1 I, f_r_lo-1 I, tol+ V, "
         "tol- V, tol+1 V, tol-1 I, "
     ),
+    # delta is the least overlap, so one ulp more fails at it
     "uct": (
-        "eps+ V, eps- V, eps+1 V, eps-1 I, delta+ V, delta- V, delta+1 I0, delta-1 I, "
+        "eps+ V, eps- V, eps+1 V, eps-1 I, delta+ I0, delta- V, delta+1 I0, delta-1 I, "
         "piece_osc[5]+ V, piece_osc[5]- I5, piece_osc[5]+1 I5, piece_osc[5]-1 I5, "
     ),
     # off the dyadic points the directed sums keep a few ulps of slack, so
@@ -589,6 +591,25 @@ def test_tampered_verdicts_are_golden(name):
     assert seen == "".join(GOLDEN_TAMPERED[name])
 
 
+# The uct document of GOLDEN_PROBLEMS as it was written while delta was half
+# the least overlap (or half the first piece): a smaller delta still holds,
+# so an old document keeps its verdict and its tampered verdicts.
+_HALVED_UCT_PATH = Path(__file__).parent / "data" / "uct_halved_delta.json"
+
+
+def test_document_with_a_halved_delta_keeps_its_verdicts():
+    text = _HALVED_UCT_PATH.read_bytes()
+    assert hashlib.sha256(text).hexdigest() == (
+        "c128d637d0fbc6e0b5111b0dbd519ad1f82f2474d9e010a3377b335bd9d7b7ea")
+    cert = loads(text.decode())
+    assert check(cert) and cert.delta == GOLDEN_PROBLEMS["uct"]().delta / 2
+    seen = "".join(f"{label} {_verdict(check(t))}, " for label, t in _tampered(cert))
+    assert seen == (
+        "eps+ V, eps- V, eps+1 V, eps-1 I, delta+ V, delta- V, delta+1 I0, delta-1 I, "
+        "piece_osc[5]+ V, piece_osc[5]- I5, piece_osc[5]+1 I5, piece_osc[5]-1 I5, "
+    )
+
+
 # ---------------------------------------------------------------------------
 # malformed documents: StructureError, and exit 2 from `suparg check`
 # ---------------------------------------------------------------------------
@@ -615,6 +636,16 @@ MALFORMED = {
     "one-element-domain": lambda: _with(["domain"], ["0x0.0p+0"]),
     "function-int": lambda: _with(["function"], 3),
     "top-level-list": lambda: [_bound_document()],
+    # the theorem a document names is the one its certificate states: an
+    # ift certificate relabelled sift states a strict monotonicity it never
+    # showed, false for a constant f
+    "ift-as-sift": lambda: {**to_document(prove_monotone("x^3", -1.0, 1.0, False)),
+                            "theorem": "sift"},
+    "bvt-as-evt": lambda: _with(["theorem"], "evt"),
+    "theorem-missing": lambda: {k: v for k, v in _bound_document().items() if k != "theorem"},
+    # a string of two characters indexes as a domain of two values
+    "domain-string": lambda: _with(["domain"], "01"),
+    "three-element-domain": lambda: _with(["domain"], _bound_document()["domain"] + ["0x0.0p+0"]),
 }
 
 
@@ -648,19 +679,42 @@ MALFORMED["cover-size-bool"] = functools.partial(
     _topology_document, "subcover", lambda body: body.update(cover_size=True))
 
 
-@pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_malformed_document_is_a_structure_error(name, tmp_path, capsys):
+def _check_exit(doc, tmp_path, capsys):
+    """Exit status of `suparg check` on doc, which prints nothing to stdout,
+    and the error kind of the one line it prints to stderr."""
     from suparg.cli import run
-    doc = MALFORMED[name]()
-    with pytest.raises(StructureError):
-        from_document(doc)
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(doc))
-    assert run(["check", str(path)]) == 2
+    status = run(["check", str(path)])
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert captured.out == "" and len(lines) == 1
-    assert json.loads(lines[0])["error"] == "usage"
+    return status, json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_document_is_a_structure_error(name, tmp_path, capsys):
+    doc = MALFORMED[name]()
+    with pytest.raises(StructureError):
+        from_document(doc)
+    assert _check_exit(doc, tmp_path, capsys) == (2, "usage")
+
+
+_CODES = sorted({code for row in ROWS for code in row.theorems})
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PROBLEMS) + ["clopen", "subcover"])
+def test_relabelled_document_is_a_structure_error(name, tmp_path, capsys):
+    doc = to_document(GOLDEN_PROBLEMS[name]() if name in GOLDEN_PROBLEMS
+                      else ROW_PROBLEMS[name]())
+    assert doc["theorem"] in _CODES
+    for code in _CODES:
+        if code == doc["theorem"]:
+            continue
+        relabelled = {**doc, "theorem": code}
+        with pytest.raises(StructureError, match="document names theorem"):
+            from_document(relabelled)
+        assert _check_exit(relabelled, tmp_path, capsys) == (2, "usage"), code
 
 
 # ---------------------------------------------------------------------------
@@ -818,6 +872,10 @@ def test_unknown_certificate_type_is_a_structure_error(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["check", str(path)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "usage"
+    # a value of no certificate class: Invalid from check, TypeError elsewhere
+    assert check((1.0, 2.0)) == (False, "unknown certificate type tuple", None)
+    with pytest.raises(TypeError, match="unknown certificate type tuple"):
+        piece_count((1.0, 2.0))
 
 
 def test_caller_domain_mismatch_at_a():
@@ -875,15 +933,13 @@ def _ref_darboux_gap(c):
 
 
 def _ref_shrink_modulus(s, w):
-    # half the first piece, then half of each overlap with the piece before
-    x, y = w.x, w.y
+    # never above an overlap with the piece before, rounded down once; the
+    # first piece keeps the start's delta
     if s.pieces:
-        overlap = Fraction(x) - Fraction(w.ext_lo)
+        overlap = Fraction(w.x) - Fraction(w.ext_lo)
         if overlap <= 0:
             raise StructureError("uniform-continuity pieces must overlap")
-        s.delta = min(s.delta, float_down(overlap / 2))
-    else:
-        s.delta = float_down((Fraction(y) - Fraction(x)) / 2)
+        s.delta = min(s.delta, float_down(overlap))
 
 
 _MAX = sys.float_info.max

@@ -143,6 +143,9 @@ def test_parse_error_position():
         parse("y + 1")
     with pytest.raises(ParseError):
         parse("(x + 1")
+    with pytest.raises(ParseError) as exc:  # a number needs a digit
+        parse(".")
+    assert (exc.value.position, exc.value.expected) == (1, "digits")
 
 
 def test_exact_decimal_literals():
@@ -794,6 +797,7 @@ def test_printed_text_of_a_parsed_expression_parses_to_it(s):
     e = parse(s)
     again = parse(to_source(e))
     assert again == e and hash(again) == hash(e)
+    assert str(e) == to_source(e) and e != 3 and not e == to_source(e)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,8 @@ def test_log_domain_error():
         iv_log(FloatInterval(-1, 1))
     with pytest.raises(DomainError):
         iv_sqrt(FloatInterval(-1, 0))
+    with pytest.raises(DomainError, match="negative exponent"):
+        iv_pow(FloatInterval(1, 2), -1)
 
 
 def test_overflow_rejected():
@@ -933,6 +935,69 @@ def test_crit_indices_prefilter_matches_integer_path(k, ulps, width, half_offset
     for a, b in ((lo, lo + width), (lo - width, lo), (lo * 2.0 ** 20, lo * 2.0 ** 20 + width)):
         a, b = _ends(a, b)
         assert numeric._crit_indices(a, b, half_offset) == ref._crit_indices(a, b, half_offset)
+
+
+def _exact_crit_indices(lo, hi, half_offset):
+    # k with pi*(k + half_offset/2) in [lo, hi]; a float is never such a
+    # point, and at 1,200 digits x/pi is off by about 10^-890 where |x| is
+    # at most 2^1024, far inside any float's distance from one
+    with mpmath.workdps(1200):
+        h = mpmath.mpf(half_offset) / 2
+        klo = int(mpmath.ceil(mpmath.mpf(lo) / mpmath.pi - h))
+        khi = int(mpmath.floor(mpmath.mpf(hi) / mpmath.pi - h))
+    return range(klo, khi + 1)
+
+
+def _huge_trig_intervals(rng):
+    """Intervals a few ulps wide with ends beyond 2^48, where _crit_indices
+    takes the long pi: at random, and around pi*(k + h/2) for large k."""
+    for _ in range(40):
+        x = math.ldexp(rng.uniform(1.0, 2.0), rng.randint(48, 1022))
+        x = math.copysign(max(x, math.nextafter(2.0 ** 48, math.inf)), rng.choice((-1, 1)))
+        yield x, _step(x, rng.randint(1, 6))
+    for _ in range(40):
+        # below 2^52 an ulp is under pi, so an interval can hold one point
+        top = rng.choice((50, rng.randint(48, 1020)))
+        k = rng.choice((1, -1)) * rng.randint(2 ** 47, 2 ** top)
+        with mpmath.workdps(1200):
+            c = float(mpmath.pi * (k + mpmath.mpf(rng.randint(0, 1)) / 2))
+        i = rng.randint(-3, 2)
+        yield _step(c, i), _step(c, rng.randint(i + 1, 3))
+
+
+def _step(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def test_huge_trig_arguments_hold_every_critical_point():
+    # above 2^48 the k bounds are decided with the long pi and its guard, so
+    # they may only widen past the exact ones; the trig ranges must hold
+    # the exact values at both ends and the extrema inside
+    rng = random.Random(48)
+    counts = set()
+    for lo, hi in _huge_trig_intervals(rng):
+        assert 2.0 ** 48 < max(abs(lo), abs(hi)) and lo < hi
+        for half_offset, kernel, fn in ((1, numeric._sin, mpmath.sin),
+                                        (0, numeric._cos, mpmath.cos)):
+            want = _exact_crit_indices(lo, hi, half_offset)
+            got = numeric._crit_indices(lo, hi, half_offset)
+            # ranges of up to 2^970 indices: their ends, never their length
+            n = max(want.stop - want.start, 0)
+            assert got.start <= want.start and want.stop <= got.stop, (lo, hi, half_offset)
+            assert got.stop - got.start <= n + 2
+            counts.add(min(n, 2))
+            out_lo, out_hi = kernel(lo, hi)
+            with mpmath.workdps(1200):
+                for t in (lo, hi):
+                    assert out_lo <= fn(mpmath.mpf(t)) <= out_hi, (lo, hi, half_offset)
+            # extrema inside: maxima at even k, minima at odd k
+            if n >= 2 or n == 1 and want.start % 2 == 0:
+                assert out_hi == 1.0
+            if n >= 2 or n == 1 and want.start % 2 == 1:
+                assert out_lo == -1.0
+    assert counts == {0, 1, 2}  # no critical point, one, and several
 
 
 def test_perfbench_micro_kernels_run():

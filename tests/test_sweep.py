@@ -27,7 +27,7 @@ from suparg.certificates import (
     from_document,
 )
 from suparg.expr import parse
-from suparg.numeric import FloatInterval, float_down
+from suparg.numeric import FloatInterval, float_down, sub_down
 from suparg.sweep import (
     _SWEPT,
     FailureKind,
@@ -82,6 +82,10 @@ def test_problem_param_validation():
         problem("abs(x)", 0, 1, "ift")  # not differentiable
     with pytest.raises(ValueError):
         problem("x", 1, 0, "bvt")
+    with pytest.raises(ValueError, match="domain endpoints must be finite"):
+        problem("x", 0, math.inf, "bvt")
+    with pytest.raises(ValueError, match="eta must be nonnegative"):
+        problem("x", 0, 1, "cft", eta=-1.0)
     for theorem in ("i1", "i2", "xyz"):  # no sweep proves these
         with pytest.raises(ValueError):
             problem("x", 0, 1, theorem)
@@ -278,21 +282,23 @@ def test_combine_endpoint_mismatch_rejected():
     shifted = w._replace(x=0.5, y=0.75)
     with pytest.raises(StructureError):
         combine(p, state, shifted)
+    with pytest.raises(StructureError, match="degenerate piece"):
+        combine(p, state, w._replace(y=w.x))
 
 
 def test_combine_unifcont_min_rule():
-    # left piece [0, 0.5] gives delta 0.25; new piece [0.5, 0.8] evaluated
-    # over [0.2, 0.8]: contribution half the overlap [0.2, 0.5], 0.15,
-    # merged delta = min(0.25, 0.15)
+    # left piece [0, 0.5] alone covers its domain, so delta stays b - a = 1;
+    # new piece [0.5, 0.8] evaluated over [0.2, 0.8]: contribution the
+    # overlap [0.2, 0.5], 0.3, merged delta = min(1, 0.3)
     p = problem("x", 0.0, 1.0, "uct", eps=1.0)
     state = base_case(p)
     combine(p, state, LocalWitness(0.0, 0.5, 0.0, 0.5, ext_lo=0.0))
     left = finish(p, state)
-    assert isinstance(left, ModulusCert) and left.delta == 0.25
+    assert isinstance(left, ModulusCert) and left.delta == 1.0 and check(left)
     w = LocalWitness(0.5, 0.8, 0.2, 0.8, ext_lo=0.2)
     combine(p, state, w)
     merged = finish(p, state)
-    assert merged.delta == 0.15
+    assert merged.delta == 0.3
     assert merged.pieces[-1] == FloatInterval(0.2, 0.8)
 
 
@@ -422,16 +428,33 @@ def test_unifcont_delta_rule_fields():
                         ("sqrt(x + 1)", 3.0, 1e-2)):
         out = run_sweep(problem(src, 0.0, b, "uct", eps=eps))
         assert isinstance(out, ModulusCert)
-        delta = Fraction(out.delta)
-        widths = [Fraction(pc.hi) - Fraction(pc.lo) for pc in out.pieces]
         overlaps = [Fraction(out.pieces[k].hi) - Fraction(out.pieces[k + 1].lo)
                     for k in range(len(out.pieces) - 1)]
-        assert all(delta <= w / 2 for w in widths[:1])  # first constituent
-        assert all(delta <= ov for ov in overlaps)
-        assert delta <= min(overlaps) / 2
-        # the least half-overlap, or half the first piece: no other piece bounds it
-        assert out.delta == min(float_down(h / 2) for h in widths[:1] + overlaps)
+        assert all(Fraction(out.delta) <= ov for ov in overlaps)
+        # the least overlap, rounded down once: no piece's width bounds it
+        assert out.delta == float_down(min(overlaps))
         assert check(out)
+
+
+def test_uct_delta_is_the_largest_the_checker_admits():
+    # delta is the least overlap rounded down once, so one ulp more fails
+    # the checker's overlap test: no halving, nor any other slack, is left
+    rng = random.Random(30)
+    for _ in range(12):
+        src = rng.choice(("sin(x)", "x^3 - x", "exp(x) - 3", "1/(1 + 4*x*x)", "sqrt(x + 3)",
+                          "cos(3*x) + x", "abs(x) - 1"))
+        a = rng.choice((-2.0, -1.0, -0.5, 0.0, 0.25))
+        p = problem(src, a, a + rng.choice((0.5, 1.0, 2.0, 3.0)), "uct",
+                    eps=rng.choice((0.5, 0.1, 0.05)))
+        # while one piece covers the domain, delta is the problem's b - a
+        state = base_case(p)
+        combine(p, state, local_extend(p, state))
+        first = finish(p, state)
+        assert len(first.pieces) == 1 and first.delta == sub_down(p.b, p.a) and check(first)
+        cert = run_sweep(p)
+        assert isinstance(cert, ModulusCert) and len(cert.pieces) >= 2 and check(cert)
+        wider = check(cert._replace(delta=math.nextafter(cert.delta, math.inf)))
+        assert not wider and wider.reason == "adjacent pieces overlap by less than delta"
 
 
 def test_random_problems_prove_then_check():
@@ -714,8 +737,10 @@ _FOLD_FNS = ("sin(x)", "x^3 - x", "exp(x) - 3", "x*exp(-x)", "1/(1 + 4*x*x)", "x
 _FOLD_PARAMS = {"eps": (0.5, 0.1, 0.02, 1e-300), "M": (0.1, 0.77, 2.0, 30.0),
                 "eta": (0.0, 0.05, 0.5, 5.0), "tol": (1e-3, 1e-9)}
 # sha256 of the outcomes and evaluation counts of 300 seeded problems, as
-# the fold that wrapped its certificate in a second state object computed them
-_FOLD_DIGEST = "a26159a9fb4be64e3952ec0fdf60e7a703f1d225e83d9413eb96868719d4c6e5"
+# the fold that wrapped its certificate in a second state object computed
+# them, but for uct's delta: the least overlap, not half of it or of the
+# first piece, doubled it in the 12 records with pieces and nothing else
+_FOLD_DIGEST = "1f76b25e353ceeaef11793c6b60912952dd771dc3bab5346e4e0b81ea30acd73"
 
 
 def _hex_ends(iv):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suparg.certificates import (
+    DarbouxPlan,
     IntegralCert,
     MaxCert,
     ModulusCert,
@@ -287,18 +288,23 @@ def test_integral_piece_count_near_the_lower_bound(src, rate, a, b, kinks):
     assert len(cert.piece_lo) <= 2.5 * bound
     prefix = run_sweep(Problem(parse(src), a, b, "dit", eps=eps))
     assert len(cert.piece_lo) <= len(prefix.piece_lo)
+    # the plan this certificate gives a finer sweep is spent at b and past it
+    plan = DarbouxPlan.of(cert)
+    assert plan.remaining(b) == 0.0 == plan.remaining(b + 1.0) < plan.remaining(a)
 
 
 # Pieces, and uct's delta, of small problems.  Widths on the lattice
 # h_init * 2**-k took 289, 1923, 1984 and 397 uct pieces and 2026, 636 and
-# 12748 dit pieces here.  A delta that also halved every forward piece,
-# which the last piece, clipped at b, can make a sliver, fell to 1.77e-4
-# on x^3 - x and 1.23e-4 on sin(x)*exp(x).
+# 12748 dit pieces here.  delta is the least overlap of the stored pieces;
+# a rule that halved every overlap and the first piece gave exactly half
+# of each, on the same pieces, and one that also halved every forward
+# piece, which the last piece, clipped at b, can make a sliver, fell to
+# 1.77e-4 on x^3 - x and 1.23e-4 on sin(x)*exp(x).
 @pytest.mark.parametrize("prove,args,pieces,delta", [
-    (prove_modulus, ("sqrt(x + 1)", 0.0, 3.0, 1e-2), 223, 0.00451314519460732),
-    (prove_modulus, ("x^3 - x", -1.0, 1.5, 1e-2), 1526, 0.0002906383224546838),
-    (prove_modulus, ("sin(x)*exp(x)", 0.0, 4.0, 0.1), 1533, 0.00029240360602034166),
-    (prove_modulus, ("1/(1 + 2.01*x^2)", -1.0, 1.0, 1e-2), 299, 0.0024434793182781245),
+    (prove_modulus, ("sqrt(x + 1)", 0.0, 3.0, 1e-2), 223, 0.00902629038921464),
+    (prove_modulus, ("x^3 - x", -1.0, 1.5, 1e-2), 1526, 0.0005812766449093676),
+    (prove_modulus, ("sin(x)*exp(x)", 0.0, 4.0, 0.1), 1533, 0.0005848072120406833),
+    (prove_modulus, ("1/(1 + 2.01*x^2)", -1.0, 1.0, 1e-2), 299, 0.004886958636556249),
     (prove_integral, ("x^3 - x", -1.0, 1.5, 1e-2), 1806, None),
     (prove_integral, ("sin(x)", 0.0, 3.0, 1e-2), 589, None),
     (prove_integral, ("x*exp(-x)", 0.0, 8.0, 1e-3), 11751, None),

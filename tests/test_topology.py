@@ -62,6 +62,8 @@ def test_normalization_canonical():
 def test_containment_validation():
     with pytest.raises(ValueError):
         analyze_clopen(rset(iv(0, 2)), F(0), F(1))
+    with pytest.raises(ValueError, match="domain endpoints out of order"):
+        extract_subcover(Cover((iv(-1, 2, True, True),)), F(1), F(0))
 
 
 # ---------------------------------------------------------------------------
