@@ -26,6 +26,15 @@ so no rounding in the checker itself can flip a verdict:
     cross-multiplication.
 The few tests left in rational arithmetic run once per certificate.
 
+uct has two certificates.  A ModulusCert states overlapping pieces, each
+oscillating by less than eps, that overlap by at least delta: any pair
+closer than delta lies in one piece.  A LipschitzCert, for a differentiable
+f, states a partition with a bound on |f'| per piece, all at most L, and
+L * delta <= eps, decided exactly: the mean-value inequality on each piece,
+telescoped through the shared piece ends, gives |f(s) - f(t)| <=
+L |s - t| < L delta <= eps.  Its checker is cft's, the fresh eval_d1
+enclosure of each piece against its stored |f'| bound.
+
 Each certificate type is described once, by one `Row` in `ROWS`: its
 theorem codes, JSON type, per-piece arrays and the side of the enclosure
 each one bounds, parameters, scalar conditions, per-piece limit, statement
@@ -184,6 +193,19 @@ class ModulusCert(_Stated, namedtuple("ModulusCert", "fn_source a b eps delta pi
     __slots__ = ()
 
 
+class LipschitzCert(_Stated, namedtuple(
+        "LipschitzCert", "fn_source a b eps delta bound partition piece_deriv_abs")):
+    """Uniform-continuity modulus by the mean-value inequality: |f'| <= bound
+    (L) on every piece and L * delta <= eps.
+
+    The inequality on each piece, telescoped through the shared piece ends,
+    gives |f(s) - f(t)| <= L |s - t| for all s, t, so |s - t| < delta implies
+    |f(s) - f(t)| < L delta <= eps when L > 0, and f(s) = f(t) when L = 0.
+    """
+
+    __slots__ = ()
+
+
 class IntegralCert(_Stated, namedtuple(
         "IntegralCert", "fn_source a b eps partition piece_lo piece_hi lower_sum upper_sum")):
     """Darboux enclosure: lower_sum <= integral of f <= upper_sum, gap < eps."""
@@ -237,7 +259,7 @@ class SubcoverCert(_Stated, namedtuple("SubcoverCert", "a b cover_size elements 
 
 
 Certificate = (
-    BoundCert | MaxCert | NegCert | RootBracket | ModulusCert | IntegralCert
+    BoundCert | MaxCert | NegCert | RootBracket | ModulusCert | LipschitzCert | IntegralCert
     | MonotoneCert | MviCert | FlatCert | ClopenReport | SubcoverCert
 )
 
@@ -365,6 +387,28 @@ def _overlap_gap(c) -> tuple[int, str] | None:
         if sum_above(nxt.lo, delta, piece.hi):
             return k, "adjacent pieces overlap by less than delta"
     return None
+
+
+def _modulus_text(c) -> str:
+    return (f"∀s,t∈[{c.a!r}, {c.b!r}]: |s−t| < {c.delta!r} ⇒ "
+            f"|f(s)−f(t)| < {c.eps!r} for f = {c.fn_source}")
+
+
+def _start_lipschitz(s, p) -> dict:
+    # L = 0 until a piece bounds |f'| above 0, and while it is any delta
+    # holds: b - a, or 1.0 on a point.  best is the largest certified lower
+    # bound of |f'| at a and at the points probed so far
+    lo, hi = eval_d1(p.f, p.a, p.a)[2:]
+    return {"bound": 0.0, "delta": sub_down(p.b, p.a) or 1.0, "best": max(lo, -hi, 0.0)}
+
+
+def _raise_lipschitz(s, w) -> None:
+    # L rises to the piece's |f'| bound, and delta = eps / L rounded down
+    # keeps L * delta <= eps
+    s.best = max(s.best, w.cand_lo)
+    bound = ABS.store(w.lo, w.hi)
+    if bound > s.bound:
+        s.bound, s.delta = bound, div_down(s.eps, bound)
 
 
 def _term_down(m: float, x: float, y: float) -> float:
@@ -552,9 +596,7 @@ ROWS = (
                   (lambda c, f: c.f_r_lo <= eval_iv(f, c.r, c.r)[0],
                    "right bound tighter than fresh enclosure"),
                   (lambda c, f: c.f_r_lo > 0.0, "right endpoint not certified positive"))),
-    Row(ModulusCert, "modulus", {"uct": {}}, prover="prove_modulus",
-        text=lambda c: (f"∀s,t∈[{c.a!r}, {c.b!r}]: |s−t| < {c.delta!r} ⇒ "
-                        f"|f(s)−f(t)| < {c.eps!r} for f = {c.fn_source}"),
+    Row(ModulusCert, "modulus", {"uct": {}}, prover="prove_modulus", text=_modulus_text,
         grid="pieces", arrays=(("piece_osc", OSC),), params=("eps",),
         positive=("eps", "delta"), link=_overlap_gap,
         limit=lambda c: (lt, c.eps, "piece oscillation not below eps"),
@@ -565,6 +607,23 @@ ROWS = (
         # the extension never reaches past the previous piece's left end,
         # which keeps the stored pieces sorted
         window=lambda s, p, x, h: max(p.a, x - h, s.pieces[-1].lo if s.pieces else p.a)),
+    # uct by the mean-value inequality, for a differentiable f.  prove_modulus
+    # chooses the route, so this row names no prover, and a sweep selects it
+    # by its type: the code selects the row above
+    Row(LipschitzCert, "lipschitz", {"uct": {}}, text=_modulus_text,
+        grid="partition", arrays=(("piece_deriv_abs", ABS),), deriv=True, params=("eps",),
+        keys={"bound": "L"}, positive=("eps", "delta"), nonnegative=("bound",),
+        # a sweep's delta can underflow to 0 where eps / L is below every float
+        requires=((lambda c, f: c.delta > 0.0, "delta is not positive"),
+                  (lambda c, f: Fraction(c.bound) * Fraction(c.delta) <= Fraction(c.eps),
+                   "L * delta above eps")),
+        limit=lambda c: (le, c.bound, "piece derivative magnitude above L"),
+        start=_start_lipschitz, step=_raise_lipschitz,
+        # the midpoint and the right end bound |f'| from below, as evt's bound
+        # f; a piece is taken while its |f'| bound is at most twice the best
+        # such bound, this piece's included, so L <= 2 max |f'|
+        points=lambda x, y: (midpoint(x, y), y),
+        margin=lambda s, lo, hi, x, y, t_lo: (ABS.margin(2.0 * max(s.best, t_lo), lo, hi), 1)),
     Row(IntegralCert, "integral", {"dit": {}}, prover="prove_integral",
         text=lambda c: (f"∫f over [{c.a!r}, {c.b!r}] ∈ [{c.lower_sum!r}, {c.upper_sum!r}], "
                         f"U − L < {c.eps!r} for f = {c.fn_source}"),

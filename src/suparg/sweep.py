@@ -31,21 +31,25 @@ where the cold search fails, refutation probes at the wide widths included.
 
 Every probe takes one path, and reads no field that only some certificates
 have: the row's window gives the left end u <= x of the piece [u, y] to
-evaluate (uct widens it backward so that its pieces overlap), one enclosure
-of f, or of f' where the row's deriv is set, is taken over it, f is
-evaluated at the row's points (evt's maximizer candidates), and the row's
-judge gives the enclosure's margin.  A failure to certify is reported as a stall
-unless an enclosure itself refutes the hypothesis (for example a
-certified-positive range while proving negativity), in which case the
-failure carries the refuting piece: interval arithmetic cannot otherwise
-distinguish "hypothesis false" from "enclosure too loose".
+evaluate (uct's overlap route widens it backward so that its pieces
+overlap), one enclosure of f, or of f' where the row's deriv is set, is
+taken over it, f, or |f'|, is bounded below at the row's points (evt's
+maximizer candidates, the lower bounds of |f'| of uct's derivative route),
+and the row's judge gives the enclosure's margin.  A failure to certify is
+reported as a stall unless an enclosure itself refutes the hypothesis (for
+example a certified-positive range while proving negativity), in which
+case the failure carries the refuting piece: interval arithmetic cannot
+otherwise distinguish "hypothesis false" from "enclosure too loose".
 
 Combination is the paper's merge rule, made concrete by the row's step: it
 is transitive where the piece is appended and the scalars updated (a
 running bound, a Darboux sum), quasi-pseudo-transitive where a modulus
 shrinks so that overlapping pieces still hold every close pair, and
 pseudo-transitive where strict inequalities chain through shared piece
-endpoints.
+endpoints.  uct's derivative route is transitive: its bound L on |f'|
+rises as bvt's bound does, and its delta = eps / L falls with it, since
+the mean-value inequality on each piece, telescoped through the shared
+piece ends, gives |f(s) - f(t)| <= L |s - t| < L delta <= eps.
 """
 
 from __future__ import annotations
@@ -61,8 +65,12 @@ from .expr import Expr, eval_d1, eval_iv, to_source
 from .numeric import DomainError, FloatInterval, midpoint
 
 
-# theorem code -> the row of the certificate its sweep builds, one with per-piece arrays
-_SWEPT = {th: row for row in ROWS if row.arrays for th in row.theorems}
+# theorem code -> the row of the certificate its sweep builds, one with
+# per-piece arrays and a prover
+_SWEPT = {th: row for row in ROWS if row.arrays and row.prover for th in row.theorems}
+# a swept row that names no prover, uct's mean-value row, whose route
+# prove_modulus chooses, is selected by its JSON type
+_SWEPT |= {row.type: row for row in ROWS if row.arrays and not row.prover}
 
 # the safety factor on the start width a margin gives
 _SAFETY = 0.9
@@ -79,12 +87,14 @@ def default_h_min(a: float, b: float) -> float:
 class Problem:
     """A theorem to certify for one function over one interval.
 
-    theorem is the theorem's code, one of those a sweep proves (ValueError
-    otherwise).  eps, M and eta are the parameters of the theorem, named by
-    their JSON keys; its row says which it takes and their signs, and each
-    must be finite.  prior, the certificate of a coarser pass over the same
-    problem, is for the row's start to read.  max_pieces caps the pieces a
-    sweep may take.  row, the row of the theorem's certificate, is derived.
+    theorem is the theorem's code, one of those a sweep proves, or the JSON
+    type of a second row that states the same theorem, "lipschitz" for uct
+    (ValueError otherwise).  eps, M and eta are the parameters of the
+    theorem, named by their JSON keys; its row says which it takes and their
+    signs, and each must be finite.  prior, the certificate of a coarser
+    pass over the same problem, is for the row's start to read.  max_pieces
+    caps the pieces a sweep may take.  row, the row of the theorem's
+    certificate, is derived.
 
     The sweep's step widths lie between h_min = (b - a) * 2**-40 and h_init
     = (b - a) / 8; so when a < b, b - a must neither overflow binary64 nor
@@ -205,9 +215,10 @@ def base_case(p: Problem) -> SimpleNamespace | SweepFailure:
     returned as a SweepFailure.
     """
     row, a = p.row, p.a
+    # a row selected by its type fixes no field
     s = SimpleNamespace(fn_source=p.fn_source, a=a, b=a,
                         **{name: getattr(p, row.key(name)) for name in row.params},
-                        **row.theorems[p.theorem])
+                        **row.theorems.get(p.theorem, {}))
     vars(s).update(row.start(s, p))
     vars(s).update({name: [] for name, _ in row.arrays}, partition=[a],
                    h_init=(p.b - a) / 8, h_min=default_h_min(a, p.b), h_next=None)
@@ -352,23 +363,28 @@ def _probe(p: Problem, s, x: float, y: float,
     """One evaluation of the piece [x, y], widened to [u, y] by the row's
     window, at the current step width h: a witness, a certified refutation,
     or None (inconclusive, keep halving).  The first of the row's points
-    with the best lower end of f is the witness's candidate.  s is the
-    certificate so far, as the fold carries it; the row's judge and refute
-    tests read their thresholds from it."""
+    with the best lower end of f, or of |f'| where the row's deriv is set, is
+    the witness's candidate.  s is the certificate so far, as the fold
+    carries it; the row's judge and refute tests read their thresholds from
+    it."""
     row, f = p.row, p.f
     u = x if row.window is None else row.window(s, p, x, h)
     lo, hi = _enclose(row, f, u, y)
     cand = cand_lo = None
     if row.points is not None:
         for t in row.points(x, y):
-            t_lo = eval_iv(f, t, t)[0]
+            if row.deriv:  # |f'(t)| is at least max(lo, -hi) of f'(t)'s enclosure
+                t_lo, t_hi = eval_d1(f, t, t)[2:]
+                t_lo = max(t_lo, -t_hi)
+            else:
+                t_lo = eval_iv(f, t, t)[0]
             if cand is None or t_lo > cand_lo:
                 cand, cand_lo = t, t_lo
     scale = _accepts(row, s, lo, hi, x, y, cand_lo)
     if scale is not None:
         return LocalWitness(x, y, lo, hi, scale * h, u, cand, cand_lo)
     failure = _refutation(row, s, x, u, y, lo, hi)
-    if failure is None and row.deriv:
+    if failure is None and row.deriv and row.refute is not None:
         # The violation may lie strictly beyond any reachable frontier, in
         # which case no frontier piece ever refutes; probe the right half
         # being discarded by the halving before giving it up.

@@ -1,12 +1,13 @@
 """Per-theorem drivers over the sweep engine.
 
-Each driver instantiates the sweep for one conclusion.  Two run it more
-than once: the integral prover plans a second sweep from a coarse one, and
-the root prover sweeps again over the bracket that the last sweep's stall
-gave, until the bracket is within tol.  Conclusions over sub-pairs
-(monotonicity, the mean-value inequality, flatness) follow from per-piece
-data by telescoping through shared piece endpoints; no per-pair sweeps are
-run.
+Each driver instantiates the sweep for one conclusion.  Three run it more
+than once: the integral prover plans a second sweep from a coarse one, the
+root prover sweeps again over the bracket that the last sweep's stall
+gave, until the bracket is within tol, and the modulus prover falls back
+from the mean-value route to the overlap route.  Conclusions over
+sub-pairs (monotonicity, the mean-value inequality, flatness, and uct's
+modulus on the mean-value route) follow from per-piece data by
+telescoping through shared piece endpoints; no per-pair sweeps are run.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .certificates import (
     BoundCert,
     FlatCert,
     IntegralCert,
+    LipschitzCert,
     MaxCert,
     ModulusCert,
     MonotoneCert,
@@ -25,7 +27,7 @@ from .certificates import (
     RootBracket,
 )
 from .expr import Expr, eval_iv, parse
-from .numeric import _MAX_FLOAT, DomainError, FloatInterval, sub_up
+from .numeric import _MAX_FLOAT, DomainError, FloatInterval, sub_down, sub_up
 from .sweep import MAX_PIECES, FailureKind, Problem, SweepFailure, default_h_min, run_sweep
 
 
@@ -68,9 +70,41 @@ def prove_max(f: Expr | str, a: float, b: float, eps: float,
 
 
 def prove_modulus(f: Expr | str, a: float, b: float, eps: float,
-                  max_pieces: int = MAX_PIECES) -> ModulusCert | SweepFailure:
-    """Certify a uniform-continuity modulus delta for the given eps."""
-    return _sweep(f, a, b, "uct", max_pieces, eps=eps)
+                  max_pieces: int = MAX_PIECES) -> LipschitzCert | ModulusCert | SweepFailure:
+    """Certify a uniform-continuity modulus delta for the given eps.
+
+    A differentiable f whose enclosure over [a, b], a < b, oscillates by
+    less than eps needs no sweep: the one piece [a, b] holds every pair, and
+    delta is b - a.  Otherwise it takes the mean-value inequality first: a
+    sweep bounds |f'| <= L piece by piece, taking a piece while its bound is
+    at most twice the largest lower bound of |f'| seen, and states delta =
+    eps / L rounded down, or b - a while L = 0.  Its pieces do not shrink
+    with eps, and its delta is at least about eps / (2 max |f'|).  The
+    overlap route's delta is bounded by the oscillation of f instead, so it
+    can be the larger where f is steep but of small amplitude.  Where the
+    mean-value route fails (f' undefined at a domain boundary, an overflow,
+    a stall or the piece budget), and for f with abs, the overlap sweep
+    runs as it would alone: its pieces overlap by delta and oscillate by
+    less than eps each, so its failures are its own.
+    """
+    expr, src = _as_expr(f)
+    overlap = Problem(expr, a, b, "uct", eps=eps, fn_source=src, max_pieces=max_pieces)
+    if expr.differentiable:
+        try:  # the natural extension over [a, b] may be refused where pieces are not
+            lo, hi = eval_iv(expr, a, b)
+            flat = a < b and sub_up(hi, lo) < eps
+        except (DomainError, OverflowError):
+            flat = False
+        if flat:
+            return ModulusCert(overlap.fn_source, a, b, eps, sub_down(b, a),
+                               (FloatInterval(a, b),), (sub_up(hi, lo),))
+        try:
+            cert = run_sweep(overlap._replace(theorem="lipschitz"))
+            if isinstance(cert, LipschitzCert):
+                return cert
+        except (DomainError, OverflowError):
+            pass
+    return run_sweep(overlap)
 
 
 def prove_integral(f: Expr | str, a: float, b: float, eps: float,

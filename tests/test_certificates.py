@@ -24,6 +24,7 @@ from suparg.certificates import (
     ClopenReport,
     ClopenVerdict,
     IntegralCert,
+    LipschitzCert,
     MaxCert,
     ModulusCert,
     MviCert,
@@ -43,7 +44,7 @@ from suparg.certificates import (
 )
 from suparg.expr import eval_d1, eval_iv, parse
 from suparg.numeric import FloatInterval, RatInterval, float_down, float_up, parse_rat_interval
-from suparg.sweep import LocalWitness, Problem, run_sweep
+from suparg.sweep import MAX_PIECES, LocalWitness, Problem, run_sweep
 from suparg.theorems import (
     prove_bound,
     prove_flat,
@@ -62,6 +63,14 @@ DOWN = lambda v: math.nextafter(v, -math.inf)   # noqa: E731
 
 def replace(cert, **kw):
     return cert._replace(**kw)
+
+
+def overlap_modulus(f, a, b, eps, max_pieces=MAX_PIECES):
+    """uct by the overlap route alone, as prove_modulus's signature takes it;
+    prove_modulus takes this route for a differentiable f only where
+    neither the whole domain nor the mean-value route certifies."""
+    expr, src = (parse(f), f) if isinstance(f, str) else (f, None)
+    return run_sweep(Problem(expr, a, b, "uct", eps=eps, fn_source=src, max_pieces=max_pieces))
 
 
 def tuple_set(values, k, v):
@@ -159,7 +168,7 @@ def test_root_bracket_tampered_tol_is_invalid():
 
 
 def test_modulus_mutations():
-    cert = prove_modulus("sin(x)", 0.0, 4.0, 0.1)
+    cert = overlap_modulus("sin(x)", 0.0, 4.0, 0.1)
     assert check(cert)
     # delta pushed above an overlap
     overlaps = [Fraction(cert.pieces[k].hi) - Fraction(cert.pieces[k + 1].lo)
@@ -170,6 +179,27 @@ def test_modulus_mutations():
     assert not check(replace(cert, piece_osc=tuple_set(cert.piece_osc, 0,
                                                        DOWN(cert.piece_osc[0]))))
     assert not check(replace(cert, eps=cert.piece_osc[0]))
+
+
+def test_lipschitz_mutations():
+    cert = prove_modulus("sin(x)", 0.0, 4.0, 0.1)
+    assert isinstance(cert, LipschitzCert) and check(cert)
+    # cos(0) = 1 is the largest |f'|, so L = 1 and delta = eps exactly
+    assert (cert.bound, cert.delta) == (1.0, 0.1)
+    bad = check(replace(cert, delta=UP(cert.delta)))
+    assert not bad and bad.reason == "L * delta above eps"
+    bad = check(replace(cert, eps=DOWN(cert.eps)))
+    assert not bad and bad.reason == "L * delta above eps"
+    worst = cert.piece_deriv_abs.index(cert.bound)
+    bad = check(replace(cert, bound=DOWN(cert.bound)))
+    assert not bad and bad.piece == worst and bad.reason == "piece derivative magnitude above L"
+    bad = check(replace(cert, piece_deriv_abs=tuple_set(cert.piece_deriv_abs, worst,
+                                                        DOWN(cert.bound))))
+    assert not bad and bad.piece == worst
+    assert not check(replace(cert, bound=-1.0))
+    # f' = 0 on every piece: L = 0, and any delta holds
+    flat = run_sweep(Problem(parse("3"), 0.0, 1.0, "lipschitz", eps=0.5))
+    assert flat.bound == 0.0 and check(replace(flat, delta=1e300))
 
 
 def test_integral_mutations():
@@ -228,6 +258,7 @@ def test_sampled_points_respect_conclusions():
     bound = prove_bound("sin(x)*x + cos(x)", -2.0, 2.0)
     mono = prove_monotone("exp(x) + x", -1.0, 1.0, True)
     mod = prove_modulus("sin(x)", 0.0, 4.0, 0.1)
+    assert isinstance(mod, LipschitzCert)
     for _ in range(2000):
         t = rng.uniform(-2.0, 2.0)
         assert math.sin(t) * t + math.cos(t) <= bound.bound
@@ -320,7 +351,8 @@ def _one_of_each_function_certificate():
         prove_max("sin(x)", 0.0, 3.0, 1e-2),
         prove_root("x - 3", 0.0, 1.0, 1e-9),          # NegCert
         prove_root("x^2 - 2", 0.0, 2.0, 1e-9),        # RootBracket
-        prove_modulus("sin(x)", 0.0, 2.0, 0.3),
+        prove_modulus("sin(x)", 0.0, 2.0, 0.3),       # LipschitzCert
+        overlap_modulus("sin(x)", 0.0, 2.0, 0.3),     # ModulusCert
         prove_integral("x^2", 0.0, 1.0, 1e-2),
         prove_monotone("exp(x)", 0.0, 1.0, strict=True),
         prove_mvi("x^2", 0.0, 1.0, 2.5),
@@ -348,11 +380,11 @@ def test_nonfinite_scalars_are_invalid(tmp_path, capsys):
                 assert run(["check", str(path)]) == 1, (type(cert).__name__, name, bad)
                 assert "Invalid" in capsys.readouterr().out
         seen.add(type(cert).__name__)
-    assert len(seen) == 9
+    assert len(seen) == 10
 
 
 def test_nonfinite_per_piece_value_is_invalid():
-    cert = prove_modulus("sin(x)", 0.0, 2.0, 0.3)
+    cert = overlap_modulus("sin(x)", 0.0, 2.0, 0.3)
     result = check(replace(cert, piece_osc=tuple_set(cert.piece_osc, 0, math.nan)))
     assert not result and result.reason == "piece_osc is not finite"
 
@@ -367,7 +399,8 @@ GOLDEN_PROBLEMS = {
     "evt": lambda: prove_max("sin(x)", 0.0, 3.0, 1e-2),
     "ivt-neg": lambda: prove_root("x - 3", 0.0, 1.0, 1e-9),
     "ivt-root": lambda: prove_root("x^2 - 2", 0.0, 2.0, 1e-9),
-    "uct": lambda: prove_modulus("sin(x)", 0.0, 2.0, 0.3),
+    "uct": lambda: prove_modulus("sin(x)", 0.0, 2.0, 0.3),  # the mean-value route
+    "uct-overlap": lambda: prove_modulus("abs(x - 1)", 0.0, 2.0, 0.3),
     "dit": lambda: prove_integral("x^2 - x", 0.0, 1.0, 1e-2),
     # the per-prefix budget of a sweep without a plan, which prove_integral
     # falls back to
@@ -390,12 +423,19 @@ GOLDEN_PROBLEMS = {
 }
 
 
-def _tampered(cert):
+def _tampered(cert, points=False):
     """(label, certificate) for each scalar and the middle value of each
-    per-piece array moved by one ulp and by 1.0 each way; bools flipped."""
+    per-piece array moved by one ulp and by 1.0 each way; bools flipped;
+    with points, the middle partition point moved by one ulp each way."""
     out = []
     for field, value in zip(cert._fields, cert):
         if field in ("a", "b"):
+            continue
+        if points and isinstance(value, Partition):
+            k = len(value.points) // 2
+            for label, to in (("+", math.inf), ("-", -math.inf)):
+                moved = tuple_set(value.points, k, math.nextafter(value.points[k], to))
+                out.append((f"{field}[{k}]{label}", replace(cert, **{field: Partition(moved)})))
             continue
         if isinstance(value, bool):
             out.append((f"{field}!", replace(cert, **{field: not value})))
@@ -425,7 +465,8 @@ GOLDEN_CERT_SHA256 = {
     "evt": "60e92197ca5f5f722b50401e17d4f7d0a11e71a03dd7dcfe4d01739057ba3b71",
     "ivt-neg": "e4622a1f5f492ce7462d62428983285cd54b698077f12f547bb516aa3a85a213",
     "ivt-root": "155cd3af5187a2f7d49b185a33948a805a7a6d61beb27b7e8e2ec76b96191008",
-    "uct": "1c9d5f1ca6601242f254f0f42cab64d96e9f18f878068ea4c001396ac9007693",
+    "uct": "10af9131a9626127b57782ad6763573b72d809f8533b477f24373be5108c8a65",
+    "uct-overlap": "cb8e4dda529318385be850f0b3422fe6479bba743eb6064fed85aa3b18142de1",
     "dit": "d6b1ec044577ab7461f2cbd7e0cdfd02c3fcadd4ea648b6c15dff83522c718b1",
     "dit-prefix": "350f88400159c3301d12554e219ef93e30a1da7884dc90bf6381cd4cbda8d961",
     "sift": "372cc2bc5dc2e483ca190b6f582e66d28a1b62d24ad3d912f02f990c8b747b56",
@@ -436,7 +477,7 @@ GOLDEN_CERT_SHA256 = {
     "bvt-point": "e74660a1cbe6502ea32b20c10ca2eddf82d934479a08d59ed8e9da5f1f0d267d",
     "evt-point": "37b2c41263ecca9d5d41a533545537714367452b79ae849e71e2b28c490bb959",
     "ivt-point": "45cc51612fa05b7dc4c096964a47e2adae839c8f71386d62aed5b680cd11d9cc",
-    "uct-point": "5348875880bbc0c940aca0b813af96cdc81e29088b19cea2c60d9c134d4084d0",
+    "uct-point": "fb6ab02c420bcf28901e4bb1f8ff4235354587ef46d6469cb30cfb45bc2e5ccb",
     "dit-point": "f10549dd74930500ae0a80cffc171e219adc78b689f6ff4cfa72f853a99a9112",
     "sift-point": "daea208811c479869352ddc796b5dfc275c104c014a152728cb5e12ba2d964aa",
     "ift-point": "5a0b2a90ea4cf0e12ac0a5d03ebd0ab00006bc6916c43bf4496075008bb15a1b",
@@ -450,7 +491,9 @@ GOLDEN_CONCLUSIONS = {
            "f(c) ≥ 0.997381441594711 for f = sin(x)"),
     "ivt-neg": "∀t∈[0.0, 1.0]: f(t) < 0 for f = x - 3",
     "ivt-root": "∃c∈[1.4142135623729233, 1.4142135623747423]: f(c) = 0 for f = x^2 - 2",
-    "uct": "∀s,t∈[0.0, 2.0]: |s−t| < 0.125 ⇒ |f(s)−f(t)| < 0.3 for f = sin(x)",
+    "uct": "∀s,t∈[0.0, 2.0]: |s−t| < 0.3 ⇒ |f(s)−f(t)| < 0.3 for f = sin(x)",
+    "uct-overlap": ("∀s,t∈[0.0, 2.0]: |s−t| < 0.10370389884088516 ⇒ |f(s)−f(t)| < 0.3 "
+                    "for f = abs(x - 1)"),
     "dit": ("∫f over [0.0, 1.0] ∈ [-0.17101894760221711, -0.16230769358689448], U − L < 0.01 "
            "for f = x^2 - x"),
     "dit-prefix": ("∫f over [0.0, 1.0] ∈ [-0.16870057631511925, -0.1646309095059007], "
@@ -491,10 +534,19 @@ GOLDEN_TAMPERED = {
         "f_l_hi+1 I, f_l_hi-1 I, f_r_lo+ I, f_r_lo- V, f_r_lo+1 I, f_r_lo-1 I, tol+ V, "
         "tol- V, tol+1 V, tol-1 I, "
     ),
-    # delta is the least overlap, so one ulp more fails at it
+    # L = |cos(0)| = 1 and delta = eps / L exactly, so one ulp more of L,
+    # delta or less of eps fails L * delta <= eps; a partition point moved
+    # by one ulp stays inside the outward rounding of its pieces' bounds
     "uct": (
-        "eps+ V, eps- V, eps+1 V, eps-1 I, delta+ I0, delta- V, delta+1 I0, delta-1 I, "
-        "piece_osc[5]+ V, piece_osc[5]- I5, piece_osc[5]+1 I5, piece_osc[5]-1 I5, "
+        "eps+ V, eps- I, eps+1 V, eps-1 I, delta+ I, delta- V, delta+1 I, delta-1 I, "
+        "bound+ I, bound- I0, bound+1 I, bound-1 I0, partition[4]+ V, partition[4]- V, "
+        "piece_deriv_abs[4]+ V, piece_deriv_abs[4]- I4, piece_deriv_abs[4]+1 I4, "
+        "piece_deriv_abs[4]-1 I4, "
+    ),
+    # delta is the least overlap, so one ulp more fails at it
+    "uct-overlap": (
+        "eps+ V, eps- V, eps+1 V, eps-1 I, delta+ I7, delta- V, delta+1 I0, delta-1 I, "
+        "piece_osc[7]+ V, piece_osc[7]- I7, piece_osc[7]+1 I7, piece_osc[7]-1 I7, "
     ),
     # off the dyadic points the directed sums keep a few ulps of slack, so
     # one-ulp moves of a sum, or of a bound against it, stay Valid
@@ -542,8 +594,10 @@ GOLDEN_TAMPERED = {
         "f_at_c_lo- V, f_at_c_lo+1 I, f_at_c_lo-1 I, "
     ),
     "ivt-point": "",
+    # L = 0 on a point, so any positive delta holds
     "uct-point": (
         "eps+ V, eps- V, eps+1 V, eps-1 I, delta+ V, delta- V, delta+1 V, delta-1 I, "
+        "bound+ V, bound- I, bound+1 I, bound-1 I, partition[0]+ I, partition[0]- I, "
     ),
     "dit-point": (
         "eps+ V, eps- V, eps+1 V, eps-1 I, lower_sum+ I, lower_sum- I, lower_sum+1 I, "
@@ -587,13 +641,15 @@ def test_golden_documents_are_compact_and_read_in_either_layout(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_PROBLEMS))
 def test_tampered_verdicts_are_golden(name):
     cert = GOLDEN_PROBLEMS[name]()
-    seen = "".join(f"{label} {_verdict(check(t))}, " for label, t in _tampered(cert))
+    tampered = _tampered(cert, points=name.startswith("uct"))
+    seen = "".join(f"{label} {_verdict(check(t))}, " for label, t in tampered)
     assert seen == "".join(GOLDEN_TAMPERED[name])
 
 
 # The uct document of GOLDEN_PROBLEMS as it was written while delta was half
-# the least overlap (or half the first piece): a smaller delta still holds,
-# so an old document keeps its verdict and its tampered verdicts.
+# the least overlap (or half the first piece), 0.0625 where the least
+# overlap was 0.125: a smaller delta still holds, so an old document keeps
+# its verdict and its tampered verdicts.
 _HALVED_UCT_PATH = Path(__file__).parent / "data" / "uct_halved_delta.json"
 
 
@@ -602,7 +658,7 @@ def test_document_with_a_halved_delta_keeps_its_verdicts():
     assert hashlib.sha256(text).hexdigest() == (
         "c128d637d0fbc6e0b5111b0dbd519ad1f82f2474d9e010a3377b335bd9d7b7ea")
     cert = loads(text.decode())
-    assert check(cert) and cert.delta == GOLDEN_PROBLEMS["uct"]().delta / 2
+    assert check(cert) and cert.delta == 0.0625
     seen = "".join(f"{label} {_verdict(check(t))}, " for label, t in _tampered(cert))
     assert seen == (
         "eps+ V, eps- V, eps+1 V, eps-1 I, delta+ V, delta- V, delta+1 I0, delta-1 I, "
@@ -731,7 +787,8 @@ ROW_PROBLEMS = {
     "max": lambda: prove_max("sin(x)", 0.0, 3.0, 1e-2),
     "neg": lambda: prove_root("x - 3", 0.0, 1.0, 1e-9),
     "root_bracket": lambda: prove_root("x^2 - 2", 0.0, 2.0, 1e-9),
-    "modulus": lambda: prove_modulus("sin(x)", 0.0, 2.0, 0.3),
+    "modulus": lambda: overlap_modulus("sin(x)", 0.0, 2.0, 0.3),
+    "lipschitz": lambda: prove_modulus("sin(x)", 0.0, 2.0, 0.3),
     "integral": lambda: prove_integral("x^2 - x", 0.0, 1.0, 1e-2),
     "monotone": lambda: prove_monotone("exp(x)", 0.0, 1.0, True),
     "mvi": lambda: prove_mvi("x^2", 0.0, 1.0, 2.5),
@@ -820,7 +877,7 @@ HOSTILE = {
                                               (["domain", 0], _HEX(-1.0))),
     # a == b with one degenerate piece [0, 0] that starts and ends there
     "degenerate domain with nonempty pieces": _hostile(
-        lambda: prove_modulus("x", 0.0, 0.0, 1.0),
+        lambda: overlap_modulus("x", 0.0, 0.0, 1.0),
         (["certificate", "pieces"], [[_HEX(0.0), _HEX(0.0)]]),
         (["certificate", "piece_osc"], [_HEX(0.0)])),
     "no cover elements chosen": _hostile(_subcover_of_three,
@@ -1129,7 +1186,7 @@ def test_sweep_and_checker_build_no_interval_per_piece(monkeypatch):
     assert check(dit) and len(made) == 0
     bound = prove_bound("sin(x)", 0.0, 3.0)
     assert check(bound) and len(made) == 0
-    modulus = prove_modulus("x", 0.0, 1.0, 1e-3)
+    modulus = overlap_modulus("x", 0.0, 1.0, 1e-3)
     assert (piece_count(modulus), len(made)) == (2222, 2222)
     assert check(modulus) and len(made) == 2222
 
@@ -1175,13 +1232,14 @@ class _CountedFraction(Fraction):
 
 
 # a small and a large problem for each certificate type whose per-piece tests
-# were once Fraction arithmetic; "x - x" and "x*x - x*x" (for f') enclose
-# with width about h, so the piece count scales as 1 / eps
+# were once Fraction arithmetic; "x - x", "abs(x) - abs(x)" and "x*x - x*x"
+# (for f') enclose with width about h, so the piece count scales as 1 / eps.
+# uct's abs keeps it on the overlap route, whose pieces depend on eps
 _PIECE_COUNT_PROBLEMS = {
     "dit": (lambda: prove_integral("x - x", 0.0, 1.0, 1e-2),
             lambda: prove_integral("x - x", 0.0, 1.0, 4e-4)),
-    "uct": (lambda: prove_modulus("x - x", 0.0, 1.0, 1e-2),
-            lambda: prove_modulus("x - x", 0.0, 1.0, 5e-4)),
+    "uct": (lambda: prove_modulus("abs(x) - abs(x)", 0.0, 1.0, 1e-2),
+            lambda: prove_modulus("abs(x) - abs(x)", 0.0, 1.0, 5e-4)),
     "evt": (lambda: prove_max("x - x", 0.0, 1.0, 1e-2),
             lambda: prove_max("x - x", 0.0, 1.0, 1.5e-4)),
     "cft": (lambda: prove_flat("x*x - x*x", 0.0, 1.0, 4e-2),

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -31,6 +32,7 @@ from suparg.expr import parse
 from suparg.numeric import RatInterval, float_down, parse_rational
 from suparg.sweep import FailureKind, Problem, SweepFailure, run_sweep
 from suparg.topology import Cover, RatIntervalSet, analyze_clopen, extract_subcover
+from test_certificates import overlap_modulus
 
 
 def invoke(capsys, *argv):
@@ -350,6 +352,28 @@ def test_failing_integral_prints_what_the_per_prefix_sweep_prints(capsys, monkey
     monkeypatch.setattr(cli, "prove_integral", _per_prefix_integral)
     assert got == invoke(capsys, "prove", "dit", *argv)
     assert got[0] == code
+
+
+# uct inputs the mean-value route cannot certify, and the sha256 of the exit
+# code and the output that the overlap route alone printed for them
+@pytest.mark.parametrize("argv, digest", [
+    (["--fn", "sqrt(x)", "--a", "0", "--b", "4", "--eps", "0.1"],  # f' unbounded at 0
+     "69b8a3980e5cc2bff2703bc8d0f9c3573cb04db57a6746cce0ef34a78a2def78"),
+    (["--fn", "abs(x - 1)", "--a", "0", "--b", "2", "--eps", "0.1"],
+     "c4cfc8fbe655789cda1ace3ebe00d60c98488106f7f470b12b4b3784ab34c344"),
+    # f' is 0 at every point, but its enclosure on a piece never is
+    (["--fn", "x*x - x*x", "--a", "0", "--b", "1", "--eps", "0.1"],
+     "d9522327fd243444e5bdb25cb253de69a7972ac98dedd986ae7f896159f909cd"),
+    (["--fn", "sin(x)", "--a", "0", "--b", "2", "--eps", "0.1", "--max-pieces", "2"],
+     "dd2e80e2e99091af22930ac939a9e727db264fbe41db8a156c3855d41aea37d0"),
+    (["--fn", "log(x)", "--a", "-1", "--b", "1", "--eps", "0.1"],
+     "0bf6d71487e1e4bbe68f6d9b55eb71abd2f143b3527e3b11a7ce6184026a867b"),
+], ids=["sqrt-boundary", "abs", "stall", "budget", "domain"])
+def test_uct_fallback_prints_what_the_overlap_route_prints(capsys, monkeypatch, argv, digest):
+    code, out, err = invoke(capsys, "prove", "uct", *argv)
+    assert hashlib.sha256(f"{code}\n{out}{err}".encode()).hexdigest() == digest
+    monkeypatch.setattr(cli, "prove_modulus", overlap_modulus)
+    assert invoke(capsys, "prove", "uct", *argv) == (code, out, err)
 
 
 def test_integral_gap_lifted_by_rounding_is_a_stall(capsys):

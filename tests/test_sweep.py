@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from suparg import cli, theorems
 from suparg.certificates import (
     OSC,
+    ROWS,
     IntegralCert,
     MaxCert,
     ModulusCert,
@@ -126,7 +127,11 @@ def test_theorem_code_selects_the_row_its_prover_returns(theorem, capsys):
     assert cli.run(["prove", theorem, "--fn", "x - 2", "--a", "0", "--b", "1",
                     *flags, "--format", "json"]) == 0
     proved = from_document(json.loads(capsys.readouterr().out))
-    assert type(proved) is problem("x - 2", 0.0, 1.0, theorem, **params).row.cls
+    # the code selects the first row that states its theorem; prove_modulus
+    # takes uct's second, its derivative route, for a differentiable f
+    rows = [row.cls for row in ROWS if row.arrays and theorem in row.theorems]
+    assert problem("x - 2", 0.0, 1.0, theorem, **params).row.cls is rows[0]
+    assert type(proved) is rows[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -659,17 +664,22 @@ def _around(v):
 
 
 def _state(code, t, f_at_c_lo):
-    """A state whose limit, or dit's budget, is t: an M, eps or eta of t."""
+    """A state whose limit, or dit's budget, is t: an M, eps or eta of t;
+    the lipschitz row's best lower bound of |f'| is |f_at_c_lo|."""
     return SimpleNamespace(bound=t, eps=t, eta=t, strict=code == "sift", f_at_c_lo=f_at_c_lo,
-                           budget=lambda s, x, y: t)
+                           budget=lambda s, x, y: t, best=abs(f_at_c_lo))
 
 
 def _threshold(code, s, t_lo):
     """What the value the prover stores is tested against: evt's f(c) + eps
-    once the piece's candidate is in, dit's budget, or the row's limit."""
+    once the piece's candidate is in, twice the best lower bound of |f'|
+    once the piece's is in (the lipschitz row), dit's budget, or the row's
+    limit."""
     row = _SWEPT[code]
     if code == "evt":
         return row.limit(SimpleNamespace(f_at_c_lo=max(s.f_at_c_lo, t_lo), eps=s.eps))[1]
+    if code == "lipschitz":
+        return 2.0 * max(s.best, t_lo)
     return s.budget(s, 0.0, 1.0) if code == "dit" else row.limit(s)[1]
 
 
@@ -695,8 +705,10 @@ def _judged(draw):
 def _checker_accepts(code, s, lo, hi, t_lo):
     """The checker's per-piece test of the value the prover stores, once
     the piece is in: bvt's bound rises to meet it, evt tests against its
-    candidate's threshold and dit its budget; a value the prover cannot
-    store (an oscillation beyond max) is refused."""
+    candidate's threshold, the lipschitz row against twice its best lower
+    bound of |f'| (its L rises to meet any value below that) and dit its
+    budget; a value the prover cannot store (an oscillation beyond max) is
+    refused."""
     if code == "bvt":
         return True
     row = _SWEPT[code]
@@ -719,6 +731,8 @@ def _checker_accepts(code, s, lo, hi, t_lo):
 @example(("cft", _state("cft", _MAX, 0.0), -_MAX, _MAX, 0.0))
 @example(("cft", _state("cft", 0.0, 0.0), -0.0, 0.0, 0.0))          # a point, eta = 0
 @example(("mvi", _state("mvi", 5e-324, 0.0), -5e-324, 5e-324, 0.0))
+@example(("lipschitz", _state("lipschitz", 1.0, 0.5), -1.0, 1.0, 0.0))   # tied with 2 best
+@example(("lipschitz", _state("lipschitz", 1.0, 0.0), -0.0, 0.0, -1.0))  # f' = 0, best 0
 def test_judgment_accepts_exactly_what_the_checker_accepts(case):
     import suparg.sweep as sweep_mod
     code, s, lo, hi, t_lo = case
@@ -738,9 +752,15 @@ _FOLD_PARAMS = {"eps": (0.5, 0.1, 0.02, 1e-300), "M": (0.1, 0.77, 2.0, 30.0),
                 "eta": (0.0, 0.05, 0.5, 5.0), "tol": (1e-3, 1e-9)}
 # sha256 of the outcomes and evaluation counts of 300 seeded problems, as
 # the fold that wrapped its certificate in a second state object computed
-# them, but for uct's delta: the least overlap, not half of it or of the
-# first piece, doubled it in the 12 records with pieces and nothing else
-_FOLD_DIGEST = "1f76b25e353ceeaef11793c6b60912952dd771dc3bab5346e4e0b81ea30acd73"
+# them, but for uct: its delta is the least overlap, not half of it or of
+# the first piece, and a differentiable f takes the mean-value route first,
+# which moved 20 of the 33 uct records (each delta at least the overlap
+# route's; 3 stalls and a budget failure now certify) and added eval_d1
+# counts to 10 that fall back to the overlap route's outcome.  The eval_iv
+# over [a, b] that prove_modulus takes before the mean-value route, which
+# certifies where f oscillates by less than eps there, adds one count to
+# each of the 32 uct records of a differentiable f and certifies none
+_FOLD_DIGEST = "7cacec36e81b20fcbed7ec12648f2202513588ddc53682d3f6099a13a28446fa"
 
 
 def _hex_ends(iv):

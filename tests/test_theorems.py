@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from suparg.certificates import (
     DarbouxPlan,
     IntegralCert,
+    LipschitzCert,
     MaxCert,
     ModulusCert,
     MonotoneCert,
@@ -37,6 +38,7 @@ from suparg.theorems import (
     prove_root,
 )
 from suparg.expr import eval_d1, parse
+from test_certificates import overlap_modulus
 
 mpmath.mp.dps = 50
 
@@ -229,6 +231,31 @@ def test_modulus_constant():
     assert cert.delta > 0
 
 
+# f oscillates by less than eps over [a, b], so the one piece [a, b] holds
+# every pair and delta is b - a, not the (b - a) / 8 that the overlap
+# sweep's widest piece allows.  The wave's |f'| reaches 10, so the
+# mean-value route would state about eps / 20
+@pytest.mark.parametrize("src, eps", [("3", 0.5), ("0.01*sin(1000*x)", 0.1)],
+                         ids=["constant", "steep-small-wave"])
+def test_modulus_of_f_flat_within_eps_is_the_whole_domain(src, eps):
+    cert = prove_modulus(src, 0.0, 1.0, eps)
+    assert isinstance(cert, ModulusCert) and check(cert)
+    assert (cert.delta, piece_count(cert)) == (1.0, 1)
+    assert overlap_modulus(src, 0.0, 1.0, eps).delta == 0.125
+
+
+def test_modulus_of_a_steep_small_wave_on_a_slope_is_below_the_overlap_delta():
+    # A known gap: the wave's slope, not its amplitude, bounds the
+    # mean-value route's delta.  Over [a, b] f oscillates by more than eps,
+    # so the whole domain does not certify, but each of the overlap
+    # sweep's widest pieces oscillates by less, and its delta is 25 times
+    # the one stated
+    src, a, b, eps = "0.01*sin(1000*x) + 0.1*x", 0.0, 1.0, 0.05
+    cert, overlap = prove_modulus(src, a, b, eps), overlap_modulus(src, a, b, eps)
+    assert isinstance(cert, LipschitzCert) and check(cert) and check(overlap)
+    assert (cert.delta, overlap.delta) == (0.004950495049504949, 0.12499999999999989)
+
+
 def test_modulus_sin():
     cert = prove_modulus("sin(x)", 0.0, 4.0, 0.1)
     assert check(cert)
@@ -295,25 +322,68 @@ def test_integral_piece_count_near_the_lower_bound(src, rate, a, b, kinks):
 
 # Pieces, and uct's delta, of small problems.  Widths on the lattice
 # h_init * 2**-k took 289, 1923, 1984 and 397 uct pieces and 2026, 636 and
-# 12748 dit pieces here.  delta is the least overlap of the stored pieces;
-# a rule that halved every overlap and the first piece gave exactly half
-# of each, on the same pieces, and one that also halved every forward
-# piece, which the last piece, clipped at b, can make a sliver, fell to
-# 1.77e-4 on x^3 - x and 1.23e-4 on sin(x)*exp(x).
+# 12748 dit pieces here.  On the overlap route delta is the least overlap
+# of the stored pieces; a rule that halved every overlap and the first
+# piece gave exactly half of each, on the same pieces, and one that also
+# halved every forward piece, which the last piece, clipped at b, can make a
+# sliver, fell to 1.77e-4 on x^3 - x and 1.23e-4 on sin(x)*exp(x).  The
+# mean-value route, which prove_modulus takes for these f, states eps / L
+# from 8 pieces of width h_init, 1.3-3.0 times the overlap route's delta.
 @pytest.mark.parametrize("prove,args,pieces,delta", [
-    (prove_modulus, ("sqrt(x + 1)", 0.0, 3.0, 1e-2), 223, 0.00902629038921464),
-    (prove_modulus, ("x^3 - x", -1.0, 1.5, 1e-2), 1526, 0.0005812766449093676),
-    (prove_modulus, ("sin(x)*exp(x)", 0.0, 4.0, 0.1), 1533, 0.0005848072120406833),
-    (prove_modulus, ("1/(1 + 2.01*x^2)", -1.0, 1.0, 1e-2), 299, 0.004886958636556249),
+    (overlap_modulus, ("sqrt(x + 1)", 0.0, 3.0, 1e-2), 223, 0.00902629038921464),
+    (overlap_modulus, ("x^3 - x", -1.0, 1.5, 1e-2), 1526, 0.0005812766449093676),
+    (overlap_modulus, ("sin(x)*exp(x)", 0.0, 4.0, 0.1), 1533, 0.0005848072120406833),
+    (overlap_modulus, ("1/(1 + 2.01*x^2)", -1.0, 1.0, 1e-2), 299, 0.004886958636556249),
+    (prove_modulus, ("sqrt(x + 1)", 0.0, 3.0, 1e-2), 8, 0.02),
+    (prove_modulus, ("x^3 - x", -1.0, 1.5, 1e-2), 8, 0.0017391304347826085),
+    (prove_modulus, ("sin(x)*exp(x)", 0.0, 4.0, 0.1), 8, 0.0010816795843755177),
+    (prove_modulus, ("1/(1 + 2.01*x^2)", -1.0, 1.0, 1e-2), 8, 0.006303640003109449),
     (prove_integral, ("x^3 - x", -1.0, 1.5, 1e-2), 1806, None),
     (prove_integral, ("sin(x)", 0.0, 3.0, 1e-2), 589, None),
     (prove_integral, ("x*exp(-x)", 0.0, 8.0, 1e-3), 11751, None),
-], ids=["uct-sqrt", "uct-cubic", "uct-sinexp", "uct-runge", "dit-cubic", "dit-sin", "dit-xexp"])
+], ids=["uct-sqrt", "uct-cubic", "uct-sinexp", "uct-runge", "lipschitz-sqrt", "lipschitz-cubic",
+        "lipschitz-sinexp", "lipschitz-runge", "dit-cubic", "dit-sin", "dit-xexp"])
 def test_margin_widths_keep_pieces_and_delta(prove, args, pieces, delta):
     cert = prove(*args)
     assert check(cert)
     assert piece_count(cert) == pieces
     assert getattr(cert, "delta", None) == delta
+
+
+def test_modulus_of_a_cubic_at_a_fine_eps_takes_few_pieces():
+    # the overlap route's pieces grow as the variation over eps: it ended in
+    # BUDGET here; the mean-value route's do not grow with eps
+    cert = prove_modulus("x^3 - x", -1.0, 1.5, 1e-5)
+    assert isinstance(cert, LipschitzCert) and check(cert)
+    assert piece_count(cert) <= 64
+
+
+# differentiable templates like value-sweep's uct jobs: "{c}" and "{d}" take
+# one of a few constants near the given ones, on the given domain.  Their
+# slope bounds their oscillation, so the mean-value delta is the larger;
+# test_modulus_of_a_steep_small_wave_on_a_slope_is_below_the_overlap_delta
+# shows an f where it is not
+_MODULUS_TEMPLATES = (
+    ("1/(1 + {c}*x^2)", (1.97, 2.03), (), -2.0, 2.0),
+    ("sqrt(x + {c})*log(x + {d})", (1.43, 1.47), (1.93, 1.97), 0.0, 4.0),
+    ("exp(-{c}*x)*sin({d}*x)", (0.44, 0.46), (2.43, 2.47), 0.0, 3.0),
+    ("sin(x)*exp({c}*x)", (0.61, 0.63), (), 0.0, 4.0),
+    ("x^4 - {c}*x^2 + {d}", (2.94, 3.04), (0.98, 1.0), -2.0, 2.0),
+    ("x^3 - {c}*x", (0.97, 0.99), (), -1.0, 1.5),
+)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(template=st.sampled_from(_MODULUS_TEMPLATES), c=st.integers(0, 2), d=st.integers(0, 2),
+       eps=st.sampled_from((0.5, 0.1, 0.03)))
+def test_mean_value_route_states_at_least_the_overlap_delta(template, c, d, eps):
+    src, cs, ds, a, b = template
+    src = src.format(c=cs and round(cs[0] + (cs[1] - cs[0]) * c / 2, 3),
+                     d=ds and round(ds[0] + (ds[1] - ds[0]) * d / 2, 3))
+    derived, overlap = prove_modulus(src, a, b, eps), overlap_modulus(src, a, b, eps)
+    assert isinstance(derived, LipschitzCert) and isinstance(overlap, ModulusCert)
+    assert check(derived) and check(overlap)
+    assert derived.delta >= overlap.delta, (src, eps)
 
 
 _POLY_TERMS = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
