@@ -475,6 +475,11 @@ def _darboux_gap(c) -> str | None:
     return None if (nu * dl - nl * du) * de < ne * du * dl else "Darboux gap not below eps"
 
 
+# the share of eps a planned dit sweep spends; the rest absorbs the
+# rounding of its float steering
+_PLANNED = 0.96875
+
+
 class DarbouxPlan:
     """Where a coarser dit sweep of the same problem found f steep, to spread
     the Darboux gap evenly over the pieces of the next sweep.
@@ -515,12 +520,12 @@ class DarbouxPlan:
 
     def budget(self, s, x: float, y: float) -> float:
         """The oscillation a piece [x, y] past the state s may have: its gap is at
-        most both the remaining share R = 7/8 eps - (U - L) of the gap and
+        most both the remaining share R = 31/32 eps - (U - L) of the gap and
         (R / S)^2.  It only steers the sweep, so it is computed with the
         float arithmetic's rounding, which neither raises nor needs to bound
-        anything: the other 1/8 of eps absorbs that rounding and the sums',
+        anything: the other 1/32 of eps absorbs that rounding and the sums',
         and the row's requires tests the gap exactly."""
-        r = 0.875 * s.eps - (s.upper_sum - s.lower_sum)
+        r = _PLANNED * s.eps - (s.upper_sum - s.lower_sum)
         if not r > 0.0:
             return 0.0
         rest = self.remaining(x)
@@ -534,10 +539,15 @@ def _start_darboux(s, p) -> dict:
     have: by the plan of p.prior, a coarser sweep's certificate, when it
     gives one; else eps / (2 (b - a)) rounded down, which keeps the gap on
     [a, x] at most (x - a) eps / (2 (b - a)), and which is computed at the
-    first probe, so that a domain error there comes before its overflow."""
+    first probe, so that a domain error there comes before its overflow.
+    A plan whose own estimate of the pieces, S^2 / (31/32 eps), is above
+    p.max_pieces gives no budget: the pass stalls at once, and the plain
+    sweep that the prover then runs is the only one to spend the budget."""
     plan = DarbouxPlan.of(p.prior) if p.prior is not None else None
     flat = cache(lambda: div_down(s.eps, mul_up(2.0, sub_up(p.b, p.a))))
     budget = plan.budget if plan is not None else lambda s, x, y: flat()
+    if plan is not None and plan.left[0] ** 2 > _PLANNED * s.eps * p.max_pieces:
+        budget = lambda s, x, y: 0.0  # noqa: E731
     return {"lower_sum": 0.0, "upper_sum": 0.0, "budget": budget}
 
 
@@ -570,7 +580,10 @@ ROWS = (
         # add_down gives float_down(f_at_c_lo + eps), and a float v is at most
         # a rational q exactly when it is at most float_down(q)
         limit=lambda c: (le, add_down(c.f_at_c_lo, c.eps), "piece sup-bound above f(c) + eps"),
-        start=lambda s, p: {"c": s.a, "f_at_c_lo": -_MAX_FLOAT},
+        # a coarser pass's certificate seeds the bar with its c, whose
+        # f_at_c_lo the checker evaluates again
+        start=lambda s, p: ({"c": s.a, "f_at_c_lo": -_MAX_FLOAT} if p.prior is None
+                            else {"c": p.prior.c, "f_at_c_lo": p.prior.f_at_c_lo}),
         # the midpoint covers an interior maximum, the right end one at (or
         # beyond) the frontier, so monotone stretches certify at full width
         points=lambda x, y: (midpoint(x, y), y),

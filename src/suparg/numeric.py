@@ -213,6 +213,8 @@ def mul_down(a: float, b: float) -> float:
         ah, bh = c - (c - a), d - (d - b)
         al, bl = a - ah, b - bh
         return p if ((ah * bh - p) + ah * bl + al * bh) + al * bl >= 0.0 else _next_down(p)
+    if p == 0.0 and (a == 0.0 or b == 0.0):
+        return p  # exact, with IEEE's signed zero
     return p if not math.isinf(p) and _exact_mul_sign(a, b, p) >= 0 else _next_down(p)
 
 
@@ -223,6 +225,8 @@ def mul_up(a: float, b: float) -> float:
         ah, bh = c - (c - a), d - (d - b)
         al, bl = a - ah, b - bh
         return p if ((ah * bh - p) + ah * bl + al * bh) + al * bl <= 0.0 else _next_up(p)
+    if p == 0.0 and (a == 0.0 or b == 0.0):
+        return p  # exact, with IEEE's signed zero
     return p if not math.isinf(p) and _exact_mul_sign(a, b, p) <= 0 else _next_up(p)
 
 

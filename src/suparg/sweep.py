@@ -35,11 +35,14 @@ evaluate (uct's overlap route widens it backward so that its pieces
 overlap), one enclosure of f, or of f' where the row's deriv is set, is
 taken over it, f, or |f'|, is bounded below at the row's points (evt's
 maximizer candidates, the lower bounds of |f'| of uct's derivative route),
-and the row's judge gives the enclosure's margin.  A failure to certify is
-reported as a stall unless an enclosure itself refutes the hypothesis (for
-example a certified-positive range while proving negativity), in which
-case the failure carries the refuting piece: interval arithmetic cannot
-otherwise distinguish "hypothesis false" from "enclosure too loose".
+and the row's judge gives the enclosure's margin.  Under a prior, whose
+certificate seeded the row's threshold (evt's bar f(c) + eps), the points
+are evaluated only for a piece that the judge refuses without them.  A
+failure to certify is reported as a stall unless an enclosure itself
+refutes the hypothesis (for example a certified-positive range while
+proving negativity), in which case the failure carries the refuting piece:
+interval arithmetic cannot otherwise distinguish "hypothesis false" from
+"enclosure too loose".
 
 Combination is the paper's merge rule, made concrete by the row's step: it
 is transitive where the piece is appended and the scalars updated (a
@@ -92,7 +95,11 @@ class Problem:
     (ValueError otherwise).  eps, M and eta are the parameters of the
     theorem, named by their JSON keys; its row says which it takes and their
     signs, and each must be finite.  prior, the certificate of a coarser
-    pass over the same problem, is for the row's start to read.  max_pieces
+    pass over the same problem, is for the row's start to read: dit plans
+    its pieces from it, and evt starts from its c and f_at_c_lo, which is
+    sound because f_at_c_lo is a certified lower bound of f(c) that the
+    checker evaluates again at c; under a prior a probe evaluates the row's
+    points only where the judge refuses the piece without them.  max_pieces
     caps the pieces a sweep may take.  row, the row of the theorem's
     certificate, is derived.
 
@@ -364,14 +371,18 @@ def _probe(p: Problem, s, x: float, y: float,
     window, at the current step width h: a witness, a certified refutation,
     or None (inconclusive, keep halving).  The first of the row's points
     with the best lower end of f, or of |f'| where the row's deriv is set, is
-    the witness's candidate.  s is the certificate so far, as the fold
+    the witness's candidate; under a prior they are evaluated only when the
+    piece fails without them.  s is the certificate so far, as the fold
     carries it; the row's judge and refute tests read their thresholds from
     it."""
     row, f = p.row, p.f
     u = x if row.window is None else row.window(s, p, x, h)
     lo, hi = _enclose(row, f, u, y)
-    cand = cand_lo = None
-    if row.points is not None:
+    cand = cand_lo = scale = None
+    if row.points is not None and p.prior is not None:
+        # a prior seeded the row's threshold: a piece that meets it needs no point
+        scale = _accepts(row, s, lo, hi, x, y, -math.inf)
+    if scale is None and row.points is not None:
         for t in row.points(x, y):
             if row.deriv:  # |f'(t)| is at least max(lo, -hi) of f'(t)'s enclosure
                 t_lo, t_hi = eval_d1(f, t, t)[2:]
@@ -380,7 +391,8 @@ def _probe(p: Problem, s, x: float, y: float,
                 t_lo = eval_iv(f, t, t)[0]
             if cand is None or t_lo > cand_lo:
                 cand, cand_lo = t, t_lo
-    scale = _accepts(row, s, lo, hi, x, y, cand_lo)
+    if scale is None:
+        scale = _accepts(row, s, lo, hi, x, y, cand_lo)
     if scale is not None:
         return LocalWitness(x, y, lo, hi, scale * h, u, cand, cand_lo)
     failure = _refutation(row, s, x, u, y, lo, hi)

@@ -1,13 +1,13 @@
 """Per-theorem drivers over the sweep engine.
 
-Each driver instantiates the sweep for one conclusion.  Three run it more
-than once: the integral prover plans a second sweep from a coarse one, the
-root prover sweeps again over the bracket that the last sweep's stall
-gave, until the bracket is within tol, and the modulus prover falls back
-from the mean-value route to the overlap route.  Conclusions over
-sub-pairs (monotonicity, the mean-value inequality, flatness, and uct's
-modulus on the mean-value route) follow from per-piece data by
-telescoping through shared piece endpoints; no per-pair sweeps are run.
+Each driver instantiates the sweep for one conclusion.  Four run it more
+than once: the maximum and integral provers seed a final sweep with a
+coarse one's certificate, the root prover sweeps again over the bracket
+that the last sweep's stall gave, until the bracket is within tol, and the
+modulus prover falls back from the mean-value route to the overlap route.
+Conclusions over sub-pairs (monotonicity, the mean-value inequality,
+flatness, and uct's modulus on the mean-value route) follow from per-piece
+data by telescoping through shared piece endpoints; no per-pair sweeps.
 """
 
 from __future__ import annotations
@@ -41,22 +41,33 @@ class Inconclusive(RuntimeError):
     pass over the bracket moves neither end."""
 
 
-def _as_expr(f: Expr | str) -> tuple[Expr, str]:
-    if isinstance(f, str):
-        return parse(f), f
-    return f, None
+def _problem(f: Expr | str, a: float, b: float, theorem: str, max_pieces: int, **params):
+    expr, src = (parse(f), f) if isinstance(f, str) else (f, None)
+    return Problem(expr, a, b, theorem, fn_source=src, max_pieces=max_pieces, **params)
 
 
-def _sweep(f: Expr | str, a: float, b: float, theorem: str, max_pieces: int, **params):
-    expr, src = _as_expr(f)
-    return run_sweep(Problem(expr, a, b, theorem, fn_source=src, max_pieces=max_pieces,
-                             **params))
+def _coarse_to_fine(p: Problem) -> IntegralCert | MaxCert | SweepFailure:
+    """The certificate of a final pass whose prior is that of a pass at 64
+    eps with a sixteenth of the budget, for the row's start to read what the
+    argument knows only once it has run (evt's bar f(c) + eps, dit's plan).
+    On any other outcome, a failure, a domain error or an overflow, the
+    plain sweep's result, so a failure is exactly the plain sweep's."""
+    try:
+        coarse = run_sweep(p._replace(eps=min(64.0 * p.eps, _MAX_FLOAT),
+                                      max_pieces=max(1, p.max_pieces // 16)))
+        if not isinstance(coarse, SweepFailure):
+            cert = run_sweep(p._replace(prior=coarse))
+            if not isinstance(cert, SweepFailure):
+                return cert
+    except (DomainError, OverflowError):
+        pass
+    return run_sweep(p)
 
 
 def prove_bound(f: Expr | str, a: float, b: float,
                 max_pieces: int = MAX_PIECES) -> BoundCert | SweepFailure:
     """Certify a positive global upper bound for f on [a, b]."""
-    return _sweep(f, a, b, "bvt", max_pieces)
+    return run_sweep(_problem(f, a, b, "bvt", max_pieces))
 
 
 def prove_max(f: Expr | str, a: float, b: float, eps: float,
@@ -64,9 +75,13 @@ def prove_max(f: Expr | str, a: float, b: float, eps: float,
     """Certify an eps-maximizer: a point c with f(t) <= f(c) + eps everywhere.
 
     The exact-maximizer statement is not certifiable from finitely many
-    enclosures, so the eps-relaxed form is what the engine proves.
+    enclosures, so the eps-relaxed form is what the engine proves.  The
+    final pass starts from the c and f_at_c_lo of a pass at 64 eps, so
+    pieces left of the maximum meet that bar, and it evaluates candidate
+    points only where the bar refuses a piece.  The seed is sound: its
+    f_at_c_lo bounds f(c) below, which the checker evaluates again at c.
     """
-    return _sweep(f, a, b, "evt", max_pieces, eps=eps)
+    return _coarse_to_fine(_problem(f, a, b, "evt", max_pieces, eps=eps))
 
 
 def prove_modulus(f: Expr | str, a: float, b: float, eps: float,
@@ -87,8 +102,8 @@ def prove_modulus(f: Expr | str, a: float, b: float, eps: float,
     runs as it would alone: its pieces overlap by delta and oscillate by
     less than eps each, so its failures are its own.
     """
-    expr, src = _as_expr(f)
-    overlap = Problem(expr, a, b, "uct", eps=eps, fn_source=src, max_pieces=max_pieces)
+    overlap = _problem(f, a, b, "uct", max_pieces, eps=eps)
+    expr = overlap.f
     if expr.differentiable:
         try:  # the natural extension over [a, b] may be refused where pieces are not
             lo, hi = eval_iv(expr, a, b)
@@ -111,42 +126,26 @@ def prove_integral(f: Expr | str, a: float, b: float, eps: float,
                    max_pieces: int = MAX_PIECES) -> IntegralCert | SweepFailure:
     """Enclose the Darboux integral of f over [a, b] with gap below eps.
 
-    A first sweep at 16 eps, with a sixteenth of the piece budget, shows
-    where f is steep.  Its certificate is the prior of a second sweep, whose
-    row plans from it to give each piece an even share of the gap left
-    (about (integral of sqrt|f'|)^2 / eps pieces, where a budget per unit
-    length needs about 2 (b - a) (integral of |f'|) / eps).  That
-    certificate is returned when the second sweep succeeds; run_sweep
-    returns one only when its exact gap is below eps.  On any other outcome
-    of either sweep, a failure or a domain error, the plain sweep's result
-    is returned: the per-prefix budget (x - a) * eps / (2 (b - a)) ends a
-    full run with a gap of at most eps/2 plus rounding dust, and a failure
-    is exactly the plain sweep's.
+    The final pass plans from the certificate of a pass at 64 eps, which
+    shows where f is steep, to give each piece an even share of the gap:
+    about (integral of sqrt|f'|)^2 / eps pieces, where a budget per unit
+    length needs about 2 (b - a) (integral of |f'|) / eps.  The plain
+    sweep, whose result is returned on any other outcome, keeps the gap on
+    [a, x] at most (x - a) eps / (2 (b - a)) plus rounding dust.
     """
-    expr, src = _as_expr(f)
-    plain = Problem(expr, a, b, "dit", eps=eps, fn_source=src, max_pieces=max_pieces)
-    try:
-        coarse = run_sweep(plain._replace(eps=min(16.0 * eps, _MAX_FLOAT),
-                                   max_pieces=max(1, max_pieces // 16)))
-        if isinstance(coarse, IntegralCert):
-            cert = run_sweep(plain._replace(prior=coarse))
-            if isinstance(cert, IntegralCert):
-                return cert
-    except (DomainError, OverflowError):
-        pass
-    return run_sweep(plain)
+    return _coarse_to_fine(_problem(f, a, b, "dit", max_pieces, eps=eps))
 
 
 def prove_monotone(f: Expr | str, a: float, b: float, strict: bool,
                    max_pieces: int = MAX_PIECES) -> MonotoneCert | SweepFailure:
     """Certify (strict) monotonicity via per-piece derivative lower bounds."""
-    return _sweep(f, a, b, "sift" if strict else "ift", max_pieces)
+    return run_sweep(_problem(f, a, b, "sift" if strict else "ift", max_pieces))
 
 
 def prove_mvi(f: Expr | str, a: float, b: float, M: float,
               max_pieces: int = MAX_PIECES) -> MviCert | SweepFailure:
     """Certify f(x2) - f(x1) <= M (x2 - x1) via per-piece derivative caps."""
-    return _sweep(f, a, b, "mvi", max_pieces, M=M)
+    return run_sweep(_problem(f, a, b, "mvi", max_pieces, M=M))
 
 
 def prove_flat(f: Expr | str, a: float, b: float, eta: float,
@@ -156,7 +155,7 @@ def prove_flat(f: Expr | str, a: float, b: float, eta: float,
     With eta = 0 only a syntactically zero derivative enclosure certifies,
     so anything short of that stalls rather than rounding its way through.
     """
-    return _sweep(f, a, b, "cft", max_pieces, eta=eta)
+    return run_sweep(_problem(f, a, b, "cft", max_pieces, eta=eta))
 
 
 # =============================================================================
@@ -176,12 +175,12 @@ def prove_root(f: Expr | str, a: float, b: float, tol: float,
     2**-38.  A zero only touched, never crossed, leaves no positive point or
     a pass that moves neither end, and raises Inconclusive.
     """
-    expr, src = _as_expr(f)
+    problem = _problem(f, a, b, "ivt", max_pieces)
     if not math.isfinite(tol):
         raise ValueError("tol must be finite")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    problem = Problem(expr, a, b, "ivt", fn_source=src, max_pieces=max_pieces)
+    expr = problem.f
     f_a = FloatInterval(*eval_iv(expr, a, a))
     if not f_a.hi < 0.0:
         raise PreconditionError(

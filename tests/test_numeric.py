@@ -7,6 +7,7 @@ replaced, kept in object_kernels.py.
 """
 
 import importlib.util
+import itertools
 import math
 import random
 import sys
@@ -835,6 +836,34 @@ def test_binary_pair_kernels_match_object_kernels(x, y, u, v):
         assert _pair_outcome(lambda: pair(a, b, c, d)) == want, (name, X, Y)
         if name != "sub":  # FloatInterval keeps +, * and / as object forms
             assert _pair_outcome(lambda: obj(X, Y)) == want, (name, X, Y)
+
+
+# a zero operand with a normal, a subnormal or ±max one
+_ZERO_PARTNERS = (1.5, 2.0 ** -1022, _TINY, 3 * _TINY, _MAXF, 2.0 ** 900, 2.0 ** -900)
+
+
+def test_zero_products_are_exact_with_ieee_signed_zeros():
+    # a zero operand returns the product at once: exact, and signed as the
+    # integer path, which decided it before, left it
+    for z in (0.0, -0.0):
+        for m in (z, -z) + _ZERO_PARTNERS + tuple(-v for v in _ZERO_PARTNERS):
+            for x, y in ((z, m), (m, z)):
+                exact = Fraction(x) * Fraction(y)
+                for kernel, rounded in ((mul_down, float_down), (mul_up, float_up)):
+                    out = kernel(x, y)
+                    assert out == rounded(exact) == 0.0, (kernel, x, y)
+                    assert float_to_hex(out) == float_to_hex(x * y), (kernel, x, y)
+
+
+def test_zero_ended_products_keep_the_corner_order():
+    # where zeros of both signs tie, _signed_zero_fix takes the sign of the
+    # first corner in the order (lo,lo), (lo,hi), (hi,lo), (hi,hi), as the
+    # object kernels' four-corner scan does
+    ends = (0.0, -0.0, -_TINY, _TINY, -2.0, 3.0, _MAXF, -_MAXF)
+    for a, b, c, d in itertools.product(ends, repeat=4):
+        if a <= b and c <= d:
+            want = _ref_outcome(lambda: ref.FloatInterval(a, b) * ref.FloatInterval(c, d))
+            assert _pair_outcome(lambda: numeric._mul(a, b, c, d)) == want, (a, b, c, d)
 
 
 _UNARY_PAIRS = {

@@ -759,8 +759,11 @@ _FOLD_PARAMS = {"eps": (0.5, 0.1, 0.02, 1e-300), "M": (0.1, 0.77, 2.0, 30.0),
 # counts to 10 that fall back to the overlap route's outcome.  The eval_iv
 # over [a, b] that prove_modulus takes before the mean-value route, which
 # certifies where f oscillates by less than eps there, adds one count to
-# each of the 32 uct records of a differentiable f and certifies none
-_FOLD_DIGEST = "7cacec36e81b20fcbed7ec12648f2202513588ddc53682d3f6099a13a28446fa"
+# each of the 32 uct records of a differentiable f and certifies none.
+# evt and dit run a pass at 64 eps that seeds the final pass, dit's plan
+# spends 31/32 of eps, not 7/8, and seeded evt probes evaluate their
+# candidate points only where the seeded bar refuses the piece
+_FOLD_DIGEST = "6f04979d930b994bd1f142717ca01e40d3ab24a45623809461e64ad66a5dcaca"
 
 
 def _hex_ends(iv):

@@ -105,6 +105,106 @@ def test_max_at_right_endpoint():
 
 
 # ---------------------------------------------------------------------------
+# the coarse-to-fine driver: a pass at 64 eps seeds the final pass
+# ---------------------------------------------------------------------------
+
+def test_max_of_a_cubic_at_a_fine_eps_takes_few_pieces():
+    # one pass from a bar that starts low ran out of its 2**20 pieces here
+    cert = prove_max("x^3 - x", -1.0, 1.5, 1e-6)
+    assert isinstance(cert, MaxCert) and check(cert)
+    assert piece_count(cert) <= 64
+
+
+def _plain_outcome(src, a, b, theorem, **params):
+    """The plain sweep's failure, or the error it raises, as fields."""
+    try:
+        out = run_sweep(Problem(parse(src), a, b, theorem, fn_source=src, **params))
+    except DomainError as err:
+        return type(err), str(err), err.piece
+    assert isinstance(out, SweepFailure)
+    return out, str(out)
+
+
+@pytest.mark.parametrize("prove,src,a,b,params", [
+    (prove_max, "sin(x)*exp(x)", 0.0, 4.0, {"eps": 1e-3, "max_pieces": 2}),
+    (prove_max, "log(x)", 0.0, 1.0, {"eps": 1e-3}),
+    # the pass at 64 eps certifies the point, and the final pass does not
+    (prove_max, "sin(x)", 0.5, 0.5, {"eps": 2e-17}),
+    (prove_max, "sin(x)", 0.5, 0.5, {"eps": 1e-300}),
+    (prove_integral, "x^3 - x", -1.0, 1.5, {"eps": 1e-3, "max_pieces": 2}),
+    (prove_integral, "log(x)", 0.0, 1.0, {"eps": 1e-3}),
+], ids=["evt-budget", "evt-domain", "evt-point-final", "evt-point", "dit-budget", "dit-domain"])
+def test_driver_failures_are_the_plain_sweeps(prove, src, a, b, params):
+    want = _plain_outcome(src, a, b, "evt" if prove is prove_max else "dit", **params)
+    try:
+        out = prove(src, a, b, **params)
+    except DomainError as err:
+        assert (type(err), str(err), err.piece) == want
+    else:
+        assert (out, str(out)) == want
+
+
+def test_seeded_maximizer_is_checked_at_its_own_c():
+    # the seed's c and f_at_c_lo are the final certificate's, and the
+    # checker evaluates f at c again: the maximum is at b, f(1.5) = 1.875
+    cert = prove_max("x^3 - x", -1.0, 1.5, 1e-4)
+    assert check(cert) and (cert.c, cert.f_at_c_lo) == (1.5, 1.875)
+    for tampered in (cert._replace(c=math.nextafter(cert.c, -math.inf)),
+                     cert._replace(c=math.nextafter(cert.c, math.inf)),
+                     cert._replace(f_at_c_lo=math.nextafter(cert.f_at_c_lo, math.inf))):
+        assert not check(tampered)
+
+
+def _evaluations_per_pass(monkeypatch, prove, *args, **kwargs):
+    """The result of prove and the eval_iv calls each of its sweeps made."""
+    import suparg.sweep as sweep_mod
+    calls, passes = [0], []
+    real_eval, real_run = sweep_mod.eval_iv, theorems.run_sweep
+
+    def counted_eval(f, lo, hi):
+        calls[0] += 1
+        return real_eval(f, lo, hi)
+
+    def counted_run(p):
+        before = calls[0]
+        out = real_run(p)
+        passes.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(sweep_mod, "eval_iv", counted_eval)
+    monkeypatch.setattr(theorems, "run_sweep", counted_run)
+    return prove(*args, **kwargs), passes
+
+
+@pytest.mark.parametrize("src,a,b", [("x^3 - x", -1.0, 1.5), ("sin(x)", 0.0, 3.14159)])
+def test_dit_plan_costs_a_sixteenth_of_the_final_pass(monkeypatch, src, a, b):
+    # 669 of 16,314 and 255 of 6,005 calls
+    cert, passes = _evaluations_per_pass(monkeypatch, prove_integral, src, a, b, 1e-3)
+    assert isinstance(cert, IntegralCert) and check(cert)
+    assert len(passes) == 2 and 16 * passes[0] <= passes[1]
+
+
+def test_seeded_maximum_evaluates_few_candidate_points(monkeypatch):
+    # 246 + 376 calls; one pass evaluated two candidate points a probe, and
+    # took 10,164 calls for 3,382 pieces
+    cert, passes = _evaluations_per_pass(monkeypatch, prove_max, "sin(x)*exp(x)", 0.0, 4.0, 1e-3)
+    assert isinstance(cert, MaxCert) and check(cert)
+    assert len(passes) == 2 and sum(passes) <= 1000
+
+
+def test_plan_past_the_piece_budget_leaves_one_full_sweep(monkeypatch):
+    # the plan estimates 16,138 pieces against a budget of 12,000, so the
+    # final pass stalls at its first frontier and the plain sweep alone
+    # spends the budget, ending where it ends alone
+    out, passes = _evaluations_per_pass(monkeypatch, prove_integral, "x^3 - x", -1.0, 1.5,
+                                        1e-3, max_pieces=12_000)
+    assert out == _plain_outcome("x^3 - x", -1.0, 1.5, "dit", eps=1e-3,
+                                 max_pieces=12_000)[0]
+    assert out.kind is FailureKind.BUDGET
+    assert len(passes) == 3 and passes[1] <= 64
+
+
+# ---------------------------------------------------------------------------
 # roots
 # ---------------------------------------------------------------------------
 
@@ -328,7 +428,9 @@ def test_integral_piece_count_near_the_lower_bound(src, rate, a, b, kinks):
 # halved every forward piece, which the last piece, clipped at b, can make a
 # sliver, fell to 1.77e-4 on x^3 - x and 1.23e-4 on sin(x)*exp(x).  The
 # mean-value route, which prove_modulus takes for these f, states eps / L
-# from 8 pieces of width h_init, 1.3-3.0 times the overlap route's delta.
+# from 8 pieces of width h_init, 1.3-3.0 times the overlap route's delta.  dit
+# plans from a pass at 64 eps and spends 31/32 of eps; a plan from 16 eps
+# that spent 7/8 took 1806, 589 and 11751 pieces.
 @pytest.mark.parametrize("prove,args,pieces,delta", [
     (overlap_modulus, ("sqrt(x + 1)", 0.0, 3.0, 1e-2), 223, 0.00902629038921464),
     (overlap_modulus, ("x^3 - x", -1.0, 1.5, 1e-2), 1526, 0.0005812766449093676),
@@ -338,9 +440,9 @@ def test_integral_piece_count_near_the_lower_bound(src, rate, a, b, kinks):
     (prove_modulus, ("x^3 - x", -1.0, 1.5, 1e-2), 8, 0.0017391304347826085),
     (prove_modulus, ("sin(x)*exp(x)", 0.0, 4.0, 0.1), 8, 0.0010816795843755177),
     (prove_modulus, ("1/(1 + 2.01*x^2)", -1.0, 1.0, 1e-2), 8, 0.006303640003109449),
-    (prove_integral, ("x^3 - x", -1.0, 1.5, 1e-2), 1806, None),
-    (prove_integral, ("sin(x)", 0.0, 3.0, 1e-2), 589, None),
-    (prove_integral, ("x*exp(-x)", 0.0, 8.0, 1e-3), 11751, None),
+    (prove_integral, ("x^3 - x", -1.0, 1.5, 1e-2), 1631, None),
+    (prove_integral, ("sin(x)", 0.0, 3.0, 1e-2), 532, None),
+    (prove_integral, ("x*exp(-x)", 0.0, 8.0, 1e-3), 10616, None),
 ], ids=["uct-sqrt", "uct-cubic", "uct-sinexp", "uct-runge", "lipschitz-sqrt", "lipschitz-cubic",
         "lipschitz-sinexp", "lipschitz-runge", "dit-cubic", "dit-sin", "dit-xexp"])
 def test_margin_widths_keep_pieces_and_delta(prove, args, pieces, delta):
