@@ -18,16 +18,16 @@ domain the base case is the whole proof: base_case evaluates the point, so
 the loop never runs, and a point that refutes the theorem ends the fold
 there.
 
-Local extension halves a step width from a start width down to h_min =
-(b - a) * 2**-40 until a piece certifies.  The first piece starts cold at
-h_init = (b - a) / 8; after it the width that certified the last piece,
-scaled by clamp(_SAFETY * r**(1/p), 1/2, 2), is the next start h_next,
-capped at h_init, as in ODE step-size controllers: the row judges each
-enclosure by a margin r, the width its limit allows the enclosure over the
-width it has, which falls about as width**-p, so a start lands just under
-the width that certifies, about one evaluation a piece.  A warm search that
-certifies nothing is rerun once from h_init, so a frontier fails exactly
-where the cold search fails, refutation probes at the wide widths included.
+Local extension is one halving search a frontier: it halves a step width
+from a start width until a piece certifies, and its last probe is at
+exactly h_min = (b - a) * 2**-40.  The first piece starts at h_init =
+(b - a) / 8; after it the width that certified the last piece, scaled by
+clamp(_SAFETY * r**(1/p), 1/2, 2), is the next start h_next, capped at
+h_init, as in ODE step-size controllers: the row judges each enclosure by a
+margin r, the width its limit allows the enclosure over the width it has,
+which falls about as width**-p, so a start lands just under the width that
+certifies, about one evaluation a piece.  A rejected start is halved, as a
+controller shrinks a rejected step, never restarted from h_init.
 
 Every probe takes one path, and reads no field that only some certificates
 have: the row's window gives the left end u <= x of the piece [u, y] to
@@ -165,7 +165,7 @@ class LocalWitness(NamedTuple):
     y: float
     lo: float
     hi: float
-    h_next: float | None = None     # the next search starts at min(h_init, h_next); None: cold
+    h_next: float | None = None     # the next search starts at max(h_min, min(h_init, h_next))
     ext_lo: float | None = None     # left end of the evaluated piece [ext_lo, y], from the window
     cand: float | None = None       # the best of the row's points
     cand_lo: float | None = None    # lower bound of f at cand
@@ -209,8 +209,8 @@ def base_case(p: Problem) -> SimpleNamespace | SweepFailure:
     lists in place of tuples and, for every row, the pieces' ends as the
     partition list; its b is the frontier.  It also holds the step widths:
     h_init and h_min bound them (0 on a single-point domain, where nothing
-    is searched), and h_next, None until a piece certifies, starts the next
-    search.
+    is searched), and h_next, h_init until a piece certifies, starts the
+    next search.
 
     When a < b the theorem holds vacuously at a, and no hypothesis is
     evaluated: a problem that is doomed (say, proving negativity when
@@ -227,8 +227,9 @@ def base_case(p: Problem) -> SimpleNamespace | SweepFailure:
                         **{name: getattr(p, row.key(name)) for name in row.params},
                         **row.theorems.get(p.theorem, {}))
     vars(s).update(row.start(s, p))
+    h_init = (p.b - a) / 8
     vars(s).update({name: [] for name, _ in row.arrays}, partition=[a],
-                   h_init=(p.b - a) / 8, h_min=default_h_min(a, p.b), h_next=None)
+                   h_init=h_init, h_min=default_h_min(a, p.b), h_next=h_init)
     if a < p.b:
         return s
     # evaluated for its domain errors even where it bounds nothing (f')
@@ -251,29 +252,39 @@ def local_extend(p: Problem, s: SimpleNamespace) -> LocalWitness | SweepFailure:
     fail with a refuting piece if an enclosure certifies the hypothesis
     false, and fail with BUDGET once p.max_pieces pieces have been taken.
 
-    The search halves geometrically from min(s.h_init, s.h_next), or cold
-    from s.h_init when s.h_next is None.  A warm search that certifies
-    nothing is rerun once from s.h_init, so failures (and domain errors)
-    are those of the cold search at this frontier.  The witness carries the
-    next start, the certifying width scaled by its margin, as w.h_next,
-    which combine records.  The state is not changed.
+    The search starts at max(s.h_min, min(s.h_init, s.h_next)) and halves,
+    h = max(h / 2, s.h_min), until a probe certifies or refutes; the probe
+    at exactly s.h_min is its last.  A domain error names the first piece
+    the search could not evaluate.  The witness carries the next start, the
+    certifying width scaled by its margin, as w.h_next, which combine
+    records.  The state is not changed.
     """
-    x = s.b
+    x, h_min = s.b, s.h_min
     if not x < p.b:
         raise ValueError("frontier already at b")
     if len(s.partition) - 1 >= p.max_pieces:
         return SweepFailure(FailureKind.BUDGET, at=x,
                             detail=f"piece budget {p.max_pieces} exhausted")
-    # Anything but a witness from the warm search is redone cold, so a
-    # failure or a domain error names the piece the cold search reaches.
-    if s.h_next is not None and s.h_next < s.h_init:
+    h = max(h_min, min(s.h_init, s.h_next))
+    while True:
+        y = x + h
+        # clip at b, absorbing any sub-h_min remainder so no dust piece forms
+        if y >= p.b or p.b - y < h_min:
+            y = p.b
+        if not y > x:
+            break
         try:
-            res = _halving_search(p, s, s.h_next)
-        except DomainError:
-            res = None
-        if isinstance(res, LocalWitness):
-            return res
-    return _halving_search(p, s, s.h_init)
+            result = _probe(p, s, x, y, h)
+        except DomainError as err:
+            err.piece = FloatInterval(x, y)
+            raise
+        if result is not None:
+            return result
+        if not h > h_min:
+            break
+        h = max(h / 2, h_min)
+    return SweepFailure(FailureKind.STALLED, at=x,
+                        detail=f"no certifiable piece above h_min = {h_min!r}")
 
 
 def combine(p: Problem, s: SimpleNamespace, w: LocalWitness) -> None:
@@ -340,30 +351,8 @@ def run_sweep(p: Problem) -> Certificate | SweepFailure:
 
 
 # =============================================================================
-# Local extension: the halving search and one probe
+# Local extension: one probe
 # =============================================================================
-
-def _halving_search(p: Problem, s, h: float) -> LocalWitness | SweepFailure:
-    """Probe pieces from the frontier s.b at widths h, h/2, ... down to s.h_min."""
-    x, h_min = s.b, s.h_min
-    while h >= h_min:
-        y = x + h
-        # clip at b, absorbing any sub-h_min remainder so no dust piece forms
-        if y >= p.b or p.b - y < h_min:
-            y = p.b
-        if not y > x:
-            break
-        try:
-            result = _probe(p, s, x, y, h)
-        except DomainError as err:
-            err.piece = FloatInterval(x, y)
-            raise
-        if result is not None:
-            return result
-        h = h / 2
-    return SweepFailure(FailureKind.STALLED, at=x,
-                        detail=f"no certifiable piece above h_min = {h_min!r}")
-
 
 def _probe(p: Problem, s, x: float, y: float,
            h: float) -> LocalWitness | SweepFailure | None:

@@ -21,6 +21,10 @@ The fold carries the certificate it builds: sweep.py defines no class but
 its input, its witness and its failure, and no swept certificate has a
 field named like a step width the fold carries beside the certificate's.
 
+A frontier takes one search: sweep.py calls _probe from one site, and no
+handler there swallows a DomainError, as one that reran a failed search
+would.
+
 theorems.py builds no Fraction: exact rational tests belong to the
 checker, and the root prover's width test takes sub_up, an upper bound of
 the exact width.
@@ -179,6 +183,17 @@ def test_the_fold_carries_the_certificate_itself():
     clash = sorted({name for row in ROWS if row.arrays for name in row.cls._fields}
                    & {"h_init", "h_min", "h_next"})
     assert not clash, f"swept certificates have fields named like step widths: {clash}"
+
+
+def test_sweep_searches_each_frontier_once():
+    tree = ast.parse((SRC / "sweep.py").read_text())
+    probes = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "_probe"]
+    assert len(probes) == 1, f"sweep.py calls _probe on lines {probes}"
+    swallowed = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
+                 and node.type is not None and "DomainError" in _references(node.type)
+                 and not any(isinstance(sub, ast.Raise) for sub in ast.walk(node))]
+    assert not swallowed, f"sweep.py catches DomainError without re-raising on lines {swallowed}"
 
 
 def test_theorems_builds_no_fraction():

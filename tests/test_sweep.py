@@ -9,6 +9,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from operator import le
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -61,10 +62,12 @@ def steady():
 
 def at_frontier(src, a, b, theorem, x, h_init, h_next=None, **kw):
     """The problem on [x, b] with the widths of the one on [a, b]: a fresh
-    fold whose frontier is x, searching as the sweep on [a, b] does there."""
+    fold whose frontier is x, searching as the sweep on [a, b] does there,
+    from h_next (h_init unless given)."""
     p = problem(src, x, b, theorem, **kw)
     state = base_case(p)
-    state.h_init, state.h_min, state.h_next = h_init, default_h_min(a, b), h_next
+    state.h_init, state.h_min = h_init, default_h_min(a, b)
+    state.h_next = h_init if h_next is None else h_next
     return p, state
 
 
@@ -486,14 +489,15 @@ def test_random_problems_prove_then_check():
 # warm-started step width
 # ---------------------------------------------------------------------------
 
-def _search_starts(monkeypatch):
-    """The list each halving search appends its starting width to."""
+def _probe_widths(monkeypatch):
+    """The list each probe appends its step width to: cleared before a
+    local_extend call, it holds that search's widths, its start first."""
     import suparg.sweep as sweep_mod
-    starts = []
-    real = sweep_mod._halving_search
-    monkeypatch.setattr(sweep_mod, "_halving_search",
-                        lambda p, s, h: starts.append(h) or real(p, s, h))
-    return starts
+    widths = []
+    real = sweep_mod._probe
+    monkeypatch.setattr(sweep_mod, "_probe",
+                        lambda p, s, x, y, h: widths.append(h) or real(p, s, x, y, h))
+    return widths
 
 
 def test_warm_start_evaluations_per_piece(monkeypatch):
@@ -562,7 +566,7 @@ def _planned(src, a, b, eps):
 ], ids=["uct-x", "uct-sinexp", "uct-runge", "dit-prefix", "dit-planned", "evt", "ivt", "sift"])
 def test_warm_starts_stay_within_half_and_twice_the_last_width(monkeypatch, p):
     import suparg.sweep as sweep_mod
-    starts = _search_starts(monkeypatch)
+    starts = _probe_widths(monkeypatch)
     widths, real = [], sweep_mod._probe
 
     def probe(p, s, x, y, h):  # records the widths that certify
@@ -589,7 +593,7 @@ def _warm_fold(p):
     """Fold p with the public operations, stopping once the next search
     starts warm: the problem and the state, h_next below h_init."""
     state = base_case(p)
-    while state.h_next is None or not state.h_next < state.h_init:
+    while not state.h_next < state.h_init:
         combine(p, state, local_extend(p, state))
     return p, state
 
@@ -602,18 +606,6 @@ def test_local_extend_leaves_the_state_unchanged():
     assert local_extend(p, state) == first
 
 
-def test_witness_without_width_starts_the_next_search_cold(monkeypatch):
-    p = steady()
-    state = base_case(p)
-    combine(p, state, local_extend(p, state))
-    w = local_extend(p, state)  # a warm search
-    combine(p, state, w._replace(h_next=None))
-    assert state.h_next is None
-    starts = _search_starts(monkeypatch)
-    assert isinstance(local_extend(p, state), LocalWitness)
-    assert starts == [state.h_init]
-
-
 @pytest.mark.parametrize("src,a,b,theorem,kw,expected", [
     ("x^3", -1.0, 1.0, "sift", {}, FailureKind.STALLED),
     ("x*x - 0.25", 0.0, 1.0, "ivt", {}, FailureKind.STALLED),
@@ -623,21 +615,42 @@ def test_witness_without_width_starts_the_next_search_cold(monkeypatch):
     ("sin(x)", 0.0, 4.0, "sift", {}, FailureKind.HYPOTHESIS_FAIL),
 ])
 def test_failure_is_the_cold_search_failure(src, a, b, theorem, kw, expected):
-    # the kinds are those the cold-only search reported before the warm start
+    # the fold's one search per frontier fails where, and as, a search from
+    # h_init fails there; only x - x^3 refutes with a piece of its own, the
+    # warm start's, narrower than the cold search's [0.625, 0.6875]
     p = problem(src, a, b, theorem, **kw)
     res = run_sweep(p)
     assert isinstance(res, SweepFailure) and res.kind is expected
     cold = local_extend(*at_frontier(src, a, b, theorem, res.at, (b - a) / 8, **kw))
-    assert cold == res
+    assert (cold.kind, cold.at) == (res.kind, res.at)
+    if src == "x - x^3":
+        assert res.witness == FloatInterval(0.5977941176470588, 0.6330882352941176)
+        assert res.enclosure.hi < 0.0
+    else:
+        assert cold == res
 
 
-def test_warm_domain_error_reports_the_cold_piece():
+def test_warm_search_probes_each_width_once_and_ends_on_h_min(monkeypatch):
+    # a warm search that certifies nothing halves down to exactly h_min and
+    # stops there: no second search from h_init follows
+    stall = run_sweep(problem("x*x - 0.25", 0.0, 1.0, "ivt")).at
+    h_min = default_h_min(0.0, 1.0)
+    widths = _probe_widths(monkeypatch)
+    res = local_extend(*at_frontier("x*x - 0.25", 0.0, 1.0, "ivt", stall, 0.125,
+                                    h_next=3 * h_min))
+    assert widths == [3 * h_min, 1.5 * h_min, h_min]
+    assert res == SweepFailure(FailureKind.STALLED, at=stall,
+                               detail=f"no certifiable piece above h_min = {h_min!r}")
+
+
+def test_warm_domain_error_reports_the_warm_piece():
+    # the one search's first piece past -0.5, where log refuses x <= 0
     p, state = at_frontier("log(x)", -1.0, 1.0, "bvt", -0.5, 0.25,
                            h_next=2.0 ** -9)
     from suparg.numeric import DomainError
     with pytest.raises(DomainError) as exc:
         local_extend(p, state)
-    assert exc.value.piece == FloatInterval(-0.5, -0.25)
+    assert exc.value.piece == FloatInterval(-0.5, -0.5 + 2.0 ** -9)
 
 
 def test_witness_reports_its_next_start_width():
@@ -750,20 +763,11 @@ _FOLD_FNS = ("sin(x)", "x^3 - x", "exp(x) - 3", "x*exp(-x)", "1/(1 + 4*x*x)", "x
              "abs(x) - 1", "1/x", "x^2 - 2")
 _FOLD_PARAMS = {"eps": (0.5, 0.1, 0.02, 1e-300), "M": (0.1, 0.77, 2.0, 30.0),
                 "eta": (0.0, 0.05, 0.5, 5.0), "tol": (1e-3, 1e-9)}
-# sha256 of the outcomes and evaluation counts of 300 seeded problems, as
-# the fold that wrapped its certificate in a second state object computed
-# them, but for uct: its delta is the least overlap, not half of it or of
-# the first piece, and a differentiable f takes the mean-value route first,
-# which moved 20 of the 33 uct records (each delta at least the overlap
-# route's; 3 stalls and a budget failure now certify) and added eval_d1
-# counts to 10 that fall back to the overlap route's outcome.  The eval_iv
-# over [a, b] that prove_modulus takes before the mean-value route, which
-# certifies where f oscillates by less than eps there, adds one count to
-# each of the 32 uct records of a differentiable f and certifies none.
-# evt and dit run a pass at 64 eps that seeds the final pass, dit's plan
-# spends 31/32 of eps, not 7/8, and seeded evt probes evaluate their
-# candidate points only where the seeded bar refuses the piece
-_FOLD_DIGEST = "6f04979d930b994bd1f142717ca01e40d3ab24a45623809461e64ad66a5dcaca"
+# one line a record of 300 seeded problems: its index, the first 16 hex
+# digits of the sha256 of its outcome and evaluation counts, and its case;
+# a change that moves records writes the file again from _fold_records()
+# and names the moved records in CHANGES.md
+_FOLD_DIGESTS = Path(__file__).parent / "data" / "fold_digests.txt"
 
 
 def _hex_ends(iv):
@@ -798,8 +802,9 @@ def _counted(real, key, counts):
     return call
 
 
-def test_fold_digest(monkeypatch):
-    # every warm start shows in the evaluation counts, every piece in the bytes
+def _fold_records(monkeypatch):
+    """Each record's (index, short digest, case), with the kinds of outcome
+    the records reach."""
     import suparg.sweep as sweep_mod
     counts = Counter()
     for module, name in ((sweep_mod, "eval_iv"), (sweep_mod, "eval_d1"), (theorems, "eval_iv")):
@@ -810,10 +815,20 @@ def test_fold_digest(monkeypatch):
     for k in range(300):
         counts.clear()
         record = _fold_outcome(cli.THEOREMS[k % len(cli.THEOREMS)], rng)
-        records.append((record, sorted(counts.items())))
+        digest = hashlib.sha256(repr((record, sorted(counts.items()))).encode()).hexdigest()
+        records.append((str(k), digest[:16], repr(record[0])))
         a, b = record[0][2:4]
         outcomes.add(("point " if a == b else "") + (record[1] if len(record) > 2 else "cert"))
+    return records, outcomes
+
+
+def test_fold_digest(monkeypatch):
+    # every warm start shows in the evaluation counts, every piece in the bytes
+    records, outcomes = _fold_records(monkeypatch)
     assert {"cert", "stalled", "hypothesis_fail", "budget", "DomainError", "PreconditionError",
             "point cert", "point DomainError"} <= outcomes
-    digest = hashlib.sha256("\n".join(map(repr, records)).encode()).hexdigest()
-    assert digest == _FOLD_DIGEST
+    recorded = [tuple(line.split(" ", 2)) for line in _FOLD_DIGESTS.read_text().splitlines()]
+    moved = [f"#{k} {case}" for (k, digest, case), (_, want, _) in zip(records, recorded)
+             if digest != want]
+    assert not moved, f"fold records moved: {moved}"
+    assert records == recorded
