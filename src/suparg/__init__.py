@@ -17,6 +17,7 @@ from .certificates import (
     Conclusion,
     FlatCert,
     IntegralCert,
+    LipschitzCert,
     MaxCert,
     ModulusCert,
     MonotoneCert,

@@ -74,8 +74,6 @@ from .numeric import (
     _MIN_NORMAL,
     DomainError,
     FloatInterval,
-    RatInterval,
-    Rational,
     add_down,
     add_up,
     div_down,

@@ -38,11 +38,13 @@ maximizer candidates, the lower bounds of |f'| of uct's derivative route),
 and the row's judge gives the enclosure's margin.  Under a prior, whose
 certificate seeded the row's threshold (evt's bar f(c) + eps), the points
 are evaluated only for a piece that the judge refuses without them.  A
-failure to certify is reported as a stall unless an enclosure itself
-refutes the hypothesis (for example a certified-positive range while
-proving negativity), in which case the failure carries the refuting piece:
-interval arithmetic cannot otherwise distinguish "hypothesis false" from
-"enclosure too loose".
+failure to certify is a stall unless an enclosure itself refutes the
+hypothesis (say a certified-positive range while proving negativity):
+interval arithmetic cannot otherwise tell "hypothesis false" from
+"enclosure too loose".  A probe refutes with its piece; a search that
+finds no piece looks once just past the stall x, as the paper looks past
+the sup, and the first of x + h_min, x + 2 h_min, x + 4 h_min, ... up to b
+whose point enclosure refutes is the failure's witness.
 
 Combination is the paper's merge rule, made concrete by the row's step: it
 is transitive where the piece is appended and the scalars updated (a
@@ -65,7 +67,7 @@ from typing import NamedTuple
 
 from .certificates import ROWS, Certificate, Partition, Row, StructureError
 from .expr import Expr, eval_d1, eval_iv, to_source
-from .numeric import DomainError, FloatInterval, midpoint
+from .numeric import DomainError, FloatInterval
 
 
 # theorem code -> the row of the certificate its sweep builds, one with
@@ -248,16 +250,18 @@ def base_case(p: Problem) -> SimpleNamespace | SweepFailure:
 
 def local_extend(p: Problem, s: SimpleNamespace) -> LocalWitness | SweepFailure:
     """Find a step width h in [s.h_min, s.h_init] whose piece, starting at
-    the frontier s.b, certifies the local predicate; stall if none does,
-    fail with a refuting piece if an enclosure certifies the hypothesis
-    false, and fail with BUDGET once p.max_pieces pieces have been taken.
+    the frontier s.b, certifies the local predicate; fail with a refuting
+    witness if an enclosure certifies the hypothesis false, with BUDGET
+    once p.max_pieces pieces have been taken, and else stall.
 
     The search starts at max(s.h_min, min(s.h_init, s.h_next)) and halves,
     h = max(h / 2, s.h_min), until a probe certifies or refutes; the probe
-    at exactly s.h_min is its last.  A domain error names the first piece
-    the search could not evaluate.  The witness carries the next start, the
-    certifying width scaled by its margin, as w.h_next, which combine
-    records.  The state is not changed.
+    at exactly s.h_min is its last.  Where it ends without a piece, the
+    look past x = s.b evaluates x + h_min, x + 2 h_min, ..., each at least
+    the next float after the last, up to b.  A domain error names the
+    search's piece that raised it, and no piece at a point past x.  The
+    witness carries the next start, the certifying width scaled by its
+    margin, as w.h_next, which combine records.  The state is not changed.
     """
     x, h_min = s.b, s.h_min
     if not x < p.b:
@@ -283,8 +287,15 @@ def local_extend(p: Problem, s: SimpleNamespace) -> LocalWitness | SweepFailure:
         if not h > h_min:
             break
         h = max(h / 2, h_min)
+    t, h = x, h_min
+    while p.row.refute is not None and t < p.b:
+        t = min(max(x + h, math.nextafter(t, p.b)), p.b)
+        failure = _refutation(p.row, s, x, t, t, *_enclose(p.row, p.f, t, t))
+        if failure is not None:
+            return failure
+        h *= 2.0
     return SweepFailure(FailureKind.STALLED, at=x,
-                        detail=f"no certifiable piece above h_min = {h_min!r}")
+                        detail=f"no certifiable piece down to h_min = {h_min!r}")
 
 
 def combine(p: Problem, s: SimpleNamespace, w: LocalWitness) -> None:
@@ -384,16 +395,7 @@ def _probe(p: Problem, s, x: float, y: float,
         scale = _accepts(row, s, lo, hi, x, y, cand_lo)
     if scale is not None:
         return LocalWitness(x, y, lo, hi, scale * h, u, cand, cand_lo)
-    failure = _refutation(row, s, x, u, y, lo, hi)
-    if failure is None and row.deriv and row.refute is not None:
-        # The violation may lie strictly beyond any reachable frontier, in
-        # which case no frontier piece ever refutes; probe the right half
-        # being discarded by the halving before giving it up.
-        mid = midpoint(x, y)
-        if x < mid < y:
-            lo, hi = _enclose(row, f, mid, y)
-            failure = _refutation(row, s, x, mid, y, lo, hi)
-    return failure
+    return _refutation(row, s, x, u, y, lo, hi)
 
 
 def _enclose(row: Row, f: Expr, u: float, y: float) -> tuple[float, float]:

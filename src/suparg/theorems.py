@@ -168,12 +168,12 @@ def prove_root(f: Expr | str, a: float, b: float, tol: float,
 
     The zero is the paper's c = sup{x : f < 0 on [a, x]}, which the
     negativity sweep finds: it reaches b (f < 0 on all of [a, b], a NegCert)
-    or stalls at l, where the enclosures no longer keep f below zero.  A
-    climb from l by h_min, 2 h_min, ... takes the first certified-positive
-    point as r.  While [l, r] is wider than tol the sweep runs again on it,
-    with an h_min relative to the bracket, so each pass shrinks it by about
-    2**-38.  A zero only touched, never crossed, leaves no positive point or
-    a pass that moves neither end, and raises Inconclusive.
+    or fails at l, and its look past l gives the first certified-positive
+    point of l + h_min, l + 2 h_min, l + 4 h_min, ... as the witness r.
+    While [l, r] is wider than tol the sweep runs again on it, with an h_min
+    relative to the bracket, so each pass shrinks it by about 2**-38.  A
+    zero only touched, never crossed, leaves no positive point or a pass
+    that moves neither end, and raises Inconclusive.
     """
     problem = _problem(f, a, b, "ivt", max_pieces)
     if not math.isfinite(tol):
@@ -196,14 +196,9 @@ def prove_root(f: Expr | str, a: float, b: float, tol: float,
         if not f_at.hi < 0.0:
             raise Inconclusive(
                 f"sign undecidable at the stalled frontier {at!r}: enclosure {f_at}")
-        h, right, f_right_lo = default_h_min(l, r), at, 0.0
-        while not f_right_lo > 0.0:
-            if not right < r:
-                raise Inconclusive(
-                    f"no certified-positive point found to the right of {at!r}")
-            # at + h below an ulp rounds onto a point already probed: take the next float
-            right = min(max(at + h, math.nextafter(right, r)), r)
-            f_right_lo, h = eval_iv(expr, right, right)[0], 2.0 * h
+        if res.witness is None:
+            raise Inconclusive(f"no certified-positive point found to the right of {at!r}")
+        right, f_right_lo = res.witness.lo, res.enclosure.lo
         if sub_up(right, at) <= tol:
             return RootBracket(problem.fn_source, a, b, at, right, f_at.hi, f_right_lo, tol)
         if (at, right) == (l, r) or not default_h_min(at, right) > 0:

@@ -23,11 +23,17 @@ field named like a step width the fold carries beside the certificate's.
 
 A frontier takes one search: sweep.py calls _probe from one site, and no
 handler there swallows a DomainError, as one that reran a failed search
-would.
+would.  A probe takes one enclosure: the body of _probe calls _enclose
+once, so no second look at a rejected piece's right half is left.
 
 theorems.py builds no Fraction: exact rational tests belong to the
 checker, and the root prover's width test takes sub_up, an upper bound of
-the exact width.
+the exact width.  prove_root has one loop, its passes over the bracket:
+the point past a stall comes from the sweep's failure, not a climb of its
+own.
+
+Every certificate class a row builds is exported from suparg, and no
+module but __init__.py, which re-exports, imports a name it never reads.
 
 An expression has one representation, the tape parse writes: no module
 subclasses Expr, and only parse calls Expr(...).
@@ -194,6 +200,51 @@ def test_sweep_searches_each_frontier_once():
                  and node.type is not None and "DomainError" in _references(node.type)
                  and not any(isinstance(sub, ast.Raise) for sub in ast.walk(node))]
     assert not swallowed, f"sweep.py catches DomainError without re-raising on lines {swallowed}"
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == name)
+
+
+def test_a_probe_takes_one_enclosure():
+    calls = [node.lineno for node in ast.walk(_function("sweep", "_probe"))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "_enclose"]
+    assert len(calls) == 1, f"_probe calls _enclose on lines {calls}"
+
+
+def test_the_root_prover_loops_only_over_its_passes():
+    loops = [node.lineno for node in ast.walk(_function("theorems", "prove_root"))
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert len(loops) == 1, f"prove_root loops on lines {loops}"
+
+
+def test_every_certificate_class_is_exported():
+    from suparg.certificates import ROWS
+    missing = sorted({row.cls.__name__ for row in ROWS
+                      if getattr(suparg, row.cls.__name__, None) is not row.cls})
+    assert not missing, f"certificate classes suparg does not export: {missing}"
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
+    assert not unread, f"imported and never read: {unread}"
 
 
 def test_theorems_builds_no_fraction():

@@ -28,7 +28,7 @@ from suparg.certificates import (
     dumps,
     from_document,
 )
-from suparg.expr import parse
+from suparg.expr import eval_d1, eval_iv, parse
 from suparg.numeric import FloatInterval, float_down, sub_down
 from suparg.sweep import (
     _SWEPT,
@@ -244,10 +244,14 @@ def test_local_extend_sign_neg_halves_to_fit():
 
 
 def test_sign_sweep_stalls_at_crossing_for_root_refinement():
+    # the sweep stops just below the crossing, and its look past the stall
+    # refutes with a point just above it, certified positive: the bracket
     res = run_sweep(problem("x - 0.5", 0.0, 1.0, "ivt"))
     assert isinstance(res, SweepFailure)
-    assert res.kind is FailureKind.STALLED
+    assert res.kind is FailureKind.HYPOTHESIS_FAIL
+    assert res.at < 0.5 < res.witness.lo == res.witness.hi < 0.5 + 1e-9
     assert abs(res.at - 0.5) < 1e-9
+    assert res.enclosure.lo > 0.0
 
 
 def test_local_extend_requires_room():
@@ -608,39 +612,68 @@ def test_local_extend_leaves_the_state_unchanged():
 
 @pytest.mark.parametrize("src,a,b,theorem,kw,expected", [
     ("x^3", -1.0, 1.0, "sift", {}, FailureKind.STALLED),
-    ("x*x - 0.25", 0.0, 1.0, "ivt", {}, FailureKind.STALLED),
-    ("exp(-x*x)", -2.0, 2.0, "mvi", {"M": 0.77}, FailureKind.STALLED),
-    ("x*exp(-x)", 0.0, 3.0, "ift", {}, FailureKind.STALLED),
+    ("x*x - 0.25", 0.0, 1.0, "ivt", {}, FailureKind.HYPOTHESIS_FAIL),
+    ("exp(-x*x)", -2.0, 2.0, "mvi", {"M": 0.77}, FailureKind.HYPOTHESIS_FAIL),
+    ("x*exp(-x)", 0.0, 3.0, "ift", {}, FailureKind.HYPOTHESIS_FAIL),
     ("x - x^3", 0.0, 1.0, "sift", {}, FailureKind.HYPOTHESIS_FAIL),
     ("sin(x)", 0.0, 4.0, "sift", {}, FailureKind.HYPOTHESIS_FAIL),
 ])
 def test_failure_is_the_cold_search_failure(src, a, b, theorem, kw, expected):
     # the fold's one search per frontier fails where, and as, a search from
-    # h_init fails there; only x - x^3 refutes with a piece of its own, the
-    # warm start's, narrower than the cold search's [0.625, 0.6875]
+    # h_init fails there; every refutation is the look past the stall, a
+    # point witness just right of it (x - x^3 at the sup 1/sqrt(3))
     p = problem(src, a, b, theorem, **kw)
     res = run_sweep(p)
     assert isinstance(res, SweepFailure) and res.kind is expected
     cold = local_extend(*at_frontier(src, a, b, theorem, res.at, (b - a) / 8, **kw))
-    assert (cold.kind, cold.at) == (res.kind, res.at)
+    assert cold == res
+    if expected is FailureKind.HYPOTHESIS_FAIL:
+        assert res.at < res.witness.lo == res.witness.hi
     if src == "x - x^3":
-        assert res.witness == FloatInterval(0.5977941176470588, 0.6330882352941176)
-        assert res.enclosure.hi < 0.0
-    else:
-        assert cold == res
+        assert res.at == 0.5773502691893471 and res.enclosure.hi < 0.0
+
+
+@pytest.mark.parametrize("src,a,b,theorem,kw,at", [
+    ("exp(-x*x)", -2.0, 2.0, "mvi", {"M": 0.77}, -0.9508467819182009),
+    ("1/(1 + 4*x*x)", -1.0, -0.5, "mvi", {"M": 0.77}, -0.6201450099375598),
+    ("exp(-x*x)", -2.0, 0.0, "cft", {"eta": 0.5}, -1.2770445733386935),
+    ("x*exp(-x)", 1.0, 3.0, "ift", {}, 1.0),
+])
+def test_false_derivative_statement_is_refuted_past_its_stall(src, a, b, theorem, kw, at):
+    # no piece past the stall certifies, and the violation lies farther on
+    # than any probed piece reaches: the look past the stall finds a point
+    # whose enclosure of f' refutes the statement
+    p = problem(src, a, b, theorem, **kw)
+    res = run_sweep(p)
+    assert isinstance(res, SweepFailure) and res.kind is FailureKind.HYPOTHESIS_FAIL
+    assert res.at == at < res.witness.lo == res.witness.hi <= b
+    lo, hi = eval_d1(p.f, res.witness.lo, res.witness.lo)[2:]
+    assert res.enclosure == FloatInterval(lo, hi)
+    assert res.detail == p.row.refute(base_case(p), lo, hi) != ""
 
 
 def test_warm_search_probes_each_width_once_and_ends_on_h_min(monkeypatch):
     # a warm search that certifies nothing halves down to exactly h_min and
-    # stops there: no second search from h_init follows
+    # stops there: no second search from h_init follows, and the look past
+    # the stall probes no piece; its first point, stall + h_min, refutes
     stall = run_sweep(problem("x*x - 0.25", 0.0, 1.0, "ivt")).at
     h_min = default_h_min(0.0, 1.0)
     widths = _probe_widths(monkeypatch)
     res = local_extend(*at_frontier("x*x - 0.25", 0.0, 1.0, "ivt", stall, 0.125,
                                     h_next=3 * h_min))
     assert widths == [3 * h_min, 1.5 * h_min, h_min]
+    t = stall + h_min
+    assert res == SweepFailure(FailureKind.HYPOTHESIS_FAIL, at=stall, witness=FloatInterval(t, t),
+                               enclosure=FloatInterval(*eval_iv(parse("x*x - 0.25"), t, t)),
+                               detail="range certified positive")
+    # where nothing past the stall refutes, the sweep stalls there
+    stall = run_sweep(problem("x^3", -1.0, 1.0, "sift")).at
+    h_min = default_h_min(-1.0, 1.0)
+    widths.clear()
+    res = local_extend(*at_frontier("x^3", -1.0, 1.0, "sift", stall, 0.25, h_next=3 * h_min))
+    assert widths == [3 * h_min, 1.5 * h_min, h_min]
     assert res == SweepFailure(FailureKind.STALLED, at=stall,
-                               detail=f"no certifiable piece above h_min = {h_min!r}")
+                               detail=f"no certifiable piece down to h_min = {h_min!r}")
 
 
 def test_warm_domain_error_reports_the_warm_piece():
