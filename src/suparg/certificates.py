@@ -15,9 +15,9 @@ so no rounding in the checker itself can flip a verdict:
   - stored values and fresh bounds are binary64, and comparing two of them,
     or their absolute values, is exact;
   - where a test needs a sum or a difference (an oscillation hi - lo, an
-    overlap lo + delta), the rounded float result decides unless it ties
-    with the other side, and then the sign of its rounding error, which
-    Knuth's TwoSum computes exactly, decides;
+    overlap lo + delta, a Darboux gap U - L), the rounded float result
+    decides unless it ties with the other side, and then the sign of its
+    rounding error, which Knuth's TwoSum computes exactly, decides;
   - a rational threshold such as f(c) + eps is rounded down to a float once
     per certificate, which keeps v <= threshold unchanged for every float v;
   - the Darboux sums scale every partition point and every bound to one
@@ -334,7 +334,7 @@ class Row:
         window: Callable | None = None,     # (s, p, x, h) -> left end u <= x of the piece evaluated
         points: Callable | None = None,     # (x, y) -> points of [x, y] where f is evaluated
         step: Callable | None = None,       # (s, w) -> None: scalars (and pieces) after taking in w
-        margin: Callable | None = None,     # (s, lo, hi, x, y, t_lo) -> (r, p): see judge
+        margin: Callable | None = None,     # (s, lo, hi, x, y, t_lo) -> r: see judge
         refute: Callable | None = None,     # (s, lo, hi) -> reason when [lo, hi] certifies it false
         stall: str = "",                    # why a degenerate domain does not certify
     ):
@@ -346,14 +346,15 @@ class Row:
     def key(self, name: str) -> str:
         return self.keys.get(name, name)
 
-    def judge(self, s, lo: float, hi: float, x: float, y: float, t_lo) -> tuple[float, int]:
-        """(r, p): r > 0 exactly when [lo, hi] passes on [x, y], and falls about as
-        width**-p; the margin, else the limit's, p = 1, a strict limit at the next float."""
+    def judge(self, s, lo: float, hi: float, x: float, y: float, t_lo) -> float:
+        """r > 0 exactly when [lo, hi] passes on [x, y], and then at least 1:
+        the factor by which the piece's width may grow and still pass.  The
+        margin's, else the limit's, a strict limit taken at the next float."""
         if self.margin is not None:
             return self.margin(s, lo, hi, x, y, t_lo)
         op, t, _ = self.limit(s)
         t = math.nextafter(t, -math.inf if op is lt else math.inf) if op in (lt, gt) else t
-        return self.arrays[0][1].margin(t, lo, hi), 1
+        return self.arrays[0][1].margin(t, lo, hi)
 
 
 def _raise_bound(s, w) -> None:
@@ -463,16 +464,6 @@ def _darboux_sums(c) -> str | None:
     return None
 
 
-def _darboux_gap(c) -> str | None:
-    """The reason the stored gap U - L is not below eps, exactly; None when
-    it is.  O(1), so the row requires it of every certificate a sweep
-    returns: rounding in the directed sums can lift a gap the pieces kept."""
-    nl, dl = c.lower_sum.as_integer_ratio()
-    nu, du = c.upper_sum.as_integer_ratio()
-    ne, de = c.eps.as_integer_ratio()
-    return None if (nu * dl - nl * du) * de < ne * du * dl else "Darboux gap not below eps"
-
-
 # the share of eps a planned dit sweep spends; the rest absorbs the
 # rounding of its float steering
 _PLANNED = 0.96875
@@ -538,14 +529,10 @@ def _start_darboux(s, p) -> dict:
     gives one; else eps / (2 (b - a)) rounded down, which keeps the gap on
     [a, x] at most (x - a) eps / (2 (b - a)), and which is computed at the
     first probe, so that a domain error there comes before its overflow.
-    A plan whose own estimate of the pieces, S^2 / (31/32 eps), is above
-    p.max_pieces gives no budget: the pass stalls at once, and the plain
-    sweep that the prover then runs is the only one to spend the budget."""
+    What a pass that runs out of pieces means is the prover's to decide."""
     plan = DarbouxPlan.of(p.prior) if p.prior is not None else None
     flat = cache(lambda: div_down(s.eps, mul_up(2.0, sub_up(p.b, p.a))))
     budget = plan.budget if plan is not None else lambda s, x, y: flat()
-    if plan is not None and plan.left[0] ** 2 > _PLANNED * s.eps * p.max_pieces:
-        budget = lambda s, x, y: 0.0  # noqa: E731
     return {"lower_sum": 0.0, "upper_sum": 0.0, "budget": budget}
 
 
@@ -566,7 +553,7 @@ ROWS = (
         positive=("bound",), pointwise=True,
         limit=lambda c: (le, c.bound, "M < piece bound"),
         start=lambda s, p: {"bound": _MIN_NORMAL}, step=_raise_bound,
-        margin=lambda s, lo, hi, x, y, t_lo: (math.inf, 1)),  # the bound rises to meet it
+        margin=lambda s, lo, hi, x, y, t_lo: math.inf),  # the bound rises to meet it
     Row(MaxCert, "max", {"evt": {}}, prover="prove_max",
         text=lambda c: (f"∃c = {c.c!r} ∈ [{c.a!r}, {c.b!r}]: ∀t: f(t) ≤ f(c) + {c.eps!r}, "
                         f"f(c) ≥ {c.f_at_c_lo!r} for f = {c.fn_source}"),
@@ -587,8 +574,8 @@ ROWS = (
         points=lambda x, y: (midpoint(x, y), y),
         step=_take_candidate, stall="point enclosure wider than eps",
         # judged against the certificate once this piece's candidate is in
-        margin=lambda s, lo, hi, x, y, t_lo: (
-            HI.margin(add_down(max(s.f_at_c_lo, t_lo), s.eps), lo, hi), 1)),
+        margin=lambda s, lo, hi, x, y, t_lo: HI.margin(add_down(max(s.f_at_c_lo, t_lo), s.eps),
+                                                       lo, hi)),
     Row(NegCert, "neg", {"ivt": {}}, prover="prove_root",
         text=lambda c: f"∀t∈[{c.a!r}, {c.b!r}]: f(t) < 0 for f = {c.fn_source}",
         grid="partition", arrays=(("piece_hi", HI),), pointwise=True,
@@ -634,18 +621,20 @@ ROWS = (
         # f; a piece is taken while its |f'| bound is at most twice the best
         # such bound, this piece's included, so L <= 2 max |f'|
         points=lambda x, y: (midpoint(x, y), y),
-        margin=lambda s, lo, hi, x, y, t_lo: (ABS.margin(2.0 * max(s.best, t_lo), lo, hi), 1)),
+        margin=lambda s, lo, hi, x, y, t_lo: ABS.margin(2.0 * max(s.best, t_lo), lo, hi)),
     Row(IntegralCert, "integral", {"dit": {}}, prover="prove_integral",
         text=lambda c: (f"∫f over [{c.a!r}, {c.b!r}] ∈ [{c.lower_sum!r}, {c.upper_sum!r}], "
                         f"U − L < {c.eps!r} for f = {c.fn_source}"),
         grid="partition", arrays=(("piece_lo", LO), ("piece_hi", HI)), params=("eps",),
         keys={"lower_sum": "L", "upper_sum": "U"}, positive=("eps",),
-        requires=((lambda c, f: not _darboux_gap(c), "Darboux gap not below eps"),),
+        # U - L < eps, exactly; a sweep's rounded sums can lift a gap its pieces kept
+        requires=((lambda c, f: sum_above(c.eps, c.lower_sum, c.upper_sum),
+                   "Darboux gap not below eps"),),
         total=_darboux_sums,
         start=_start_darboux, step=_add_darboux_terms,
-        # a planned budget falls as 1 / width while the oscillation grows
-        # with it; the flat budget's p would be 1, and 2 only steps warier
-        margin=lambda s, lo, hi, x, y, t_lo: (OSC.margin(s.budget(s, x, y), lo, hi), 2)),
+        # a planned budget falls as 1 / width while the oscillation grows with
+        # it: the width may grow by the room's square root, warily for a flat one
+        margin=lambda s, lo, hi, x, y, t_lo: OSC.margin(s.budget(s, x, y), lo, hi) ** 0.5),
     Row(MonotoneCert, "monotone", {"sift": {"strict": True}, "ift": {"strict": False}},
         prover="prove_monotone",
         text=lambda c: (f"∀x₁<x₂ in [{c.a!r}, {c.b!r}]: f(x₁) {'<' if c.strict else '≤'} "

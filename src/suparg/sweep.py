@@ -14,37 +14,37 @@ domain, over the one object the argument works with: the certificate on
 [a, x] as it grows, the certified prefix.  base_case opens it on [a, a],
 local_extend finds a witness piece past its end x, combine takes that piece
 in, in O(1), and finish copies out the certificate.  On a single-point
-domain the base case is the whole proof: base_case evaluates the point, so
-the loop never runs, and a point that refutes the theorem ends the fold
-there.
+domain the base case is the whole proof: base_case judges the point as a
+probe of the piece [a, a], so the loop never runs, and a point that
+refutes the theorem ends the fold there.
 
 Local extension is one halving search a frontier: it halves a step width
 from a start width until a piece certifies, and its last probe is at
 exactly h_min = (b - a) * 2**-40.  The first piece starts at h_init =
 (b - a) / 8; after it the width that certified the last piece, scaled by
-clamp(_SAFETY * r**(1/p), 1/2, 2), is the next start h_next, capped at
-h_init, as in ODE step-size controllers: the row judges each enclosure by a
-margin r, the width its limit allows the enclosure over the width it has,
-which falls about as width**-p, so a start lands just under the width that
-certifies, about one evaluation a piece.  A rejected start is halved, as a
-controller shrinks a rejected step, never restarted from h_init.
+min(_SAFETY * r, 2), is the next start h_next, capped at h_init, as in ODE
+step-size controllers: the row judges each enclosure by a margin r, the
+factor by which the piece's width may grow and still pass, at least 1
+where it passes, so a start lands just under the width that certifies,
+about one evaluation a piece.  A rejected start is halved, as a controller
+shrinks a rejected step, never restarted from h_init.
 
-Every probe takes one path, and reads no field that only some certificates
-have: the row's window gives the left end u <= x of the piece [u, y] to
-evaluate (uct's overlap route widens it backward so that its pieces
-overlap), one enclosure of f, or of f' where the row's deriv is set, is
-taken over it, f, or |f'|, is bounded below at the row's points (evt's
-maximizer candidates, the lower bounds of |f'| of uct's derivative route),
-and the row's judge gives the enclosure's margin.  Under a prior, whose
-certificate seeded the row's threshold (evt's bar f(c) + eps), the points
-are evaluated only for a piece that the judge refuses without them.  A
-failure to certify is a stall unless an enclosure itself refutes the
-hypothesis (say a certified-positive range while proving negativity):
-interval arithmetic cannot otherwise tell "hypothesis false" from
-"enclosure too loose".  A probe refutes with its piece; a search that
-finds no piece looks once just past the stall x, as the paper looks past
-the sup, and the first of x + h_min, x + 2 h_min, x + 4 h_min, ... up to b
-whose point enclosure refutes is the failure's witness.
+Every probe, a single-point domain's too, takes one path, and reads no
+field that only some certificates have: the row's window gives the left
+end u <= x of the piece [u, y] to evaluate (uct's overlap route widens it
+backward so that its pieces overlap), one enclosure of f, or of f' where
+the row's deriv is set, is taken over it, and one over each of the row's
+points bounds f, or |f'|, below there (evt's maximizer candidates, uct's
+derivative route), and the row's judge gives the enclosure's margin.
+Under a prior, whose certificate seeded the row's threshold (evt's bar
+f(c) + eps), the points are evaluated only for a piece that the judge
+refuses without them.  A failure to certify is a stall unless an enclosure
+itself refutes the hypothesis (say a certified-positive range while
+proving negativity): interval arithmetic cannot otherwise tell "hypothesis
+false" from "enclosure too loose".  A probe refutes with its piece; a
+search that finds no piece looks once just past the stall x, as the paper
+looks past the sup, and the first of x + h_min, x + 2 h_min, x + 4 h_min,
+... up to b whose point enclosure refutes is the failure's witness.
 
 Combination is the paper's merge rule, made concrete by the row's step: it
 is transitive where the piece is appended and the scalars updated (a
@@ -196,9 +196,9 @@ class SweepFailure(namedtuple("SweepFailure", "kind at witness enclosure detail"
 
 def _accepts(row: Row, s, lo: float, hi: float, x: float, y: float, t_lo) -> float | None:
     """None when the row refuses the enclosure, else the scale of the next
-    start width, from the margin (r, p) the row judges it by."""
-    r, order = row.judge(s, lo, hi, x, y, t_lo)
-    return min(2.0, max(0.5, _SAFETY * r ** (1 / order))) if r > 0.0 else None
+    start width: _SAFETY times the margin r >= 1 it is judged by, at most 2."""
+    r = row.judge(s, lo, hi, x, y, t_lo)
+    return min(2.0, _SAFETY * r) if r > 0.0 else None
 
 
 # =============================================================================
@@ -220,8 +220,9 @@ def base_case(p: Problem) -> SimpleNamespace | SweepFailure:
 
     When a == b the certificate is already final, and the point is
     evaluated here.  A theorem that binds f itself (the row's pointwise) is
-    judged at a, and a point that refutes it or leaves it undecided is
-    returned as a SweepFailure.
+    judged at a by the probe of the piece [a, a], whose witness the row's
+    step takes in; a point that refutes it or leaves it undecided is a
+    SweepFailure.
     """
     row, a = p.row, p.a
     # a row selected by its type fixes no field
@@ -234,17 +235,17 @@ def base_case(p: Problem) -> SimpleNamespace | SweepFailure:
                    h_init=h_init, h_min=default_h_min(a, p.b), h_next=h_init)
     if a < p.b:
         return s
-    # evaluated for its domain errors even where it bounds nothing (f')
-    lo, hi = _enclose(row, p.f, a, a)
-    if row.pointwise:
-        # the point is its own piece and its own candidate point
-        if row.step is not None:
-            row.step(s, LocalWitness(a, a, lo, hi, cand=a, cand_lo=lo))
-        failure = _refutation(row, s, a, a, a, lo, hi)
-        if failure is not None:
-            return failure
-        if _accepts(row, s, lo, hi, a, a, lo) is None:
-            return SweepFailure(FailureKind.STALLED, at=a, detail=row.stall)
+    if not row.pointwise:
+        # evaluated for its domain errors, though it bounds nothing (f')
+        _enclose(row, p.f, a, a)
+        return s
+    w = _probe(p, s, a, a, 0.0)
+    if w is None:
+        return SweepFailure(FailureKind.STALLED, at=a, detail=row.stall)
+    if isinstance(w, SweepFailure):
+        return w
+    if row.step is not None:
+        row.step(s, w)
     return s
 
 
@@ -259,9 +260,9 @@ def local_extend(p: Problem, s: SimpleNamespace) -> LocalWitness | SweepFailure:
     at exactly s.h_min is its last.  Where it ends without a piece, the
     look past x = s.b evaluates x + h_min, x + 2 h_min, ..., each at least
     the next float after the last, up to b.  A domain error names the
-    search's piece that raised it, and no piece at a point past x.  The
-    witness carries the next start, the certifying width scaled by its
-    margin, as w.h_next, which combine records.  The state is not changed.
+    search's piece, or the point [t, t] past x, that raised it.  The witness
+    carries the next start, the certifying width scaled by its margin, as
+    w.h_next, which combine records.  The state is not changed.
     """
     x, h_min = s.b, s.h_min
     if not x < p.b:
@@ -290,7 +291,12 @@ def local_extend(p: Problem, s: SimpleNamespace) -> LocalWitness | SweepFailure:
     t, h = x, h_min
     while p.row.refute is not None and t < p.b:
         t = min(max(x + h, math.nextafter(t, p.b)), p.b)
-        failure = _refutation(p.row, s, x, t, t, *_enclose(p.row, p.f, t, t))
+        try:
+            lo, hi = _enclose(p.row, p.f, t, t)
+        except DomainError as err:
+            err.piece = FloatInterval(t, t)
+            raise
+        failure = _refutation(p.row, s, x, t, t, lo, hi)
         if failure is not None:
             return failure
         h *= 2.0
@@ -384,11 +390,9 @@ def _probe(p: Problem, s, x: float, y: float,
         scale = _accepts(row, s, lo, hi, x, y, -math.inf)
     if scale is None and row.points is not None:
         for t in row.points(x, y):
+            t_lo, t_hi = _enclose(row, f, t, t)
             if row.deriv:  # |f'(t)| is at least max(lo, -hi) of f'(t)'s enclosure
-                t_lo, t_hi = eval_d1(f, t, t)[2:]
                 t_lo = max(t_lo, -t_hi)
-            else:
-                t_lo = eval_iv(f, t, t)[0]
             if cand is None or t_lo > cand_lo:
                 cand, cand_lo = t, t_lo
     if scale is None:

@@ -2,9 +2,11 @@
 
 Each driver instantiates the sweep for one conclusion.  Four run it more
 than once: the maximum and integral provers seed a final sweep with a
-coarse one's certificate, the root prover sweeps again over the bracket
-that the last sweep's stall gave, until the bracket is within tol, and the
-modulus prover falls back from the mean-value route to the overlap route.
+coarse one's certificate, and run the plain sweep where the final one
+fails other than by running out of pieces, the root prover sweeps again
+over the bracket that the last sweep's stall gave, until the bracket is
+within tol, and the modulus prover falls back from the mean-value route to
+the overlap route.
 Conclusions over sub-pairs (monotonicity, the mean-value inequality,
 flatness, and uct's modulus on the mean-value route) follow from per-piece
 data by telescoping through shared piece endpoints; no per-pair sweeps.
@@ -47,18 +49,19 @@ def _problem(f: Expr | str, a: float, b: float, theorem: str, max_pieces: int, *
 
 
 def _coarse_to_fine(p: Problem) -> IntegralCert | MaxCert | SweepFailure:
-    """The certificate of a final pass whose prior is that of a pass at 64
-    eps with a sixteenth of the budget, for the row's start to read what the
-    argument knows only once it has run (evt's bar f(c) + eps, dit's plan).
-    On any other outcome, a failure, a domain error or an overflow, the
-    plain sweep's result, so a failure is exactly the plain sweep's."""
+    """The outcome of a final pass whose prior is the certificate of a pass
+    at 64 eps with a sixteenth of the budget, for the row's start to read
+    what the argument knows only once it has run (evt's bar f(c) + eps,
+    dit's plan): its certificate or BUDGET failure, final, as a plain sweep
+    takes no fewer pieces.  On any other outcome the plain sweep's result,
+    whose half of eps certifies where rounding eats the final pass's share."""
     try:
         coarse = run_sweep(p._replace(eps=min(64.0 * p.eps, _MAX_FLOAT),
                                       max_pieces=max(1, p.max_pieces // 16)))
         if not isinstance(coarse, SweepFailure):
-            cert = run_sweep(p._replace(prior=coarse))
-            if not isinstance(cert, SweepFailure):
-                return cert
+            out = run_sweep(p._replace(prior=coarse))
+            if not isinstance(out, SweepFailure) or out.kind is FailureKind.BUDGET:
+                return out
     except (DomainError, OverflowError):
         pass
     return run_sweep(p)
@@ -88,13 +91,13 @@ def prove_modulus(f: Expr | str, a: float, b: float, eps: float,
                   max_pieces: int = MAX_PIECES) -> LipschitzCert | ModulusCert | SweepFailure:
     """Certify a uniform-continuity modulus delta for the given eps.
 
-    A differentiable f whose enclosure over [a, b], a < b, oscillates by
-    less than eps needs no sweep: the one piece [a, b] holds every pair, and
-    delta is b - a.  Otherwise it takes the mean-value inequality first: a
-    sweep bounds |f'| <= L piece by piece, taking a piece while its bound is
-    at most twice the largest lower bound of |f'| seen, and states delta =
-    eps / L rounded down, or b - a while L = 0.  Its pieces do not shrink
-    with eps, and its delta is at least about eps / (2 max |f'|).  The
+    An f whose enclosure over [a, b], a < b, oscillates by less than eps
+    needs no sweep: the one piece [a, b] holds every pair, and delta is
+    b - a.  Otherwise a differentiable f takes the mean-value inequality
+    first: a sweep bounds |f'| <= L piece by piece, taking a piece while its
+    bound is at most twice the largest lower bound of |f'| seen, and states
+    delta = eps / L rounded down, or b - a while L = 0.  Its pieces do not
+    shrink with eps, and its delta is at least about eps / (2 max |f'|).  The
     overlap route's delta is bounded by the oscillation of f instead, so it
     can be the larger where f is steep but of small amplitude.  Where the
     mean-value route fails (f' undefined at a domain boundary, an overflow,
@@ -104,15 +107,15 @@ def prove_modulus(f: Expr | str, a: float, b: float, eps: float,
     """
     overlap = _problem(f, a, b, "uct", max_pieces, eps=eps)
     expr = overlap.f
+    try:  # the natural extension over [a, b] may be refused where pieces are not
+        lo, hi = eval_iv(expr, a, b)
+        flat = a < b and sub_up(hi, lo) < eps
+    except (DomainError, OverflowError):
+        flat = False
+    if flat:
+        return ModulusCert(overlap.fn_source, a, b, eps, sub_down(b, a),
+                           (FloatInterval(a, b),), (sub_up(hi, lo),))
     if expr.differentiable:
-        try:  # the natural extension over [a, b] may be refused where pieces are not
-            lo, hi = eval_iv(expr, a, b)
-            flat = a < b and sub_up(hi, lo) < eps
-        except (DomainError, OverflowError):
-            flat = False
-        if flat:
-            return ModulusCert(overlap.fn_source, a, b, eps, sub_down(b, a),
-                               (FloatInterval(a, b),), (sub_up(hi, lo),))
         try:
             cert = run_sweep(overlap._replace(theorem="lipschitz"))
             if isinstance(cert, LipschitzCert):
@@ -129,9 +132,10 @@ def prove_integral(f: Expr | str, a: float, b: float, eps: float,
     The final pass plans from the certificate of a pass at 64 eps, which
     shows where f is steep, to give each piece an even share of the gap:
     about (integral of sqrt|f'|)^2 / eps pieces, where a budget per unit
-    length needs about 2 (b - a) (integral of |f'|) / eps.  The plain
-    sweep, whose result is returned on any other outcome, keeps the gap on
-    [a, x] at most (x - a) eps / (2 (b - a)) plus rounding dust.
+    length needs about 2 (b - a) (integral of |f'|) / eps; its BUDGET
+    failure is final.  The plain sweep, whose result is returned on any
+    other outcome, keeps the gap on [a, x] at most (x - a) eps / (2 (b - a))
+    plus rounding dust.
     """
     return _coarse_to_fine(_problem(f, a, b, "dit", max_pieces, eps=eps))
 

@@ -21,10 +21,18 @@ The fold carries the certificate it builds: sweep.py defines no class but
 its input, its witness and its failure, and no swept certificate has a
 field named like a step width the fold carries beside the certificate's.
 
-A frontier takes one search: sweep.py calls _probe from one site, and no
+A frontier takes one search, and a point one probe: sweep.py calls _probe
+from two sites, local_extend's search and base_case's point, and no
 handler there swallows a DomainError, as one that reran a failed search
-would.  A probe takes one enclosure: the body of _probe calls _enclose
-once, so no second look at a rejected piece's right half is left.
+would.  base_case judges its point only through that probe: it calls
+neither _accepts nor _refutation, and builds no LocalWitness.  A probe
+takes one enclosure of its piece: outside its loop over the row's points
+the body of _probe calls _enclose once, so no second look at a rejected
+piece's right half is left.  _enclose alone evaluates: sweep.py calls
+eval_iv and eval_d1 only inside it.
+
+The prover decides what a pass out of pieces means: certificates.py reads
+no attribute max_pieces, so no row's start judges a budget.
 
 theorems.py builds no Fraction: exact rational tests belong to the
 checker, and the root prover's width test takes sub_up, an upper bound of
@@ -191,11 +199,22 @@ def test_the_fold_carries_the_certificate_itself():
     assert not clash, f"swept certificates have fields named like step widths: {clash}"
 
 
+def _calls(node, names) -> list[int]:
+    """The lines of the calls in node to a function named in names."""
+    return [sub.lineno for sub in ast.walk(node) if isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Name) and sub.func.id in names]
+
+
+def _callers(tree, name: str) -> list[str]:
+    """The top-level function of each call to name in tree, by name."""
+    return [top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+            for _ in _calls(top, {name})]
+
+
 def test_sweep_searches_each_frontier_once():
     tree = ast.parse((SRC / "sweep.py").read_text())
-    probes = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-              and isinstance(node.func, ast.Name) and node.func.id == "_probe"]
-    assert len(probes) == 1, f"sweep.py calls _probe on lines {probes}"
+    probes = sorted(_callers(tree, "_probe"))
+    assert probes == ["base_case", "local_extend"], f"_probe is called from {probes}"
     swallowed = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
                  and node.type is not None and "DomainError" in _references(node.type)
                  and not any(isinstance(sub, ast.Raise) for sub in ast.walk(node))]
@@ -209,10 +228,29 @@ def _function(module: str, name: str) -> ast.FunctionDef:
 
 
 def test_a_probe_takes_one_enclosure():
-    calls = [node.lineno for node in ast.walk(_function("sweep", "_probe"))
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-             and node.func.id == "_enclose"]
-    assert len(calls) == 1, f"_probe calls _enclose on lines {calls}"
+    probe = _function("sweep", "_probe")
+    in_loops = {line for loop in ast.walk(probe) if isinstance(loop, ast.For)
+                for line in _calls(loop, {"_enclose"})}
+    calls = [line for line in _calls(probe, {"_enclose"}) if line not in in_loops]
+    assert len(calls) == 1, f"_probe calls _enclose outside its loops on lines {calls}"
+
+
+def test_the_point_is_judged_by_the_probe():
+    calls = _calls(_function("sweep", "base_case"), {"_accepts", "_refutation", "LocalWitness"})
+    assert not calls, f"base_case judges its point itself on lines {calls}"
+
+
+def test_only_enclose_evaluates_in_the_sweep():
+    tree = ast.parse((SRC / "sweep.py").read_text())
+    callers = sorted(set(_callers(tree, "eval_iv") + _callers(tree, "eval_d1")))
+    assert callers == ["_enclose"], f"eval_iv or eval_d1 called from {callers}"
+
+
+def test_no_row_reads_the_piece_budget():
+    tree = ast.parse((SRC / "certificates.py").read_text())
+    read = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "max_pieces"]
+    assert not read, f"certificates.py reads max_pieces on lines {read}"
 
 
 def test_the_root_prover_loops_only_over_its_passes():

@@ -128,6 +128,18 @@ def test_domain_error_exit_two(capsys):
     assert record["subexpression"] == "log(x)"
 
 
+def test_domain_error_past_a_stall_names_its_point(capsys):
+    # x^3 has f' = 0 at 0, where the sweep stalls; the look past the stall
+    # doubles its step up to 1.49999999999797, past 1, where sqrt(1 - x) is
+    # undefined, and the error names that point as its piece
+    code, out, err = invoke(capsys, "prove", "sift", "--fn", "x^3 + 0*sqrt(1 - x)",
+                            "--a", "-1", "--b", "2")
+    assert (code, out) == (2, "")
+    record = json.loads(err)
+    assert (record["error"], record["subexpression"]) == ("domain", "sqrt(1 - x)")
+    assert record["piece"] == ["0x1.7ffffffffdc4ep+0", "0x1.7ffffffffdc4ep+0"]
+
+
 def test_exp_overflow_exits_two_naming_exp(capsys):
     # exp(exp(3)) is about 5.3e8, far beyond the binary64 range of exp
     code, out, err = invoke(capsys, "prove", "bvt", "--fn", "exp(exp(exp(x)))",

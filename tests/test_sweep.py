@@ -516,13 +516,13 @@ def test_warm_start_evaluations_per_piece(monkeypatch):
 
 
 def _probes(monkeypatch):
-    """The list each probe's enclosure appends its piece to; evt's
-    candidate points are evaluated apart from it."""
+    """The list each probe appends its piece to; the enclosures of evt's
+    candidate points are the probe's own, and not counted apart."""
     import suparg.sweep as sweep_mod
     probes = []
-    real = sweep_mod._enclose
-    monkeypatch.setattr(sweep_mod, "_enclose",
-                        lambda row, f, u, y: probes.append((u, y)) or real(row, f, u, y))
+    real = sweep_mod._probe
+    monkeypatch.setattr(sweep_mod, "_probe",
+                        lambda p, s, x, y, h: probes.append((x, y)) or real(p, s, x, y, h))
     return probes
 
 
@@ -784,7 +784,7 @@ def test_judgment_accepts_exactly_what_the_checker_accepts(case):
     code, s, lo, hi, t_lo = case
     scale = sweep_mod._accepts(_SWEPT[code], s, lo, hi, 0.0, 1.0, t_lo)
     assert (scale is not None) == _checker_accepts(code, s, lo, hi, t_lo)
-    assert scale is None or 0.5 <= scale <= 2.0
+    assert scale is None or sweep_mod._SAFETY <= scale <= 2.0
 
 
 # ---------------------------------------------------------------------------

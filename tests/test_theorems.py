@@ -193,15 +193,36 @@ def test_seeded_maximum_evaluates_few_candidate_points(monkeypatch):
 
 
 def test_plan_past_the_piece_budget_leaves_one_full_sweep(monkeypatch):
-    # the plan estimates 16,138 pieces against a budget of 12,000, so the
-    # final pass stalls at its first frontier and the plain sweep alone
-    # spends the budget, ending where it ends alone
+    # the planned pass needs about 16,300 pieces against a budget of
+    # 12,000: its BUDGET failure is the result, and no plain sweep spends
+    # the budget again (alone it runs out at -0.05628669555469993)
     out, passes = _evaluations_per_pass(monkeypatch, prove_integral, "x^3 - x", -1.0, 1.5,
                                         1e-3, max_pieces=12_000)
-    assert out == _plain_outcome("x^3 - x", -1.0, 1.5, "dit", eps=1e-3,
-                                 max_pieces=12_000)[0]
-    assert out.kind is FailureKind.BUDGET
-    assert len(passes) == 3 and passes[1] <= 64
+    assert isinstance(out, SweepFailure) and out.kind is FailureKind.BUDGET
+    assert out.at == 1.007972922236664
+    assert len(passes) == 2
+
+
+@pytest.mark.parametrize("src, a, b, max_pieces, calls", [
+    ("x^3 - x", -1.0, 1.5, 16_200, 17_000),
+    ("sin(x)", 0.0, 3.14159, 5_950, 6_500),
+], ids=["cubic", "sine"])
+def test_a_budget_just_below_the_planned_pass_is_spent_once(monkeypatch, src, a, b,
+                                                             max_pieces, calls):
+    # the plan estimates about 1 % fewer pieces than its pass takes, and a
+    # budget in that band once ran the planned pass to BUDGET and then the
+    # plain sweep too: 33,094 and 12,182 calls
+    out, passes = _evaluations_per_pass(monkeypatch, prove_integral, src, a, b, 1e-3,
+                                        max_pieces=max_pieces)
+    assert isinstance(out, SweepFailure) and out.kind is FailureKind.BUDGET
+    assert len(passes) == 2 and sum(passes) <= calls
+
+
+def test_a_planned_pass_that_rounding_refuses_leaves_the_plain_sweep():
+    # at 1e9 the rounding of the sums eats the planned pass's 1/32 share of
+    # eps, and only the plain sweep's half of eps certifies
+    cert = prove_integral("1000000000 + x", 0.0, 1.0, 1e-3)
+    assert isinstance(cert, IntegralCert) and check(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +356,9 @@ def test_modulus_constant():
 # every pair and delta is b - a, not the (b - a) / 8 that the overlap
 # sweep's widest piece allows.  The wave's |f'| reaches 10, so the
 # mean-value route would state about eps / 20
-@pytest.mark.parametrize("src, eps", [("3", 0.5), ("0.01*sin(1000*x)", 0.1)],
-                         ids=["constant", "steep-small-wave"])
+@pytest.mark.parametrize("src, eps", [("3", 0.5), ("0.01*sin(1000*x)", 0.1),
+                                      ("0.01*abs(x - 0.5)", 0.1)],
+                         ids=["constant", "steep-small-wave", "flat-abs"])
 def test_modulus_of_f_flat_within_eps_is_the_whole_domain(src, eps):
     cert = prove_modulus(src, 0.0, 1.0, eps)
     assert isinstance(cert, ModulusCert) and check(cert)
