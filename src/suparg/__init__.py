@@ -36,7 +36,6 @@ from .certificates import (
 )
 from .expr import (
     Expr,
-    NotDifferentiable,
     ParseError,
     eval_d1,
     eval_iv,

@@ -28,12 +28,12 @@ The few tests left in rational arithmetic run once per certificate.
 
 uct has two certificates.  A ModulusCert states overlapping pieces, each
 oscillating by less than eps, that overlap by at least delta: any pair
-closer than delta lies in one piece.  A LipschitzCert, for a differentiable
-f, states a partition with a bound on |f'| per piece, all at most L, and
-L * delta <= eps, decided exactly: the mean-value inequality on each piece,
-telescoped through the shared piece ends, gives |f(s) - f(t)| <=
-L |s - t| < L delta <= eps.  Its checker is cft's, the fresh eval_d1
-enclosure of each piece against its stored |f'| bound.
+closer than delta lies in one piece.  A LipschitzCert states a partition
+with a bound on |f'| per piece, all at most L, and L * delta <= eps,
+decided exactly: the mean-value inequality on each piece, telescoped
+through the shared piece ends, gives |f(s) - f(t)| <= L |s - t| <
+L delta <= eps, f' being Clarke's generalized derivative where f has abs.
+Its checker is cft's: eval_d1 on each piece against its stored |f'| bound.
 
 Each certificate type is described once, by one `Row` in `ROWS`: its
 theorem codes, JSON type, per-piece arrays and the side of the enclosure
@@ -605,9 +605,9 @@ ROWS = (
         # the extension never reaches past the previous piece's left end,
         # which keeps the stored pieces sorted
         window=lambda s, p, x, h: max(p.a, x - h, s.pieces[-1].lo if s.pieces else p.a)),
-    # uct by the mean-value inequality, for a differentiable f.  prove_modulus
-    # chooses the route, so this row names no prover, and a sweep selects it
-    # by its type: the code selects the row above
+    # uct by the mean-value inequality, for every f eval_d1 encloses (see its
+    # soundness note).  prove_modulus chooses the route, so this row names no
+    # prover, and a sweep selects it by its type: the code selects the row above
     Row(LipschitzCert, "lipschitz", {"uct": {}}, text=_modulus_text,
         grid="partition", arrays=(("piece_deriv_abs", ABS),), deriv=True, params=("eps",),
         keys={"bound": "L"}, positive=("eps", "delta"), nonnegative=("bound",),
@@ -741,7 +741,7 @@ def check(cert: Certificate, f: Expr | None = None,
         return _invalid("inverted domain")
     try:
         return _check_function(row, cert, stored)
-    except (DomainError, expr_mod.NotDifferentiable, OverflowError) as err:
+    except (DomainError, OverflowError) as err:
         return _invalid(f"re-evaluation failed: {err}")
 
 

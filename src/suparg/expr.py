@@ -31,7 +31,7 @@ and hashing compare its shape.  eval_iv runs the tape with one loop that
 fills one interval register per instruction: Moore's natural interval
 extension.  eval_d1 runs the same tape filling a value and a derivative
 register per instruction, by the forward-mode rules of interval
-differentiation (product, quotient, chain).
+differentiation (product, quotient, chain; Clarke's rule for abs).
 A register is a pair of floats, its ends, kept in the lists vlo and vhi
 (dlo and dhi for derivatives), and filled by numeric's pair kernels.  Both
 interpreters take and return ends, so a caller's loop builds no object per
@@ -87,10 +87,6 @@ class ParseError(ValueError):
         super().__init__(f"expected {expected} at offset {position}, found {shown}")
 
 
-class NotDifferentiable(ValueError):
-    """Derivative evaluation was requested for an expression containing abs."""
-
-
 # =============================================================================
 # The tape
 # =============================================================================
@@ -121,13 +117,13 @@ class Expr:
     shape is code with each constant's exact value in its place: two
     expressions are equal iff their shapes are.  outer[k] is the index of
     the outermost function application around instruction k (k itself if it
-    is one), or None.  has_abs records whether abs occurs.
+    is one), or None.
     """
 
-    __slots__ = ("code", "shape", "outer", "has_abs")
+    __slots__ = ("code", "shape", "outer")
 
-    def __init__(self, code: tuple, shape: tuple, outer: tuple, has_abs: bool):
-        self.code, self.shape, self.outer, self.has_abs = code, shape, outer, has_abs
+    def __init__(self, code: tuple, shape: tuple, outer: tuple):
+        self.code, self.shape, self.outer = code, shape, outer
 
     def __str__(self) -> str:
         return to_source(self)
@@ -139,10 +135,6 @@ class Expr:
 
     def __hash__(self) -> int:
         return hash(self.shape)
-
-    @property
-    def differentiable(self) -> bool:
-        return not self.has_abs
 
 
 def _enclose(q: Fraction) -> tuple[float, float] | None:
@@ -210,8 +202,7 @@ def parse(text: str) -> Expr:
     _parse_expr(sc)
     if sc.peek():
         raise sc.error("end of input or operator")
-    return Expr(tuple(sc.code), tuple(sc.shape), tuple(sc.outer),
-                any(ins[0] == _ABS for ins in sc.code))
+    return Expr(tuple(sc.code), tuple(sc.shape), tuple(sc.outer))
 
 
 # Each _parse_* function writes the tape of what it reads and returns the
@@ -452,11 +443,19 @@ def eval_iv(f: Expr, lo: float, hi: float) -> tuple[float, float]:
 def eval_d1(f: Expr, lo: float, hi: float) -> tuple[float, float, float, float]:
     """Enclosures of f and f' over [lo, hi] by forward-mode interval
     differentiation, as their ends (lo, hi, dlo, dhi), checked as eval_iv
-    checks its ends."""
+    checks its ends.
+
+    f' is Clarke's generalized derivative (Optimization and Nonsmooth
+    Analysis, 1983, 2.3).  abs(u) takes u' where u >= 0 on the piece, since
+    |u| = u near each interior point, -u' where u <= 0, and else the hull
+    [-m, m], m = max(-u'.lo, u'.hi).  The sum (2.3.3), product (2.3.13),
+    quotient (2.3.14) and chain (2.3.9) rules put the generalized derivative
+    at each point of the piece in the enclosure, and Lebourg's mean-value
+    theorem (2.3.7) gives f(t) - f(s) in f'(xi) (t - s): the step that sift,
+    ift, mvi, cft and lipschitz telescope stays sound.  sqrt and log at
+    their domain's boundary are not Lipschitz, and raise DomainError."""
     if not -_MAX_FLOAT <= lo <= hi <= _MAX_FLOAT:
         FloatInterval(lo, hi)  # raises
-    if f.has_abs:
-        raise NotDifferentiable("expression contains abs")
     vlo: list[float] = []
     vhi: list[float] = []
     dlo: list[float] = []  # the derivative registers' ends
@@ -511,6 +510,11 @@ def eval_d1(f: Expr, lo: float, hi: float) -> tuple[float, float, float, float]:
             elif op == _SQRT:
                 a, b = _sqrt(vlo[i], vhi[i])
                 p, q = _div(dlo[i], dhi[i], *_mul(2.0, 2.0, a, b))
+            elif op == _ABS:  # u' where u >= 0, -u' where u <= 0, else the hull of both
+                a, b = _abs(vlo[i], vhi[i])
+                p, q = dlo[i], dhi[i]
+                if vlo[i] < 0.0:
+                    p, q = (-q, -p) if vhi[i] <= 0.0 else (min(p, -q), max(-p, q))
             else:  # _HUGE: raises OverflowError
                 a, b, p, q = float_down(arg), float_up(arg), 0.0, 0.0
             vlo.append(a)

@@ -34,8 +34,8 @@ field that only some certificates have: the row's window gives the left
 end u <= x of the piece [u, y] to evaluate (uct's overlap route widens it
 backward so that its pieces overlap), one enclosure of f, or of f' where
 the row's deriv is set, is taken over it, and one over each of the row's
-points bounds f, or |f'|, below there (evt's maximizer candidates, uct's
-derivative route), and the row's judge gives the enclosure's margin.
+distinct points bounds f, or |f'|, below there (evt's maximizer candidates,
+uct's derivative route), and the row's judge gives the enclosure's margin.
 Under a prior, whose certificate seeded the row's threshold (evt's bar
 f(c) + eps), the points are evaluated only for a piece that the judge
 refuses without them.  A failure to certify is a stall unless an enclosure
@@ -141,8 +141,6 @@ class Problem:
                 raise ValueError(f"{key} must be positive")
             if name in row.nonnegative and value < 0:
                 raise ValueError(f"{key} must be nonnegative")
-        if row.deriv and not f.differentiable:
-            raise ValueError("derivative-based kinds need a differentiable expression")
         if fn_source is None:
             fn_source = to_source(f)
         values = locals()
@@ -389,7 +387,7 @@ def _probe(p: Problem, s, x: float, y: float,
         # a prior seeded the row's threshold: a piece that meets it needs no point
         scale = _accepts(row, s, lo, hi, x, y, -math.inf)
     if scale is None and row.points is not None:
-        for t in row.points(x, y):
+        for t in dict.fromkeys(row.points(x, y)):  # each distinct point once
             t_lo, t_hi = _enclose(row, f, t, t)
             if row.deriv:  # |f'(t)| is at least max(lo, -hi) of f'(t)'s enclosure
                 t_lo = max(t_lo, -t_hi)

@@ -93,35 +93,33 @@ def prove_modulus(f: Expr | str, a: float, b: float, eps: float,
 
     An f whose enclosure over [a, b], a < b, oscillates by less than eps
     needs no sweep: the one piece [a, b] holds every pair, and delta is
-    b - a.  Otherwise a differentiable f takes the mean-value inequality
-    first: a sweep bounds |f'| <= L piece by piece, taking a piece while its
-    bound is at most twice the largest lower bound of |f'| seen, and states
-    delta = eps / L rounded down, or b - a while L = 0.  Its pieces do not
-    shrink with eps, and its delta is at least about eps / (2 max |f'|).  The
+    b - a.  Otherwise f takes the mean-value inequality first: a sweep
+    bounds |f'| <= L piece by piece, taking a piece while its bound is at
+    most twice the largest lower bound of |f'| seen, and states delta =
+    eps / L rounded down, or b - a while L = 0.  Its pieces do not shrink
+    with eps, and its delta is at least about eps / (2 max |f'|).  The
     overlap route's delta is bounded by the oscillation of f instead, so it
     can be the larger where f is steep but of small amplitude.  Where the
     mean-value route fails (f' undefined at a domain boundary, an overflow,
-    a stall or the piece budget), and for f with abs, the overlap sweep
-    runs as it would alone: its pieces overlap by delta and oscillate by
-    less than eps each, so its failures are its own.
+    a stall or the piece budget), the overlap sweep runs as it would alone:
+    its pieces overlap by delta and oscillate by less than eps each, so its
+    failures are its own.
     """
     overlap = _problem(f, a, b, "uct", max_pieces, eps=eps)
-    expr = overlap.f
-    try:  # the natural extension over [a, b] may be refused where pieces are not
-        lo, hi = eval_iv(expr, a, b)
-        flat = a < b and sub_up(hi, lo) < eps
-    except (DomainError, OverflowError):
-        flat = False
-    if flat:
-        return ModulusCert(overlap.fn_source, a, b, eps, sub_down(b, a),
-                           (FloatInterval(a, b),), (sub_up(hi, lo),))
-    if expr.differentiable:
-        try:
-            cert = run_sweep(overlap._replace(theorem="lipschitz"))
-            if isinstance(cert, LipschitzCert):
-                return cert
+    if a < b:
+        try:  # the natural extension over [a, b] may be refused where pieces are not
+            lo, hi = eval_iv(overlap.f, a, b)
+            if sub_up(hi, lo) < eps:
+                return ModulusCert(overlap.fn_source, a, b, eps, sub_down(b, a),
+                                   (FloatInterval(a, b),), (sub_up(hi, lo),))
         except (DomainError, OverflowError):
             pass
+    try:
+        cert = run_sweep(overlap._replace(theorem="lipschitz"))
+        if isinstance(cert, LipschitzCert):
+            return cert
+    except (DomainError, OverflowError):
+        pass
     return run_sweep(overlap)
 
 

@@ -7,7 +7,7 @@ from suparg.numeric and suparg.expr, with three changes: the exceptions and
 the pi constants come from the package, so error types compare equal; the
 interpreters run the tape of an expression the package parsed, with each
 constant enclosed and each function applied in object form (_object_code),
-and they read its outer, has_abs and, through to_source, its text; and
+and they read its outer and, through to_source, its text; and
 EvalResult, the result type of the object-form eval_d1, lives only here now
 that the package's interpreters return float ends.  The last section,
 mended, words this reference's overflow outcomes as the package words them
@@ -39,7 +39,6 @@ from suparg.expr import (
     _VAR,
     FUNCTIONS,
     Expr,
-    NotDifferentiable,
     to_source,
 )
 from suparg.numeric import (
@@ -619,8 +618,6 @@ def eval_iv(f: Expr, X: FloatInterval) -> FloatInterval:
 
 def eval_d1(f: Expr, X: FloatInterval) -> EvalResult:
     """Enclosures of f and f' over X by forward-mode interval differentiation."""
-    if f.has_abs:
-        raise NotDifferentiable("expression contains abs")
     v: list[FloatInterval] = []
     d: list[FloatInterval] = []
     try:
@@ -663,6 +660,15 @@ def eval_d1(f: Expr, X: FloatInterval) -> EvalResult:
             elif op == _SQRT:
                 val = iv_sqrt(v[i])
                 der = d[i] / (_TWO * val)
+            elif op == _ABS:  # Clarke's generalized derivative
+                val = iv_abs(v[i])
+                if v[i].lo >= 0.0:
+                    der = d[i]
+                elif v[i].hi <= 0.0:
+                    der = -d[i]
+                else:
+                    m = max(-d[i].lo, d[i].hi)
+                    der = FloatInterval(-m, m)
             else:
                 val = FloatInterval.from_rational(arg)  # _HUGE: raises OverflowError
             v.append(val)

@@ -44,7 +44,10 @@ Every certificate class a row builds is exported from suparg, and no
 module but __init__.py, which re-exports, imports a name it never reads.
 
 An expression has one representation, the tape parse writes: no module
-subclasses Expr, and only parse calls Expr(...).
+subclasses Expr, and only parse calls Expr(...).  It has one derivative,
+eval_d1's, with no class of expressions fenced off from it: no identifier
+in src/ is NotDifferentiable, has_abs or differentiable, and an Expr holds
+its code, shape and outer alone.
 
 A cold start stays cheap: no module imports dataclasses, and cover, clopen
 and check run without importing sweep or theorems, which suparg and
@@ -313,6 +316,32 @@ def test_only_parse_builds_an_expression():
                 elif isinstance(node, ast.Call) and _names_expr(node.func) and not in_parse:
                     found.append(f"{path.stem}.py:{node.lineno} calls Expr")
     assert not found, f"an expression built outside parse: {found}"
+
+
+def _identifiers(tree) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, (node.name, node.asname)))
+    return names
+
+
+def test_every_expression_has_one_derivative():
+    from suparg.expr import Expr
+
+    fenced = {"NotDifferentiable", "has_abs", "differentiable"}
+    found = sorted(f"{path.stem}: {name}" for path in sorted(SRC.glob("*.py"))
+                   for name in _identifiers(ast.parse(path.read_text())) & fenced)
+    assert not found, f"an expression fenced off from eval_d1: {found}"
+    assert Expr.__slots__ == ("code", "shape", "outer")
 
 
 def test_no_module_imports_dataclasses():

@@ -399,7 +399,7 @@ GOLDEN_PROBLEMS = {
     "ivt-neg": lambda: prove_root("x - 3", 0.0, 1.0, 1e-9),
     "ivt-root": lambda: prove_root("x^2 - 2", 0.0, 2.0, 1e-9),
     "uct": lambda: prove_modulus("sin(x)", 0.0, 2.0, 0.3),  # the mean-value route
-    "uct-overlap": lambda: prove_modulus("abs(x - 1)", 0.0, 2.0, 0.3),
+    "uct-overlap": lambda: overlap_modulus("abs(x - 1)", 0.0, 2.0, 0.3),
     "dit": lambda: prove_integral("x^2 - x", 0.0, 1.0, 1e-2),
     # the per-prefix budget of a sweep without a plan, which prove_integral
     # falls back to
@@ -1234,12 +1234,12 @@ class _CountedFraction(Fraction):
 # a small and a large problem for each certificate type whose per-piece tests
 # were once Fraction arithmetic; "x - x", "abs(x) - abs(x)" and "x*x - x*x"
 # (for f') enclose with width about h, so the piece count scales as 1 / eps.
-# uct's abs keeps it on the overlap route, whose pieces depend on eps
+# uct is measured on the overlap route, whose pieces depend on eps
 _PIECE_COUNT_PROBLEMS = {
     "dit": (lambda: prove_integral("x - x", 0.0, 1.0, 1e-2),
             lambda: prove_integral("x - x", 0.0, 1.0, 4e-4)),
-    "uct": (lambda: prove_modulus("abs(x) - abs(x)", 0.0, 1.0, 1e-2),
-            lambda: prove_modulus("abs(x) - abs(x)", 0.0, 1.0, 5e-4)),
+    "uct": (lambda: overlap_modulus("abs(x) - abs(x)", 0.0, 1.0, 1e-2),
+            lambda: overlap_modulus("abs(x) - abs(x)", 0.0, 1.0, 5e-4)),
     "evt": (lambda: prove_max("x - x", 0.0, 1.0, 1e-2),
             lambda: prove_max("x - x", 0.0, 1.0, 1.5e-4)),
     "cft": (lambda: prove_flat("x*x - x*x", 0.0, 1.0, 4e-2),

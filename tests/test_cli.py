@@ -111,6 +111,20 @@ def test_prove_failure_exits_one_with_witness(capsys):
     assert record["witness"] is not None
 
 
+def test_sift_of_abs_is_refuted_across_its_kink_and_proved_past_it(capsys, tmp_path):
+    # abs takes Clarke's generalized derivative, so a derivative theorem is
+    # judged for it as for any f, not refused as a usage error
+    code, out, _ = invoke(capsys, "prove", "sift", "--fn", "abs(x)", "--a", "-1", "--b", "1")
+    assert code == 1
+    assert json.loads(out)["failure"] == "hypothesis_fail"
+    out_file = tmp_path / "sift.json"
+    code, _, err = invoke(capsys, "prove", "sift", "--fn", "abs(x)", "--a", "0", "--b", "1",
+                          "--out", str(out_file))
+    assert (code, err) == (0, "")
+    code, out, _ = invoke(capsys, "check", str(out_file))
+    assert code == 0 and out.strip() == "Valid"
+
+
 def test_prove_precondition_failure(capsys):
     code, out, _ = invoke(capsys, "prove", "ivt", "--fn", "x^2",
                           "--a", "-1", "--b", "1")
@@ -371,8 +385,8 @@ def test_failing_integral_prints_what_the_per_prefix_sweep_prints(capsys, monkey
 @pytest.mark.parametrize("argv, digest", [
     (["--fn", "sqrt(x)", "--a", "0", "--b", "4", "--eps", "0.1"],  # f' unbounded at 0
      "69b8a3980e5cc2bff2703bc8d0f9c3573cb04db57a6746cce0ef34a78a2def78"),
-    (["--fn", "abs(x - 1)", "--a", "0", "--b", "2", "--eps", "0.1"],
-     "c4cfc8fbe655789cda1ace3ebe00d60c98488106f7f470b12b4b3784ab34c344"),
+    (["--fn", "sqrt(4 - x)", "--a", "0", "--b", "4", "--eps", "0.1"],  # f' unbounded at b
+     "f2fa7592a48d448fa1b0da43ac26ecdd74088669165de7a019674ee9226fa5df"),
     # f' is 0 at every point, but its enclosure on a piece never is
     (["--fn", "x*x - x*x", "--a", "0", "--b", "1", "--eps", "0.1"],
      "d9522327fd243444e5bdb25cb253de69a7972ac98dedd986ae7f896159f909cd"),
@@ -380,7 +394,7 @@ def test_failing_integral_prints_what_the_per_prefix_sweep_prints(capsys, monkey
      "dd2e80e2e99091af22930ac939a9e727db264fbe41db8a156c3855d41aea37d0"),
     (["--fn", "log(x)", "--a", "-1", "--b", "1", "--eps", "0.1"],
      "0bf6d71487e1e4bbe68f6d9b55eb71abd2f143b3527e3b11a7ce6184026a867b"),
-], ids=["sqrt-boundary", "abs", "stall", "budget", "domain"])
+], ids=["sqrt-boundary", "sqrt-boundary-at-b", "stall", "budget", "domain"])
 def test_uct_fallback_prints_what_the_overlap_route_prints(capsys, monkeypatch, argv, digest):
     code, out, err = invoke(capsys, "prove", "uct", *argv)
     assert hashlib.sha256(f"{code}\n{out}{err}".encode()).hexdigest() == digest

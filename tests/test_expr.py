@@ -27,7 +27,6 @@ from suparg.expr import (
     FUNCTIONS,
     MAX_DEPTH,
     MAX_NODES,
-    NotDifferentiable,
     ParseError,
     eval_d1,
     eval_iv,
@@ -156,11 +155,12 @@ def test_exact_decimal_literals():
     assert hi == math.nextafter(lo, math.inf)  # tightest enclosure
 
 
-def test_differentiable_flag():
-    assert parse("sin(x)*x").differentiable
-    assert not parse("abs(x) + 1").differentiable
-    with pytest.raises(NotDifferentiable):
-        eval_d1(parse("abs(x)"), 0, 1)
+def test_abs_takes_the_generalized_derivative():
+    # u' where u >= 0 on the piece, -u' where u <= 0, else the hull of both
+    f = parse("abs(x)")
+    assert eval_d1(f, -1.0, 1.0) == (0.0, 1.0, -1.0, 1.0)
+    assert eval_d1(f, 0.0, 1.0) == (0.0, 1.0, 1.0, 1.0)
+    assert eval_d1(f, -1.0, -0.0) == (0.0, 1.0, -1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +458,13 @@ def _ref_eval_d(e, X):
         derr = DomainError(tag, av, "derivative unbounded (argument range touches the domain boundary)")
         derr.context = _context(e)
         raise derr from None
-    raise NotDifferentiable("expression contains abs")
-
-
-def _ref_contains_abs(e):
-    if e[0] in _LEAVES:
-        return False
-    return e[0] == "abs" or any(_ref_contains_abs(a) for a in e[1:] if isinstance(a, tuple))
+    # abs, by Clarke's generalized derivative: the hull of -u' and u' where u may vanish
+    if av.lo >= 0.0:
+        return _iv_abs(av), ad
+    if av.hi <= 0.0:
+        return _iv_abs(av), _neg(ad)
+    m = max(-ad.lo, ad.hi)
+    return _iv_abs(av), FloatInterval(-m, m)
 
 
 def _ref_annotate(err, X):
@@ -490,7 +490,7 @@ def _outcome(run):
         return "ok", _hexes(*ivs)
     except DomainError as err:
         return "domain", err.fn, repr(err.operand), err.detail, err.context
-    except (DivisionByZeroInterval, NotDifferentiable, OverflowError) as err:
+    except (DivisionByZeroInterval, OverflowError) as err:
         return type(err).__name__, str(err)
 
 
@@ -502,8 +502,6 @@ def _ref_iv(f, X):
 
 
 def _ref_d1(f, X):
-    if _ref_contains_abs(f):
-        raise NotDifferentiable("expression contains abs")
     try:
         return _ref_eval_d(f, X)
     except (DomainError, DivisionByZeroInterval) as err:
@@ -561,7 +559,7 @@ def test_tape_matches_recursive_reference():
             assert _outcome(lambda: _tape_d1(f, X)) == want_d, (to_source(f), X)
             seen.add(want[0])
             seen.add(want_d[0])
-    assert seen == {"ok", "domain", "OverflowError", "NotDifferentiable"}
+    assert seen == {"ok", "domain", "OverflowError"}
 
 
 def test_domain_error_context_is_the_enclosing_application():
@@ -815,8 +813,9 @@ _DIGEST_LEAVES = (
 )
 _DIGEST_PIECES = ((-2.0, 2.0), (0.25, 0.5), (-0.0, 0.0), (1.0, 900.0))
 # sha256 of the records of 2,000 sources, as the tree-building parser and
-# its compiled tape printed and evaluated them
-_DIGEST = "ef1825b0b9cbcb336dec2f04b4df34e97791130ca1a1abf57e6c06c9a5dc45d5"
+# its compiled tape printed and evaluated them; the eval_d1 records of
+# sources with abs are those of its generalized derivative
+_DIGEST = "a87a46debc1b47b8df0a34330e1bac25dfcbaa0b812483548d169d27ece42d28"
 
 
 def _digest_source(rng: random.Random, depth: int) -> str:
@@ -840,7 +839,7 @@ def _digest_source(rng: random.Random, depth: int) -> str:
 def _digest_outcome(run, lo, hi):
     try:
         return "ok", tuple(float_to_hex(v) for v in run(lo, hi))
-    except (DomainError, NotDifferentiable, OverflowError, ValueError) as err:
+    except (DomainError, OverflowError, ValueError) as err:
         return (type(err).__name__, str(err), getattr(err, "fn", None),
                 getattr(err, "context", None))
 

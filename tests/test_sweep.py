@@ -83,8 +83,6 @@ def test_problem_param_validation():
     with pytest.raises(ValueError):
         problem("x", 0, 1, "mvi", M=-1.0)
     with pytest.raises(ValueError):
-        problem("abs(x)", 0, 1, "ift")  # not differentiable
-    with pytest.raises(ValueError):
         problem("x", 1, 0, "bvt")
     with pytest.raises(ValueError, match="domain endpoints must be finite"):
         problem("x", 0, math.inf, "bvt")

@@ -17,7 +17,9 @@ from suparg.certificates import (
     MaxCert,
     ModulusCert,
     MonotoneCert,
+    MviCert,
     NegCert,
+    Partition,
     RootBracket,
     check,
     piece_count,
@@ -614,6 +616,61 @@ def test_flat_zero_eta_stalls_when_zero_not_syntactic():
     res = prove_flat("sin(x)^2 + cos(x)^2", 0.0, 1.0, 0.0)
     assert isinstance(res, SweepFailure)
     assert res.kind is FailureKind.STALLED
+
+
+# ---------------------------------------------------------------------------
+# derivative theorems at a kink: f' of abs is Clarke's generalized derivative
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("strict", [True, False], ids=["sift", "ift"])
+def test_monotone_abs_across_its_kink_is_refuted(strict):
+    res = prove_monotone("abs(x)", -1.0, 1.0, strict)
+    assert isinstance(res, SweepFailure) and res.kind is FailureKind.HYPOTHESIS_FAIL
+    assert res.at == -1.0 and res.enclosure == FloatInterval(-1.0, -1.0)
+
+
+def test_mvi_abs_past_its_kink_is_refuted():
+    res = prove_mvi("abs(x)", -1.0, 1.0, 0.9)
+    assert isinstance(res, SweepFailure) and res.kind is FailureKind.HYPOTHESIS_FAIL
+    assert res.at == 0.0 and res.enclosure == FloatInterval(1.0, 1.0)
+
+
+def test_flat_abs_is_refuted():
+    res = prove_flat("abs(x)", -1.0, 1.0, 0.5)
+    assert isinstance(res, SweepFailure) and res.kind is FailureKind.HYPOTHESIS_FAIL
+
+
+def test_monotone_abs_from_a_float_below_its_kink_stalls():
+    # the float 0.3 is below 3/10, so f falls on the sliver [0.3, 3/10]:
+    # every first piece holds the kink, where f' is only known in [-1, 1]
+    res = prove_monotone("abs(x - 0.3)", 0.3, 1.0, True)
+    assert isinstance(res, SweepFailure) and res.kind is FailureKind.STALLED
+    assert res.at == 0.3
+
+
+def test_monotone_cert_relabelled_across_the_kink_is_invalid():
+    cert = prove_monotone("abs(x)", 0.0, 1.0, True)
+    assert isinstance(cert, MonotoneCert) and check(cert)
+    moved = cert._replace(a=-1.0, partition=Partition((-1.0,) + cert.partition.points[1:]))
+    result = check(moved)
+    assert not result
+    assert (result.reason, result.piece) == ("piece_deriv_lo tighter than fresh enclosure", 0)
+
+
+@pytest.mark.parametrize("prove, args, cls", [
+    (prove_monotone, ("abs(x)", 0.0, 1.0, True), MonotoneCert),
+    (prove_mvi, ("x + 0.5*abs(x)", -1.0, 1.0, 1.5), MviCert),
+], ids=["sift", "mvi"])
+def test_derivative_theorems_certify_f_with_abs(prove, args, cls):
+    cert = prove(*args)
+    assert isinstance(cert, cls) and check(cert)
+
+
+def test_modulus_of_abs_takes_the_mean_value_route():
+    # the overlap route alone takes 4,444 pieces here, with delta 3.62e-4
+    cert = prove_modulus("abs(x - 0.3)", -1.0, 1.0, 1e-3)
+    assert isinstance(cert, LipschitzCert) and check(cert)
+    assert (piece_count(cert), cert.delta) == (8, 1e-3)
 
 
 # ---------------------------------------------------------------------------
