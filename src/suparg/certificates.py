@@ -915,7 +915,9 @@ def _codecs(cls: type) -> list[tuple[str, tuple]]:
             for name in cls._fields]
 
 
-def to_document(cert: Certificate, engine: dict | None = None) -> dict:
+def to_document(cert: Certificate) -> dict:
+    """The JSON document of a certificate: one per certificate, whose
+    engine record is its piece count alone."""
     row = _row(cert)
     domain, body, params = [], {"type": row.type}, {}
     for (name, (encode, _)), value in zip(_codecs(row.cls), cert):
@@ -931,7 +933,7 @@ def to_document(cert: Certificate, engine: dict | None = None) -> dict:
         "domain": domain,
         "params": params,
         "certificate": body,
-        "engine": engine or {"pieces": piece_count(cert), "h_min": float_to_hex(0.0)},
+        "engine": {"pieces": piece_count(cert)},
     }
 
 
@@ -941,10 +943,11 @@ def piece_count(cert: Certificate) -> int:
     return 0 if grid is None else len(getattr(cert, grid))
 
 
-def dumps(cert: Certificate, engine: dict | None = None) -> str:
-    """Deterministic JSON text, compact: sorted keys, no whitespace,
-    hexfloat scalars.  Without an indent CPython runs its C encoder."""
-    return json.dumps(to_document(cert, engine), sort_keys=True, separators=(",", ":")) + "\n"
+def dumps(cert: Certificate) -> str:
+    """Deterministic JSON text of to_document(cert), compact: sorted keys,
+    no whitespace, hexfloat scalars.  Without an indent CPython runs its C
+    encoder."""
+    return json.dumps(to_document(cert), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def from_document(doc: dict) -> Certificate:

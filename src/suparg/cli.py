@@ -26,7 +26,6 @@ from .certificates import (
     conclusion_of,
     dumps,
     from_document,
-    piece_count,
 )
 from .expr import ParseError, parse
 from .numeric import (
@@ -152,14 +151,14 @@ def _emit_failure(record: dict) -> int:
     return 1
 
 
-def _failure_record(res: SweepFailure) -> dict:
+def _failure_record(res) -> dict:
     hexed = lambda x: None if x is None else interval_to_hex(x)  # noqa: E731
     return {"failure": res.kind.value, "at": float_to_hex(res.at), "detail": res.detail,
             "witness": hexed(res.witness), "enclosure": hexed(res.enclosure)}
 
 
 def _cmd_prove(args) -> int:
-    from .sweep import MAX_PIECES, SweepFailure, default_h_min
+    from .sweep import MAX_PIECES, SweepFailure
     from .theorems import Inconclusive, PreconditionError
 
     f = parse(args.fn)
@@ -192,8 +191,7 @@ def _cmd_prove(args) -> int:
     if isinstance(result, SweepFailure):
         return _emit_failure(_failure_record(result))
 
-    engine = {"pieces": piece_count(result), "h_min": float_to_hex(default_h_min(a, b))}
-    text = dumps(result, engine)
+    text = dumps(result)
     if args.out:
         try:
             with open(args.out, "w") as handle:

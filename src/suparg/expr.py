@@ -25,20 +25,20 @@ An expression is its tape.  The parser finishes each operand before its
 operator, so it writes the expression once, as it reads it, as a flat
 post-order list of instructions, each naming the registers of its
 operands: the subexpression an instruction computes is the run of tape
-that ends at it.  Constants are enclosed as they are read.  Printing
-renders the tape from an instruction down to its operands, and equality
-and hashing compare its shape.  eval_iv runs the tape with one loop that
-fills one interval register per instruction: Moore's natural interval
-extension.  eval_d1 runs the same tape filling a value and a derivative
-register per instruction, by the forward-mode rules of interval
-differentiation (product, quotient, chain; Clarke's rule for abs).
+that ends at it.  Constants are enclosed as they are read, and each
+keeps its exact value in its instruction.  Printing renders the tape from
+an instruction down to its operands, and equality and hashing compare the
+tape.  eval_iv runs the tape with one loop that fills one interval
+register per instruction: Moore's natural interval extension.  eval_d1
+runs the same tape filling a value and a derivative register per
+instruction, by the forward-mode rules of interval differentiation
+(product, quotient, chain; Clarke's rule for abs).
 A register is a pair of floats, its ends, kept in the lists vlo and vhi
 (dlo and dhi for derivatives), and filled by numeric's pair kernels.  Both
 interpreters take and return ends, so a caller's loop builds no object per
 call; a FloatInterval is built only for an error.
-A DomainError names the subexpression that failed: for eval_iv the
-outermost function application around the failing instruction, for
-eval_d1 the failing application itself.
+A DomainError, from either interpreter, names the function application
+that failed.
 """
 
 from __future__ import annotations
@@ -92,8 +92,9 @@ class ParseError(ValueError):
 # =============================================================================
 
 # Opcodes.  An instruction is (op, i, j, arg): i and j are the registers of
-# its operands (j is the exponent n for _POW).  arg is the (lo, hi) enclosure
-# of a constant; for _HUGE, the value of a constant no binary64 interval
+# its operands (j is the exponent n for _POW); a constant has no operand,
+# and its i is its exact value.  arg is the (lo, hi) enclosure of a
+# constant; for _HUGE, the value of a constant no binary64 interval
 # encloses; for _POW, the (lo, hi) enclosure of n, the derivative's
 # coefficient (None when n is beyond binary64); for a function, its pair
 # kernel.  The functions' opcodes follow the order of FUNCTIONS.
@@ -113,17 +114,15 @@ _APPLY = {
 class Expr:
     """A parsed expression, held as its tape; only parse builds one.
 
-    code is the instructions in post-order, operands before their use.
-    shape is code with each constant's exact value in its place: two
-    expressions are equal iff their shapes are.  outer[k] is the index of
-    the outermost function application around instruction k (k itself if it
-    is one), or None.
+    code is the instructions in post-order, operands before their use; a
+    constant's carries its exact value, so two expressions are equal iff
+    their codes are.
     """
 
-    __slots__ = ("code", "shape", "outer")
+    __slots__ = ("code",)
 
-    def __init__(self, code: tuple, shape: tuple, outer: tuple):
-        self.code, self.shape, self.outer = code, shape, outer
+    def __init__(self, code: tuple):
+        self.code = code
 
     def __str__(self) -> str:
         return to_source(self)
@@ -131,10 +130,10 @@ class Expr:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Expr):
             return NotImplemented
-        return self.shape == other.shape
+        return self.code == other.code
 
     def __hash__(self) -> int:
-        return hash(self.shape)
+        return hash(self.code)
 
 
 def _enclose(q: Fraction) -> tuple[float, float] | None:
@@ -154,8 +153,6 @@ class _Scanner:
         self.pos = 0
         self.groups = 0  # parentheses and function calls open at pos
         self.code: list[tuple] = []
-        self.shape: list = []
-        self.outer: list[int | None] = []
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -185,14 +182,12 @@ class _Scanner:
             raise ParseError(start, f"at most {sys.get_int_max_str_digits()} digits",
                              f"{len(run)} digits") from None
 
-    def emit(self, ins: tuple, shape=None) -> int:
-        """Append an instruction, whose shape is ins unless given; its register."""
+    def emit(self, ins: tuple) -> int:
+        """Append an instruction; its register."""
         k = len(self.code)
         if k == MAX_NODES:
             raise ParseError(self.pos, f"at most {MAX_NODES} nodes", "more")
         self.code.append(ins)
-        self.shape.append(ins if shape is None else shape)
-        self.outer.append(None)
         return k
 
 
@@ -202,7 +197,7 @@ def parse(text: str) -> Expr:
     _parse_expr(sc)
     if sc.peek():
         raise sc.error("end of input or operator")
-    return Expr(tuple(sc.code), tuple(sc.shape), tuple(sc.outer))
+    return Expr(tuple(sc.code))
 
 
 # Each _parse_* function writes the tape of what it reads and returns the
@@ -269,7 +264,7 @@ def _parse_atom(sc: _Scanner) -> int:
     if ch.isdecimal() or ch == ".":
         q = _parse_number(sc)
         iv = _enclose(q)
-        return sc.emit((_CONST, 0, 0, iv) if iv is not None else (_HUGE, 0, 0, q), q)
+        return sc.emit((_CONST, q, 0, iv) if iv is not None else (_HUGE, q, 0, q))
     if ch.isalpha():
         name = _parse_name(sc)
         if name == "x":
@@ -278,12 +273,7 @@ def _parse_atom(sc: _Scanner) -> int:
             if sc.peek() != "(":
                 raise sc.error(f"'(' after {name}")
             op, kernel = _APPLY[name]
-            start = len(sc.code)
-            k = sc.emit((op, _parse_group(sc), 0, kernel))
-            # the run of tape from start to k is this application; the
-            # application around it, if any, writes over it later
-            sc.outer[start:] = [k] * (k + 1 - start)
-            return k
+            return sc.emit((op, _parse_group(sc), 0, kernel))
         raise ParseError(sc.pos - len(name), "number, 'x', function, or '('", name)
     raise sc.error("number, 'x', function, or '('")
 
@@ -380,7 +370,7 @@ def to_source(e: Expr, k: int = -1) -> str:
         elif op == _VAR:
             parts.append("x")
         elif op in (_CONST, _HUGE):
-            parts.append(_format_const(e.shape[k]))
+            parts.append(_format_const(i))
         else:
             parts.append(f"{FUNCTIONS[op - _SIN]}(")
             todo += (")", (i, _SUM))
@@ -402,8 +392,8 @@ def eval_iv(f: Expr, lo: float, hi: float) -> tuple[float, float]:
     """Natural interval extension: the ends of an enclosure of {f(t) : t in
     [lo, hi]}.  Input or result ends that are not an interval raise as
     FloatInterval does (OverflowError if not finite, ValueError if inverted).
-    DomainError raised from a subexpression is annotated with that
-    subexpression's source text and the offending interval.
+    A DomainError is annotated with the source text of the application that
+    failed.
     """
     if not -_MAX_FLOAT <= lo <= hi <= _MAX_FLOAT:
         FloatInterval(lo, hi)  # raises
@@ -434,7 +424,7 @@ def eval_iv(f: Expr, lo: float, hi: float) -> tuple[float, float]:
             vlo.append(a)
             vhi.append(b)
     except (DomainError, DivisionByZeroInterval) as err:
-        raise _annotate(err, lo, hi, f, f.outer[len(vlo)]) from None
+        raise _annotate(err, lo, hi, f, len(vlo)) from None
     if not -_MAX_FLOAT <= a <= b <= _MAX_FLOAT:
         FloatInterval(a, b)  # raises
     return a, b
@@ -533,7 +523,7 @@ def eval_d1(f: Expr, lo: float, hi: float) -> tuple[float, float, float, float]:
     return a, b, p, q
 
 
-def _annotate(err: Exception, lo: float, hi: float, f: Expr, k: int | None) -> DomainError:
+def _annotate(err: Exception, lo: float, hi: float, f: Expr, k: int) -> DomainError:
     # a DomainError always comes from a function application, instruction k
     if isinstance(err, DomainError):
         out = DomainError(err.fn, err.operand, err.detail)

@@ -92,6 +92,7 @@ def default_h_min(a: float, b: float) -> float:
 class Problem:
     """A theorem to certify for one function over one interval.
 
+    f is the function, which its certificate states as to_source(f).
     theorem is the theorem's code, one of those a sweep proves, or the JSON
     type of a second row that states the same theorem, "lipschitz" for uct
     (ValueError otherwise).  eps, M and eta are the parameters of the
@@ -110,12 +111,11 @@ class Problem:
     be so narrow that h_min underflows to 0.
     """
 
-    __slots__ = ("f", "a", "b", "theorem", "eps", "M", "eta", "fn_source", "max_pieces",
-                 "prior", "row")
+    __slots__ = ("f", "a", "b", "theorem", "eps", "M", "eta", "max_pieces", "prior", "row")
 
     def __init__(self, f: Expr, a: float, b: float, theorem: str, eps: float | None = None,
-                 M: float | None = None, eta: float | None = None, fn_source: str | None = None,
-                 max_pieces: int = MAX_PIECES, prior: Certificate | None = None):
+                 M: float | None = None, eta: float | None = None, max_pieces: int = MAX_PIECES,
+                 prior: Certificate | None = None):
         if max_pieces < 1:
             raise ValueError(f"max_pieces must be at least 1, got {max_pieces}")
         if not (math.isfinite(a) and math.isfinite(b)):
@@ -141,8 +141,6 @@ class Problem:
                 raise ValueError(f"{key} must be positive")
             if name in row.nonnegative and value < 0:
                 raise ValueError(f"{key} must be nonnegative")
-        if fn_source is None:
-            fn_source = to_source(f)
         values = locals()
         for name in self.__slots__:
             setattr(self, name, values[name])
@@ -224,7 +222,7 @@ def base_case(p: Problem) -> SimpleNamespace | SweepFailure:
     """
     row, a = p.row, p.a
     # a row selected by its type fixes no field
-    s = SimpleNamespace(fn_source=p.fn_source, a=a, b=a,
+    s = SimpleNamespace(fn_source=to_source(p.f), a=a, b=a,
                         **{name: getattr(p, row.key(name)) for name in row.params},
                         **row.theorems.get(p.theorem, {}))
     vars(s).update(row.start(s, p))

@@ -28,7 +28,7 @@ from .certificates import (
     NegCert,
     RootBracket,
 )
-from .expr import Expr, eval_iv, parse
+from .expr import Expr, eval_iv, parse, to_source
 from .numeric import _MAX_FLOAT, DomainError, FloatInterval, sub_down, sub_up
 from .sweep import MAX_PIECES, FailureKind, Problem, SweepFailure, default_h_min, run_sweep
 
@@ -44,8 +44,8 @@ class Inconclusive(RuntimeError):
 
 
 def _problem(f: Expr | str, a: float, b: float, theorem: str, max_pieces: int, **params):
-    expr, src = (parse(f), f) if isinstance(f, str) else (f, None)
-    return Problem(expr, a, b, theorem, fn_source=src, max_pieces=max_pieces, **params)
+    expr = parse(f) if isinstance(f, str) else f
+    return Problem(expr, a, b, theorem, max_pieces=max_pieces, **params)
 
 
 def _coarse_to_fine(p: Problem) -> IntegralCert | MaxCert | SweepFailure:
@@ -110,7 +110,7 @@ def prove_modulus(f: Expr | str, a: float, b: float, eps: float,
         try:  # the natural extension over [a, b] may be refused where pieces are not
             lo, hi = eval_iv(overlap.f, a, b)
             if sub_up(hi, lo) < eps:
-                return ModulusCert(overlap.fn_source, a, b, eps, sub_down(b, a),
+                return ModulusCert(to_source(overlap.f), a, b, eps, sub_down(b, a),
                                    (FloatInterval(a, b),), (sub_up(hi, lo),))
         except (DomainError, OverflowError):
             pass
@@ -202,7 +202,7 @@ def prove_root(f: Expr | str, a: float, b: float, tol: float,
             raise Inconclusive(f"no certified-positive point found to the right of {at!r}")
         right, f_right_lo = res.witness.lo, res.enclosure.lo
         if sub_up(right, at) <= tol:
-            return RootBracket(problem.fn_source, a, b, at, right, f_at.hi, f_right_lo, tol)
+            return RootBracket(to_source(expr), a, b, at, right, f_at.hi, f_right_lo, tol)
         if (at, right) == (l, r) or not default_h_min(at, right) > 0:
             raise Inconclusive(
                 f"sign undecidable everywhere inside [{at!r}, {right!r}] "

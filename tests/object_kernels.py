@@ -6,10 +6,11 @@ Everything below the imports, up to the last section, is copied verbatim
 from suparg.numeric and suparg.expr, with three changes: the exceptions and
 the pi constants come from the package, so error types compare equal; the
 interpreters run the tape of an expression the package parsed, with each
-constant enclosed and each function applied in object form (_object_code),
-and they read its outer and, through to_source, its text; and
-EvalResult, the result type of the object-form eval_d1, lives only here now
-that the package's interpreters return float ends.  The last section,
+constant read from its instruction and enclosed and each function applied
+in object form (_object_code), and they name a failing application, as the
+package does, by to_source of its instruction; and EvalResult, the result
+type of the object-form eval_d1, lives only here now that the package's
+interpreters return float ends.  The last section,
 mended, words this reference's overflow outcomes as the package words them
 now.
 """
@@ -567,13 +568,13 @@ def _enclose(q: Fraction) -> FloatInterval | None:
 
 
 def _object_code(f: Expr) -> list[tuple]:
-    """f's tape, each constant read from its shape and enclosed, and each
-    function's value enclosure, in object form."""
+    """f's tape, each constant read from its instruction and enclosed, and
+    each function's value enclosure, in object form."""
     code = []
-    for (op, i, j, _), q in zip(f.code, f.shape):
+    for op, i, j, _ in f.code:
         if op in (_CONST, _HUGE):
-            iv = _enclose(q)
-            code.append((_CONST, 0, 0, iv) if iv is not None else (_HUGE, 0, 0, q))
+            iv = _enclose(i)  # a constant's i is its exact value
+            code.append((_CONST, 0, 0, iv) if iv is not None else (_HUGE, 0, 0, i))
         elif op == _POW:
             code.append((_POW, i, j, _enclose(Fraction(j))))
         else:
@@ -584,8 +585,8 @@ def _object_code(f: Expr) -> list[tuple]:
 def eval_iv(f: Expr, X: FloatInterval) -> FloatInterval:
     """Natural interval extension: an enclosure of {f(t) : t in X}.
 
-    DomainError raised from a subexpression is annotated with that
-    subexpression's source text and the offending interval.
+    A DomainError is annotated with the source text of the application that
+    failed.
     """
     v: list[FloatInterval] = []
     push = v.append
@@ -612,7 +613,7 @@ def eval_iv(f: Expr, X: FloatInterval) -> FloatInterval:
             else:  # a function application; arg is its value enclosure
                 push(arg(v[i]))
     except (DomainError, DivisionByZeroInterval) as err:
-        raise _annotate(err, X, f, f.outer[len(v)]) from None
+        raise _annotate(err, X, f, len(v)) from None
     return v[-1]
 
 
@@ -683,7 +684,7 @@ def eval_d1(f: Expr, X: FloatInterval) -> EvalResult:
     return EvalResult(v[-1], d[-1])
 
 
-def _annotate(err: Exception, X: FloatInterval, f: Expr, k: int | None) -> DomainError:
+def _annotate(err: Exception, X: FloatInterval, f: Expr, k: int) -> DomainError:
     # a DomainError always comes from a function application, instruction k
     if isinstance(err, DomainError):
         out = DomainError(err.fn, err.operand, err.detail)

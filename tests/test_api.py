@@ -47,7 +47,10 @@ An expression has one representation, the tape parse writes: no module
 subclasses Expr, and only parse calls Expr(...).  It has one derivative,
 eval_d1's, with no class of expressions fenced off from it: no identifier
 in src/ is NotDifferentiable, has_abs or differentiable, and an Expr holds
-its code, shape and outer alone.
+its code alone.
+
+Every annotation in src/ resolves: typing.get_type_hints succeeds on each
+function, class and method a module defines.
 
 A cold start stays cheap: no module imports dataclasses, and cover, clopen
 and check run without importing sweep or theorems, which suparg and
@@ -341,7 +344,34 @@ def test_every_expression_has_one_derivative():
     found = sorted(f"{path.stem}: {name}" for path in sorted(SRC.glob("*.py"))
                    for name in _identifiers(ast.parse(path.read_text())) & fenced)
     assert not found, f"an expression fenced off from eval_d1: {found}"
-    assert Expr.__slots__ == ("code", "shape", "outer")
+    assert Expr.__slots__ == ("code",)
+
+
+def test_every_annotation_resolves():
+    import importlib
+    import inspect
+    import typing
+
+    unresolved = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__main__":  # defines nothing, and importing it runs the CLI
+            continue
+        module = importlib.import_module(f"suparg.{path.stem}")
+        defined = [(name, obj) for name, obj in vars(module).items()
+                   if (inspect.isfunction(obj) or inspect.isclass(obj))
+                   and obj.__module__ == module.__name__]
+        for name, obj in list(defined):
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", getattr(member, "fget", member))
+                    if inspect.isfunction(member):
+                        defined.append((f"{name}.{attr}", member))
+        for name, obj in defined:
+            try:
+                typing.get_type_hints(obj)
+            except NameError as err:
+                unresolved.append(f"{path.stem}.{name}: {err}")
+    assert not unresolved, unresolved
 
 
 def test_no_module_imports_dataclasses():

@@ -68,8 +68,8 @@ def overlap_modulus(f, a, b, eps, max_pieces=MAX_PIECES):
     """uct by the overlap route alone, as prove_modulus's signature takes it;
     prove_modulus takes this route for a differentiable f only where
     neither the whole domain nor the mean-value route certifies."""
-    expr, src = (parse(f), f) if isinstance(f, str) else (f, None)
-    return run_sweep(Problem(expr, a, b, "uct", eps=eps, fn_source=src, max_pieces=max_pieces))
+    expr = parse(f) if isinstance(f, str) else f
+    return run_sweep(Problem(expr, a, b, "uct", eps=eps, max_pieces=max_pieces))
 
 
 def tuple_set(values, k, v):
@@ -403,8 +403,7 @@ GOLDEN_PROBLEMS = {
     "dit": lambda: prove_integral("x^2 - x", 0.0, 1.0, 1e-2),
     # the per-prefix budget of a sweep without a plan, which prove_integral
     # falls back to
-    "dit-prefix": lambda: run_sweep(Problem(parse("x^2 - x"), 0.0, 1.0, "dit", eps=1e-2,
-                                            fn_source="x^2 - x")),
+    "dit-prefix": lambda: run_sweep(Problem(parse("x^2 - x"), 0.0, 1.0, "dit", eps=1e-2)),
     "sift": lambda: prove_monotone("exp(x)", 0.0, 1.0, True),
     "ift": lambda: prove_monotone("x^3", 0.0, 1.0, False),
     "mvi": lambda: prove_mvi("x^2", 0.0, 1.0, 2.5),
@@ -460,28 +459,28 @@ def _verdict(result):
 
 
 GOLDEN_CERT_SHA256 = {
-    "bvt": "56bb5b67519eb3348a6c8db11f2f5902cab4893f94a6a6cedef01abe9dbcd60c",
-    "evt": "9ed3b1bd0fe5fc27a24c28c928e12e7a7b0e31500b90f472a947b53396ca28ad",
-    "ivt-neg": "e4622a1f5f492ce7462d62428983285cd54b698077f12f547bb516aa3a85a213",
-    "ivt-root": "155cd3af5187a2f7d49b185a33948a805a7a6d61beb27b7e8e2ec76b96191008",
-    "uct": "10af9131a9626127b57782ad6763573b72d809f8533b477f24373be5108c8a65",
-    "uct-overlap": "cb8e4dda529318385be850f0b3422fe6479bba743eb6064fed85aa3b18142de1",
-    "dit": "2a32b824a131ebe0280f34f3fe096d03945bfd4a820981c5419dad4f2174815c",
-    "dit-prefix": "350f88400159c3301d12554e219ef93e30a1da7884dc90bf6381cd4cbda8d961",
-    "sift": "372cc2bc5dc2e483ca190b6f582e66d28a1b62d24ad3d912f02f990c8b747b56",
-    "ift": "9f689a6aef5e2e62056744222ebc4d10fed38416d7a97b6271661fbdbcdba0bf",
-    "mvi": "9f0f7df7b75d97a3790894f8936743e8d1336072748356bba0b523d1e4262537",
-    "cft": "2537d0d33783b3a2b2a93148a93daaf388a1294e5f57c618d8d4b86b35cb4a70",
-    "cft-exact": "57efd2dc024044bc20d70a29c4a71418032068f4b01c870cb41f6e7a456ac52f",
-    "bvt-point": "e74660a1cbe6502ea32b20c10ca2eddf82d934479a08d59ed8e9da5f1f0d267d",
-    "evt-point": "37b2c41263ecca9d5d41a533545537714367452b79ae849e71e2b28c490bb959",
-    "ivt-point": "45cc51612fa05b7dc4c096964a47e2adae839c8f71386d62aed5b680cd11d9cc",
-    "uct-point": "fb6ab02c420bcf28901e4bb1f8ff4235354587ef46d6469cb30cfb45bc2e5ccb",
-    "dit-point": "f10549dd74930500ae0a80cffc171e219adc78b689f6ff4cfa72f853a99a9112",
-    "sift-point": "daea208811c479869352ddc796b5dfc275c104c014a152728cb5e12ba2d964aa",
-    "ift-point": "5a0b2a90ea4cf0e12ac0a5d03ebd0ab00006bc6916c43bf4496075008bb15a1b",
-    "mvi-point": "39a64956c5be869929cbdcb34b8e9aad771d1a0959811852abe26e30c9334f8e",
-    "cft-point": "c6fce6a771adba0ec6f41f70daf6cc12d39b204f22c95c51db0583a33bd4368e",
+    "bvt": "c5d2adc2b11a371f57638b9409eb9f19a43fae38a4d953012b7c7a1a0d395a40",
+    "evt": "31747b6615e94c7177c9225a623ce84400ec12c342a4a14ce2f24202e5781843",
+    "ivt-neg": "ed9478a38a6fc0a6673dbc90a7279c037fe5dae2f1f6a0a2e826ccae65fed27c",
+    "ivt-root": "592d3717ad74057c03eb0f2abcc745d19dbb7b661656ec57a851223f5a014bc6",
+    "uct": "570a9cee6a2adb9ec5ab4999dd72da30dc8be9b8e4b57931855b1368f27497d5",
+    "uct-overlap": "1558032f41fbe99087bdfcb2b2afedfddaabc8a77b90aaadd6f283aee15bdc1c",
+    "dit": "aae79c8edda94609c53f6ac57dd4e8d056a18fbd24db6358b8f2e65ecb99464e",
+    "dit-prefix": "a091385b29736ca3146e7d8de8a12ba7af1bdc8b31bb1a2318ee07c1228f1707",
+    "sift": "5ad76cff54263a2328fefbad1164b1d7ac43be44c4c07956bc58af4b1e551a9f",
+    "ift": "0c11daf7f84af279d21c9dcde56cfe91f26870693aafc340f9ec779b568312d6",
+    "mvi": "39496e359125d7e21e86b379a9bbcc460fd60b0253f61512a2840b6348b2704b",
+    "cft": "000abd1c19b84deb5c6f3fba7206538cb65d1abb725765156ba3bdfd32b1100e",
+    "cft-exact": "fa13dd68de67db0bb187fadf15567bde32c3c7fe3b9aa3ecf0f847ce72c258b7",
+    "bvt-point": "3f5fa451d7bb2616aec970e46b73a7c83d38f8cb28083ef9478a02cc031d8bc9",
+    "evt-point": "3fba9e8d39af244ebf43da967070f3499b4e37f68964bd43d13eb581cc34f0bc",
+    "ivt-point": "30e27dd673ecd87f327922209d02977c1bd249325d57cfa38bebda145bd8ac15",
+    "uct-point": "1937d28035e3db0c0262f09006c95d0dfd496e373dac11b9852047d6ea8c7af7",
+    "dit-point": "3b67e88c6c3cd6e0f0659db98dc76d2e6eb479164bb1085a134f398ee8893ef4",
+    "sift-point": "b8d9593b84c0b27730ea2da39f1c301701b0e2ae9aad52dce8d81a2157e14fda",
+    "ift-point": "501988830ab907e1bc6b45b18c832c54870fb8fe7e99bbf71efc9e5c3b047120",
+    "mvi-point": "a1b6cd78960f3f0860ea8900d99f3e8119100938cc8a3923876148406841b109",
+    "cft-point": "2226c344fdee99e4160b09a800b12b625cc9cbac1ae2947c671f0900d47649a2",
 }
 
 GOLDEN_CONCLUSIONS = {
@@ -1317,8 +1316,7 @@ def test_problem_repr_leaves_out_the_prior_and_the_row():
     prior = prove_integral("x", 0.0, 1.0, 1e-2)
     shown = repr(p._replace(prior=prior))
     assert shown == repr(p) and "prior" not in shown and "row" not in shown
-    assert shown.endswith(", theorem='dit', eps=0.001, M=None, eta=None, fn_source='x', "
-                          "max_pieces=1048576)")
+    assert shown.endswith(", theorem='dit', eps=0.001, M=None, eta=None, max_pieces=1048576)")
 
 
 def test_rows_do_not_share_a_keys_dict():

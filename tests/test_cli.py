@@ -22,6 +22,7 @@ from suparg.certificates import (
     CheckResult,
     StructureError,
     check,
+    dumps,
     from_document,
     loads,
     piece_count,
@@ -31,6 +32,7 @@ from suparg.cli import run
 from suparg.expr import parse
 from suparg.numeric import RatInterval, float_down, parse_rational
 from suparg.sweep import FailureKind, Problem, SweepFailure, run_sweep
+from suparg.theorems import prove_bound
 from suparg.topology import Cover, RatIntervalSet, analyze_clopen, extract_subcover
 from test_certificates import overlap_modulus
 
@@ -384,12 +386,12 @@ def test_failing_integral_prints_what_the_per_prefix_sweep_prints(capsys, monkey
 # code and the output that the overlap route alone printed for them
 @pytest.mark.parametrize("argv, digest", [
     (["--fn", "sqrt(x)", "--a", "0", "--b", "4", "--eps", "0.1"],  # f' unbounded at 0
-     "69b8a3980e5cc2bff2703bc8d0f9c3573cb04db57a6746cce0ef34a78a2def78"),
+     "5bd316684a895b9c2bdffcf02addf8a5b960ddeecb083d8a21ffbfb0100442d4"),
     (["--fn", "sqrt(4 - x)", "--a", "0", "--b", "4", "--eps", "0.1"],  # f' unbounded at b
-     "f2fa7592a48d448fa1b0da43ac26ecdd74088669165de7a019674ee9226fa5df"),
+     "c142e4aaf0728c932e284246b427cafcbc798ded737c6da802883c75cc6bd530"),
     # f' is 0 at every point, but its enclosure on a piece never is
     (["--fn", "x*x - x*x", "--a", "0", "--b", "1", "--eps", "0.1"],
-     "d9522327fd243444e5bdb25cb253de69a7972ac98dedd986ae7f896159f909cd"),
+     "d6760fbec2a7ea7136bc2ab7edad6b00f5f888b96bcd9274358b186ecd64c371"),
     (["--fn", "sin(x)", "--a", "0", "--b", "2", "--eps", "0.1", "--max-pieces", "2"],
      "dd2e80e2e99091af22930ac939a9e727db264fbe41db8a156c3855d41aea37d0"),
     (["--fn", "log(x)", "--a", "-1", "--b", "1", "--eps", "0.1"],
@@ -571,14 +573,24 @@ def test_domain_too_narrow_for_h_min_exits_two(capsys, theorem):
 
 @pytest.mark.parametrize("theorem", cli.THEOREMS)
 def test_engine_record_counts_pieces_and_names_h_min(capsys, theorem):
-    a, b = 0.5, 1.75
-    code, out, err = invoke(capsys, "prove", theorem, "--fn", "x^2 - 1/2", "--a", str(a),
-                            "--b", str(b), *_CONTRACT_PARAMS.get(theorem, []),
+    # the record is the piece count alone; it names no h_min, which a and b
+    # give and nothing reads
+    code, out, err = invoke(capsys, "prove", theorem, "--fn", "x^2 - 1/2", "--a", "0.5",
+                            "--b", "1.75", *_CONTRACT_PARAMS.get(theorem, []),
                             "--format", "json")
     assert (code, err) == (0, "")
     doc = json.loads(out)
-    assert doc["engine"] == {"pieces": piece_count(from_document(doc)),
-                             "h_min": float.hex((b - a) * 2 ** -40)}
+    assert doc["engine"] == {"pieces": piece_count(from_document(doc))}
+
+
+def test_api_and_cli_write_one_document(capsys):
+    # the prover given the source text and the CLI, which parses it first,
+    # state f as the printed text of its code, with one engine record
+    code, out, err = invoke(capsys, "prove", "bvt", "--fn", "x*x", "--a", "0", "--b", "1",
+                            "--format", "json")
+    assert (code, err) == (0, "")
+    assert dumps(prove_bound("x*x", 0.0, 1.0)) == out
+    assert json.loads(out)["function"] == "x * x"
 
 
 def test_prove_takes_exactly_the_known_options():

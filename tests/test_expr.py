@@ -113,9 +113,12 @@ def mp_eval(e, t):
 # ---------------------------------------------------------------------------
 
 def test_parse_basic_shapes():
+    # a constant's instruction carries its exact value in its unused i slot
     m = expr_mod
-    x, one, two = (m._VAR, 0, 0, None), (m._CONST, 0, 0, (1.0, 1.0)), (m._CONST, 0, 0, (2.0, 2.0))
-    tenth = (m._CONST, 0, 0, (numeric.float_down(Fraction(1, 10)), numeric.float_up(Fraction(1, 10))))
+    x = (m._VAR, 0, 0, None)
+    one, two = (m._CONST, Fraction(1), 0, (1.0, 1.0)), (m._CONST, Fraction(2), 0, (2.0, 2.0))
+    tenth = (m._CONST, Fraction(1, 10), 0,
+             (numeric.float_down(Fraction(1, 10)), numeric.float_up(Fraction(1, 10))))
     assert parse("x^2 - 2").code == (x, (m._POW, 0, 2, (2.0, 2.0)), two, (m._SUB, 1, 2, None))
     assert parse("sin(x)*exp(x)").code == (
         x, (m._SIN, 0, 0, numeric._sin), x, (m._EXP, 2, 0, numeric._exp), (m._MUL, 1, 3, None))
@@ -124,8 +127,8 @@ def test_parse_basic_shapes():
     assert parse("-x*x").code == (x, (m._NEG, 0, 0, None), x, (m._MUL, 1, 2, None))
     assert parse(" ( x + 1 ) / ( x - 1 ) ").code == (
         x, one, (m._ADD, 0, 1, None), x, one, (m._SUB, 3, 4, None), (m._DIV, 2, 5, None))
-    # each instruction's outermost application: exp(...), at 4
-    assert parse("1 + exp(sqrt(log(x)))").outer == (None, 4, 4, 4, 4, None)
+    huge = Fraction(10 ** 400)
+    assert parse("1" + "0" * 400).code == ((m._HUGE, huge, 0, huge),)
 
 
 def test_parse_error_position():
@@ -149,10 +152,21 @@ def test_parse_error_position():
 
 def test_exact_decimal_literals():
     e = parse("0.1")
-    assert e.shape == (Fraction(1, 10),)
+    assert e.code[0][1] == Fraction(1, 10)
     lo, hi = eval_iv(e, 0, 1)
     assert Fraction(lo) <= Fraction(1, 10) <= Fraction(hi)
     assert hi == math.nextafter(lo, math.inf)  # tightest enclosure
+
+
+def test_equality_reads_each_constant_exactly():
+    # two constants in one float enclosure are two expressions, and each
+    # prints to text that parses back to it
+    tenth, near = parse("0.1 * x"), parse("0.10000000000000000001 * x")
+    assert eval_iv(tenth, 0.0, 1.0) == eval_iv(near, 0.0, 1.0)
+    assert tenth.code[0][3] == near.code[0][3] and tenth != near
+    for e in (tenth, near, parse("1" + "0" * 400 + " - x")):
+        again = parse(to_source(e))
+        assert again == e and hash(again) == hash(e)
 
 
 def test_abs_takes_the_generalized_derivative():
@@ -398,9 +412,10 @@ def _ref_eval(e, X):
         return _ref_eval(e[1], X) / _ref_eval(e[2], X)
     if tag == "^":
         return iv_pow(_ref_eval(e[1], X), e[2])
+    arg = _ref_eval(e[1], X)
     try:
-        return _REF_APPLY[tag](_ref_eval(e[1], X))
-    except DomainError as err:
+        return _REF_APPLY[tag](arg)
+    except DomainError as err:  # named by the application that failed
         err.context = _context(e)
         raise
 
@@ -562,13 +577,12 @@ def test_tape_matches_recursive_reference():
     assert seen == {"ok", "domain", "OverflowError"}
 
 
-def test_domain_error_context_is_the_enclosing_application():
-    # eval_iv names the outermost application around the failing one,
-    # eval_d1 the failing application itself
+def test_domain_error_context_is_the_failing_application():
+    # both interpreters name the application that failed, not one around it
     f = parse("1 + exp(sqrt(log(x)))")
     with pytest.raises(DomainError) as exc:
         eval_iv(f, 0.5, 0.6)
-    assert (exc.value.fn, exc.value.context) == ("sqrt", "exp(sqrt(log(x)))")
+    assert (exc.value.fn, exc.value.context) == ("sqrt", "sqrt(log(x))")
     with pytest.raises(DomainError) as exc:
         eval_d1(f, 0.5, 0.6)
     assert (exc.value.fn, exc.value.context) == ("sqrt", "sqrt(log(x))")
@@ -814,8 +828,9 @@ _DIGEST_LEAVES = (
 _DIGEST_PIECES = ((-2.0, 2.0), (0.25, 0.5), (-0.0, 0.0), (1.0, 900.0))
 # sha256 of the records of 2,000 sources, as the tree-building parser and
 # its compiled tape printed and evaluated them; the eval_d1 records of
-# sources with abs are those of its generalized derivative
-_DIGEST = "a87a46debc1b47b8df0a34330e1bac25dfcbaa0b812483548d169d27ece42d28"
+# sources with abs are those of its generalized derivative, and each
+# DomainError names the application that failed
+_DIGEST = "047f20af9bfe124e1e5afe212c31bf24f1e1607b2f798fdfab6b7f8cf4d56fc9"
 
 
 def _digest_source(rng: random.Random, depth: int) -> str:

@@ -120,7 +120,7 @@ def test_max_of_a_cubic_at_a_fine_eps_takes_few_pieces():
 def _plain_outcome(src, a, b, theorem, **params):
     """The plain sweep's failure, or the error it raises, as fields."""
     try:
-        out = run_sweep(Problem(parse(src), a, b, theorem, fn_source=src, **params))
+        out = run_sweep(Problem(parse(src), a, b, theorem, **params))
     except DomainError as err:
         return type(err), str(err), err.piece
     assert isinstance(out, SweepFailure)

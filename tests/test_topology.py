@@ -649,14 +649,14 @@ GOLDEN_CLOPEN = {
 }
 
 GOLDEN_SHA256 = {
-    "long-chain": "05cc8f171b8ae1a3169a955983aa92a869910295084ab3e99ad7e15a5842d784",
-    "tied-ends": "b497821349dba6dfb2b6be390a02c8858131216a7ce80be64311b181eada4471",
+    "long-chain": "7fcd3755f1aa42053abb3187113f86e710694b5841560cee46a65bbb4f7dc880",
+    "tied-ends": "a9539b61e3509d35b112cc65add5af9b626502d97b6d36028b63b754501b396f",
     "touching-gap": "213d994c54de440501f8e9febcc5f1ec7dd6f134c5d4d03bc562e8d3129175e7",
-    "point-domain": "2d367b42041f0c9e99fa2882a16e66c3b16cf60479b8d8c81fac244bdfc1c048",
-    "covers-all": "dc240d68580b75a882347a8467544db717f554fcc7ed9c2c572605b625aec36b",
-    "not-contains-a": "1c284be9367fc08575b7c0751498150400c4fe328e05e9d2f6c145383204b944",
-    "not-rel-open": "b4642c2cdb93e7d322ba8a8562b10d8765d8c2101cb024eb3793d4b566fb27bd",
-    "not-rel-closed": "8d8d26b8546a497b01ff521fadd30f6991780d8166f17c257bda79277c8853d4",
+    "point-domain": "96b72f877f078bbb396433c9f280a96aa3fea87943aac800b80351794d8640f6",
+    "covers-all": "1c9801ac6046bd6b102044f3cecb8754ced9ec78fe8c59d7d287ce6a0e7df1c4",
+    "not-contains-a": "ca162eb22ce3773e45db037ca64215a960054da89d7d5545c669d03fef0c7dbf",
+    "not-rel-open": "9e91f1edc0ab25dd57b797f1a2fda573a6f60a4d181b1094c938a25718a24317",
+    "not-rel-closed": "e2d2ff8f6b501b972c282001326ac98fddfc3bc6f9947385691a6bc97baa589d",
 }
 
 
