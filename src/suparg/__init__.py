@@ -8,6 +8,8 @@ Every success is a finite certificate that an independent checker
 re-verifies from scratch.
 """
 
+from types import ModuleType as _Module
+
 from .certificates import (
     BoundCert,
     Certificate,
@@ -71,14 +73,15 @@ __version__ = "0.1.0"
 _LAZY = {
     "sweep": ("FailureKind", "LocalWitness", "Problem", "SweepFailure", "base_case", "combine",
               "finish", "local_extend", "run_sweep"),
-    "theorems": ("Inconclusive", "PreconditionError", "prove_bound", "prove_flat",
-                 "prove_integral", "prove_max", "prove_modulus", "prove_monotone", "prove_mvi",
-                 "prove_root"),
+    "theorems": ("prove_bound", "prove_flat", "prove_integral", "prove_max", "prove_modulus",
+                 "prove_monotone", "prove_mvi", "prove_root"),
 }
 
 
-# what `from suparg import *` binds: the names imported above and the lazy ones
-__all__ = [name for name in dir() if not name.startswith("_")] + \
+# what `from suparg import *` binds: the names imported above, not the
+# submodules that importing them binds, and the lazy ones
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _Module)] + \
     [name for names in _LAZY.values() for name in names]
 
 

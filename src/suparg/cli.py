@@ -5,8 +5,10 @@ exactly representable in binary64 (they anchor exact partition arithmetic);
 tolerance-like parameters are rounded toward the stricter side.  Output is
 deterministic: identical invocations produce byte-identical certificate
 JSON, in the compact layout of certificates.dumps; `check` reads any JSON
-layout.  Proof failures exit 1 with a witness record on stdout; usage, parse
-and domain errors exit 2 with a one-line JSON record on stderr.
+layout.  A proof failure of any prover exits 1 with one failure record on
+stdout, the keys failure, at, detail, witness and enclosure of its
+SweepFailure (cover's uncovered point prints its own); usage, parse and
+domain errors exit 2 with a one-line JSON record on stderr.
 """
 
 from __future__ import annotations
@@ -157,9 +159,16 @@ def _failure_record(res) -> dict:
             "witness": hexed(res.witness), "enclosure": hexed(res.enclosure)}
 
 
+def _write_certificate(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise UsageError(f"cannot write certificate {path!r}: {err}") from None
+
+
 def _cmd_prove(args) -> int:
     from .sweep import MAX_PIECES, SweepFailure
-    from .theorems import Inconclusive, PreconditionError
 
     f = parse(args.fn)
     a = _exact_endpoint(args.a, "a")
@@ -181,23 +190,13 @@ def _cmd_prove(args) -> int:
     # looked up on this module at call time, so a wrapper installed on it sees the call
     prover = getattr(sys.modules[__name__], row.prover)
     max_pieces = MAX_PIECES if args.max_pieces is None else args.max_pieces
-    try:
-        result = prover(f, a, b, *values, *row.theorems[th].values(), max_pieces=max_pieces)
-    except PreconditionError as err:
-        return _emit_failure({"failure": "precondition", "detail": str(err)})
-    except Inconclusive as err:
-        return _emit_failure({"failure": "inconclusive", "detail": str(err)})
-
+    result = prover(f, a, b, *values, *row.theorems[th].values(), max_pieces=max_pieces)
     if isinstance(result, SweepFailure):
         return _emit_failure(_failure_record(result))
 
     text = dumps(result)
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        except OSError as err:
-            raise UsageError(f"cannot write certificate {args.out!r}: {err}") from None
+        _write_certificate(args.out, text)
     if args.format == "json":
         sys.stdout.write(text)
     else:

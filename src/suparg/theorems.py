@@ -33,16 +33,6 @@ from .numeric import _MAX_FLOAT, DomainError, FloatInterval, sub_down, sub_up
 from .sweep import MAX_PIECES, FailureKind, Problem, SweepFailure, default_h_min, run_sweep
 
 
-class PreconditionError(ValueError):
-    """A theorem's hypothesis could not be certified before sweeping."""
-
-
-class Inconclusive(RuntimeError):
-    """The root prover's sweeps could not narrow a sign change to within tol:
-    f is undecided at a stall, no point past it is certified positive, or a
-    pass over the bracket moves neither end."""
-
-
 def _problem(f: Expr | str, a: float, b: float, theorem: str, max_pieces: int, **params):
     expr = parse(f) if isinstance(f, str) else f
     return Problem(expr, a, b, theorem, max_pieces=max_pieces, **params)
@@ -173,9 +163,14 @@ def prove_root(f: Expr | str, a: float, b: float, tol: float,
     or fails at l, and its look past l gives the first certified-positive
     point of l + h_min, l + 2 h_min, l + 4 h_min, ... as the witness r.
     While [l, r] is wider than tol the sweep runs again on it, with an h_min
-    relative to the bracket, so each pass shrinks it by about 2**-38.  A
-    zero only touched, never crossed, leaves no positive point or a pass
-    that moves neither end, and raises Inconclusive.
+    relative to the bracket, so each pass shrinks it by about 2**-38.
+
+    Every proof failure is a returned SweepFailure: f(a) >= 0 certified is
+    HYPOTHESIS_FAIL at a, witness [a, a], and f(a) otherwise undecided is
+    STALLED at a, both with f(a)'s enclosure; a pass's failure with no
+    witness (BUDGET, or a zero only touched, never crossed) is returned as
+    it is; f undecided at l is STALLED there, and a pass that moves neither
+    end, or whose h_min underflows, is STALLED at l with witness [l, r].
     """
     problem = _problem(f, a, b, "ivt", max_pieces)
     if not math.isfinite(tol):
@@ -185,26 +180,26 @@ def prove_root(f: Expr | str, a: float, b: float, tol: float,
     expr = problem.f
     f_a = FloatInterval(*eval_iv(expr, a, a))
     if not f_a.hi < 0.0:
-        raise PreconditionError(
-            f"f(a) is not certified negative: enclosure {f_a} at a = {a!r}")
+        detail = f"f(a) is not certified negative: enclosure {f_a} at a = {a!r}"
+        if f_a.lo >= 0.0:
+            return SweepFailure(FailureKind.HYPOTHESIS_FAIL, a, FloatInterval(a, a), f_a, detail)
+        return SweepFailure(FailureKind.STALLED, a, enclosure=f_a, detail=detail)
 
     l, r = a, b
     while True:
         res = run_sweep(problem._replace(a=l, b=r))
-        if isinstance(res, NegCert) or res.kind is FailureKind.BUDGET:
+        if isinstance(res, NegCert) or res.witness is None:
             return res
         at = res.at
         f_at = FloatInterval(*eval_iv(expr, at, at))
         if not f_at.hi < 0.0:
-            raise Inconclusive(
-                f"sign undecidable at the stalled frontier {at!r}: enclosure {f_at}")
-        if res.witness is None:
-            raise Inconclusive(f"no certified-positive point found to the right of {at!r}")
+            return SweepFailure(FailureKind.STALLED, at, enclosure=f_at, detail=(
+                f"sign undecidable at the stalled frontier {at!r}: enclosure {f_at}"))
         right, f_right_lo = res.witness.lo, res.enclosure.lo
         if sub_up(right, at) <= tol:
             return RootBracket(to_source(expr), a, b, at, right, f_at.hi, f_right_lo, tol)
         if (at, right) == (l, r) or not default_h_min(at, right) > 0:
-            raise Inconclusive(
+            return SweepFailure(FailureKind.STALLED, at, FloatInterval(at, right), detail=(
                 f"sign undecidable everywhere inside [{at!r}, {right!r}] "
-                f"(width {right - at!r} > tol {tol!r})")
+                f"(width {right - at!r} > tol {tol!r})"))
         l, r = at, right

@@ -42,6 +42,11 @@ own.
 
 Every certificate class a row builds is exported from suparg, and no
 module but __init__.py, which re-exports, imports a name it never reads.
+`from suparg import *` binds names the package gives, no submodule.
+
+A prover has one outcome per failure, a returned SweepFailure: no
+identifier in src/ is PreconditionError or Inconclusive, theorems.py
+defines no class, and cli._cmd_prove has no try to catch a second kind.
 
 An expression has one representation, the tape parse writes: no module
 subclasses Expr, and only parse calls Expr(...).  It has one derivative,
@@ -272,6 +277,16 @@ def test_every_certificate_class_is_exported():
     assert not missing, f"certificate classes suparg does not export: {missing}"
 
 
+def test_star_import_binds_no_submodule():
+    import types
+
+    modules = sorted(name for name in suparg.__all__
+                     if isinstance(getattr(suparg, name, None), types.ModuleType))
+    assert not modules, f"suparg.__all__ names submodules {modules}"
+    missing = sorted(name for name in suparg.__all__ if not hasattr(suparg, name))
+    assert not missing, f"suparg.__all__ names what suparg lacks: {missing}"
+
+
 def test_no_module_imports_a_name_it_never_reads():
     unread = []
     for path in sorted(SRC.glob("*.py")):
@@ -345,6 +360,19 @@ def test_every_expression_has_one_derivative():
                    for name in _identifiers(ast.parse(path.read_text())) & fenced)
     assert not found, f"an expression fenced off from eval_d1: {found}"
     assert Expr.__slots__ == ("code",)
+
+
+def test_a_prover_returns_every_proof_failure():
+    found = sorted(f"{path.stem}: {name}" for path in sorted(SRC.glob("*.py"))
+                   for name in _identifiers(ast.parse(path.read_text()))
+                   & {"PreconditionError", "Inconclusive"})
+    assert not found, f"a proof failure raised, not returned: {found}"
+    classes = [node.name for node in ast.walk(ast.parse((SRC / "theorems.py").read_text()))
+               if isinstance(node, ast.ClassDef)]
+    assert not classes, f"theorems.py defines classes {classes}"
+    tries = [node.lineno for node in ast.walk(_function("cli", "_cmd_prove"))
+             if isinstance(node, ast.Try)]
+    assert not tries, f"cli._cmd_prove has a try on lines {tries}"
 
 
 def test_every_annotation_resolves():

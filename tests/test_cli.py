@@ -127,11 +127,45 @@ def test_sift_of_abs_is_refuted_across_its_kink_and_proved_past_it(capsys, tmp_p
     assert code == 0 and out.strip() == "Valid"
 
 
-def test_prove_precondition_failure(capsys):
-    code, out, _ = invoke(capsys, "prove", "ivt", "--fn", "x^2",
-                          "--a", "-1", "--b", "1")
-    assert code == 1
-    assert json.loads(out)["failure"] == "precondition"
+def _root_failure(failure, at, detail, witness=None, enclosure=None):
+    return {"failure": failure, "at": at, "detail": detail, "witness": witness,
+            "enclosure": enclosure}
+
+
+_ONE = "0x1.0000000000000p+0"
+# the floats next to 0.5, below and above
+_BELOW_HALF, _ABOVE_HALF = "0x1.fffffffffffffp-2", "0x1.0000000000001p-1"
+
+
+@pytest.mark.parametrize("fn, a, tol, record", [
+    ("x^2", "-1", "1e-9", _root_failure(
+        "hypothesis_fail", "-" + _ONE,
+        "f(a) is not certified negative: enclosure [1.0, 1.0] at a = -1.0",
+        ["-" + _ONE, "-" + _ONE], [_ONE, _ONE])),
+    ("x", "0", "1e-9", _root_failure(
+        "hypothesis_fail", "0x0.0p+0",
+        "f(a) is not certified negative: enclosure [0.0, 0.0] at a = 0.0",
+        ["0x0.0p+0", "0x0.0p+0"], ["0x0.0p+0", "0x0.0p+0"])),
+    ("sin(x) - sin(x)", "0.5", "1e-9", _root_failure(
+        "stalled", "0x1.0000000000000p-1",
+        "f(a) is not certified negative: enclosure "
+        "[-2.220446049250313e-16, 2.220446049250313e-16] at a = 0.5",
+        enclosure=["-0x1.0000000000000p-52", "0x1.0000000000000p-52"])),
+    ("-(x^2)", "-1", "1e-9", _root_failure(
+        "stalled", "-0x1.0b5fc5b622cbcp-40",
+        "no certifiable piece down to h_min = 1.8189894035458565e-12")),
+    ("x-0.5", "0", "1e-300", _root_failure(
+        "stalled", _BELOW_HALF,
+        "sign undecidable everywhere inside [0.49999999999999994, 0.5000000000000001] "
+        "(width 1.6653345369377348e-16 > tol 9.999999999999999e-301)",
+        [_BELOW_HALF, _ABOVE_HALF])),
+], ids=["f-a-positive", "f-a-zero", "f-a-straddles", "touch-stalls", "tol-below-ulp"])
+def test_every_root_failure_is_one_record(capsys, fn, a, tol, record):
+    # a false hypothesis, a stall and a bracket that cannot narrow are all
+    # one SweepFailure, printed with the keys of every prover's failure
+    code, out, err = invoke(capsys, "prove", "ivt", "--fn", fn, "--a", a, "--b", "1",
+                            "--tol", tol)
+    assert (code, err, json.loads(out)) == (1, "", record)
 
 
 def test_domain_error_exit_two(capsys):
@@ -637,10 +671,6 @@ _IVT_HALF = ["prove", "ivt", "--fn", "x-0.5", "--a", "0", "--b", "1"]
     (["prove", "dit", "--fn", "x", "--a", "0", "--b", "1", "--eps", "1e-400"], 2, "err",
      {"error": "usage", "detail": "--eps '1e-400' underflows to zero"}),
     (_IVT_HALF + ["--tol", "0"], 2, "err", {"error": "usage", "detail": "tol must be positive"}),
-    (_IVT_HALF + ["--tol", "1e-300"], 1, "out",
-     {"failure": "inconclusive",
-      "detail": "sign undecidable everywhere inside [0.49999999999999994, 0.5000000000000001] "
-                "(width 1.6653345369377348e-16 > tol 9.999999999999999e-301)"}),
     (["cover", "--file", "{missing}", "--a", "0", "--b", "1"], 2, "err",
      {"error": "usage", "detail": "[Errno 2] No such file or directory: '{missing}'"}),
     (["clopen", "--file", "{missing}", "--a", "0", "--b", "1"], 2, "err",
@@ -652,7 +682,7 @@ _IVT_HALF = ["prove", "ivt", "--fn", "x-0.5", "--a", "0", "--b", "1"]
     (["prove", "bvt", "--fn", TOO_MANY_NODES, "--a", "0", "--b", "1"], 2, "err",
      {"error": "parse", "position": 200_001,
       "detail": "expected at most 100000 nodes at offset 200001, found more"}),
-], ids=["a-after-b", "eps-underflow", "tol-zero", "tol-below-ulp", "cover-no-file",
+], ids=["a-after-b", "eps-underflow", "tol-zero", "cover-no-file",
         "clopen-no-file", "clopen-set-outside", "cover-element-not-open", "too-many-nodes"])
 def test_contract_line(capsys, tmp_path, argv, code, stream, record):
     # one record on one stream, the other empty, and the exit code

@@ -818,7 +818,7 @@ def _fold_outcome(code, rng):
     case = (code, fn, a.hex(), b.hex(), values, max_pieces)
     try:
         out = prover(fn, a, b, *values, *row.theorems[code].values(), max_pieces=max_pieces)
-    except (ValueError, ArithmeticError, theorems.Inconclusive) as err:
+    except (ValueError, ArithmeticError) as err:
         return case, type(err).__name__, str(err), _hex_ends(getattr(err, "piece", None))
     if isinstance(out, SweepFailure):
         return (case, out.kind.value, out.at.hex(), _hex_ends(out.witness),
@@ -856,8 +856,8 @@ def _fold_records(monkeypatch):
 def test_fold_digest(monkeypatch):
     # every warm start shows in the evaluation counts, every piece in the bytes
     records, outcomes = _fold_records(monkeypatch)
-    assert {"cert", "stalled", "hypothesis_fail", "budget", "DomainError", "PreconditionError",
-            "point cert", "point DomainError"} <= outcomes
+    assert {"cert", "stalled", "hypothesis_fail", "budget", "DomainError", "point cert",
+            "point DomainError"} <= outcomes
     recorded = [tuple(line.split(" ", 2)) for line in _FOLD_DIGESTS.read_text().splitlines()]
     moved = [f"#{k} {case}" for (k, digest, case), (_, want, _) in zip(records, recorded)
              if digest != want]

@@ -28,8 +28,6 @@ from suparg.numeric import DomainError, FloatInterval
 from suparg import theorems
 from suparg.sweep import FailureKind, Problem, SweepFailure, run_sweep
 from suparg.theorems import (
-    Inconclusive,
-    PreconditionError,
     prove_bound,
     prove_flat,
     prove_integral,
@@ -286,11 +284,14 @@ def test_root_bracket_holds_the_exact_root(family, data, tol):
         assert spy.call_count <= 5, (fn, spy.call_count)
 
 
-def test_root_bracket_whose_h_min_underflows_is_inconclusive():
+def test_root_bracket_whose_h_min_underflows_stalls():
     # a root at 0 and a tol below 2**-1034: the bracket's h_min,
-    # (r - l) * 2**-40, underflows before the bracket is within tol
-    with pytest.raises(Inconclusive, match=r"sign undecidable everywhere inside \[-5\.00"):
-        prove_root("x", -1.0, 1.0, 1e-320)
+    # (r - l) * 2**-40, underflows before the bracket is within tol, and the
+    # failure's witness is that bracket
+    res = prove_root("x", -1.0, 1.0, 1e-320)
+    l, r = -5.0066753534e-314, 1.19692909744e-313
+    assert res == SweepFailure(FailureKind.STALLED, l, FloatInterval(l, r), detail=(
+        f"sign undecidable everywhere inside [{l!r}, {r!r}] (width {r - l!r} > tol 1e-320)"))
 
 
 def test_root_sweep_out_of_pieces_is_returned():
@@ -306,14 +307,22 @@ def test_root_never_crossing_gives_negativity():
 
 
 def test_root_precondition():
-    with pytest.raises(PreconditionError):
-        prove_root("x^2", -1.0, 1.0, 1e-9)
+    # f(a) > 0 refutes the hypothesis f(a) < 0 at the point a itself
+    res = prove_root("x^2", -1.0, 1.0, 1e-9)
+    assert res == SweepFailure(
+        FailureKind.HYPOTHESIS_FAIL, -1.0, FloatInterval(-1.0, -1.0), FloatInterval(1.0, 1.0),
+        "f(a) is not certified negative: enclosure [1.0, 1.0] at a = -1.0")
 
 
 def test_root_tangential_touch_inconclusive():
-    # crosses zero nowhere but touches at 0: negativity holds neither side
-    with pytest.raises(Inconclusive):
-        prove_root("-(x^2)", -1.0, 1.0, 1e-9)
+    # crosses zero nowhere but touches at 0: negativity holds neither side,
+    # and the sweep's own stall, with no certified-positive point past it,
+    # is returned as it is
+    res = prove_root("-(x^2)", -1.0, 1.0, 1e-9)
+    assert isinstance(res, SweepFailure) and res.kind is FailureKind.STALLED
+    assert -1e-12 < res.at < 0.0 and res.witness is res.enclosure is None
+    assert res.detail == "no certifiable piece down to h_min = 1.8189894035458565e-12"
+    assert res == run_sweep(Problem(parse("-(x^2)"), -1.0, 1.0, "ivt"))
 
 
 def test_root_linear_half():
